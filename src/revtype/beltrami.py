@@ -9,6 +9,9 @@ Two independent evaluation paths exist for the second operator: the
 revolution-specialized formula (`second_beltrami`, the production path) and
 the raw divergence form of the operator (`second_beltrami_divergence`),
 retained purely for cross-verification.
+
+Operators and fields take ``s`` and ``theta`` as floats or as broadcasting
+arrays: a column of rows against a row of angles is a whole grid in one pass.
 """
 
 from __future__ import annotations
@@ -22,8 +25,12 @@ import numpy as np
 from .expressions import eval_jet3, parse
 from .geometry import (
     DEFAULT_TOL_PARAB,
-    ParabolicPointError,
     ProfileCurve,
+    _ddphi,
+    _dphi,
+    _fg,
+    _parabolic,
+    _radii_sum,
     grid_rows,
     radii_sum_jet,
     require_regular,
@@ -63,15 +70,15 @@ class ScalarField:
         if self.harmonic == 0 and self.trig == "sin":
             raise ValueError("harmonic 0 with sin is identically zero")
 
-    def partials(self, s: float, theta: float) -> FieldPartials:
+    def partials(self, s, theta) -> FieldPartials:
         a = tuple(self.profile_jets(s))
         k = self.harmonic
         if self.trig == "cos":
-            t = math.cos(k * theta)
-            dt = -k * math.sin(k * theta)
+            t = np.cos(k * theta)
+            dt = -k * np.sin(k * theta)
         else:
-            t = math.sin(k * theta)
-            dt = k * math.cos(k * theta)
+            t = np.sin(k * theta)
+            dt = k * np.cos(k * theta)
         ddt = -k * k * t
         return FieldPartials(
             value=a[0] * t,
@@ -81,7 +88,7 @@ class ScalarField:
             d_thetatheta=a[0] * ddt,
         )
 
-    def value(self, s: float, theta: float) -> float:
+    def value(self, s, theta):
         return self.partials(s, theta).value
 
 
@@ -96,7 +103,7 @@ def expression_field(
     expr = parse(text_or_expr) if isinstance(text_or_expr, str) else text_or_expr
     bound = dict(params or {})
 
-    def profile(s: float):
+    def profile(s):
         j = eval_jet3(expr, s, bound)
         return (j.v0, j.v1, j.v2, j.v3)
 
@@ -107,14 +114,13 @@ def expression_field(
 
 def coordinate_fields(p: ProfileCurve) -> tuple[ScalarField, ScalarField, ScalarField]:
     """The three coordinate functions of the position vector as fields."""
-    from .geometry import _fg_jets  # shared jet cache
 
-    def f_profile(s: float):
-        fj, _ = _fg_jets(p, s)
+    def f_profile(s):
+        fj, _ = _fg(p, s)
         return (fj.v0, fj.v1, fj.v2)
 
-    def g_profile(s: float):
-        _, gj = _fg_jets(p, s)
+    def g_profile(s):
+        _, gj = _fg(p, s)
         return (gj.v0, gj.v1, gj.v2)
 
     return (
@@ -127,7 +133,7 @@ def coordinate_fields(p: ProfileCurve) -> tuple[ScalarField, ScalarField, Scalar
 def radii_sum_field(p: ProfileCurve, tol_parab: float = DEFAULT_TOL_PARAB) -> ScalarField:
     """R = 2H/K as a theta-independent field (first derivative only)."""
 
-    def profile(s: float):
+    def profile(s):
         return radii_sum_jet(p, s, tol_parab)
 
     return ScalarField("2H/K", profile, harmonic=0, trig="cos")
@@ -135,12 +141,10 @@ def radii_sum_field(p: ProfileCurve, tol_parab: float = DEFAULT_TOL_PARAB) -> Sc
 
 def normal_fields(p: ProfileCurve) -> tuple[ScalarField, ScalarField, ScalarField]:
     """Components of the unit normal as separable fields."""
-    from .geometry import _fg_jets
 
-    def radial(s: float):
-        fj, gj = _fg_jets(p, s)
-        dphi = fj.v1 * gj.v2 - gj.v1 * fj.v2
-        ddphi = fj.v1 * gj.v3 - gj.v1 * fj.v3
+    def radial(s):
+        fj, gj = _fg(p, s)
+        dphi, ddphi = _dphi(fj, gj), _ddphi(fj, gj)
         # a = -sin(phi): a' = -cos(phi) phi', a'' = sin(phi) phi'^2 - cos(phi) phi''
         return (
             -gj.v1,
@@ -148,10 +152,9 @@ def normal_fields(p: ProfileCurve) -> tuple[ScalarField, ScalarField, ScalarFiel
             gj.v1 * dphi * dphi - fj.v1 * ddphi,
         )
 
-    def axial(s: float):
-        fj, gj = _fg_jets(p, s)
-        dphi = fj.v1 * gj.v2 - gj.v1 * fj.v2
-        ddphi = fj.v1 * gj.v3 - gj.v1 * fj.v3
+    def axial(s):
+        fj, gj = _fg(p, s)
+        dphi, ddphi = _dphi(fj, gj), _ddphi(fj, gj)
         # a = cos(phi): a' = -sin(phi) phi', a'' = -cos(phi) phi'^2 - sin(phi) phi''
         return (
             fj.v1,
@@ -195,7 +198,7 @@ def second_beltrami(
         - u_thetatheta/sin^2(phi)
     """
     fj, gj, dphi = require_regular(p, s, tol_parab)
-    ddphi = fj.v1 * gj.v3 - gj.v1 * fj.v3
+    ddphi = _ddphi(fj, gj)
     pu = u.partials(s, theta)
     if pu.d_ss is None:
         raise ValueError(f"field {u.label!r} lacks a second s-derivative")
@@ -223,7 +226,7 @@ def second_beltrami_divergence(
     the s-derivative of sqrt(e) e^{11}.
     """
     fj, gj, dphi = require_regular(p, s, tol_parab)
-    ddphi = fj.v1 * gj.v3 - gj.v1 * fj.v3
+    ddphi = _ddphi(fj, gj)
     pu = u.partials(s, theta)
     if pu.d_ss is None:
         raise ValueError(f"field {u.label!r} lacks a second s-derivative")
@@ -231,7 +234,7 @@ def second_beltrami_divergence(
     e11 = (dphi * dphi, 2.0 * dphi * ddphi)
     e22 = (gj.v1 * gj.v1, 2.0 * gj.v1 * gj.v2)
     det = (e11[0] * e22[0], e11[0] * e22[1] + e11[1] * e22[0])
-    w0 = math.sqrt(det[0])
+    w0 = np.sqrt(det[0])
     w1 = det[1] / (2.0 * w0)
     cs0 = w0 / e11[0]
     cs1 = (w1 * e11[0] - w0 * e11[1]) / (e11[0] * e11[0])
@@ -253,7 +256,7 @@ def laplacian_profile_factors(
     (radial cos(theta), radial sin(theta), axial).
     """
     fj, gj, dphi = require_regular(p, s, tol_parab)
-    R, dR = radii_sum_jet(p, s, tol_parab)
+    R, dR = _radii_sum(fj, gj, dphi)
     sin_phi, cos_phi = gj.v1, fj.v1
     radial = R * sin_phi - (cos_phi / dphi) * dR
     axial = -R * cos_phi - (sin_phi / dphi) * dR
@@ -280,9 +283,9 @@ def coordinate_laplacian(
 
 @dataclass(frozen=True)
 class IdentityReport:
-    max_residual: float
-    at_s: float
-    at_theta: float
+    max_residual: Optional[float]
+    at_s: Optional[float]
+    at_theta: Optional[float]
     points_used: int
     rows_excluded: int
     rows: Optional[list] = None
@@ -309,52 +312,46 @@ def position_identity_residual(
         Laplacian(x) = grad-pairing(2H/K, n) - (2H/K) n
 
     The left side comes from the coordinate-Laplacian factors, the right
-    side from `first_beltrami` applied componentwise to the normal.
+    side from `first_beltrami` applied componentwise to the normal, both
+    as (rows, n_theta) arrays.  With every row parabolic the report has no
+    points and its residual and location are None.
     """
     rows, excluded = grid_rows(p, n_s, tol_parab)
-    thetas = theta_circle(n_theta)
+    if not rows:
+        return IdentityReport(None, None, None, 0, excluded, [] if collect_rows else None)
+    s = np.array(rows)[:, None]
+    thetas = np.array(theta_circle(n_theta))
+    R, _ = radii_sum_jet(p, s, tol_parab)
+    radial, axial = laplacian_profile_factors(p, s, tol_parab)
+    lhs = np.stack(
+        np.broadcast_arrays(radial * np.cos(thetas), radial * np.sin(thetas), axial), axis=-1
+    )
     r_field = radii_sum_field(p, tol_parab)
-    n_comp = normal_fields(p)
-    worst, at = -1.0, (math.nan, math.nan)
-    table = [] if collect_rows else None
-    count = 0
-    for s in rows:
-        R, _ = radii_sum_jet(p, s, tol_parab)
-        radial, axial = laplacian_profile_factors(p, s, tol_parab)
-        for theta in thetas:
-            lhs = np.array(
-                [radial * math.cos(theta), radial * math.sin(theta), axial]
-            )
-            rhs = np.array(
-                [
-                    first_beltrami(p, s, theta, r_field, comp, tol_parab)
-                    - R * comp.value(s, theta)
-                    for comp in n_comp
-                ]
-            )
-            residual = float(np.linalg.norm(lhs - rhs))
-            count += 1
-            if residual > worst:
-                worst, at = residual, (s, theta)
-            if table is not None:
-                table.append(
-                    {
-                        "s": s,
-                        "theta": theta,
-                        "lhs1": lhs[0],
-                        "lhs2": lhs[1],
-                        "lhs3": lhs[2],
-                        "rhs1": rhs[0],
-                        "rhs2": rhs[1],
-                        "rhs3": rhs[2],
-                        "residual": residual,
-                    }
-                )
+    rhs = np.stack(
+        [
+            first_beltrami(p, s, thetas, r_field, comp, tol_parab) - R * comp.value(s, thetas)
+            for comp in normal_fields(p)
+        ],
+        axis=-1,
+    )
+    residual = np.linalg.norm(lhs - rhs, axis=-1)
+    i, j = np.unravel_index(np.argmax(residual), residual.shape)
+    table = None
+    if collect_rows:
+        columns = {
+            "s": np.repeat(rows, n_theta),
+            "theta": np.tile(thetas, len(rows)),
+            "lhs1": lhs[..., 0], "lhs2": lhs[..., 1], "lhs3": lhs[..., 2],
+            "rhs1": rhs[..., 0], "rhs2": rhs[..., 1], "rhs3": rhs[..., 2],
+            "residual": residual,
+        }
+        values = zip(*(np.ravel(c).tolist() for c in columns.values()))
+        table = [dict(zip(columns, v)) for v in values]
     return IdentityReport(
-        max_residual=worst,
-        at_s=at[0],
-        at_theta=at[1],
-        points_used=count,
+        max_residual=float(residual[i, j]),
+        at_s=rows[i],
+        at_theta=float(thetas[j]),
+        points_used=residual.size,
         rows_excluded=excluded,
         rows=table,
     )
@@ -388,10 +385,10 @@ def random_fields(
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    max_rel_diff: float
+    max_rel_diff: Optional[float]
     pairs: int
-    at_s: float
-    at_theta: float
+    at_s: Optional[float]
+    at_theta: Optional[float]
     rows: Optional[list] = None
 
     def to_dict(self) -> dict:
@@ -412,50 +409,67 @@ def operator_equivalence_residual(
     collect_rows: bool = False,
 ) -> EquivalenceReport:
     """Compare the specialized and divergence-form Laplacians on random
-    field/point pairs.  Relative difference uses |a - b| / (1 + |b|)."""
+    field/point pairs.  Relative difference uses |a - b| / (1 + |b|).
+
+    Draws stop after 50 per requested pair; a report with fewer pairs
+    means too few regular points, and with none its difference and
+    location are None.
+    """
     rng = np.random.default_rng(seed)
     intervals = p.regular_intervals()
-    lengths = np.array([hi - lo for lo, hi in intervals])
-    weights = lengths / lengths.sum()
+    if not intervals:
+        raise ValueError("regular subdomain is empty")
+    starts = np.array([lo for lo, _ in intervals])
+    widths = np.array([hi - lo for lo, hi in intervals])
+    cdf = np.cumsum(widths / widths.sum())
+    cdf /= cdf[-1]
     fields = random_fields(p, rng, max(8, n_pairs // 50))
-    worst, at = -1.0, (math.nan, math.nan)
-    table = [] if collect_rows else None
-    done = 0
-    attempts = 0
-    while done < n_pairs:
+    # A draw is an interval from u[k], a point s from u[k + 1] and, if s
+    # clears the margin, an angle from u[k + 2].  Candidates at every
+    # offset k are screened in one pass; the walk keeps the draw order.
+    u = np.empty(0)
+    picks: list[int] = []
+    pos = attempts = 0
+    while len(picks) < n_pairs and attempts < 50 * n_pairs:
+        if pos + 3 > len(u):
+            u = np.concatenate([u, rng.random(max(len(u), 3 * n_pairs + 3))])
+            k = cdf.searchsorted(u[:-1], side="right")
+            candidates = starts[k] + widths[k] * u[1:]
+            fj, gj = _fg(p, candidates)
+            dphi = _dphi(fj, gj)
+            low = np.minimum(np.abs(dphi), np.abs(gj.v1)) < margin
+            usable = ~(_parabolic(dphi, gj.v1, tol_parab) | low)
         attempts += 1
-        if attempts > 50 * n_pairs:
-            raise RuntimeError("could not find enough regular sample points")
-        idx = rng.choice(len(intervals), p=weights)
-        lo, hi = intervals[idx]
-        s = float(rng.uniform(lo, hi))
-        try:
-            fj, gj, dphi = require_regular(p, s, tol_parab)
-        except ParabolicPointError:
-            continue
-        if min(abs(dphi), abs(gj.v1)) < margin:
-            continue
-        theta = float(rng.uniform(0.0, _TAU))
-        field = fields[done % len(fields)]
-        a = second_beltrami(p, s, theta, field, tol_parab)
-        b = second_beltrami_divergence(p, s, theta, field, tol_parab)
-        rel = abs(a - b) / (1.0 + abs(b))
-        done += 1
-        if rel > worst:
-            worst, at = rel, (s, theta)
-        if table is not None:
-            table.append(
-                {
-                    "s": s,
-                    "theta": theta,
-                    "field": field.label,
-                    "harmonic": field.harmonic,
-                    "trig": field.trig,
-                    "specialized": a,
-                    "divergence_form": b,
-                    "rel_diff": rel,
-                }
-            )
+        if usable[pos]:
+            picks.append(pos)
+            pos += 3
+        else:
+            pos += 2
+    done = len(picks)
+    if not done:
+        return EquivalenceReport(None, 0, None, None, [] if collect_rows else None)
+    s = candidates[picks]
+    theta = _TAU * u[np.array(picks) + 2]
+    a, b = np.empty(done), np.empty(done)
+    for i, field in enumerate(fields):
+        sel = slice(i, done, len(fields))
+        a[sel] = second_beltrami(p, s[sel], theta[sel], field, tol_parab)
+        b[sel] = second_beltrami_divergence(p, s[sel], theta[sel], field, tol_parab)
+    rel = np.abs(a - b) / (1.0 + np.abs(b))
+    worst = int(np.argmax(rel))
+    table = None
+    if collect_rows:
+        columns = zip(s.tolist(), theta.tolist(), a.tolist(), b.tolist(), rel.tolist())
+        table = [
+            {"s": si, "theta": ti, "field": fields[i % len(fields)].label,
+             "harmonic": fields[i % len(fields)].harmonic, "trig": fields[i % len(fields)].trig,
+             "specialized": ai, "divergence_form": bi, "rel_diff": ri}
+            for i, (si, ti, ai, bi, ri) in enumerate(columns)
+        ]
     return EquivalenceReport(
-        max_rel_diff=worst, pairs=done, at_s=at[0], at_theta=at[1], rows=table
+        max_rel_diff=float(rel[worst]),
+        pairs=done,
+        at_s=float(s[worst]),
+        at_theta=float(theta[worst]),
+        rows=table,
     )

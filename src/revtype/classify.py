@@ -157,29 +157,22 @@ def fit_matrix(
     tol_fit: float = DEFAULT_TOL_FIT,
     tol_reject: float = DEFAULT_TOL_REJECT,
 ) -> FitReport:
-    """Fit the best constant matrix over an n_s x n_theta grid and classify."""
+    """Fit the best constant matrix over an n_s x n_theta grid and classify.
+    X and B are filled in place from per-row factors times cos/sin(theta)."""
     rows, excluded = grid_rows(p, n_s, tol_parab)
     thetas = np.array(theta_circle(n_theta))
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    ones = np.ones_like(thetas)
-    x_blocks, b_blocks = [], []
-    from .geometry import _fg_jets
-
-    for s in rows:
-        fj, gj = _fg_jets(p, s)
+    X = np.empty((len(rows) * n_theta, 3))
+    B = np.empty_like(X)
+    if rows:
+        s = np.array(rows)[:, None]
+        fj, gj, _ = require_regular(p, s, tol_parab)
         radial, axial = laplacian_profile_factors(p, s, tol_parab)
-        x_blocks.append(
-            np.column_stack([fj.v0 * cos_t, fj.v0 * sin_t, gj.v0 * ones])
-        )
-        b_blocks.append(
-            np.column_stack([radial * cos_t, radial * sin_t, axial * ones])
-        )
-    if x_blocks:
-        X = np.vstack(x_blocks)
-        B = np.vstack(b_blocks)
-    else:
-        X = np.empty((0, 3))
-        B = np.empty((0, 3))
+        for out, rad, ax in ((X, fj.v0, gj.v0), (B, radial, axial)):
+            grid = out.reshape(len(rows), n_theta, 3)
+            np.multiply(rad, cos_t, out=grid[:, :, 0])
+            np.multiply(rad, sin_t, out=grid[:, :, 1])
+            grid[:, :, 2] = ax
     return fit_from_samples(
         X,
         B,
@@ -250,26 +243,18 @@ def eigen_system_residuals(
     s_values: Sequence[float],
     tol_parab: float = DEFAULT_TOL_PARAB,
 ) -> EigenSystemResiduals:
-    worst_factor = worst_quot = worst_rate = 0.0
-    for s in s_values:
-        fj, gj, dphi = require_regular(p, s, tol_parab)
-        radial, axial = laplacian_profile_factors(p, s, tol_parab)
-        R, dR = radii_sum_jet(p, s, tol_parab)
-        sin_phi, cos_phi = gj.v1, fj.v1
-        worst_factor = max(
-            worst_factor,
-            abs(radial - lam * fj.v0),
-            abs(axial - mu * gj.v0),
-        )
-        worst_quot = max(
-            worst_quot,
-            abs(R - (lam * fj.v0 * sin_phi - mu * gj.v0 * cos_phi)),
-        )
-        worst_rate = max(
-            worst_rate,
-            abs(dR + dphi * (lam * fj.v0 * cos_phi + mu * gj.v0 * sin_phi)),
-        )
-    return EigenSystemResiduals(factor=worst_factor, quotient=worst_quot, rate=worst_rate)
+    """Raises ValueError on an empty sample set."""
+    s = np.asarray(s_values, dtype=float)
+    fj, gj, dphi = require_regular(p, s, tol_parab)
+    radial, axial = laplacian_profile_factors(p, s, tol_parab)
+    R, dR = radii_sum_jet(p, s, tol_parab)
+    sin_phi, cos_phi = gj.v1, fj.v1
+    factor = np.maximum(np.abs(radial - lam * fj.v0), np.abs(axial - mu * gj.v0))
+    quotient = np.abs(R - (lam * fj.v0 * sin_phi - mu * gj.v0 * cos_phi))
+    rate = np.abs(dR + dphi * (lam * fj.v0 * cos_phi + mu * gj.v0 * sin_phi))
+    return EigenSystemResiduals(
+        factor=float(np.max(factor)), quotient=float(np.max(quotient)), rate=float(np.max(rate))
+    )
 
 
 def radius_rate_defect(
@@ -282,14 +267,13 @@ def radius_rate_defect(
     """Max defect of R' = ((lam - mu)/2) sin(phi) cos(phi) over the samples.
 
     The relation follows from the eigen-system by differentiation, so it is
-    only meaningful where those residuals are small.
+    only meaningful where those residuals are small.  Raises ValueError on
+    an empty sample set.
     """
-    worst = 0.0
-    for s in s_values:
-        fj, gj, _ = require_regular(p, s, tol_parab)
-        _, dR = radii_sum_jet(p, s, tol_parab)
-        worst = max(worst, abs(dR - 0.5 * (lam - mu) * gj.v1 * fj.v1))
-    return worst
+    s = np.asarray(s_values, dtype=float)
+    fj, gj, _ = require_regular(p, s, tol_parab)
+    _, dR = radii_sum_jet(p, s, tol_parab)
+    return float(np.max(np.abs(dR - 0.5 * (lam - mu) * gj.v1 * fj.v1)))
 
 
 @dataclass(frozen=True)

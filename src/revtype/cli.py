@@ -11,7 +11,7 @@ Exit codes: 0 success / definite verdict / check passed, 1 usage or input
 error, 2 inconclusive verdict or check above tolerance.  Reports embed the
 full effective configuration and contain no timestamps, so rerunning a
 command with the same inputs and seed reproduces the output byte for byte.
-``REVTYPE_THREADS`` caps the worker threads used to pre-compute grid rows.
+A check that finds no usable sample points fails with exit 2 and a reason.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from . import beltrami, catalog, classify, geometry
 from .expressions import ExpressionError
@@ -48,7 +48,6 @@ class RunConfig:
     tol_fit: float
     tol_struct: float
     seed: int
-    threads: int
 
     def __post_init__(self):
         if self.n_s < 2:
@@ -69,26 +68,7 @@ class RunConfig:
             "tol_fit": self.tol_fit,
             "tol_struct": self.tol_struct,
             "seed": self.seed,
-            "threads": self.threads,
         }
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("REVTYPE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InputError(f"REVTYPE_THREADS must be an integer, got {raw!r}") from None
-
-
-def _prewarm(curve: ProfileCurve, n_s: int, tol_parab: float, workers: int) -> None:
-    """Populate per-row jet caches; rows are independent, results identical
-    regardless of worker count."""
-    rows, _ = geometry.grid_rows(curve, n_s, tol_parab)
-    if workers <= 1 or len(rows) < 2:
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda s: geometry._fg_jets(curve, s), rows))
 
 
 def _parse_params(pairs: Optional[list[str]]) -> dict[str, float]:
@@ -166,7 +146,6 @@ def _config_from_args(args, surface_label: str) -> RunConfig:
         tol_fit=args.tol_fit,
         tol_struct=args.tol_struct,
         seed=args.seed,
-        threads=_worker_count(),
     )
 
 
@@ -180,7 +159,6 @@ def cmd_classify(args) -> int:
         print(f"{label}: profile validation FAILED", file=sys.stderr)
         print(json.dumps(validation.to_dict(), indent=2, sort_keys=True), file=sys.stderr)
         return EXIT_INPUT
-    _prewarm(curve, config.n_s, config.tol_parab, config.threads)
     report = classify.fit_matrix(
         curve,
         n_s=config.n_s,
@@ -230,14 +208,18 @@ def _lam_mu_defaults(args, entry) -> tuple[float, float]:
     return float(lam), float(mu)
 
 
+_NO_ROWS = "no usable points: every grid row is parabolic within tol_parab"
+
+
 def cmd_verify(args) -> int:
     label, curve, entry = _load_surface(args)
     config = _config_from_args(args, label)
-    _prewarm(curve, config.n_s, config.tol_parab, config.threads)
     check = args.check
     collect = args.format == "csv"
     details: dict = {}
     rows: list[dict] = []
+    worst: Optional[float] = None
+    reason: Optional[str] = None
     if check == "position-identity":
         tol = args.tol if args.tol is not None else 1e-8
         rep = beltrami.position_identity_residual(
@@ -246,25 +228,26 @@ def cmd_verify(args) -> int:
         worst = rep.max_residual
         details = rep.to_dict()
         rows = rep.rows or []
+        if not rep.points_used:
+            reason = _NO_ROWS
     elif check == "curvature-quotient":
         tol = args.tol if args.tol is not None else 1e-10
         worst, used = geometry.quotient_consistency(curve, config.n_s, config.tol_parab)
         details = {"max_residual": worst, "rows_used": used}
-        if collect:
+        if not used:
+            reason = _NO_ROWS
+        elif collect:
             grid, _ = geometry.grid_rows(curve, config.n_s, config.tol_parab)
-            for s in grid:
-                fm = geometry.forms_at(curve, s, config.tol_parab)
-                rebuilt = (fm.kappa1 + fm.kappa2) / (fm.kappa1 * fm.kappa2)
-                rows.append(
-                    {
-                        "s": s,
-                        "quotient": fm.R,
-                        "from_curvature_ratios": rebuilt,
-                        "rel_defect": abs(fm.R - rebuilt) / (1.0 + abs(fm.R)),
-                    }
-                )
+            fm = geometry.forms_at(curve, np.array(grid), config.tol_parab)
+            rebuilt = (fm.kappa1 + fm.kappa2) / (fm.kappa1 * fm.kappa2)
+            defect = np.abs(fm.R - rebuilt) / (1.0 + np.abs(fm.R))
+            keys = ("s", "quotient", "from_curvature_ratios", "rel_defect")
+            columns = zip(grid, fm.R.tolist(), rebuilt.tolist(), defect.tolist())
+            rows = [dict(zip(keys, values)) for values in columns]
     elif check == "operator-equivalence":
         tol = args.tol if args.tol is not None else 1e-8
+        if args.pairs < 1:
+            raise InputError("--pairs must be at least 1")
         rep = beltrami.operator_equivalence_residual(
             curve,
             n_pairs=args.pairs,
@@ -275,30 +258,34 @@ def cmd_verify(args) -> int:
         worst = rep.max_rel_diff
         details = rep.to_dict()
         rows = rep.rows or []
-    elif check == "eigen-system":
+        if rep.pairs < args.pairs:
+            reason = (f"found {rep.pairs} of {args.pairs} usable sample points "
+                      f"in {50 * args.pairs} draws")
+    elif check in ("eigen-system", "radius-rate"):
         tol = args.tol if args.tol is not None else 1e-8
         lam, mu = _lam_mu_defaults(args, entry)
         grid, _ = geometry.grid_rows(curve, config.n_s, config.tol_parab)
-        res = classify.eigen_system_residuals(curve, lam, mu, grid, config.tol_parab)
-        worst = max(res.as_tuple())
-        details = {"lambda": lam, "mu": mu, **res.to_dict()}
-        if collect:
-            for s in grid:
-                r = classify.eigen_system_residuals(curve, lam, mu, [s], config.tol_parab)
-                rows.append({"s": s, **r.to_dict()})
-    elif check == "radius-rate":
-        tol = args.tol if args.tol is not None else 1e-8
-        lam, mu = _lam_mu_defaults(args, entry)
-        grid, _ = geometry.grid_rows(curve, config.n_s, config.tol_parab)
-        worst = classify.radius_rate_defect(curve, lam, mu, grid, config.tol_parab)
-        details = {"lambda": lam, "mu": mu, "max_defect": worst}
-        if collect:
-            for s in grid:
-                d = classify.radius_rate_defect(curve, lam, mu, [s], config.tol_parab)
-                rows.append({"s": s, "defect": d})
+        details = {"lambda": lam, "mu": mu}
+        if not grid:
+            reason = _NO_ROWS
+        elif check == "eigen-system":
+            res = classify.eigen_system_residuals(curve, lam, mu, grid, config.tol_parab)
+            worst = max(res.as_tuple())
+            details.update(res.to_dict())
+            if collect:
+                for s in grid:
+                    r = classify.eigen_system_residuals(curve, lam, mu, [s], config.tol_parab)
+                    rows.append({"s": s, **r.to_dict()})
+        else:
+            worst = classify.radius_rate_defect(curve, lam, mu, grid, config.tol_parab)
+            details["max_defect"] = worst
+            if collect:
+                for s in grid:
+                    d = classify.radius_rate_defect(curve, lam, mu, [s], config.tol_parab)
+                    rows.append({"s": s, "defect": d})
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown check {check!r}")
-    passed = worst <= tol
+    passed = reason is None and worst <= tol
     payload = {
         "config": config.to_dict(),
         "check": check,
@@ -307,13 +294,15 @@ def cmd_verify(args) -> int:
         "passed": passed,
         "details": details,
     }
+    if reason is not None:
+        payload["reason"] = reason
     if args.format == "csv":
         _write_csv(args.out, rows)
     else:
         _write_json(args.out, payload)
     if args.out:
-        print(f"{label}: {check} max residual {worst:.3e} (tol {tol:.1e}) -> "
-              f"{'pass' if passed else 'FAIL'}")
+        print(f"{label}: {check} " + (f"FAIL: {reason}" if reason else
+              f"max residual {worst:.3e} (tol {tol:.1e}) -> {'pass' if passed else 'FAIL'}"))
     return EXIT_OK if passed else EXIT_INCONCLUSIVE
 
 

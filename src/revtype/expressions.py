@@ -21,10 +21,13 @@ into the source text.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
+
+import numpy as np
 
 from . import jets
 from .jets import Jet3, JetDomainError
@@ -59,11 +62,13 @@ class UnboundParameterError(EvalError):
 
 
 class DomainEvalError(EvalError):
-    """Evaluation left the real domain; carries the offending subexpression."""
+    """Evaluation left the real domain; carries the offending subexpression
+    and, for a batch, the flat index of the first offending sample point."""
 
-    def __init__(self, message: str, subexpression: str):
+    def __init__(self, message: str, subexpression: str, index: int = 0):
         super().__init__(f"{message} in '{subexpression}'")
         self.subexpression = subexpression
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -276,47 +281,49 @@ def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-def eval_jet3(e: Expr, s: float, params: Optional[Mapping[str, float]] = None) -> Jet3:
-    """Evaluate ``e`` and its first three s-derivatives at ``s``."""
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def eval_jet3(e: Expr, s, params: Optional[Mapping[str, float]] = None) -> Jet3:
+    """Evaluate ``e`` and its first three s-derivatives at ``s``.
+
+    ``s`` is a float or a 1-D array of sample points evaluated in one pass;
+    every channel of a batch result is an array of the shape of ``s``, and
+    a domain error reports its first offending element's index.
+    """
     params = params or {}
+    batch = np.ndim(s) > 0
+    var = Jet3.variable(np.asarray(s, dtype=float) if batch else s)
+
+    def apply(node: Expr, fn, *args) -> Jet3:
+        try:
+            return fn(*args)
+        except JetDomainError as exc:
+            raise DomainEvalError(str(exc), unparse(node), exc.index) from None
 
     def ev(node: Expr) -> Jet3:
         if isinstance(node, Num):
             return Jet3.constant(node.value)
         if isinstance(node, Var):
-            return Jet3.variable(s)
+            return var
         if isinstance(node, Param):
             try:
                 return Jet3.constant(params[node.name])
             except KeyError:
                 raise UnboundParameterError(node.name) from None
         if isinstance(node, Func):
-            arg = ev(node.arg)
-            try:
-                return jets.FUNCTIONS[node.name](arg)
-            except JetDomainError as exc:
-                raise DomainEvalError(str(exc), unparse(node)) from None
+            return apply(node, jets.FUNCTIONS[node.name], ev(node.arg))
         if isinstance(node, BinOp):
-            lhs, rhs = ev(node.lhs), ev(node.rhs)
-            if node.op == "+":
-                return lhs + rhs
-            if node.op == "-":
-                return lhs - rhs
-            if node.op == "*":
-                return lhs * rhs
-            try:
-                return lhs / rhs
-            except JetDomainError as exc:
-                raise DomainEvalError(str(exc), unparse(node)) from None
+            return apply(node, _BINOPS[node.op], ev(node.lhs), ev(node.rhs))
         if isinstance(node, Pow):
-            base = ev(node.base)
-            try:
-                return jets.pow_rational(base, node.exponent)
-            except JetDomainError as exc:
-                raise DomainEvalError(str(exc), unparse(node)) from None
+            return apply(node, jets.pow_rational, ev(node.base), node.exponent)
         raise TypeError(f"not an expression node: {node!r}")
 
-    return ev(e)
+    out = ev(e)
+    if not batch:
+        return out
+    shape = var.v0.shape
+    return Jet3(*(np.broadcast_to(c, shape) for c in (out.v0, out.v1, out.v2, out.v3)))
 
 
 def eval_value(e: Expr, s: float, params: Optional[Mapping[str, float]] = None) -> float:

@@ -12,6 +12,9 @@ expressions in f, g and the jets of phi:
 
 Points where phi' or sin(phi) vanish are parabolic (K = 0); the third form
 degenerates there and they are excluded from all sampling.
+
+Per-point quantities take ``s`` as a float or an array of rows, evaluated
+in one pass; an error in a batch reports the first offending ``s``.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from numbers import Real
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -56,12 +59,23 @@ class ParabolicPointError(ProfileError):
         self.sin_phi = sin_phi
 
 
+def _finite(what: str, value) -> float:
+    """``value`` as a float; ValueError unless it is a finite real number."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return float(value)
+
+
 def _normalize_exclusions(
     excluded: Iterable[Sequence[float]], s_min: float, s_max: float
 ) -> tuple[tuple[float, float], ...]:
     clipped = []
-    for lo, hi in excluded:
-        lo, hi = float(lo), float(hi)
+    for pair in excluded:
+        if isinstance(pair, (str, bytes)) or not isinstance(pair, Sequence) or len(pair) != 2:
+            raise ValueError(f"excluded interval must be a [lo, hi] pair, got {pair!r}")
+        lo, hi = (_finite("excluded interval bound", v) for v in pair)
         if hi <= lo:
             raise ValueError(f"empty excluded interval ({lo}, {hi})")
         lo, hi = max(lo, s_min), min(hi, s_max)
@@ -99,19 +113,23 @@ class ProfileCurve:
         params: Optional[dict] = None,
         excluded: Iterable[Sequence[float]] = (),
     ) -> "ProfileCurve":
+        s_min, s_max = _finite("s_min", s_min), _finite("s_max", s_max)
         if not s_min < s_max:
             raise ValueError(f"empty domain ({s_min}, {s_max})")
+        params = params or {}
+        if not isinstance(params, Mapping):
+            raise ValueError(f"params must be a mapping of names to numbers, got {params!r}")
         f_expr = parse(f) if isinstance(f, str) else f
         g_expr = parse(g) if isinstance(g, str) else g
-        items = tuple(sorted((str(k), float(v)) for k, v in (params or {}).items()))
+        items = tuple(sorted((str(k), _finite(f"parameter {k!r}", v)) for k, v in params.items()))
         return ProfileCurve(
             name=name,
             f=f_expr,
             g=g_expr,
-            s_min=float(s_min),
-            s_max=float(s_max),
+            s_min=s_min,
+            s_max=s_max,
             params=items,
-            excluded=_normalize_exclusions(excluded, float(s_min), float(s_max)),
+            excluded=_normalize_exclusions(excluded, s_min, s_max),
         )
 
     @property
@@ -131,75 +149,72 @@ class ProfileCurve:
         return intervals
 
 
-@lru_cache(maxsize=65536)
-def _fg_jets(p: ProfileCurve, s: float) -> tuple[Jet3, Jet3]:
+def _fg(p: ProfileCurve, s) -> tuple[Jet3, Jet3]:
+    """Jets of f and g at ``s``, one evaluation pass each."""
     params = p.params_dict
     try:
         return eval_jet3(p.f, s, params), eval_jet3(p.g, s, params)
     except DomainEvalError as exc:
-        raise ProfileDomainError(s, exc) from None
+        raise ProfileDomainError(float(np.ravel(s)[exc.index]), exc) from None
 
 
-class _PhiTracker:
-    """Continuous branch of phi = atan2(g', f') along s.
+def _dphi(fj: Jet3, gj: Jet3):
+    """phi' = f'g'' - g'f'' under arclength parametrization."""
+    return fj.v1 * gj.v2 - gj.v1 * fj.v2
 
-    Marches from the domain midpoint on a fixed ladder of nodes, unwrapping
-    2*pi jumps; the returned angle is always an exact atan2 value plus an
-    integer multiple of 2*pi, so no integration error accumulates.
+
+def _ddphi(fj: Jet3, gj: Jet3):
+    """phi'' = f'g''' - g'f'''."""
+    return fj.v1 * gj.v3 - gj.v1 * fj.v3
+
+
+def _parabolic(dphi, sin_phi, tol_parab: float):
+    return (np.abs(dphi) <= tol_parab) | (np.abs(sin_phi) <= tol_parab)
+
+
+def _tangent_angle(p: ProfileCurve, s: np.ndarray) -> np.ndarray:
+    """atan2(g', f') at the points ``s``."""
+    fj, gj = _fg(p, s)
+    singular = (fj.v1 == 0.0) & (gj.v1 == 0.0)
+    if np.any(singular):
+        raise ProfileError(
+            f"singular tangent at s={float(s[np.argmax(singular)])!r}: "
+            "profile is not arclength-parametrized"
+        )
+    return np.arctan2(gj.v1, fj.v1)
+
+
+def _wrap(x: np.ndarray) -> np.ndarray:
+    """``x`` minus the nearest multiple of 2*pi."""
+    return x - _TAU * np.rint(x / _TAU)
+
+
+def _phi_branch(p: ProfileCurve, s: np.ndarray) -> np.ndarray:
+    """Continuous branch of phi = atan2(g', f') at the points ``s``.
+
+    The branch is fixed at the domain midpoint and carried along a uniform
+    ladder of nodes to every point, unwrapping 2*pi jumps; the ladder is
+    refined fourfold while any step turns by more than pi/2.  Each value is
+    an exact atan2 value plus a multiple of 2*pi, so no integration error
+    accumulates.
     """
-
-    _MAX_NODES = 1 << 16
-
-    def __init__(self, p: ProfileCurve, nodes: int = 1024):
-        self.p = p
-        self.anchor = 0.5 * (p.s_min + p.s_max)
-        self.step = (p.s_max - p.s_min) / nodes
-        self.known: dict[int, float] = {0: self._raw(self.anchor)}
-
-    def _raw(self, s: float) -> float:
-        fj, gj = _fg_jets(self.p, s)
-        if fj.v1 == 0.0 and gj.v1 == 0.0:
-            raise ProfileError(
-                f"singular tangent at s={s!r}: profile is not arclength-parametrized"
-            )
-        return math.atan2(gj.v1, fj.v1)
-
-    def _refine(self):
-        if (self.p.s_max - self.p.s_min) / self.step * 4 > self._MAX_NODES:
+    anchor = 0.5 * (p.s_min + p.s_max)
+    raw = _tangent_angle(p, s)
+    nodes = 1024
+    while True:
+        step = (p.s_max - p.s_min) / nodes
+        j = np.rint((s - anchor) / step).astype(np.int64)
+        lo, hi = int(j.min(initial=0)), int(j.max(initial=0))
+        ladder = _tangent_angle(p, anchor + np.arange(lo, hi + 1) * step)
+        jumps = _wrap(np.diff(ladder))
+        turned = np.concatenate(([0.0], np.cumsum(jumps)))
+        known = ladder[-lo] + (turned - turned[-lo])
+        delta = _wrap(raw - known[j - lo])
+        if np.all(np.abs(jumps) <= 0.5 * math.pi) and np.all(np.abs(delta) <= 0.5 * math.pi):
+            return known[j - lo] + delta
+        if nodes * 4 > 1 << 16:
             raise ProfileError("profile tangent turns too fast to track")
-        self.step /= 4.0
-        self.known = {0: self.known[0]}
-
-    def _extend_to(self, j_target: int) -> bool:
-        """Unwrap along ladder nodes up to j_target; False if a step was too
-        coarse and the ladder was refined."""
-        direction = 1 if j_target >= 0 else -1
-        for j in range(direction, j_target + direction, direction):
-            if j in self.known:
-                continue
-            prev = self.known[j - direction]
-            raw = self._raw(self.anchor + j * self.step)
-            delta = math.remainder(raw - prev, _TAU)
-            if abs(delta) > 0.5 * math.pi:
-                self._refine()
-                return False
-            self.known[j] = prev + delta
-        return True
-
-    def phi_at(self, s: float) -> float:
-        while True:
-            j = round((s - self.anchor) / self.step)
-            if not self._extend_to(j):
-                continue
-            delta = math.remainder(self._raw(s) - self.known[j], _TAU)
-            if abs(delta) <= 0.5 * math.pi:
-                return self.known[j] + delta
-            self._refine()
-
-
-@lru_cache(maxsize=256)
-def _phi_tracker(p: ProfileCurve) -> _PhiTracker:
-    return _PhiTracker(p)
+        nodes *= 4
 
 
 @dataclass(frozen=True)
@@ -209,16 +224,15 @@ class PhiJet:
     ddphi: float
 
 
-def phi_jet(p: ProfileCurve, s: float) -> PhiJet:
+def phi_jet(p: ProfileCurve, s) -> PhiJet:
     """Tangent angle phi (continuous branch) and its first two derivatives.
 
     Under arclength parametrization phi' = f'g'' - g'f'' and
     phi'' = f'g''' - g'f''', both branch-independent.
     """
-    fj, gj = _fg_jets(p, s)
-    dphi = fj.v1 * gj.v2 - gj.v1 * fj.v2
-    ddphi = fj.v1 * gj.v3 - gj.v1 * fj.v3
-    return PhiJet(_phi_tracker(p).phi_at(s), dphi, ddphi)
+    fj, gj = _fg(p, s)
+    phi = _phi_branch(p, np.atleast_1d(np.asarray(s, dtype=float)))
+    return PhiJet(phi if np.ndim(s) else float(phi[0]), _dphi(fj, gj), _ddphi(fj, gj))
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,7 +245,7 @@ class SurfacePoint:
 
 def point_at(p: ProfileCurve, s: float, theta: float) -> SurfacePoint:
     """Position and unit normal of the revolution surface at (s, theta)."""
-    fj, gj = _fg_jets(p, s)
+    fj, gj = _fg(p, s)
     theta = theta % _TAU
     ct, st = math.cos(theta), math.sin(theta)
     position = np.array([fj.v0 * ct, fj.v0 * st, gj.v0])
@@ -243,7 +257,7 @@ def point_at(p: ProfileCurve, s: float, theta: float) -> SurfacePoint:
 
 def tangent_basis(p: ProfileCurve, s: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate tangent vectors (x_s, x_theta) from jets."""
-    fj, gj = _fg_jets(p, s)
+    fj, gj = _fg(p, s)
     ct, st = math.cos(theta), math.sin(theta)
     x_s = np.array([fj.v1 * ct, fj.v1 * st, gj.v1])
     x_theta = np.array([-fj.v0 * st, fj.v0 * ct, 0.0])
@@ -252,8 +266,8 @@ def tangent_basis(p: ProfileCurve, s: float, theta: float) -> tuple[np.ndarray, 
 
 def normal_derivatives(p: ProfileCurve, s: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Partial derivatives (n_s, n_theta) of the Gauss map."""
-    fj, gj = _fg_jets(p, s)
-    dphi = fj.v1 * gj.v2 - gj.v1 * fj.v2
+    fj, gj = _fg(p, s)
+    dphi = _dphi(fj, gj)
     ct, st = math.cos(theta), math.sin(theta)
     n_s = np.array([-fj.v1 * dphi * ct, -fj.v1 * dphi * st, -gj.v1 * dphi])
     n_theta = np.array([gj.v1 * st, -gj.v1 * ct, 0.0])
@@ -307,24 +321,22 @@ class FormsAndCurvature:
         return self.h22 / self.g22
 
 
-def _margins(p: ProfileCurve, s: float) -> tuple[Jet3, Jet3, float]:
-    fj, gj = _fg_jets(p, s)
-    dphi = fj.v1 * gj.v2 - gj.v1 * fj.v2
-    return fj, gj, dphi
-
-
-def require_regular(p: ProfileCurve, s: float, tol_parab: float = DEFAULT_TOL_PARAB):
-    """Jets at a point, raising ParabolicPointError if III degenerates."""
-    fj, gj, dphi = _margins(p, s)
-    if abs(dphi) <= tol_parab or abs(gj.v1) <= tol_parab:
-        raise ParabolicPointError(s, dphi, gj.v1)
+def require_regular(p: ProfileCurve, s, tol_parab: float = DEFAULT_TOL_PARAB):
+    """Jets and phi' at ``s``, raising ParabolicPointError at the first
+    point where III degenerates."""
+    fj, gj = _fg(p, s)
+    dphi = _dphi(fj, gj)
+    bad = _parabolic(dphi, gj.v1, tol_parab)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ParabolicPointError(*(float(np.ravel(x)[i]) for x in (s, dphi, gj.v1)))
     return fj, gj, dphi
 
 
 def forms_at(
-    p: ProfileCurve, s: float, tol_parab: float = DEFAULT_TOL_PARAB
+    p: ProfileCurve, s, tol_parab: float = DEFAULT_TOL_PARAB
 ) -> FormsAndCurvature:
-    """All form components, H, K and R = 2H/K at a regular point."""
+    """All form components, H, K and R = 2H/K at regular points."""
     fj, gj, dphi = require_regular(p, s, tol_parab)
     pj = phi_jet(p, s)
     sin_phi, cos_phi = gj.v1, fj.v1
@@ -352,16 +364,19 @@ def forms_at(
     )
 
 
-def radii_sum_jet(
-    p: ProfileCurve, s: float, tol_parab: float = DEFAULT_TOL_PARAB
-) -> tuple[float, float]:
-    """R = 2H/K and its s-derivative, both by jet differentiation."""
-    fj, gj, dphi = require_regular(p, s, tol_parab)
-    ddphi = fj.v1 * gj.v3 - gj.v1 * fj.v3
+def _radii_sum(fj: Jet3, gj: Jet3, dphi) -> tuple:
+    """R = 1/phi' + f/sin(phi) and its s-derivative from the jets."""
     R = 1.0 / dphi + fj.v0 / gj.v1
     # d/ds of f/sin(phi); (sin phi)' = g''.
-    dR = -ddphi / (dphi * dphi) + (fj.v1 * gj.v1 - fj.v0 * gj.v2) / (gj.v1 * gj.v1)
+    dR = -_ddphi(fj, gj) / (dphi * dphi) + (fj.v1 * gj.v1 - fj.v0 * gj.v2) / (gj.v1 * gj.v1)
     return R, dR
+
+
+def radii_sum_jet(
+    p: ProfileCurve, s, tol_parab: float = DEFAULT_TOL_PARAB
+) -> tuple[float, float]:
+    """R = 2H/K and its s-derivative, both by jet differentiation."""
+    return _radii_sum(*require_regular(p, s, tol_parab))
 
 
 @dataclass(frozen=True)
@@ -436,36 +451,26 @@ def validate_profile(
     defect within ``tol_arc``, a positive radius, and the margin above
     ``tol_parab``.
     """
-    samples = sample_regular(p, n_samples)
-    max_defect, defect_at = -1.0, math.nan
-    min_radius, radius_at = math.inf, math.nan
-    min_product = math.inf
-    min_margin, margin_at = math.inf, math.nan
-    for s in samples:
-        fj, gj, dphi = _margins(p, s)
-        defect = abs(fj.v1 * fj.v1 + gj.v1 * gj.v1 - 1.0)
-        if defect > max_defect:
-            max_defect, defect_at = defect, s
-        if fj.v0 < min_radius:
-            min_radius, radius_at = fj.v0, s
-        min_product = min(min_product, abs(fj.v1 * gj.v1))
-        margin = min(abs(dphi), abs(gj.v1))
-        if margin < min_margin:
-            min_margin, margin_at = margin, s
+    samples = np.array(sample_regular(p, n_samples))
+    fj, gj = _fg(p, samples)
+    defect = np.abs(fj.v1 * fj.v1 + gj.v1 * gj.v1 - 1.0)
+    margin = np.minimum(np.abs(_dphi(fj, gj)), np.abs(gj.v1))
+    # np.max and np.min propagate NaN, so a NaN sample fails every check.
+    max_defect, min_radius, min_margin = np.max(defect), np.min(fj.v0), np.min(margin)
     return ValidationReport(
         n_samples=len(samples),
-        max_arc_defect=max_defect,
-        arc_defect_at=defect_at,
-        min_radius=min_radius,
-        min_radius_at=radius_at,
-        min_tangent_product=min_product,
-        min_parab_margin=min_margin,
-        parab_margin_at=margin_at,
+        max_arc_defect=float(max_defect),
+        arc_defect_at=float(samples[np.argmax(defect)]),
+        min_radius=float(min_radius),
+        min_radius_at=float(samples[np.argmin(fj.v0)]),
+        min_tangent_product=float(np.min(np.abs(fj.v1 * gj.v1))),
+        min_parab_margin=float(min_margin),
+        parab_margin_at=float(samples[np.argmin(margin)]),
         tol_arc=tol_arc,
         tol_parab=tol_parab,
-        arclength_ok=max_defect <= tol_arc,
-        positive_radius_ok=min_radius > 0.0,
-        nonparabolic_ok=min_margin > tol_parab,
+        arclength_ok=bool(max_defect <= tol_arc),
+        positive_radius_ok=bool(min_radius > 0.0),
+        nonparabolic_ok=bool(min_margin > tol_parab),
     )
 
 
@@ -478,16 +483,10 @@ def grid_rows(
     which keeps every retained row's full uniform circle of theta samples.
     Returns (kept rows, number excluded).
     """
-    rows = sample_regular(p, n_s)
-    kept = []
-    excluded = 0
-    for s in rows:
-        fj, gj, dphi = _margins(p, s)
-        if abs(dphi) <= tol_parab or abs(gj.v1) <= tol_parab:
-            excluded += 1
-        else:
-            kept.append(s)
-    return kept, excluded
+    rows = np.array(sample_regular(p, n_s))
+    fj, gj = _fg(p, rows)
+    bad = _parabolic(_dphi(fj, gj), gj.v1, tol_parab)
+    return rows[~bad].tolist(), int(np.count_nonzero(bad))
 
 
 def theta_circle(n_theta: int) -> list[float]:
@@ -499,22 +498,22 @@ def theta_circle(n_theta: int) -> list[float]:
 
 def quotient_consistency(
     p: ProfileCurve, n_s: int = 32, tol_parab: float = DEFAULT_TOL_PARAB
-) -> tuple[float, int]:
+) -> tuple[Optional[float], int]:
     """Max relative defect between R = 1/phi' + f/sin(phi) and the same
     quantity rebuilt from principal curvature ratios h_ij / g_ij, combined
-    with the |2H - R*K| consistency.  Returns (max defect, rows used)."""
+    with the |2H - R*K| consistency.  Returns (max defect, rows used); the
+    defect is None when every row is parabolic."""
     rows, _ = grid_rows(p, n_s, tol_parab)
-    worst = 0.0
-    for s in rows:
-        fm = forms_at(p, s, tol_parab)
-        k1, k2 = fm.kappa1, fm.kappa2
-        rebuilt = (k1 + k2) / (k1 * k2)
-        worst = max(
-            worst,
-            abs(fm.R - rebuilt) / (1.0 + abs(fm.R)),
-            abs(2.0 * fm.H - fm.R * fm.K) / (1.0 + abs(2.0 * fm.H)),
-        )
-    return worst, len(rows)
+    if not rows:
+        return None, 0
+    fm = forms_at(p, np.array(rows), tol_parab)
+    k1, k2 = fm.kappa1, fm.kappa2
+    rebuilt = (k1 + k2) / (k1 * k2)
+    worst = max(
+        np.max(np.abs(fm.R - rebuilt) / (1.0 + np.abs(fm.R))),
+        np.max(np.abs(2.0 * fm.H - fm.R * fm.K) / (1.0 + np.abs(2.0 * fm.H))),
+    )
+    return float(worst), len(rows)
 
 
 PROFILE_FIELDS = ("name", "f", "g", "s_min", "s_max", "params", "excluded_intervals")

@@ -5,19 +5,34 @@ respect to a single parameter.  Arithmetic propagates derivatives exactly
 (Leibniz and Faa di Bruno rules), so the only error in any channel is
 floating-point roundoff.  This is the differentiation currency used by the
 rest of the package; finite differences exist only as a test oracle.
+
+Channels hold floats or numpy arrays, so one evaluation carries a batch of
+sample points; domain checks are masks that raise at the first offending one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
 
+import numpy as np
+
 
 class JetDomainError(ArithmeticError):
     """A jet operation left its real domain (sqrt of a negative, log of a
-    non-positive, division by zero, overflow)."""
+    non-positive, division by zero, overflow).  ``index`` is the flat
+    position of the first offending element of a batch, 0 for scalars."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
+
+
+def _check(bad, message: str) -> None:
+    """Raise JetDomainError at the first element where ``bad`` holds."""
+    if np.any(bad):
+        raise JetDomainError(message, int(np.argmax(bad)))
 
 
 def _coerce(x) -> "Jet3":
@@ -32,19 +47,19 @@ def _coerce(x) -> "Jet3":
 class Jet3:
     """Value ``v0`` and derivatives ``v1``, ``v2``, ``v3``."""
 
-    v0: float
-    v1: float = 0.0
-    v2: float = 0.0
-    v3: float = 0.0
+    v0: float | np.ndarray
+    v1: float | np.ndarray = 0.0
+    v2: float | np.ndarray = 0.0
+    v3: float | np.ndarray = 0.0
 
     @staticmethod
     def constant(c: float) -> "Jet3":
         return Jet3(float(c), 0.0, 0.0, 0.0)
 
     @staticmethod
-    def variable(s: float) -> "Jet3":
+    def variable(s: float | np.ndarray) -> "Jet3":
         """Seed jet for the independent variable: derivative one."""
-        return Jet3(float(s), 1.0, 0.0, 0.0)
+        return Jet3(s if isinstance(s, np.ndarray) else float(s), 1.0, 0.0, 0.0)
 
     def __add__(self, other):
         o = _coerce(other)
@@ -75,8 +90,7 @@ class Jet3:
 
     def __truediv__(self, other):
         o = _coerce(other)
-        if o.v0 == 0.0:
-            raise JetDomainError("division by zero")
+        _check(o.v0 == 0.0, "division by zero")
         # Leibniz applied to self = q * o, solved channel by channel.
         q0 = self.v0 / o.v0
         q1 = (self.v1 - q0 * o.v1) / o.v0
@@ -95,13 +109,13 @@ class Jet3:
         raise TypeError("jet exponent must be int or Fraction")
 
 
-def compose(u: Jet3, d0: float, d1: float, d2: float, d3: float) -> Jet3:
+def compose(u: Jet3, d0, d1, d2, d3) -> Jet3:
     """Chain rule for F(u) given outer derivatives d0..d3 of F at u.v0."""
     return Jet3(
         d0,
         d1 * u.v1,
         d2 * u.v1 * u.v1 + d1 * u.v2,
-        d3 * u.v1 ** 3 + 3.0 * d2 * u.v1 * u.v2 + d1 * u.v3,
+        d3 * u.v1 * u.v1 * u.v1 + 3.0 * d2 * u.v1 * u.v2 + d1 * u.v3,
     )
 
 
@@ -124,64 +138,60 @@ def pow_int(u: Jet3, n: int) -> Jet3:
 def pow_rational(u: Jet3, p: Fraction) -> Jet3:
     if p.denominator == 1:
         return pow_int(u, int(p))
-    if u.v0 <= 0.0:
-        raise JetDomainError("fractional power of a non-positive base")
+    _check(u.v0 <= 0.0, "fractional power of a non-positive base")
     pf = float(p)
-    d0 = u.v0 ** pf
-    d1 = pf * u.v0 ** (pf - 1.0)
-    d2 = pf * (pf - 1.0) * u.v0 ** (pf - 2.0)
-    d3 = pf * (pf - 1.0) * (pf - 2.0) * u.v0 ** (pf - 3.0)
-    return compose(u, d0, d1, d2, d3)
+    with np.errstate(over="ignore"):
+        d = [np.power(u.v0, pf - k) for k in range(4)]
+    _check(np.isinf(d[0]) | np.isinf(d[3]), "fractional power overflow")
+    return compose(
+        u, d[0], pf * d[1], pf * (pf - 1.0) * d[2], pf * (pf - 1.0) * (pf - 2.0) * d[3]
+    )
 
 
 def sin(u: Jet3) -> Jet3:
-    s, c = math.sin(u.v0), math.cos(u.v0)
+    s, c = np.sin(u.v0), np.cos(u.v0)
     return compose(u, s, c, -s, -c)
 
 
 def cos(u: Jet3) -> Jet3:
-    s, c = math.sin(u.v0), math.cos(u.v0)
+    s, c = np.sin(u.v0), np.cos(u.v0)
     return compose(u, c, -s, -c, s)
 
 
 def tan(u: Jet3) -> Jet3:
-    t = math.tan(u.v0)
+    t = np.tan(u.v0)
     sec2 = 1.0 + t * t
     return compose(u, t, sec2, 2.0 * t * sec2, sec2 * (2.0 + 6.0 * t * t))
 
 
 def sinh(u: Jet3) -> Jet3:
-    try:
-        sh, ch = math.sinh(u.v0), math.cosh(u.v0)
-    except OverflowError as exc:
-        raise JetDomainError("sinh overflow") from exc
+    with np.errstate(over="ignore"):
+        sh, ch = np.sinh(u.v0), np.cosh(u.v0)
+    _check(np.isinf(ch), "sinh overflow")
     return compose(u, sh, ch, sh, ch)
 
 
 def cosh(u: Jet3) -> Jet3:
-    try:
-        sh, ch = math.sinh(u.v0), math.cosh(u.v0)
-    except OverflowError as exc:
-        raise JetDomainError("cosh overflow") from exc
+    with np.errstate(over="ignore"):
+        sh, ch = np.sinh(u.v0), np.cosh(u.v0)
+    _check(np.isinf(ch), "cosh overflow")
     return compose(u, ch, sh, ch, sh)
 
 
 def asinh(u: Jet3) -> Jet3:
     w = 1.0 + u.v0 * u.v0
-    r = w ** -0.5
     return compose(
         u,
-        math.asinh(u.v0),
-        r,
-        -u.v0 * w ** -1.5,
-        (2.0 * u.v0 * u.v0 - 1.0) * w ** -2.5,
+        np.arcsinh(u.v0),
+        np.power(w, -0.5),
+        -u.v0 * np.power(w, -1.5),
+        (2.0 * u.v0 * u.v0 - 1.0) * np.power(w, -2.5),
     )
 
 
 def sqrt(u: Jet3) -> Jet3:
-    if u.v0 <= 0.0:
-        raise JetDomainError("sqrt of a non-positive value")
-    root = math.sqrt(u.v0)
+    _check(u.v0 <= 0.0, "sqrt of a non-positive value")
+    root = np.sqrt(u.v0)
     return compose(
         u,
         root,
@@ -192,18 +202,16 @@ def sqrt(u: Jet3) -> Jet3:
 
 
 def exp(u: Jet3) -> Jet3:
-    try:
-        e = math.exp(u.v0)
-    except OverflowError as exc:
-        raise JetDomainError("exp overflow") from exc
+    with np.errstate(over="ignore"):
+        e = np.exp(u.v0)
+    _check(np.isinf(e), "exp overflow")
     return compose(u, e, e, e, e)
 
 
 def ln(u: Jet3) -> Jet3:
-    if u.v0 <= 0.0:
-        raise JetDomainError("ln of a non-positive value")
+    _check(u.v0 <= 0.0, "ln of a non-positive value")
     x = u.v0
-    return compose(u, math.log(x), 1.0 / x, -1.0 / (x * x), 2.0 / (x * x * x))
+    return compose(u, np.log(x), 1.0 / x, -1.0 / (x * x), 2.0 / (x * x * x))
 
 
 def neg(u: Jet3) -> Jet3:

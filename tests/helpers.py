@@ -77,6 +77,10 @@ def random_expression(rng, depth: int = 4) -> str:
     return f"({random_expression(rng, depth - 1)})^{exponent}"
 
 
+#: Offsets from s0 at which `fd_derivatives` evaluates its function.
+FD_WINDOW = (-2e-3, -1e-3, -1e-4, -1e-5, 1e-5, 1e-4, 1e-3, 2e-3)
+
+
 def sample_well_behaved(rng, max_mag: float = 20.0, span: float = 2.0):
     """Draw (text, s) pairs whose jets stay bounded and whose finite
     difference windows avoid domain errors."""
@@ -86,8 +90,7 @@ def sample_well_behaved(rng, max_mag: float = 20.0, span: float = 2.0):
         try:
             expr = parse(text)
             jet = eval_jet3(expr, s0)
-            window = [eval_jet3(expr, s0 + ds).v0 for ds in
-                      (-2e-3, -1e-3, -1e-4, -1e-5, 1e-5, 1e-4, 1e-3, 2e-3)]
+            window = [eval_jet3(expr, s0 + ds).v0 for ds in FD_WINDOW]
         except Exception:
             continue
         values = (jet.v0, jet.v1, jet.v2, jet.v3)

@@ -1,9 +1,18 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from revtype.cli import main
+
+VERIFY_CHECKS = (
+    "position-identity",
+    "curvature-quotient",
+    "operator-equivalence",
+    "eigen-system",
+    "radius-rate",
+)
 
 
 def run(argv, capsys=None):
@@ -65,17 +74,6 @@ class TestClassify:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_do_not_change_results(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["classify", "--catalog", "sphere", "--param", "r=5"]
-        assert main(args + ["--out", str(a)]) == 0
-        monkeypatch.setenv("REVTYPE_THREADS", "4")
-        assert main(args + ["--out", str(b)]) == 0
-        pa, pb = json.loads(a.read_text()), json.loads(b.read_text())
-        assert pa["config"]["threads"] == 1 and pb["config"]["threads"] == 4
-        del pa["config"], pb["config"]  # worker count is part of the config echo
-        assert pa == pb
-
 
 class TestVerify:
     @pytest.mark.parametrize("surface, extra", [
@@ -136,6 +134,33 @@ class TestVerify:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("s,theta")
         assert len(lines) == 1 + 6 * 4
+
+
+def _numbers(value):
+    """Every number in a decoded JSON document."""
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _numbers(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _numbers(v)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize("check", VERIFY_CHECKS)
+    def test_no_usable_points(self, tmp_path, check):
+        # every point of f = g = s is parabolic, so no check has anything to test
+        out = tmp_path / "check.json"
+        code = main(["verify", check, "--catalog", "broken-diagonal", "--lambda", "2",
+                     "--mu", "2", "--pairs", "20", "--out", str(out)])
+        assert code == 2
+        payload = json.loads(out.read_text())
+        assert payload["passed"] is False
+        assert payload["reason"]
+        assert payload["max_residual"] is None
+        assert -1.0 not in list(_numbers(payload))
 
 
 class TestScan:
@@ -207,6 +232,35 @@ class TestErrors:
         profile = tmp_path / "p.json"
         profile.write_text("{\"name\": \"x\"}")
         assert main(["classify", "--profile", str(profile)]) == 1
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("s_min", "a", "s_min"),
+        ("s_max", math.inf, "s_max"),
+        ("params", {"c": math.nan}, "'c'"),
+    ])
+    def test_bad_numbers_in_profile(self, tmp_path, capsys, field, value, named):
+        doc = {"name": "cat", "f": "sqrt(c^2 + s^2)", "g": "c * asinh(s / c)",
+               "s_min": -2.0, "s_max": 2.0, "params": {"c": 1.0}}
+        doc[field] = value
+        profile = tmp_path / "p.json"
+        profile.write_text(json.dumps(doc))
+        assert main(["classify", "--profile", str(profile)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("check", VERIFY_CHECKS)
+    def test_fully_excluded_profile(self, tmp_path, capsys, check):
+        doc = {"name": "gone", "f": "sqrt(1 + s^2)", "g": "asinh(s)",
+               "s_min": -1.0, "s_max": 1.0, "excluded_intervals": [[-2.0, 2.0]]}
+        profile = tmp_path / "p.json"
+        profile.write_text(json.dumps(doc))
+        assert main(["verify", check, "--profile", str(profile),
+                     "--lambda", "0", "--mu", "0"]) == 1
+        assert "regular subdomain is empty" in capsys.readouterr().err
+
+    def test_pairs_must_be_positive(self, capsys):
+        assert main(["verify", "operator-equivalence", "--catalog", "sphere",
+                     "--pairs", "0"]) == 1
 
     def test_profile_not_found(self, capsys):
         assert main(["classify", "--profile", "/nonexistent/x.json"]) == 1

@@ -15,7 +15,7 @@ from revtype import (
 )
 from revtype.expressions import ArityError, BinOp, Func, Num, Param, Pow, UnknownFunctionError, Var
 
-from helpers import sample_well_behaved, sympy_jet
+from helpers import FD_WINDOW, sample_well_behaved, sympy_jet
 
 
 class TestParse:
@@ -129,6 +129,28 @@ class TestEval:
         with pytest.raises(DomainEvalError) as err:
             eval_jet3(parse("1/(s-1)"), 1.0)
         assert err.value.subexpression
+
+    def test_domain_error_in_batch_reports_first_point(self):
+        s = np.array([4.0, 1.0, -1.0, -4.0])
+        with pytest.raises(DomainEvalError) as err:
+            eval_jet3(parse("1 + sqrt(s)"), s)
+        assert err.value.index == 2
+        assert "sqrt(s)" in str(err.value)
+
+    def test_batch_matches_pointwise(self):
+        # the acceptance suite's 1000 expressions, each evaluated once over
+        # its point and finite-difference window
+        rng = np.random.default_rng(2024)
+        for _ in range(1000):
+            text, s0 = sample_well_behaved(rng)
+            expr = parse(text)
+            points = s0 + np.array((0.0,) + FD_WINDOW)
+            batch = eval_jet3(expr, points)
+            for i, s in enumerate(points):
+                one = eval_jet3(expr, float(s))
+                for k in range(4):
+                    got = getattr(batch, f"v{k}")[i]
+                    assert got == getattr(one, f"v{k}"), (text, float(s), k)
 
     def test_ln_domain(self):
         with pytest.raises(DomainEvalError):

@@ -66,6 +66,17 @@ class TestValidation:
         # the declared collars of the catalog entry restore regularity
         assert validate_profile(torus(3.0, 1.0).curve, n_samples=400).passed
 
+    def test_nan_fails_every_check(self):
+        # build() rejects a NaN parameter; constructed directly, validation
+        # must still fail instead of keeping its initial worst values
+        from revtype import parse
+
+        curve = ProfileCurve("nan", parse("sqrt(c^2 + s^2)"), parse("c * asinh(s / c)"),
+                             -1.0, 1.0, params=(("c", math.nan),))
+        report = validate_profile(curve)
+        assert math.isnan(report.max_arc_defect)
+        assert not (report.arclength_ok or report.positive_radius_ok or report.nonparabolic_ok)
+
     def test_domain_error_reports_sample(self):
         from revtype.geometry import ProfileDomainError
 
@@ -73,6 +84,11 @@ class TestValidation:
         with pytest.raises(ProfileDomainError) as err:
             validate_profile(curve)
         assert err.value.s < 0
+        # the batch reports its first offending sample, wherever it lies
+        curve = ProfileCurve.build("bad", "sqrt(0.5 - s)", "s", -1.0, 1.0)
+        with pytest.raises(ProfileDomainError) as err:
+            validate_profile(curve, n_samples=101)
+        assert err.value.s == min(s for s in sample_regular(curve, 101) if s >= 0.5)
 
     def test_sample_count_guard(self):
         with pytest.raises(ValueError):
@@ -259,6 +275,35 @@ class TestRadiiSumJet:
             assert dR == pytest.approx(3.0 * math.sin(s) / math.cos(s) ** 2, rel=1e-11, abs=1e-11)
 
 
+class TestBatches:
+    """One array pass over many points gives each point's scalar result."""
+
+    def test_forms_and_phi(self, surfaces):
+        for curve in surfaces.values():
+            rows, _ = grid_rows(curve, 40)
+            batch = forms_at(curve, np.array(rows))
+            for i, s in enumerate(rows):
+                one = forms_at(curve, s)
+                for name in ("H", "K", "R", "phi", "dphi", "ddphi", "radius", "height"):
+                    assert getattr(batch, name)[i] == pytest.approx(
+                        getattr(one, name), rel=1e-14, abs=1e-14
+                    ), name
+
+    def test_radii_sum(self, surfaces):
+        for curve in surfaces.values():
+            rows, _ = grid_rows(curve, 40)
+            R, dR = radii_sum_jet(curve, np.array(rows))
+            for i, s in enumerate(rows):
+                assert (R[i], dR[i]) == radii_sum_jet(curve, s)
+
+    def test_parabolic_batch_reports_first_point(self):
+        curve = ProfileCurve.build("raw-torus", "3 + cos(s)", "sin(s)", -math.pi, math.pi)
+        s = np.array([0.0, 0.3, math.pi / 2, -math.pi / 2])
+        with pytest.raises(ParabolicPointError) as err:
+            forms_at(curve, s)
+        assert err.value.s == math.pi / 2
+
+
 class TestGrids:
     def test_rows_filtered_by_margin(self):
         curve = ProfileCurve.build("raw-torus", "3 + cos(s)", "sin(s)", -math.pi, math.pi)
@@ -297,6 +342,23 @@ class TestProfileFiles:
         data["surprise"] = 1
         with pytest.raises(ValueError, match="unknown fields"):
             profile_from_dict(data)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"s_min": "a"},
+        {"s_max": math.inf},
+        {"s_min": math.nan},
+        {"s_max": True},
+        {"params": {"c": math.nan}},
+        {"params": {"c": "1"}},
+        {"params": [1.0]},
+        {"excluded": [(0.0, math.nan)]},
+        {"excluded": [("a", 0.5)]},
+        {"excluded": [0.5]},
+    ])
+    def test_bad_numbers_rejected(self, kwargs):
+        args = {"name": "x", "f": "s", "g": "s", "s_min": -1.0, "s_max": 1.0, **kwargs}
+        with pytest.raises(ValueError):
+            ProfileCurve.build(**args)
 
     def test_empty_domain(self):
         with pytest.raises(ValueError, match="empty domain"):
