@@ -14,7 +14,7 @@ closure coefficients for distinct eigenvalues never vanish simultaneously.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -306,9 +306,9 @@ class ClosureCoefficients:
         }
 
 
-def quartic_coefficients(lam: float, mu: float) -> tuple[float, float, float]:
+def quartic_coefficients(lam, mu) -> tuple:
     """(c4, c2, c0) of the eliminated closure equation
-    c4 sin^4(phi) + c2 sin^2(phi) + c0 = 0."""
+    c4 sin^4(phi) + c2 sin^2(phi) + c0 = 0, for floats or arrays."""
     d = lam - mu
     c4 = lam * d * d
     c2 = d * (lam * mu - lam * lam + 5.0 * lam + mu - 2.0)
@@ -345,11 +345,16 @@ def closure_coefficients(lam: float, mu: float, sin_phi: float) -> ClosureCoeffi
 
 
 # ---------------------------------------------------------------------------
-# Interval arithmetic for the cell certificate.
+# Interval arithmetic for the cell certificate.  An interval is a (lo, hi)
+# pair whose bounds are floats or equal-shape arrays, one box per element.
 
-def _imul(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
+# Subdivision depth at which an undecided side of a box counts as a failure.
+MAX_DEPTH = 24
+
+
+def _imul(a, b):
     products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(products), max(products)
+    return np.minimum.reduce(products), np.maximum.reduce(products)
 
 
 def _iadd(a, b):
@@ -360,10 +365,10 @@ def _isub(a, b):
     return a[0] - b[1], a[1] - b[0]
 
 
-def _isquare(a: tuple[float, float]) -> tuple[float, float]:
-    lo, hi = abs(a[0]), abs(a[1])
-    upper = max(lo, hi) ** 2
-    lower = 0.0 if a[0] <= 0.0 <= a[1] else min(lo, hi) ** 2
+def _isquare(a):
+    lo, hi = np.abs(a[0]), np.abs(a[1])
+    upper = np.maximum(lo, hi) ** 2
+    lower = np.where((a[0] <= 0.0) & (0.0 <= a[1]), 0.0, np.minimum(lo, hi) ** 2)
     return lower, upper
 
 
@@ -371,8 +376,8 @@ def _iscale(a, c: float):
     return _imul(a, (c, c))
 
 
-def _excludes_zero(a: tuple[float, float]) -> bool:
-    return a[0] > 0.0 or a[1] < 0.0
+def _excludes_zero(a):
+    return (a[0] > 0.0) | (a[1] < 0.0)
 
 
 def _coeff_intervals(L, M, T):
@@ -388,33 +393,42 @@ def _coeff_intervals(L, M, T):
     return c4, c2, c0
 
 
-def _certify_cell(L, M, gap: float, depth: int, max_depth: int) -> tuple[int, int]:
-    """Certify that (c4, c2, c0) has no common zero on (L x M) intersected
-    with |lam - mu| >= gap.  Returns (cells examined, failures)."""
-    examined, failures = 1, 0
-    raw_lo, raw_hi = L[0] - M[1], L[1] - M[0]
-    sides = []
-    if raw_hi >= gap:
-        sides.append((max(gap, raw_lo), raw_hi))
-    if raw_lo <= -gap:
-        sides.append((raw_lo, min(-gap, raw_hi)))
-    for T in sides:
-        c4, c2, c0 = _coeff_intervals(L, M, T)
-        if _excludes_zero(c4) or _excludes_zero(c2) or _excludes_zero(c0):
-            continue
-        if depth >= max_depth:
-            failures += 1
-            continue
-        if L[1] - L[0] >= M[1] - M[0]:
-            mid = 0.5 * (L[0] + L[1])
-            halves = (((L[0], mid), M), ((mid, L[1]), M))
-        else:
-            mid = 0.5 * (M[0] + M[1])
-            halves = ((L, (M[0], mid)), (L, (mid, M[1])))
-        for hl, hm in halves:
-            e, f = _certify_cell(hl, hm, gap, depth + 1, max_depth)
-            examined += e
-            failures += f
+def _certify_cells(boxes: np.ndarray, gap: float) -> tuple[int, int]:
+    """Certify that (c4, c2, c0) has no common zero on any box intersected
+    with |lam - mu| >= gap; the columns of ``boxes`` are the boxes
+    (lam_lo, lam_hi, mu_lo, mu_hi).
+
+    Breadth first: each pass examines every box of one depth, and a box is
+    halved along its longer side once per side of the diagonal strip on
+    which no coefficient enclosure excludes zero.  Undecided sides at
+    MAX_DEPTH count as failures.  Returns (boxes examined, failures).
+    """
+    examined = failures = 0
+    for depth in range(MAX_DEPTH + 1):
+        if not boxes.shape[1]:
+            break
+        examined += boxes.shape[1]
+        L, M = boxes[:2], boxes[2:]
+        raw_lo, raw_hi = L[0] - M[1], L[1] - M[0]
+        undecided = np.zeros(boxes.shape[1], dtype=int)
+        for present, T in (
+            (raw_hi >= gap, (np.maximum(gap, raw_lo), raw_hi)),
+            (raw_lo <= -gap, (raw_lo, np.minimum(-gap, raw_hi))),
+        ):
+            decided = np.logical_or.reduce([_excludes_zero(c) for c in _coeff_intervals(L, M, T)])
+            undecided += present & ~decided
+        if depth == MAX_DEPTH:
+            failures = int(undecided.sum())
+            break
+        boxes = np.repeat(boxes, undecided, axis=1)
+        # Row k holds the lower bound of the side to halve, row k + 1 its upper.
+        k = np.where(boxes[1] - boxes[0] >= boxes[3] - boxes[2], 0, 2)
+        cols = np.arange(boxes.shape[1])
+        mid = 0.5 * (boxes[k, cols] + boxes[k + 1, cols])
+        lower, upper = boxes.copy(), boxes
+        lower[k + 1, cols] = mid
+        upper[k, cols] = mid
+        boxes = np.concatenate((lower, upper), axis=1)
     return examined, failures
 
 
@@ -430,52 +444,25 @@ class ScanCertificate:
     min_max_coefficient: Optional[float]
     argmin: Optional[tuple[float, float]]
     argmin_coefficients: Optional[tuple[float, float, float]]
-    mu_zero_lambda: float
-    mu_zero_min_residual: float
-    mu_zero_contradiction: bool
     cells_examined: int
     cell_failures: int
     cells_certified: bool
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "lam_range": list(self.lam_range),
-            "mu_range": list(self.mu_range),
-            "step": self.step,
-            "points_scanned": self.points_scanned,
-            "points_skipped_diagonal": self.points_skipped_diagonal,
-            "min_max_coefficient": self.min_max_coefficient,
-            "argmin": None if self.argmin is None else list(self.argmin),
-            "argmin_coefficients": (
-                None
-                if self.argmin_coefficients is None
-                else list(self.argmin_coefficients)
-            ),
-            "mu_zero_branch": {
-                "lambda_forced": self.mu_zero_lambda,
-                "min_abs_constraint": self.mu_zero_min_residual,
-                "contradiction": self.mu_zero_contradiction,
-            },
-            "cells_examined": self.cells_examined,
-            "cell_failures": self.cell_failures,
-            "cells_certified": self.cells_certified,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
-def _lattice(lo: float, hi: float, step: float) -> list[float]:
-    count = int(round((hi - lo) / step))
-    return [lo + i * step for i in range(count + 1)]
+def _lattice(lo: float, hi: float, step: float) -> np.ndarray:
+    return lo + np.arange(int(round((hi - lo) / step)) + 1) * step
 
 
+# An overflowed enclosure would look like it excludes zero, so overflow raises.
+@np.errstate(over="raise", invalid="raise")
 def contradiction_scan(
     lam_range: tuple[float, float] = (-10.0, 10.0),
     mu_range: tuple[float, float] = (-10.0, 10.0),
     step: float = 0.25,
-    phi_samples: int = 64,
-    certify_cells: bool = True,
-    max_depth: int = 24,
 ) -> ScanCertificate:
     """Scan (lam, mu) pairs with lam != mu and certify that the closure
     coefficients (c4, c2, c0) never vanish simultaneously.
@@ -483,10 +470,19 @@ def contradiction_scan(
     The lattice scan reports the minimum over points of
     max(|c4|, |c2|, |c0|) with its argmin.  An interval-arithmetic
     subdivision then converts the finite scan into a certificate on the
-    whole box minus the diagonal strip |lam - mu| < step/2.  The mu = 0
-    branch is checked separately: c4 = 0 forces lam = 0, and the remaining
-    constraint lam*sin^2(phi) + 1 stays at 1, so it has no solution.
+    whole box minus the diagonal strip |lam - mu| < step/2.  Both run one
+    lattice row of lam at a time, as arrays over mu.  The bounds round to
+    nearest, not outward.
+
+    The quartic follows from the closure system only for mu != 0: the
+    elimination drops an overall factor mu (see EliminationReport), so the
+    certificate says nothing about the line mu = 0.  Raises ValueError on
+    an empty or non-finite range and on a step that is not finite and
+    positive, and FloatingPointError when the coefficients overflow.
     """
+    for name, values in (("lam_range", lam_range), ("mu_range", mu_range), ("step", (step,))):
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"{name} must be finite")
     if lam_range[1] < lam_range[0] or mu_range[1] < mu_range[0]:
         raise ValueError("empty scan range")
     if step <= 0.0:
@@ -494,56 +490,38 @@ def contradiction_scan(
     lams = _lattice(lam_range[0], lam_range[1], step)
     mus = _lattice(mu_range[0], mu_range[1], step)
     gap = 0.5 * step
-    best: Optional[tuple[float, float, float]] = None
-    best_coeffs: Optional[tuple[float, float, float]] = None
-    scanned = skipped = 0
+    best = None  # (max-coefficient, argmin, coefficients) of the first minimum
+    scanned = 0
     for lam in lams:
-        for mu in mus:
-            if abs(lam - mu) < gap:
-                skipped += 1
-                continue
-            scanned += 1
-            c4, c2, c0 = quartic_coefficients(lam, mu)
-            m = max(abs(c4), abs(c2), abs(c0))
-            if best is None or m < best[0]:
-                best = (m, lam, mu)
-                best_coeffs = (c4, c2, c0)
-    # mu = 0 branch: with lam forced to 0 by c4 = 0, the surviving relation
-    # reads lam*sin^2(phi) + 1 = 0, which cannot vanish.
-    lam_forced = 0.0
-    mu_zero_min = min(
-        abs(lam_forced * math.sin(0.5 * math.pi * (j + 0.5) / phi_samples) ** 2 + 1.0)
-        for j in range(phi_samples)
-    )
-    cells_examined = 0
-    cell_failures = 0
-    if certify_cells and scanned:
-        for i in range(len(lams) - 1):
-            for j in range(len(mus) - 1):
-                e, f = _certify_cell(
-                    (lams[i], lams[i + 1]),
-                    (mus[j], mus[j + 1]),
-                    gap,
-                    0,
-                    max_depth,
-                )
-                cells_examined += e
-                cell_failures += f
+        off = mus[np.abs(lam - mus) >= gap]
+        if not off.size:
+            continue
+        scanned += off.size
+        coeffs = quartic_coefficients(lam, off)
+        m = np.maximum(np.maximum(np.abs(coeffs[0]), np.abs(coeffs[1])), np.abs(coeffs[2]))
+        k = int(np.argmin(m))
+        if best is None or m[k] < best[0]:
+            best = (float(m[k]), (float(lam), float(off[k])), tuple(float(c[k]) for c in coeffs))
+    min_max, argmin, argmin_coeffs = best or (None, None, None)
+    cells_examined = cell_failures = 0
+    if scanned:
+        for lo, hi in zip(lams[:-1], lams[1:]):
+            row = np.stack(np.broadcast_arrays(lo, hi, mus[:-1], mus[1:]))
+            e, f = _certify_cells(row, gap)
+            cells_examined += e
+            cell_failures += f
     return ScanCertificate(
         lam_range=lam_range,
         mu_range=mu_range,
         step=step,
         points_scanned=scanned,
-        points_skipped_diagonal=skipped,
-        min_max_coefficient=None if best is None else best[0],
-        argmin=None if best is None else (best[1], best[2]),
-        argmin_coefficients=best_coeffs,
-        mu_zero_lambda=lam_forced,
-        mu_zero_min_residual=mu_zero_min,
-        mu_zero_contradiction=mu_zero_min > 0.0,
+        points_skipped_diagonal=lams.size * mus.size - scanned,
+        min_max_coefficient=min_max,
+        argmin=argmin,
+        argmin_coefficients=argmin_coeffs,
         cells_examined=cells_examined,
         cell_failures=cell_failures,
-        cells_certified=certify_cells and cell_failures == 0 and scanned > 0,
+        cells_certified=cell_failures == 0 and scanned > 0,
         note="" if scanned else "all lattice points fell on the diagonal",
     )
 

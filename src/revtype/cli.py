@@ -3,7 +3,7 @@
 Subcommands:
 
     classify   validate a surface, fit the coordinate matrix, classify
-    verify     run one named residual check over a grid
+    verify     validate a surface, run one named residual check over a grid
     scan       scan (lambda, mu) pairs for the closure-coefficient certificate
     catalog    list built-in surfaces or export one to a profile file
 
@@ -149,16 +149,20 @@ def _config_from_args(args, surface_label: str) -> RunConfig:
     )
 
 
+def _validate(curve: ProfileCurve, config: RunConfig, n_samples: int = 101):
+    validation = geometry.validate_profile(
+        curve, n_samples=n_samples, tol_arc=config.tol_arc, tol_parab=config.tol_parab
+    )
+    if not validation.passed:
+        raise InputError(f"{config.surface}: profile validation FAILED\n"
+                         + json.dumps(validation.to_dict(), indent=2, sort_keys=True))
+    return validation
+
+
 def cmd_classify(args) -> int:
     label, curve, entry = _load_surface(args)
     config = _config_from_args(args, label)
-    validation = geometry.validate_profile(
-        curve, n_samples=args.samples, tol_arc=config.tol_arc, tol_parab=config.tol_parab
-    )
-    if not validation.passed:
-        print(f"{label}: profile validation FAILED", file=sys.stderr)
-        print(json.dumps(validation.to_dict(), indent=2, sort_keys=True), file=sys.stderr)
-        return EXIT_INPUT
+    validation = _validate(curve, config, args.samples)
     report = classify.fit_matrix(
         curve,
         n_s=config.n_s,
@@ -214,6 +218,7 @@ _NO_ROWS = "no usable points: every grid row is parabolic within tol_parab"
 def cmd_verify(args) -> int:
     label, curve, entry = _load_surface(args)
     config = _config_from_args(args, label)
+    _validate(curve, config)
     check = args.check
     collect = args.format == "csv"
     details: dict = {}
@@ -311,16 +316,12 @@ def cmd_scan(args) -> int:
         lam_range=tuple(args.lambda_range),
         mu_range=tuple(args.mu_range),
         step=args.step,
-        phi_samples=args.phi_samples,
-        certify_cells=not args.no_cells,
     )
     payload = {
         "config": {
             "lambda_range": list(args.lambda_range),
             "mu_range": list(args.mu_range),
             "step": args.step,
-            "phi_samples": args.phi_samples,
-            "certify_cells": not args.no_cells,
         },
         "certificate": cert.to_dict(),
     }
@@ -405,9 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--lambda-range", nargs=2, type=float, default=(-10.0, 10.0))
     p_scan.add_argument("--mu-range", nargs=2, type=float, default=(-10.0, 10.0))
     p_scan.add_argument("--step", type=float, default=0.25)
-    p_scan.add_argument("--phi-samples", type=int, default=64)
-    p_scan.add_argument("--no-cells", action="store_true",
-                        help="skip the interval cell certificate")
     p_scan.add_argument("--out", help="write the certificate to this path")
     p_scan.set_defaults(func=cmd_scan)
 
@@ -435,7 +433,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ProfileError, ExpressionError, ValueError) as exc:
+    except (ProfileError, ExpressionError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,5 +1,6 @@
 """Shared test oracles: central finite differences, symbolic differentiation,
-and a deterministic random-expression generator.
+a deterministic random-expression generator, and a per-point reference for
+the contradiction scan.
 
 These stay independent of the jet-propagation code paths they check.
 """
@@ -11,6 +12,7 @@ import math
 import sympy as sp
 
 from revtype import eval_jet3, parse
+from revtype.classify import quartic_coefficients
 
 _S = sp.Symbol("s")
 SYMPY_LOCALS = {"s": _S, "ln": sp.log, "asinh": sp.asinh}
@@ -98,3 +100,114 @@ def sample_well_behaved(rng, max_mag: float = 20.0, span: float = 2.0):
             math.isfinite(w) and abs(w) <= 3 * max_mag for w in window
         ):
             return text, s0
+
+
+# Reference contradiction scan: a point-by-point lattice loop and a
+# depth-first cell certifier over scalar intervals rounded to nearest.
+
+def _imul(a, b):
+    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(products), max(products)
+
+
+def _iadd(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _isub(a, b):
+    return a[0] - b[1], a[1] - b[0]
+
+
+def _isquare(a):
+    lo, hi = abs(a[0]), abs(a[1])
+    lower = 0.0 if a[0] <= 0.0 <= a[1] else min(lo, hi) ** 2
+    return lower, max(lo, hi) ** 2
+
+
+def _excludes_zero(a) -> bool:
+    return a[0] > 0.0 or a[1] < 0.0
+
+
+def _coeff_intervals(L, M, T):
+    c4 = _imul(L, _isquare(T))
+    q = _iadd(
+        _isub(_imul(L, M), _isquare(L)),
+        _iadd(_iadd(_imul(L, (5.0, 5.0)), M), (-2.0, -2.0)),
+    )
+    c2 = _imul(T, q)
+    c0 = _imul(_iadd(L, M), _iadd(_isub(M, _imul(L, (3.0, 3.0))), (4.0, 4.0)))
+    return c4, c2, c0
+
+
+def _certify_cell(L, M, gap: float, depth: int, max_depth: int) -> tuple[int, int]:
+    """(cells examined, failures) for the box L x M minus |lam - mu| < gap,
+    halving the longer side once per undecided side of the strip."""
+    examined, failures = 1, 0
+    raw_lo, raw_hi = L[0] - M[1], L[1] - M[0]
+    sides = []
+    if raw_hi >= gap:
+        sides.append((max(gap, raw_lo), raw_hi))
+    if raw_lo <= -gap:
+        sides.append((raw_lo, min(-gap, raw_hi)))
+    for T in sides:
+        c4, c2, c0 = _coeff_intervals(L, M, T)
+        if _excludes_zero(c4) or _excludes_zero(c2) or _excludes_zero(c0):
+            continue
+        if depth >= max_depth:
+            failures += 1
+            continue
+        if L[1] - L[0] >= M[1] - M[0]:
+            mid = 0.5 * (L[0] + L[1])
+            halves = (((L[0], mid), M), ((mid, L[1]), M))
+        else:
+            mid = 0.5 * (M[0] + M[1])
+            halves = ((L, (M[0], mid)), (L, (mid, M[1])))
+        for hl, hm in halves:
+            e, f = _certify_cell(hl, hm, gap, depth + 1, max_depth)
+            examined += e
+            failures += f
+    return examined, failures
+
+
+def _lattice(lo: float, hi: float, step: float) -> list[float]:
+    count = int(round((hi - lo) / step))
+    return [lo + i * step for i in range(count + 1)]
+
+
+def reference_scan(lam_range, mu_range, step: float, max_depth: int = 24) -> dict:
+    """The scan certificate's counts and lattice minimum, one point and one
+    cell at a time."""
+    lams = _lattice(*lam_range, step)
+    mus = _lattice(*mu_range, step)
+    gap = 0.5 * step
+    best = best_coeffs = None
+    scanned = skipped = 0
+    for lam in lams:
+        for mu in mus:
+            if abs(lam - mu) < gap:
+                skipped += 1
+                continue
+            scanned += 1
+            c4, c2, c0 = quartic_coefficients(lam, mu)
+            m = max(abs(c4), abs(c2), abs(c0))
+            if best is None or m < best[0]:
+                best = (m, lam, mu)
+                best_coeffs = (c4, c2, c0)
+    examined = failures = 0
+    if scanned:
+        for i in range(len(lams) - 1):
+            for j in range(len(mus) - 1):
+                e, f = _certify_cell(
+                    (lams[i], lams[i + 1]), (mus[j], mus[j + 1]), gap, 0, max_depth
+                )
+                examined += e
+                failures += f
+    return {
+        "points_scanned": scanned,
+        "points_skipped_diagonal": skipped,
+        "min_max_coefficient": None if best is None else best[0],
+        "argmin": None if best is None else (best[1], best[2]),
+        "argmin_coefficients": best_coeffs,
+        "cells_examined": examined,
+        "cell_failures": failures,
+    }

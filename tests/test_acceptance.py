@@ -106,7 +106,6 @@ def test_contradiction_certificate():
     assert cert.min_max_coefficient >= 0.1
     assert cert.min_max_coefficient == pytest.approx(SCAN_MIN, abs=1e-12)
     assert cert.cells_certified and cert.cell_failures == 0
-    assert cert.mu_zero_contradiction
     assert quartic_coefficients(0.0, 2.0)[2] == pytest.approx(12.0)
     assert quartic_coefficients(0.0, -4.0)[1] == pytest.approx(-24.0)
     _ok(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import iv
 
 from revtype import (
     VERDICT_INCONCLUSIVE,
@@ -20,8 +21,11 @@ from revtype import (
     structure_check,
     torus,
 )
+from revtype import classify
 from revtype.classify import fit_from_samples
 from revtype.geometry import grid_rows
+
+from helpers import reference_scan
 
 SQRT3 = math.sqrt(3.0)
 
@@ -202,8 +206,6 @@ class TestContradictionScan:
         assert cert.min_max_coefficient == pytest.approx(SCAN_MIN, abs=1e-12)
         assert cert.argmin == pytest.approx(SCAN_ARGMIN)
         assert cert.min_max_coefficient > 0.1
-        assert cert.mu_zero_contradiction
-        assert cert.mu_zero_min_residual == pytest.approx(1.0)
         assert cert.cells_certified
         assert cert.cell_failures == 0
 
@@ -229,11 +231,87 @@ class TestContradictionScan:
             contradiction_scan((1.0, -1.0), (0.0, 1.0))
         with pytest.raises(ValueError):
             contradiction_scan(step=0.0)
+        for kwargs, named in (
+            ({"lam_range": (0.0, math.inf)}, "lam_range"),
+            ({"mu_range": (math.nan, 1.0)}, "mu_range"),
+            ({"step": math.inf}, "step"),
+            ({"step": math.nan}, "step"),
+        ):
+            with pytest.raises(ValueError, match=named):
+                contradiction_scan(**kwargs)
+
+    def test_overflow_rejected(self):
+        # overflowed enclosures would exclude zero and certify the box
+        with pytest.raises(FloatingPointError):
+            contradiction_scan((0.0, 1e200), (0.0, 1e200), step=1e199)
+        with pytest.raises(OverflowError):
+            contradiction_scan((-1e308, 1e308), (0.0, 1.0), step=1.0)
 
     def test_serialization(self):
         payload = contradiction_scan((-1.0, 1.0), (-1.0, 1.0), step=1.0).to_dict()
-        assert payload["mu_zero_branch"]["contradiction"] is True
         assert "cells_certified" in payload
+
+
+# (lam_range, mu_range, step, cells examined): boxes whose cells subdivide,
+# some splitting once per side of the diagonal strip (steps 0.5 and 1.0),
+# a single point and an all-diagonal box.
+REFERENCE_BOXES = (
+    ((-1.0, 1.0), (-1.0, 1.0), 0.5, 24),
+    ((-1.0, 1.0), (-1.0, 1.0), 1.0, 40),
+    ((-10.0, 10.0), (-10.0, 10.0), 1.0, 444),
+    ((-10.0, 10.0), (-10.0, 10.0), 0.25, 6400),
+    ((-0.7, 1.3), (-4.2, -3.1), 0.1, 220),
+    ((0.0, 0.0), (2.0, 2.0), 0.25, 0),
+    ((1.0, 1.0), (1.0, 1.0), 0.25, 0),
+)
+
+
+def _scan_fields(cert, names):
+    return {name: getattr(cert, name) for name in names}
+
+
+class TestScanOracles:
+    @pytest.mark.parametrize("lam_range, mu_range, step, cells", REFERENCE_BOXES)
+    def test_matches_pointwise_reference(self, lam_range, mu_range, step, cells):
+        want = reference_scan(lam_range, mu_range, step)
+        got = contradiction_scan(lam_range, mu_range, step)
+        assert _scan_fields(got, want) == want
+        assert got.cells_examined == cells
+
+    @pytest.mark.parametrize("max_depth", (0, 1, 2))
+    def test_failures_at_depth_limit_match_reference(self, monkeypatch, max_depth):
+        monkeypatch.setattr(classify, "MAX_DEPTH", max_depth)
+        box = ((-10.0, 10.0), (-10.0, 10.0), 1.0)
+        want = reference_scan(*box, max_depth=max_depth)
+        got = contradiction_scan(*box)
+        assert want["cell_failures"] > 0
+        assert _scan_fields(got, want) == want
+        assert not got.cells_certified
+
+    def test_default_box_certifies_with_outward_rounding(self):
+        # Every default-box cell is decided at depth 0 (one box per cell), so
+        # re-deciding each cell once in mpmath's outward-rounded interval
+        # arithmetic checks the whole certificate.
+        step, gap = 0.25, 0.125
+        assert contradiction_scan().cells_examined == 80 * 80
+        bounds = [-10.0 + i * step for i in range(81)]
+        cells = [iv.mpf([lo, hi]) for lo, hi in zip(bounds, bounds[1:])]
+        undecided = []
+        for L in cells:
+            for M in cells:
+                T = L - M
+                sides = []
+                if T.b >= gap:
+                    sides.append(iv.mpf([max(gap, T.a), T.b]))
+                if T.a <= -gap:
+                    sides.append(iv.mpf([T.a, min(-gap, T.b)]))
+                for D in sides:
+                    c4 = L * D**2
+                    c2 = D * (L * M - L**2 + 5 * L + M - 2)
+                    c0 = (L + M) * (M - 3 * L + 4)
+                    if all(0 in c for c in (c4, c2, c0)):
+                        undecided.append((L, M, D))
+        assert not undecided
 
 
 class TestElimination:

@@ -148,19 +148,50 @@ def _numbers(value):
         yield value
 
 
+# Tube profile of torus(3, 1) without the catalog's exclusion collars: it
+# validates (parabolic margin 0.0156 over 101 samples), and the two rows of
+# a 2xN grid fall exactly on its parabolic circles.
+TORUS_NO_COLLARS = {"name": "torus-no-collars", "f": "R + r * cos(s / r)",
+                    "g": "r * sin(s / r)", "s_min": -math.pi, "s_max": math.pi,
+                    "params": {"R": 3.0, "r": 1.0}}
+# Axis stretched by 2, so f'^2 + g'^2 != 1 although no point is parabolic.
+STRETCHED_TORUS = {**TORUS_NO_COLLARS, "name": "stretched-torus", "g": "2*r*sin(s/r)"}
+
+
+def _profile_file(tmp_path, doc) -> str:
+    path = tmp_path / f"{doc['name']}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestFailClosed:
     @pytest.mark.parametrize("check", VERIFY_CHECKS)
     def test_no_usable_points(self, tmp_path, check):
-        # every point of f = g = s is parabolic, so no check has anything to test
+        if check == "operator-equivalence":
+            # phi' = 1/r = 0.01 is under the draw margin, so no draw is usable
+            surface = ["--catalog", "sphere", "--param", "r=100"]
+        else:
+            surface = ["--profile", _profile_file(tmp_path, TORUS_NO_COLLARS), "--grid", "2x4"]
         out = tmp_path / "check.json"
-        code = main(["verify", check, "--catalog", "broken-diagonal", "--lambda", "2",
-                     "--mu", "2", "--pairs", "20", "--out", str(out)])
+        code = main(["verify", check, *surface, "--lambda", "2", "--mu", "2",
+                     "--pairs", "20", "--out", str(out)])
         assert code == 2
         payload = json.loads(out.read_text())
         assert payload["passed"] is False
         assert payload["reason"]
         assert payload["max_residual"] is None
         assert -1.0 not in list(_numbers(payload))
+
+    @pytest.mark.parametrize("check", VERIFY_CHECKS)
+    @pytest.mark.parametrize("surface", ("broken-diagonal", "stretched-torus"))
+    def test_invalid_profile_is_input_error(self, tmp_path, capsys, check, surface):
+        if surface == "broken-diagonal":
+            source = ["--catalog", surface]
+        else:
+            source = ["--profile", _profile_file(tmp_path, STRETCHED_TORUS)]
+        assert main(["verify", check, *source, "--lambda", "2", "--mu", "2",
+                     "--pairs", "20"]) == 1
+        assert "profile validation FAILED" in capsys.readouterr().err
 
 
 class TestScan:
@@ -190,6 +221,21 @@ class TestScan:
     def test_empty_range_is_input_error(self, capsys):
         assert main(["scan", "--lambda-range", "2", "-2",
                      "--mu-range", "0", "1"]) == 1
+
+    @pytest.mark.parametrize("extra, named", (
+        (["--lambda-range", "0", "inf"], "lam_range must be finite"),
+        (["--step", "inf"], "step must be finite"),
+        (["--step", "nan"], "step must be finite"),
+        (["--lambda-range", "0", "1e200", "--mu-range", "0", "1e200", "--step", "1e199"],
+         "overflow"),
+    ))
+    def test_non_finite_is_input_error(self, capsys, extra, named):
+        assert main(["scan", *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert named in captured.err
+        assert "Traceback" not in captured.err
+        assert not captured.out
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
