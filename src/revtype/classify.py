@@ -41,24 +41,29 @@ DEFAULT_TOL_STRUCT = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class FitReport:
-    matrix: np.ndarray
-    rel_residual: float
-    offdiag_max: float
-    diag_split: float
-    lam: float
-    mu: float
+    """A fit and its verdict. On a degenerate sample set (under 9 points or
+    rank under 3) no matrix is fitted: `matrix`, `rel_residual`, the
+    structure values, `lam` and `mu` are None, and so are `sup_lap` and
+    `sup_position` when there are no points at all."""
+
+    matrix: Optional[np.ndarray]
+    rel_residual: Optional[float]
+    offdiag_max: Optional[float]
+    diag_split: Optional[float]
+    lam: Optional[float]
+    mu: Optional[float]
     verdict: str
     n_points: int
     rows_excluded: int
     rank: int
-    sup_lap: float
-    sup_position: float
+    sup_lap: Optional[float]
+    sup_position: Optional[float]
     grid: tuple[int, int]
     note: str = ""
 
     def to_dict(self) -> dict:
         return {
-            "A": [[float(v) for v in row] for row in self.matrix],
+            "A": None if self.matrix is None else self.matrix.tolist(),
             "rel_residual": self.rel_residual,
             "structure": {
                 "offdiag_max": self.offdiag_max,
@@ -84,6 +89,10 @@ def _structure(A: np.ndarray) -> tuple[float, float]:
     return float(offdiag), float(abs(A[0, 0] - A[1, 1]))
 
 
+def _max_row_norm(M: np.ndarray) -> Optional[float]:
+    return float(np.max(np.linalg.norm(M, axis=1))) if len(M) else None
+
+
 def fit_from_samples(
     X: np.ndarray,
     B: np.ndarray,
@@ -91,40 +100,50 @@ def fit_from_samples(
     rows_excluded: int = 0,
     tol_fit: float = DEFAULT_TOL_FIT,
     tol_reject: float = DEFAULT_TOL_REJECT,
+    n_points: Optional[int] = None,
+    sup_lap: Optional[float] = None,
+    sup_position: Optional[float] = None,
 ) -> FitReport:
-    """Least-squares fit of A from position samples X and Laplacian samples B
-    (both n x 3, one row per grid point); three independent row problems
-    solved through one orthogonal factorization."""
-    n = X.shape[0]
-    sup_lap = float(np.max(np.linalg.norm(B, axis=1))) if n else 0.0
-    sup_pos = float(np.max(np.linalg.norm(X, axis=1))) if n else 0.0
-    rank = int(np.linalg.matrix_rank(X)) if n else 0
-    if n < 9 or rank < 3:
+    """Least-squares fit of A in B = X A^T, then the verdict.
+
+    X and B are either raw samples (n x 3, one row per grid point) or a
+    compressed pair KX, KB with X = Q KX and B = Q KB for one Q with
+    orthonormal columns. Both give the same solution, residual, norm of B
+    and singular values. A compressed pair has other rows, so it comes with
+    the raw grid's point count and largest row norms of B and X; for raw
+    samples these three are derived from X and B.
+    """
+    if n_points is None:
+        n_points = X.shape[0]
+        sup_lap, sup_position = _max_row_norm(B), _max_row_norm(X)
+    rtol = max(n_points, 3) * np.finfo(float).eps
+    rank = int(np.linalg.matrix_rank(X, rtol=rtol)) if n_points else 0
+    if n_points < 9 or rank < 3:
         return FitReport(
-            matrix=np.full((3, 3), np.nan),
-            rel_residual=math.nan,
-            offdiag_max=math.nan,
-            diag_split=math.nan,
-            lam=math.nan,
-            mu=math.nan,
+            matrix=None,
+            rel_residual=None,
+            offdiag_max=None,
+            diag_split=None,
+            lam=None,
+            mu=None,
             verdict=VERDICT_INCONCLUSIVE,
-            n_points=n,
+            n_points=n_points,
             rows_excluded=rows_excluded,
             rank=rank,
             sup_lap=sup_lap,
-            sup_position=sup_pos,
+            sup_position=sup_position,
             grid=grid,
-            note=f"degenerate sample set: {n} points, rank {rank}",
+            note=f"degenerate sample set: {n_points} points, rank {rank}",
         )
     At, *_ = np.linalg.lstsq(X, B, rcond=None)
     A = At.T
-    res = float(np.sqrt(np.sum((B - X @ At) ** 2)))
-    b_norm = float(np.sqrt(np.sum(B**2)))
+    res = float(np.linalg.norm(B - X @ At))
+    b_norm = float(np.linalg.norm(B))
     rel = res / b_norm if b_norm > 1e-14 else res
     offdiag, split = _structure(A)
     lam = 0.5 * float(A[0, 0] + A[1, 1])
     mu = float(A[2, 2])
-    if sup_lap <= tol_fit * sup_pos and float(np.max(np.abs(A))) <= tol_fit:
+    if sup_lap <= tol_fit * sup_position and float(np.max(np.abs(A))) <= tol_fit:
         verdict = VERDICT_NULL
     elif float(np.max(np.abs(A - 2.0 * np.eye(3)))) <= tol_fit and rel <= tol_fit:
         verdict = VERDICT_SPHERE
@@ -140,11 +159,11 @@ def fit_from_samples(
         lam=lam,
         mu=mu,
         verdict=verdict,
-        n_points=n,
+        n_points=n_points,
         rows_excluded=rows_excluded,
         rank=rank,
         sup_lap=sup_lap,
-        sup_position=sup_pos,
+        sup_position=sup_position,
         grid=grid,
     )
 
@@ -158,40 +177,60 @@ def fit_matrix(
     tol_reject: float = DEFAULT_TOL_REJECT,
 ) -> FitReport:
     """Fit the best constant matrix over an n_s x n_theta grid and classify.
-    X and B are filled in place from per-row factors times cos/sin(theta)."""
+
+    The grid samples X and B are never built. Point (s_i, theta_j) has
+    X = (f_i cos_j, f_i sin_j, g_i) and B = (radial_i cos_j, radial_i sin_j,
+    axial_i), so every column is a Kronecker product of a profile column
+    of P = [f, g, radial, axial] and a circle column of T = [cos, sin, 1].
+    With thin QRs P = Q1 R1 and T = Q2 R2, X = (Q1 x Q2) KX and
+    B = (Q1 x Q2) KB, where KX and KB are at most 12 x 3 columns of
+    R1 x R2 and Q1 x Q2 has orthonormal columns; the fit solves that small
+    problem in O(n_s + n_theta).
+    """
     rows, excluded = grid_rows(p, n_s, tol_parab)
     thetas = np.array(theta_circle(n_theta))
-    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    X = np.empty((len(rows) * n_theta, 3))
-    B = np.empty_like(X)
+    KX = KB = np.empty((0, 3))
+    sup_lap = sup_position = None
     if rows:
-        s = np.array(rows)[:, None]
+        s = np.array(rows)
         fj, gj, _ = require_regular(p, s, tol_parab)
         radial, axial = laplacian_profile_factors(p, s, tol_parab)
-        for out, rad, ax in ((X, fj.v0, gj.v0), (B, radial, axial)):
-            grid = out.reshape(len(rows), n_theta, 3)
-            np.multiply(rad, cos_t, out=grid[:, :, 0])
-            np.multiply(rad, sin_t, out=grid[:, :, 1])
-            grid[:, :, 2] = ax
+        P = np.empty((len(rows), 4))
+        for k, column in enumerate((fj.v0, gj.v0, radial, axial)):
+            P[:, k] = column
+        sup_position = float(np.max(np.hypot(P[:, 0], P[:, 1])))
+        sup_lap = float(np.max(np.hypot(P[:, 2], P[:, 3])))
+        T = np.column_stack((np.cos(thetas), np.sin(thetas), np.ones(n_theta)))
+        # Column 3a + b of K is profile column a of R1 times circle column b of R2.
+        K = np.kron(np.linalg.qr(P, mode="r"), np.linalg.qr(T, mode="r"))
+        KX, KB = K[:, [0, 1, 5]], K[:, [6, 7, 11]]
     return fit_from_samples(
-        X,
-        B,
+        KX,
+        KB,
         grid=(n_s, n_theta),
         rows_excluded=excluded,
         tol_fit=tol_fit,
         tol_reject=tol_reject,
+        n_points=len(rows) * n_theta,
+        sup_lap=sup_lap,
+        sup_position=sup_position,
     )
 
 
 @dataclass(frozen=True)
 class StructureCheck:
-    offdiag_max: float
-    diag_split: float
+    offdiag_max: Optional[float]
+    diag_split: Optional[float]
     tol_struct: float
 
     @property
     def ok(self) -> bool:
-        return self.offdiag_max <= self.tol_struct and self.diag_split <= self.tol_struct
+        """False when no matrix was fitted (both values None)."""
+        return (
+            self.offdiag_max is not None
+            and self.offdiag_max <= self.tol_struct
+            and self.diag_split <= self.tol_struct
+        )
 
     def to_dict(self) -> dict:
         return {

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -113,7 +114,7 @@ def _load_surface(args) -> tuple[str, ProfileCurve, Optional[catalog.CatalogEntr
 
 
 def _write_json(path: Optional[str], payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -185,7 +186,8 @@ def cmd_classify(args) -> int:
     else:
         _write_json(args.out, payload)
     if args.out:
-        print(f"{label}: verdict {report.verdict} (rel_residual {report.rel_residual:.3e})")
+        rel = "none" if report.rel_residual is None else f"{report.rel_residual:.3e}"
+        print(f"{label}: verdict {report.verdict} (rel_residual {rel})")
     return EXIT_OK if report.verdict != classify.VERDICT_INCONCLUSIVE else EXIT_INCONCLUSIVE
 
 
@@ -368,8 +370,18 @@ def _add_surface_options(sub):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads negative numbers in e-notation, such as
+    -2e0 or -1.5e-3, as values rather than option flags. Subparsers are
+    made with the parent's class, so every subcommand inherits this."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="revtype",
         description="Third-form Beltrami operators and finite-type classification "
         "of surfaces of revolution.",

@@ -1,6 +1,7 @@
 """Shared test oracles: central finite differences, symbolic differentiation,
-a deterministic random-expression generator, and a per-point reference for
-the contradiction scan.
+a deterministic random-expression generator, a grid-materialising reference
+for the coordinate fit, and a per-point reference for the contradiction
+scan.
 
 These stay independent of the jet-propagation code paths they check.
 """
@@ -9,10 +10,21 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import sympy as sp
 
 from revtype import eval_jet3, parse
-from revtype.classify import quartic_coefficients
+from revtype.beltrami import laplacian_profile_factors
+from revtype.classify import (
+    DEFAULT_TOL_FIT,
+    DEFAULT_TOL_REJECT,
+    VERDICT_INCONCLUSIVE,
+    VERDICT_NOT,
+    VERDICT_NULL,
+    VERDICT_SPHERE,
+    quartic_coefficients,
+)
+from revtype.geometry import DEFAULT_TOL_PARAB, grid_rows, require_regular, theta_circle
 
 _S = sp.Symbol("s")
 SYMPY_LOCALS = {"s": _S, "ln": sp.log, "asinh": sp.asinh}
@@ -100,6 +112,63 @@ def sample_well_behaved(rng, max_mag: float = 20.0, span: float = 2.0):
             math.isfinite(w) and abs(w) <= 3 * max_mag for w in window
         ):
             return text, s0
+
+
+# Reference coordinate fit: one row of X and B per grid point, solved by
+# lstsq over the whole grid.
+
+def reference_fit(
+    p,
+    n_s: int,
+    n_theta: int,
+    tol_parab: float = DEFAULT_TOL_PARAB,
+    tol_fit: float = DEFAULT_TOL_FIT,
+    tol_reject: float = DEFAULT_TOL_REJECT,
+) -> dict:
+    """The fit's verdict, rank, counts, matrix, residual and row norms from
+    the materialised n_s*n_theta x 3 samples."""
+    rows, excluded = grid_rows(p, n_s, tol_parab)
+    thetas = np.array(theta_circle(n_theta))
+    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
+    X = np.empty((len(rows) * n_theta, 3))
+    B = np.empty_like(X)
+    if rows:
+        s = np.array(rows)[:, None]
+        fj, gj, _ = require_regular(p, s, tol_parab)
+        radial, axial = laplacian_profile_factors(p, s, tol_parab)
+        for out, rad, ax in ((X, fj.v0, gj.v0), (B, radial, axial)):
+            grid = out.reshape(len(rows), n_theta, 3)
+            grid[:, :, 0] = rad * cos_t
+            grid[:, :, 1] = rad * sin_t
+            grid[:, :, 2] = ax
+    n = X.shape[0]
+    out = {
+        "n_points": n,
+        "rows_excluded": excluded,
+        "rank": int(np.linalg.matrix_rank(X)) if n else 0,
+        "sup_lap": float(np.max(np.linalg.norm(B, axis=1))) if n else None,
+        "sup_position": float(np.max(np.linalg.norm(X, axis=1))) if n else None,
+        "A": None,
+        "rel_residual": None,
+        "verdict": VERDICT_INCONCLUSIVE,
+    }
+    if n < 9 or out["rank"] < 3:
+        return out
+    At, *_ = np.linalg.lstsq(X, B, rcond=None)
+    A = At.T
+    res = float(np.sqrt(np.sum((B - X @ At) ** 2)))
+    b_norm = float(np.sqrt(np.sum(B**2)))
+    rel = res / b_norm if b_norm > 1e-14 else res
+    if out["sup_lap"] <= tol_fit * out["sup_position"] and np.max(np.abs(A)) <= tol_fit:
+        verdict = VERDICT_NULL
+    elif np.max(np.abs(A - 2.0 * np.eye(3))) <= tol_fit and rel <= tol_fit:
+        verdict = VERDICT_SPHERE
+    elif rel >= tol_reject:
+        verdict = VERDICT_NOT
+    else:
+        verdict = VERDICT_INCONCLUSIVE
+    out.update(A=A, rel_residual=rel, verdict=verdict)
+    return out
 
 
 # Reference contradiction scan: a point-by-point lattice loop and a

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from revtype import classify
 from revtype.classify import fit_from_samples
 from revtype.geometry import grid_rows
 
-from helpers import reference_scan
+from helpers import reference_fit, reference_scan
 
 SQRT3 = math.sqrt(3.0)
 
@@ -67,22 +68,101 @@ class TestFit:
         rng = np.random.default_rng(0)
         X = np.zeros((20, 3))
         X[:, 0] = rng.uniform(1, 2, size=20)
-        X[:, 2] = 2.0 * X[:, 0]  # rank 2
+        X[:, 2] = 2.0 * X[:, 0]  # rank 1: column 1 is zero, column 2 doubles column 0
         B = rng.uniform(-1, 1, size=(20, 3))
         report = fit_from_samples(X, B)
         assert report.verdict == VERDICT_INCONCLUSIVE
         assert "rank" in report.note
+        assert report.rank == 1
 
     def test_too_few_points_inconclusive(self):
         X = np.eye(3)
         report = fit_from_samples(X, X)
         assert report.verdict == VERDICT_INCONCLUSIVE
 
+    def test_degenerate_fit_holds_none(self):
+        report = fit_matrix(sphere(1.0).curve, 2, 4)
+        assert (report.n_points, report.verdict) == (8, VERDICT_INCONCLUSIVE)
+        for value in (report.matrix, report.rel_residual, report.offdiag_max,
+                      report.diag_split, report.lam, report.mu):
+            assert value is None
+        assert report.sup_lap > 0.0 and report.sup_position > 0.0
+        payload = report.to_dict()
+        assert payload["A"] is None and payload["structure"]["offdiag_max"] is None
+        assert not structure_check(report).ok
+        assert not structure_check(report, tol_struct=math.inf).ok
+
+    def test_no_points_has_no_row_norms(self):
+        report = fit_from_samples(np.empty((0, 3)), np.empty((0, 3)))
+        assert (report.n_points, report.rank) == (0, 0)
+        assert report.sup_lap is None and report.sup_position is None
+
+    def test_compressed_pair_matches_raw_samples(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(200, 3))
+        B = X @ rng.normal(size=(3, 3)) + 1e-3 * rng.normal(size=(200, 3))
+        R = np.linalg.qr(np.column_stack((X, B)), mode="r")
+        raw = fit_from_samples(X, B)
+        small = fit_from_samples(R[:, :3], R[:, 3:], n_points=200,
+                                 sup_lap=raw.sup_lap, sup_position=raw.sup_position)
+        assert (small.rank, small.n_points, small.verdict) == (raw.rank, 200, raw.verdict)
+        assert np.allclose(small.matrix, raw.matrix, rtol=0.0, atol=1e-12)
+        assert small.rel_residual == pytest.approx(raw.rel_residual, rel=1e-12)
+
+    def test_rank_uses_grid_point_count(self):
+        # Third column at 3e-14 relative: above 3*eps, the threshold for the
+        # 3x3 pair alone, but below 1000*eps, the threshold for the grid.
+        K = np.diag([1.0, 1.0, 3e-14])
+        assert fit_from_samples(K, K).rank == 3
+        assert fit_from_samples(K, K, n_points=1000, sup_lap=1.0, sup_position=1.0).rank == 2
+
     def test_report_serialization(self):
         payload = fit_matrix(sphere(1.0).curve).to_dict()
         assert set(payload) >= {"A", "rel_residual", "structure", "lambda", "mu", "verdict"}
         assert payload["structure"].keys() == {"offdiag_max", "diag_split"}
         assert len(payload["A"]) == 3 and len(payload["A"][0]) == 3
+
+
+_RNG = np.random.default_rng(20)
+ORACLE_SURFACES = [
+    torus(float(_RNG.uniform(2, 6)), float(_RNG.uniform(0.3, 1.5))),
+    sphere(float(_RNG.uniform(0.3, 6))),
+    catenoid(float(_RNG.uniform(0.3, 4))),
+]
+ORACLE_GRIDS = [(32, 32), (1024, 16), (64, 4096), (3, 4), (2, 4)]
+
+
+class TestFitOracle:
+    """The compressed fit against the grid-materialising reference."""
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=lambda g: "x".join(map(str, g)))
+    @pytest.mark.parametrize("entry", ORACLE_SURFACES, ids=lambda e: e.curve.name)
+    def test_matches_reference(self, entry, grid):
+        ref = reference_fit(entry.curve, *grid)
+        report = fit_matrix(entry.curve, *grid)
+        for key in ("verdict", "rank", "n_points", "rows_excluded"):
+            assert getattr(report, key) == ref[key], key
+        assert report.sup_lap == pytest.approx(ref["sup_lap"], rel=1e-12)
+        assert report.sup_position == pytest.approx(ref["sup_position"], rel=1e-12)
+        if ref["A"] is None:
+            assert report.matrix is None and report.rel_residual is None
+            return
+        assert np.max(np.abs(report.matrix - ref["A"])) <= 1e-12
+        # On exact fits (sphere, catenoid) both residuals are rounding noise
+        # near 1e-15, so they agree in absolute terms only.
+        assert report.rel_residual == pytest.approx(ref["rel_residual"], rel=1e-12, abs=1e-12)
+
+    def test_allocation_stays_per_row(self):
+        curve = torus(3.0, 1.0).curve
+        fit_matrix(curve, 64, 64)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            report = fit_matrix(curve, 64, 4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.n_points == 64 * 4096
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestStructure:

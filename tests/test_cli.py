@@ -1,10 +1,17 @@
+import contextlib
+import dataclasses
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from revtype import catalog, classify
 from revtype.cli import main
+
+from helpers import reference_fit
 
 VERIFY_CHECKS = (
     "position-identity",
@@ -192,6 +199,88 @@ class TestFailClosed:
         assert main(["verify", check, *source, "--lambda", "2", "--mu", "2",
                      "--pairs", "20"]) == 1
         assert "profile validation FAILED" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestDegenerateFit:
+    @pytest.mark.parametrize("source", ("sphere", "torus-no-collars"))
+    def test_null_not_nan(self, tmp_path, capsys, source):
+        if source == "sphere":
+            surface = ["--catalog", "sphere"]  # 2 rows x 4 angles = 8 points
+        else:
+            surface = ["--profile", _profile_file(tmp_path, TORUS_NO_COLLARS)]  # no points
+        assert main(["classify", *surface, "--grid", "2x4"]) == 2
+        payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        fit = payload["fit"]
+        assert fit["verdict"] == "Inconclusive"
+        for key in ("A", "lambda", "mu", "rel_residual"):
+            assert fit[key] is None, key
+        assert fit["structure"] == {"offdiag_max": None, "diag_split": None}
+        assert payload["structure"]["ok"] is False
+        if fit["n_points"]:
+            assert fit["sup_lap"] > 0.0 and fit["sup_position"] > 0.0
+        else:
+            assert fit["sup_lap"] is None and fit["sup_position"] is None
+
+    def test_nan_in_report_is_input_error(self, monkeypatch, capsys):
+        fit_matrix = classify.fit_matrix
+        monkeypatch.setattr(classify, "fit_matrix", lambda *a, **k: dataclasses.replace(
+            fit_matrix(*a, **k), rel_residual=math.nan))
+        assert main(["classify", "--catalog", "torus"]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error:")
+
+
+_SURFACES = st.one_of(
+    st.tuples(st.just("torus"), st.fixed_dictionaries(
+        {"R": st.floats(2.0, 6.0), "r": st.floats(0.3, 1.5)})),
+    st.tuples(st.just("sphere"), st.fixed_dictionaries({"r": st.floats(0.3, 6.0)})),
+    st.tuples(st.just("catenoid"), st.fixed_dictionaries({"c": st.floats(0.3, 4.0)})),
+)
+
+
+class TestClassifyProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(_SURFACES, st.integers(2, 40), st.integers(4, 64))
+    def test_strict_report_and_reference_verdict(self, surface, n_s, n_theta):
+        kind, params = surface
+        argv = ["classify", "--catalog", kind, "--grid", f"{n_s}x{n_theta}"]
+        for name, value in params.items():
+            argv += ["--param", f"{name}={value!r}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        fit = json.loads(out.getvalue(), parse_constant=_reject_constant)["fit"]
+        assert fit["rel_residual"] is None or fit["rel_residual"] >= 0.0
+        ref = reference_fit(catalog.make(kind, params).curve, n_s, n_theta)
+        assert fit["verdict"] == ref["verdict"]
+
+
+class TestNegativeENotation:
+    def test_scan_ranges(self, tmp_path):
+        out = tmp_path / "cert.json"
+        assert main(["scan", "--lambda-range", "-2e0", "2", "--mu-range", "-1.5e-3", "1",
+                     "--step", "0.5", "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert config["lambda_range"] == [-2.0, 2.0]
+        assert config["mu_range"] == [-1.5e-3, 1.0]
+
+    def test_verify_lambda(self, tmp_path):
+        out = tmp_path / "check.json"
+        # The sphere's eigenvalue is 2, so lambda = -2 fails the check: exit 2.
+        assert main(["verify", "eigen-system", "--catalog", "sphere", "--lambda", "-2e0",
+                     "--mu", "2", "--out", str(out)]) == 2
+        assert json.loads(out.read_text())["details"]["lambda"] == -2.0
+
+    def test_classify_tolerance_reaches_validation(self, capsys):
+        assert main(["classify", "--catalog", "sphere", "--tol-fit", "-1.5e-3"]) == 1
+        assert "tol_fit must be positive" in capsys.readouterr().err
 
 
 class TestScan:
