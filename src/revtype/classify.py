@@ -386,29 +386,43 @@ def closure_coefficients(lam: float, mu: float, sin_phi: float) -> ClosureCoeffi
 # ---------------------------------------------------------------------------
 # Interval arithmetic for the cell certificate.  An interval is a (lo, hi)
 # pair whose bounds are floats or equal-shape arrays, one box per element.
+# Every operation rounds to nearest and then widens each bound outward, so
+# the enclosures hold under floating point.
 
 # Subdivision depth at which an undecided side of a box counts as a failure.
 MAX_DEPTH = 24
+# Lattice points or cells per array pass of the scan.  A pass takes whole
+# lambda rows, so each temporary array holds about 32 KB.
+BLOCK_CELLS = 4096
+
+
+def _outward(lo, hi):
+    """Widen (lo, hi) past the exact result of the one round-to-nearest
+    operation that produced each bound: a bound moves by |bound| * 2**-52,
+    at least one ulp, plus the smallest subnormal for results near zero."""
+    return lo - (np.abs(lo) * 2.0**-52 + 5e-324), hi + (np.abs(hi) * 2.0**-52 + 5e-324)
 
 
 def _imul(a, b):
-    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return np.minimum.reduce(products), np.maximum.reduce(products)
+    p, q, r, s = a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]
+    return _outward(
+        np.minimum(np.minimum(p, q), np.minimum(r, s)),
+        np.maximum(np.maximum(p, q), np.maximum(r, s)),
+    )
 
 
 def _iadd(a, b):
-    return a[0] + b[0], a[1] + b[1]
+    return _outward(a[0] + b[0], a[1] + b[1])
 
 
 def _isub(a, b):
-    return a[0] - b[1], a[1] - b[0]
+    return _outward(a[0] - b[1], a[1] - b[0])
 
 
 def _isquare(a):
     lo, hi = np.abs(a[0]), np.abs(a[1])
-    upper = np.maximum(lo, hi) ** 2
-    lower = np.where((a[0] <= 0.0) & (0.0 <= a[1]), 0.0, np.minimum(lo, hi) ** 2)
-    return lower, upper
+    lower, upper = _outward(np.minimum(lo, hi) ** 2, np.maximum(lo, hi) ** 2)
+    return np.where((a[0] <= 0.0) & (0.0 <= a[1]), 0.0, np.maximum(lower, 0.0)), upper
 
 
 def _iscale(a, c: float):
@@ -417,19 +431,6 @@ def _iscale(a, c: float):
 
 def _excludes_zero(a):
     return (a[0] > 0.0) | (a[1] < 0.0)
-
-
-def _coeff_intervals(L, M, T):
-    """Interval enclosures of (c4, c2, c0) for lam in L, mu in M and the
-    difference lam - mu restricted to T."""
-    c4 = _imul(L, _isquare(T))
-    q = _iadd(
-        _isub(_imul(L, M), _isquare(L)),
-        _iadd(_iadd(_iscale(L, 5.0), M), (-2.0, -2.0)),
-    )
-    c2 = _imul(T, q)
-    c0 = _imul(_iadd(L, M), _iadd(_isub(M, _iscale(L, 3.0)), (4.0, 4.0)))
-    return c4, c2, c0
 
 
 def _certify_cells(boxes: np.ndarray, gap: float) -> tuple[int, int]:
@@ -448,13 +449,20 @@ def _certify_cells(boxes: np.ndarray, gap: float) -> tuple[int, int]:
             break
         examined += boxes.shape[1]
         L, M = boxes[:2], boxes[2:]
-        raw_lo, raw_hi = L[0] - M[1], L[1] - M[0]
+        raw_lo, raw_hi = _isub(L, M)
+        # c0 and the factor q of c2 = (lam - mu) q do not depend on the side.
+        c0 = _imul(_iadd(L, M), _iadd(_isub(M, _iscale(L, 3.0)), (4.0, 4.0)))
+        q = _iadd(
+            _isub(_imul(L, M), _isquare(L)),
+            _iadd(_iadd(_iscale(L, 5.0), M), (-2.0, -2.0)),
+        )
         undecided = np.zeros(boxes.shape[1], dtype=int)
         for present, T in (
             (raw_hi >= gap, (np.maximum(gap, raw_lo), raw_hi)),
             (raw_lo <= -gap, (raw_lo, np.minimum(-gap, raw_hi))),
         ):
-            decided = np.logical_or.reduce([_excludes_zero(c) for c in _coeff_intervals(L, M, T)])
+            c4, c2 = _imul(L, _isquare(T)), _imul(T, q)
+            decided = _excludes_zero(c4) | _excludes_zero(c2) | _excludes_zero(c0)
             undecided += present & ~decided
         if depth == MAX_DEPTH:
             failures = int(undecided.sum())
@@ -496,6 +504,28 @@ def _lattice(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + np.arange(int(round((hi - lo) / step)) + 1) * step
 
 
+def _cell_edges(lo: float, hi: float, step: float) -> np.ndarray:
+    """Cell edges on one axis: lo, the lattice points strictly inside
+    (lo, hi), then hi, so the cells cover [lo, hi] exactly.  A lattice
+    point within a millionth of a step of hi stands for hi."""
+    if hi == lo:
+        return np.array([lo])
+    inner = lo + np.arange(1, math.ceil((hi - lo) / step - 1e-6)) * step
+    return np.concatenate(([lo], inner[inner < hi], [hi]))
+
+
+def _blocks(rows: np.ndarray, cols: np.ndarray):
+    """Every (row, column) pair of the (k, n) arrays rows and cols, whose
+    columns are the items, in row-major order: blocks of whole rows of
+    about BLOCK_CELLS pairs, each stacked as a (k_rows + k_cols, m) array."""
+    per = max(1, BLOCK_CELLS // max(1, cols.shape[1]))
+    for i in range(0, rows.shape[1], per):
+        block = rows[:, i : i + per]
+        yield np.concatenate(
+            (np.repeat(block, cols.shape[1], axis=1), np.tile(cols, block.shape[1]))
+        )
+
+
 # An overflowed enclosure would look like it excludes zero, so overflow raises.
 @np.errstate(over="raise", invalid="raise")
 def contradiction_scan(
@@ -507,11 +537,14 @@ def contradiction_scan(
     coefficients (c4, c2, c0) never vanish simultaneously.
 
     The lattice scan reports the minimum over points of
-    max(|c4|, |c2|, |c0|) with its argmin.  An interval-arithmetic
-    subdivision then converts the finite scan into a certificate on the
-    whole box minus the diagonal strip |lam - mu| < step/2.  Both run one
-    lattice row of lam at a time, as arrays over mu.  The bounds round to
-    nearest, not outward.
+    max(|c4|, |c2|, |c0|) with its first argmin in row-major order.  An
+    interval-arithmetic subdivision then converts the finite scan into a
+    certificate on the whole box minus the diagonal strip
+    |lam - mu| < step/2; its cells run from lam_range[0] to lam_range[1]
+    and mu_range[0] to mu_range[1], with the lattice points inside as
+    edges.  Both run over blocks of whole lambda rows of about BLOCK_CELLS
+    points or cells.  Every interval bound is rounded outward, so a
+    certified box is certified under floating point.
 
     The quartic follows from the closure system only for mu != 0: the
     elimination drops an overall factor mu (see EliminationReport), so the
@@ -531,22 +564,26 @@ def contradiction_scan(
     gap = 0.5 * step
     best = None  # (max-coefficient, argmin, coefficients) of the first minimum
     scanned = 0
-    for lam in lams:
-        off = mus[np.abs(lam - mus) >= gap]
-        if not off.size:
+    for lam, mu in _blocks(lams[None], mus[None]):
+        off = np.abs(lam - mu) >= gap
+        lam, mu = lam[off], mu[off]
+        if not lam.size:
             continue
-        scanned += off.size
-        coeffs = quartic_coefficients(lam, off)
+        scanned += lam.size
+        coeffs = quartic_coefficients(lam, mu)
         m = np.maximum(np.maximum(np.abs(coeffs[0]), np.abs(coeffs[1])), np.abs(coeffs[2]))
         k = int(np.argmin(m))
         if best is None or m[k] < best[0]:
-            best = (float(m[k]), (float(lam), float(off[k])), tuple(float(c[k]) for c in coeffs))
+            best = (float(m[k]), (float(lam[k]), float(mu[k])), tuple(float(c[k]) for c in coeffs))
     min_max, argmin, argmin_coeffs = best or (None, None, None)
     cells_examined = cell_failures = 0
     if scanned:
-        for lo, hi in zip(lams[:-1], lams[1:]):
-            row = np.stack(np.broadcast_arrays(lo, hi, mus[:-1], mus[1:]))
-            e, f = _certify_cells(row, gap)
+        lam_edges = _cell_edges(lam_range[0], lam_range[1], step)
+        mu_edges = _cell_edges(mu_range[0], mu_range[1], step)
+        lam_cells = np.stack((lam_edges[:-1], lam_edges[1:]))
+        mu_cells = np.stack((mu_edges[:-1], mu_edges[1:]))
+        for boxes in _blocks(lam_cells, mu_cells):
+            e, f = _certify_cells(boxes, gap)
             cells_examined += e
             cell_failures += f
     return ScanCertificate(

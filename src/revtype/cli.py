@@ -8,9 +8,10 @@ Subcommands:
     catalog    list built-in surfaces or export one to a profile file
 
 Exit codes: 0 success / definite verdict / check passed, 1 usage or input
-error, 2 inconclusive verdict or check above tolerance.  Reports embed the
-full effective configuration and contain no timestamps, so rerunning a
-command with the same inputs and seed reproduces the output byte for byte.
+error or a file that cannot be read or written, 2 inconclusive verdict or
+check above tolerance.  Reports embed the full effective configuration and
+contain no timestamps, so rerunning a command with the same inputs and seed
+reproduces the output byte for byte.
 A check that finds no usable sample points fails with exit 2 and a reason.
 """
 
@@ -445,7 +446,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ProfileError, ExpressionError, ValueError, ArithmeticError) as exc:
+    except (ProfileError, ExpressionError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -172,25 +172,30 @@ def reference_fit(
 
 
 # Reference contradiction scan: a point-by-point lattice loop and a
-# depth-first cell certifier over scalar intervals rounded to nearest.
+# depth-first cell certifier over scalar intervals.  Each operation rounds
+# to nearest, then moves each bound out by |bound| * 2**-52 + 5e-324.
+
+def _out(lo: float, hi: float) -> tuple[float, float]:
+    return lo - (abs(lo) * 2.0**-52 + 5e-324), hi + (abs(hi) * 2.0**-52 + 5e-324)
+
 
 def _imul(a, b):
     products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(products), max(products)
+    return _out(min(products), max(products))
 
 
 def _iadd(a, b):
-    return a[0] + b[0], a[1] + b[1]
+    return _out(a[0] + b[0], a[1] + b[1])
 
 
 def _isub(a, b):
-    return a[0] - b[1], a[1] - b[0]
+    return _out(a[0] - b[1], a[1] - b[0])
 
 
 def _isquare(a):
     lo, hi = abs(a[0]), abs(a[1])
-    lower = 0.0 if a[0] <= 0.0 <= a[1] else min(lo, hi) ** 2
-    return lower, max(lo, hi) ** 2
+    lower, upper = _out(min(lo, hi) ** 2, max(lo, hi) ** 2)
+    return (0.0 if a[0] <= 0.0 <= a[1] else max(lower, 0.0)), upper
 
 
 def _excludes_zero(a) -> bool:
@@ -212,7 +217,7 @@ def _certify_cell(L, M, gap: float, depth: int, max_depth: int) -> tuple[int, in
     """(cells examined, failures) for the box L x M minus |lam - mu| < gap,
     halving the longer side once per undecided side of the strip."""
     examined, failures = 1, 0
-    raw_lo, raw_hi = L[0] - M[1], L[1] - M[0]
+    raw_lo, raw_hi = _isub(L, M)
     sides = []
     if raw_hi >= gap:
         sides.append((max(gap, raw_lo), raw_hi))
@@ -243,9 +248,23 @@ def _lattice(lo: float, hi: float, step: float) -> list[float]:
     return [lo + i * step for i in range(count + 1)]
 
 
+def _edges(lo: float, hi: float, step: float) -> list[float]:
+    """lo, the lattice points lo + i*step more than a millionth of a step
+    below hi, then hi (just lo when the range is one point)."""
+    if hi == lo:
+        return [lo]
+    inner = []
+    i = 1
+    while i < (hi - lo) / step - 1e-6:
+        if lo + i * step < hi:
+            inner.append(lo + i * step)
+        i += 1
+    return [lo, *inner, hi]
+
+
 def reference_scan(lam_range, mu_range, step: float, max_depth: int = 24) -> dict:
     """The scan certificate's counts and lattice minimum, one point and one
-    cell at a time."""
+    cell at a time; the cells span lam_range x mu_range."""
     lams = _lattice(*lam_range, step)
     mus = _lattice(*mu_range, step)
     gap = 0.5 * step
@@ -264,10 +283,15 @@ def reference_scan(lam_range, mu_range, step: float, max_depth: int = 24) -> dic
                 best_coeffs = (c4, c2, c0)
     examined = failures = 0
     if scanned:
-        for i in range(len(lams) - 1):
-            for j in range(len(mus) - 1):
+        lam_edges, mu_edges = _edges(*lam_range, step), _edges(*mu_range, step)
+        for i in range(len(lam_edges) - 1):
+            for j in range(len(mu_edges) - 1):
                 e, f = _certify_cell(
-                    (lams[i], lams[i + 1]), (mus[j], mus[j + 1]), gap, 0, max_depth
+                    (lam_edges[i], lam_edges[i + 1]),
+                    (mu_edges[j], mu_edges[j + 1]),
+                    gap,
+                    0,
+                    max_depth,
                 )
                 examined += e
                 failures += f

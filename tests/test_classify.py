@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -345,6 +346,13 @@ REFERENCE_BOXES = (
     ((1.0, 1.0), (1.0, 1.0), 0.25, 0),
 )
 
+# Boxes whose ranges are not whole multiples of the step: the last cell on
+# each axis is a partial one ending at the range's upper bound.
+NON_ALIGNED_BOXES = (
+    ((0.0, 1.0), (5.0, 6.0), 0.4, 9),
+    ((-2.3, 1.7), (-1.1, 2.9), 0.35, 144),
+)
+
 
 def _scan_fields(cert, names):
     return {name: getattr(cert, name) for name in names}
@@ -357,6 +365,24 @@ class TestScanOracles:
         got = contradiction_scan(lam_range, mu_range, step)
         assert _scan_fields(got, want) == want
         assert got.cells_examined == cells
+
+    @pytest.mark.parametrize("lam_range, mu_range, step, cells", NON_ALIGNED_BOXES)
+    def test_non_aligned_box_matches_reference(self, lam_range, mu_range, step, cells):
+        want = reference_scan(lam_range, mu_range, step)
+        got = contradiction_scan(lam_range, mu_range, step)
+        assert _scan_fields(got, want) == want
+        assert got.cells_examined == cells
+
+    @pytest.mark.parametrize("block", (1, 7, 4096))
+    def test_block_size_does_not_change_report(self, monkeypatch, block):
+        monkeypatch.setattr(classify, "BLOCK_CELLS", block)
+        # Rows lam = 0.25 and 0.5 tie at the minimum 0.5625 for mu = -0.25;
+        # the first in row-major order is reported, whatever the blocks.
+        tie = contradiction_scan((0.25, 0.5), (-0.25, -0.25), 0.25)
+        assert tie.argmin == (0.25, -0.25) and tie.min_max_coefficient == 0.5625
+        for box in (((-1.0, 1.0), (-1.0, 1.0), 0.5), ((0.0, 1.0), (5.0, 6.0), 0.4)):
+            want = reference_scan(*box)
+            assert _scan_fields(contradiction_scan(*box), want) == want
 
     @pytest.mark.parametrize("max_depth", (0, 1, 2))
     def test_failures_at_depth_limit_match_reference(self, monkeypatch, max_depth):
@@ -392,6 +418,110 @@ class TestScanOracles:
                     if all(0 in c for c in (c4, c2, c0)):
                         undecided.append((L, M, D))
         assert not undecided
+
+
+class TestScanCells:
+    @pytest.mark.parametrize("lam_range, mu_range, step, cells", NON_ALIGNED_BOXES)
+    def test_cells_span_requested_box(self, monkeypatch, lam_range, mu_range, step, cells):
+        seen = []
+        certify = classify._certify_cells
+
+        def record(boxes, gap):
+            seen.append(boxes.copy())
+            return certify(boxes, gap)
+
+        monkeypatch.setattr(classify, "_certify_cells", record)
+        assert contradiction_scan(lam_range, mu_range, step).cells_certified
+        boxes = np.concatenate(seen, axis=1)
+        assert boxes.shape[1] == cells
+        lam_edges, mu_edges = np.unique(boxes[:2]), np.unique(boxes[2:])
+        assert (lam_edges[0], lam_edges[-1]) == lam_range
+        assert (mu_edges[0], mu_edges[-1]) == mu_range
+        # The cells tile the box: each spans neighbouring edges on both
+        # axes, and every pair of neighbouring edges has one distinct cell.
+        for edges, lo, hi in ((lam_edges, boxes[0], boxes[1]), (mu_edges, boxes[2], boxes[3])):
+            assert np.all(np.searchsorted(edges, hi) == np.searchsorted(edges, lo) + 1)
+        assert cells == (lam_edges.size - 1) * (mu_edges.size - 1)
+        assert np.unique(boxes, axis=1).shape[1] == cells
+        widest = step * (1.0 + 1e-12)
+        assert np.all(np.diff(lam_edges) <= widest) and np.all(np.diff(mu_edges) <= widest)
+
+    @pytest.mark.parametrize("lo, hi, step, edges", (
+        (0.0, 1.0, 0.4, (0.0, 0.4, 0.8, 1.0)),
+        (0.0, 1.0, 0.25, (0.0, 0.25, 0.5, 0.75, 1.0)),
+        (-0.7, 1.3, 0.1, tuple(-0.7 + i * 0.1 for i in range(20)) + (1.3,)),
+        # 3 * 0.35 rounds to just under 1.05 and stands for it: no sliver cell.
+        (0.0, 1.05, 0.35, (0.0, 0.35, 0.7, 1.05)),
+        (2.0, 2.0, 0.25, (2.0,)),
+        (0.0, 1e-9, 0.25, (0.0, 1e-9)),
+    ))
+    def test_cell_edges(self, lo, hi, step, edges):
+        got = classify._cell_edges(lo, hi, step)
+        assert got[0] == lo and got[-1] == hi
+        assert got.tolist() == pytest.approx(edges, abs=1e-15)
+        assert np.all(np.diff(got) > 0.0)
+
+    def test_allocation_stays_per_block(self):
+        # 400 x 400 cells at step 0.05; whole-box arrays would exceed the bound.
+        tracemalloc.start()
+        try:
+            cert = contradiction_scan((-10.0, 10.0), (-10.0, 10.0), 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.cells_certified
+        assert peak < 2 * 2**20
+
+
+def _exact(x):
+    return Fraction(float(x))
+
+
+# Interval bounds of mixed sign and magnitude: zeros, subnormals, around
+# one and around 1e150, whose products come near 1e300.
+def _random_bounds(rng, n):
+    pool = np.concatenate((
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320, 2.0**-1022, 1.0, -1.0],
+        rng.uniform(-1.0, 1.0, 64),
+        rng.uniform(-1.0, 1.0, 64) * 10.0 ** rng.integers(-320, 151, 64).astype(float),
+        rng.uniform(-2.0, 2.0, 32) * 1e150,
+    ))
+    a, b = rng.choice(pool, n), rng.choice(pool, n)
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+class TestOutwardRounding:
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_helpers_enclose_exact_results(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 400
+        a, b = _random_bounds(rng, n), _random_bounds(rng, n)
+        cases = {
+            "mul": (classify._imul(a, b), lambda x, y: [x[0] * y[0], x[0] * y[1],
+                                                         x[1] * y[0], x[1] * y[1]]),
+            "add": (classify._iadd(a, b), lambda x, y: [x[0] + y[0], x[1] + y[1]]),
+            "sub": (classify._isub(a, b), lambda x, y: [x[0] - y[1], x[1] - y[0]]),
+            "square": (classify._isquare(a), lambda x, y: [x[0] ** 2, x[1] ** 2]),
+        }
+        for name, ((lo, hi), exact) in cases.items():
+            for i in range(n):
+                x = (_exact(a[0][i]), _exact(a[1][i]))
+                y = (_exact(b[0][i]), _exact(b[1][i]))
+                values = exact(x, y)
+                low, high = min(values), max(values)
+                if name == "square" and x[0] <= 0 <= x[1]:
+                    low = Fraction(0)
+                assert _exact(lo[i]) <= low and high <= _exact(hi[i]), (name, i)
+                if name == "square":
+                    assert lo[i] >= 0.0
+
+    def test_round_to_nearest_alone_would_not_enclose(self):
+        # 0.1 * 3 rounds up to 0.30000000000000004, past the exact product.
+        lo, hi = classify._imul((0.1, 0.1), (3.0, 3.0))
+        exact = Fraction(0.1) * 3
+        assert Fraction(0.1 * 3.0) > exact
+        assert _exact(lo) <= exact <= _exact(hi)
+        assert lo < 0.1 * 3.0 < hi
 
 
 class TestElimination:

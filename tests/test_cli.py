@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from revtype import catalog, classify
 from revtype.cli import main
 
-from helpers import reference_fit
+from helpers import reference_fit, reference_scan
 
 VERIFY_CHECKS = (
     "position-identity",
@@ -262,6 +262,44 @@ class TestClassifyProperty:
         assert fit["verdict"] == ref["verdict"]
 
 
+# Number spellings on the command line, e-notation included.
+_NUMBER_TEXT = ("{!r}", "{:e}", "{:.2f}", "{:.3E}")
+
+
+@st.composite
+def _scan_args(draw):
+    """--step, --lambda-range and --mu-range texts with at most about 40
+    lattice steps per axis. Spans are drawn in steps, whole or not, and
+    may be slightly negative, which makes an empty range."""
+    step = draw(st.floats(0.05, 2.0))
+    argv = ["scan", "--step", draw(st.sampled_from(_NUMBER_TEXT[:2])).format(step)]
+    for option in ("--lambda-range", "--mu-range"):
+        lo = draw(st.floats(-10.0, 10.0))
+        steps = draw(st.one_of(st.integers(0, 40).map(float), st.floats(-0.5, 40.0)))
+        text = draw(st.sampled_from(_NUMBER_TEXT))
+        argv += [option, text.format(lo), text.format(lo + steps * step)]
+    return argv
+
+
+class TestScanProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(_scan_args())
+    def test_strict_report_and_reference_cells(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert err.getvalue().startswith("error:") and not out.getvalue()
+            return
+        cert = json.loads(out.getvalue(), parse_constant=_reject_constant)["certificate"]
+        step, lam_range, mu_range = float(argv[2]), argv[4:6], argv[7:9]
+        want = reference_scan(tuple(map(float, lam_range)), tuple(map(float, mu_range)), step)
+        for key in ("points_scanned", "cells_examined", "cell_failures"):
+            assert cert[key] == want[key], key
+
+
 class TestNegativeENotation:
     def test_scan_ranges(self, tmp_path):
         out = tmp_path / "cert.json"
@@ -333,6 +371,26 @@ class TestScan:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", (
+        ["classify", "--catalog", "sphere"],
+        ["classify", "--catalog", "sphere", "--format", "csv"],
+        ["verify", "eigen-system", "--catalog", "sphere"],
+        ["verify", "eigen-system", "--catalog", "sphere", "--format", "csv"],
+        ["scan", "--lambda-range", "-1", "1", "--mu-range", "-1", "1", "--step", "0.5"],
+        ["catalog", "export", "sphere"],
+    ), ids=("classify-json", "classify-csv", "verify-json", "verify-csv", "scan",
+            "catalog-export"))
+    def test_missing_directory_is_input_error(self, tmp_path, capsys, argv):
+        path = tmp_path / "missing" / "out.json"
+        assert main([*argv, "--out", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert str(path) in captured.err
+        assert "Traceback" not in captured.err
+        assert not path.exists()
 
 
 class TestCatalogCommand:
