@@ -56,16 +56,17 @@ from .geometry import (
     ParabolicPointError,
     ProfileCurve,
     ProfileError,
+    RegularJets,
     SurfacePoint,
     ValidationReport,
     forms_at,
     grid_rows,
     load_profile,
-    phi_jet,
     point_at,
     profile_from_dict,
     profile_to_dict,
     radii_sum_jet,
+    require_regular,
     sample_regular,
     save_profile,
     validate_profile,

@@ -10,8 +10,11 @@ revolution-specialized formula (`second_beltrami`, the production path) and
 the raw divergence form of the operator (`second_beltrami_divergence`),
 retained purely for cross-verification.
 
-Operators and fields take ``s`` and ``theta`` as floats or as broadcasting
-arrays: a column of rows against a row of angles is a whole grid in one pass.
+Fields and operators read the profile from the jets of a sample set
+(`RegularJets`, one evaluation pass) and take ``theta`` as a float or a
+broadcasting array: jets of a column of rows against a row of angles is a
+whole grid in one pass.  The operators act on a field's partials
+(`ScalarField.partials`), so one set of partials can feed several of them.
 """
 
 from __future__ import annotations
@@ -26,14 +29,11 @@ from .expressions import eval_jet3, parse
 from .geometry import (
     DEFAULT_TOL_PARAB,
     ProfileCurve,
-    _ddphi,
-    _dphi,
-    _fg,
+    RegularJets,
+    _jets,
     _parabolic,
-    _radii_sum,
     grid_rows,
     radii_sum_jet,
-    require_regular,
     theta_circle,
 )
 
@@ -53,12 +53,13 @@ class FieldPartials:
 class ScalarField:
     """Separable field a(s) * trig(k theta).
 
-    ``profile_jets(s)`` returns (a, a') or (a, a', a''); fields lacking the
-    second derivative support the first operator but not the second.
+    ``profile_jets(jets)`` returns (a, a') or (a, a', a'') at the sample
+    points of ``jets``; fields lacking the second derivative support the
+    first operator but not the second.
     """
 
     label: str
-    profile_jets: Callable[[float], Sequence[float]]
+    profile_jets: Callable[[RegularJets], Sequence[float]]
     harmonic: int = 0
     trig: str = "cos"
 
@@ -70,8 +71,8 @@ class ScalarField:
         if self.harmonic == 0 and self.trig == "sin":
             raise ValueError("harmonic 0 with sin is identically zero")
 
-    def partials(self, s, theta) -> FieldPartials:
-        a = tuple(self.profile_jets(s))
+    def partials(self, jets: RegularJets, theta) -> FieldPartials:
+        a = tuple(self.profile_jets(jets))
         k = self.harmonic
         if self.trig == "cos":
             t = np.cos(k * theta)
@@ -88,9 +89,6 @@ class ScalarField:
             d_thetatheta=a[0] * ddt,
         )
 
-    def value(self, s, theta):
-        return self.partials(s, theta).value
-
 
 def expression_field(
     text_or_expr,
@@ -103,8 +101,8 @@ def expression_field(
     expr = parse(text_or_expr) if isinstance(text_or_expr, str) else text_or_expr
     bound = dict(params or {})
 
-    def profile(s):
-        j = eval_jet3(expr, s, bound)
+    def profile(jets):
+        j = eval_jet3(expr, jets.s, bound)
         return (j.v0, j.v1, j.v2, j.v3)
 
     if label is None:
@@ -112,16 +110,14 @@ def expression_field(
     return ScalarField(label=label, profile_jets=profile, harmonic=harmonic, trig=trig)
 
 
-def coordinate_fields(p: ProfileCurve) -> tuple[ScalarField, ScalarField, ScalarField]:
+def coordinate_fields() -> tuple[ScalarField, ScalarField, ScalarField]:
     """The three coordinate functions of the position vector as fields."""
 
-    def f_profile(s):
-        fj, _ = _fg(p, s)
-        return (fj.v0, fj.v1, fj.v2)
+    def f_profile(jets):
+        return (jets.f.v0, jets.f.v1, jets.f.v2)
 
-    def g_profile(s):
-        _, gj = _fg(p, s)
-        return (gj.v0, gj.v1, gj.v2)
+    def g_profile(jets):
+        return (jets.g.v0, jets.g.v1, jets.g.v2)
 
     return (
         ScalarField("x1", f_profile, harmonic=1, trig="cos"),
@@ -130,36 +126,28 @@ def coordinate_fields(p: ProfileCurve) -> tuple[ScalarField, ScalarField, Scalar
     )
 
 
-def radii_sum_field(p: ProfileCurve, tol_parab: float = DEFAULT_TOL_PARAB) -> ScalarField:
+def radii_sum_field() -> ScalarField:
     """R = 2H/K as a theta-independent field (first derivative only)."""
-
-    def profile(s):
-        return radii_sum_jet(p, s, tol_parab)
-
-    return ScalarField("2H/K", profile, harmonic=0, trig="cos")
+    return ScalarField("2H/K", radii_sum_jet, harmonic=0, trig="cos")
 
 
-def normal_fields(p: ProfileCurve) -> tuple[ScalarField, ScalarField, ScalarField]:
+def normal_fields() -> tuple[ScalarField, ScalarField, ScalarField]:
     """Components of the unit normal as separable fields."""
 
-    def radial(s):
-        fj, gj = _fg(p, s)
-        dphi, ddphi = _dphi(fj, gj), _ddphi(fj, gj)
+    def radial(j):
         # a = -sin(phi): a' = -cos(phi) phi', a'' = sin(phi) phi'^2 - cos(phi) phi''
         return (
-            -gj.v1,
-            -fj.v1 * dphi,
-            gj.v1 * dphi * dphi - fj.v1 * ddphi,
+            -j.sin_phi,
+            -j.cos_phi * j.dphi,
+            j.sin_phi * j.dphi * j.dphi - j.cos_phi * j.ddphi,
         )
 
-    def axial(s):
-        fj, gj = _fg(p, s)
-        dphi, ddphi = _dphi(fj, gj), _ddphi(fj, gj)
+    def axial(j):
         # a = cos(phi): a' = -sin(phi) phi', a'' = -cos(phi) phi'^2 - sin(phi) phi''
         return (
-            fj.v1,
-            -gj.v1 * dphi,
-            -fj.v1 * dphi * dphi - gj.v1 * ddphi,
+            j.cos_phi,
+            -j.sin_phi * j.dphi,
+            -j.cos_phi * j.dphi * j.dphi - j.sin_phi * j.ddphi,
         )
 
     return (
@@ -169,54 +157,32 @@ def normal_fields(p: ProfileCurve) -> tuple[ScalarField, ScalarField, ScalarFiel
     )
 
 
-def first_beltrami(
-    p: ProfileCurve,
-    s: float,
-    theta: float,
-    u: ScalarField,
-    w: ScalarField,
-    tol_parab: float = DEFAULT_TOL_PARAB,
-) -> float:
-    """Inverse-third-form pairing of the gradients of two fields:
+def first_beltrami(jets: RegularJets, pu: FieldPartials, pw: FieldPartials) -> float:
+    """Inverse-third-form pairing of the gradients of two fields, given
+    their partials at the points of ``jets``:
     u_s w_s / phi'^2 + u_theta w_theta / sin^2(phi)."""
-    fj, gj, dphi = require_regular(p, s, tol_parab)
-    pu = u.partials(s, theta)
-    pw = w.partials(s, theta)
-    return pu.d_s * pw.d_s / (dphi * dphi) + pu.d_theta * pw.d_theta / (gj.v1 * gj.v1)
+    dphi, sin_phi = jets.dphi, jets.sin_phi
+    return pu.d_s * pw.d_s / (dphi * dphi) + pu.d_theta * pw.d_theta / (sin_phi * sin_phi)
 
 
-def second_beltrami(
-    p: ProfileCurve,
-    s: float,
-    theta: float,
-    u: ScalarField,
-    tol_parab: float = DEFAULT_TOL_PARAB,
-) -> float:
-    """Revolution-specialized Laplacian with respect to the third form:
+def second_beltrami(jets: RegularJets, pu: FieldPartials) -> float:
+    """Revolution-specialized Laplacian with respect to the third form,
+    from a field's partials at the points of ``jets``:
 
         -u_ss/phi'^2 + (phi''/phi'^2 - cos(phi)/sin(phi)) u_s/phi'
         - u_thetatheta/sin^2(phi)
     """
-    fj, gj, dphi = require_regular(p, s, tol_parab)
-    ddphi = _ddphi(fj, gj)
-    pu = u.partials(s, theta)
     if pu.d_ss is None:
-        raise ValueError(f"field {u.label!r} lacks a second s-derivative")
-    sin_phi, cos_phi = gj.v1, fj.v1
+        raise ValueError("field lacks a second s-derivative")
+    dphi, sin_phi = jets.dphi, jets.sin_phi
     return (
         -pu.d_ss / (dphi * dphi)
-        + (ddphi / (dphi * dphi) - cos_phi / sin_phi) * pu.d_s / dphi
+        + (jets.ddphi / (dphi * dphi) - jets.cos_phi / sin_phi) * pu.d_s / dphi
         - pu.d_thetatheta / (sin_phi * sin_phi)
     )
 
 
-def second_beltrami_divergence(
-    p: ProfileCurve,
-    s: float,
-    theta: float,
-    u: ScalarField,
-    tol_parab: float = DEFAULT_TOL_PARAB,
-) -> float:
+def second_beltrami_divergence(jets: RegularJets, pu: FieldPartials) -> float:
     """Same operator evaluated from the divergence form
 
         -(1/sqrt(e)) * d_i( sqrt(e) e^{ij} u_j )
@@ -225,14 +191,12 @@ def second_beltrami_divergence(
     used to cross-check `second_beltrami`; needs order-3 profile jets for
     the s-derivative of sqrt(e) e^{11}.
     """
-    fj, gj, dphi = require_regular(p, s, tol_parab)
-    ddphi = _ddphi(fj, gj)
-    pu = u.partials(s, theta)
     if pu.d_ss is None:
-        raise ValueError(f"field {u.label!r} lacks a second s-derivative")
+        raise ValueError("field lacks a second s-derivative")
+    dphi, sin_phi = jets.dphi, jets.sin_phi
     # (value, d/ds) pairs for the form components along s.
-    e11 = (dphi * dphi, 2.0 * dphi * ddphi)
-    e22 = (gj.v1 * gj.v1, 2.0 * gj.v1 * gj.v2)
+    e11 = (dphi * dphi, 2.0 * dphi * jets.ddphi)
+    e22 = (sin_phi * sin_phi, 2.0 * sin_phi * jets.g.v2)
     det = (e11[0] * e22[0], e11[0] * e22[1] + e11[1] * e22[0])
     w0 = np.sqrt(det[0])
     w1 = det[1] / (2.0 * w0)
@@ -244,9 +208,7 @@ def second_beltrami_divergence(
     return -(term_s + term_theta) / w0
 
 
-def laplacian_profile_factors(
-    p: ProfileCurve, s: float, tol_parab: float = DEFAULT_TOL_PARAB
-) -> tuple[float, float]:
+def laplacian_profile_factors(jets: RegularJets) -> tuple[float, float]:
     """The s-dependent factors (radial, axial) of the coordinate Laplacian:
 
         radial = R sin(phi) - (cos(phi)/phi') R'
@@ -255,9 +217,8 @@ def laplacian_profile_factors(
     so that the Laplacian of the position vector is
     (radial cos(theta), radial sin(theta), axial).
     """
-    fj, gj, dphi = require_regular(p, s, tol_parab)
-    R, dR = _radii_sum(fj, gj, dphi)
-    sin_phi, cos_phi = gj.v1, fj.v1
+    R, dR = radii_sum_jet(jets)
+    sin_phi, cos_phi, dphi = jets.sin_phi, jets.cos_phi, jets.dphi
     radial = R * sin_phi - (cos_phi / dphi) * dR
     axial = -R * cos_phi - (sin_phi / dphi) * dR
     return radial, axial
@@ -270,11 +231,10 @@ class CoordinateLaplacian:
     vector: np.ndarray
 
 
-def coordinate_laplacian(
-    p: ProfileCurve, s: float, theta: float, tol_parab: float = DEFAULT_TOL_PARAB
-) -> CoordinateLaplacian:
-    """Laplacian of the three coordinate functions at (s, theta)."""
-    radial, axial = laplacian_profile_factors(p, s, tol_parab)
+def coordinate_laplacian(jets: RegularJets, theta: float) -> CoordinateLaplacian:
+    """Laplacian of the three coordinate functions at (s, theta), s the
+    point of ``jets``."""
+    radial, axial = laplacian_profile_factors(jets)
     vec = np.array(
         [radial * math.cos(theta), radial * math.sin(theta), axial]
     )
@@ -316,31 +276,26 @@ def position_identity_residual(
     as (rows, n_theta) arrays.  With every row parabolic the report has no
     points and its residual and location are None.
     """
-    rows, excluded = grid_rows(p, n_s, tol_parab)
-    if not rows:
+    jets, excluded = grid_rows(p, n_s, tol_parab)
+    if not len(jets):
         return IdentityReport(None, None, None, 0, excluded, [] if collect_rows else None)
-    s = np.array(rows)[:, None]
+    rows = jets[:, None]
     thetas = np.array(theta_circle(n_theta))
-    R, _ = radii_sum_jet(p, s, tol_parab)
-    radial, axial = laplacian_profile_factors(p, s, tol_parab)
+    R, _ = radii_sum_jet(rows)
+    radial, axial = laplacian_profile_factors(rows)
     lhs = np.stack(
         np.broadcast_arrays(radial * np.cos(thetas), radial * np.sin(thetas), axial), axis=-1
     )
-    r_field = radii_sum_field(p, tol_parab)
-    rhs = np.stack(
-        [
-            first_beltrami(p, s, thetas, r_field, comp, tol_parab) - R * comp.value(s, thetas)
-            for comp in normal_fields(p)
-        ],
-        axis=-1,
-    )
+    pr = radii_sum_field().partials(rows, thetas)
+    normals = (comp.partials(rows, thetas) for comp in normal_fields())
+    rhs = np.stack([first_beltrami(rows, pr, pn) - R * pn.value for pn in normals], axis=-1)
     residual = np.linalg.norm(lhs - rhs, axis=-1)
     i, j = np.unravel_index(np.argmax(residual), residual.shape)
     table = None
     if collect_rows:
         columns = {
-            "s": np.repeat(rows, n_theta),
-            "theta": np.tile(thetas, len(rows)),
+            "s": np.repeat(jets.s, n_theta),
+            "theta": np.tile(thetas, len(jets)),
             "lhs1": lhs[..., 0], "lhs2": lhs[..., 1], "lhs3": lhs[..., 2],
             "rhs1": rhs[..., 0], "rhs2": rhs[..., 1], "rhs3": rhs[..., 2],
             "residual": residual,
@@ -349,7 +304,7 @@ def position_identity_residual(
         table = [dict(zip(columns, v)) for v in values]
     return IdentityReport(
         max_residual=float(residual[i, j]),
-        at_s=rows[i],
+        at_s=float(jets.s[i]),
         at_theta=float(thetas[j]),
         points_used=residual.size,
         rows_excluded=excluded,
@@ -434,11 +389,9 @@ def operator_equivalence_residual(
         if pos + 3 > len(u):
             u = np.concatenate([u, rng.random(max(len(u), 3 * n_pairs + 3))])
             k = cdf.searchsorted(u[:-1], side="right")
-            candidates = starts[k] + widths[k] * u[1:]
-            fj, gj = _fg(p, candidates)
-            dphi = _dphi(fj, gj)
-            low = np.minimum(np.abs(dphi), np.abs(gj.v1)) < margin
-            usable = ~(_parabolic(dphi, gj.v1, tol_parab) | low)
+            candidates = _jets(p, starts[k] + widths[k] * u[1:])
+            low = np.minimum(np.abs(candidates.dphi), np.abs(candidates.sin_phi)) < margin
+            usable = ~(_parabolic(candidates, tol_parab) | low)
         attempts += 1
         if usable[pos]:
             picks.append(pos)
@@ -448,13 +401,18 @@ def operator_equivalence_residual(
     done = len(picks)
     if not done:
         return EquivalenceReport(None, 0, None, None, [] if collect_rows else None)
-    s = candidates[picks]
-    theta = _TAU * u[np.array(picks) + 2]
+    # The picks' jets are slices of the screening pass; each field's
+    # partials on its slice feed both formulas.
+    picked = np.array(picks)
+    jets = candidates[picked]
+    s, theta = jets.s, _TAU * u[picked + 2]
     a, b = np.empty(done), np.empty(done)
     for i, field in enumerate(fields):
         sel = slice(i, done, len(fields))
-        a[sel] = second_beltrami(p, s[sel], theta[sel], field, tol_parab)
-        b[sel] = second_beltrami_divergence(p, s[sel], theta[sel], field, tol_parab)
+        part = jets[sel]
+        pu = field.partials(part, theta[sel])
+        a[sel] = second_beltrami(part, pu)
+        b[sel] = second_beltrami_divergence(part, pu)
     rel = np.abs(a - b) / (1.0 + np.abs(b))
     worst = int(np.argmax(rel))
     table = None

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -23,9 +23,9 @@ from .beltrami import laplacian_profile_factors
 from .geometry import (
     DEFAULT_TOL_PARAB,
     ProfileCurve,
+    RegularJets,
     grid_rows,
     radii_sum_jet,
-    require_regular,
     theta_circle,
 )
 
@@ -187,16 +187,14 @@ def fit_matrix(
     R1 x R2 and Q1 x Q2 has orthonormal columns; the fit solves that small
     problem in O(n_s + n_theta).
     """
-    rows, excluded = grid_rows(p, n_s, tol_parab)
+    jets, excluded = grid_rows(p, n_s, tol_parab)
     thetas = np.array(theta_circle(n_theta))
     KX = KB = np.empty((0, 3))
     sup_lap = sup_position = None
-    if rows:
-        s = np.array(rows)
-        fj, gj, _ = require_regular(p, s, tol_parab)
-        radial, axial = laplacian_profile_factors(p, s, tol_parab)
-        P = np.empty((len(rows), 4))
-        for k, column in enumerate((fj.v0, gj.v0, radial, axial)):
+    if len(jets):
+        radial, axial = laplacian_profile_factors(jets)
+        P = np.empty((len(jets), 4))
+        for k, column in enumerate((jets.f.v0, jets.g.v0, radial, axial)):
             P[:, k] = column
         sup_position = float(np.max(np.hypot(P[:, 0], P[:, 1])))
         sup_lap = float(np.max(np.hypot(P[:, 2], P[:, 3])))
@@ -211,7 +209,7 @@ def fit_matrix(
         rows_excluded=excluded,
         tol_fit=tol_fit,
         tol_reject=tol_reject,
-        n_points=len(rows) * n_theta,
+        n_points=len(jets) * n_theta,
         sup_lap=sup_lap,
         sup_position=sup_position,
     )
@@ -255,64 +253,51 @@ def structure_check(report: FitReport, tol_struct: float = DEFAULT_TOL_STRUCT) -
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSystemResiduals:
-    """Max residuals of the reduced eigen-system at fixed (lam, mu):
+    """Residuals of the reduced eigen-system at fixed (lam, mu), one entry
+    per sample point:
 
     factor:   radial = lam*f and axial = mu*g
     quotient: R = lam*f*sin(phi) - mu*g*cos(phi)
     rate:     R' = -phi'*(lam*f*cos(phi) + mu*g*sin(phi))
+
+    `as_tuple` and `to_dict` give their maxima, and raise ValueError on an
+    empty sample set.
     """
 
-    factor: float
-    quotient: float
-    rate: float
+    factor: np.ndarray
+    quotient: np.ndarray
+    rate: np.ndarray
 
     def as_tuple(self) -> tuple[float, float, float]:
-        return (self.factor, self.quotient, self.rate)
+        return tuple(float(np.max(r)) for r in (self.factor, self.quotient, self.rate))
 
     def to_dict(self) -> dict:
-        return {"factor": self.factor, "quotient": self.quotient, "rate": self.rate}
+        return dict(zip(("factor", "quotient", "rate"), self.as_tuple()))
 
 
-def eigen_system_residuals(
-    p: ProfileCurve,
-    lam: float,
-    mu: float,
-    s_values: Sequence[float],
-    tol_parab: float = DEFAULT_TOL_PARAB,
-) -> EigenSystemResiduals:
-    """Raises ValueError on an empty sample set."""
-    s = np.asarray(s_values, dtype=float)
-    fj, gj, dphi = require_regular(p, s, tol_parab)
-    radial, axial = laplacian_profile_factors(p, s, tol_parab)
-    R, dR = radii_sum_jet(p, s, tol_parab)
-    sin_phi, cos_phi = gj.v1, fj.v1
-    factor = np.maximum(np.abs(radial - lam * fj.v0), np.abs(axial - mu * gj.v0))
-    quotient = np.abs(R - (lam * fj.v0 * sin_phi - mu * gj.v0 * cos_phi))
-    rate = np.abs(dR + dphi * (lam * fj.v0 * cos_phi + mu * gj.v0 * sin_phi))
+def eigen_system_residuals(jets: RegularJets, lam: float, mu: float) -> EigenSystemResiduals:
+    """The eigen-system residuals at each point of ``jets``."""
+    fj, gj = jets.f, jets.g
+    radial, axial = laplacian_profile_factors(jets)
+    R, dR = radii_sum_jet(jets)
+    sin_phi, cos_phi = jets.sin_phi, jets.cos_phi
     return EigenSystemResiduals(
-        factor=float(np.max(factor)), quotient=float(np.max(quotient)), rate=float(np.max(rate))
+        factor=np.maximum(np.abs(radial - lam * fj.v0), np.abs(axial - mu * gj.v0)),
+        quotient=np.abs(R - (lam * fj.v0 * sin_phi - mu * gj.v0 * cos_phi)),
+        rate=np.abs(dR + jets.dphi * (lam * fj.v0 * cos_phi + mu * gj.v0 * sin_phi)),
     )
 
 
-def radius_rate_defect(
-    p: ProfileCurve,
-    lam: float,
-    mu: float,
-    s_values: Sequence[float],
-    tol_parab: float = DEFAULT_TOL_PARAB,
-) -> float:
-    """Max defect of R' = ((lam - mu)/2) sin(phi) cos(phi) over the samples.
+def radius_rate_defect(jets: RegularJets, lam: float, mu: float) -> np.ndarray:
+    """Defect of R' = ((lam - mu)/2) sin(phi) cos(phi) at each sample point.
 
     The relation follows from the eigen-system by differentiation, so it is
-    only meaningful where those residuals are small.  Raises ValueError on
-    an empty sample set.
+    only meaningful where those residuals are small.
     """
-    s = np.asarray(s_values, dtype=float)
-    fj, gj, _ = require_regular(p, s, tol_parab)
-    _, dR = radii_sum_jet(p, s, tol_parab)
-    return float(np.max(np.abs(dR - 0.5 * (lam - mu) * gj.v1 * fj.v1)))
+    _, dR = radii_sum_jet(jets)
+    return np.abs(dR - 0.5 * (lam - mu) * jets.sin_phi * jets.cos_phi)
 
 
 @dataclass(frozen=True)
@@ -501,7 +486,9 @@ class ScanCertificate:
 
 
 def _lattice(lo: float, hi: float, step: float) -> np.ndarray:
-    return lo + np.arange(int(round((hi - lo) / step)) + 1) * step
+    """Lattice points lo + i*step up to hi; as in `_cell_edges`, a point
+    within a millionth of a step past hi stands for hi and is kept."""
+    return lo + np.arange(math.floor((hi - lo) / step + 1e-6) + 1) * step
 
 
 def _cell_edges(lo: float, hi: float, step: float) -> np.ndarray:
@@ -544,7 +531,8 @@ def contradiction_scan(
     and mu_range[0] to mu_range[1], with the lattice points inside as
     edges.  Both run over blocks of whole lambda rows of about BLOCK_CELLS
     points or cells.  Every interval bound is rounded outward, so a
-    certified box is certified under floating point.
+    certified box is certified under floating point.  A box without area
+    (a range that is one point) has no cells and is never certified.
 
     The quartic follows from the closure system only for mu != 0: the
     elimination drops an overall factor mu (see EliminationReport), so the
@@ -586,6 +574,11 @@ def contradiction_scan(
             e, f = _certify_cells(boxes, gap)
             cells_examined += e
             cell_failures += f
+    note = ""
+    if not scanned:
+        note = "all lattice points fell on the diagonal"
+    elif not cells_examined:
+        note = "the box has no area, so no cell was certified"
     return ScanCertificate(
         lam_range=lam_range,
         mu_range=mu_range,
@@ -597,8 +590,8 @@ def contradiction_scan(
         argmin_coefficients=argmin_coeffs,
         cells_examined=cells_examined,
         cell_failures=cell_failures,
-        cells_certified=cell_failures == 0 and scanned > 0,
-        note="" if scanned else "all lattice points fell on the diagonal",
+        cells_certified=cells_examined > 0 and cell_failures == 0,
+        note=note,
     )
 
 

@@ -226,6 +226,7 @@ def cmd_verify(args) -> int:
     collect = args.format == "csv"
     details: dict = {}
     rows: list[dict] = []
+    columns: dict = {}
     worst: Optional[float] = None
     reason: Optional[str] = None
     if check == "position-identity":
@@ -240,18 +241,13 @@ def cmd_verify(args) -> int:
             reason = _NO_ROWS
     elif check == "curvature-quotient":
         tol = args.tol if args.tol is not None else 1e-10
-        worst, used = geometry.quotient_consistency(curve, config.n_s, config.tol_parab)
-        details = {"max_residual": worst, "rows_used": used}
-        if not used:
+        jets, _ = geometry.grid_rows(curve, config.n_s, config.tol_parab)
+        details = {"max_residual": None, "rows_used": len(jets)}
+        if not len(jets):
             reason = _NO_ROWS
-        elif collect:
-            grid, _ = geometry.grid_rows(curve, config.n_s, config.tol_parab)
-            fm = geometry.forms_at(curve, np.array(grid), config.tol_parab)
-            rebuilt = (fm.kappa1 + fm.kappa2) / (fm.kappa1 * fm.kappa2)
-            defect = np.abs(fm.R - rebuilt) / (1.0 + np.abs(fm.R))
-            keys = ("s", "quotient", "from_curvature_ratios", "rel_defect")
-            columns = zip(grid, fm.R.tolist(), rebuilt.tolist(), defect.tolist())
-            rows = [dict(zip(keys, values)) for values in columns]
+        else:
+            worst, columns = geometry.quotient_defects(jets)
+            details["max_residual"] = worst
     elif check == "operator-equivalence":
         tol = args.tol if args.tol is not None else 1e-8
         if args.pairs < 1:
@@ -272,27 +268,27 @@ def cmd_verify(args) -> int:
     elif check in ("eigen-system", "radius-rate"):
         tol = args.tol if args.tol is not None else 1e-8
         lam, mu = _lam_mu_defaults(args, entry)
-        grid, _ = geometry.grid_rows(curve, config.n_s, config.tol_parab)
+        jets, _ = geometry.grid_rows(curve, config.n_s, config.tol_parab)
         details = {"lambda": lam, "mu": mu}
-        if not grid:
+        if not len(jets):
             reason = _NO_ROWS
         elif check == "eigen-system":
-            res = classify.eigen_system_residuals(curve, lam, mu, grid, config.tol_parab)
+            res = classify.eigen_system_residuals(jets, lam, mu)
             worst = max(res.as_tuple())
             details.update(res.to_dict())
-            if collect:
-                for s in grid:
-                    r = classify.eigen_system_residuals(curve, lam, mu, [s], config.tol_parab)
-                    rows.append({"s": s, **r.to_dict()})
+            columns = {"s": jets.s, "factor": res.factor, "quotient": res.quotient,
+                       "rate": res.rate}
         else:
-            worst = classify.radius_rate_defect(curve, lam, mu, grid, config.tol_parab)
+            defect = classify.radius_rate_defect(jets, lam, mu)
+            worst = float(np.max(defect))
             details["max_defect"] = worst
-            if collect:
-                for s in grid:
-                    d = classify.radius_rate_defect(curve, lam, mu, [s], config.tol_parab)
-                    rows.append({"s": s, "defect": d})
+            columns = {"s": jets.s, "defect": defect}
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown check {check!r}")
+    if collect and columns:
+        # One CSV row per sample point, from the check's own arrays.
+        values = zip(*(np.ravel(c).tolist() for c in columns.values()))
+        rows = [dict(zip(columns, v)) for v in values]
     passed = reason is None and worst <= tol
     payload = {
         "config": config.to_dict(),

@@ -13,8 +13,9 @@ expressions in f, g and the jets of phi:
 Points where phi' or sin(phi) vanish are parabolic (K = 0); the third form
 degenerates there and they are excluded from all sampling.
 
-Per-point quantities take ``s`` as a float or an array of rows, evaluated
-in one pass; an error in a batch reports the first offending ``s``.
+A sample set, a float ``s`` or an array of rows, is evaluated once into
+`RegularJets` by `require_regular` or `grid_rows`; the formulas take those
+jets.  An error in a batch reports the first offending ``s``.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ def _finite(what: str, value) -> float:
 def _normalize_exclusions(
     excluded: Iterable[Sequence[float]], s_min: float, s_max: float
 ) -> tuple[tuple[float, float], ...]:
+    if not isinstance(excluded, (list, tuple)):
+        raise ValueError(f"excluded intervals must be a list of [lo, hi] pairs, got {excluded!r}")
     clipped = []
     for pair in excluded:
         if isinstance(pair, (str, bytes)) or not isinstance(pair, Sequence) or len(pair) != 2:
@@ -163,76 +166,59 @@ def _dphi(fj: Jet3, gj: Jet3):
     return fj.v1 * gj.v2 - gj.v1 * fj.v2
 
 
-def _ddphi(fj: Jet3, gj: Jet3):
-    """phi'' = f'g''' - g'f'''."""
-    return fj.v1 * gj.v3 - gj.v1 * fj.v3
+def _take(x, index):
+    return x[index] if np.ndim(x) else x
 
 
-def _parabolic(dphi, sin_phi, tol_parab: float):
-    return (np.abs(dphi) <= tol_parab) | (np.abs(sin_phi) <= tol_parab)
+@dataclass(frozen=True, eq=False)
+class RegularJets:
+    """Jets of f and g at regular sample points ``s``, with phi' and phi''.
 
+    Built by `require_regular`, `grid_rows` and the draw screening of
+    `operator_equivalence_residual`, each from one evaluation pass; every
+    profile formula reads its inputs from here, so a check evaluates its
+    profile once per sample set.  Indexing slices all channels alike, as
+    in ``jets[keep]`` or ``jets[:, None]`` for a column of rows.
+    """
 
-def _tangent_angle(p: ProfileCurve, s: np.ndarray) -> np.ndarray:
-    """atan2(g', f') at the points ``s``."""
-    fj, gj = _fg(p, s)
-    singular = (fj.v1 == 0.0) & (gj.v1 == 0.0)
-    if np.any(singular):
-        raise ProfileError(
-            f"singular tangent at s={float(s[np.argmax(singular)])!r}: "
-            "profile is not arclength-parametrized"
+    s: float | np.ndarray
+    f: Jet3
+    g: Jet3
+    dphi: float | np.ndarray
+    ddphi: float | np.ndarray
+
+    @property
+    def sin_phi(self):
+        return self.g.v1
+
+    @property
+    def cos_phi(self):
+        return self.f.v1
+
+    def __len__(self) -> int:
+        return int(np.size(self.s))
+
+    def __getitem__(self, index) -> "RegularJets":
+        def jet(j: Jet3) -> Jet3:
+            return Jet3(*(_take(v, index) for v in (j.v0, j.v1, j.v2, j.v3)))
+
+        return RegularJets(
+            self.s[index], jet(self.f), jet(self.g),
+            _take(self.dphi, index), _take(self.ddphi, index),
         )
-    return np.arctan2(gj.v1, fj.v1)
 
 
-def _wrap(x: np.ndarray) -> np.ndarray:
-    """``x`` minus the nearest multiple of 2*pi."""
-    return x - _TAU * np.rint(x / _TAU)
-
-
-def _phi_branch(p: ProfileCurve, s: np.ndarray) -> np.ndarray:
-    """Continuous branch of phi = atan2(g', f') at the points ``s``.
-
-    The branch is fixed at the domain midpoint and carried along a uniform
-    ladder of nodes to every point, unwrapping 2*pi jumps; the ladder is
-    refined fourfold while any step turns by more than pi/2.  Each value is
-    an exact atan2 value plus a multiple of 2*pi, so no integration error
-    accumulates.
-    """
-    anchor = 0.5 * (p.s_min + p.s_max)
-    raw = _tangent_angle(p, s)
-    nodes = 1024
-    while True:
-        step = (p.s_max - p.s_min) / nodes
-        j = np.rint((s - anchor) / step).astype(np.int64)
-        lo, hi = int(j.min(initial=0)), int(j.max(initial=0))
-        ladder = _tangent_angle(p, anchor + np.arange(lo, hi + 1) * step)
-        jumps = _wrap(np.diff(ladder))
-        turned = np.concatenate(([0.0], np.cumsum(jumps)))
-        known = ladder[-lo] + (turned - turned[-lo])
-        delta = _wrap(raw - known[j - lo])
-        if np.all(np.abs(jumps) <= 0.5 * math.pi) and np.all(np.abs(delta) <= 0.5 * math.pi):
-            return known[j - lo] + delta
-        if nodes * 4 > 1 << 16:
-            raise ProfileError("profile tangent turns too fast to track")
-        nodes *= 4
-
-
-@dataclass(frozen=True)
-class PhiJet:
-    phi: float
-    dphi: float
-    ddphi: float
-
-
-def phi_jet(p: ProfileCurve, s) -> PhiJet:
-    """Tangent angle phi (continuous branch) and its first two derivatives.
-
-    Under arclength parametrization phi' = f'g'' - g'f'' and
-    phi'' = f'g''' - g'f''', both branch-independent.
-    """
+def _jets(p: ProfileCurve, s) -> RegularJets:
+    """Jets at ``s`` from one pass, not yet checked for regularity.
+    phi'' = f'g''' - g'f''' is branch-independent, like phi'."""
     fj, gj = _fg(p, s)
-    phi = _phi_branch(p, np.atleast_1d(np.asarray(s, dtype=float)))
-    return PhiJet(phi if np.ndim(s) else float(phi[0]), _dphi(fj, gj), _ddphi(fj, gj))
+    return RegularJets(s, fj, gj, _dphi(fj, gj), fj.v1 * gj.v3 - gj.v1 * fj.v3)
+
+
+def _parabolic(jets: RegularJets, tol_parab: float):
+    """Mask of the points where phi' or sin(phi) is within tol_parab of 0."""
+    bad = (np.abs(jets.dphi) <= tol_parab) | (np.abs(jets.sin_phi) <= tol_parab)
+    return np.broadcast_to(bad, np.shape(jets.s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,7 +278,6 @@ class FormsAndCurvature:
     H: float
     K: float
     R: float
-    phi: float
     dphi: float
     ddphi: float
     radius: float
@@ -321,30 +306,28 @@ class FormsAndCurvature:
         return self.h22 / self.g22
 
 
-def require_regular(p: ProfileCurve, s, tol_parab: float = DEFAULT_TOL_PARAB):
-    """Jets and phi' at ``s``, raising ParabolicPointError at the first
-    point where III degenerates."""
-    fj, gj = _fg(p, s)
-    dphi = _dphi(fj, gj)
-    bad = _parabolic(dphi, gj.v1, tol_parab)
+def require_regular(
+    p: ProfileCurve, s, tol_parab: float = DEFAULT_TOL_PARAB
+) -> RegularJets:
+    """Jets at ``s`` from one evaluation pass, raising ParabolicPointError
+    at the first point where III degenerates."""
+    jets = _jets(p, s)
+    bad = _parabolic(jets, tol_parab)
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise ParabolicPointError(*(float(np.ravel(x)[i]) for x in (s, dphi, gj.v1)))
-    return fj, gj, dphi
+        raise ParabolicPointError(
+            *(float(np.ravel(x)[i]) for x in (s, jets.dphi, jets.sin_phi))
+        )
+    return jets
 
 
-def forms_at(
-    p: ProfileCurve, s, tol_parab: float = DEFAULT_TOL_PARAB
-) -> FormsAndCurvature:
+def forms_at(jets: RegularJets) -> FormsAndCurvature:
     """All form components, H, K and R = 2H/K at regular points."""
-    fj, gj, dphi = require_regular(p, s, tol_parab)
-    pj = phi_jet(p, s)
-    sin_phi, cos_phi = gj.v1, fj.v1
-    f0 = fj.v0
+    dphi, sin_phi, f0 = jets.dphi, jets.sin_phi, jets.f.v0
     K = dphi * sin_phi / f0
     R = 1.0 / dphi + f0 / sin_phi
     return FormsAndCurvature(
-        s=s,
+        s=jets.s,
         g11=1.0,
         g22=f0 * f0,
         h11=dphi,
@@ -354,29 +337,22 @@ def forms_at(
         H=0.5 * K * R,
         K=K,
         R=R,
-        phi=pj.phi,
         dphi=dphi,
-        ddphi=pj.ddphi,
+        ddphi=jets.ddphi,
         radius=f0,
-        height=gj.v0,
+        height=jets.g.v0,
         sin_phi=sin_phi,
-        cos_phi=cos_phi,
+        cos_phi=jets.cos_phi,
     )
 
 
-def _radii_sum(fj: Jet3, gj: Jet3, dphi) -> tuple:
-    """R = 1/phi' + f/sin(phi) and its s-derivative from the jets."""
+def radii_sum_jet(jets: RegularJets) -> tuple[float, float]:
+    """R = 2H/K = 1/phi' + f/sin(phi) and its s-derivative from the jets."""
+    fj, gj, dphi = jets.f, jets.g, jets.dphi
     R = 1.0 / dphi + fj.v0 / gj.v1
     # d/ds of f/sin(phi); (sin phi)' = g''.
-    dR = -_ddphi(fj, gj) / (dphi * dphi) + (fj.v1 * gj.v1 - fj.v0 * gj.v2) / (gj.v1 * gj.v1)
+    dR = -jets.ddphi / (dphi * dphi) + (fj.v1 * gj.v1 - fj.v0 * gj.v2) / (gj.v1 * gj.v1)
     return R, dR
-
-
-def radii_sum_jet(
-    p: ProfileCurve, s, tol_parab: float = DEFAULT_TOL_PARAB
-) -> tuple[float, float]:
-    """R = 2H/K and its s-derivative, both by jet differentiation."""
-    return _radii_sum(*require_regular(p, s, tol_parab))
 
 
 @dataclass(frozen=True)
@@ -476,17 +452,16 @@ def validate_profile(
 
 def grid_rows(
     p: ProfileCurve, n_s: int, tol_parab: float = DEFAULT_TOL_PARAB
-) -> tuple[list[float], int]:
-    """Profile sample rows for grid evaluation.
+) -> tuple[RegularJets, int]:
+    """Profile sample rows for grid evaluation, evaluated in one pass.
 
     Rows whose point is parabolic within ``tol_parab`` are dropped whole,
     which keeps every retained row's full uniform circle of theta samples.
-    Returns (kept rows, number excluded).
+    Returns (jets of the kept rows, number excluded).
     """
-    rows = np.array(sample_regular(p, n_s))
-    fj, gj = _fg(p, rows)
-    bad = _parabolic(_dphi(fj, gj), gj.v1, tol_parab)
-    return rows[~bad].tolist(), int(np.count_nonzero(bad))
+    jets = _jets(p, np.array(sample_regular(p, n_s)))
+    bad = _parabolic(jets, tol_parab)
+    return jets[~bad], int(np.count_nonzero(bad))
 
 
 def theta_circle(n_theta: int) -> list[float]:
@@ -496,24 +471,33 @@ def theta_circle(n_theta: int) -> list[float]:
     return [_TAU * j / n_theta for j in range(n_theta)]
 
 
+def quotient_defects(jets: RegularJets) -> tuple[float, dict]:
+    """Max relative defect between R = 1/phi' + f/sin(phi) and the same
+    quantity rebuilt from principal curvature ratios h_ij / g_ij, combined
+    with the |2H - R*K| consistency, and the per-row columns ``s``,
+    ``quotient``, ``from_curvature_ratios`` and ``rel_defect``."""
+    fm = forms_at(jets)
+    k1, k2 = fm.kappa1, fm.kappa2
+    rebuilt = (k1 + k2) / (k1 * k2)
+    defect = np.abs(fm.R - rebuilt) / (1.0 + np.abs(fm.R))
+    worst = max(
+        np.max(defect),
+        np.max(np.abs(2.0 * fm.H - fm.R * fm.K) / (1.0 + np.abs(2.0 * fm.H))),
+    )
+    columns = {"s": jets.s, "quotient": fm.R, "from_curvature_ratios": rebuilt,
+               "rel_defect": defect}
+    return float(worst), columns
+
+
 def quotient_consistency(
     p: ProfileCurve, n_s: int = 32, tol_parab: float = DEFAULT_TOL_PARAB
 ) -> tuple[Optional[float], int]:
-    """Max relative defect between R = 1/phi' + f/sin(phi) and the same
-    quantity rebuilt from principal curvature ratios h_ij / g_ij, combined
-    with the |2H - R*K| consistency.  Returns (max defect, rows used); the
-    defect is None when every row is parabolic."""
-    rows, _ = grid_rows(p, n_s, tol_parab)
-    if not rows:
+    """`quotient_defects` over the grid rows.  Returns (max defect, rows
+    used); the defect is None when every row is parabolic."""
+    jets, _ = grid_rows(p, n_s, tol_parab)
+    if not len(jets):
         return None, 0
-    fm = forms_at(p, np.array(rows), tol_parab)
-    k1, k2 = fm.kappa1, fm.kappa2
-    rebuilt = (k1 + k2) / (k1 * k2)
-    worst = max(
-        np.max(np.abs(fm.R - rebuilt) / (1.0 + np.abs(fm.R))),
-        np.max(np.abs(2.0 * fm.H - fm.R * fm.K) / (1.0 + np.abs(2.0 * fm.H))),
-    )
-    return float(worst), len(rows)
+    return quotient_defects(jets)[0], len(jets)
 
 
 PROFILE_FIELDS = ("name", "f", "g", "s_min", "s_max", "params", "excluded_intervals")

@@ -24,7 +24,7 @@ from revtype.classify import (
     VERDICT_SPHERE,
     quartic_coefficients,
 )
-from revtype.geometry import DEFAULT_TOL_PARAB, grid_rows, require_regular, theta_circle
+from revtype.geometry import DEFAULT_TOL_PARAB, grid_rows, theta_circle
 
 _S = sp.Symbol("s")
 SYMPY_LOCALS = {"s": _S, "ln": sp.log, "asinh": sp.asinh}
@@ -127,17 +127,16 @@ def reference_fit(
 ) -> dict:
     """The fit's verdict, rank, counts, matrix, residual and row norms from
     the materialised n_s*n_theta x 3 samples."""
-    rows, excluded = grid_rows(p, n_s, tol_parab)
+    jets, excluded = grid_rows(p, n_s, tol_parab)
     thetas = np.array(theta_circle(n_theta))
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    X = np.empty((len(rows) * n_theta, 3))
+    X = np.empty((len(jets) * n_theta, 3))
     B = np.empty_like(X)
-    if rows:
-        s = np.array(rows)[:, None]
-        fj, gj, _ = require_regular(p, s, tol_parab)
-        radial, axial = laplacian_profile_factors(p, s, tol_parab)
-        for out, rad, ax in ((X, fj.v0, gj.v0), (B, radial, axial)):
-            grid = out.reshape(len(rows), n_theta, 3)
+    if len(jets):
+        rows = jets[:, None]
+        radial, axial = laplacian_profile_factors(rows)
+        for out, rad, ax in ((X, rows.f.v0, rows.g.v0), (B, radial, axial)):
+            grid = out.reshape(len(jets), n_theta, 3)
             grid[:, :, 0] = rad * cos_t
             grid[:, :, 1] = rad * sin_t
             grid[:, :, 2] = ax
@@ -244,7 +243,8 @@ def _certify_cell(L, M, gap: float, depth: int, max_depth: int) -> tuple[int, in
 
 
 def _lattice(lo: float, hi: float, step: float) -> list[float]:
-    count = int(round((hi - lo) / step))
+    """lo + i*step for every i up to (hi - lo)/step plus a millionth."""
+    count = math.floor((hi - lo) / step + 1e-6)
     return [lo + i * step for i in range(count + 1)]
 
 
@@ -263,8 +263,9 @@ def _edges(lo: float, hi: float, step: float) -> list[float]:
 
 
 def reference_scan(lam_range, mu_range, step: float, max_depth: int = 24) -> dict:
-    """The scan certificate's counts and lattice minimum, one point and one
-    cell at a time; the cells span lam_range x mu_range."""
+    """The scan certificate's counts, lattice minimum and verdict, one point
+    and one cell at a time; the cells span lam_range x mu_range, and a box
+    with no cells is not certified."""
     lams = _lattice(*lam_range, step)
     mus = _lattice(*mu_range, step)
     gap = 0.5 * step
@@ -303,4 +304,5 @@ def reference_scan(lam_range, mu_range, step: float, max_depth: int = 24) -> dic
         "argmin_coefficients": best_coeffs,
         "cells_examined": examined,
         "cell_failures": failures,
+        "cells_certified": examined > 0 and failures == 0,
     }

@@ -16,6 +16,7 @@ from revtype import (
     operator_equivalence_residual,
     position_identity_residual,
     radii_sum_field,
+    require_regular,
     second_beltrami,
     second_beltrami_divergence,
     sphere,
@@ -33,29 +34,33 @@ class AngleField:
 
     label: str = "theta"
 
-    def partials(self, s, theta):
+    def partials(self, jets, theta):
         return FieldPartials(value=theta, d_s=0.0, d_ss=0.0, d_theta=1.0, d_thetatheta=0.0)
-
-    def value(self, s, theta):
-        return theta
 
 
 def const_field(c):
     return expression_field(repr(float(c)), label=f"const {c}")
 
 
+def apply(op, curve, s, theta, *fields):
+    """``op`` on the fields' partials at (s, theta) of ``curve``."""
+    jets = require_regular(curve, s)
+    return op(jets, *(fld.partials(jets, theta) for fld in fields))
+
+
 class TestScalarField:
     def test_partials_shape(self):
         fld = expression_field("sin(s)", harmonic=2, trig="cos")
-        p = fld.partials(0.3, 0.5)
+        p = fld.partials(require_regular(sphere(1.0).curve, 0.3), 0.5)
         assert p.value == pytest.approx(math.sin(0.3) * math.cos(1.0))
         assert p.d_theta == pytest.approx(-2.0 * math.sin(0.3) * math.sin(1.0))
         assert p.d_thetatheta == pytest.approx(-4.0 * p.value)
 
     def test_periodicity(self):
         fld = expression_field("1 + s^2", harmonic=3, trig="sin")
-        assert fld.value(0.7, 1.1) == pytest.approx(
-            fld.value(0.7, 1.1 + 2.0 * math.pi), abs=1e-12
+        jets = require_regular(sphere(1.0).curve, 0.7)
+        assert fld.partials(jets, 1.1).value == pytest.approx(
+            fld.partials(jets, 1.1 + 2.0 * math.pi).value, abs=1e-12
         )
 
     def test_guards(self):
@@ -68,46 +73,49 @@ class TestScalarField:
 class TestFirstBeltrami:
     def test_angle_with_itself_on_sphere(self):
         # e^{22} = 1/sin^2(phi) = 1 at the equator
-        value = first_beltrami(sphere(1.0).curve, math.pi / 2, 0.3, AngleField(), AngleField())
+        angle = AngleField()
+        value = apply(first_beltrami, sphere(1.0).curve, math.pi / 2, 0.3, angle, angle)
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_cross_term_vanishes(self):
         s_field = expression_field("s", label="s")
         for curve in (sphere(1.0).curve, torus(3.0, 1.0).curve):
-            assert first_beltrami(curve, 1.0, 0.7, s_field, AngleField()) == pytest.approx(
+            assert apply(first_beltrami, curve, 1.0, 0.7, s_field, AngleField()) == pytest.approx(
                 0.0, abs=1e-14
             )
 
     def test_constant_quotient_on_sphere(self):
         curve = sphere(1.0).curve
-        r_field = radii_sum_field(curve)
-        n3 = normal_fields(curve)[2]
-        assert first_beltrami(curve, 1.2, 0.0, r_field, n3) == pytest.approx(0.0, abs=1e-12)
+        r_field = radii_sum_field()
+        n3 = normal_fields()[2]
+        assert apply(first_beltrami, curve, 1.2, 0.0, r_field, n3) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSecondBeltrami:
     def test_catenoid_height_is_harmonic(self):
         curve = catenoid(1.0).curve
-        x3 = coordinate_fields(curve)[2]
-        assert second_beltrami(curve, 1.0, 0.0, x3) == pytest.approx(0.0, abs=1e-12)
+        x3 = coordinate_fields()[2]
+        assert apply(second_beltrami, curve, 1.0, 0.0, x3) == pytest.approx(0.0, abs=1e-12)
 
     def test_sphere_height_eigenfunction(self):
         curve = sphere(1.0).curve
-        x3 = coordinate_fields(curve)[2]
+        x3 = coordinate_fields()[2]
         for s in (0.3, 1.0, 2.0, 2.8):
-            got = second_beltrami(curve, s, 1.3, x3)
+            got = apply(second_beltrami, curve, s, 1.3, x3)
             assert got == pytest.approx(2.0 * (-math.cos(s)), rel=1e-11, abs=1e-12)
 
     def test_constant_killed(self):
         for curve in (sphere(1.0).curve, catenoid(1.0).curve, torus(3.0, 1.0).curve):
-            assert second_beltrami(curve, 0.9, 0.4, const_field(3.7)) == pytest.approx(
+            assert apply(second_beltrami, curve, 0.9, 0.4, const_field(3.7)) == pytest.approx(
                 0.0, abs=1e-12
             )
 
     def test_requires_second_derivative(self):
         curve = sphere(1.0).curve
         with pytest.raises(ValueError, match="second s-derivative"):
-            second_beltrami(curve, 1.0, 0.0, radii_sum_field(curve))
+            apply(second_beltrami, curve, 1.0, 0.0, radii_sum_field())
+        with pytest.raises(ValueError, match="second s-derivative"):
+            apply(second_beltrami_divergence, curve, 1.0, 0.0, radii_sum_field())
 
     def test_linearity(self):
         curve = torus(3.0, 1.0).curve
@@ -119,10 +127,10 @@ class TestSecondBeltrami:
             combo = f"{alpha!r}*({u}) + {beta!r}*({w})"
             k = int(rng.integers(0, 3))
             s, theta = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0, 2 * math.pi))
-            lhs = second_beltrami(curve, s, theta, expression_field(combo, harmonic=k))
-            rhs = alpha * second_beltrami(
-                curve, s, theta, expression_field(u, harmonic=k)
-            ) + beta * second_beltrami(curve, s, theta, expression_field(w, harmonic=k))
+            lhs = apply(second_beltrami, curve, s, theta, expression_field(combo, harmonic=k))
+            rhs = alpha * apply(
+                second_beltrami, curve, s, theta, expression_field(u, harmonic=k)
+            ) + beta * apply(second_beltrami, curve, s, theta, expression_field(w, harmonic=k))
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
@@ -131,14 +139,14 @@ class TestProfileFactors:
         for r in (0.5, 1.0, 2.0):
             curve = sphere(r).curve
             for s in sample_regular(curve, 9):
-                radial, axial = laplacian_profile_factors(curve, s)
+                radial, axial = laplacian_profile_factors(require_regular(curve, s))
                 assert radial == pytest.approx(2.0 * r * math.sin(s / r), rel=1e-11, abs=1e-12)
                 assert axial == pytest.approx(-2.0 * r * math.cos(s / r), rel=1e-11, abs=1e-12)
 
     def test_catenoid_factors_vanish(self):
         curve = catenoid(1.0).curve
         for s in sample_regular(curve, 9):
-            radial, axial = laplacian_profile_factors(curve, s)
+            radial, axial = laplacian_profile_factors(require_regular(curve, s))
             assert abs(radial) <= 1e-12
             assert abs(axial) <= 1e-12
 
@@ -146,13 +154,14 @@ class TestProfileFactors:
         # radial = 2 cos(s) + 3 + 3 tan(s)^2, axial = 2 sin(s) for (3, 1)
         curve = torus(3.0, 1.0).curve
         for s in (-1.2, -0.4, 0.0, math.pi / 4, 1.1):
-            radial, axial = laplacian_profile_factors(curve, s)
+            radial, axial = laplacian_profile_factors(require_regular(curve, s))
             want = 2.0 * math.cos(s) + 3.0 + 3.0 * math.tan(s) ** 2
             assert radial == pytest.approx(want, rel=1e-11)
             assert axial == pytest.approx(2.0 * math.sin(s), rel=1e-11, abs=1e-12)
 
     def test_torus_values_at_pi_quarter(self):
-        radial, axial = laplacian_profile_factors(torus(3.0, 1.0).curve, math.pi / 4)
+        jets = require_regular(torus(3.0, 1.0).curve, math.pi / 4)
+        radial, axial = laplacian_profile_factors(jets)
         assert radial == pytest.approx(6.0 + SQRT2, rel=1e-12)
         assert axial == pytest.approx(SQRT2, rel=1e-12)
 
@@ -161,13 +170,13 @@ class TestCoordinateLaplacian:
     def test_sphere_doubles_position(self):
         curve = sphere(2.0).curve
         s = math.pi  # equator arclength for r = 2
-        lap = coordinate_laplacian(curve, s, 0.0)
+        lap = coordinate_laplacian(require_regular(curve, s), 0.0)
         assert np.allclose(lap.vector, [4.0, 0.0, 0.0], atol=1e-11)
 
     def test_catenoid_null(self):
         curve = catenoid(1.0).curve
         for s, theta in ((-1.5, 0.0), (0.3, 2.0), (1.9, 4.4)):
-            lap = coordinate_laplacian(curve, s, theta)
+            lap = coordinate_laplacian(require_regular(curve, s), theta)
             assert np.linalg.norm(lap.vector) <= 1e-12
 
     def test_sphere_eigenstructure_all_radii(self):
@@ -177,17 +186,17 @@ class TestCoordinateLaplacian:
             curve = sphere(r).curve
             for s in sample_regular(curve, 11):
                 for theta in (0.0, 1.0, 2.5, 5.0):
-                    lap = coordinate_laplacian(curve, s, theta)
+                    lap = coordinate_laplacian(require_regular(curve, s), theta)
                     x = point_at(curve, s, theta).position
                     for got, want in zip(lap.vector, 2.0 * x):
                         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
     def test_torus_at_pi_quarter(self):
-        lap = coordinate_laplacian(torus(3.0, 1.0).curve, math.pi / 4, 0.0)
+        lap = coordinate_laplacian(require_regular(torus(3.0, 1.0).curve, math.pi / 4), 0.0)
         assert np.allclose(lap.vector, [6.0 + SQRT2, 0.0, SQRT2], rtol=1e-12)
 
     def test_vector_assembled_from_factors(self):
-        lap = coordinate_laplacian(torus(3.0, 1.0).curve, 0.7, 1.1)
+        lap = coordinate_laplacian(require_regular(torus(3.0, 1.0).curve, 0.7), 1.1)
         assert lap.vector[0] == lap.radial * math.cos(1.1)
         assert lap.vector[1] == lap.radial * math.sin(1.1)
         assert lap.vector[2] == lap.axial
@@ -197,7 +206,7 @@ class TestCoordinateLaplacian:
         rng = np.random.default_rng(5)
         for mk in (sphere(1.3), catenoid(0.8), torus(3.0, 1.0)):
             curve = mk.curve
-            fields = coordinate_fields(curve)
+            fields = coordinate_fields()
             intervals = curve.regular_intervals()
             lengths = np.array([hi - lo for lo, hi in intervals])
             for _ in range(40):
@@ -205,10 +214,10 @@ class TestCoordinateLaplacian:
                 s = float(rng.uniform(lo, hi))
                 theta = float(rng.uniform(0.0, 2.0 * math.pi))
                 try:
-                    lap = coordinate_laplacian(curve, s, theta)
+                    lap = coordinate_laplacian(require_regular(curve, s), theta)
                 except Exception:
                     continue
-                direct = [second_beltrami(curve, s, theta, f) for f in fields]
+                direct = [apply(second_beltrami, curve, s, theta, f) for f in fields]
                 assert np.allclose(lap.vector, direct, rtol=1e-9, atol=1e-9)
 
 
@@ -238,22 +247,22 @@ class TestOperatorEquivalence:
 
     def test_cross_check_on_height(self):
         curve = sphere(1.0).curve
-        x3 = coordinate_fields(curve)[2]
+        x3 = coordinate_fields()[2]
         s = math.pi / 3
-        a = second_beltrami(curve, s, 0.0, x3)
-        b = second_beltrami_divergence(curve, s, 0.0, x3)
+        a = apply(second_beltrami, curve, s, 0.0, x3)
+        b = apply(second_beltrami_divergence, curve, s, 0.0, x3)
         assert a == pytest.approx(-1.0, rel=1e-12)  # 2*(-cos(pi/3))
         assert b == pytest.approx(a, rel=1e-12)
 
     def test_divergence_form_on_constant(self):
-        assert second_beltrami_divergence(
-            torus(3.0, 1.0).curve, 0.5, 1.0, const_field(2.0)
+        assert apply(
+            second_beltrami_divergence, torus(3.0, 1.0).curve, 0.5, 1.0, const_field(2.0)
         ) == pytest.approx(0.0, abs=1e-12)
 
     def test_catenoid_radial_coordinate(self):
         curve = catenoid(1.0).curve
-        x1 = coordinate_fields(curve)[0]
-        a = second_beltrami(curve, 1.0, 0.0, x1)
-        b = second_beltrami_divergence(curve, 1.0, 0.0, x1)
+        x1 = coordinate_fields()[0]
+        a = apply(second_beltrami, curve, 1.0, 0.0, x1)
+        b = apply(second_beltrami_divergence, curve, 1.0, 0.0, x1)
         assert a == pytest.approx(0.0, abs=1e-10)
         assert b == pytest.approx(a, abs=1e-10)

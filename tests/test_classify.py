@@ -25,7 +25,7 @@ from revtype import (
 )
 from revtype import classify
 from revtype.classify import fit_from_samples
-from revtype.geometry import grid_rows
+from revtype.geometry import grid_rows, require_regular
 
 from helpers import reference_fit, reference_scan
 
@@ -189,54 +189,66 @@ class TestStructure:
 
 class TestEigenSystem:
     def test_sphere_exact(self):
-        curve = sphere(1.0).curve
-        rows, _ = grid_rows(curve, 24)
-        res = eigen_system_residuals(curve, 2.0, 2.0, rows)
+        jets, _ = grid_rows(sphere(1.0).curve, 24)
+        res = eigen_system_residuals(jets, 2.0, 2.0)
         assert max(res.as_tuple()) <= 1e-10
 
     def test_catenoid_exact(self):
-        curve = catenoid(1.0).curve
-        rows, _ = grid_rows(curve, 24)
-        res = eigen_system_residuals(curve, 0.0, 0.0, rows)
+        jets, _ = grid_rows(catenoid(1.0).curve, 24)
+        res = eigen_system_residuals(jets, 0.0, 0.0)
         assert max(res.as_tuple()) <= 1e-10
 
     def test_torus_fails(self):
-        curve = torus(3.0, 1.0).curve
-        rows, _ = grid_rows(curve, 24)
-        res = eigen_system_residuals(curve, 2.0, 2.0, rows)
-        assert res.factor > 0.1
+        jets, _ = grid_rows(torus(3.0, 1.0).curve, 24)
+        res = eigen_system_residuals(jets, 2.0, 2.0)
+        assert res.to_dict()["factor"] > 0.1
 
     def test_torus_pointwise_value(self):
         # |radial - 2 f| = |3 tan(s)^2 - 3| at the torus (3, 1)
+        jets = require_regular(torus(3.0, 1.0).curve, np.array([0.0]))
+        res = eigen_system_residuals(jets, 2.0, 2.0)
+        assert res.as_tuple()[0] == pytest.approx(3.0, rel=1e-11)
+
+    def test_rows_hold_each_point(self):
+        # per-point residuals of a batch equal those of each point alone
         curve = torus(3.0, 1.0).curve
-        res = eigen_system_residuals(curve, 2.0, 2.0, [0.0])
-        assert res.factor == pytest.approx(3.0, rel=1e-11)
+        jets, _ = grid_rows(curve, 12)
+        res = eigen_system_residuals(jets, 2.0, 2.0)
+        defect = radius_rate_defect(jets, 2.0, 2.0)
+        assert res.factor.shape == res.quotient.shape == res.rate.shape == defect.shape == (12,)
+        for i, s in enumerate(jets.s.tolist()):
+            one = require_regular(curve, np.array([s]))
+            assert res.factor[i] == eigen_system_residuals(one, 2.0, 2.0).factor[0]
+            assert defect[i] == radius_rate_defect(one, 2.0, 2.0)[0]
+
+    def test_empty_sample_set_has_no_maximum(self):
+        jets = require_regular(sphere(1.0).curve, np.empty(0))
+        with pytest.raises(ValueError):
+            eigen_system_residuals(jets, 2.0, 2.0).as_tuple()
+        with pytest.raises(ValueError):
+            np.max(radius_rate_defect(jets, 2.0, 2.0))
 
     def test_rate_defect_sphere(self):
-        curve = sphere(1.0).curve
-        rows, _ = grid_rows(curve, 24)
-        assert radius_rate_defect(curve, 2.0, 2.0, rows) <= 1e-10
+        jets, _ = grid_rows(sphere(1.0).curve, 24)
+        assert np.max(radius_rate_defect(jets, 2.0, 2.0)) <= 1e-10
 
     def test_rate_defect_catenoid(self):
-        curve = catenoid(1.0).curve
-        rows, _ = grid_rows(curve, 24)
-        assert radius_rate_defect(curve, 0.0, 0.0, rows) <= 1e-10
+        jets, _ = grid_rows(catenoid(1.0).curve, 24)
+        assert np.max(radius_rate_defect(jets, 0.0, 0.0)) <= 1e-10
 
     def test_rate_defect_reported_when_system_fails(self):
         # derivation chain: the value is reported even when the eigen-system
         # residual is large and the relation is not applicable
-        curve = torus(3.0, 1.0).curve
-        rows, _ = grid_rows(curve, 8)
-        defect = radius_rate_defect(curve, 3.0, 1.0, rows)
-        assert math.isfinite(defect)
+        jets, _ = grid_rows(torus(3.0, 1.0).curve, 8)
+        defect = radius_rate_defect(jets, 3.0, 1.0)
+        assert np.all(np.isfinite(defect))
 
     def test_consistency_chain(self):
         # perturbing lambda by eps moves the rate defect by at most C * eps
-        curve = sphere(1.0).curve
-        rows, _ = grid_rows(curve, 24)
+        jets, _ = grid_rows(sphere(1.0).curve, 24)
         eps = 1e-6
-        res = eigen_system_residuals(curve, 2.0 + eps, 2.0, rows)
-        defect = radius_rate_defect(curve, 2.0 + eps, 2.0, rows)
+        res = eigen_system_residuals(jets, 2.0 + eps, 2.0)
+        defect = np.max(radius_rate_defect(jets, 2.0 + eps, 2.0))
         scale = max(res.as_tuple())
         assert scale <= 5 * eps
         assert defect <= 50 * scale
@@ -331,6 +343,27 @@ class TestContradictionScan:
     def test_serialization(self):
         payload = contradiction_scan((-1.0, 1.0), (-1.0, 1.0), step=1.0).to_dict()
         assert "cells_certified" in payload
+
+    def test_lattice_stays_in_box(self):
+        # 1 / 0.35 = 2.86 steps: the lattice stops at 0.7, not at 1.05.
+        cert = contradiction_scan((0.0, 1.0), (3.0, 3.0), 0.35)
+        assert cert.points_scanned == 3 and cert.points_skipped_diagonal == 0
+        assert 0.0 <= cert.argmin[0] <= 1.0 and cert.argmin[1] == 3.0
+        assert classify._lattice(0.0, 1.0, 0.35).tolist() == [0.0, 0.35, 0.7]
+        # A last point within a millionth of a step of hi stands for hi.
+        assert classify._lattice(0.0, 1.05, 0.35).size == 4
+        assert classify._lattice(-10.0, 10.0, 0.25).size == 81
+
+    @pytest.mark.parametrize("lam_range, mu_range", (
+        ((0.0, 0.0), (0.0, 1.0)),
+        ((0.0, 1.0), (3.0, 3.0)),
+        ((0.0, 0.0), (2.0, 2.0)),
+    ))
+    def test_box_without_cells_is_not_certified(self, lam_range, mu_range):
+        cert = contradiction_scan(lam_range, mu_range, 0.25)
+        assert cert.points_scanned > 0 and cert.cells_examined == 0
+        assert not cert.cells_certified
+        assert "no area" in cert.note
 
 
 # (lam_range, mu_range, step, cells examined): boxes whose cells subdivide,

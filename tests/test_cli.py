@@ -296,7 +296,7 @@ class TestScanProperty:
         cert = json.loads(out.getvalue(), parse_constant=_reject_constant)["certificate"]
         step, lam_range, mu_range = float(argv[2]), argv[4:6], argv[7:9]
         want = reference_scan(tuple(map(float, lam_range)), tuple(map(float, mu_range)), step)
-        for key in ("points_scanned", "cells_examined", "cell_failures"):
+        for key in ("points_scanned", "cells_examined", "cell_failures", "cells_certified"):
             assert cert[key] == want[key], key
 
 
@@ -451,6 +451,17 @@ class TestErrors:
                      "--lambda", "0", "--mu", "0"]) == 1
         assert "regular subdomain is empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", (5, {"lo": -0.5, "hi": 0.5}))
+    def test_excluded_intervals_not_a_list(self, tmp_path, capsys, value):
+        doc = {"name": "cat", "f": "sqrt(1 + s^2)", "g": "asinh(s)",
+               "s_min": -1.0, "s_max": 1.0, "excluded_intervals": value}
+        profile = tmp_path / "p.json"
+        profile.write_text(json.dumps(doc))
+        assert main(["classify", "--profile", str(profile)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad profile file {profile}: excluded intervals")
+        assert "Traceback" not in err
+
     def test_pairs_must_be_positive(self, capsys):
         assert main(["verify", "operator-equivalence", "--catalog", "sphere",
                      "--pairs", "0"]) == 1
@@ -467,3 +478,53 @@ class TestErrors:
 
     def test_usage_error_exit_code(self):
         assert main(["verify", "no-such-check", "--catalog", "sphere"]) == 1
+
+
+_BUDGET_SURFACES = (
+    ["--catalog", "torus", "--param", "R=3", "--param", "r=1"],
+    ["--catalog", "sphere", "--param", "r=1.5"],
+    ["--catalog", "catenoid", "--param", "c=0.8"],
+)
+# At seed 0 and 20 pairs every surface's draws fit one screening batch; the
+# torus at 600 pairs rejects enough draws near its collars to need a second.
+_BUDGET_PAIRS = 20
+
+
+class TestEvaluationBudget:
+    """A command evaluates each expression once per sample set: f and g once
+    for the 101-sample validation and once for the check's own points, and
+    operator-equivalence also each random field once on its points."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        from revtype import beltrami, geometry
+
+        count = []
+
+        def counting(evaluate):
+            def wrapper(*args, **kwargs):
+                count.append(args[0])
+                return evaluate(*args, **kwargs)
+
+            return wrapper
+
+        for module in (geometry, beltrami):
+            monkeypatch.setattr(module, "eval_jet3", counting(module.eval_jet3))
+        return count
+
+    @pytest.mark.parametrize("fmt", ("json", "csv"))
+    @pytest.mark.parametrize("command", (*VERIFY_CHECKS, "classify"))
+    @pytest.mark.parametrize("surface", _BUDGET_SURFACES, ids=lambda s: s[1])
+    def test_four_passes_per_command(self, passes, surface, command, fmt):
+        if command == "classify":
+            argv = ["classify", *surface]
+        else:
+            argv = ["verify", command, *surface, "--lambda", "2", "--mu", "2",
+                    "--pairs", str(_BUDGET_PAIRS)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "--format", fmt]) in (0, 2)
+        assert out.getvalue()
+        # random_fields draws max(8, pairs // 50) fields.
+        fields = max(8, _BUDGET_PAIRS // 50) if command == "operator-equivalence" else 0
+        assert len(passes) == 4 + fields

@@ -11,11 +11,11 @@ from revtype import (
     forms_at,
     grid_rows,
     load_profile,
-    phi_jet,
     point_at,
     profile_from_dict,
     profile_to_dict,
     radii_sum_jet,
+    require_regular,
     sample_regular,
     save_profile,
     sphere,
@@ -96,46 +96,40 @@ class TestValidation:
 
 
 class TestPhi:
+    """phi' and phi'' of the regular jets; both are branch-independent."""
+
     def test_catenoid_at_one(self):
-        pj = phi_jet(catenoid(1.0).curve, 1.0)
-        assert pj.phi == pytest.approx(math.pi / 4, abs=1e-12)
-        assert pj.dphi == pytest.approx(-0.5, abs=1e-12)
-        assert pj.ddphi == pytest.approx(0.5, abs=1e-12)
+        jets = require_regular(catenoid(1.0).curve, 1.0)
+        assert jets.dphi == pytest.approx(-0.5, abs=1e-12)
+        assert jets.ddphi == pytest.approx(0.5, abs=1e-12)
 
     def test_sphere_phi_equals_arclength(self):
+        # phi = s on the unit sphere, so phi' = 1 and phi'' = 0
         curve = sphere(1.0).curve
         for s in (0.2, 1.0, math.pi / 2, 2.5, 3.0):
-            pj = phi_jet(curve, s)
-            assert pj.phi == pytest.approx(s, abs=1e-12)
-            assert pj.dphi == pytest.approx(1.0, abs=1e-12)
-            assert pj.ddphi == pytest.approx(0.0, abs=1e-12)
+            jets = require_regular(curve, s)
+            assert jets.dphi == pytest.approx(1.0, abs=1e-12)
+            assert jets.ddphi == pytest.approx(0.0, abs=1e-12)
 
     def test_torus_at_zero(self):
-        pj = phi_jet(torus(3.0, 1.0).curve, 0.0)
-        assert pj.phi == pytest.approx(math.pi / 2, abs=1e-12)
-        assert pj.dphi == pytest.approx(1.0, abs=1e-12)
-        assert pj.ddphi == pytest.approx(0.0, abs=1e-13)
-
-    def test_torus_branch_continuity(self):
-        # phi = pi/2 + s leaves (-pi, pi]; the tracked branch must not wrap
-        curve = torus(3.0, 1.0).curve
-        for s in (-2.9, -1.0, 0.7, 2.0, 2.9):
-            assert phi_jet(curve, s).phi == pytest.approx(math.pi / 2 + s, abs=1e-12)
+        jets = require_regular(torus(3.0, 1.0).curve, 0.0)
+        assert jets.dphi == pytest.approx(1.0, abs=1e-12)
+        assert jets.ddphi == pytest.approx(0.0, abs=1e-13)
 
     def test_catenoid_family_dphi(self):
         # phi' = -c/(c^2+s^2), phi'' = 2cs/(c^2+s^2)^2
         for c in (0.5, 1.0, 2.0):
             curve = catenoid(c).curve
             for s in (-1.5, 0.0, 0.8):
-                pj = phi_jet(curve, s)
+                jets = require_regular(curve, s)
                 w = c * c + s * s
-                assert pj.dphi == pytest.approx(-c / w, rel=1e-12)
-                assert pj.ddphi == pytest.approx(2 * c * s / w ** 2, rel=1e-12, abs=1e-12)
+                assert jets.dphi == pytest.approx(-c / w, rel=1e-12)
+                assert jets.ddphi == pytest.approx(2 * c * s / w ** 2, rel=1e-12, abs=1e-12)
 
 
 class TestForms:
     def test_sphere_at_pi_third(self):
-        fm = forms_at(sphere(1.0).curve, math.pi / 3)
+        fm = forms_at(require_regular(sphere(1.0).curve, math.pi / 3))
         assert fm.e11 == pytest.approx(1.0, abs=1e-12)
         assert fm.e22 == pytest.approx(0.75, abs=1e-12)
         assert fm.h11 == pytest.approx(1.0, abs=1e-12)
@@ -145,7 +139,7 @@ class TestForms:
         assert fm.K == pytest.approx(1.0, abs=1e-12)
 
     def test_catenoid_at_one(self):
-        fm = forms_at(catenoid(1.0).curve, 1.0)
+        fm = forms_at(require_regular(catenoid(1.0).curve, 1.0))
         assert fm.h11 == pytest.approx(-0.5, abs=1e-12)
         assert fm.h22 == pytest.approx(1.0, abs=1e-12)
         assert fm.K == pytest.approx(-0.25, abs=1e-12)
@@ -153,11 +147,11 @@ class TestForms:
         assert fm.R == pytest.approx(0.0, abs=1e-12)
 
     def test_torus_quotient_at_pi_quarter(self):
-        fm = forms_at(torus(3.0, 1.0).curve, math.pi / 4)
+        fm = forms_at(require_regular(torus(3.0, 1.0).curve, math.pi / 4))
         assert fm.R == pytest.approx(2.0 + 3.0 * SQRT2, rel=1e-12)
 
     def test_torus_curvatures_at_outer_equator(self):
-        fm = forms_at(torus(3.0, 1.0).curve, 0.0)
+        fm = forms_at(require_regular(torus(3.0, 1.0).curve, 0.0))
         assert fm.radius == pytest.approx(4.0, abs=1e-12)
         assert fm.K == pytest.approx(0.25, abs=1e-12)
         assert fm.H == pytest.approx(0.625, abs=1e-12)
@@ -166,7 +160,7 @@ class TestForms:
         for curve in surfaces.values():
             for s in sample_regular(curve, 7):
                 try:
-                    fm = forms_at(curve, s)
+                    fm = forms_at(require_regular(curve, s))
                 except ParabolicPointError:
                     continue
                 assert fm.e11 == pytest.approx(fm.dphi ** 2, rel=1e-12)
@@ -176,7 +170,7 @@ class TestForms:
     def test_parabolic_point_raises(self):
         curve = ProfileCurve.build("raw-torus", "3 + cos(s)", "sin(s)", -math.pi, math.pi)
         with pytest.raises(ParabolicPointError):
-            forms_at(curve, math.pi / 2)  # sin(phi) = cos(s) = 0
+            forms_at(require_regular(curve, math.pi / 2))  # sin(phi) = cos(s) = 0
 
     def test_quotient_against_curvature_ratios(self, surfaces):
         for name, curve in surfaces.items():
@@ -234,7 +228,7 @@ class TestPoints:
                     ]
                     cand = float(rng.uniform(lo, hi))
                     try:
-                        fm = forms_at(curve, cand)
+                        fm = forms_at(require_regular(curve, cand))
                         s = cand
                     except ParabolicPointError:
                         continue
@@ -248,7 +242,7 @@ class TestPoints:
         for curve in surfaces.values():
             for s in sample_regular(curve, 50):
                 try:
-                    fm = forms_at(curve, s)
+                    fm = forms_at(require_regular(curve, s))
                 except ParabolicPointError:
                     continue
                 assert fm.H ** 2 >= fm.K - 1e-12 * max(1.0, abs(fm.K))
@@ -257,12 +251,12 @@ class TestPoints:
         for r in (0.5, 1.0, 2.0, 5.0):
             curve = sphere(r).curve
             for s in sample_regular(curve, 25):
-                assert forms_at(curve, s).R == pytest.approx(2.0 * r, rel=1e-13)
+                assert forms_at(require_regular(curve, s)).R == pytest.approx(2.0 * r, rel=1e-13)
 
 
 class TestRadiiSumJet:
     def test_sphere_derivative_vanishes(self):
-        R, dR = radii_sum_jet(sphere(2.0).curve, 1.0)
+        R, dR = radii_sum_jet(require_regular(sphere(2.0).curve, 1.0))
         assert R == pytest.approx(4.0, rel=1e-13)
         assert abs(dR) <= 1e-12
 
@@ -270,7 +264,7 @@ class TestRadiiSumJet:
         # R = 2 + 3/cos(s), R' = 3 sin(s)/cos^2(s) for major 3, minor 1
         curve = torus(3.0, 1.0).curve
         for s in (-1.0, -0.3, 0.2, 0.7):
-            R, dR = radii_sum_jet(curve, s)
+            R, dR = radii_sum_jet(require_regular(curve, s))
             assert R == pytest.approx(2.0 + 3.0 / math.cos(s), rel=1e-12)
             assert dR == pytest.approx(3.0 * math.sin(s) / math.cos(s) ** 2, rel=1e-11, abs=1e-11)
 
@@ -280,43 +274,43 @@ class TestBatches:
 
     def test_forms_and_phi(self, surfaces):
         for curve in surfaces.values():
-            rows, _ = grid_rows(curve, 40)
-            batch = forms_at(curve, np.array(rows))
-            for i, s in enumerate(rows):
-                one = forms_at(curve, s)
-                for name in ("H", "K", "R", "phi", "dphi", "ddphi", "radius", "height"):
+            jets, _ = grid_rows(curve, 40)
+            batch = forms_at(jets)
+            for i, s in enumerate(jets.s.tolist()):
+                one = forms_at(require_regular(curve, s))
+                for name in ("H", "K", "R", "dphi", "ddphi", "radius", "height"):
                     assert getattr(batch, name)[i] == pytest.approx(
                         getattr(one, name), rel=1e-14, abs=1e-14
                     ), name
 
     def test_radii_sum(self, surfaces):
         for curve in surfaces.values():
-            rows, _ = grid_rows(curve, 40)
-            R, dR = radii_sum_jet(curve, np.array(rows))
-            for i, s in enumerate(rows):
-                assert (R[i], dR[i]) == radii_sum_jet(curve, s)
+            jets, _ = grid_rows(curve, 40)
+            R, dR = radii_sum_jet(jets)
+            for i, s in enumerate(jets.s.tolist()):
+                assert (R[i], dR[i]) == radii_sum_jet(require_regular(curve, s))
 
     def test_parabolic_batch_reports_first_point(self):
         curve = ProfileCurve.build("raw-torus", "3 + cos(s)", "sin(s)", -math.pi, math.pi)
         s = np.array([0.0, 0.3, math.pi / 2, -math.pi / 2])
         with pytest.raises(ParabolicPointError) as err:
-            forms_at(curve, s)
+            forms_at(require_regular(curve, s))
         assert err.value.s == math.pi / 2
 
 
 class TestGrids:
     def test_rows_filtered_by_margin(self):
         curve = ProfileCurve.build("raw-torus", "3 + cos(s)", "sin(s)", -math.pi, math.pi)
-        rows, excluded = grid_rows(curve, 64, tol_parab=0.1)
+        jets, excluded = grid_rows(curve, 64, tol_parab=0.1)
         assert excluded > 0
-        for s in rows:
+        for s in jets.s:
             assert abs(math.cos(s)) > 0.1
 
     def test_rows_respect_exclusions(self):
         curve = torus(3.0, 1.0).curve
-        rows, excluded = grid_rows(curve, 32)
+        jets, excluded = grid_rows(curve, 32)
         assert excluded == 0
-        for s in rows:
+        for s in jets.s:
             for lo, hi in curve.excluded:
                 assert not lo <= s <= hi
 
@@ -354,6 +348,7 @@ class TestProfileFiles:
         {"excluded": [(0.0, math.nan)]},
         {"excluded": [("a", 0.5)]},
         {"excluded": [0.5]},
+        {"excluded": 5},
     ])
     def test_bad_numbers_rejected(self, kwargs):
         args = {"name": "x", "f": "s", "g": "s", "s_min": -1.0, "s_max": 1.0, **kwargs}
