@@ -57,12 +57,10 @@ from .geometry import (
     ProfileCurve,
     ProfileError,
     RegularJets,
-    SurfacePoint,
     ValidationReport,
     forms_at,
     grid_rows,
     load_profile,
-    point_at,
     profile_from_dict,
     profile_to_dict,
     radii_sum_jet,

@@ -382,16 +382,25 @@ def operator_equivalence_residual(
     # A draw is an interval from u[k], a point s from u[k + 1] and, if s
     # clears the margin, an angle from u[k + 2].  Candidates at every
     # offset k are screened in one pass; the walk keeps the draw order.
+    # When the draws run out, only the candidates that reach the new draws
+    # are screened, and joined onto the earlier ones.
     u = np.empty(0)
+    candidates = None
     picks: list[int] = []
     pos = attempts = 0
     while len(picks) < n_pairs and attempts < 50 * n_pairs:
         if pos + 3 > len(u):
-            u = np.concatenate([u, rng.random(max(len(u), 3 * n_pairs + 3))])
-            k = cdf.searchsorted(u[:-1], side="right")
-            candidates = _jets(p, starts[k] + widths[k] * u[1:])
-            low = np.minimum(np.abs(candidates.dphi), np.abs(candidates.sin_phi)) < margin
-            usable = ~(_parabolic(candidates, tol_parab) | low)
+            old = len(u)
+            u = np.concatenate([u, rng.random(max(old, 3 * n_pairs + 3))])
+            first = max(old - 1, 0)
+            k = cdf.searchsorted(u[first:-1], side="right")
+            tail = _jets(p, starts[k] + widths[k] * u[first + 1:])
+            low = np.minimum(np.abs(tail.dphi), np.abs(tail.sin_phi)) < margin
+            ok = ~(_parabolic(tail, tol_parab) | low)
+            if candidates is None:
+                candidates, usable = tail, ok
+            else:
+                candidates, usable = candidates.concat(tail), np.concatenate((usable, ok))
         attempts += 1
         if usable[pos]:
             picks.append(pos)

@@ -379,6 +379,13 @@ MAX_DEPTH = 24
 # Lattice points or cells per array pass of the scan.  A pass takes whole
 # lambda rows, so each temporary array holds about 32 KB.
 BLOCK_CELLS = 4096
+# Work budget of one scan: at most this many lattice points, counted as
+# (span / step + 1) per axis and multiplied, which also bounds the cells.
+# A box of one row keeps its axis's points and cell edges in memory, about
+# 40 bytes each, so the bound keeps a scan under about 0.7 GiB; a square
+# box at the bound takes about 6 s (scaled from 2 million points in one
+# row and 4 million in a square).
+MAX_SCAN_POINTS = 2**24
 
 
 def _outward(lo, hi):
@@ -538,7 +545,9 @@ def contradiction_scan(
     elimination drops an overall factor mu (see EliminationReport), so the
     certificate says nothing about the line mu = 0.  Raises ValueError on
     an empty or non-finite range and on a step that is not finite and
-    positive, and FloatingPointError when the coefficients overflow.
+    positive or leaves more than MAX_SCAN_POINTS lattice points,
+    OverflowError when their number overflows, and FloatingPointError
+    when the coefficients overflow.
     """
     for name, values in (("lam_range", lam_range), ("mu_range", mu_range), ("step", (step,))):
         if not all(math.isfinite(v) for v in values):
@@ -547,6 +556,12 @@ def contradiction_scan(
         raise ValueError("empty scan range")
     if step <= 0.0:
         raise ValueError("step must be positive")
+    points = ((lam_range[1] - lam_range[0]) / step + 1) * ((mu_range[1] - mu_range[0]) / step + 1)
+    if math.isinf(points):
+        raise OverflowError("the number of lattice points overflows")
+    if points > MAX_SCAN_POINTS:
+        raise ValueError(f"the box has {points:.3g} lattice points, over the work budget "
+                         f"of {MAX_SCAN_POINTS}")
     lams = _lattice(lam_range[0], lam_range[1], step)
     mus = _lattice(mu_range[0], mu_range[1], step)
     gap = 0.5 * step

@@ -13,6 +13,20 @@ check above tolerance.  Reports embed the full effective configuration and
 contain no timestamps, so rerunning a command with the same inputs and seed
 reproduces the output byte for byte.
 A check that finds no usable sample points fails with exit 2 and a reason.
+
+The tolerances (``--tol-arc``, ``--tol-parab``, ``--tol-fit``,
+``--tol-struct``, ``--tol``) and ``--lambda``/``--mu`` must be finite
+numbers: NaN or an infinity is a usage error (exit 1) that names the option.
+The ``scan`` options are checked by `classify.contradiction_scan`.
+
+Work budget: a request whose size is over a budget exits 1 with ``error:``
+before any sample is allocated.  The budgets are MAX_GRID_POINTS for
+``n_s * n_theta`` of ``--grid``, MAX_SAMPLES for ``--samples``, MAX_PAIRS
+for ``--pairs`` and `classify.MAX_SCAN_POINTS` for the lattice of ``scan``.
+
+The parser is built once, when this module is imported, and `main` reuses
+it: a parse keeps its results in a fresh namespace, so no call leaves state
+behind for the next.  A one-shot ``revtype`` process still builds it once.
 """
 
 from __future__ import annotations
@@ -20,6 +34,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -34,6 +49,15 @@ from .geometry import ProfileCurve, ProfileError
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INCONCLUSIVE = 2
+
+# Work budget.  Each bound keeps the peak memory of the heaviest command
+# that it limits under about 1 GiB, scaled linearly from peaks measured on
+# torus(3, 1) at a quarter of the bound or less: about 0.9 KiB per grid
+# point (position-identity as CSV), 0.15 KiB per validation sample, and
+# 41 KiB per pair when nearly every draw is rejected (sphere r=100).
+MAX_GRID_POINTS = 2**20
+MAX_SAMPLES = 2**22
+MAX_PAIRS = 2**14
 
 
 class InputError(Exception):
@@ -56,6 +80,7 @@ class RunConfig:
             raise InputError("grid needs at least 2 profile samples")
         if self.n_theta < 4:
             raise InputError("grid needs at least 4 circle samples")
+        _within_budget("--grid points", self.n_s * self.n_theta, MAX_GRID_POINTS)
         for name in ("tol_arc", "tol_parab", "tol_fit", "tol_struct"):
             if getattr(self, name) <= 0.0:
                 raise InputError(f"{name} must be positive")
@@ -71,6 +96,22 @@ class RunConfig:
             "tol_struct": self.tol_struct,
             "seed": self.seed,
         }
+
+
+def _within_budget(what: str, size: int, budget: int) -> None:
+    if size > budget:
+        raise InputError(f"{what} {size} is over the work budget of {budget}")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the tolerance and eigenvalue options."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_params(pairs: Optional[list[str]]) -> dict[str, float]:
@@ -164,6 +205,7 @@ def _validate(curve: ProfileCurve, config: RunConfig, n_samples: int = 101):
 def cmd_classify(args) -> int:
     label, curve, entry = _load_surface(args)
     config = _config_from_args(args, label)
+    _within_budget("--samples", args.samples, MAX_SAMPLES)
     validation = _validate(curve, config, args.samples)
     report = classify.fit_matrix(
         curve,
@@ -221,8 +263,12 @@ _NO_ROWS = "no usable points: every grid row is parabolic within tol_parab"
 def cmd_verify(args) -> int:
     label, curve, entry = _load_surface(args)
     config = _config_from_args(args, label)
-    _validate(curve, config)
     check = args.check
+    if check == "operator-equivalence":
+        if args.pairs < 1:
+            raise InputError("--pairs must be at least 1")
+        _within_budget("--pairs", args.pairs, MAX_PAIRS)
+    _validate(curve, config)
     collect = args.format == "csv"
     details: dict = {}
     rows: list[dict] = []
@@ -250,8 +296,6 @@ def cmd_verify(args) -> int:
             details["max_residual"] = worst
     elif check == "operator-equivalence":
         tol = args.tol if args.tol is not None else 1e-8
-        if args.pairs < 1:
-            raise InputError("--pairs must be at least 1")
         rep = beltrami.operator_equivalence_residual(
             curve,
             n_pairs=args.pairs,
@@ -358,10 +402,10 @@ def _add_surface_options(sub):
                      help="surface parameter (repeatable)")
     sub.add_argument("--profile", help="path to a profile definition file")
     sub.add_argument("--grid", default="32x32", help="grid as N_SxN_THETA (default 32x32)")
-    sub.add_argument("--tol-arc", type=float, default=geometry.DEFAULT_TOL_ARC)
-    sub.add_argument("--tol-parab", type=float, default=geometry.DEFAULT_TOL_PARAB)
-    sub.add_argument("--tol-fit", type=float, default=classify.DEFAULT_TOL_FIT)
-    sub.add_argument("--tol-struct", type=float, default=classify.DEFAULT_TOL_STRUCT)
+    sub.add_argument("--tol-arc", type=_finite_float, default=geometry.DEFAULT_TOL_ARC)
+    sub.add_argument("--tol-parab", type=_finite_float, default=geometry.DEFAULT_TOL_PARAB)
+    sub.add_argument("--tol-fit", type=_finite_float, default=classify.DEFAULT_TOL_FIT)
+    sub.add_argument("--tol-struct", type=_finite_float, default=classify.DEFAULT_TOL_STRUCT)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", help="write the report to this path")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
@@ -403,10 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_surface_options(p_verify)
-    p_verify.add_argument("--tol", type=float, default=None,
+    p_verify.add_argument("--tol", type=_finite_float, default=None,
                           help="override the check tolerance")
-    p_verify.add_argument("--lambda", dest="lam", type=float, default=None)
-    p_verify.add_argument("--mu", type=float, default=None)
+    p_verify.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
+    p_verify.add_argument("--mu", type=_finite_float, default=None)
     p_verify.add_argument("--pairs", type=int, default=1000,
                           help="random pairs for operator-equivalence")
     p_verify.set_defaults(func=cmd_verify)
@@ -431,10 +475,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:

@@ -207,6 +207,19 @@ class RegularJets:
             _take(self.dphi, index), _take(self.ddphi, index),
         )
 
+    def concat(self, other: "RegularJets") -> "RegularJets":
+        """The points of this batch followed by those of ``other``."""
+        def cat(a, b):
+            return np.concatenate((a, b))
+
+        def jet(a: Jet3, b: Jet3) -> Jet3:
+            return Jet3(cat(a.v0, b.v0), cat(a.v1, b.v1), cat(a.v2, b.v2), cat(a.v3, b.v3))
+
+        return RegularJets(
+            cat(self.s, other.s), jet(self.f, other.f), jet(self.g, other.g),
+            cat(self.dphi, other.dphi), cat(self.ddphi, other.ddphi),
+        )
+
 
 def _jets(p: ProfileCurve, s) -> RegularJets:
     """Jets at ``s`` from one pass, not yet checked for regularity.
@@ -219,45 +232,6 @@ def _parabolic(jets: RegularJets, tol_parab: float):
     """Mask of the points where phi' or sin(phi) is within tol_parab of 0."""
     bad = (np.abs(jets.dphi) <= tol_parab) | (np.abs(jets.sin_phi) <= tol_parab)
     return np.broadcast_to(bad, np.shape(jets.s))
-
-
-@dataclass(frozen=True, eq=False)
-class SurfacePoint:
-    s: float
-    theta: float
-    position: np.ndarray
-    normal: np.ndarray
-
-
-def point_at(p: ProfileCurve, s: float, theta: float) -> SurfacePoint:
-    """Position and unit normal of the revolution surface at (s, theta)."""
-    fj, gj = _fg(p, s)
-    theta = theta % _TAU
-    ct, st = math.cos(theta), math.sin(theta)
-    position = np.array([fj.v0 * ct, fj.v0 * st, gj.v0])
-    # n = (-sin(phi) cos(theta), -sin(phi) sin(theta), cos(phi)) with
-    # sin(phi) = g', cos(phi) = f' taken directly from the jets.
-    normal = np.array([-gj.v1 * ct, -gj.v1 * st, fj.v1])
-    return SurfacePoint(s, theta, position, normal)
-
-
-def tangent_basis(p: ProfileCurve, s: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate tangent vectors (x_s, x_theta) from jets."""
-    fj, gj = _fg(p, s)
-    ct, st = math.cos(theta), math.sin(theta)
-    x_s = np.array([fj.v1 * ct, fj.v1 * st, gj.v1])
-    x_theta = np.array([-fj.v0 * st, fj.v0 * ct, 0.0])
-    return x_s, x_theta
-
-
-def normal_derivatives(p: ProfileCurve, s: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Partial derivatives (n_s, n_theta) of the Gauss map."""
-    fj, gj = _fg(p, s)
-    dphi = _dphi(fj, gj)
-    ct, st = math.cos(theta), math.sin(theta)
-    n_s = np.array([-fj.v1 * dphi * ct, -fj.v1 * dphi * st, -gj.v1 * dphi])
-    n_theta = np.array([gj.v1 * st, -gj.v1 * ct, 0.0])
-    return n_s, n_theta
 
 
 @dataclass(frozen=True)

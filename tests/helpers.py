@@ -1,7 +1,7 @@
 """Shared test oracles: central finite differences, symbolic differentiation,
-a deterministic random-expression generator, a grid-materialising reference
-for the coordinate fit, and a per-point reference for the contradiction
-scan.
+a deterministic random-expression generator, scalar surface points, tangents
+and Gauss-map derivatives, a grid-materialising reference for the
+coordinate fit, and a per-point reference for the contradiction scan.
 
 These stay independent of the jet-propagation code paths they check.
 """
@@ -9,6 +9,7 @@ These stay independent of the jet-propagation code paths they check.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
@@ -116,6 +117,52 @@ def sample_well_behaved(rng, max_mag: float = 20.0, span: float = 2.0):
 
 # Reference coordinate fit: one row of X and B per grid point, solved by
 # lstsq over the whole grid.
+
+@dataclass(frozen=True, eq=False)
+class SurfacePoint:
+    s: float
+    theta: float
+    position: np.ndarray
+    normal: np.ndarray
+
+
+def _fg(curve, s: float):
+    params = curve.params_dict
+    return eval_jet3(curve.f, s, params), eval_jet3(curve.g, s, params)
+
+
+def point_at(curve, s: float, theta: float) -> SurfacePoint:
+    """Position and unit normal of the revolution surface at (s, theta),
+    with theta reduced to [0, 2 pi)."""
+    fj, gj = _fg(curve, s)
+    theta = theta % (2.0 * math.pi)
+    ct, st = math.cos(theta), math.sin(theta)
+    position = np.array([fj.v0 * ct, fj.v0 * st, gj.v0])
+    # n = (-sin(phi) cos(theta), -sin(phi) sin(theta), cos(phi)) with
+    # sin(phi) = g', cos(phi) = f' taken directly from the jets.
+    normal = np.array([-gj.v1 * ct, -gj.v1 * st, fj.v1])
+    return SurfacePoint(s, theta, position, normal)
+
+
+def tangent_basis(curve, s: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate tangent vectors (x_s, x_theta) from jets."""
+    fj, gj = _fg(curve, s)
+    ct, st = math.cos(theta), math.sin(theta)
+    x_s = np.array([fj.v1 * ct, fj.v1 * st, gj.v1])
+    x_theta = np.array([-fj.v0 * st, fj.v0 * ct, 0.0])
+    return x_s, x_theta
+
+
+def normal_derivatives(curve, s: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Partial derivatives (n_s, n_theta) of the Gauss map, with
+    phi' = f'g'' - g'f''."""
+    fj, gj = _fg(curve, s)
+    dphi = fj.v1 * gj.v2 - gj.v1 * fj.v2
+    ct, st = math.cos(theta), math.sin(theta)
+    n_s = np.array([-fj.v1 * dphi * ct, -fj.v1 * dphi * st, -gj.v1 * dphi])
+    n_theta = np.array([gj.v1 * st, -gj.v1 * ct, 0.0])
+    return n_s, n_theta
+
 
 def reference_fit(
     p,

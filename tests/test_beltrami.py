@@ -22,8 +22,10 @@ from revtype import (
     sphere,
     torus,
 )
-from revtype.beltrami import FieldPartials
-from revtype.geometry import sample_regular
+from revtype.beltrami import FieldPartials, random_fields
+from revtype.geometry import DEFAULT_TOL_PARAB, _jets, _parabolic, sample_regular
+
+from helpers import point_at
 
 SQRT2 = math.sqrt(2.0)
 
@@ -180,8 +182,6 @@ class TestCoordinateLaplacian:
             assert np.linalg.norm(lap.vector) <= 1e-12
 
     def test_sphere_eigenstructure_all_radii(self):
-        from revtype import point_at
-
         for r in (0.5, 1.0, 2.0, 5.0):
             curve = sphere(r).curve
             for s in sample_regular(curve, 11):
@@ -244,6 +244,48 @@ class TestOperatorEquivalence:
         report = operator_equivalence_residual(mk.curve, n_pairs=150, seed=12)
         assert report.pairs == 150
         assert report.max_rel_diff <= 1e-8
+
+    def test_each_candidate_screened_once(self, monkeypatch):
+        # At 500 pairs the torus runs out of its first 1502 candidates; the
+        # second pass screens only the 1503 that reach the new draws.
+        from revtype import beltrami
+
+        sizes = []
+        screen = beltrami._jets
+
+        def recording(p, s):
+            sizes.append(len(s))
+            return screen(p, s)
+
+        monkeypatch.setattr(beltrami, "_jets", recording)
+        report = operator_equivalence_residual(torus(3.0, 1.0).curve, n_pairs=500)
+        assert sizes == [1502, 1503]
+        assert report.pairs == 500
+
+    def test_picks_match_one_screening_pass(self):
+        # The draws of both batches, screened in one pass and walked in
+        # order, give the same sample points and angles.
+        curve, n = torus(3.0, 1.0).curve, 500
+        report = operator_equivalence_residual(curve, n_pairs=n, collect_rows=True)
+        rng = np.random.default_rng(0)
+        random_fields(curve, rng, max(8, n // 50))
+        u = np.concatenate([rng.random(3 * n + 3), rng.random(3 * n + 3)])
+        intervals = curve.regular_intervals()
+        starts = np.array([lo for lo, _ in intervals])
+        widths = np.array([hi - lo for lo, hi in intervals])
+        cdf = np.cumsum(widths / widths.sum())
+        k = (cdf / cdf[-1]).searchsorted(u[:-1], side="right")
+        jets = _jets(curve, starts[k] + widths[k] * u[1:])
+        low = np.minimum(np.abs(jets.dphi), np.abs(jets.sin_phi)) < 0.05
+        usable = ~(_parabolic(jets, DEFAULT_TOL_PARAB) | low)
+        picks, pos = [], 0
+        while len(picks) < n:
+            if usable[pos]:
+                picks.append(pos)
+            pos += 3 if usable[pos] else 2
+        assert [row["s"] for row in report.rows] == jets.s[picks].tolist()
+        theta = 2.0 * math.pi * u[np.array(picks) + 2]
+        assert [row["theta"] for row in report.rows] == theta.tolist()
 
     def test_cross_check_on_height(self):
         curve = sphere(1.0).curve

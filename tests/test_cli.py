@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revtype import catalog, classify
+from revtype import catalog, classify, cli, geometry
 from revtype.cli import main
 
 from helpers import reference_fit, reference_scan
@@ -25,6 +25,14 @@ VERIFY_CHECKS = (
 def run(argv, capsys=None):
     code = main(argv)
     return code
+
+
+def captured(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestClassify:
@@ -528,3 +536,135 @@ class TestEvaluationBudget:
         # random_fields draws max(8, pairs // 50) fields.
         fields = max(8, _BUDGET_PAIRS // 50) if command == "operator-equivalence" else 0
         assert len(passes) == 4 + fields
+
+
+class TestSharedParser:
+    """``main`` parses with the parser built at import, and a parse leaves
+    nothing behind in it for the next call."""
+
+    def test_main_never_builds_a_parser(self, monkeypatch):
+        calls = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        for argv, code in ((["classify", "--catalog", "sphere"], 0),
+                           (["verify", "curvature-quotient", "--catalog", "catenoid"], 0),
+                           (["scan", "--step", "0.5"], 0),
+                           (["verify", "no-such-check"], 1)):
+            assert captured(argv)[0] == code
+        assert calls == []
+
+    def test_mixed_calls_leave_no_state(self):
+        first = ["classify", "--catalog", "torus", "--param", "R=4", "--param", "r=1.5"]
+        sequence = (
+            (first, 0),
+            (["classify", "--catalog", "sphere", "--param", "r=2", "--format", "csv"], 0),
+            (["verify", "eigen-system", "--catalog", "sphere", "--tol", "1e-6",
+              "--lambda", "2", "--mu", "2", "--seed", "5"], 0),
+            (["verify", "operator-equivalence", "--catalog", "catenoid", "--param", "c=2",
+              "--pairs", "20"], 0),
+            (["scan", "--lambda-range", "-1", "1", "--mu-range", "-1", "1", "--step", "0.5"], 0),
+            (["catalog", "export", "catenoid", "--param", "c=3"], 0),
+            (["classify", "--catalog", "torus", "--param", "R=5", "--tol-fit", "nan"], 1),
+        )
+        results = []
+        for argv, code in sequence:
+            results.append(captured(argv))
+            assert results[-1][0] == code, argv
+        assert captured(first) == results[0]
+
+
+_NUMBER_OPTIONS = ("--tol-arc", "--tol-parab", "--tol-fit", "--tol-struct", "--tol",
+                   "--lambda", "--mu")
+
+
+class TestFiniteOptions:
+    @pytest.mark.parametrize("value", ("nan", "inf", "=-inf", "1e400", "abc"))
+    @pytest.mark.parametrize("command, option", (
+        *((["classify"], option) for option in _NUMBER_OPTIONS[:4]),
+        *((["verify", "eigen-system"], option) for option in _NUMBER_OPTIONS),
+    ), ids=lambda x: x[0] if isinstance(x, list) else x)
+    def test_rejected_at_parse_naming_the_option(self, command, option, value):
+        value = [option + value] if value.startswith("=") else [option, value]
+        code, out, err = captured([*command, "--catalog", "sphere", *value])
+        assert code == 1
+        assert f"argument {option}: expected a finite number" in err
+        assert "Traceback" not in err and not out
+
+    def test_finite_values_still_reach_the_command(self):
+        code, out, _ = captured(["verify", "eigen-system", "--catalog", "sphere",
+                                 "--lambda=-2e0", "--mu", "2", "--tol", "1e-3"])
+        assert code == 2
+        report = json.loads(out)
+        assert report["details"]["lambda"] == -2.0 and report["tolerance"] == 1e-3
+
+
+class TestWorkBudget:
+    @pytest.mark.parametrize("argv, named", (
+        (["classify", "--catalog", "sphere", "--grid", "1024x1025"],
+         "--grid points 1049600 is over the work budget of 1048576"),
+        (["verify", "position-identity", "--catalog", "sphere", "--grid", "100000000x4"],
+         "--grid points 400000000"),
+        (["classify", "--catalog", "sphere", "--samples", "4194305"], "--samples 4194305"),
+        (["verify", "operator-equivalence", "--catalog", "sphere", "--pairs", "16385"],
+         "--pairs 16385"),
+        (["scan", "--lambda-range", "0", "4096", "--mu-range", "0", "4096", "--step", "1"],
+         "1.68e+07 lattice points"),
+        (["scan", "--lambda-range", "0", "1", "--mu-range", "0", "0", "--step", "1e-9"],
+         "lattice points"),
+    ))
+    def test_over_budget_allocates_nothing(self, monkeypatch, argv, named):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a request over the budget was sampled")
+
+        for name in ("validate_profile", "sample_regular", "grid_rows"):
+            monkeypatch.setattr(geometry, name, forbidden)
+        monkeypatch.setattr(classify, "_lattice", forbidden)
+        code, out, err = captured(argv)
+        assert code == 1
+        assert err.startswith("error:") and named in err and "work budget" in err
+        assert not out
+
+    def test_benchmark_sizes_well_inside(self):
+        # The largest sizes that the benchmark and the tests run use at
+        # most a quarter of each bound: 64x4096 grids, the default 101
+        # validation samples and 1000 pairs, and a 401 x 401 scan lattice.
+        for size, bound in ((64 * 4096, cli.MAX_GRID_POINTS), (101, cli.MAX_SAMPLES),
+                            (1000, cli.MAX_PAIRS), (401 ** 2, classify.MAX_SCAN_POINTS)):
+            assert 4 * size <= bound
+
+
+_NUMBER_TEXTS = st.one_of(
+    st.floats(-10.0, 10.0).map(repr),
+    st.floats(1e-12, 1.0).map("{:e}".format),
+    st.sampled_from(("nan", "inf", "-inf", "1e400", "abc", "", "0", "-0.0")),
+)
+_VERIFY_OPTION = st.one_of(
+    st.tuples(st.sampled_from(_NUMBER_OPTIONS), _NUMBER_TEXTS),
+    st.tuples(st.just("--pairs"), st.integers(-3, 40).map(str)),
+    st.tuples(st.just("--seed"), st.integers(-3, 1000).map(str)),
+    st.tuples(st.just("--grid"), st.one_of(
+        st.tuples(st.integers(0, 10), st.integers(0, 10)).map("{0[0]}x{0[1]}".format),
+        st.sampled_from(("banana", "4x", "x4", "0x0")))),
+    st.tuples(st.just("--catalog"), st.sampled_from(
+        ("torus", "sphere", "catenoid", "broken-diagonal", "unduloid"))),
+    st.tuples(st.just("--param"), st.sampled_from(("R=3", "r=1", "c=0.5", "r=-1", "x=1", "r"))),
+)
+
+
+class TestVerifyProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(VERIFY_CHECKS),
+           st.sampled_from(("torus", "sphere", "catenoid")),
+           st.lists(_VERIFY_OPTION, max_size=5))
+    def test_exit_code_and_strict_report(self, check, surface, options):
+        argv = ["verify", check, "--catalog", surface, "--pairs", "20"]
+        for option in options:
+            argv += option
+        code, out, err = captured(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 1:
+            assert err and not out
+        else:
+            report = json.loads(out, parse_constant=_reject_constant)
+            assert report["passed"] is (code == 0)

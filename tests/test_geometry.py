@@ -11,7 +11,6 @@ from revtype import (
     forms_at,
     grid_rows,
     load_profile,
-    point_at,
     profile_from_dict,
     profile_to_dict,
     radii_sum_jet,
@@ -22,7 +21,9 @@ from revtype import (
     torus,
     validate_profile,
 )
-from revtype.geometry import normal_derivatives, quotient_consistency, tangent_basis
+from revtype.geometry import quotient_consistency
+
+from helpers import normal_derivatives, point_at, tangent_basis
 
 SQRT2 = math.sqrt(2.0)
 
@@ -282,6 +283,17 @@ class TestBatches:
                     assert getattr(batch, name)[i] == pytest.approx(
                         getattr(one, name), rel=1e-14, abs=1e-14
                     ), name
+
+    def test_concat_matches_one_pass(self, surfaces):
+        for curve in surfaces.values():
+            jets, _ = grid_rows(curve, 40)
+            joined = jets[:15].concat(jets[15:])
+            for name in ("s", "dphi", "ddphi"):
+                assert np.array_equal(getattr(joined, name), getattr(jets, name)), name
+            for name in ("f", "g"):
+                for order in ("v0", "v1", "v2", "v3"):
+                    got = getattr(getattr(joined, name), order)
+                    assert np.array_equal(got, getattr(getattr(jets, name), order)), name
 
     def test_radii_sum(self, surfaces):
         for curve in surfaces.values():
