@@ -490,6 +490,8 @@ def profile_to_dict(p: ProfileCurve) -> dict:
 
 
 def profile_from_dict(data: dict) -> ProfileCurve:
+    if not isinstance(data, Mapping):
+        raise ValueError(f"profile document must be an object, got {type(data).__name__}")
     missing = [k for k in ("name", "f", "g", "s_min", "s_max") if k not in data]
     if missing:
         raise ValueError(f"profile document missing fields: {', '.join(missing)}")

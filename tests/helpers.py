@@ -259,18 +259,23 @@ def _coeff_intervals(L, M, T):
     return c4, c2, c0
 
 
-def _certify_cell(L, M, gap: float, depth: int, max_depth: int) -> tuple[int, int]:
-    """(cells examined, failures) for the box L x M minus |lam - mu| < gap,
-    halving the longer side once per undecided side of the strip."""
-    examined, failures = 1, 0
+def reference_sides(L, M, gap: float) -> list:
+    """The (c4, c2, c0) enclosures on each side of the strip
+    |lam - mu| < gap that the box L x M reaches."""
     raw_lo, raw_hi = _isub(L, M)
     sides = []
     if raw_hi >= gap:
         sides.append((max(gap, raw_lo), raw_hi))
     if raw_lo <= -gap:
         sides.append((raw_lo, min(-gap, raw_hi)))
-    for T in sides:
-        c4, c2, c0 = _coeff_intervals(L, M, T)
+    return [_coeff_intervals(L, M, T) for T in sides]
+
+
+def _certify_cell(L, M, gap: float, depth: int, max_depth: int) -> tuple[int, int]:
+    """(cells examined, failures) for the box L x M minus |lam - mu| < gap,
+    halving the longer side once per undecided side of the strip."""
+    examined, failures = 1, 0
+    for c4, c2, c0 in reference_sides(L, M, gap):
         if _excludes_zero(c4) or _excludes_zero(c2) or _excludes_zero(c0):
             continue
         if depth >= max_depth:

@@ -27,7 +27,7 @@ from revtype import classify
 from revtype.classify import fit_from_samples
 from revtype.geometry import grid_rows, require_regular
 
-from helpers import reference_fit, reference_scan
+from helpers import reference_fit, reference_scan, reference_sides
 
 SQRT3 = math.sqrt(3.0)
 
@@ -339,6 +339,10 @@ class TestContradictionScan:
             contradiction_scan((0.0, 1e200), (0.0, 1e200), step=1e199)
         with pytest.raises(OverflowError):
             contradiction_scan((-1e308, 1e308), (0.0, 1.0), step=1.0)
+        # c0's enclosure is finite and excludes zero on the one cell, but
+        # the enclosure of c4 overflows, so the cell is still not certified.
+        with pytest.raises(FloatingPointError):
+            contradiction_scan((1e102, 1.99e102), (-8e102, -7e102), step=1e102)
 
     def test_serialization(self):
         payload = contradiction_scan((-1.0, 1.0), (-1.0, 1.0), step=1.0).to_dict()
@@ -368,7 +372,8 @@ class TestContradictionScan:
 
 # (lam_range, mu_range, step, cells examined): boxes whose cells subdivide,
 # some splitting once per side of the diagonal strip (steps 0.5 and 1.0),
-# a single point and an all-diagonal box.
+# a single point, an all-diagonal box, and a box with bounds past 2**300,
+# on which c4 and c2 are enclosed on every cell.
 REFERENCE_BOXES = (
     ((-1.0, 1.0), (-1.0, 1.0), 0.5, 24),
     ((-1.0, 1.0), (-1.0, 1.0), 1.0, 40),
@@ -377,6 +382,7 @@ REFERENCE_BOXES = (
     ((-0.7, 1.3), (-4.2, -3.1), 0.1, 220),
     ((0.0, 0.0), (2.0, 2.0), 0.25, 0),
     ((1.0, 1.0), (1.0, 1.0), 0.25, 0),
+    ((0.0, 1e100), (-2e102, 2e102), 1e101, 50),
 )
 
 # Boxes whose ranges are not whole multiples of the step: the last cell on
@@ -506,6 +512,49 @@ class TestScanCells:
         assert peak < 2 * 2**20
 
 
+# Cells of this box are decided by c4 alone, by c2 alone and by c0 alone,
+# and some cells are split more than once.
+SOLE_DECIDER_BOX = ((-10.0, 10.0), (-10.0, 10.0), 1.0)
+
+
+class TestScanWorkSplit:
+    def test_c0_decides_most_cells(self, monkeypatch):
+        squared = []
+        isquare = classify._isquare
+
+        def count(a):
+            squared.append(np.size(a[0]))
+            return isquare(a)
+
+        monkeypatch.setattr(classify, "_isquare", count)
+        cert = contradiction_scan((-10.0, 10.0), (-10.0, 10.0), 0.05)
+        assert cert.cells_certified and cert.cells_examined == 400 * 400
+        # A box whose c0 enclosure holds zero squares three intervals: lam
+        # and lam - mu on each side of the strip.
+        assert 0 < sum(squared) <= 3 * 0.02 * cert.cells_examined
+
+    def test_each_coefficient_alone_decides_some_cell(self, monkeypatch):
+        lam_range, mu_range, step = SOLE_DECIDER_BOX
+        lam_edges = classify._cell_edges(*lam_range, step)
+        mu_edges = classify._cell_edges(*mu_range, step)
+        # The 400 depth-0 cells, as one block.
+        (boxes,) = classify._blocks(np.stack((lam_edges[:-1], lam_edges[1:])),
+                                    np.stack((mu_edges[:-1], mu_edges[1:])))
+        sole = set()
+        for lam_lo, lam_hi, mu_lo, mu_hi in boxes.T:
+            for coeffs in reference_sides((lam_lo, lam_hi), (mu_lo, mu_hi), 0.5 * step):
+                excluding = [name for name, (lo, hi) in zip(("c4", "c2", "c0"), coeffs)
+                             if lo > 0.0 or hi < 0.0]
+                if len(excluding) == 1:
+                    sole.update(excluding)
+        assert sole == {"c4", "c2", "c0"}
+        for max_depth in (0, 1, 2, classify.MAX_DEPTH):
+            want = reference_scan(lam_range, mu_range, step, max_depth=max_depth)
+            monkeypatch.setattr(classify, "MAX_DEPTH", max_depth)
+            got = classify._certify_cells(boxes, 0.5 * step)
+            assert got == (want["cells_examined"], want["cell_failures"]), max_depth
+
+
 def _exact(x):
     return Fraction(float(x))
 
@@ -535,6 +584,8 @@ class TestOutwardRounding:
             "add": (classify._iadd(a, b), lambda x, y: [x[0] + y[0], x[1] + y[1]]),
             "sub": (classify._isub(a, b), lambda x, y: [x[0] - y[1], x[1] - y[0]]),
             "square": (classify._isquare(a), lambda x, y: [x[0] ** 2, x[1] ** 2]),
+            "scale 3": (classify._iscale(a, 3.0), lambda x, y: [x[0] * 3, x[1] * 3]),
+            "scale 5": (classify._iscale(a, 5.0), lambda x, y: [x[0] * 5, x[1] * 5]),
         }
         for name, ((lo, hi), exact) in cases.items():
             for i in range(n):
@@ -550,11 +601,30 @@ class TestOutwardRounding:
 
     def test_round_to_nearest_alone_would_not_enclose(self):
         # 0.1 * 3 rounds up to 0.30000000000000004, past the exact product.
-        lo, hi = classify._imul((0.1, 0.1), (3.0, 3.0))
         exact = Fraction(0.1) * 3
         assert Fraction(0.1 * 3.0) > exact
-        assert _exact(lo) <= exact <= _exact(hi)
-        assert lo < 0.1 * 3.0 < hi
+        for lo, hi in (classify._imul((0.1, 0.1), (3.0, 3.0)), classify._iscale((0.1, 0.1), 3.0)):
+            assert _exact(lo) <= exact <= _exact(hi)
+            assert lo < 0.1 * 3.0 < hi
+
+    @pytest.mark.parametrize("gap", (0.05, 0.125, 0.35))
+    def test_sides_enclose_exact_difference(self, gap):
+        # Differences of 0.1 k and 0.3 j round to nearest, some inward.
+        k, j = np.meshgrid(np.arange(-20, 20), np.arange(-7, 7))
+        L = (0.1 * k.ravel(), 0.1 * (k.ravel() + 1))
+        M = (0.3 * j.ravel(), 0.3 * (j.ravel() + 1))
+        exact_lo = [_exact(a) - _exact(b) for a, b in zip(L[0], M[1])]
+        exact_hi = [_exact(a) - _exact(b) for a, b in zip(L[1], M[0])]
+        assert any(_exact(a - b) < d for a, b, d in zip(L[1], M[0], exact_hi))
+        g = Fraction(gap)
+        (above, upper), (below, lower) = classify._sides(L, M, gap)
+        for i, (lo, hi) in enumerate(zip(exact_lo, exact_hi)):
+            if hi >= g:
+                assert above[i]
+                assert _exact(upper[0][i]) <= max(g, lo) and hi <= _exact(upper[1][i]), i
+            if lo <= -g:
+                assert below[i]
+                assert _exact(lower[0][i]) <= lo and min(-g, hi) <= _exact(lower[1][i]), i
 
 
 class TestElimination:

@@ -363,6 +363,10 @@ class TestScan:
         (["--step", "nan"], "step must be finite"),
         (["--lambda-range", "0", "1e200", "--mu-range", "0", "1e200", "--step", "1e199"],
          "overflow"),
+        (["--lambda-range", "1e150", "2e150", "--mu-range", "-1e150", "0", "--step", "1e149"],
+         "overflow"),
+        (["--lambda-range", "1e102", "1.99e102", "--mu-range", "-8e102", "-7e102",
+          "--step", "1e102"], "overflow"),
     ))
     def test_non_finite_is_input_error(self, capsys, extra, named):
         assert main(["scan", *extra]) == 1
@@ -668,3 +672,72 @@ class TestVerifyProperty:
         else:
             report = json.loads(out, parse_constant=_reject_constant)
             assert report["passed"] is (code == 0)
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10), st.floats(), st.text(max_size=6),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6,
+)
+# Numbers and near-numbers for a perturbed field: scaled or shifted values,
+# non-finite floats (json writes NaN and Infinity) and other JSON types.
+_PERTURBATIONS = st.one_of(
+    st.floats(-3.0, 3.0).map(lambda k: ("scale", k)),
+    st.floats(-1e-3, 1e-3).map(lambda d: ("shift", d)),
+    _JSON_SCALARS.map(lambda v: ("set", v)),
+)
+
+
+@st.composite
+def _profile_documents(draw):
+    """A catalog export with up to three edits: a field dropped, an extra
+    field, a field of another JSON type, a perturbed number, or random
+    excluded intervals; or, rarely, a document that is not an object."""
+    kind, params = draw(_SURFACES)
+    doc = geometry.profile_to_dict(catalog.make(kind, params).curve)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("drop", "extra", "retype", "perturb", "excluded", "whole")))
+        if edit == "drop":
+            doc.pop(draw(st.sampled_from(geometry.PROFILE_FIELDS)), None)
+        elif edit == "extra":
+            doc[draw(st.text(max_size=8))] = draw(_JSON_VALUES)
+        elif edit == "retype":
+            doc[draw(st.sampled_from(geometry.PROFILE_FIELDS))] = draw(_JSON_VALUES)
+        elif edit == "perturb":
+            params = doc.get("params") if isinstance(doc.get("params"), dict) else {}
+            where, name = draw(st.sampled_from(
+                [(doc, "s_min"), (doc, "s_max")] + [(params, k) for k in sorted(params)]))
+            how, value = draw(_PERTURBATIONS)
+            old = where.get(name)
+            if how == "set" or not isinstance(old, float):
+                where[name] = value
+            else:
+                where[name] = old * value if how == "scale" else old + value
+        elif edit == "excluded":
+            doc["excluded_intervals"] = draw(st.lists(
+                st.lists(st.one_of(st.floats(-4.0, 4.0), _JSON_SCALARS), max_size=3),
+                max_size=3))
+        else:
+            return draw(_JSON_VALUES)
+    return doc
+
+
+class TestProfileDocumentProperty:
+    @settings(deadline=None)
+    @given(_profile_documents(), st.sampled_from(VERIFY_CHECKS))
+    def test_exit_code_and_strict_report(self, tmp_path_factory, doc, check):
+        path = str(tmp_path_factory.getbasetemp() / "fuzzed-profile.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for argv in (["classify", "--profile", path, "--grid", "8x8"],
+                     ["verify", check, "--profile", path, "--grid", "8x8",
+                      "--lambda", "2", "--mu", "2", "--pairs", "20"]):
+            code, out, err = captured(argv)
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err
+            if code in (0, 2):
+                json.loads(out, parse_constant=_reject_constant)
