@@ -20,7 +20,7 @@ whole grid in one pass.  The operators act on a field's partials
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -243,21 +243,18 @@ def coordinate_laplacian(jets: RegularJets, theta: float) -> CoordinateLaplacian
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """Worst point of the position identity; ``columns`` holds the CSV
+    columns as (rows, n_theta) arrays, empty when there are no points."""
+
     max_residual: Optional[float]
     at_s: Optional[float]
     at_theta: Optional[float]
     points_used: int
     rows_excluded: int
-    rows: Optional[list] = None
+    columns: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "at_s": self.at_s,
-            "at_theta": self.at_theta,
-            "points_used": self.points_used,
-            "rows_excluded": self.rows_excluded,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "columns"}
 
 
 def position_identity_residual(
@@ -265,7 +262,6 @@ def position_identity_residual(
     n_s: int = 32,
     n_theta: int = 32,
     tol_parab: float = DEFAULT_TOL_PARAB,
-    collect_rows: bool = False,
 ) -> IdentityReport:
     """Grid residual of the structural identity
 
@@ -278,37 +274,31 @@ def position_identity_residual(
     """
     jets, excluded = grid_rows(p, n_s, tol_parab)
     if not len(jets):
-        return IdentityReport(None, None, None, 0, excluded, [] if collect_rows else None)
+        return IdentityReport(None, None, None, 0, excluded)
     rows = jets[:, None]
     thetas = np.array(theta_circle(n_theta))
     R, _ = radii_sum_jet(rows)
     radial, axial = laplacian_profile_factors(rows)
-    lhs = np.stack(
-        np.broadcast_arrays(radial * np.cos(thetas), radial * np.sin(thetas), axial), axis=-1
-    )
+    lhs = np.broadcast_arrays(radial * np.cos(thetas), radial * np.sin(thetas), axial)
     pr = radii_sum_field().partials(rows, thetas)
     normals = (comp.partials(rows, thetas) for comp in normal_fields())
-    rhs = np.stack([first_beltrami(rows, pr, pn) - R * pn.value for pn in normals], axis=-1)
-    residual = np.linalg.norm(lhs - rhs, axis=-1)
+    rhs = [first_beltrami(rows, pr, pn) - R * pn.value for pn in normals]
+    residual = np.linalg.norm(np.stack(lhs, axis=-1) - np.stack(rhs, axis=-1), axis=-1)
     i, j = np.unravel_index(np.argmax(residual), residual.shape)
-    table = None
-    if collect_rows:
-        columns = {
-            "s": np.repeat(jets.s, n_theta),
-            "theta": np.tile(thetas, len(jets)),
-            "lhs1": lhs[..., 0], "lhs2": lhs[..., 1], "lhs3": lhs[..., 2],
-            "rhs1": rhs[..., 0], "rhs2": rhs[..., 1], "rhs3": rhs[..., 2],
-            "residual": residual,
-        }
-        values = zip(*(np.ravel(c).tolist() for c in columns.values()))
-        table = [dict(zip(columns, v)) for v in values]
+    columns = {
+        "s": np.broadcast_to(rows.s, residual.shape),
+        "theta": np.broadcast_to(thetas, residual.shape),
+        **{f"lhs{k}": c for k, c in enumerate(lhs, 1)},
+        **{f"rhs{k}": c for k, c in enumerate(rhs, 1)},
+        "residual": residual,
+    }
     return IdentityReport(
         max_residual=float(residual[i, j]),
         at_s=float(jets.s[i]),
         at_theta=float(thetas[j]),
         points_used=residual.size,
         rows_excluded=excluded,
-        rows=table,
+        columns=columns,
     )
 
 
@@ -340,19 +330,17 @@ def random_fields(
 
 @dataclass(frozen=True)
 class EquivalenceReport:
+    """Worst pair of the operator comparison; ``columns`` holds the CSV
+    columns, one entry per pair, empty when there are no pairs."""
+
     max_rel_diff: Optional[float]
     pairs: int
     at_s: Optional[float]
     at_theta: Optional[float]
-    rows: Optional[list] = None
+    columns: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "max_rel_diff": self.max_rel_diff,
-            "pairs": self.pairs,
-            "at_s": self.at_s,
-            "at_theta": self.at_theta,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "columns"}
 
 
 def operator_equivalence_residual(
@@ -361,7 +349,6 @@ def operator_equivalence_residual(
     seed: int = 0,
     tol_parab: float = DEFAULT_TOL_PARAB,
     margin: float = 0.05,
-    collect_rows: bool = False,
 ) -> EquivalenceReport:
     """Compare the specialized and divergence-form Laplacians on random
     field/point pairs.  Relative difference uses |a - b| / (1 + |b|).
@@ -409,34 +396,33 @@ def operator_equivalence_residual(
             pos += 2
     done = len(picks)
     if not done:
-        return EquivalenceReport(None, 0, None, None, [] if collect_rows else None)
-    # The picks' jets are slices of the screening pass; each field's
-    # partials on its slice feed both formulas.
+        return EquivalenceReport(None, 0, None, None)
+    # The picks' jets are slices of the screening pass; pair i takes field
+    # i % len(fields), whose partials on its slice feed both formulas.
     picked = np.array(picks)
     jets = candidates[picked]
     s, theta = jets.s, _TAU * u[picked + 2]
     a, b = np.empty(done), np.empty(done)
-    for i, field in enumerate(fields):
+    for i, fld in enumerate(fields):
         sel = slice(i, done, len(fields))
         part = jets[sel]
-        pu = field.partials(part, theta[sel])
+        pu = fld.partials(part, theta[sel])
         a[sel] = second_beltrami(part, pu)
         b[sel] = second_beltrami_divergence(part, pu)
     rel = np.abs(a - b) / (1.0 + np.abs(b))
     worst = int(np.argmax(rel))
-    table = None
-    if collect_rows:
-        columns = zip(s.tolist(), theta.tolist(), a.tolist(), b.tolist(), rel.tolist())
-        table = [
-            {"s": si, "theta": ti, "field": fields[i % len(fields)].label,
-             "harmonic": fields[i % len(fields)].harmonic, "trig": fields[i % len(fields)].trig,
-             "specialized": ai, "divergence_form": bi, "rel_diff": ri}
-            for i, (si, ti, ai, bi, ri) in enumerate(columns)
-        ]
+    which = np.arange(done) % len(fields)
+    columns = {
+        "s": s, "theta": theta,
+        "field": np.array([fld.label for fld in fields])[which],
+        "harmonic": np.array([fld.harmonic for fld in fields])[which],
+        "trig": np.array([fld.trig for fld in fields])[which],
+        "specialized": a, "divergence_form": b, "rel_diff": rel,
+    }
     return EquivalenceReport(
         max_rel_diff=float(rel[worst]),
         pairs=done,
         at_s=float(s[worst]),
         at_theta=float(theta[worst]),
-        rows=table,
+        columns=columns,
     )

@@ -231,12 +231,7 @@ class StructureCheck:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "offdiag_max": self.offdiag_max,
-            "diag_split": self.diag_split,
-            "tol_struct": self.tol_struct,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def structure_check(report: FitReport, tol_struct: float = DEFAULT_TOL_STRUCT) -> StructureCheck:
@@ -319,15 +314,7 @@ class ClosureCoefficients:
     c0: float
 
     def to_dict(self) -> dict:
-        return {
-            "coeff_f": self.coeff_f,
-            "coeff_g": self.coeff_g,
-            "coeff_f_deriv": self.coeff_f_deriv,
-            "coeff_g_deriv": self.coeff_g_deriv,
-            "c4": self.c4,
-            "c2": self.c2,
-            "c0": self.c0,
-        }
+        return asdict(self)
 
 
 def quartic_coefficients(lam, mu) -> tuple:
@@ -654,12 +641,7 @@ class EliminationReport:
     proportionality_factor: float
 
     def to_dict(self) -> dict:
-        return {
-            "max_factor_defect": self.max_factor_defect,
-            "zero_set_mismatches": self.zero_set_mismatches,
-            "n_samples": self.n_samples,
-            "proportionality_factor": self.proportionality_factor,
-        }
+        return asdict(self)
 
 
 def elimination_consistency(

@@ -37,7 +37,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -52,12 +52,17 @@ EXIT_INCONCLUSIVE = 2
 
 # Work budget.  Each bound keeps the peak memory of the heaviest command
 # that it limits under about 1 GiB, scaled linearly from peaks measured on
-# torus(3, 1) at a quarter of the bound or less: about 0.9 KiB per grid
-# point (position-identity as CSV), 0.15 KiB per validation sample, and
-# 41 KiB per pair when nearly every draw is rejected (sphere r=100).
+# torus(3, 1) at a quarter of the bound or less: about 0.15 KiB per grid
+# point (position-identity, as JSON or CSV alike), 0.15 KiB per validation
+# sample, and 41 KiB per pair when nearly every draw is rejected
+# (sphere r=100).
 MAX_GRID_POINTS = 2**20
 MAX_SAMPLES = 2**22
 MAX_PAIRS = 2**14
+
+# Rows per block of CSV output: the writer holds one block of Python
+# values at a time, never a whole report.
+CSV_BLOCK = 4096
 
 
 class InputError(Exception):
@@ -86,16 +91,7 @@ class RunConfig:
                 raise InputError(f"{name} must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "surface": self.surface,
-            "n_s": self.n_s,
-            "n_theta": self.n_theta,
-            "tol_arc": self.tol_arc,
-            "tol_parab": self.tol_parab,
-            "tol_fit": self.tol_fit,
-            "tol_struct": self.tol_struct,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _within_budget(what: str, size: int, budget: int) -> None:
@@ -164,15 +160,19 @@ def _write_json(path: Optional[str], payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _write_csv(path: Optional[str], rows: list[dict]) -> None:
-    if not rows:
-        rows = [{"empty": True}]
-    fieldnames = list(rows[0].keys())
+def _write_csv(path: Optional[str], columns: dict) -> None:
+    """One CSV row per point of ``columns``, arrays or lists of one size
+    keyed by header name, written CSV_BLOCK rows at a time.  No columns
+    writes the header ``empty`` and the row ``True``."""
+    if not columns:
+        columns = {"empty": [True]}
+    flat = [np.ravel(c) for c in columns.values()]
     fh = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
     try:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(list(columns))
+        for i in range(0, flat[0].size, CSV_BLOCK):
+            writer.writerows(zip(*(c[i:i + CSV_BLOCK].tolist() for c in flat)))
     finally:
         if path:
             fh.close()
@@ -224,8 +224,9 @@ def cmd_classify(args) -> int:
     if entry is not None and entry.expected_verdict:
         payload["expected_verdict"] = entry.expected_verdict
     if args.format == "csv":
-        rows = [{"key": k, "value": json.dumps(v, sort_keys=True)} for k, v in sorted(_flatten(payload).items())]
-        _write_csv(args.out, rows)
+        flat = sorted(_flatten(payload).items())
+        _write_csv(args.out, {"key": [k for k, _ in flat],
+                              "value": [json.dumps(v, sort_keys=True) for _, v in flat]})
     else:
         _write_json(args.out, payload)
     if args.out:
@@ -269,20 +270,15 @@ def cmd_verify(args) -> int:
             raise InputError("--pairs must be at least 1")
         _within_budget("--pairs", args.pairs, MAX_PAIRS)
     _validate(curve, config)
-    collect = args.format == "csv"
     details: dict = {}
-    rows: list[dict] = []
     columns: dict = {}
     worst: Optional[float] = None
     reason: Optional[str] = None
     if check == "position-identity":
         tol = args.tol if args.tol is not None else 1e-8
-        rep = beltrami.position_identity_residual(
-            curve, config.n_s, config.n_theta, config.tol_parab, collect_rows=collect
-        )
-        worst = rep.max_residual
-        details = rep.to_dict()
-        rows = rep.rows or []
+        rep = beltrami.position_identity_residual(curve, config.n_s, config.n_theta,
+                                                  config.tol_parab)
+        worst, details, columns = rep.max_residual, rep.to_dict(), rep.columns
         if not rep.points_used:
             reason = _NO_ROWS
     elif check == "curvature-quotient":
@@ -297,15 +293,9 @@ def cmd_verify(args) -> int:
     elif check == "operator-equivalence":
         tol = args.tol if args.tol is not None else 1e-8
         rep = beltrami.operator_equivalence_residual(
-            curve,
-            n_pairs=args.pairs,
-            seed=config.seed,
-            tol_parab=config.tol_parab,
-            collect_rows=collect,
+            curve, n_pairs=args.pairs, seed=config.seed, tol_parab=config.tol_parab
         )
-        worst = rep.max_rel_diff
-        details = rep.to_dict()
-        rows = rep.rows or []
+        worst, details, columns = rep.max_rel_diff, rep.to_dict(), rep.columns
         if rep.pairs < args.pairs:
             reason = (f"found {rep.pairs} of {args.pairs} usable sample points "
                       f"in {50 * args.pairs} draws")
@@ -329,10 +319,6 @@ def cmd_verify(args) -> int:
             columns = {"s": jets.s, "defect": defect}
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown check {check!r}")
-    if collect and columns:
-        # One CSV row per sample point, from the check's own arrays.
-        values = zip(*(np.ravel(c).tolist() for c in columns.values()))
-        rows = [dict(zip(columns, v)) for v in values]
     passed = reason is None and worst <= tol
     payload = {
         "config": config.to_dict(),
@@ -345,7 +331,7 @@ def cmd_verify(args) -> int:
     if reason is not None:
         payload["reason"] = reason
     if args.format == "csv":
-        _write_csv(args.out, rows)
+        _write_csv(args.out, columns)
     else:
         _write_json(args.out, payload)
     if args.out:

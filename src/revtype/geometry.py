@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from numbers import Real
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -264,14 +264,6 @@ class FormsAndCurvature:
         return self.e11 * self.e22
 
     @property
-    def e11_inv(self) -> float:
-        return 1.0 / self.e11
-
-    @property
-    def e22_inv(self) -> float:
-        return 1.0 / self.e22
-
-    @property
     def kappa1(self) -> float:
         return self.h11 / self.g11
 
@@ -352,22 +344,7 @@ class ValidationReport:
         return self.arclength_ok and self.positive_radius_ok and self.nonparabolic_ok
 
     def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "max_arc_defect": self.max_arc_defect,
-            "arc_defect_at": self.arc_defect_at,
-            "min_radius": self.min_radius,
-            "min_radius_at": self.min_radius_at,
-            "min_tangent_product": self.min_tangent_product,
-            "min_parab_margin": self.min_parab_margin,
-            "parab_margin_at": self.parab_margin_at,
-            "tol_arc": self.tol_arc,
-            "tol_parab": self.tol_parab,
-            "arclength_ok": self.arclength_ok,
-            "positive_radius_ok": self.positive_radius_ok,
-            "nonparabolic_ok": self.nonparabolic_ok,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def sample_regular(p: ProfileCurve, n: int) -> list[float]:
@@ -498,10 +475,14 @@ def profile_from_dict(data: dict) -> ProfileCurve:
     unknown = [k for k in data if k not in PROFILE_FIELDS]
     if unknown:
         raise ValueError(f"profile document has unknown fields: {', '.join(unknown)}")
+    for key in ("name", "f", "g"):
+        if not isinstance(data[key], str):
+            raise ValueError(f"profile field {key!r} must be a string, "
+                             f"got {type(data[key]).__name__}")
     return ProfileCurve.build(
-        name=str(data["name"]),
-        f=str(data["f"]),
-        g=str(data["g"]),
+        name=data["name"],
+        f=data["f"],
+        g=data["g"],
         s_min=data["s_min"],
         s_max=data["s_max"],
         params=data.get("params") or {},

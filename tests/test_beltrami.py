@@ -233,9 +233,10 @@ class TestStructuralIdentity:
         assert report.max_residual <= bound
 
     def test_rows_collected(self):
-        report = position_identity_residual(sphere(1.0).curve, 4, 4, collect_rows=True)
-        assert len(report.rows) == report.points_used
-        assert {"s", "theta", "residual"} <= set(report.rows[0])
+        report = position_identity_residual(sphere(1.0).curve, 4, 4)
+        assert [np.size(c) for c in report.columns.values()] == [report.points_used] * 9
+        assert list(report.columns) == ["s", "theta", "lhs1", "lhs2", "lhs3",
+                                        "rhs1", "rhs2", "rhs3", "residual"]
 
 
 class TestOperatorEquivalence:
@@ -266,7 +267,7 @@ class TestOperatorEquivalence:
         # The draws of both batches, screened in one pass and walked in
         # order, give the same sample points and angles.
         curve, n = torus(3.0, 1.0).curve, 500
-        report = operator_equivalence_residual(curve, n_pairs=n, collect_rows=True)
+        report = operator_equivalence_residual(curve, n_pairs=n)
         rng = np.random.default_rng(0)
         random_fields(curve, rng, max(8, n // 50))
         u = np.concatenate([rng.random(3 * n + 3), rng.random(3 * n + 3)])
@@ -283,9 +284,9 @@ class TestOperatorEquivalence:
             if usable[pos]:
                 picks.append(pos)
             pos += 3 if usable[pos] else 2
-        assert [row["s"] for row in report.rows] == jets.s[picks].tolist()
+        assert report.columns["s"].tolist() == jets.s[picks].tolist()
         theta = 2.0 * math.pi * u[np.array(picks) + 2]
-        assert [row["theta"] for row in report.rows] == theta.tolist()
+        assert report.columns["theta"].tolist() == theta.tolist()
 
     def test_cross_check_on_height(self):
         curve = sphere(1.0).curve

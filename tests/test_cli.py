@@ -1,8 +1,12 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
 import math
+import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +211,73 @@ class TestFailClosed:
         assert main(["verify", check, *source, "--lambda", "2", "--mu", "2",
                      "--pairs", "20"]) == 1
         assert "profile validation FAILED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check", VERIFY_CHECKS)
+    def test_no_usable_points_csv(self, tmp_path, check):
+        if check == "operator-equivalence":
+            surface = ["--catalog", "sphere", "--param", "r=100"]
+        else:
+            surface = ["--profile", _profile_file(tmp_path, TORUS_NO_COLLARS), "--grid", "2x4"]
+        code, out, err = captured(["verify", check, *surface, "--lambda", "2", "--mu", "2",
+                                   "--pairs", "20", "--format", "csv"])
+        assert (code, out, err) == (2, "empty\r\nTrue\r\n", "")
+
+
+def _readme_csv_columns() -> dict[str, list[str]]:
+    """The CSV column list of each command as README states it, with
+    ``lhs1..3`` spelled out."""
+    text = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    listed = {}
+    for command, names in re.findall(r"`([a-z-]+)` writes `([^`]+)`", text):
+        listed[command] = []
+        for name in names.split(", "):
+            stem, _, last = name.partition("..")
+            listed[command] += [f"{stem[:-1]}{k}" for k in range(1, int(last) + 1)] if last else [name]
+    return listed
+
+
+class TestCsvOutput:
+    SURFACE = ["--catalog", "torus", "--grid", "12x8", "--lambda", "2", "--mu", "2",
+               "--pairs", "30"]
+
+    def _points(self, check, payload):
+        details = payload["details"]
+        if check == "position-identity":
+            return details["points_used"]
+        if check == "curvature-quotient":
+            return details["rows_used"]
+        if check == "operator-equivalence":
+            return details["pairs"]
+        return len(geometry.grid_rows(catalog.make("torus").curve, 12)[0])
+
+    @pytest.mark.parametrize("check", VERIFY_CHECKS)
+    def test_verify_header_and_rows(self, check):
+        _, report, _ = captured(["verify", check, *self.SURFACE])
+        _, out, _ = captured(["verify", check, *self.SURFACE, "--format", "csv"])
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == _readme_csv_columns()[check]
+        assert len(rows) - 1 == self._points(check, json.loads(report)) > 0
+
+    def test_classify_header_and_rows(self):
+        argv = ["classify", "--catalog", "sphere"]
+        _, report, _ = captured(argv)
+        _, out, _ = captured(argv + ["--format", "csv"])
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == _readme_csv_columns()["classify"]
+        assert len(rows) - 1 == len(cli._flatten(json.loads(report)))
+
+    def test_csv_peak_memory_near_json(self, tmp_path):
+        argv = ["verify", "position-identity", "--catalog", "torus", "--grid", "64x1024",
+                "--out", str(tmp_path / "report")]
+        peaks = {}
+        for fmt in ("json", "csv"):
+            tracemalloc.start()
+            try:
+                assert captured(argv + ["--format", fmt])[0] == 0
+                peaks[fmt] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["csv"] <= 1.25 * peaks["json"]
 
 
 def _reject_constant(name):
@@ -452,6 +523,17 @@ class TestErrors:
         assert main(["classify", "--profile", str(profile)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("field", ("name", "f", "g"))
+    @pytest.mark.parametrize("value", (None, True, 7, ["s"], {"a": 1}),
+                             ids=("null", "true", "7", "list", "object"))
+    def test_non_string_profile_field(self, tmp_path, field, value):
+        doc = {**TORUS_NO_COLLARS, field: value}
+        profile = tmp_path / "p.json"
+        profile.write_text(json.dumps(doc))
+        code, out, err = captured(["classify", "--profile", str(profile)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad profile file") and f"'{field}'" in err
 
     @pytest.mark.parametrize("check", VERIFY_CHECKS)
     def test_fully_excluded_profile(self, tmp_path, capsys, check):
