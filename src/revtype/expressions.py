@@ -15,8 +15,10 @@ time.  Unary functions: sin, cos, tan, sinh, cosh, asinh, sqrt, exp, ln, neg.
 
 Exponents that fold to an exact rational constant become closed-form power
 nodes; everything else is rewritten to ``exp(g*ln(f))`` with the attendant
-positivity restriction on the base.  Error offsets are 0-based byte offsets
-into the source text.
+positivity restriction on the base.  A folded exponent whose numerator or
+denominator needs more than MAX_EXPONENT_BITS bits is a parse error, raised
+before the fold computes any power that must exceed that bound.  Error
+offsets are 0-based byte offsets into the source text.
 """
 
 from __future__ import annotations
@@ -31,6 +33,11 @@ import numpy as np
 
 from . import jets
 from .jets import Jet3, JetDomainError
+
+
+#: Bit length bound on a folded exponent's numerator and denominator, so the
+#: fold's powers and `jets.pow_int`'s loop stay small whatever the text says.
+MAX_EXPONENT_BITS = 64
 
 
 class ExpressionError(Exception):
@@ -197,12 +204,15 @@ class _Parser:
         base = self.atom()
         if self.peek().kind != "^":
             return base
-        caret = self.advance()
+        self.advance()
+        at = self.peek().offset
         # The exponent is parsed at unary level so '^' stays right-associative
         # and forms like s^-2 are accepted.
         exponent = self.unary()
-        folded = _fold_rational(exponent)
+        folded = _fold_rational(exponent, at)
         if folded is not None:
+            if _bits(folded) > MAX_EXPONENT_BITS:
+                raise ParseError("exponent too large", at)
             return Pow(base, folded)
         # Non-constant exponent: general power via exp/ln.
         return Func("exp", BinOp("*", exponent, Func("ln", base)))
@@ -245,15 +255,20 @@ class _Parser:
         raise ParseError("expected expression", tok.offset)
 
 
-def _fold_rational(node: Expr) -> Optional[Fraction]:
-    """Exact rational value of a constant subtree, or None."""
+def _bits(q: Fraction) -> int:
+    return max(abs(q.numerator).bit_length(), q.denominator.bit_length())
+
+
+def _fold_rational(node: Expr, offset: int) -> Optional[Fraction]:
+    """Exact rational value of a constant subtree, or None; ParseError at
+    ``offset`` instead of a power over MAX_EXPONENT_BITS bits."""
     if isinstance(node, Num):
         return Fraction(node.value)
     if isinstance(node, Func) and node.name == "neg":
-        inner = _fold_rational(node.arg)
+        inner = _fold_rational(node.arg, offset)
         return None if inner is None else -inner
     if isinstance(node, BinOp):
-        lhs, rhs = _fold_rational(node.lhs), _fold_rational(node.rhs)
+        lhs, rhs = _fold_rational(node.lhs, offset), _fold_rational(node.rhs, offset)
         if lhs is None or rhs is None:
             return None
         if node.op == "+":
@@ -266,12 +281,15 @@ def _fold_rational(node: Expr) -> Optional[Fraction]:
             return None  # constant 1/0: defer to evaluation-time error
         return lhs / rhs
     if isinstance(node, Pow) and node.exponent.denominator == 1:
-        base = _fold_rational(node.base)
+        base = _fold_rational(node.base, offset)
         if base is None:
             return None
         n = int(node.exponent)
         if base == 0 and n < 0:
             return None
+        # |base ** n| >= 2 ** (|n| * (bits - 1)) whenever bits >= 2.
+        if abs(n) * (_bits(base) - 1) >= MAX_EXPONENT_BITS:
+            raise ParseError("exponent too large", offset)
         return base ** n
     return None
 
@@ -290,25 +308,34 @@ def eval_jet3(e: Expr, s, params: Optional[Mapping[str, float]] = None) -> Jet3:
     ``s`` is a float or a 1-D array of sample points evaluated in one pass;
     every channel of a batch result is an array of the shape of ``s``, and
     a domain error reports its first offending element's index.
+
+    A subtree without ``s`` evaluates to a float: its jet rule runs once on
+    constant jets and keeps only the value, which meets jets through the
+    float paths of `Jet3`, so no constant's zero channels are carried.
     """
     params = params or {}
     batch = np.ndim(s) > 0
     var = Jet3.variable(np.asarray(s, dtype=float) if batch else s)
 
-    def apply(node: Expr, fn, *args) -> Jet3:
+    def apply(node: Expr, fn, *args) -> Jet3 | float:
+        # Operands are (arg,), (lhs, rhs) or (base, exponent): the ends hold every jet.
+        constant = not (isinstance(args[0], Jet3) or isinstance(args[-1], Jet3))
+        if constant:
+            args = [Jet3(a) if isinstance(a, float) else a for a in args]
         try:
-            return fn(*args)
+            out = fn(*args)
         except JetDomainError as exc:
             raise DomainEvalError(str(exc), unparse(node), exc.index) from None
+        return out.v0 if constant else out
 
-    def ev(node: Expr) -> Jet3:
+    def ev(node: Expr) -> Jet3 | float:
         if isinstance(node, Num):
-            return Jet3.constant(node.value)
+            return float(node.value)
         if isinstance(node, Var):
             return var
         if isinstance(node, Param):
             try:
-                return Jet3.constant(params[node.name])
+                return float(params[node.name])
             except KeyError:
                 raise UnboundParameterError(node.name) from None
         if isinstance(node, Func):
@@ -320,10 +347,13 @@ def eval_jet3(e: Expr, s, params: Optional[Mapping[str, float]] = None) -> Jet3:
         raise TypeError(f"not an expression node: {node!r}")
 
     out = ev(e)
+    if isinstance(out, float):
+        out = Jet3(out)
     if not batch:
         return out
     shape = var.v0.shape
-    return Jet3(*(np.broadcast_to(c, shape) for c in (out.v0, out.v1, out.v2, out.v3)))
+    return Jet3(*(c if np.shape(c) == shape else np.broadcast_to(c, shape)
+                  for c in (out.v0, out.v1, out.v2, out.v3)))
 
 
 def eval_value(e: Expr, s: float, params: Optional[Mapping[str, float]] = None) -> float:

@@ -260,10 +260,6 @@ class FormsAndCurvature:
     cos_phi: float
 
     @property
-    def e_det(self) -> float:
-        return self.e11 * self.e22
-
-    @property
     def kappa1(self) -> float:
         return self.h11 / self.g11
 
@@ -347,21 +343,21 @@ class ValidationReport:
         return {**asdict(self), "passed": self.passed}
 
 
-def sample_regular(p: ProfileCurve, n: int) -> list[float]:
+def sample_regular(p: ProfileCurve, n: int) -> np.ndarray:
     """About ``n`` deterministic sample points spread over the regular
-    subdomain, proportionally per subinterval, midpoint-placed."""
+    subdomain, proportionally per subinterval, midpoint-placed; one sorted
+    1-D float array."""
     if n < 2:
         raise ValueError("need at least 2 samples")
     intervals = p.regular_intervals()
     if not intervals:
         raise ValueError("regular subdomain is empty")
     total = sum(hi - lo for lo, hi in intervals)
-    samples: list[float] = []
+    parts = []
     for lo, hi in intervals:
         k = max(1, round(n * (hi - lo) / total))
-        width = (hi - lo) / k
-        samples.extend(lo + (i + 0.5) * width for i in range(k))
-    return sorted(samples)
+        parts.append(lo + (np.arange(k) + 0.5) * ((hi - lo) / k))
+    return np.sort(np.concatenate(parts))
 
 
 def validate_profile(
@@ -378,7 +374,7 @@ def validate_profile(
     defect within ``tol_arc``, a positive radius, and the margin above
     ``tol_parab``.
     """
-    samples = np.array(sample_regular(p, n_samples))
+    samples = sample_regular(p, n_samples)
     fj, gj = _fg(p, samples)
     defect = np.abs(fj.v1 * fj.v1 + gj.v1 * gj.v1 - 1.0)
     margin = np.minimum(np.abs(_dphi(fj, gj)), np.abs(gj.v1))
@@ -410,7 +406,7 @@ def grid_rows(
     which keeps every retained row's full uniform circle of theta samples.
     Returns (jets of the kept rows, number excluded).
     """
-    jets = _jets(p, np.array(sample_regular(p, n_s)))
+    jets = _jets(p, sample_regular(p, n_s))
     bad = _parabolic(jets, tol_parab)
     return jets[~bad], int(np.count_nonzero(bad))
 

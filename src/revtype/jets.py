@@ -8,6 +8,11 @@ rest of the package; finite differences exist only as a test oracle.
 
 Channels hold floats or numpy arrays, so one evaluation carries a batch of
 sample points; domain checks are masks that raise at the first offending one.
+
+A ``float`` operand is a constant: arithmetic with it shifts the value or
+scales every channel instead of running Leibniz against zero channels, and
+`compose` drops the v2/v3 terms of a linear inner jet.  This agrees with the
+full rules up to the sign of a zero, except where they form ``inf * 0 = nan``.
 """
 
 from __future__ import annotations
@@ -62,22 +67,31 @@ class Jet3:
         return Jet3(s if isinstance(s, np.ndarray) else float(s), 1.0, 0.0, 0.0)
 
     def __add__(self, other):
+        if isinstance(other, float):
+            return Jet3(self.v0 + other, self.v1, self.v2, self.v3)
         o = _coerce(other)
         return Jet3(self.v0 + o.v0, self.v1 + o.v1, self.v2 + o.v2, self.v3 + o.v3)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, float):
+            return Jet3(self.v0 - other, self.v1, self.v2, self.v3)
         o = _coerce(other)
         return Jet3(self.v0 - o.v0, self.v1 - o.v1, self.v2 - o.v2, self.v3 - o.v3)
 
     def __rsub__(self, other):
+        if isinstance(other, float):
+            # 0.0 - v, not -v: the sign of a zero channel matches c - u in full.
+            return Jet3(other - self.v0, 0.0 - self.v1, 0.0 - self.v2, 0.0 - self.v3)
         return _coerce(other).__sub__(self)
 
     def __neg__(self):
         return Jet3(-self.v0, -self.v1, -self.v2, -self.v3)
 
     def __mul__(self, other):
+        if isinstance(other, float):
+            return Jet3(self.v0 * other, self.v1 * other, self.v2 * other, self.v3 * other)
         o = _coerce(other)
         return Jet3(
             self.v0 * o.v0,
@@ -89,6 +103,10 @@ class Jet3:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, float):
+            if other == 0.0:
+                raise JetDomainError("division by zero", 0)
+            return Jet3(self.v0 / other, self.v1 / other, self.v2 / other, self.v3 / other)
         o = _coerce(other)
         _check(o.v0 == 0.0, "division by zero")
         # Leibniz applied to self = q * o, solved channel by channel.
@@ -111,6 +129,9 @@ class Jet3:
 
 def compose(u: Jet3, d0, d1, d2, d3) -> Jet3:
     """Chain rule for F(u) given outer derivatives d0..d3 of F at u.v0."""
+    if isinstance(u.v2, float) and isinstance(u.v3, float) and u.v2 == u.v3 == 0.0:
+        c = u.v1
+        return Jet3(d0, d1 * c, d2 * c * c, d3 * c * c * c)
     return Jet3(
         d0,
         d1 * u.v1,

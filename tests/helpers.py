@@ -1,5 +1,6 @@
 """Shared test oracles: central finite differences, symbolic differentiation,
-a deterministic random-expression generator, scalar surface points, tangents
+a deterministic random-expression generator, an all-jet expression
+evaluator and a per-point profile sampler, scalar surface points, tangents
 and Gauss-map derivatives, a grid-materialising reference for the
 coordinate fit, and a per-point reference for the contradiction scan.
 
@@ -9,12 +10,25 @@ These stay independent of the jet-propagation code paths they check.
 from __future__ import annotations
 
 import math
+import operator
+import types
 from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
 
-from revtype import eval_jet3, parse
+from revtype import eval_jet3, jets, parse
+from revtype.expressions import (
+    BinOp,
+    DomainEvalError,
+    Func,
+    Num,
+    Param,
+    Pow,
+    UnboundParameterError,
+    Var,
+    unparse,
+)
 from revtype.beltrami import laplacian_profile_factors
 from revtype.classify import (
     DEFAULT_TOL_FIT,
@@ -113,6 +127,84 @@ def sample_well_behaved(rng, max_mag: float = 20.0, span: float = 2.0):
             math.isfinite(w) and abs(w) <= 3 * max_mag for w in window
         ):
             return text, s0
+
+
+# Reference evaluator: every node, constants included, is a Jet3, so each
+# operation runs the full Leibniz or chain rule and no scalar path of
+# `Jet3` or `jets.compose` is taken.
+
+def _reference_compose(u, d0, d1, d2, d3):
+    """`jets.compose` without the shortcut for a linear inner jet."""
+    return jets.Jet3(
+        d0,
+        d1 * u.v1,
+        d2 * u.v1 * u.v1 + d1 * u.v2,
+        d3 * u.v1 * u.v1 * u.v1 + 3.0 * d2 * u.v1 * u.v2 + d1 * u.v3,
+    )
+
+
+def _with_reference_compose(fn):
+    """``fn`` of `revtype.jets`, calling `_reference_compose` for compose."""
+    return types.FunctionType(fn.__code__, {**vars(jets), "compose": _reference_compose})
+
+
+_REFERENCE_FUNCTIONS = {name: _with_reference_compose(fn) for name, fn in jets.FUNCTIONS.items()}
+_REFERENCE_POW = _with_reference_compose(jets.pow_rational)
+_REFERENCE_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                     "/": operator.truediv}
+
+
+def reference_eval_jet3(e, s, params=None):
+    """`revtype.eval_jet3` with every constant held as a `Jet3.constant`."""
+    params = params or {}
+    batch = np.ndim(s) > 0
+    var = jets.Jet3.variable(np.asarray(s, dtype=float) if batch else s)
+
+    def apply(node, fn, *args):
+        try:
+            return fn(*args)
+        except jets.JetDomainError as exc:
+            raise DomainEvalError(str(exc), unparse(node), exc.index) from None
+
+    def ev(node):
+        if isinstance(node, Num):
+            return jets.Jet3.constant(node.value)
+        if isinstance(node, Var):
+            return var
+        if isinstance(node, Param):
+            try:
+                return jets.Jet3.constant(params[node.name])
+            except KeyError:
+                raise UnboundParameterError(node.name) from None
+        if isinstance(node, Func):
+            return apply(node, _REFERENCE_FUNCTIONS[node.name], ev(node.arg))
+        if isinstance(node, BinOp):
+            return apply(node, _REFERENCE_BINOPS[node.op], ev(node.lhs), ev(node.rhs))
+        if isinstance(node, Pow):
+            return apply(node, _REFERENCE_POW, ev(node.base), node.exponent)
+        raise TypeError(f"not an expression node: {node!r}")
+
+    out = ev(e)
+    if not batch:
+        return out
+    shape = var.v0.shape
+    return jets.Jet3(*(np.broadcast_to(c, shape) for c in (out.v0, out.v1, out.v2, out.v3)))
+
+
+def reference_sample_regular(curve, n: int) -> np.ndarray:
+    """`revtype.geometry.sample_regular` computed one point at a time."""
+    if n < 2:
+        raise ValueError("need at least 2 samples")
+    intervals = curve.regular_intervals()
+    if not intervals:
+        raise ValueError("regular subdomain is empty")
+    total = sum(hi - lo for lo, hi in intervals)
+    samples = []
+    for lo, hi in intervals:
+        k = max(1, round(n * (hi - lo) / total))
+        width = (hi - lo) / k
+        samples.extend(lo + (i + 0.5) * width for i in range(k))
+    return np.array(sorted(samples))
 
 
 # Reference coordinate fit: one row of X and B per grid point, solved by

@@ -4,7 +4,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -12,10 +15,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revtype import catalog, classify, cli, geometry
+import revtype
+from revtype import beltrami, catalog, classify, cli, geometry
 from revtype.cli import main
 
-from helpers import reference_fit, reference_scan
+from helpers import (
+    reference_eval_jet3,
+    reference_fit,
+    reference_sample_regular,
+    reference_scan,
+)
 
 VERIFY_CHECKS = (
     "position-identity",
@@ -556,6 +565,23 @@ class TestErrors:
         assert err.startswith(f"error: bad profile file {profile}: excluded intervals")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("f", ("2 + s^(2^(10^6))", "2 + s^(1e300^1e300)"))
+    def test_huge_exponent_fails_fast(self, tmp_path, f):
+        # In a child process with a timeout: without the exponent bound the
+        # first text takes seconds and the second does not finish.
+        profile = tmp_path / "p.json"
+        profile.write_text(json.dumps({**TORUS_NO_COLLARS, "f": f}))
+        timed = ("import sys, time; from revtype.cli import main; t = time.perf_counter(); "
+                 "code = main(sys.argv[1:]); print(time.perf_counter() - t); sys.exit(code)")
+        src = str(Path(revtype.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", timed, "classify", "--profile", str(profile)],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: bad profile file {profile}: exponent too large")
+        assert float(proc.stdout) < 1.0
+
     def test_pairs_must_be_positive(self, capsys):
         assert main(["verify", "operator-equivalence", "--catalog", "sphere",
                      "--pairs", "0"]) == 1
@@ -823,3 +849,28 @@ class TestProfileDocumentProperty:
             assert "Traceback" not in err
             if code in (0, 2):
                 json.loads(out, parse_constant=_reject_constant)
+
+
+_TORUS = ["--catalog", "torus", "--param", "R=3", "--param", "r=1"]
+_SAME_BYTES_COMMANDS = (
+    *(["classify", "--catalog", name, "--grid", grid]
+      for name in ("torus", "sphere", "catenoid") for grid in ("1024x16", "64x4096")),
+    *(["verify", check, *_TORUS, "--lambda", "2", "--mu", "2", "--format", fmt]
+      for check in VERIFY_CHECKS for fmt in ("json", "csv")),
+    ["verify", "operator-equivalence", *_TORUS, "--pairs", "600", "--seed", "11"],
+)
+
+
+class TestSameBytes:
+    """The scalar paths of jet evaluation and the array sampler change no
+    output byte: each command prints the same with `eval_jet3` and
+    `sample_regular` swapped for their all-jet, point-by-point oracles."""
+
+    def test_oracles_print_the_same_bytes(self, monkeypatch):
+        program = [captured(argv) for argv in _SAME_BYTES_COMMANDS]
+        monkeypatch.setattr(geometry, "eval_jet3", reference_eval_jet3)
+        monkeypatch.setattr(beltrami, "eval_jet3", reference_eval_jet3)
+        monkeypatch.setattr(geometry, "sample_regular", reference_sample_regular)
+        for argv, got in zip(_SAME_BYTES_COMMANDS, program):
+            assert got[1], argv
+            assert captured(argv) == got, argv

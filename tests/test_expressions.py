@@ -10,12 +10,13 @@ from revtype import (
     UnboundParameterError,
     eval_jet3,
     eval_value,
+    jets,
     parse,
     unparse,
 )
 from revtype.expressions import ArityError, BinOp, Func, Num, Param, Pow, UnknownFunctionError, Var
 
-from helpers import FD_WINDOW, sample_well_behaved, sympy_jet
+from helpers import FD_WINDOW, reference_eval_jet3, sample_well_behaved, sympy_jet
 
 
 class TestParse:
@@ -85,6 +86,33 @@ class TestParse:
     def test_empty(self):
         with pytest.raises(ParseError):
             parse("")
+
+    @pytest.mark.parametrize("text, offset", (
+        ("2 + s^(2^(10^6))", 6),
+        ("s^(1e300^1e300)", 9),
+        ("s^(2^64)", 2),
+        ("s^(1/2^64)", 2),
+        ("s^18446744073709551616", 2),
+        ("s^((3/2)^128)", 2),
+    ))
+    def test_exponent_too_large(self, text, offset):
+        with pytest.raises(ParseError, match="exponent too large") as err:
+            parse(text)
+        assert err.value.offset == offset
+
+    def test_largest_exponents_fold(self):
+        assert parse("s^(2^63)") == Pow(Var(), Fraction(2**63))
+        assert parse("s^-(1/2)^63") == Pow(Var(), Fraction(-1, 2**63))
+        assert parse("s^(1^1000)") == Pow(Var(), Fraction(1))
+
+    def test_catalog_trees_unchanged_by_the_exponent_bound(self, monkeypatch):
+        from revtype import catalog, expressions
+
+        curves = [catalog.make(name).curve for name in catalog.names()]
+        texts = [unparse(e) for curve in curves for e in (curve.f, curve.g)]
+        bounded = [parse(text) for text in texts]
+        monkeypatch.setattr(expressions, "MAX_EXPONENT_BITS", 10**9)
+        assert [parse(text) for text in texts] == bounded
 
 
 class TestEval:
@@ -234,3 +262,86 @@ class TestRoundTrip:
     def test_grammar_samples(self, text):
         first = parse(text)
         assert parse(unparse(first)) == first
+
+
+# Trees over every node kind the evaluator meets, for the oracle comparison.
+_PARAMS = {"c": 1.5, "r": -0.75, "alpha": 0.0, "k0": 3.0}
+_all_leaves = st.one_of(
+    st.builds(Num, st.floats(min_value=0.0, max_value=10.0, allow_nan=False)),
+    st.just(Var()),
+    st.builds(Param, st.sampled_from(sorted(_PARAMS))),
+)
+_rational_exponents = st.sampled_from(
+    [Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(-1), Fraction(-2),
+     Fraction(1, 2), Fraction(3, 2), Fraction(-1, 3), Fraction(5, 4)]
+)
+
+
+def _all_nodes(children):
+    return st.one_of(
+        st.builds(Func, st.sampled_from(sorted(jets.FUNCTIONS)), children),
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/"]), children, children),
+        st.builds(Pow, children, _rational_exponents),
+    )
+
+
+_eval_trees = st.recursive(_all_leaves, _all_nodes, max_leaves=12)
+_points = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+_s_values = st.one_of(_points, st.lists(_points, min_size=1, max_size=6).map(np.array))
+
+
+def _outcome(evaluate, tree, s):
+    """Channels of one evaluation, or the error it raised.  Python-float
+    jets raise ZeroDivisionError where a derivative formula of ln or sqrt
+    underflows to a zero divisor (ln(1e-200)); both evaluators share that."""
+    try:
+        with np.errstate(all="ignore"):
+            j = evaluate(tree, s, _PARAMS)
+    except DomainEvalError as exc:
+        return "error", str(exc), exc.subexpression, exc.index
+    except ZeroDivisionError as exc:
+        return "zero division", str(exc)
+    return j
+
+
+class TestScalarConstants:
+    """Constants evaluated as floats give the channels of the all-jet
+    evaluator, which runs the full Leibniz and chain rules on them."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_eval_trees, _s_values)
+    def test_matches_all_jet_evaluator(self, tree, s):
+        want = _outcome(reference_eval_jet3, tree, s)
+        got = _outcome(eval_jet3, tree, s)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert not isinstance(got, tuple), got
+        for k in range(4):
+            g, w = np.asarray(getattr(got, f"v{k}")), np.asarray(getattr(want, f"v{k}"))
+            assert g.shape == w.shape, k
+            if k:
+                # Where an overflowed value meets a zero channel the full
+                # rules form inf * 0 = nan, a term the scalar paths never
+                # compute; every derivative the oracle does not make nan
+                # must agree, and values agree everywhere.
+                g, w = g[~np.isnan(w)], w[~np.isnan(w)]
+            assert np.array_equal(g, w, equal_nan=True), (unparse(tree), s, k, g, w)
+
+    @pytest.mark.parametrize("text, subexpression", (
+        ("s + 1/0", "1.0 / 0.0"),
+        ("s * ln(0 - 1)", "ln(0.0 - 1.0)"),
+        ("sqrt(c - 2) + s", "sqrt(c - 2.0)"),
+    ))
+    def test_constant_domain_error_names_the_constant(self, text, subexpression):
+        for s in (0.5, np.array([0.5, 1.5])):
+            with pytest.raises(DomainEvalError) as err:
+                eval_jet3(parse(text), s, {"c": 1.0})
+            assert err.value.subexpression == subexpression
+            assert err.value.index == 0
+
+    def test_constant_expression_fills_the_batch(self):
+        j = eval_jet3(parse("c * sin(2)"), np.array([0.0, 1.0, 2.0]), {"c": 3.0})
+        assert j.v0.shape == (3,) and np.all(j.v0 == 3.0 * np.sin(2.0))
+        for channel in (j.v1, j.v2, j.v3):
+            assert channel.shape == (3,) and not np.any(channel)

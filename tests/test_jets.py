@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -124,3 +125,55 @@ def test_scalar_mixing():
     assert (j.v0, j.v1) == (7.0, 2.0)
     j = 1.0 / Jet3.variable(2.0)
     assert j.v0 == 0.5 and j.v1 == -0.25
+
+
+def _same(a: Jet3, b: Jet3) -> bool:
+    """Equal channels; a scalar channel stands for its broadcast, since
+    the full rules broadcast a scalar channel that a float path leaves."""
+    return all(np.array_equal(*np.broadcast_arrays(x, y)) for x, y in zip(
+        (a.v0, a.v1, a.v2, a.v3), (b.v0, b.v1, b.v2, b.v3)))
+
+
+_row = st.lists(finite, min_size=3, max_size=3).map(np.array)
+_any_jet = st.one_of(jet_st, st.builds(Jet3, _row, finite, finite, finite),
+                     st.builds(Jet3, _row, _row, _row, _row))
+
+
+# No divisor so small that a quotient overflows: there the full rule
+# multiplies inf by a zero channel and forms the nan that a float path skips.
+_scale = finite.filter(lambda c: c == 0.0 or abs(c) > 1e-300)
+
+
+@given(_any_jet, _scale)
+def test_float_operand_matches_constant_jet(u, c):
+    # A float operand skips the Leibniz terms that a constant's zero
+    # channels would contribute; the channels agree up to the sign of zero.
+    k = Jet3.constant(c)
+    pairs = [(u + c, u + k), (c + u, k + u), (u - c, u - k), (c - u, k - u),
+             (u * c, u * k), (c * u, k * u)]
+    if c != 0.0:
+        pairs.append((u / c, u / k))
+    for fast, full in pairs:
+        assert _same(fast, full)
+
+
+def test_float_minus_jet_keeps_the_sign_of_zero():
+    # -v would give -0.0 where the full rule's 0.0 - v gives +0.0.
+    u = Jet3(1.0, 0.0, -0.0, 0.0)
+    fast, full = 2.0 - u, Jet3.constant(2.0) - u
+    signs = [math.copysign(1.0, x) for x in (fast.v1, fast.v2, fast.v3)]
+    assert signs == [math.copysign(1.0, x) for x in (full.v1, full.v2, full.v3)] == [1.0] * 3
+
+
+@pytest.mark.parametrize("zero", (0.0, -0.0))
+def test_division_by_float_zero(zero):
+    with pytest.raises(JetDomainError, match="division by zero") as err:
+        Jet3.variable(np.array([1.0, 2.0])) / zero
+    assert err.value.index == 0
+
+
+@given(finite, finite, st.tuples(finite, finite, finite, finite))
+def test_compose_of_linear_inner_jet(v0, v1, d):
+    # 0-d array zeros are not float zeros, so they take the full chain rule.
+    full = jets.compose(Jet3(v0, v1, np.array(0.0), np.array(0.0)), *d)
+    assert _same(jets.compose(Jet3(v0, v1), *d), full)
