@@ -8,10 +8,7 @@ no constant matrix for anything else.
 """
 
 from .beltrami import (
-    CoordinateLaplacian,
     ScalarField,
-    coordinate_fields,
-    coordinate_laplacian,
     expression_field,
     first_beltrami,
     laplacian_profile_factors,
@@ -28,14 +25,11 @@ from .classify import (
     VERDICT_NOT,
     VERDICT_NULL,
     VERDICT_SPHERE,
-    ClosureCoefficients,
     EigenSystemResiduals,
     FitReport,
     ScanCertificate,
-    closure_coefficients,
     contradiction_scan,
     eigen_system_residuals,
-    elimination_consistency,
     fit_matrix,
     quartic_coefficients,
     radius_rate_defect,
@@ -47,7 +41,6 @@ from .expressions import (
     ParseError,
     UnboundParameterError,
     eval_jet3,
-    eval_value,
     parse,
     unparse,
 )

@@ -110,22 +110,6 @@ def expression_field(
     return ScalarField(label=label, profile_jets=profile, harmonic=harmonic, trig=trig)
 
 
-def coordinate_fields() -> tuple[ScalarField, ScalarField, ScalarField]:
-    """The three coordinate functions of the position vector as fields."""
-
-    def f_profile(jets):
-        return (jets.f.v0, jets.f.v1, jets.f.v2)
-
-    def g_profile(jets):
-        return (jets.g.v0, jets.g.v1, jets.g.v2)
-
-    return (
-        ScalarField("x1", f_profile, harmonic=1, trig="cos"),
-        ScalarField("x2", f_profile, harmonic=1, trig="sin"),
-        ScalarField("x3", g_profile, harmonic=0, trig="cos"),
-    )
-
-
 def radii_sum_field() -> ScalarField:
     """R = 2H/K as a theta-independent field (first derivative only)."""
     return ScalarField("2H/K", radii_sum_jet, harmonic=0, trig="cos")
@@ -222,23 +206,6 @@ def laplacian_profile_factors(jets: RegularJets) -> tuple[float, float]:
     radial = R * sin_phi - (cos_phi / dphi) * dR
     axial = -R * cos_phi - (sin_phi / dphi) * dR
     return radial, axial
-
-
-@dataclass(frozen=True, eq=False)
-class CoordinateLaplacian:
-    radial: float
-    axial: float
-    vector: np.ndarray
-
-
-def coordinate_laplacian(jets: RegularJets, theta: float) -> CoordinateLaplacian:
-    """Laplacian of the three coordinate functions at (s, theta), s the
-    point of ``jets``."""
-    radial, axial = laplacian_profile_factors(jets)
-    vec = np.array(
-        [radial * math.cos(theta), radial * math.sin(theta), axial]
-    )
-    return CoordinateLaplacian(radial=radial, axial=axial, vector=vec)
 
 
 @dataclass(frozen=True)

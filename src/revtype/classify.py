@@ -295,28 +295,6 @@ def radius_rate_defect(jets: RegularJets, lam: float, mu: float) -> np.ndarray:
     return np.abs(dR - 0.5 * (lam - mu) * jets.sin_phi * jets.cos_phi)
 
 
-@dataclass(frozen=True)
-class ClosureCoefficients:
-    """Coefficients of the closure system for distinct eigenvalues.
-
-    coeff_f and coeff_g multiply f and g in the first closure relation;
-    coeff_f_deriv and coeff_g_deriv multiply f/sin(phi) and g/cos(phi) in
-    its s-derivative.  c4, c2, c0 are the quartic-in-sin(phi) coefficients
-    left after eliminating f and g.
-    """
-
-    coeff_f: float
-    coeff_g: float
-    coeff_f_deriv: float
-    coeff_g_deriv: float
-    c4: float
-    c2: float
-    c0: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def quartic_coefficients(lam, mu) -> tuple:
     """(c4, c2, c0) of the eliminated closure equation
     c4 sin^4(phi) + c2 sin^2(phi) + c0 = 0, for floats or arrays."""
@@ -327,42 +305,18 @@ def quartic_coefficients(lam, mu) -> tuple:
     return c4, c2, c0
 
 
-def closure_coefficients(lam: float, mu: float, sin_phi: float) -> ClosureCoefficients:
-    if lam == mu:
-        raise ValueError("closure system requires distinct eigenvalues")
-    if not 0.0 < sin_phi < 1.0:
-        raise ValueError("sin_phi must lie strictly between 0 and 1")
-    cos_phi = math.sqrt(1.0 - sin_phi * sin_phi)
-    d = lam - mu
-    t = sin_phi * sin_phi
-    coeff_f = lam * sin_phi + (lam + mu) / (d * sin_phi)
-    coeff_g = 2.0 * mu / (d * cos_phi) - mu * cos_phi
-    coeff_f_deriv = (
-        lam * d * d * t * t
-        + d * (lam * mu - lam * lam + 3.0 * lam + mu) * t
-        - (lam + mu) * (3.0 * lam - mu)
-    )
-    coeff_g_deriv = mu * (d * d * t * t + d * (mu - lam + 4.0) * t - 2.0 * (lam + mu))
-    c4, c2, c0 = quartic_coefficients(lam, mu)
-    return ClosureCoefficients(
-        coeff_f=coeff_f,
-        coeff_g=coeff_g,
-        coeff_f_deriv=coeff_f_deriv,
-        coeff_g_deriv=coeff_g_deriv,
-        c4=c4,
-        c2=c2,
-        c0=c0,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Interval arithmetic for the cell certificate.  An interval is a (lo, hi)
-# pair whose bounds are floats or equal-shape arrays, one box per element.
-# Every operation rounds to nearest and then widens each bound outward, so
-# the enclosures hold under floating point.
-
-# Subdivision depth at which an undecided side of a box counts as a failure.
-MAX_DEPTH = 24
+# The closure coefficients have no common zero off the diagonal: with the
+# cofactors a, b, c below, a c4 + b c2 + c c0 = lam - mu identically, a
+# certificate in the sense of the weak Nullstellensatz.  Each row is a
+# monomial lam^i mu^j as (i, j), then its coefficients in 300 a, 300 b and
+# 300 c.
+_COFACTORS = (
+    ((1, 1), (-110, -110, -66)),
+    ((1, 0), (-61, -61, 157)),
+    ((0, 2), (66, 66, 66)),
+    ((0, 1), (591, 239, -157)),
+    ((0, 0), (626, -150, 0)),
+)
 # Lattice points or cells per array pass of the scan.  A pass takes whole
 # lambda rows, so each temporary array holds about 32 KB.
 BLOCK_CELLS = 4096
@@ -375,116 +329,52 @@ BLOCK_CELLS = 4096
 MAX_SCAN_POINTS = 2**24
 
 
-def _outward(lo, hi):
-    """Widen (lo, hi) past the exact result of the one round-to-nearest
-    operation that produced each bound: a bound moves by |bound| * 2**-52,
-    at least one ulp, plus the smallest subnormal for results near zero.
-    lo and hi are fresh results, and arrays are widened in place."""
-    wl, wh = np.abs(lo), np.abs(hi)
-    wl *= 2.0**-52
-    wl += 5e-324
-    wh *= 2.0**-52
-    wh += 5e-324
-    lo -= wl
-    hi += wh
-    return lo, hi
+def _identity_holds() -> bool:
+    """Whether a c4 + b c2 + c c0 = lam - mu holds for every (lam, mu).
 
-
-def _imul(a, b):
-    p, q, r, s = a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]
-    return _outward(
-        np.minimum(np.minimum(p, q), np.minimum(r, s)),
-        np.maximum(np.maximum(p, q), np.maximum(r, s)),
-    )
-
-
-def _iadd(a, b):
-    return _outward(a[0] + b[0], a[1] + b[1])
-
-
-def _isub(a, b):
-    return _outward(a[0] - b[1], a[1] - b[0])
-
-
-def _isquare(a):
-    lo, hi = np.abs(a[0]), np.abs(a[1])
-    lower, upper = _outward(np.minimum(lo, hi) ** 2, np.maximum(lo, hi) ** 2)
-    return np.where((a[0] <= 0.0) & (0.0 <= a[1]), 0.0, np.maximum(lower, 0.0)), upper
-
-
-def _iscale(a, c: float):
-    """a times a positive constant c; rounding to nearest is monotone, so
-    a[0] * c <= a[1] * c."""
-    return _outward(a[0] * c, a[1] * c)
-
-
-def _excludes_zero(a):
-    return (a[0] > 0.0) | (a[1] < 0.0)
-
-
-def _sides(L, M, gap: float):
-    """(present, T) for each side of the diagonal strip |lam - mu| < gap:
-    whether some point of the box L x M lies on that side, and an
-    enclosure T of lam - mu there."""
-    raw_lo, raw_hi = _isub(L, M)
-    return (
-        (raw_hi >= gap, (np.maximum(gap, raw_lo), raw_hi)),
-        (raw_lo <= -gap, (raw_lo, np.minimum(-gap, raw_hi))),
-    )
-
-
-def _certify_cells(boxes: np.ndarray, gap: float) -> tuple[int, int]:
-    """Certify that (c4, c2, c0) has no common zero on any box intersected
-    with |lam - mu| >= gap; the columns of ``boxes`` are the boxes
-    (lam_lo, lam_hi, mu_lo, mu_hi).
-
-    Breadth first: each pass examines every box of one depth, and a box is
-    halved along its longer side once per side of the diagonal strip on
-    which no coefficient enclosure excludes zero.  Undecided sides at
-    MAX_DEPTH count as failures.  Returns (boxes examined, failures).
-
-    c0 does not depend on the side, and its enclosure excludes zero on
-    about 99% of the boxes of a fine scan, so each pass encloses c0 on
-    every box first and the sides, c4 and c2 only on the boxes where c0's
-    enclosure holds zero (on every box once a bound or the gap reaches
-    2**300, where they could overflow).  Each box gets the same enclosures
-    and decision as when all three are enclosed everywhere.
+    The difference 300 (a c4 + b c2 + c c0 - (lam - mu)) is evaluated at the
+    integer points {0..5}^2, in one pass through `quartic_coefficients`.
+    The check is exact as long as `quartic_coefficients` stays straight-line
+    + - * code with integer constants and degree at most 3 in each
+    variable: the cofactors have degree at most 2 in each, so the difference
+    has degree at most 5 in each variable and is the zero polynomial when it
+    vanishes on a 6 x 6 grid; and every intermediate value there is an
+    integer of magnitude below 2**21, so no float operation rounds.  No exact
+    polynomial type or computer algebra is needed.
     """
-    examined = failures = 0
-    for depth in range(MAX_DEPTH + 1):
-        if not boxes.shape[1]:
-            break
-        examined += boxes.shape[1]
-        L, M = boxes[:2], boxes[2:]
-        c0 = _imul(_iadd(L, M), _iadd(_isub(M, _iscale(L, 3.0)), (4.0, 4.0)))
-        held = ~_excludes_zero(c0)
-        # While the bounds and gap stay below 2**300, no enclosure of the
-        # sides, c4 or c2 can overflow.  Past that they are enclosed on every
-        # box, so an overflow on a box that c0 decides still fails closed.
-        rest = np.flatnonzero(held | (max(gap, np.abs(boxes).max()) >= 2.0**300))
-        L, M, held = L[:, rest], M[:, rest], held[rest]
-        # c2 = (lam - mu) q, and q does not depend on the side.
-        q = _iadd(
-            _isub(_imul(L, M), _isquare(L)),
-            _iadd(_iadd(_iscale(L, 5.0), M), (-2.0, -2.0)),
-        )
-        undecided = np.zeros(boxes.shape[1], dtype=int)
-        for present, T in _sides(L, M, gap):
-            c4, c2 = _imul(L, _isquare(T)), _imul(T, q)
-            undecided[rest] += present & held & ~(_excludes_zero(c4) | _excludes_zero(c2))
-        if depth == MAX_DEPTH:
-            failures = int(undecided.sum())
-            break
-        boxes = np.repeat(boxes, undecided, axis=1)
-        # Row k holds the lower bound of the side to halve, row k + 1 its upper.
-        k = np.where(boxes[1] - boxes[0] >= boxes[3] - boxes[2], 0, 2)
-        cols = np.arange(boxes.shape[1])
-        mid = 0.5 * (boxes[k, cols] + boxes[k + 1, cols])
-        lower, upper = boxes.copy(), boxes
-        lower[k + 1, cols] = mid
-        upper[k, cols] = mid
-        boxes = np.concatenate((lower, upper), axis=1)
-    return examined, failures
+    lam, mu = np.meshgrid(np.arange(6.0), np.arange(6.0))
+    coeffs = quartic_coefficients(lam, mu)
+    residual = -300.0 * (lam - mu)
+    for (i, j), row in _COFACTORS:
+        monomial = lam**i * mu**j
+        for cofactor, c in zip(row, coeffs):
+            residual += cofactor * monomial * c
+    return not residual.any()
+
+
+def _bound_terms() -> list:
+    """(i, j, u) for each monomial lam^i mu^j of the cofactors: u is the
+    sum of the row's absolute coefficients over 300, rounded up to a float,
+    so |a| + |b| + |c| <= sum of u |lam|^i |mu|^j."""
+    return [(i, j, np.nextafter(sum(map(abs, row)) / 300, math.inf))
+            for (i, j), row in _COFACTORS]
+
+
+def _cell_bounds(l, m, gap: float):
+    """A lower bound of max(|c4|, |c2|, |c0|) on each cell minus the strip
+    |lam - mu| < gap; l and m are the largest |lam| and |mu| of each cell.
+
+    Off the strip |lam - mu| >= gap, and |a| + |b| + |c| <= U, the sum of
+    u l^i m^j over `_bound_terms`, so the identity gives
+    gap <= U max(|c4|, |c2|, |c0|).  U sums non-negative terms with at most
+    three roundings to nearest in each and four in the sum, each off by a
+    relative 2**-53 at most, so widening it by a relative 2**-48 bounds the
+    exact sum; the constant term keeps U above 2, so an underflow in the
+    others stays far inside that widening.  nextafter takes the rounded
+    quotient below gap / U.
+    """
+    U = sum(u * l**i * m**j for i, j, u in _bound_terms())
+    return np.nextafter(gap / (U * (1.0 + 2.0**-48)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -502,6 +392,7 @@ class ScanCertificate:
     cells_examined: int
     cell_failures: int
     cells_certified: bool
+    certified_lower_bound: Optional[float]
     note: str = ""
 
     def to_dict(self) -> dict:
@@ -536,7 +427,12 @@ def _blocks(rows: np.ndarray, cols: np.ndarray):
         )
 
 
-# An overflowed enclosure would look like it excludes zero, so overflow raises.
+# An overflow would hide the lattice minimum or leave an infinite U, so
+# overflow raises.  U has degree 2 and the lattice coefficients degree 3:
+# on boxes within about 1e100 of the origin neither can overflow, and a
+# box whose U overflows (a cell edge past about 7e153) overflows the
+# lattice too unless no lattice point comes near that edge.  Either way
+# the scan raises rather than report an unproved cell.
 @np.errstate(over="raise", invalid="raise")
 def contradiction_scan(
     lam_range: tuple[float, float] = (-10.0, 10.0),
@@ -547,23 +443,28 @@ def contradiction_scan(
     coefficients (c4, c2, c0) never vanish simultaneously.
 
     The lattice scan reports the minimum over points of
-    max(|c4|, |c2|, |c0|) with its first argmin in row-major order.  An
-    interval-arithmetic subdivision then converts the finite scan into a
-    certificate on the whole box minus the diagonal strip
-    |lam - mu| < step/2; its cells run from lam_range[0] to lam_range[1]
-    and mu_range[0] to mu_range[1], with the lattice points inside as
-    edges.  Both run over blocks of whole lambda rows of about BLOCK_CELLS
-    points or cells.  Every interval bound is rounded outward, so a
-    certified box is certified under floating point.  A box without area
-    (a range that is one point) has no cells and is never certified.
+    max(|c4|, |c2|, |c0|) with its first argmin in row-major order.  The
+    cofactor identity a c4 + b c2 + c c0 = lam - mu (see `_COFACTORS`)
+    then turns the finite scan into a certificate on the whole box minus
+    the diagonal strip |lam - mu| < step/2: on each cell,
+    max(|c4|, |c2|, |c0|) >= `_cell_bounds`, which is gap / U rounded
+    down, and `certified_lower_bound` is the least of those bounds.  The
+    cells run from lam_range[0] to lam_range[1] and mu_range[0] to
+    mu_range[1], with the lattice points inside as edges.  Both passes run
+    over blocks of whole lambda rows of about BLOCK_CELLS points or cells.
+    `cells_certified` holds when the identity checks exactly
+    (`_identity_holds`), the box has cells and every cell's bound is
+    positive and finite; if the identity fails, every cell fails.  A box
+    without area (a range that is one point) has no cells and is never
+    certified.
 
     The quartic follows from the closure system only for mu != 0: the
-    elimination drops an overall factor mu (see EliminationReport), so the
-    certificate says nothing about the line mu = 0.  Raises ValueError on
-    an empty or non-finite range and on a step that is not finite and
-    positive or leaves more than MAX_SCAN_POINTS lattice points,
-    OverflowError when their number overflows, and FloatingPointError
-    when the coefficients overflow.
+    elimination drops an overall factor mu, so the certificate says nothing
+    about the line mu = 0.  Raises ValueError on an empty or non-finite
+    range and on a step that is not finite and positive or leaves more
+    than MAX_SCAN_POINTS lattice points, OverflowError when their number
+    overflows, and FloatingPointError when the coefficients or a cell's U
+    overflow.
     """
     for name, values in (("lam_range", lam_range), ("mu_range", mu_range), ("step", (step,))):
         if not all(math.isfinite(v) for v in values):
@@ -595,20 +496,23 @@ def contradiction_scan(
         if best is None or m[k] < best[0]:
             best = (float(m[k]), (float(lam[k]), float(mu[k])), tuple(float(c[k]) for c in coeffs))
     min_max, argmin, argmin_coeffs = best or (None, None, None)
-    cells_examined = cell_failures = 0
+    cells = cell_failures = 0
+    lowest = math.inf
     if scanned:
-        lam_edges = _cell_edges(lam_range[0], lam_range[1], step)
-        mu_edges = _cell_edges(mu_range[0], mu_range[1], step)
-        lam_cells = np.stack((lam_edges[:-1], lam_edges[1:]))
-        mu_cells = np.stack((mu_edges[:-1], mu_edges[1:]))
-        for boxes in _blocks(lam_cells, mu_cells):
-            e, f = _certify_cells(boxes, gap)
-            cells_examined += e
-            cell_failures += f
+        # The largest |lam| and |mu| of each cell, taken at one of its edges.
+        l, m = (np.maximum(np.abs(edges[:-1]), np.abs(edges[1:])) for edges in
+                (_cell_edges(*lam_range, step), _cell_edges(*mu_range, step)))
+        for block in _blocks(l[None], m[None]):
+            bounds = _cell_bounds(block[0], block[1], gap)
+            cells += bounds.size
+            cell_failures += int(np.count_nonzero(~(np.isfinite(bounds) & (bounds > 0.0))))
+            lowest = min(lowest, float(bounds.min(initial=math.inf)))
+        if cells and not _identity_holds():
+            cell_failures, lowest = cells, math.inf
     note = ""
     if not scanned:
         note = "all lattice points fell on the diagonal"
-    elif not cells_examined:
+    elif not cells:
         note = "the box has no area, so no cell was certified"
     return ScanCertificate(
         lam_range=lam_range,
@@ -619,57 +523,9 @@ def contradiction_scan(
         min_max_coefficient=min_max,
         argmin=argmin,
         argmin_coefficients=argmin_coeffs,
-        cells_examined=cells_examined,
+        cells_examined=cells,
         cell_failures=cell_failures,
-        cells_certified=cells_examined > 0 and cell_failures == 0,
+        cells_certified=cells > 0 and cell_failures == 0,
+        certified_lower_bound=lowest if math.isfinite(lowest) else None,
         note=note,
-    )
-
-
-@dataclass(frozen=True)
-class EliminationReport:
-    """Consistency of eliminating f and g from the paired closure relations.
-
-    D is the 2x2 elimination determinant; Q the quartic polynomial.  The
-    derived identity is D * sin(phi) * cos(phi) = mu * Q, i.e. the dropped
-    overall factor is mu / (sin(phi) cos(phi)).
-    """
-
-    max_factor_defect: float
-    zero_set_mismatches: int
-    n_samples: int
-    proportionality_factor: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def elimination_consistency(
-    lam: float, mu: float, n_phi: int = 100, zero_tol: float = 1e-9
-) -> EliminationReport:
-    if lam == mu:
-        raise ValueError("elimination requires distinct eigenvalues")
-    worst = 0.0
-    mismatches = 0
-    for j in range(n_phi):
-        phi = 0.5 * math.pi * (j + 0.5) / n_phi
-        sin_phi, cos_phi = math.sin(phi), math.cos(phi)
-        co = closure_coefficients(lam, mu, sin_phi)
-        D = co.coeff_f * co.coeff_g_deriv / cos_phi - co.coeff_g * co.coeff_f_deriv / sin_phi
-        t = sin_phi * sin_phi
-        Q = co.c4 * t * t + co.c2 * t + co.c0
-        lhs = D * sin_phi * cos_phi
-        rhs = mu * Q
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
-        scale_d = abs(co.coeff_f * co.coeff_g_deriv) + abs(co.coeff_g * co.coeff_f_deriv)
-        scale_q = abs(co.c4) + abs(co.c2) + abs(co.c0)
-        d_zero = abs(D) <= zero_tol * (1.0 + scale_d)
-        q_zero = abs(Q) <= zero_tol * (1.0 + scale_q)
-        if d_zero != q_zero:
-            mismatches += 1
-    return EliminationReport(
-        max_factor_defect=worst,
-        zero_set_mismatches=mismatches,
-        n_samples=n_phi,
-        proportionality_factor=mu,
     )

@@ -356,10 +356,6 @@ def eval_jet3(e: Expr, s, params: Optional[Mapping[str, float]] = None) -> Jet3:
                   for c in (out.v0, out.v1, out.v2, out.v3)))
 
 
-def eval_value(e: Expr, s: float, params: Optional[Mapping[str, float]] = None) -> float:
-    return eval_jet3(e, s, params).v0
-
-
 # Precedence levels for unparsing.
 _ADD, _MUL, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
 

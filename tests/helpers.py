@@ -2,7 +2,10 @@
 a deterministic random-expression generator, an all-jet expression
 evaluator and a per-point profile sampler, scalar surface points, tangents
 and Gauss-map derivatives, a grid-materialising reference for the
-coordinate fit, and a per-point reference for the contradiction scan.
+coordinate fit, a per-point reference for the contradiction scan's lattice
+and an interval-subdivision certifier for its cells, sympy checks of the
+closure algebra, and the coordinate fields, coordinate Laplacian, closure
+coefficients and elimination check that only tests use.
 
 These stay independent of the jet-propagation code paths they check.
 """
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 import types
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import sympy as sp
@@ -29,8 +32,9 @@ from revtype.expressions import (
     Var,
     unparse,
 )
-from revtype.beltrami import laplacian_profile_factors
+from revtype.beltrami import ScalarField, laplacian_profile_factors
 from revtype.classify import (
+    _COFACTORS,
     DEFAULT_TOL_FIT,
     DEFAULT_TOL_REJECT,
     VERDICT_INCONCLUSIVE,
@@ -43,6 +47,11 @@ from revtype.geometry import DEFAULT_TOL_PARAB, grid_rows, theta_circle
 
 _S = sp.Symbol("s")
 SYMPY_LOCALS = {"s": _S, "ln": sp.log, "asinh": sp.asinh}
+
+
+def eval_value(e, s: float, params=None) -> float:
+    """The value of expression ``e`` at ``s``."""
+    return eval_jet3(e, s, params).v0
 
 
 def fd_derivatives(fn, s: float) -> tuple[float, float, float]:
@@ -309,9 +318,14 @@ def reference_fit(
     return out
 
 
-# Reference contradiction scan: a point-by-point lattice loop and a
-# depth-first cell certifier over scalar intervals.  Each operation rounds
-# to nearest, then moves each bound out by |bound| * 2**-52 + 5e-324.
+# Reference contradiction scan: a point-by-point lattice loop, and a
+# depth-first subdivision certifier of the cells over scalar intervals.
+# Each interval operation rounds to nearest, then moves each bound out by
+# |bound| * 2**-52 + 5e-324.
+
+# Depth at which an undecided side of a subdivided cell counts as a failure.
+SUBDIVISION_DEPTH = 24
+
 
 def _out(lo: float, hi: float) -> tuple[float, float]:
     return lo - (abs(lo) * 2.0**-52 + 5e-324), hi + (abs(hi) * 2.0**-52 + 5e-324)
@@ -351,7 +365,7 @@ def _coeff_intervals(L, M, T):
     return c4, c2, c0
 
 
-def reference_sides(L, M, gap: float) -> list:
+def _sides(L, M, gap: float) -> list:
     """The (c4, c2, c0) enclosures on each side of the strip
     |lam - mu| < gap that the box L x M reaches."""
     raw_lo, raw_hi = _isub(L, M)
@@ -363,14 +377,14 @@ def reference_sides(L, M, gap: float) -> list:
     return [_coeff_intervals(L, M, T) for T in sides]
 
 
-def _certify_cell(L, M, gap: float, depth: int, max_depth: int) -> tuple[int, int]:
-    """(cells examined, failures) for the box L x M minus |lam - mu| < gap,
-    halving the longer side once per undecided side of the strip."""
-    examined, failures = 1, 0
-    for c4, c2, c0 in reference_sides(L, M, gap):
+def _certify_cell(L, M, gap: float, depth: int) -> int:
+    """Failures for the box L x M minus |lam - mu| < gap, halving the
+    longer side once per undecided side of the strip."""
+    failures = 0
+    for c4, c2, c0 in _sides(L, M, gap):
         if _excludes_zero(c4) or _excludes_zero(c2) or _excludes_zero(c0):
             continue
-        if depth >= max_depth:
+        if depth >= SUBDIVISION_DEPTH:
             failures += 1
             continue
         if L[1] - L[0] >= M[1] - M[0]:
@@ -380,10 +394,8 @@ def _certify_cell(L, M, gap: float, depth: int, max_depth: int) -> tuple[int, in
             mid = 0.5 * (M[0] + M[1])
             halves = ((L, (M[0], mid)), (L, (mid, M[1])))
         for hl, hm in halves:
-            e, f = _certify_cell(hl, hm, gap, depth + 1, max_depth)
-            examined += e
-            failures += f
-    return examined, failures
+            failures += _certify_cell(hl, hm, gap, depth + 1)
+    return failures
 
 
 def _lattice(lo: float, hi: float, step: float) -> list[float]:
@@ -406,10 +418,10 @@ def _edges(lo: float, hi: float, step: float) -> list[float]:
     return [lo, *inner, hi]
 
 
-def reference_scan(lam_range, mu_range, step: float, max_depth: int = 24) -> dict:
-    """The scan certificate's counts, lattice minimum and verdict, one point
-    and one cell at a time; the cells span lam_range x mu_range, and a box
-    with no cells is not certified."""
+def reference_scan(lam_range, mu_range, step: float) -> dict:
+    """The scan certificate's lattice fields, one point at a time, and its
+    cell count: the cells span lam_range x mu_range and are counted only
+    when some lattice point is off the diagonal."""
     lams = _lattice(*lam_range, step)
     mus = _lattice(*mu_range, step)
     gap = 0.5 * step
@@ -426,27 +438,193 @@ def reference_scan(lam_range, mu_range, step: float, max_depth: int = 24) -> dic
             if best is None or m < best[0]:
                 best = (m, lam, mu)
                 best_coeffs = (c4, c2, c0)
-    examined = failures = 0
+    cells = 0
     if scanned:
-        lam_edges, mu_edges = _edges(*lam_range, step), _edges(*mu_range, step)
-        for i in range(len(lam_edges) - 1):
-            for j in range(len(mu_edges) - 1):
-                e, f = _certify_cell(
-                    (lam_edges[i], lam_edges[i + 1]),
-                    (mu_edges[j], mu_edges[j + 1]),
-                    gap,
-                    0,
-                    max_depth,
-                )
-                examined += e
-                failures += f
+        cells = (len(_edges(*lam_range, step)) - 1) * (
+            len(_edges(*mu_range, step)) - 1)
     return {
         "points_scanned": scanned,
         "points_skipped_diagonal": skipped,
         "min_max_coefficient": None if best is None else best[0],
         "argmin": None if best is None else (best[1], best[2]),
         "argmin_coefficients": best_coeffs,
-        "cells_examined": examined,
-        "cell_failures": failures,
-        "cells_certified": examined > 0 and failures == 0,
+        "cells_examined": cells,
     }
+
+
+def subdivision_certifies(lam_range, mu_range, step: float) -> bool:
+    """Whether interval subdivision, down to SUBDIVISION_DEPTH, proves that
+    (c4, c2, c0) has no common zero on any cell of the box minus the strip
+    |lam - mu| < step/2; a box without cells or without an off-diagonal
+    lattice point is not certified."""
+    if not reference_scan(lam_range, mu_range, step)["cells_examined"]:
+        return False
+    lam_edges, mu_edges = _edges(*lam_range, step), _edges(*mu_range, step)
+    return not any(
+        _certify_cell(L, M, 0.5 * step, 0)
+        for L in zip(lam_edges, lam_edges[1:])
+        for M in zip(mu_edges, mu_edges[1:])
+    )
+
+
+# The closure algebra in sympy: the lex Groebner basis of the ideal of
+# (c4, c2, c0), and the cofactor identity a c4 + b c2 + c c0 = lam - mu
+# expanded from `revtype.classify._COFACTORS`.
+
+_LAM, _MU = sp.symbols("lam mu")
+
+
+def _symbolic_coefficients() -> list:
+    return [sp.nsimplify(sp.expand(c)) for c in quartic_coefficients(_LAM, _MU)]
+
+
+def closure_groebner_basis() -> list:
+    """The lex (lam > mu) Groebner basis of (c4, c2, c0) as strings."""
+    basis = sp.groebner(_symbolic_coefficients(), _LAM, _MU, order="lex")
+    return [str(g) for g in basis.exprs]
+
+
+def cofactor_identity_remainder(cofactors=_COFACTORS):
+    """a c4 + b c2 + c c0 - (lam - mu), expanded, for the cofactors table
+    ``cofactors`` (monomial exponents, then 300 a, 300 b, 300 c)."""
+    coefficients = _symbolic_coefficients()
+    total = -(_LAM - _MU)
+    for (i, j), row in cofactors:
+        monomial = _LAM**i * _MU**j
+        for coefficient, c in zip(row, coefficients):
+            total += sp.Rational(coefficient, 300) * monomial * c
+    return sp.expand(total)
+
+
+# Test-only closure algebra and coordinate fields: the closure system's
+# coefficients at one point, the elimination check D sin(phi) cos(phi) = mu Q
+# behind the quartic, and the coordinate functions of the position vector.
+
+@dataclass(frozen=True)
+class ClosureCoefficients:
+    """Coefficients of the closure system for distinct eigenvalues.
+
+    coeff_f and coeff_g multiply f and g in the first closure relation;
+    coeff_f_deriv and coeff_g_deriv multiply f/sin(phi) and g/cos(phi) in
+    its s-derivative.  c4, c2, c0 are the quartic-in-sin(phi) coefficients
+    left after eliminating f and g.
+    """
+
+    coeff_f: float
+    coeff_g: float
+    coeff_f_deriv: float
+    coeff_g_deriv: float
+    c4: float
+    c2: float
+    c0: float
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+def closure_coefficients(lam: float, mu: float, sin_phi: float) -> ClosureCoefficients:
+    if lam == mu:
+        raise ValueError("closure system requires distinct eigenvalues")
+    if not 0.0 < sin_phi < 1.0:
+        raise ValueError("sin_phi must lie strictly between 0 and 1")
+    cos_phi = math.sqrt(1.0 - sin_phi * sin_phi)
+    d = lam - mu
+    t = sin_phi * sin_phi
+    coeff_f = lam * sin_phi + (lam + mu) / (d * sin_phi)
+    coeff_g = 2.0 * mu / (d * cos_phi) - mu * cos_phi
+    coeff_f_deriv = (
+        lam * d * d * t * t
+        + d * (lam * mu - lam * lam + 3.0 * lam + mu) * t
+        - (lam + mu) * (3.0 * lam - mu)
+    )
+    coeff_g_deriv = mu * (d * d * t * t + d * (mu - lam + 4.0) * t - 2.0 * (lam + mu))
+    c4, c2, c0 = quartic_coefficients(lam, mu)
+    return ClosureCoefficients(
+        coeff_f=coeff_f,
+        coeff_g=coeff_g,
+        coeff_f_deriv=coeff_f_deriv,
+        coeff_g_deriv=coeff_g_deriv,
+        c4=c4,
+        c2=c2,
+        c0=c0,
+    )
+
+
+@dataclass(frozen=True)
+class EliminationReport:
+    """Consistency of eliminating f and g from the paired closure relations.
+
+    D is the 2x2 elimination determinant; Q the quartic polynomial.  The
+    derived identity is D * sin(phi) * cos(phi) = mu * Q, i.e. the dropped
+    overall factor is mu / (sin(phi) cos(phi)).
+    """
+
+    max_factor_defect: float
+    zero_set_mismatches: int
+    n_samples: int
+    proportionality_factor: float
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+def elimination_consistency(
+    lam: float, mu: float, n_phi: int = 100, zero_tol: float = 1e-9
+) -> EliminationReport:
+    if lam == mu:
+        raise ValueError("elimination requires distinct eigenvalues")
+    worst = 0.0
+    mismatches = 0
+    for j in range(n_phi):
+        phi = 0.5 * math.pi * (j + 0.5) / n_phi
+        sin_phi, cos_phi = math.sin(phi), math.cos(phi)
+        co = closure_coefficients(lam, mu, sin_phi)
+        D = co.coeff_f * co.coeff_g_deriv / cos_phi - co.coeff_g * co.coeff_f_deriv / sin_phi
+        t = sin_phi * sin_phi
+        Q = co.c4 * t * t + co.c2 * t + co.c0
+        lhs = D * sin_phi * cos_phi
+        rhs = mu * Q
+        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
+        scale_d = abs(co.coeff_f * co.coeff_g_deriv) + abs(co.coeff_g * co.coeff_f_deriv)
+        scale_q = abs(co.c4) + abs(co.c2) + abs(co.c0)
+        d_zero = abs(D) <= zero_tol * (1.0 + scale_d)
+        q_zero = abs(Q) <= zero_tol * (1.0 + scale_q)
+        if d_zero != q_zero:
+            mismatches += 1
+    return EliminationReport(
+        max_factor_defect=worst,
+        zero_set_mismatches=mismatches,
+        n_samples=n_phi,
+        proportionality_factor=mu,
+    )
+
+
+def coordinate_fields() -> tuple[ScalarField, ScalarField, ScalarField]:
+    """The three coordinate functions of the position vector as fields."""
+
+    def f_profile(jets):
+        return (jets.f.v0, jets.f.v1, jets.f.v2)
+
+    def g_profile(jets):
+        return (jets.g.v0, jets.g.v1, jets.g.v2)
+
+    return (
+        ScalarField("x1", f_profile, harmonic=1, trig="cos"),
+        ScalarField("x2", f_profile, harmonic=1, trig="sin"),
+        ScalarField("x3", g_profile, harmonic=0, trig="cos"),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class CoordinateLaplacian:
+    radial: float
+    axial: float
+    vector: np.ndarray
+
+
+def coordinate_laplacian(jets, theta: float) -> CoordinateLaplacian:
+    """Laplacian of the three coordinate functions at (s, theta), s the
+    point of ``jets``."""
+    radial, axial = laplacian_profile_factors(jets)
+    vec = np.array([radial * math.cos(theta), radial * math.sin(theta), axial])
+    return CoordinateLaplacian(radial=radial, axial=axial, vector=vec)

@@ -7,8 +7,6 @@ import pytest
 from revtype import (
     ScalarField,
     catenoid,
-    coordinate_fields,
-    coordinate_laplacian,
     expression_field,
     first_beltrami,
     laplacian_profile_factors,
@@ -25,7 +23,7 @@ from revtype import (
 from revtype.beltrami import FieldPartials, random_fields
 from revtype.geometry import DEFAULT_TOL_PARAB, _jets, _parabolic, sample_regular
 
-from helpers import point_at
+from helpers import coordinate_fields, coordinate_laplacian, point_at
 
 SQRT2 = math.sqrt(2.0)
 

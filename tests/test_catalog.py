@@ -6,7 +6,6 @@ import pytest
 from revtype import (
     broken_diagonal,
     catenoid,
-    eval_value,
     fit_matrix,
     forms_at,
     require_regular,
@@ -16,6 +15,8 @@ from revtype import (
 )
 from revtype import catalog
 from revtype.geometry import profile_from_dict, profile_to_dict, sample_regular
+
+from helpers import eval_value
 
 
 class TestEntries:

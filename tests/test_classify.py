@@ -12,10 +12,8 @@ from revtype import (
     VERDICT_NULL,
     VERDICT_SPHERE,
     catenoid,
-    closure_coefficients,
     contradiction_scan,
     eigen_system_residuals,
-    elimination_consistency,
     fit_matrix,
     quartic_coefficients,
     radius_rate_defect,
@@ -27,7 +25,15 @@ from revtype import classify
 from revtype.classify import fit_from_samples
 from revtype.geometry import grid_rows, require_regular
 
-from helpers import reference_fit, reference_scan, reference_sides
+from helpers import (
+    closure_coefficients,
+    closure_groebner_basis,
+    cofactor_identity_remainder,
+    elimination_consistency,
+    reference_fit,
+    reference_scan,
+    subdivision_certifies,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -37,6 +43,9 @@ TORUS_31_REL_RESIDUAL = 0.894
 # Frozen scan minimum over [-10,10]^2 at step 0.25, diagonal excluded.
 SCAN_MIN = 0.5
 SCAN_ARGMIN = (0.5, -0.5)
+# gap / U on the default box's corner cell: gap = 0.125, and the sum of the
+# absolute cofactor coefficients at |lam| = |mu| = 10 is 61836 / 300.
+SCAN_LOWER_BOUND = 0.125 * 300 / 61836
 
 
 class TestFit:
@@ -301,6 +310,9 @@ class TestContradictionScan:
         assert cert.min_max_coefficient > 0.1
         assert cert.cells_certified
         assert cert.cell_failures == 0
+        assert cert.cells_examined == 80 * 80
+        assert cert.certified_lower_bound == pytest.approx(SCAN_LOWER_BOUND, rel=1e-12)
+        assert cert.certified_lower_bound < SCAN_LOWER_BOUND
 
     def test_small_box(self):
         cert = contradiction_scan((-1.0, 1.0), (-1.0, 1.0), step=0.5)
@@ -334,15 +346,25 @@ class TestContradictionScan:
                 contradiction_scan(**kwargs)
 
     def test_overflow_rejected(self):
-        # overflowed enclosures would exclude zero and certify the box
+        # An overflowed lattice coefficient would hide the minimum.
         with pytest.raises(FloatingPointError):
             contradiction_scan((0.0, 1e200), (0.0, 1e200), step=1e199)
         with pytest.raises(OverflowError):
             contradiction_scan((-1e308, 1e308), (0.0, 1.0), step=1.0)
-        # c0's enclosure is finite and excludes zero on the one cell, but
-        # the enclosure of c4 overflows, so the cell is still not certified.
+        # The lattice stays finite (its only mu is 1e154), but U overflows
+        # at the far edge mu = 1.9e154, so the scan raises, not certifies.
         with pytest.raises(FloatingPointError):
-            contradiction_scan((1e102, 1.99e102), (-8e102, -7e102), step=1e102)
+            contradiction_scan((0.0, 1.0), (0.0, 1.9e154), step=1e154)
+
+    def test_far_box_certified(self):
+        # The lattice coefficients (up to 6.4e307) and U (about 5.7e205)
+        # stay finite, so the one cell is certified by gap / U.
+        step = 1e102
+        cert = contradiction_scan((1e102, 1.99e102), (-8e102, -7e102), step)
+        assert cert.cells_certified and cert.cells_examined == 1 and cert.cell_failures == 0
+        exact = Fraction(step) / 2 / _exact_u(1.99e102, 8e102)
+        assert 0 < Fraction(cert.certified_lower_bound) <= exact
+        assert cert.certified_lower_bound >= float(exact) * (1.0 - 2.0**-44)
 
     def test_serialization(self):
         payload = contradiction_scan((-1.0, 1.0), (-1.0, 1.0), step=1.0).to_dict()
@@ -370,19 +392,18 @@ class TestContradictionScan:
         assert "no area" in cert.note
 
 
-# (lam_range, mu_range, step, cells examined): boxes whose cells subdivide,
-# some splitting once per side of the diagonal strip (steps 0.5 and 1.0),
-# a single point, an all-diagonal box, and a box with bounds past 2**300,
-# on which c4 and c2 are enclosed on every cell.
+# (lam_range, mu_range, step, cells): aligned boxes, a single point, an
+# all-diagonal box, and a box with bounds near 1e102, where the lattice
+# coefficients and U stay finite.
 REFERENCE_BOXES = (
-    ((-1.0, 1.0), (-1.0, 1.0), 0.5, 24),
-    ((-1.0, 1.0), (-1.0, 1.0), 1.0, 40),
-    ((-10.0, 10.0), (-10.0, 10.0), 1.0, 444),
+    ((-1.0, 1.0), (-1.0, 1.0), 0.5, 16),
+    ((-1.0, 1.0), (-1.0, 1.0), 1.0, 4),
+    ((-10.0, 10.0), (-10.0, 10.0), 1.0, 400),
     ((-10.0, 10.0), (-10.0, 10.0), 0.25, 6400),
     ((-0.7, 1.3), (-4.2, -3.1), 0.1, 220),
     ((0.0, 0.0), (2.0, 2.0), 0.25, 0),
     ((1.0, 1.0), (1.0, 1.0), 0.25, 0),
-    ((0.0, 1e100), (-2e102, 2e102), 1e101, 50),
+    ((0.0, 1e100), (-2e102, 2e102), 1e101, 40),
 )
 
 # Boxes whose ranges are not whole multiples of the step: the last cell on
@@ -397,93 +418,95 @@ def _scan_fields(cert, names):
     return {name: getattr(cert, name) for name in names}
 
 
+def _check_against_oracles(lam_range, mu_range, step, cells):
+    """The lattice fields and cell count match the pointwise reference,
+    and every box that interval subdivision certifies is certified."""
+    want = reference_scan(lam_range, mu_range, step)
+    got = contradiction_scan(lam_range, mu_range, step)
+    assert _scan_fields(got, want) == want
+    assert got.cells_examined == cells
+    assert got.cells_certified == (cells > 0)
+    if subdivision_certifies(lam_range, mu_range, step):
+        assert got.cells_certified
+
+
+def _exact_u(l, m):
+    """The sum of |a| + |b| + |c| coefficients times l^i m^j, exactly."""
+    return sum(Fraction(sum(map(abs, row)), 300) * Fraction(l) ** i * Fraction(m) ** j
+               for (i, j), row in classify._COFACTORS)
+
+
 class TestScanOracles:
     @pytest.mark.parametrize("lam_range, mu_range, step, cells", REFERENCE_BOXES)
     def test_matches_pointwise_reference(self, lam_range, mu_range, step, cells):
-        want = reference_scan(lam_range, mu_range, step)
-        got = contradiction_scan(lam_range, mu_range, step)
-        assert _scan_fields(got, want) == want
-        assert got.cells_examined == cells
+        _check_against_oracles(lam_range, mu_range, step, cells)
 
     @pytest.mark.parametrize("lam_range, mu_range, step, cells", NON_ALIGNED_BOXES)
     def test_non_aligned_box_matches_reference(self, lam_range, mu_range, step, cells):
-        want = reference_scan(lam_range, mu_range, step)
-        got = contradiction_scan(lam_range, mu_range, step)
-        assert _scan_fields(got, want) == want
-        assert got.cells_examined == cells
+        _check_against_oracles(lam_range, mu_range, step, cells)
 
     @pytest.mark.parametrize("block", (1, 7, 4096))
     def test_block_size_does_not_change_report(self, monkeypatch, block):
+        boxes = (((-1.0, 1.0), (-1.0, 1.0), 0.5), ((0.0, 1.0), (5.0, 6.0), 0.4))
+        bounds = [contradiction_scan(*box).certified_lower_bound for box in boxes]
         monkeypatch.setattr(classify, "BLOCK_CELLS", block)
         # Rows lam = 0.25 and 0.5 tie at the minimum 0.5625 for mu = -0.25;
         # the first in row-major order is reported, whatever the blocks.
         tie = contradiction_scan((0.25, 0.5), (-0.25, -0.25), 0.25)
         assert tie.argmin == (0.25, -0.25) and tie.min_max_coefficient == 0.5625
-        for box in (((-1.0, 1.0), (-1.0, 1.0), 0.5), ((0.0, 1.0), (5.0, 6.0), 0.4)):
+        for box, bound in zip(boxes, bounds):
             want = reference_scan(*box)
-            assert _scan_fields(contradiction_scan(*box), want) == want
-
-    @pytest.mark.parametrize("max_depth", (0, 1, 2))
-    def test_failures_at_depth_limit_match_reference(self, monkeypatch, max_depth):
-        monkeypatch.setattr(classify, "MAX_DEPTH", max_depth)
-        box = ((-10.0, 10.0), (-10.0, 10.0), 1.0)
-        want = reference_scan(*box, max_depth=max_depth)
-        got = contradiction_scan(*box)
-        assert want["cell_failures"] > 0
-        assert _scan_fields(got, want) == want
-        assert not got.cells_certified
+            got = contradiction_scan(*box)
+            assert _scan_fields(got, want) == want
+            assert got.certified_lower_bound == bound
 
     def test_default_box_certifies_with_outward_rounding(self):
-        # Every default-box cell is decided at depth 0 (one box per cell), so
-        # re-deciding each cell once in mpmath's outward-rounded interval
-        # arithmetic checks the whole certificate.
-        step, gap = 0.25, 0.125
-        assert contradiction_scan().cells_examined == 80 * 80
-        bounds = [-10.0 + i * step for i in range(81)]
-        cells = [iv.mpf([lo, hi]) for lo, hi in zip(bounds, bounds[1:])]
-        undecided = []
-        for L in cells:
-            for M in cells:
-                T = L - M
-                sides = []
-                if T.b >= gap:
-                    sides.append(iv.mpf([max(gap, T.a), T.b]))
-                if T.a <= -gap:
-                    sides.append(iv.mpf([T.a, min(-gap, T.b)]))
-                for D in sides:
-                    c4 = L * D**2
-                    c2 = D * (L * M - L**2 + 5 * L + M - 2)
-                    c0 = (L + M) * (M - 3 * L + 4)
-                    if all(0 in c for c in (c4, c2, c0)):
-                        undecided.append((L, M, D))
-        assert not undecided
+        # gap / U again on each of the 6400 default-box cells, in mpmath's
+        # outward-rounded interval arithmetic: each cell's bound, and so the
+        # reported least bound, lies at or below the interval.
+        cert = contradiction_scan()
+        edges = [-10.0 + i * 0.25 for i in range(81)]
+        reach = [max(abs(lo), abs(hi)) for lo, hi in zip(edges, edges[1:])]
+        l, m = np.repeat(reach, 80), np.tile(reach, 80)
+        bounds = classify._cell_bounds(l, m, 0.125)
+        assert cert.certified_lower_bound == bounds.min() > 0.0
+        terms = [(i, j, iv.mpf(sum(map(abs, row))) / 300) for (i, j), row in classify._COFACTORS]
+        for lc, mc, bound in zip(l, m, bounds):
+            L, M = iv.mpf(float(lc)), iv.mpf(float(mc))
+            quotient = iv.mpf(0.125) / sum(u * L**i * M**j for i, j, u in terms)
+            assert cert.certified_lower_bound <= bound <= quotient.a
 
 
 class TestScanCells:
     @pytest.mark.parametrize("lam_range, mu_range, step, cells", NON_ALIGNED_BOXES)
     def test_cells_span_requested_box(self, monkeypatch, lam_range, mu_range, step, cells):
-        seen = []
-        certify = classify._certify_cells
+        edges, reached = [], []
+        cell_edges, cell_bounds = classify._cell_edges, classify._cell_bounds
 
-        def record(boxes, gap):
-            seen.append(boxes.copy())
-            return certify(boxes, gap)
+        def record_edges(lo, hi, step):
+            edges.append(cell_edges(lo, hi, step))
+            return edges[-1]
 
-        monkeypatch.setattr(classify, "_certify_cells", record)
+        def record_bounds(l, m, gap):
+            reached.append(np.stack((l, m)))
+            return cell_bounds(l, m, gap)
+
+        monkeypatch.setattr(classify, "_cell_edges", record_edges)
+        monkeypatch.setattr(classify, "_cell_bounds", record_bounds)
         assert contradiction_scan(lam_range, mu_range, step).cells_certified
-        boxes = np.concatenate(seen, axis=1)
-        assert boxes.shape[1] == cells
-        lam_edges, mu_edges = np.unique(boxes[:2]), np.unique(boxes[2:])
+        lam_edges, mu_edges = edges
         assert (lam_edges[0], lam_edges[-1]) == lam_range
         assert (mu_edges[0], mu_edges[-1]) == mu_range
-        # The cells tile the box: each spans neighbouring edges on both
-        # axes, and every pair of neighbouring edges has one distinct cell.
-        for edges, lo, hi in ((lam_edges, boxes[0], boxes[1]), (mu_edges, boxes[2], boxes[3])):
-            assert np.all(np.searchsorted(edges, hi) == np.searchsorted(edges, lo) + 1)
-        assert cells == (lam_edges.size - 1) * (mu_edges.size - 1)
-        assert np.unique(boxes, axis=1).shape[1] == cells
         widest = step * (1.0 + 1e-12)
-        assert np.all(np.diff(lam_edges) <= widest) and np.all(np.diff(mu_edges) <= widest)
+        for axis in edges:
+            assert np.all(np.diff(axis) > 0.0) and np.all(np.diff(axis) <= widest)
+        # One bound per cell, in row-major order, taken at the cell's
+        # largest |lam| and |mu|.
+        lm = np.concatenate(reached, axis=1)
+        assert lm.shape[1] == cells == (lam_edges.size - 1) * (mu_edges.size - 1)
+        lam_reach, mu_reach = (np.maximum(np.abs(e[:-1]), np.abs(e[1:])) for e in edges)
+        assert np.array_equal(lm[0], np.repeat(lam_reach, mu_reach.size))
+        assert np.array_equal(lm[1], np.tile(mu_reach, lam_reach.size))
 
     @pytest.mark.parametrize("lo, hi, step, edges", (
         (0.0, 1.0, 0.4, (0.0, 0.4, 0.8, 1.0)),
@@ -512,119 +535,64 @@ class TestScanCells:
         assert peak < 2 * 2**20
 
 
-# Cells of this box are decided by c4 alone, by c2 alone and by c0 alone,
-# and some cells are split more than once.
-SOLE_DECIDER_BOX = ((-10.0, 10.0), (-10.0, 10.0), 1.0)
+class TestCofactorIdentity:
+    def test_groebner_basis(self):
+        # The only common zeros of (c4, c2, c0) are (0, 0) and (2, 2).
+        assert closure_groebner_basis() == ["lam - mu", "mu**2 - 2*mu"]
+
+    def test_identity_expands_to_zero(self):
+        assert cofactor_identity_remainder() == 0
+        assert classify._identity_holds()
+
+    def test_changed_cofactor_fails_every_cell(self, monkeypatch):
+        table = classify._COFACTORS
+        for r, ((i, j), row) in enumerate(table):
+            for k in range(3):
+                changed = tuple(v + (n == k) for n, v in enumerate(row))
+                patched = (*table[:r], ((i, j), changed), *table[r + 1:])
+                assert cofactor_identity_remainder(patched) != 0
+                monkeypatch.setattr(classify, "_COFACTORS", patched)
+                cert = contradiction_scan()
+                assert not (cert.cells_certified and cert.cell_failures == 0), (r, k)
+                assert cert.cell_failures == cert.cells_examined == 80 * 80
+                assert cert.certified_lower_bound is None
+
+    def test_changed_quartic_fails_every_cell(self, monkeypatch):
+        quartic = classify.quartic_coefficients
+
+        def shifted(lam, mu):
+            c4, c2, c0 = quartic(lam, mu)
+            return c4, c2, c0 + 1.0
+
+        monkeypatch.setattr(classify, "quartic_coefficients", shifted)
+        cert = contradiction_scan()
+        assert not (cert.cells_certified and cert.cell_failures == 0)
+        assert cert.cell_failures == cert.cells_examined == 80 * 80
 
 
-class TestScanWorkSplit:
-    def test_c0_decides_most_cells(self, monkeypatch):
-        squared = []
-        isquare = classify._isquare
+class TestCellBoundRounding:
+    def test_terms_round_up(self):
+        for ((i, j), row), (ti, tj, u) in zip(classify._COFACTORS, classify._bound_terms()):
+            exact = Fraction(sum(map(abs, row)), 300)
+            assert (ti, tj) == (i, j)
+            assert exact <= Fraction(u) <= exact * (1 + Fraction(1, 2**51))
 
-        def count(a):
-            squared.append(np.size(a[0]))
-            return isquare(a)
-
-        monkeypatch.setattr(classify, "_isquare", count)
-        cert = contradiction_scan((-10.0, 10.0), (-10.0, 10.0), 0.05)
-        assert cert.cells_certified and cert.cells_examined == 400 * 400
-        # A box whose c0 enclosure holds zero squares three intervals: lam
-        # and lam - mu on each side of the strip.
-        assert 0 < sum(squared) <= 3 * 0.02 * cert.cells_examined
-
-    def test_each_coefficient_alone_decides_some_cell(self, monkeypatch):
-        lam_range, mu_range, step = SOLE_DECIDER_BOX
-        lam_edges = classify._cell_edges(*lam_range, step)
-        mu_edges = classify._cell_edges(*mu_range, step)
-        # The 400 depth-0 cells, as one block.
-        (boxes,) = classify._blocks(np.stack((lam_edges[:-1], lam_edges[1:])),
-                                    np.stack((mu_edges[:-1], mu_edges[1:])))
-        sole = set()
-        for lam_lo, lam_hi, mu_lo, mu_hi in boxes.T:
-            for coeffs in reference_sides((lam_lo, lam_hi), (mu_lo, mu_hi), 0.5 * step):
-                excluding = [name for name, (lo, hi) in zip(("c4", "c2", "c0"), coeffs)
-                             if lo > 0.0 or hi < 0.0]
-                if len(excluding) == 1:
-                    sole.update(excluding)
-        assert sole == {"c4", "c2", "c0"}
-        for max_depth in (0, 1, 2, classify.MAX_DEPTH):
-            want = reference_scan(lam_range, mu_range, step, max_depth=max_depth)
-            monkeypatch.setattr(classify, "MAX_DEPTH", max_depth)
-            got = classify._certify_cells(boxes, 0.5 * step)
-            assert got == (want["cells_examined"], want["cell_failures"]), max_depth
-
-
-def _exact(x):
-    return Fraction(float(x))
-
-
-# Interval bounds of mixed sign and magnitude: zeros, subnormals, around
-# one and around 1e150, whose products come near 1e300.
-def _random_bounds(rng, n):
-    pool = np.concatenate((
-        [0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320, 2.0**-1022, 1.0, -1.0],
-        rng.uniform(-1.0, 1.0, 64),
-        rng.uniform(-1.0, 1.0, 64) * 10.0 ** rng.integers(-320, 151, 64).astype(float),
-        rng.uniform(-2.0, 2.0, 32) * 1e150,
-    ))
-    a, b = rng.choice(pool, n), rng.choice(pool, n)
-    return np.minimum(a, b), np.maximum(a, b)
-
-
-class TestOutwardRounding:
     @pytest.mark.parametrize("seed", (0, 1, 2))
-    def test_helpers_enclose_exact_results(self, seed):
+    def test_bounds_below_exact_quotient(self, seed):
+        # |lam| and |mu| from zero and subnormals to 1e150.
         rng = np.random.default_rng(seed)
-        n = 400
-        a, b = _random_bounds(rng, n), _random_bounds(rng, n)
-        cases = {
-            "mul": (classify._imul(a, b), lambda x, y: [x[0] * y[0], x[0] * y[1],
-                                                         x[1] * y[0], x[1] * y[1]]),
-            "add": (classify._iadd(a, b), lambda x, y: [x[0] + y[0], x[1] + y[1]]),
-            "sub": (classify._isub(a, b), lambda x, y: [x[0] - y[1], x[1] - y[0]]),
-            "square": (classify._isquare(a), lambda x, y: [x[0] ** 2, x[1] ** 2]),
-            "scale 3": (classify._iscale(a, 3.0), lambda x, y: [x[0] * 3, x[1] * 3]),
-            "scale 5": (classify._iscale(a, 5.0), lambda x, y: [x[0] * 5, x[1] * 5]),
-        }
-        for name, ((lo, hi), exact) in cases.items():
-            for i in range(n):
-                x = (_exact(a[0][i]), _exact(a[1][i]))
-                y = (_exact(b[0][i]), _exact(b[1][i]))
-                values = exact(x, y)
-                low, high = min(values), max(values)
-                if name == "square" and x[0] <= 0 <= x[1]:
-                    low = Fraction(0)
-                assert _exact(lo[i]) <= low and high <= _exact(hi[i]), (name, i)
-                if name == "square":
-                    assert lo[i] >= 0.0
-
-    def test_round_to_nearest_alone_would_not_enclose(self):
-        # 0.1 * 3 rounds up to 0.30000000000000004, past the exact product.
-        exact = Fraction(0.1) * 3
-        assert Fraction(0.1 * 3.0) > exact
-        for lo, hi in (classify._imul((0.1, 0.1), (3.0, 3.0)), classify._iscale((0.1, 0.1), 3.0)):
-            assert _exact(lo) <= exact <= _exact(hi)
-            assert lo < 0.1 * 3.0 < hi
-
-    @pytest.mark.parametrize("gap", (0.05, 0.125, 0.35))
-    def test_sides_enclose_exact_difference(self, gap):
-        # Differences of 0.1 k and 0.3 j round to nearest, some inward.
-        k, j = np.meshgrid(np.arange(-20, 20), np.arange(-7, 7))
-        L = (0.1 * k.ravel(), 0.1 * (k.ravel() + 1))
-        M = (0.3 * j.ravel(), 0.3 * (j.ravel() + 1))
-        exact_lo = [_exact(a) - _exact(b) for a, b in zip(L[0], M[1])]
-        exact_hi = [_exact(a) - _exact(b) for a, b in zip(L[1], M[0])]
-        assert any(_exact(a - b) < d for a, b, d in zip(L[1], M[0], exact_hi))
-        g = Fraction(gap)
-        (above, upper), (below, lower) = classify._sides(L, M, gap)
-        for i, (lo, hi) in enumerate(zip(exact_lo, exact_hi)):
-            if hi >= g:
-                assert above[i]
-                assert _exact(upper[0][i]) <= max(g, lo) and hi <= _exact(upper[1][i]), i
-            if lo <= -g:
-                assert below[i]
-                assert _exact(lower[0][i]) <= lo and min(-g, hi) <= _exact(lower[1][i]), i
+        pool = np.concatenate((
+            [0.0, 5e-324, 1e-310, 2.0**-1022, 1.0, 10.0],
+            rng.uniform(0.0, 1.0, 64),
+            rng.uniform(0.0, 1.0, 64) * 10.0 ** rng.integers(-320, 151, 64).astype(float),
+        ))
+        l, m = rng.choice(pool, 300), rng.choice(pool, 300)
+        for gap in (0.125, 0.025, 1e100):
+            bounds = classify._cell_bounds(l, m, gap)
+            for lc, mc, bound in zip(l, m, bounds):
+                exact = Fraction(gap) / _exact_u(lc, mc)
+                assert 0 < Fraction(bound) <= exact, (lc, mc, gap)
+                assert bound >= float(exact) * (1.0 - 2.0**-44), (lc, mc, gap)
 
 
 class TestElimination:

@@ -24,6 +24,7 @@ from helpers import (
     reference_fit,
     reference_sample_regular,
     reference_scan,
+    subdivision_certifies,
 )
 
 VERIFY_CHECKS = (
@@ -382,10 +383,14 @@ class TestScanProperty:
             assert err.getvalue().startswith("error:") and not out.getvalue()
             return
         cert = json.loads(out.getvalue(), parse_constant=_reject_constant)["certificate"]
-        step, lam_range, mu_range = float(argv[2]), argv[4:6], argv[7:9]
-        want = reference_scan(tuple(map(float, lam_range)), tuple(map(float, mu_range)), step)
-        for key in ("points_scanned", "cells_examined", "cell_failures", "cells_certified"):
-            assert cert[key] == want[key], key
+        step = float(argv[2])
+        lam_range, mu_range = (tuple(map(float, r)) for r in (argv[4:6], argv[7:9]))
+        want = reference_scan(lam_range, mu_range, step)
+        for key, value in want.items():
+            assert cert[key] == (list(value) if isinstance(value, tuple) else value), key
+        # Every box that interval subdivision certifies, the scan certifies.
+        if subdivision_certifies(lam_range, mu_range, step):
+            assert cert["cells_certified"] and cert["cell_failures"] == 0
 
 
 class TestNegativeENotation:
@@ -445,8 +450,6 @@ class TestScan:
          "overflow"),
         (["--lambda-range", "1e150", "2e150", "--mu-range", "-1e150", "0", "--step", "1e149"],
          "overflow"),
-        (["--lambda-range", "1e102", "1.99e102", "--mu-range", "-8e102", "-7e102",
-          "--step", "1e102"], "overflow"),
     ))
     def test_non_finite_is_input_error(self, capsys, extra, named):
         assert main(["scan", *extra]) == 1
@@ -455,6 +458,14 @@ class TestScan:
         assert named in captured.err
         assert "Traceback" not in captured.err
         assert not captured.out
+
+    def test_far_box_is_certified(self, capsys):
+        # The lattice coefficients and the cell's U stay finite.
+        assert main(["scan", "--lambda-range", "1e102", "1.99e102", "--mu-range", "-8e102",
+                     "-7e102", "--step", "1e102"]) == 0
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        assert cert["cells_certified"] and cert["cells_examined"] == 1
+        assert cert["certified_lower_bound"] > 0.0
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

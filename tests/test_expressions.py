@@ -9,14 +9,13 @@ from revtype import (
     ParseError,
     UnboundParameterError,
     eval_jet3,
-    eval_value,
     jets,
     parse,
     unparse,
 )
 from revtype.expressions import ArityError, BinOp, Func, Num, Param, Pow, UnknownFunctionError, Var
 
-from helpers import FD_WINDOW, reference_eval_jet3, sample_well_behaved, sympy_jet
+from helpers import FD_WINDOW, eval_value, reference_eval_jet3, sample_well_behaved, sympy_jet
 
 
 class TestParse:
