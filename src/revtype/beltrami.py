@@ -243,7 +243,7 @@ def position_identity_residual(
     if not len(jets):
         return IdentityReport(None, None, None, 0, excluded)
     rows = jets[:, None]
-    thetas = np.array(theta_circle(n_theta))
+    thetas = theta_circle(n_theta)
     R, _ = radii_sum_jet(rows)
     radial, axial = laplacian_profile_factors(rows)
     lhs = np.broadcast_arrays(radial * np.cos(thetas), radial * np.sin(thetas), axial)

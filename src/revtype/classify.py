@@ -188,7 +188,7 @@ def fit_matrix(
     problem in O(n_s + n_theta).
     """
     jets, excluded = grid_rows(p, n_s, tol_parab)
-    thetas = np.array(theta_circle(n_theta))
+    thetas = theta_circle(n_theta)
     KX = KB = np.empty((0, 3))
     sup_lap = sup_position = None
     if len(jets):
@@ -317,14 +317,14 @@ _COFACTORS = (
     ((0, 1), (591, 239, -157)),
     ((0, 0), (626, -150, 0)),
 )
-# Lattice points or cells per array pass of the scan.  A pass takes whole
-# lambda rows, so each temporary array holds about 32 KB.
+# Lattice points per array pass of the scan.  A pass takes whole lambda
+# rows, so each temporary array holds about 32 KB.
 BLOCK_CELLS = 4096
 # Work budget of one scan: at most this many lattice points, counted as
 # (span / step + 1) per axis and multiplied, which also bounds the cells.
 # A box of one row keeps its axis's points and cell edges in memory, about
-# 40 bytes each, so the bound keeps a scan under about 0.7 GiB; a square
-# box at the bound takes about 2 s (4095^2 points on [-10, 10]^2, measured
+# 32 bytes each, so the bound keeps a scan under about 0.5 GiB; a square
+# box at the bound takes about 0.5 s (4095^2 points on [-10, 10]^2, measured
 # on a 2-core x86-64 host).
 MAX_SCAN_POINTS = 2**24
 
@@ -371,7 +371,10 @@ def _cell_bounds(l, m, gap: float):
     relative 2**-53 at most, so widening it by a relative 2**-48 bounds the
     exact sum; the constant term keeps U above 2, so an underflow in the
     others stays far inside that widening.  nextafter takes the rounded
-    quotient below gap / U.
+    quotient below gap / U.  Each term of U is a positive constant times
+    l^i m^j and each rounded operation here is monotone, so the cell with
+    the largest l and m has the least bound, bit for bit, and its U
+    overflows whenever another cell's does.
     """
     U = sum(u * l**i * m**j for i, j, u in _bound_terms())
     return np.nextafter(gap / (U * (1.0 + 2.0**-48)), 0.0)
@@ -415,24 +418,10 @@ def _cell_edges(lo: float, hi: float, step: float) -> np.ndarray:
     return np.concatenate(([lo], inner[inner < hi], [hi]))
 
 
-def _blocks(rows: np.ndarray, cols: np.ndarray):
-    """Every (row, column) pair of the (k, n) arrays rows and cols, whose
-    columns are the items, in row-major order: blocks of whole rows of
-    about BLOCK_CELLS pairs, each stacked as a (k_rows + k_cols, m) array."""
-    per = max(1, BLOCK_CELLS // max(1, cols.shape[1]))
-    for i in range(0, rows.shape[1], per):
-        block = rows[:, i : i + per]
-        yield np.concatenate(
-            (np.repeat(block, cols.shape[1], axis=1), np.tile(cols, block.shape[1]))
-        )
-
-
-# An overflow would hide the lattice minimum or leave an infinite U, so
-# overflow raises.  U has degree 2 and the lattice coefficients degree 3:
-# on boxes within about 1e100 of the origin neither can overflow, and a
-# box whose U overflows (a cell edge past about 7e153) overflows the
-# lattice too unless no lattice point comes near that edge.  Either way
-# the scan raises rather than report an unproved cell.
+# An overflow would hide the lattice minimum or leave an infinite U, so it
+# raises rather than report an unproved cell.  U has degree 2 and the
+# lattice coefficients degree 3: neither overflows on boxes within about
+# 1e100 of the origin, and U does once a range reaches past about 7e153.
 @np.errstate(over="raise", invalid="raise")
 def contradiction_scan(
     lam_range: tuple[float, float] = (-10.0, 10.0),
@@ -443,28 +432,24 @@ def contradiction_scan(
     coefficients (c4, c2, c0) never vanish simultaneously.
 
     The lattice scan reports the minimum over points of
-    max(|c4|, |c2|, |c0|) with its first argmin in row-major order.  The
-    cofactor identity a c4 + b c2 + c c0 = lam - mu (see `_COFACTORS`)
-    then turns the finite scan into a certificate on the whole box minus
-    the diagonal strip |lam - mu| < step/2: on each cell,
-    max(|c4|, |c2|, |c0|) >= `_cell_bounds`, which is gap / U rounded
-    down, and `certified_lower_bound` is the least of those bounds.  The
-    cells run from lam_range[0] to lam_range[1] and mu_range[0] to
-    mu_range[1], with the lattice points inside as edges.  Both passes run
-    over blocks of whole lambda rows of about BLOCK_CELLS points or cells.
-    `cells_certified` holds when the identity checks exactly
-    (`_identity_holds`), the box has cells and every cell's bound is
-    positive and finite; if the identity fails, every cell fails.  A box
-    without area (a range that is one point) has no cells and is never
-    certified.
+    max(|c4|, |c2|, |c0|) with its first argmin in row-major order, in
+    blocks of whole lambda rows of about BLOCK_CELLS points.  The cofactor
+    identity a c4 + b c2 + c c0 = lam - mu (see `_COFACTORS`) then turns
+    the finite scan into a certificate on the whole box minus the diagonal
+    strip |lam - mu| < step/2, split into cells with the lattice points
+    inside as edges (`cells_examined` counts them).  `_cell_bounds` is
+    least on the cell at the box's far corner, so its one bound there is
+    `certified_lower_bound` on every cell.  `cells_certified` holds when
+    the identity checks exactly (`_identity_holds`), the box has cells and
+    that bound is positive; otherwise every cell fails.  A box without
+    area (a range that is one point) has no cells and is never certified.
 
     The quartic follows from the closure system only for mu != 0: the
     elimination drops an overall factor mu, so the certificate says nothing
     about the line mu = 0.  Raises ValueError on an empty or non-finite
     range and on a step that is not finite and positive or leaves more
     than MAX_SCAN_POINTS lattice points, OverflowError when their number
-    overflows, and FloatingPointError when the coefficients or a cell's U
-    overflow.
+    overflows, and FloatingPointError when the coefficients or U overflow.
     """
     for name, values in (("lam_range", lam_range), ("mu_range", mu_range), ("step", (step,))):
         if not all(math.isfinite(v) for v in values):
@@ -484,7 +469,9 @@ def contradiction_scan(
     gap = 0.5 * step
     best = None  # (max-coefficient, argmin, coefficients) of the first minimum
     scanned = 0
-    for lam, mu in _blocks(lams[None], mus[None]):
+    per = max(1, BLOCK_CELLS // mus.size)
+    for i in range(0, lams.size, per):
+        lam, mu = np.broadcast_arrays(lams[i : i + per, None], mus)
         off = np.abs(lam - mu) >= gap
         lam, mu = lam[off], mu[off]
         if not lam.size:
@@ -496,19 +483,16 @@ def contradiction_scan(
         if best is None or m[k] < best[0]:
             best = (float(m[k]), (float(lam[k]), float(mu[k])), tuple(float(c[k]) for c in coeffs))
     min_max, argmin, argmin_coeffs = best or (None, None, None)
-    cells = cell_failures = 0
-    lowest = math.inf
+    cells, lowest = 0, math.inf
     if scanned:
-        # The largest |lam| and |mu| of each cell, taken at one of its edges.
-        l, m = (np.maximum(np.abs(edges[:-1]), np.abs(edges[1:])) for edges in
-                (_cell_edges(*lam_range, step), _cell_edges(*mu_range, step)))
-        for block in _blocks(l[None], m[None]):
-            bounds = _cell_bounds(block[0], block[1], gap)
-            cells += bounds.size
-            cell_failures += int(np.count_nonzero(~(np.isfinite(bounds) & (bounds > 0.0))))
-            lowest = min(lowest, float(bounds.min(initial=math.inf)))
-        if cells and not _identity_holds():
-            cell_failures, lowest = cells, math.inf
+        cells = math.prod(_cell_edges(*r, step).size - 1 for r in (lam_range, mu_range))
+    if cells:
+        reach = (np.array([max(map(abs, r))]) for r in (lam_range, mu_range))
+        lowest = float(_cell_bounds(*reach, gap)[0])
+        if not _identity_holds():
+            lowest = math.inf
+    # One bound covers every cell: all of them hold or all fail.
+    cell_failures = 0 if 0.0 < lowest < math.inf else cells
     note = ""
     if not scanned:
         note = "all lattice points fell on the diagonal"

@@ -13,10 +13,13 @@ check above tolerance.  Reports embed the full effective configuration and
 contain no timestamps, so rerunning a command with the same inputs and seed
 reproduces the output byte for byte.
 A check that finds no usable sample points fails with exit 2 and a reason.
+A command runs with NumPy overflow, division by zero and invalid operations
+raised, so such a fault is an input error (exit 1), not a warning.
 
 The tolerances (``--tol-arc``, ``--tol-parab``, ``--tol-fit``,
 ``--tol-struct``, ``--tol``) and ``--lambda``/``--mu`` must be finite
 numbers: NaN or an infinity is a usage error (exit 1) that names the option.
+A tolerance must also be positive.
 The ``scan`` options are checked by `classify.contradiction_scan`.
 
 Work budget: a request whose size is over a budget exits 1 with ``error:``
@@ -262,6 +265,8 @@ _NO_ROWS = "no usable points: every grid row is parabolic within tol_parab"
 
 
 def cmd_verify(args) -> int:
+    if args.tol is not None and args.tol <= 0.0:
+        raise InputError("--tol must be positive")
     label, curve, entry = _load_surface(args)
     config = _config_from_args(args, label)
     check = args.check
@@ -470,11 +475,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ProfileError, ExpressionError, ValueError, ArithmeticError, OSError) as exc:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except (InputError, ProfileError, ExpressionError, ValueError, ArithmeticError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -302,6 +302,18 @@ def parse(text: str) -> Expr:
 _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
+@np.errstate(all="ignore")
+def _constant_value(fn, args) -> float:
+    """The value of jet rule ``fn`` on constant operands.  Its unused
+    derivative formulas may not fail it: they run with every floating-point
+    flag off, and one that divides a Python float by an underflowed zero
+    (1/x^2 in ln at x = 1e-200) reruns on np.float64, giving inf."""
+    try:
+        return fn(*(Jet3(a) if isinstance(a, float) else a for a in args)).v0
+    except ZeroDivisionError:
+        return float(fn(*(Jet3(np.float64(a)) if isinstance(a, float) else a for a in args)).v0)
+
+
 def eval_jet3(e: Expr, s, params: Optional[Mapping[str, float]] = None) -> Jet3:
     """Evaluate ``e`` and its first three s-derivatives at ``s``.
 
@@ -309,24 +321,22 @@ def eval_jet3(e: Expr, s, params: Optional[Mapping[str, float]] = None) -> Jet3:
     every channel of a batch result is an array of the shape of ``s``, and
     a domain error reports its first offending element's index.
 
-    A subtree without ``s`` evaluates to a float: its jet rule runs once on
-    constant jets and keeps only the value, which meets jets through the
-    float paths of `Jet3`, so no constant's zero channels are carried.
+    A subtree without ``s`` evaluates to a float, `_constant_value`, which
+    meets jets through the float paths of `Jet3`, so no constant's zero
+    channels are carried.
     """
     params = params or {}
     batch = np.ndim(s) > 0
     var = Jet3.variable(np.asarray(s, dtype=float) if batch else s)
 
     def apply(node: Expr, fn, *args) -> Jet3 | float:
-        # Operands are (arg,), (lhs, rhs) or (base, exponent): the ends hold every jet.
-        constant = not (isinstance(args[0], Jet3) or isinstance(args[-1], Jet3))
-        if constant:
-            args = [Jet3(a) if isinstance(a, float) else a for a in args]
         try:
-            out = fn(*args)
+            # Operands are (arg,), (lhs, rhs) or (base, exponent): the ends hold every jet.
+            if isinstance(args[0], Jet3) or isinstance(args[-1], Jet3):
+                return fn(*args)
+            return _constant_value(fn, args)
         except JetDomainError as exc:
             raise DomainEvalError(str(exc), unparse(node), exc.index) from None
-        return out.v0 if constant else out
 
     def ev(node: Expr) -> Jet3 | float:
         if isinstance(node, Num):

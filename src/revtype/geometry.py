@@ -411,11 +411,11 @@ def grid_rows(
     return jets[~bad], int(np.count_nonzero(bad))
 
 
-def theta_circle(n_theta: int) -> list[float]:
+def theta_circle(n_theta: int) -> np.ndarray:
     """Uniform full-circle theta samples, [0, 2*pi)."""
     if n_theta < 4:
         raise ValueError("need at least 4 theta samples")
-    return [_TAU * j / n_theta for j in range(n_theta)]
+    return _TAU * np.arange(n_theta) / n_theta
 
 
 def quotient_defects(jets: RegularJets) -> tuple[float, dict]:

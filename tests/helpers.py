@@ -2,10 +2,10 @@
 a deterministic random-expression generator, an all-jet expression
 evaluator and a per-point profile sampler, scalar surface points, tangents
 and Gauss-map derivatives, a grid-materialising reference for the
-coordinate fit, a per-point reference for the contradiction scan's lattice
-and an interval-subdivision certifier for its cells, sympy checks of the
-closure algebra, and the coordinate fields, coordinate Laplacian, closure
-coefficients and elimination check that only tests use.
+coordinate fit, a per-point reference for the contradiction scan's lattice,
+an interval-subdivision certifier and a per-cell bound for its cells,
+sympy checks of the closure algebra, and the coordinate fields, coordinate
+Laplacian, closure coefficients and elimination check that only tests use.
 
 These stay independent of the jet-propagation code paths they check.
 """
@@ -35,6 +35,8 @@ from revtype.expressions import (
 from revtype.beltrami import ScalarField, laplacian_profile_factors
 from revtype.classify import (
     _COFACTORS,
+    _cell_bounds,
+    _cell_edges,
     DEFAULT_TOL_FIT,
     DEFAULT_TOL_REJECT,
     VERDICT_INCONCLUSIVE,
@@ -163,15 +165,39 @@ _REFERENCE_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
                      "/": operator.truediv}
 
 
+def _has_var(node) -> bool:
+    """Whether expression ``node`` contains the variable ``s``."""
+    if isinstance(node, Func):
+        return _has_var(node.arg)
+    if isinstance(node, BinOp):
+        return _has_var(node.lhs) or _has_var(node.rhs)
+    if isinstance(node, Pow):
+        return _has_var(node.base)
+    return isinstance(node, Var)
+
+
 def reference_eval_jet3(e, s, params=None):
-    """`revtype.eval_jet3` with every constant held as a `Jet3.constant`."""
+    """`revtype.eval_jet3` with every constant held as a `Jet3.constant`.
+
+    A subtree without ``s`` keeps only its value, as in `eval_jet3`: its
+    rules run with every floating-point flag off, and a rule whose
+    derivative formula divides a Python float by zero reruns on np.float64.
+    """
     params = params or {}
     batch = np.ndim(s) > 0
     var = jets.Jet3.variable(np.asarray(s, dtype=float) if batch else s)
 
     def apply(node, fn, *args):
         try:
-            return fn(*args)
+            if _has_var(node):
+                return fn(*args)
+            with np.errstate(all="ignore"):
+                try:
+                    return fn(*args)
+                except ZeroDivisionError:
+                    wide = (jets.Jet3(np.float64(a.v0)) if isinstance(a, jets.Jet3) else a
+                            for a in args)
+                    return jets.Jet3.constant(fn(*wide).v0)
         except jets.JetDomainError as exc:
             raise DomainEvalError(str(exc), unparse(node), exc.index) from None
 
@@ -276,7 +302,7 @@ def reference_fit(
     """The fit's verdict, rank, counts, matrix, residual and row norms from
     the materialised n_s*n_theta x 3 samples."""
     jets, excluded = grid_rows(p, n_s, tol_parab)
-    thetas = np.array(theta_circle(n_theta))
+    thetas = theta_circle(n_theta)
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     X = np.empty((len(jets) * n_theta, 3))
     B = np.empty_like(X)
@@ -465,6 +491,23 @@ def subdivision_certifies(lam_range, mu_range, step: float) -> bool:
         for L in zip(lam_edges, lam_edges[1:])
         for M in zip(mu_edges, mu_edges[1:])
     )
+
+
+def per_cell_bounds(lam_range, mu_range, step: float) -> tuple:
+    """(cells, failures, least bound) from `_cell_bounds` on every cell of
+    the box, each at its largest |lam| and |mu|, with the cells from
+    `_cell_edges`: a failure is a bound that is not positive and finite,
+    and the least bound is None without cells.  The scan counts these
+    cells only when some lattice point is off the diagonal."""
+    l, m = (np.maximum(np.abs(e[:-1]), np.abs(e[1:]))
+            for e in (_cell_edges(*r, step) for r in (lam_range, mu_range)))
+    failures, lowest = 0, math.inf
+    with np.errstate(over="raise", invalid="raise"):
+        for i in range(0, l.size, 256):
+            bounds = _cell_bounds(l[i : i + 256, None], m, 0.5 * step)
+            failures += int(np.count_nonzero(~(np.isfinite(bounds) & (bounds > 0.0))))
+            lowest = min(lowest, float(bounds.min(initial=math.inf)))
+    return l.size * m.size, failures, lowest if math.isfinite(lowest) else None
 
 
 # The closure algebra in sympy: the lex Groebner basis of the ideal of

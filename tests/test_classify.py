@@ -30,6 +30,7 @@ from helpers import (
     closure_groebner_basis,
     cofactor_identity_remainder,
     elimination_consistency,
+    per_cell_bounds,
     reference_fit,
     reference_scan,
     subdivision_certifies,
@@ -414,18 +415,40 @@ NON_ALIGNED_BOXES = (
 )
 
 
+# Boxes at subnormal steps: every cell's bound rounds to 0.0, so every
+# cell fails.
+SUBNORMAL_BOXES = (
+    ((0.0, 1e-320), (0.0, 1e-320), 5e-324),
+    ((0.0, 1e-320), (0.0, 1e-320), 1e-323),
+    ((0.0, 4e-321), (0.0, 4e-321), 2e-323),
+)
+
+
 def _scan_fields(cert, names):
     return {name: getattr(cert, name) for name in names}
 
 
+def _cell_fields(cert):
+    return cert.cells_examined, cert.cell_failures, cert.certified_lower_bound
+
+
+def _check_cells(cert, lam_range, mu_range, step):
+    """The box's one corner bound gives the cell count, failures and least
+    bound that a bound on every cell gives."""
+    want = per_cell_bounds(lam_range, mu_range, step) if cert.points_scanned else (0, 0, None)
+    assert _cell_fields(cert) == want
+
+
 def _check_against_oracles(lam_range, mu_range, step, cells):
-    """The lattice fields and cell count match the pointwise reference,
-    and every box that interval subdivision certifies is certified."""
+    """The lattice fields and cell count match the pointwise reference, the
+    cell fields match a bound on every cell, and every box that interval
+    subdivision certifies is certified."""
     want = reference_scan(lam_range, mu_range, step)
     got = contradiction_scan(lam_range, mu_range, step)
     assert _scan_fields(got, want) == want
     assert got.cells_examined == cells
     assert got.cells_certified == (cells > 0)
+    _check_cells(got, lam_range, mu_range, step)
     if subdivision_certifies(lam_range, mu_range, step):
         assert got.cells_certified
 
@@ -444,6 +467,13 @@ class TestScanOracles:
     @pytest.mark.parametrize("lam_range, mu_range, step, cells", NON_ALIGNED_BOXES)
     def test_non_aligned_box_matches_reference(self, lam_range, mu_range, step, cells):
         _check_against_oracles(lam_range, mu_range, step, cells)
+
+    @pytest.mark.parametrize("lam_range, mu_range, step", SUBNORMAL_BOXES)
+    def test_subnormal_box_fails_every_cell(self, lam_range, mu_range, step):
+        cert = contradiction_scan(lam_range, mu_range, step)
+        assert cert.cells_examined > 0 and not cert.cells_certified
+        assert _cell_fields(cert) == (cert.cells_examined, cert.cells_examined, 0.0)
+        _check_cells(cert, lam_range, mu_range, step)
 
     @pytest.mark.parametrize("block", (1, 7, 4096))
     def test_block_size_does_not_change_report(self, monkeypatch, block):
@@ -488,25 +518,26 @@ class TestScanCells:
             return edges[-1]
 
         def record_bounds(l, m, gap):
-            reached.append(np.stack((l, m)))
+            reached.append((l, m))
             return cell_bounds(l, m, gap)
 
         monkeypatch.setattr(classify, "_cell_edges", record_edges)
         monkeypatch.setattr(classify, "_cell_bounds", record_bounds)
-        assert contradiction_scan(lam_range, mu_range, step).cells_certified
+        cert = contradiction_scan(lam_range, mu_range, step)
+        assert cert.cells_certified and cert.cells_examined == cells
         lam_edges, mu_edges = edges
         assert (lam_edges[0], lam_edges[-1]) == lam_range
         assert (mu_edges[0], mu_edges[-1]) == mu_range
         widest = step * (1.0 + 1e-12)
         for axis in edges:
             assert np.all(np.diff(axis) > 0.0) and np.all(np.diff(axis) <= widest)
-        # One bound per cell, in row-major order, taken at the cell's
-        # largest |lam| and |mu|.
-        lm = np.concatenate(reached, axis=1)
-        assert lm.shape[1] == cells == (lam_edges.size - 1) * (mu_edges.size - 1)
+        assert cells == (lam_edges.size - 1) * (mu_edges.size - 1)
+        # One bound per scan, at the box's largest |lam| and |mu|: the reach
+        # of its far corner cell.
+        [(l, m)] = reached
         lam_reach, mu_reach = (np.maximum(np.abs(e[:-1]), np.abs(e[1:])) for e in edges)
-        assert np.array_equal(lm[0], np.repeat(lam_reach, mu_reach.size))
-        assert np.array_equal(lm[1], np.tile(mu_reach, lam_reach.size))
+        assert l.tolist() == [lam_reach.max()] == [max(map(abs, lam_range))]
+        assert m.tolist() == [mu_reach.max()] == [max(map(abs, mu_range))]
 
     @pytest.mark.parametrize("lo, hi, step, edges", (
         (0.0, 1.0, 0.4, (0.0, 0.4, 0.8, 1.0)),

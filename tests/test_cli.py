@@ -20,6 +20,7 @@ from revtype import beltrami, catalog, classify, cli, geometry
 from revtype.cli import main
 
 from helpers import (
+    per_cell_bounds,
     reference_eval_jet3,
     reference_fit,
     reference_sample_regular,
@@ -391,6 +392,12 @@ class TestScanProperty:
         # Every box that interval subdivision certifies, the scan certifies.
         if subdivision_certifies(lam_range, mu_range, step):
             assert cert["cells_certified"] and cert["cell_failures"] == 0
+        # The box's one corner bound agrees with a bound on every cell.
+        got = (cert["cells_examined"], cert["cell_failures"], cert["certified_lower_bound"])
+        if want["points_scanned"]:
+            assert got == per_cell_bounds(lam_range, mu_range, step)
+        else:
+            assert got == (0, 0, None)
 
 
 class TestNegativeENotation:
@@ -720,6 +727,18 @@ class TestFiniteOptions:
         report = json.loads(out)
         assert report["details"]["lambda"] == -2.0 and report["tolerance"] == 1e-3
 
+    @pytest.mark.parametrize("value", ("0", "-1", "-1e-300"))
+    @pytest.mark.parametrize("command, option, named", (
+        *((["classify"], option, option[2:].replace("-", "_")) for option in _NUMBER_OPTIONS[:4]),
+        (["verify", "position-identity"], "--tol", "--tol"),
+    ), ids=lambda x: x[0] if isinstance(x, list) else x)
+    def test_tolerance_must_be_positive(self, command, option, named, value):
+        # The sphere's position residual is about 1e-15: a tolerance of -1
+        # used to report it above tolerance, exit 2.
+        code, out, err = captured([*command, "--catalog", "sphere", f"{option}={value}"])
+        assert code == 1 and not out
+        assert err == f"error: {named} must be positive\n"
+
 
 class TestWorkBudget:
     @pytest.mark.parametrize("argv, named", (
@@ -843,6 +862,31 @@ def _profile_documents(draw):
         else:
             return draw(_JSON_VALUES)
     return doc
+
+
+# Parameters too large or too small to evaluate: at some grid point a jet,
+# a form or a norm overflows, divides by zero or forms nan.
+_EXTREME_SURFACES = (
+    ("torus", "R=6.5e168", "r=1"),
+    ("torus", "R=1.34e154", "r=1"),
+    ("catenoid", "c=4.1e-88"),
+    ("catenoid", "half_width=1.2e77"),
+    ("sphere", "r=1e-160"),
+    ("sphere", "r=1e160"),
+)
+
+
+class TestFloatingPointFaults:
+    @pytest.mark.parametrize("command", (["classify"], *(["verify", c] for c in VERIFY_CHECKS)),
+                             ids=lambda c: c[-1])
+    @pytest.mark.parametrize("surface", _EXTREME_SURFACES, ids=lambda s: "-".join(s))
+    def test_fault_is_an_input_error(self, command, surface):
+        params = [x for p in surface[1:] for x in ("--param", p)]
+        code, out, err = captured([*command, "--catalog", surface[0], *params])
+        assert code in (0, 1, 2)
+        assert "Warning" not in err and "Traceback" not in err
+        if code == 1:
+            assert err.startswith("error:") and not out
 
 
 class TestProfileDocumentProperty:

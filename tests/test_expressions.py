@@ -292,7 +292,9 @@ _s_values = st.one_of(_points, st.lists(_points, min_size=1, max_size=6).map(np.
 def _outcome(evaluate, tree, s):
     """Channels of one evaluation, or the error it raised.  Python-float
     jets raise ZeroDivisionError where a derivative formula of ln or sqrt
-    underflows to a zero divisor (ln(1e-200)); both evaluators share that."""
+    underflows to a zero divisor (ln(s) at s = 1e-170); both evaluators
+    share that outside constant subtrees.  Inside one (ln(1e-200)) only the
+    value is kept, and both return it."""
     try:
         with np.errstate(all="ignore"):
             j = evaluate(tree, s, _PARAMS)
@@ -338,6 +340,21 @@ class TestScalarConstants:
                 eval_jet3(parse(text), s, {"c": 1.0})
             assert err.value.subexpression == subexpression
             assert err.value.index == 0
+
+    @pytest.mark.parametrize("text, folded, value", (
+        # The full rules divide a Python float by an underflowed zero here,
+        ("s + 0*ln(1e-200)", "s + c", 0.0 * np.log(1e-200)),
+        # and here and below form inf and nan on np.float64 scalars.
+        ("s * ln(sin(1e-200))", "s * c", np.log(np.sin(1e-200))),
+        ("s + sqrt(1e-300)", "s + c", np.sqrt(1e-300)),
+    ))
+    def test_constant_keeps_only_its_value(self, text, folded, value):
+        for s in (0.5, np.array([0.5, 1.5])):
+            with np.errstate(all="raise"):
+                got = eval_jet3(parse(text), s)
+                want = eval_jet3(parse(folded), s, {"c": float(value)})
+            for k in range(4):
+                assert np.array_equal(getattr(got, f"v{k}"), getattr(want, f"v{k}")), (text, k)
 
     def test_constant_expression_fills_the_batch(self):
         j = eval_jet3(parse("c * sin(2)"), np.array([0.0, 1.0, 2.0]), {"c": 3.0})
