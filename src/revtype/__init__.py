@@ -25,7 +25,6 @@ from .classify import (
     VERDICT_NOT,
     VERDICT_NULL,
     VERDICT_SPHERE,
-    EigenSystemResiduals,
     FitReport,
     ScanCertificate,
     contradiction_scan,

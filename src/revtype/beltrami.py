@@ -20,7 +20,7 @@ whole grid in one pass.  The operators act on a field's partials
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,7 +32,6 @@ from .geometry import (
     RegularJets,
     _jets,
     _parabolic,
-    grid_rows,
     radii_sum_jet,
     theta_circle,
 )
@@ -208,40 +207,26 @@ def laplacian_profile_factors(jets: RegularJets) -> tuple[float, float]:
     return radial, axial
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Worst point of the position identity; ``columns`` holds the CSV
-    columns as (rows, n_theta) arrays, empty when there are no points."""
-
-    max_residual: Optional[float]
-    at_s: Optional[float]
-    at_theta: Optional[float]
-    points_used: int
-    rows_excluded: int
-    columns: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "columns"}
-
-
 def position_identity_residual(
-    p: ProfileCurve,
-    n_s: int = 32,
-    n_theta: int = 32,
-    tol_parab: float = DEFAULT_TOL_PARAB,
-) -> IdentityReport:
+    jets: RegularJets, n_theta: int, rows_excluded: int
+) -> tuple[Optional[float], dict, dict]:
     """Grid residual of the structural identity
 
         Laplacian(x) = grad-pairing(2H/K, n) - (2H/K) n
 
-    The left side comes from the coordinate-Laplacian factors, the right
-    side from `first_beltrami` applied componentwise to the normal, both
-    as (rows, n_theta) arrays.  With every row parabolic the report has no
-    points and its residual and location are None.
+    over the grid rows ``jets`` of `grid_rows`, each row on the full
+    ``n_theta`` circle.  The left side comes from the coordinate-Laplacian
+    factors, the right side from `first_beltrami` applied componentwise to
+    the normal, both as (rows, n_theta) arrays.  Returns the worst
+    residual, the details ``max_residual``, ``at_s``, ``at_theta``,
+    ``points_used`` and ``rows_excluded``, and the CSV columns as
+    (rows, n_theta) arrays; with no rows the residual and location are None
+    and the columns empty.
     """
-    jets, excluded = grid_rows(p, n_s, tol_parab)
+    details = {"max_residual": None, "at_s": None, "at_theta": None, "points_used": 0,
+               "rows_excluded": rows_excluded}
     if not len(jets):
-        return IdentityReport(None, None, None, 0, excluded)
+        return None, details, {}
     rows = jets[:, None]
     thetas = theta_circle(n_theta)
     R, _ = radii_sum_jet(rows)
@@ -252,6 +237,9 @@ def position_identity_residual(
     rhs = [first_beltrami(rows, pr, pn) - R * pn.value for pn in normals]
     residual = np.linalg.norm(np.stack(lhs, axis=-1) - np.stack(rhs, axis=-1), axis=-1)
     i, j = np.unravel_index(np.argmax(residual), residual.shape)
+    worst = float(residual[i, j])
+    details.update(max_residual=worst, at_s=float(jets.s[i]), at_theta=float(thetas[j]),
+                   points_used=residual.size)
     columns = {
         "s": np.broadcast_to(rows.s, residual.shape),
         "theta": np.broadcast_to(thetas, residual.shape),
@@ -259,14 +247,7 @@ def position_identity_residual(
         **{f"rhs{k}": c for k, c in enumerate(rhs, 1)},
         "residual": residual,
     }
-    return IdentityReport(
-        max_residual=float(residual[i, j]),
-        at_s=float(jets.s[i]),
-        at_theta=float(thetas[j]),
-        points_used=residual.size,
-        rows_excluded=excluded,
-        columns=columns,
-    )
+    return worst, details, columns
 
 
 def random_fields(
@@ -295,34 +276,21 @@ def random_fields(
     return fields
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Worst pair of the operator comparison; ``columns`` holds the CSV
-    columns, one entry per pair, empty when there are no pairs."""
-
-    max_rel_diff: Optional[float]
-    pairs: int
-    at_s: Optional[float]
-    at_theta: Optional[float]
-    columns: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "columns"}
-
-
 def operator_equivalence_residual(
     p: ProfileCurve,
     n_pairs: int = 1000,
     seed: int = 0,
     tol_parab: float = DEFAULT_TOL_PARAB,
     margin: float = 0.05,
-) -> EquivalenceReport:
+) -> tuple[Optional[float], dict, dict]:
     """Compare the specialized and divergence-form Laplacians on random
     field/point pairs.  Relative difference uses |a - b| / (1 + |b|).
 
-    Draws stop after 50 per requested pair; a report with fewer pairs
-    means too few regular points, and with none its difference and
-    location are None.
+    Returns the worst difference, the details ``max_rel_diff``, ``pairs``,
+    ``at_s`` and ``at_theta``, and the CSV columns, one entry per pair.
+    Draws stop after 50 per requested pair; fewer ``pairs`` than requested
+    means too few regular points, and with none the difference and
+    location are None and the columns empty.
     """
     rng = np.random.default_rng(seed)
     intervals = p.regular_intervals()
@@ -362,8 +330,9 @@ def operator_equivalence_residual(
         else:
             pos += 2
     done = len(picks)
+    details = {"max_rel_diff": None, "pairs": done, "at_s": None, "at_theta": None}
     if not done:
-        return EquivalenceReport(None, 0, None, None)
+        return None, details, {}
     # The picks' jets are slices of the screening pass; pair i takes field
     # i % len(fields), whose partials on its slice feed both formulas.
     picked = np.array(picks)
@@ -377,7 +346,7 @@ def operator_equivalence_residual(
         a[sel] = second_beltrami(part, pu)
         b[sel] = second_beltrami_divergence(part, pu)
     rel = np.abs(a - b) / (1.0 + np.abs(b))
-    worst = int(np.argmax(rel))
+    i = int(np.argmax(rel))
     which = np.arange(done) % len(fields)
     columns = {
         "s": s, "theta": theta,
@@ -386,10 +355,6 @@ def operator_equivalence_residual(
         "trig": np.array([fld.trig for fld in fields])[which],
         "specialized": a, "divergence_form": b, "rel_diff": rel,
     }
-    return EquivalenceReport(
-        max_rel_diff=float(rel[worst]),
-        pairs=done,
-        at_s=float(s[worst]),
-        at_theta=float(theta[worst]),
-        columns=columns,
-    )
+    worst = float(rel[i])
+    details.update(max_rel_diff=worst, at_s=float(s[i]), at_theta=float(theta[i]))
+    return worst, details, columns

@@ -89,68 +89,50 @@ def _structure(A: np.ndarray) -> tuple[float, float]:
     return float(offdiag), float(abs(A[0, 0] - A[1, 1]))
 
 
-def _max_row_norm(M: np.ndarray) -> Optional[float]:
-    return float(np.max(np.linalg.norm(M, axis=1))) if len(M) else None
-
-
 def fit_from_samples(
-    X: np.ndarray,
-    B: np.ndarray,
+    KX: np.ndarray,
+    KB: np.ndarray,
+    n_points: int,
+    sup_lap: Optional[float],
+    sup_position: Optional[float],
     grid: tuple[int, int] = (0, 0),
     rows_excluded: int = 0,
     tol_fit: float = DEFAULT_TOL_FIT,
     tol_reject: float = DEFAULT_TOL_REJECT,
-    n_points: Optional[int] = None,
-    sup_lap: Optional[float] = None,
-    sup_position: Optional[float] = None,
 ) -> FitReport:
     """Least-squares fit of A in B = X A^T, then the verdict.
 
-    X and B are either raw samples (n x 3, one row per grid point) or a
-    compressed pair KX, KB with X = Q KX and B = Q KB for one Q with
-    orthonormal columns. Both give the same solution, residual, norm of B
-    and singular values. A compressed pair has other rows, so it comes with
-    the raw grid's point count and largest row norms of B and X; for raw
-    samples these three are derived from X and B.
+    KX and KB are a compressed pair: X = Q KX and B = Q KB for the grid's
+    samples X and B (one row per point) and one Q with orthonormal
+    columns, so they give the same solution, residual, norm of B and
+    singular values as the samples.  Their rows are not grid points, so
+    the grid's point count and largest row norms of B and X come with
+    them; the norms are None when there are no points.
     """
-    if n_points is None:
-        n_points = X.shape[0]
-        sup_lap, sup_position = _max_row_norm(B), _max_row_norm(X)
     rtol = max(n_points, 3) * np.finfo(float).eps
-    rank = int(np.linalg.matrix_rank(X, rtol=rtol)) if n_points else 0
+    rank = int(np.linalg.matrix_rank(KX, rtol=rtol)) if n_points else 0
+    A = rel = offdiag = split = lam = mu = None
+    note = ""
     if n_points < 9 or rank < 3:
-        return FitReport(
-            matrix=None,
-            rel_residual=None,
-            offdiag_max=None,
-            diag_split=None,
-            lam=None,
-            mu=None,
-            verdict=VERDICT_INCONCLUSIVE,
-            n_points=n_points,
-            rows_excluded=rows_excluded,
-            rank=rank,
-            sup_lap=sup_lap,
-            sup_position=sup_position,
-            grid=grid,
-            note=f"degenerate sample set: {n_points} points, rank {rank}",
-        )
-    At, *_ = np.linalg.lstsq(X, B, rcond=None)
-    A = At.T
-    res = float(np.linalg.norm(B - X @ At))
-    b_norm = float(np.linalg.norm(B))
-    rel = res / b_norm if b_norm > 1e-14 else res
-    offdiag, split = _structure(A)
-    lam = 0.5 * float(A[0, 0] + A[1, 1])
-    mu = float(A[2, 2])
-    if sup_lap <= tol_fit * sup_position and float(np.max(np.abs(A))) <= tol_fit:
-        verdict = VERDICT_NULL
-    elif float(np.max(np.abs(A - 2.0 * np.eye(3)))) <= tol_fit and rel <= tol_fit:
-        verdict = VERDICT_SPHERE
-    elif rel >= tol_reject:
-        verdict = VERDICT_NOT
-    else:
         verdict = VERDICT_INCONCLUSIVE
+        note = f"degenerate sample set: {n_points} points, rank {rank}"
+    else:
+        At, *_ = np.linalg.lstsq(KX, KB, rcond=None)
+        A = At.T
+        res = float(np.linalg.norm(KB - KX @ At))
+        b_norm = float(np.linalg.norm(KB))
+        rel = res / b_norm if b_norm > 1e-14 else res
+        offdiag, split = _structure(A)
+        lam = 0.5 * float(A[0, 0] + A[1, 1])
+        mu = float(A[2, 2])
+        if sup_lap <= tol_fit * sup_position and float(np.max(np.abs(A))) <= tol_fit:
+            verdict = VERDICT_NULL
+        elif float(np.max(np.abs(A - 2.0 * np.eye(3)))) <= tol_fit and rel <= tol_fit:
+            verdict = VERDICT_SPHERE
+        elif rel >= tol_reject:
+            verdict = VERDICT_NOT
+        else:
+            verdict = VERDICT_INCONCLUSIVE
     return FitReport(
         matrix=A,
         rel_residual=rel,
@@ -165,6 +147,7 @@ def fit_from_samples(
         sup_lap=sup_lap,
         sup_position=sup_position,
         grid=grid,
+        note=note,
     )
 
 
@@ -205,13 +188,13 @@ def fit_matrix(
     return fit_from_samples(
         KX,
         KB,
+        n_points=len(jets) * n_theta,
+        sup_lap=sup_lap,
+        sup_position=sup_position,
         grid=(n_s, n_theta),
         rows_excluded=excluded,
         tol_fit=tol_fit,
         tol_reject=tol_reject,
-        n_points=len(jets) * n_theta,
-        sup_lap=sup_lap,
-        sup_position=sup_position,
     )
 
 
@@ -248,51 +231,59 @@ def structure_check(report: FitReport, tol_struct: float = DEFAULT_TOL_STRUCT) -
     )
 
 
-@dataclass(frozen=True, eq=False)
-class EigenSystemResiduals:
-    """Residuals of the reduced eigen-system at fixed (lam, mu), one entry
-    per sample point:
+_EIGEN_RESIDUALS = ("factor", "quotient", "rate")
+
+
+def eigen_system_residuals(
+    jets: RegularJets, lam: float, mu: float
+) -> tuple[Optional[float], dict, dict]:
+    """Residuals of the reduced eigen-system at fixed (lam, mu), one per
+    point of ``jets``:
 
     factor:   radial = lam*f and axial = mu*g
     quotient: R = lam*f*sin(phi) - mu*g*cos(phi)
     rate:     R' = -phi'*(lam*f*cos(phi) + mu*g*sin(phi))
 
-    `as_tuple` and `to_dict` give their maxima, and raise ValueError on an
-    empty sample set.
+    Returns the largest of their maxima, the details ``lambda``, ``mu``
+    and each residual's maximum, and the columns ``s``, ``factor``,
+    ``quotient`` and ``rate``; with no points the maxima are None and the
+    columns empty.
     """
-
-    factor: np.ndarray
-    quotient: np.ndarray
-    rate: np.ndarray
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return tuple(float(np.max(r)) for r in (self.factor, self.quotient, self.rate))
-
-    def to_dict(self) -> dict:
-        return dict(zip(("factor", "quotient", "rate"), self.as_tuple()))
-
-
-def eigen_system_residuals(jets: RegularJets, lam: float, mu: float) -> EigenSystemResiduals:
-    """The eigen-system residuals at each point of ``jets``."""
+    details = {"lambda": lam, "mu": mu, **dict.fromkeys(_EIGEN_RESIDUALS)}
+    if not len(jets):
+        return None, details, {}
     fj, gj = jets.f, jets.g
     radial, axial = laplacian_profile_factors(jets)
     R, dR = radii_sum_jet(jets)
     sin_phi, cos_phi = jets.sin_phi, jets.cos_phi
-    return EigenSystemResiduals(
-        factor=np.maximum(np.abs(radial - lam * fj.v0), np.abs(axial - mu * gj.v0)),
-        quotient=np.abs(R - (lam * fj.v0 * sin_phi - mu * gj.v0 * cos_phi)),
-        rate=np.abs(dR + jets.dphi * (lam * fj.v0 * cos_phi + mu * gj.v0 * sin_phi)),
+    residuals = (
+        np.maximum(np.abs(radial - lam * fj.v0), np.abs(axial - mu * gj.v0)),
+        np.abs(R - (lam * fj.v0 * sin_phi - mu * gj.v0 * cos_phi)),
+        np.abs(dR + jets.dphi * (lam * fj.v0 * cos_phi + mu * gj.v0 * sin_phi)),
     )
+    details.update(zip(_EIGEN_RESIDUALS, (float(np.max(r)) for r in residuals)))
+    worst = max(details[name] for name in _EIGEN_RESIDUALS)
+    return worst, details, {"s": jets.s, **dict(zip(_EIGEN_RESIDUALS, residuals))}
 
 
-def radius_rate_defect(jets: RegularJets, lam: float, mu: float) -> np.ndarray:
-    """Defect of R' = ((lam - mu)/2) sin(phi) cos(phi) at each sample point.
+def radius_rate_defect(
+    jets: RegularJets, lam: float, mu: float
+) -> tuple[Optional[float], dict, dict]:
+    """Defect of R' = ((lam - mu)/2) sin(phi) cos(phi) at each point of
+    ``jets``: the worst defect, the details ``lambda``, ``mu`` and
+    ``max_defect``, and the columns ``s`` and ``defect``; with no points
+    the defect is None and the columns empty.
 
     The relation follows from the eigen-system by differentiation, so it is
     only meaningful where those residuals are small.
     """
+    details = {"lambda": lam, "mu": mu, "max_defect": None}
+    if not len(jets):
+        return None, details, {}
     _, dR = radii_sum_jet(jets)
-    return np.abs(dR - 0.5 * (lam - mu) * jets.sin_phi * jets.cos_phi)
+    defect = np.abs(dR - 0.5 * (lam - mu) * jets.sin_phi * jets.cos_phi)
+    worst = details["max_defect"] = float(np.max(defect))
+    return worst, details, {"s": jets.s, "defect": defect}
 
 
 def quartic_coefficients(lam, mu) -> tuple:

@@ -14,7 +14,8 @@ contain no timestamps, so rerunning a command with the same inputs and seed
 reproduces the output byte for byte.
 A check that finds no usable sample points fails with exit 2 and a reason.
 A command runs with NumPy overflow, division by zero and invalid operations
-raised, so such a fault is an input error (exit 1), not a warning.
+raised, so such a fault is an input error (exit 1), not a warning, and its
+message names the surface and the stage: validation, fit or the check.
 
 The tolerances (``--tol-arc``, ``--tol-parab``, ``--tol-fit``,
 ``--tol-struct``, ``--tol``) and ``--lambda``/``--mu`` must be finite
@@ -35,6 +36,7 @@ behind for the next.  A one-shot ``revtype`` process still builds it once.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -195,6 +197,17 @@ def _config_from_args(args, surface_label: str) -> RunConfig:
     )
 
 
+@contextlib.contextmanager
+def _stage(label: str, stage: str):
+    """Name the surface and the stage in a floating-point fault raised
+    inside: ``sphere(r=1e-160): validation: overflow encountered in
+    multiply``."""
+    try:
+        yield
+    except ArithmeticError as exc:
+        raise InputError(f"{label}: {stage}: {exc}") from None
+
+
 def _validate(curve: ProfileCurve, config: RunConfig, n_samples: int = 101):
     validation = geometry.validate_profile(
         curve, n_samples=n_samples, tol_arc=config.tol_arc, tol_parab=config.tol_parab
@@ -209,15 +222,17 @@ def cmd_classify(args) -> int:
     label, curve, entry = _load_surface(args)
     config = _config_from_args(args, label)
     _within_budget("--samples", args.samples, MAX_SAMPLES)
-    validation = _validate(curve, config, args.samples)
-    report = classify.fit_matrix(
-        curve,
-        n_s=config.n_s,
-        n_theta=config.n_theta,
-        tol_parab=config.tol_parab,
-        tol_fit=config.tol_fit,
-    )
-    structure = classify.structure_check(report, tol_struct=config.tol_struct)
+    with _stage(label, "validation"):
+        validation = _validate(curve, config, args.samples)
+    with _stage(label, "fit"):
+        report = classify.fit_matrix(
+            curve,
+            n_s=config.n_s,
+            n_theta=config.n_theta,
+            tol_parab=config.tol_parab,
+            tol_fit=config.tol_fit,
+        )
+        structure = classify.structure_check(report, tol_struct=config.tol_struct)
     payload = {
         "config": config.to_dict(),
         "validation": validation.to_dict(),
@@ -263,6 +278,38 @@ def _lam_mu_defaults(args, entry) -> tuple[float, float]:
 
 _NO_ROWS = "no usable points: every grid row is parabolic within tol_parab"
 
+# Default tolerance of each verify check, keyed by check name.  A check
+# returns (worst, details, columns): `worst` is None exactly when no point
+# was usable, `details` has the same keys either way, and `columns`, the
+# per-point arrays of the CSV report, is empty exactly when `worst` is None.
+VERIFY_TOLERANCES = {
+    "position-identity": 1e-8,
+    "curvature-quotient": 1e-10,
+    "operator-equivalence": 1e-8,
+    "eigen-system": 1e-8,
+    "radius-rate": 1e-8,
+}
+
+
+def _run_check(args, config: RunConfig, curve: ProfileCurve, entry):
+    """(worst, details, columns) of the check named by ``args.check``.  The
+    grid checks share one `geometry.grid_rows` pass; operator-equivalence
+    draws its own points."""
+    check = args.check
+    if check == "operator-equivalence":
+        return beltrami.operator_equivalence_residual(
+            curve, n_pairs=args.pairs, seed=config.seed, tol_parab=config.tol_parab
+        )
+    lam_mu = _lam_mu_defaults(args, entry) if check in ("eigen-system", "radius-rate") else ()
+    jets, excluded = geometry.grid_rows(curve, config.n_s, config.tol_parab)
+    if check == "position-identity":
+        return beltrami.position_identity_residual(jets, config.n_theta, excluded)
+    if check == "curvature-quotient":
+        return geometry.quotient_defects(jets)
+    if check == "eigen-system":
+        return classify.eigen_system_residuals(jets, *lam_mu)
+    return classify.radius_rate_defect(jets, *lam_mu)
+
 
 def cmd_verify(args) -> int:
     if args.tol is not None and args.tol <= 0.0:
@@ -270,60 +317,21 @@ def cmd_verify(args) -> int:
     label, curve, entry = _load_surface(args)
     config = _config_from_args(args, label)
     check = args.check
+    tol = VERIFY_TOLERANCES[check] if args.tol is None else args.tol
     if check == "operator-equivalence":
         if args.pairs < 1:
             raise InputError("--pairs must be at least 1")
         _within_budget("--pairs", args.pairs, MAX_PAIRS)
-    _validate(curve, config)
-    details: dict = {}
-    columns: dict = {}
-    worst: Optional[float] = None
+    with _stage(label, "validation"):
+        _validate(curve, config)
+    with _stage(label, check):
+        worst, details, columns = _run_check(args, config, curve, entry)
     reason: Optional[str] = None
-    if check == "position-identity":
-        tol = args.tol if args.tol is not None else 1e-8
-        rep = beltrami.position_identity_residual(curve, config.n_s, config.n_theta,
-                                                  config.tol_parab)
-        worst, details, columns = rep.max_residual, rep.to_dict(), rep.columns
-        if not rep.points_used:
-            reason = _NO_ROWS
-    elif check == "curvature-quotient":
-        tol = args.tol if args.tol is not None else 1e-10
-        jets, _ = geometry.grid_rows(curve, config.n_s, config.tol_parab)
-        details = {"max_residual": None, "rows_used": len(jets)}
-        if not len(jets):
-            reason = _NO_ROWS
-        else:
-            worst, columns = geometry.quotient_defects(jets)
-            details["max_residual"] = worst
-    elif check == "operator-equivalence":
-        tol = args.tol if args.tol is not None else 1e-8
-        rep = beltrami.operator_equivalence_residual(
-            curve, n_pairs=args.pairs, seed=config.seed, tol_parab=config.tol_parab
-        )
-        worst, details, columns = rep.max_rel_diff, rep.to_dict(), rep.columns
-        if rep.pairs < args.pairs:
-            reason = (f"found {rep.pairs} of {args.pairs} usable sample points "
-                      f"in {50 * args.pairs} draws")
-    elif check in ("eigen-system", "radius-rate"):
-        tol = args.tol if args.tol is not None else 1e-8
-        lam, mu = _lam_mu_defaults(args, entry)
-        jets, _ = geometry.grid_rows(curve, config.n_s, config.tol_parab)
-        details = {"lambda": lam, "mu": mu}
-        if not len(jets):
-            reason = _NO_ROWS
-        elif check == "eigen-system":
-            res = classify.eigen_system_residuals(jets, lam, mu)
-            worst = max(res.as_tuple())
-            details.update(res.to_dict())
-            columns = {"s": jets.s, "factor": res.factor, "quotient": res.quotient,
-                       "rate": res.rate}
-        else:
-            defect = classify.radius_rate_defect(jets, lam, mu)
-            worst = float(np.max(defect))
-            details["max_defect"] = worst
-            columns = {"s": jets.s, "defect": defect}
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown check {check!r}")
+    if check == "operator-equivalence" and details["pairs"] < args.pairs:
+        reason = (f"found {details['pairs']} of {args.pairs} usable sample points "
+                  f"in {50 * args.pairs} draws")
+    elif worst is None:
+        reason = _NO_ROWS
     passed = reason is None and worst <= tol
     payload = {
         "config": config.to_dict(),
@@ -427,16 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.set_defaults(func=cmd_classify)
 
     p_verify = subs.add_parser("verify", help="run one residual check")
-    p_verify.add_argument(
-        "check",
-        choices=(
-            "position-identity",
-            "curvature-quotient",
-            "operator-equivalence",
-            "eigen-system",
-            "radius-rate",
-        ),
-    )
+    p_verify.add_argument("check", choices=tuple(VERIFY_TOLERANCES))
     _add_surface_options(p_verify)
     p_verify.add_argument("--tol", type=_finite_float, default=None,
                           help="override the check tolerance")

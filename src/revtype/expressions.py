@@ -317,17 +317,20 @@ def _constant_value(fn, args) -> float:
 def eval_jet3(e: Expr, s, params: Optional[Mapping[str, float]] = None) -> Jet3:
     """Evaluate ``e`` and its first three s-derivatives at ``s``.
 
-    ``s`` is a float or a 1-D array of sample points evaluated in one pass;
-    every channel of a batch result is an array of the shape of ``s``, and
-    a domain error reports its first offending element's index.
+    ``s`` is a 1-D array of sample points evaluated in one pass: every
+    channel of the result is an array of the shape of ``s``, and a domain
+    error reports its first offending element's index.  A float ``s`` is a
+    one-point batch whose channels are element 0 of each array.
 
     A subtree without ``s`` evaluates to a float, `_constant_value`, which
     meets jets through the float paths of `Jet3`, so no constant's zero
     channels are carried.
     """
+    if np.ndim(s) == 0:
+        j = eval_jet3(e, np.array([s], dtype=float), params)
+        return Jet3(j.v0[0], j.v1[0], j.v2[0], j.v3[0])
     params = params or {}
-    batch = np.ndim(s) > 0
-    var = Jet3.variable(np.asarray(s, dtype=float) if batch else s)
+    var = Jet3.variable(np.asarray(s, dtype=float))
 
     def apply(node: Expr, fn, *args) -> Jet3 | float:
         try:
@@ -359,8 +362,6 @@ def eval_jet3(e: Expr, s, params: Optional[Mapping[str, float]] = None) -> Jet3:
     out = ev(e)
     if isinstance(out, float):
         out = Jet3(out)
-    if not batch:
-        return out
     shape = var.v0.shape
     return Jet3(*(c if np.shape(c) == shape else np.broadcast_to(c, shape)
                   for c in (out.v0, out.v1, out.v2, out.v3)))

@@ -418,33 +418,28 @@ def theta_circle(n_theta: int) -> np.ndarray:
     return _TAU * np.arange(n_theta) / n_theta
 
 
-def quotient_defects(jets: RegularJets) -> tuple[float, dict]:
+def quotient_defects(jets: RegularJets) -> tuple[Optional[float], dict, dict]:
     """Max relative defect between R = 1/phi' + f/sin(phi) and the same
     quantity rebuilt from principal curvature ratios h_ij / g_ij, combined
-    with the |2H - R*K| consistency, and the per-row columns ``s``,
-    ``quotient``, ``from_curvature_ratios`` and ``rel_defect``."""
+    with the |2H - R*K| consistency.  Returns the defect, the details
+    ``max_residual`` and ``rows_used``, and the per-row columns ``s``,
+    ``quotient``, ``from_curvature_ratios`` and ``rel_defect``; with no
+    rows the defect is None and the columns empty."""
+    details = {"max_residual": None, "rows_used": len(jets)}
+    if not len(jets):
+        return None, details, {}
     fm = forms_at(jets)
     k1, k2 = fm.kappa1, fm.kappa2
     rebuilt = (k1 + k2) / (k1 * k2)
     defect = np.abs(fm.R - rebuilt) / (1.0 + np.abs(fm.R))
-    worst = max(
+    worst = float(max(
         np.max(defect),
         np.max(np.abs(2.0 * fm.H - fm.R * fm.K) / (1.0 + np.abs(2.0 * fm.H))),
-    )
+    ))
+    details["max_residual"] = worst
     columns = {"s": jets.s, "quotient": fm.R, "from_curvature_ratios": rebuilt,
                "rel_defect": defect}
-    return float(worst), columns
-
-
-def quotient_consistency(
-    p: ProfileCurve, n_s: int = 32, tol_parab: float = DEFAULT_TOL_PARAB
-) -> tuple[Optional[float], int]:
-    """`quotient_defects` over the grid rows.  Returns (max defect, rows
-    used); the defect is None when every row is parabolic."""
-    jets, _ = grid_rows(p, n_s, tol_parab)
-    if not len(jets):
-        return None, 0
-    return quotient_defects(jets)[0], len(jets)
+    return worst, details, columns
 
 
 PROFILE_FIELDS = ("name", "f", "g", "s_min", "s_max", "params", "excluded_intervals")

@@ -49,6 +49,13 @@ SCAN_ARGMIN = (0.5, -0.5)
 SCAN_LOWER_BOUND = 0.125 * 300 / 61836
 
 
+def _raw_fit(X, B):
+    """`fit_from_samples` on raw samples, one row per grid point: the point
+    count and the largest row norms of B and X come from the samples."""
+    norms = (float(np.max(np.linalg.norm(M, axis=1))) if len(M) else None for M in (B, X))
+    return fit_from_samples(X, B, len(X), *norms)
+
+
 class TestFit:
     def test_sphere_two_identity(self):
         report = fit_matrix(sphere(1.0).curve)
@@ -81,14 +88,14 @@ class TestFit:
         X[:, 0] = rng.uniform(1, 2, size=20)
         X[:, 2] = 2.0 * X[:, 0]  # rank 1: column 1 is zero, column 2 doubles column 0
         B = rng.uniform(-1, 1, size=(20, 3))
-        report = fit_from_samples(X, B)
+        report = _raw_fit(X, B)
         assert report.verdict == VERDICT_INCONCLUSIVE
         assert "rank" in report.note
         assert report.rank == 1
 
     def test_too_few_points_inconclusive(self):
         X = np.eye(3)
-        report = fit_from_samples(X, X)
+        report = _raw_fit(X, X)
         assert report.verdict == VERDICT_INCONCLUSIVE
 
     def test_degenerate_fit_holds_none(self):
@@ -104,7 +111,7 @@ class TestFit:
         assert not structure_check(report, tol_struct=math.inf).ok
 
     def test_no_points_has_no_row_norms(self):
-        report = fit_from_samples(np.empty((0, 3)), np.empty((0, 3)))
+        report = _raw_fit(np.empty((0, 3)), np.empty((0, 3)))
         assert (report.n_points, report.rank) == (0, 0)
         assert report.sup_lap is None and report.sup_position is None
 
@@ -113,7 +120,7 @@ class TestFit:
         X = rng.normal(size=(200, 3))
         B = X @ rng.normal(size=(3, 3)) + 1e-3 * rng.normal(size=(200, 3))
         R = np.linalg.qr(np.column_stack((X, B)), mode="r")
-        raw = fit_from_samples(X, B)
+        raw = _raw_fit(X, B)
         small = fit_from_samples(R[:, :3], R[:, 3:], n_points=200,
                                  sup_lap=raw.sup_lap, sup_position=raw.sup_position)
         assert (small.rank, small.n_points, small.verdict) == (raw.rank, 200, raw.verdict)
@@ -124,7 +131,7 @@ class TestFit:
         # Third column at 3e-14 relative: above 3*eps, the threshold for the
         # 3x3 pair alone, but below 1000*eps, the threshold for the grid.
         K = np.diag([1.0, 1.0, 3e-14])
-        assert fit_from_samples(K, K).rank == 3
+        assert _raw_fit(K, K).rank == 3
         assert fit_from_samples(K, K, n_points=1000, sup_lap=1.0, sup_position=1.0).rank == 2
 
     def test_report_serialization(self):
@@ -200,66 +207,76 @@ class TestStructure:
 class TestEigenSystem:
     def test_sphere_exact(self):
         jets, _ = grid_rows(sphere(1.0).curve, 24)
-        res = eigen_system_residuals(jets, 2.0, 2.0)
-        assert max(res.as_tuple()) <= 1e-10
+        worst, _, _ = eigen_system_residuals(jets, 2.0, 2.0)
+        assert worst <= 1e-10
 
     def test_catenoid_exact(self):
         jets, _ = grid_rows(catenoid(1.0).curve, 24)
-        res = eigen_system_residuals(jets, 0.0, 0.0)
-        assert max(res.as_tuple()) <= 1e-10
+        worst, _, _ = eigen_system_residuals(jets, 0.0, 0.0)
+        assert worst <= 1e-10
 
     def test_torus_fails(self):
         jets, _ = grid_rows(torus(3.0, 1.0).curve, 24)
-        res = eigen_system_residuals(jets, 2.0, 2.0)
-        assert res.to_dict()["factor"] > 0.1
+        _, details, _ = eigen_system_residuals(jets, 2.0, 2.0)
+        assert details["factor"] > 0.1
 
     def test_torus_pointwise_value(self):
         # |radial - 2 f| = |3 tan(s)^2 - 3| at the torus (3, 1)
         jets = require_regular(torus(3.0, 1.0).curve, np.array([0.0]))
-        res = eigen_system_residuals(jets, 2.0, 2.0)
-        assert res.as_tuple()[0] == pytest.approx(3.0, rel=1e-11)
+        _, details, _ = eigen_system_residuals(jets, 2.0, 2.0)
+        assert details["factor"] == pytest.approx(3.0, rel=1e-11)
 
     def test_rows_hold_each_point(self):
         # per-point residuals of a batch equal those of each point alone
         curve = torus(3.0, 1.0).curve
         jets, _ = grid_rows(curve, 12)
-        res = eigen_system_residuals(jets, 2.0, 2.0)
-        defect = radius_rate_defect(jets, 2.0, 2.0)
-        assert res.factor.shape == res.quotient.shape == res.rate.shape == defect.shape == (12,)
+        _, _, res = eigen_system_residuals(jets, 2.0, 2.0)
+        _, _, rate = radius_rate_defect(jets, 2.0, 2.0)
+        assert list(res) == ["s", "factor", "quotient", "rate"] and list(rate) == ["s", "defect"]
+        for column in (*res.values(), *rate.values()):
+            assert column.shape == (12,)
         for i, s in enumerate(jets.s.tolist()):
             one = require_regular(curve, np.array([s]))
-            assert res.factor[i] == eigen_system_residuals(one, 2.0, 2.0).factor[0]
-            assert defect[i] == radius_rate_defect(one, 2.0, 2.0)[0]
+            assert res["factor"][i] == eigen_system_residuals(one, 2.0, 2.0)[2]["factor"][0]
+            assert rate["defect"][i] == radius_rate_defect(one, 2.0, 2.0)[2]["defect"][0]
 
     def test_empty_sample_set_has_no_maximum(self):
         jets = require_regular(sphere(1.0).curve, np.empty(0))
-        with pytest.raises(ValueError):
-            eigen_system_residuals(jets, 2.0, 2.0).as_tuple()
-        with pytest.raises(ValueError):
-            np.max(radius_rate_defect(jets, 2.0, 2.0))
+        assert eigen_system_residuals(jets, 2.0, 2.0) == (
+            None, {"lambda": 2.0, "mu": 2.0, "factor": None, "quotient": None, "rate": None}, {})
+        assert radius_rate_defect(jets, 2.0, 2.0) == (
+            None, {"lambda": 2.0, "mu": 2.0, "max_defect": None}, {})
+
+    def test_worst_is_largest_maximum(self):
+        jets, _ = grid_rows(torus(3.0, 1.0).curve, 12)
+        worst, details, columns = eigen_system_residuals(jets, 2.0, 1.0)
+        maxima = [float(np.max(columns[k])) for k in ("factor", "quotient", "rate")]
+        assert [details[k] for k in ("factor", "quotient", "rate")] == maxima
+        assert worst == max(maxima)
+        worst, details, columns = radius_rate_defect(jets, 2.0, 1.0)
+        assert worst == details["max_defect"] == float(np.max(columns["defect"]))
 
     def test_rate_defect_sphere(self):
         jets, _ = grid_rows(sphere(1.0).curve, 24)
-        assert np.max(radius_rate_defect(jets, 2.0, 2.0)) <= 1e-10
+        assert radius_rate_defect(jets, 2.0, 2.0)[0] <= 1e-10
 
     def test_rate_defect_catenoid(self):
         jets, _ = grid_rows(catenoid(1.0).curve, 24)
-        assert np.max(radius_rate_defect(jets, 0.0, 0.0)) <= 1e-10
+        assert radius_rate_defect(jets, 0.0, 0.0)[0] <= 1e-10
 
     def test_rate_defect_reported_when_system_fails(self):
         # derivation chain: the value is reported even when the eigen-system
         # residual is large and the relation is not applicable
         jets, _ = grid_rows(torus(3.0, 1.0).curve, 8)
-        defect = radius_rate_defect(jets, 3.0, 1.0)
-        assert np.all(np.isfinite(defect))
+        _, _, columns = radius_rate_defect(jets, 3.0, 1.0)
+        assert np.all(np.isfinite(columns["defect"]))
 
     def test_consistency_chain(self):
         # perturbing lambda by eps moves the rate defect by at most C * eps
         jets, _ = grid_rows(sphere(1.0).curve, 24)
         eps = 1e-6
-        res = eigen_system_residuals(jets, 2.0 + eps, 2.0)
-        defect = np.max(radius_rate_defect(jets, 2.0 + eps, 2.0))
-        scale = max(res.as_tuple())
+        scale, _, _ = eigen_system_residuals(jets, 2.0 + eps, 2.0)
+        defect, _, _ = radius_rate_defect(jets, 2.0 + eps, 2.0)
         assert scale <= 5 * eps
         assert defect <= 50 * scale
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -28,13 +29,7 @@ from helpers import (
     subdivision_certifies,
 )
 
-VERIFY_CHECKS = (
-    "position-identity",
-    "curvature-quotient",
-    "operator-equivalence",
-    "eigen-system",
-    "radius-rate",
-)
+VERIFY_CHECKS = tuple(cli.VERIFY_TOLERANCES)
 
 
 def run(argv, capsys=None):
@@ -213,6 +208,22 @@ class TestFailClosed:
         assert -1.0 not in list(_numbers(payload))
 
     @pytest.mark.parametrize("check", VERIFY_CHECKS)
+    def test_details_keep_their_keys(self, tmp_path, check):
+        if check == "operator-equivalence":
+            empty = ["--catalog", "sphere", "--param", "r=100"]
+        else:
+            empty = ["--profile", _profile_file(tmp_path, TORUS_NO_COLLARS), "--grid", "2x4"]
+        reports = []
+        for surface in (["--catalog", "torus", "--grid", "8x8"], empty):
+            _, out, _ = captured(["verify", check, *surface, "--lambda", "2", "--mu", "2",
+                                  "--pairs", "20"])
+            reports.append(json.loads(out))
+        usable, none = reports
+        assert usable["max_residual"] is not None and none["max_residual"] is None
+        assert usable["details"].keys() == none["details"].keys()
+        assert usable["tolerance"] == none["tolerance"] == cli.VERIFY_TOLERANCES[check]
+
+    @pytest.mark.parametrize("check", VERIFY_CHECKS)
     @pytest.mark.parametrize("surface", ("broken-diagonal", "stretched-torus"))
     def test_invalid_profile_is_input_error(self, tmp_path, capsys, check, surface):
         if surface == "broken-diagonal":
@@ -245,6 +256,37 @@ def _readme_csv_columns() -> dict[str, list[str]]:
             stem, _, last = name.partition("..")
             listed[command] += [f"{stem[:-1]}{k}" for k in range(1, int(last) + 1)] if last else [name]
     return listed
+
+
+def _readme_verify_tolerances() -> dict[str, float]:
+    """The default tolerance of each check as the README "Verify checks"
+    table states it, in table order."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    table = text.split("### Verify checks", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `([a-z-]+)` \|.*\| `([^`]+)`[^|]*\|$", table, re.M)
+    return {name: float(tol) for name, tol in rows}
+
+
+class TestCheckTable:
+    def test_choices_are_the_table(self):
+        subs = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
+        check = next(a for a in subs.choices["verify"]._actions if a.dest == "check")
+        assert list(check.choices) == list(cli.VERIFY_TOLERANCES)
+
+    def test_readme_table_matches(self):
+        readme = _readme_verify_tolerances()
+        assert list(readme.items()) == list(cli.VERIFY_TOLERANCES.items())
+
+    @pytest.mark.parametrize("check", VERIFY_CHECKS)
+    def test_one_grid_pass_per_check(self, monkeypatch, check):
+        calls = []
+        grid_rows = geometry.grid_rows
+        monkeypatch.setattr(geometry, "grid_rows",
+                            lambda *a, **k: calls.append(a) or grid_rows(*a, **k))
+        code, _, _ = captured(["verify", check, "--catalog", "torus", "--grid", "8x8",
+                               "--lambda", "2", "--mu", "2", "--pairs", "20"])
+        assert code in (0, 2)
+        assert len(calls) == (check != "operator-equivalence")
 
 
 class TestCsvOutput:
@@ -882,11 +924,27 @@ class TestFloatingPointFaults:
     @pytest.mark.parametrize("surface", _EXTREME_SURFACES, ids=lambda s: "-".join(s))
     def test_fault_is_an_input_error(self, command, surface):
         params = [x for p in surface[1:] for x in ("--param", p)]
+        if command[0] == "verify":
+            params += ["--lambda", "2", "--mu", "2"]  # so every check runs
         code, out, err = captured([*command, "--catalog", surface[0], *params])
         assert code in (0, 1, 2)
         assert "Warning" not in err and "Traceback" not in err
         if code == 1:
-            assert err.startswith("error:") and not out
+            label = catalog.make(surface[0], cli._parse_params(surface[1:])).curve.name
+            stages = ("validation", "fit" if command == ["classify"] else command[-1])
+            assert err.startswith(f"error: {label}: ") and not out
+            assert err[len(f"error: {label}: "):].startswith(
+                (*(f"{stage}: " for stage in stages), "profile validation FAILED"))
+
+    @pytest.mark.parametrize("argv, message", (
+        (["classify", "--catalog", "sphere", "--param", "r=1e-160"],
+         "sphere(r=1e-160): validation: overflow encountered in multiply"),
+        (["verify", "position-identity", "--catalog", "torus", "--param", "R=6.5e168",
+          "--param", "r=1"],
+         "torus(R=6.5e+168,r=1): position-identity: overflow encountered in multiply"),
+    ))
+    def test_message_names_surface_and_stage(self, argv, message):
+        assert captured(argv) == (1, "", f"error: {message}\n")
 
 
 class TestProfileDocumentProperty:

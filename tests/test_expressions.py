@@ -290,18 +290,16 @@ _s_values = st.one_of(_points, st.lists(_points, min_size=1, max_size=6).map(np.
 
 
 def _outcome(evaluate, tree, s):
-    """Channels of one evaluation, or the error it raised.  Python-float
-    jets raise ZeroDivisionError where a derivative formula of ln or sqrt
-    underflows to a zero divisor (ln(s) at s = 1e-170); both evaluators
-    share that outside constant subtrees.  Inside one (ln(1e-200)) only the
-    value is kept, and both return it."""
+    """Channels of one evaluation, or the domain error it raised.  Both
+    evaluators run on arrays, where a derivative formula that underflows to
+    a zero divisor (ln(s) at s = 1e-170) gives an infinite channel, not an
+    exception; inside a constant subtree (ln(1e-200)) only the value is
+    kept."""
     try:
         with np.errstate(all="ignore"):
             j = evaluate(tree, s, _PARAMS)
     except DomainEvalError as exc:
         return "error", str(exc), exc.subexpression, exc.index
-    except ZeroDivisionError as exc:
-        return "zero division", str(exc)
     return j
 
 
@@ -312,7 +310,10 @@ class TestScalarConstants:
     @settings(max_examples=400, deadline=None)
     @given(_eval_trees, _s_values)
     def test_matches_all_jet_evaluator(self, tree, s):
-        want = _outcome(reference_eval_jet3, tree, s)
+        # A float s is a one-point batch: the oracle runs on [s], and each
+        # of its channels is compared at element 0.
+        scalar = np.ndim(s) == 0
+        want = _outcome(reference_eval_jet3, tree, np.array([s]) if scalar else s)
         got = _outcome(eval_jet3, tree, s)
         if isinstance(want, tuple):
             assert got == want
@@ -320,6 +321,8 @@ class TestScalarConstants:
         assert not isinstance(got, tuple), got
         for k in range(4):
             g, w = np.asarray(getattr(got, f"v{k}")), np.asarray(getattr(want, f"v{k}"))
+            if scalar:
+                w = w[0]
             assert g.shape == w.shape, k
             if k:
                 # Where an overflowed value meets a zero channel the full
@@ -361,3 +364,37 @@ class TestScalarConstants:
         assert j.v0.shape == (3,) and np.all(j.v0 == 3.0 * np.sin(2.0))
         for channel in (j.v1, j.v2, j.v3):
             assert channel.shape == (3,) and not np.any(channel)
+
+
+class TestScalarIsOnePointBatch:
+    """A float ``s`` evaluates as the batch ``[s]``: the same channels, the
+    same domain errors and the same floating-point faults."""
+
+    @staticmethod
+    def _outcome(tree, s, flags):
+        try:
+            with np.errstate(all=flags):
+                return eval_jet3(tree, s, _PARAMS)
+        except (DomainEvalError, FloatingPointError) as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("flags", ("ignore", "raise"))
+    @settings(max_examples=200, deadline=None)
+    @given(tree=_eval_trees, s=_points)
+    def test_scalar_is_element_zero_of_batch(self, flags, tree, s):
+        got = self._outcome(tree, s, flags)
+        batch = self._outcome(tree, np.array([s]), flags)
+        if isinstance(batch, tuple):
+            assert got == batch
+            return
+        for k in range(4):
+            g, b = getattr(got, f"v{k}"), getattr(batch, f"v{k}")
+            assert np.ndim(g) == 0 and np.array_equal(g, b[0], equal_nan=True), (unparse(tree), k)
+
+    def test_underflowed_divisor_is_infinite(self):
+        with np.errstate(all="ignore"):
+            j = eval_jet3(parse("ln(s)"), 1e-170)
+        assert (j.v1, j.v2, j.v3) == (1e170, -np.inf, np.inf)
+        assert j.v0 == np.log(1e-170)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            eval_jet3(parse("ln(s)"), 1e-170)

@@ -21,7 +21,7 @@ from revtype import (
     torus,
     validate_profile,
 )
-from revtype.geometry import quotient_consistency
+from revtype.geometry import quotient_defects
 
 from helpers import normal_derivatives, point_at, reference_sample_regular, tangent_basis
 
@@ -187,9 +187,9 @@ class TestForms:
 
     def test_quotient_against_curvature_ratios(self, surfaces):
         for name, curve in surfaces.items():
-            worst, used = quotient_consistency(curve)
-            assert used > 0
-            assert worst <= 1e-10, name
+            worst, details, columns = quotient_defects(grid_rows(curve, 32)[0])
+            assert details["rows_used"] == len(columns["s"]) > 0
+            assert worst == details["max_residual"] <= 1e-10, name
 
 
 class TestPoints:
