@@ -14,18 +14,21 @@ Fields and operators read the profile from the jets of a sample set
 (`RegularJets`, one evaluation pass) and take ``theta`` as a float or a
 broadcasting array: jets of a column of rows against a row of angles is a
 whole grid in one pass.  The operators act on a field's partials
-(`ScalarField.partials`), so one set of partials can feed several of them.
+(`ScalarField.partials`), so one set of partials can feed several of them;
+`separable_partials` builds them for a batch of points drawn from many
+fields at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expressions import eval_jet3, parse
+from .expressions import BinOp, Func, Num, Pow, Var, eval_jet3, parse, unparse
 from .geometry import (
     DEFAULT_TOL_PARAB,
     ProfileCurve,
@@ -71,22 +74,31 @@ class ScalarField:
             raise ValueError("harmonic 0 with sin is identically zero")
 
     def partials(self, jets: RegularJets, theta) -> FieldPartials:
-        a = tuple(self.profile_jets(jets))
-        k = self.harmonic
-        if self.trig == "cos":
-            t = np.cos(k * theta)
-            dt = -k * np.sin(k * theta)
-        else:
-            t = np.sin(k * theta)
-            dt = k * np.cos(k * theta)
-        ddt = -k * k * t
-        return FieldPartials(
-            value=a[0] * t,
-            d_s=a[1] * t,
-            d_ss=a[2] * t if len(a) > 2 else None,
-            d_theta=a[0] * dt,
-            d_thetatheta=a[0] * ddt,
+        return separable_partials(
+            tuple(self.profile_jets(jets)), self.harmonic, self.trig == "cos", theta
         )
+
+
+def separable_partials(a: Sequence, harmonic, is_cos, theta) -> FieldPartials:
+    """Partials of a(s) * trig(k theta) from the profile jets ``a`` =
+    (a, a'[, a'']), with trig cos where ``is_cos`` holds and sin elsewhere.
+    ``harmonic`` and ``is_cos`` are one field's int and bool or integer
+    and bool arrays with one entry per point, so one call serves a batch of
+    points from many fields."""
+    k = harmonic
+    kt = k * theta
+    cos_kt, sin_kt = np.cos(kt), np.sin(kt)
+    # [()] turns the 0-d result of scalar arguments back into a scalar.
+    t = np.where(is_cos, cos_kt, sin_kt)[()]
+    dt = np.where(is_cos, -k * sin_kt, k * cos_kt)[()]
+    ddt = -k * k * t
+    return FieldPartials(
+        value=a[0] * t,
+        d_s=a[1] * t,
+        d_ss=a[2] * t if len(a) > 2 else None,
+        d_theta=a[0] * dt,
+        d_thetatheta=a[0] * ddt,
+    )
 
 
 def expression_field(
@@ -235,7 +247,8 @@ def position_identity_residual(
     pr = radii_sum_field().partials(rows, thetas)
     normals = (comp.partials(rows, thetas) for comp in normal_fields())
     rhs = [first_beltrami(rows, pr, pn) - R * pn.value for pn in normals]
-    residual = np.linalg.norm(np.stack(lhs, axis=-1) - np.stack(rhs, axis=-1), axis=-1)
+    d1, d2, d3 = (l - r for l, r in zip(lhs, rhs))
+    residual = np.sqrt(d1 * d1 + d2 * d2 + d3 * d3)
     i, j = np.unravel_index(np.argmax(residual), residual.shape)
     worst = float(residual[i, j])
     details.update(max_residual=worst, at_s=float(jets.s[i]), at_theta=float(thetas[j]),
@@ -250,11 +263,22 @@ def position_identity_residual(
     return worst, details, columns
 
 
+def _number(x: float):
+    """The tree that `parse` gives for the text of ``x``: a number with its
+    sign bit set (-0.0 too) is a negated literal."""
+    return Func("neg", Num(-x)) if math.copysign(1.0, x) < 0.0 else Num(x)
+
+
+_S = Var()
+
+
 def random_fields(
     p: ProfileCurve, rng: np.random.Generator, count: int
 ) -> list[ScalarField]:
     """Deterministic stream of smooth separable test fields on the profile
-    domain (trigonometric polynomials plus low-degree monomials in s)."""
+    domain (trigonometric polynomials plus low-degree monomials in s).
+    Each profile is built as a tree, the one `parse` gives for its label
+    ``unparse(tree)``, such as ``-1.234 * sin(0.56 * s) + 0.1 * s^2``."""
     span = p.s_max - p.s_min
     omega_base = _TAU / max(span, 1e-6)
     fields = []
@@ -264,15 +288,18 @@ def random_fields(
             coeff = round(float(rng.uniform(-2.0, 2.0)), 3)
             omega = round(float(omega_base * rng.uniform(0.2, 1.0)), 3)
             fn = "sin" if rng.integers(2) else "cos"
-            terms.append(f"{coeff} * {fn}({omega} * s)")
+            terms.append(BinOp("*", _number(coeff), Func(fn, BinOp("*", _number(omega), _S))))
         if rng.integers(2):
-            terms.append(f"{round(float(rng.uniform(-1.0, 1.0)), 3)} * s")
+            terms.append(BinOp("*", _number(round(float(rng.uniform(-1.0, 1.0)), 3)), _S))
         if rng.integers(2):
-            terms.append(f"{round(float(rng.uniform(-0.5, 0.5)), 3)} * s^2")
+            square = Pow(_S, Fraction(2))
+            terms.append(BinOp("*", _number(round(float(rng.uniform(-0.5, 0.5)), 3)), square))
         harmonic = int(rng.integers(0, 4))
         trig = "cos" if harmonic == 0 or rng.integers(2) else "sin"
-        text = " + ".join(terms)
-        fields.append(expression_field(text, harmonic=harmonic, trig=trig))
+        tree = terms[0]
+        for term in terms[1:]:
+            tree = BinOp("+", tree, term)
+        fields.append(expression_field(tree, harmonic=harmonic, trig=trig, label=unparse(tree)))
     return fields
 
 
@@ -308,6 +335,7 @@ def operator_equivalence_residual(
     # are screened, and joined onto the earlier ones.
     u = np.empty(0)
     candidates = None
+    usable: list[bool] = []
     picks: list[int] = []
     pos = attempts = 0
     while len(picks) < n_pairs and attempts < 50 * n_pairs:
@@ -318,11 +346,8 @@ def operator_equivalence_residual(
             k = cdf.searchsorted(u[first:-1], side="right")
             tail = _jets(p, starts[k] + widths[k] * u[first + 1:])
             low = np.minimum(np.abs(tail.dphi), np.abs(tail.sin_phi)) < margin
-            ok = ~(_parabolic(tail, tol_parab) | low)
-            if candidates is None:
-                candidates, usable = tail, ok
-            else:
-                candidates, usable = candidates.concat(tail), np.concatenate((usable, ok))
+            usable += (~(_parabolic(tail, tol_parab) | low)).tolist()
+            candidates = tail if candidates is None else candidates.concat(tail)
         attempts += 1
         if usable[pos]:
             picks.append(pos)
@@ -333,26 +358,29 @@ def operator_equivalence_residual(
     details = {"max_rel_diff": None, "pairs": done, "at_s": None, "at_theta": None}
     if not done:
         return None, details, {}
-    # The picks' jets are slices of the screening pass; pair i takes field
-    # i % len(fields), whose partials on its slice feed both formulas.
+    # The picks' jets are slices of the screening pass, and pair i takes
+    # field i % len(fields).  Each field's profile jets are evaluated once,
+    # on its own pairs, and gathered per pair; the partials and both
+    # formulas then run once over all pairs.
     picked = np.array(picks)
     jets = candidates[picked]
     s, theta = jets.s, _TAU * u[picked + 2]
-    a, b = np.empty(done), np.empty(done)
+    n = len(fields)
+    profile = np.empty((3, done))
     for i, fld in enumerate(fields):
-        sel = slice(i, done, len(fields))
-        part = jets[sel]
-        pu = fld.partials(part, theta[sel])
-        a[sel] = second_beltrami(part, pu)
-        b[sel] = second_beltrami_divergence(part, pu)
+        profile[:, i::n] = fld.profile_jets(jets[i::n])[:3]
+    which = np.arange(done) % n
+    harmonic = np.array([fld.harmonic for fld in fields])[which]
+    trig = np.array([fld.trig for fld in fields])[which]
+    pu = separable_partials(profile, harmonic, trig == "cos", theta)
+    a = second_beltrami(jets, pu)
+    b = second_beltrami_divergence(jets, pu)
     rel = np.abs(a - b) / (1.0 + np.abs(b))
     i = int(np.argmax(rel))
-    which = np.arange(done) % len(fields)
     columns = {
         "s": s, "theta": theta,
         "field": np.array([fld.label for fld in fields])[which],
-        "harmonic": np.array([fld.harmonic for fld in fields])[which],
-        "trig": np.array([fld.trig for fld in fields])[which],
+        "harmonic": harmonic, "trig": trig,
         "specialized": a, "divergence_form": b, "rel_diff": rel,
     }
     worst = float(rel[i])

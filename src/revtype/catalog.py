@@ -26,6 +26,13 @@ _TORUS_COLLAR = 0.02
 _SPHERE_COLLAR = 0.05
 
 
+def _fmt(x: float) -> str:
+    """``x`` for a surface label: ``:g`` when that reads back as ``x``,
+    ``repr`` otherwise, so a label names exactly the surface it labels."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
@@ -45,8 +52,9 @@ def catenoid(c: float = 1.0, half_width: Optional[float] = None) -> CatalogEntry
     hw = 2.0 * c if half_width is None else float(half_width)
     if hw <= 0.0:
         raise ValueError("half_width must be positive")
+    width = "" if half_width is None else f",half_width={_fmt(hw)}"
     curve = ProfileCurve.build(
-        name=f"catenoid(c={c:g})",
+        name=f"catenoid(c={_fmt(c)}{width})",
         f="sqrt(c^2 + s^2)",
         g="c * asinh(s / c)",
         s_min=-hw,
@@ -71,7 +79,7 @@ def sphere(r: float = 1.0) -> CatalogEntry:
         raise ValueError("sphere radius must be positive")
     delta = _SPHERE_COLLAR * r
     curve = ProfileCurve.build(
-        name=f"sphere(r={r:g})",
+        name=f"sphere(r={_fmt(r)})",
         f="r * sin(s / r)",
         g="-r * cos(s / r)",
         s_min=delta,
@@ -100,7 +108,7 @@ def torus(major: float = 3.0, minor: float = 1.0) -> CatalogEntry:
     collar = _TORUS_COLLAR * minor
     half = math.pi * minor
     curve = ProfileCurve.build(
-        name=f"torus(R={major:g},r={minor:g})",
+        name=f"torus(R={_fmt(major)},r={_fmt(minor)})",
         f="R + r * cos(s / r)",
         g="r * sin(s / r)",
         s_min=-half,

@@ -148,12 +148,13 @@ def pow_int(u: Jet3, n: int) -> Jet3:
         return Jet3.constant(1.0) / pow_int(u, -n)
     result = None
     base = u
-    while n:
+    while True:
         if n & 1:
             result = base if result is None else result * base
-        base = base * base
         n >>= 1
-    return result
+        if not n:
+            return result
+        base = base * base
 
 
 def pow_rational(u: Jet3, p: Fraction) -> Jet3:

@@ -4,8 +4,11 @@ evaluator and a per-point profile sampler, scalar surface points, tangents
 and Gauss-map derivatives, a grid-materialising reference for the
 coordinate fit, a per-point reference for the contradiction scan's lattice,
 an interval-subdivision certifier and a per-cell bound for its cells,
-sympy checks of the closure algebra, and the coordinate fields, coordinate
-Laplacian, closure coefficients and elimination check that only tests use.
+sympy checks of the closure algebra, the coordinate fields, coordinate
+Laplacian, closure coefficients and elimination check that only tests use,
+a square-and-multiply power that squares after its last bit, and the two
+Beltrami checks computed one random field at a time (fields built as text
+and parsed) and with a stacked norm.
 
 These stay independent of the jet-propagation code paths they check.
 """
@@ -32,7 +35,17 @@ from revtype.expressions import (
     Var,
     unparse,
 )
-from revtype.beltrami import ScalarField, laplacian_profile_factors
+from revtype.beltrami import (
+    FieldPartials,
+    ScalarField,
+    expression_field,
+    first_beltrami,
+    laplacian_profile_factors,
+    normal_fields,
+    radii_sum_field,
+    second_beltrami,
+    second_beltrami_divergence,
+)
 from revtype.classify import (
     _COFACTORS,
     _cell_bounds,
@@ -45,7 +58,14 @@ from revtype.classify import (
     VERDICT_SPHERE,
     quartic_coefficients,
 )
-from revtype.geometry import DEFAULT_TOL_PARAB, grid_rows, theta_circle
+from revtype.geometry import (
+    DEFAULT_TOL_PARAB,
+    _jets,
+    _parabolic,
+    grid_rows,
+    radii_sum_jet,
+    theta_circle,
+)
 
 _S = sp.Symbol("s")
 SYMPY_LOCALS = {"s": _S, "ln": sp.log, "asinh": sp.asinh}
@@ -671,3 +691,166 @@ def coordinate_laplacian(jets, theta: float) -> CoordinateLaplacian:
     radial, axial = laplacian_profile_factors(jets)
     vec = np.array([radial * math.cos(theta), radial * math.sin(theta), axial])
     return CoordinateLaplacian(radial=radial, axial=axial, vector=vec)
+
+
+def reference_pow_int(u, n: int):
+    """`jets.pow_int` squaring ``base`` once more after the last bit of n."""
+    if n == 0:
+        return jets.Jet3.constant(1.0)
+    if n < 0:
+        return jets.Jet3.constant(1.0) / reference_pow_int(u, -n)
+    result = None
+    base = u
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+# Reference Beltrami checks: one field's partials at a time, each with its
+# own cos or sin branch, and the position residual as the norm of stacked
+# (rows, n_theta, 3) differences.
+
+_TAU = 2.0 * math.pi
+
+
+def reference_partials(fld: ScalarField, jets, theta) -> FieldPartials:
+    """`ScalarField.partials` with one trigonometric branch per field."""
+    a = tuple(fld.profile_jets(jets))
+    k = fld.harmonic
+    if fld.trig == "cos":
+        t = np.cos(k * theta)
+        dt = -k * np.sin(k * theta)
+    else:
+        t = np.sin(k * theta)
+        dt = k * np.cos(k * theta)
+    ddt = -k * k * t
+    return FieldPartials(
+        value=a[0] * t,
+        d_s=a[1] * t,
+        d_ss=a[2] * t if len(a) > 2 else None,
+        d_theta=a[0] * dt,
+        d_thetatheta=a[0] * ddt,
+    )
+
+
+def reference_position_identity_residual(jets, n_theta: int, rows_excluded: int):
+    """`beltrami.position_identity_residual` with the residual taken by
+    `np.linalg.norm` over stacked left and right sides."""
+    details = {"max_residual": None, "at_s": None, "at_theta": None, "points_used": 0,
+               "rows_excluded": rows_excluded}
+    if not len(jets):
+        return None, details, {}
+    rows = jets[:, None]
+    thetas = theta_circle(n_theta)
+    R, _ = radii_sum_jet(rows)
+    radial, axial = laplacian_profile_factors(rows)
+    lhs = np.broadcast_arrays(radial * np.cos(thetas), radial * np.sin(thetas), axial)
+    pr = reference_partials(radii_sum_field(), rows, thetas)
+    normals = (reference_partials(comp, rows, thetas) for comp in normal_fields())
+    rhs = [first_beltrami(rows, pr, pn) - R * pn.value for pn in normals]
+    residual = np.linalg.norm(np.stack(lhs, axis=-1) - np.stack(rhs, axis=-1), axis=-1)
+    i, j = np.unravel_index(np.argmax(residual), residual.shape)
+    worst = float(residual[i, j])
+    details.update(max_residual=worst, at_s=float(jets.s[i]), at_theta=float(thetas[j]),
+                   points_used=residual.size)
+    columns = {
+        "s": np.broadcast_to(rows.s, residual.shape),
+        "theta": np.broadcast_to(thetas, residual.shape),
+        **{f"lhs{k}": c for k, c in enumerate(lhs, 1)},
+        **{f"rhs{k}": c for k, c in enumerate(rhs, 1)},
+        "residual": residual,
+    }
+    return worst, details, columns
+
+
+def reference_random_fields(p, rng, count: int) -> list:
+    """`beltrami.random_fields` built as text and parsed."""
+    span = p.s_max - p.s_min
+    omega_base = _TAU / max(span, 1e-6)
+    fields = []
+    for _ in range(count):
+        terms = []
+        for m in range(rng.integers(1, 4)):
+            coeff = round(float(rng.uniform(-2.0, 2.0)), 3)
+            omega = round(float(omega_base * rng.uniform(0.2, 1.0)), 3)
+            fn = "sin" if rng.integers(2) else "cos"
+            terms.append(f"{coeff} * {fn}({omega} * s)")
+        if rng.integers(2):
+            terms.append(f"{round(float(rng.uniform(-1.0, 1.0)), 3)} * s")
+        if rng.integers(2):
+            terms.append(f"{round(float(rng.uniform(-0.5, 0.5)), 3)} * s^2")
+        harmonic = int(rng.integers(0, 4))
+        trig = "cos" if harmonic == 0 or rng.integers(2) else "sin"
+        fields.append(expression_field(" + ".join(terms), harmonic=harmonic, trig=trig))
+    return fields
+
+
+def reference_operator_equivalence_residual(
+    p, n_pairs: int = 1000, seed: int = 0, tol_parab: float = DEFAULT_TOL_PARAB,
+    margin: float = 0.05,
+):
+    """`beltrami.operator_equivalence_residual` with parsed text fields, the
+    draw walk on a NumPy mask, and both formulas run once per field on the
+    field's own pairs."""
+    rng = np.random.default_rng(seed)
+    intervals = p.regular_intervals()
+    if not intervals:
+        raise ValueError("regular subdomain is empty")
+    starts = np.array([lo for lo, _ in intervals])
+    widths = np.array([hi - lo for lo, hi in intervals])
+    cdf = np.cumsum(widths / widths.sum())
+    cdf /= cdf[-1]
+    fields = reference_random_fields(p, rng, max(8, n_pairs // 50))
+    u = np.empty(0)
+    candidates = None
+    picks: list[int] = []
+    pos = attempts = 0
+    while len(picks) < n_pairs and attempts < 50 * n_pairs:
+        if pos + 3 > len(u):
+            old = len(u)
+            u = np.concatenate([u, rng.random(max(old, 3 * n_pairs + 3))])
+            first = max(old - 1, 0)
+            k = cdf.searchsorted(u[first:-1], side="right")
+            tail = _jets(p, starts[k] + widths[k] * u[first + 1:])
+            low = np.minimum(np.abs(tail.dphi), np.abs(tail.sin_phi)) < margin
+            ok = ~(_parabolic(tail, tol_parab) | low)
+            if candidates is None:
+                candidates, usable = tail, ok
+            else:
+                candidates, usable = candidates.concat(tail), np.concatenate((usable, ok))
+        attempts += 1
+        if usable[pos]:
+            picks.append(pos)
+            pos += 3
+        else:
+            pos += 2
+    done = len(picks)
+    details = {"max_rel_diff": None, "pairs": done, "at_s": None, "at_theta": None}
+    if not done:
+        return None, details, {}
+    picked = np.array(picks)
+    jets_ = candidates[picked]
+    s, theta = jets_.s, _TAU * u[picked + 2]
+    a, b = np.empty(done), np.empty(done)
+    for i, fld in enumerate(fields):
+        sel = slice(i, done, len(fields))
+        part = jets_[sel]
+        pu = reference_partials(fld, part, theta[sel])
+        a[sel] = second_beltrami(part, pu)
+        b[sel] = second_beltrami_divergence(part, pu)
+    rel = np.abs(a - b) / (1.0 + np.abs(b))
+    i = int(np.argmax(rel))
+    which = np.arange(done) % len(fields)
+    columns = {
+        "s": s, "theta": theta,
+        "field": np.array([fld.label for fld in fields])[which],
+        "harmonic": np.array([fld.harmonic for fld in fields])[which],
+        "trig": np.array([fld.trig for fld in fields])[which],
+        "specialized": a, "divergence_form": b, "rel_diff": rel,
+    }
+    worst = float(rel[i])
+    details.update(max_rel_diff=worst, at_s=float(s[i]), at_theta=float(theta[i]))
+    return worst, details, columns

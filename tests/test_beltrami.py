@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +22,18 @@ from revtype import (
     sphere,
     torus,
 )
+from revtype import eval_jet3, expressions, parse
 from revtype.beltrami import FieldPartials, random_fields
 from revtype.geometry import DEFAULT_TOL_PARAB, _jets, _parabolic, sample_regular
 
-from helpers import coordinate_fields, coordinate_laplacian, point_at
+from helpers import (
+    coordinate_fields,
+    coordinate_laplacian,
+    point_at,
+    reference_operator_equivalence_residual,
+    reference_position_identity_residual,
+    reference_random_fields,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -314,3 +323,99 @@ class TestOperatorEquivalence:
         b = apply(second_beltrami_divergence, curve, 1.0, 0.0, x1)
         assert a == pytest.approx(0.0, abs=1e-10)
         assert b == pytest.approx(a, abs=1e-10)
+
+
+def same_bits(got, want) -> bool:
+    """Whether two values or arrays hold the same bits, signed zeros and
+    dtype included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+def assert_same_check(got, want):
+    """Two (worst, details, columns) results agree bit for bit."""
+    assert repr(got[:2]) == repr(want[:2])
+    assert list(got[2]) == list(want[2])
+    for name in want[2]:
+        assert same_bits(got[2][name], want[2][name]), name
+
+
+_ORACLE_SURFACES = {
+    "sphere": sphere(1.0), "catenoid": catenoid(1.0), "torus": torus(3.0, 1.0),
+    "sphere-r100": sphere(100.0),
+}
+
+
+class TestBatchedEquivalence:
+    """The batched pass gives the bits of the per-field loop."""
+
+    @pytest.mark.parametrize("n_pairs", (1, 7, 20, 500, 3000))
+    @pytest.mark.parametrize("name", _ORACLE_SURFACES)
+    def test_matches_per_field_loop(self, name, n_pairs):
+        curve = _ORACLE_SURFACES[name].curve
+        for seed in (0, 3, 11):
+            got = operator_equivalence_residual(curve, n_pairs=n_pairs, seed=seed)
+            want = reference_operator_equivalence_residual(curve, n_pairs=n_pairs, seed=seed)
+            assert_same_check(got, want)
+
+    @pytest.mark.parametrize("n_s, n_theta", ((2, 4), (7, 5), (32, 32), (64, 64), (200, 9)))
+    @pytest.mark.parametrize("name", _ORACLE_SURFACES)
+    def test_position_residual_matches_stacked_norm(self, name, n_s, n_theta):
+        args = _grid(_ORACLE_SURFACES[name].curve, n_s, n_theta)
+        assert_same_check(position_identity_residual(*args),
+                          reference_position_identity_residual(*args))
+
+
+class TestTreeFields:
+    def test_seed_zero_labels_on_sphere(self):
+        fields = random_fields(sphere(1.0).curve, np.random.default_rng(0), 8)
+        assert [(f.label, f.harmonic, f.trig) for f in fields] == [
+            ("-0.921 * sin(0.481 * s) + -1.934 * sin(1.757 * s) + 0.427 * sin(1.619 * s)"
+             " + 0.87 * s + 0.316 * s^2", 2, "sin"),
+            ("-1.866 * sin(1.619 * s) + -1.297 * cos(1.84 * s) + -0.401 * s", 1, "sin"),
+            ("-1.503 * sin(1.521 * s) + 0.231 * s + 0.497 * s^2", 1, "cos"),
+            ("0.742 * sin(1.488 * s) + -0.444 * sin(0.636 * s) + 0.886 * cos(1.281 * s)",
+             1, "cos"),
+            ("1.736 * sin(1.004 * s) + -0.713 * sin(1.395 * s) + -0.648 * cos(1.06 * s)"
+             " + -0.546 * s + -0.416 * s^2", 2, "sin"),
+            ("1.148 * sin(0.809 * s) + -1.766 * sin(0.969 * s) + -1.399 * sin(1.157 * s)"
+             " + -0.539 * s + -0.095 * s^2", 0, "cos"),
+            ("-1.637 * cos(1.372 * s) + -0.805 * sin(1.524 * s) + 1.768 * cos(1.017 * s)"
+             " + 0.258 * s", 3, "cos"),
+            ("1.818 * cos(1.239 * s) + -0.299 * cos(1.438 * s) + 0.898 * s", 1, "cos"),
+        ]
+
+    @pytest.mark.parametrize("mk", [sphere(1.0), catenoid(1.0), torus(3.0, 1.0)])
+    def test_parsed_label_evaluates_to_the_tree(self, mk):
+        # The tree is the one `parse` gives for its label, so the label
+        # reads back to the same jets, and equals the text the fields were
+        # once built from.
+        curve = mk.curve
+        jets = _jets(curve, sample_regular(curve, 40))
+        for seed in range(51):
+            fields = random_fields(curve, np.random.default_rng(seed), 10)
+            texts = reference_random_fields(curve, np.random.default_rng(seed), 10)
+            for fld, text in zip(fields, texts):
+                assert (fld.label, fld.harmonic, fld.trig) == (text.label, text.harmonic,
+                                                               text.trig)
+                tree = fld.profile_jets(jets)
+                parsed = eval_jet3(parse(fld.label), jets.s)
+                for got, want in zip(tree, (parsed.v0, parsed.v1, parsed.v2, parsed.v3)):
+                    assert same_bits(got, want), fld.label
+
+    def test_equivalence_parses_nothing(self, monkeypatch):
+        curve = torus(3.0, 1.0).curve
+        calls = []
+        real = expressions.parse
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("revtype") and getattr(module, "parse", None) is real:
+                monkeypatch.setattr(module, "parse", counting)
+        _, details, _ = operator_equivalence_residual(curve, n_pairs=500)
+        assert details["pairs"] == 500
+        assert calls == []

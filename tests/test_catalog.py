@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,3 +129,33 @@ class TestExport:
 
     def test_broken_entry_flagged(self):
         assert not broken_diagonal().valid
+
+
+class TestLabels:
+    @pytest.mark.parametrize("entry, label", (
+        (sphere(1.0), "sphere(r=1)"),
+        (sphere(1e-160), "sphere(r=1e-160)"),
+        (torus(6.5e168, 1.0), "torus(R=6.5e+168,r=1)"),
+        (catenoid(1.0), "catenoid(c=1)"),
+        (catenoid(1.0, half_width=1.2e77), "catenoid(c=1,half_width=1.2e+77)"),
+        (torus(2.3456789, 1.0000001), "torus(R=2.3456789,r=1.0000001)"),
+    ))
+    def test_pinned(self, entry, label):
+        assert entry.curve.name == label
+
+    @pytest.mark.parametrize("name, params", (
+        ("torus", {"R": 2.3456789, "r": 1.0000001}),
+        ("torus", {"R": 3.0, "r": 1.0}),
+        ("torus", {"R": 6.5e168, "r": 0.1 + 0.2}),
+        ("sphere", {"r": 1.0 / 3.0}),
+        ("sphere", {"r": 1e-160}),
+        ("sphere", {"r": 123456.5}),
+        ("catenoid", {"c": 1.0, "half_width": 1.2e77}),
+        ("catenoid", {"c": 4.1e-88}),
+        ("catenoid", {"c": 0.7000001, "half_width": 2.00000001}),
+    ))
+    def test_label_reads_back_as_the_parameters(self, name, params):
+        label = catalog.make(name, params).curve.name
+        assert label.startswith(f"{name}(") and label.endswith(")")
+        read = {key: float(value) for key, value in re.findall(r"(\w+)=([^,)]+)", label)}
+        assert read == params

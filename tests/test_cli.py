@@ -24,6 +24,8 @@ from helpers import (
     per_cell_bounds,
     reference_eval_jet3,
     reference_fit,
+    reference_operator_equivalence_residual,
+    reference_position_identity_residual,
     reference_sample_regular,
     reference_scan,
     subdivision_certifies,
@@ -975,15 +977,21 @@ _SAME_BYTES_COMMANDS = (
 
 
 class TestSameBytes:
-    """The scalar paths of jet evaluation and the array sampler change no
-    output byte: each command prints the same with `eval_jet3` and
-    `sample_regular` swapped for their all-jet, point-by-point oracles."""
+    """The scalar paths of jet evaluation, the array sampler and the batched
+    Beltrami checks change no output byte: each command prints the same
+    with `eval_jet3` and `sample_regular` swapped for their all-jet,
+    point-by-point oracles, operator equivalence for its per-field loop over
+    parsed fields and the position identity for its stacked norm."""
 
     def test_oracles_print_the_same_bytes(self, monkeypatch):
         program = [captured(argv) for argv in _SAME_BYTES_COMMANDS]
         monkeypatch.setattr(geometry, "eval_jet3", reference_eval_jet3)
         monkeypatch.setattr(beltrami, "eval_jet3", reference_eval_jet3)
         monkeypatch.setattr(geometry, "sample_regular", reference_sample_regular)
+        monkeypatch.setattr(beltrami, "operator_equivalence_residual",
+                            reference_operator_equivalence_residual)
+        monkeypatch.setattr(beltrami, "position_identity_residual",
+                            reference_position_identity_residual)
         for argv, got in zip(_SAME_BYTES_COMMANDS, program):
             assert got[1], argv
             assert captured(argv) == got, argv

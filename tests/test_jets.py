@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from revtype import Jet3, JetDomainError
-from revtype import jets
+from revtype import eval_jet3, jets, parse
+
+from helpers import reference_pow_int
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 jet_st = st.builds(Jet3, finite, finite, finite, finite)
@@ -25,6 +27,28 @@ def test_cubic_closed_form():
         assert j.v1 == pytest.approx(3 * s0 ** 2, rel=1e-12, abs=1e-15)
         assert j.v2 == pytest.approx(6 * s0, rel=1e-12, abs=1e-15)
         assert j.v3 == pytest.approx(6.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("text, s0", (("s^2", 1e100), ("s^3", 1e80)))
+def test_integer_power_does_not_square_past_its_last_bit(text, s0):
+    # s^2 = 1e200 and s^3 = 1e240 are finite; a square after the last bit
+    # of the exponent would overflow.
+    with np.errstate(all="raise"):
+        j = eval_jet3(parse(text), np.array([s0]))
+    assert all(np.isfinite(c).all() for c in (j.v0, j.v1, j.v2, j.v3))
+    assert j.v0[0] == pytest.approx(s0 ** int(text[-1]), rel=1e-14)
+
+
+@pytest.mark.parametrize("n", range(-8, 65))
+def test_integer_power_matches_square_past_last_bit(n):
+    # Dropping the unused square leaves every product, so every bit, alone.
+    for u in (Jet3(np.array([0.3, -1.1, 1.5, -0.7]), 1.0),
+              Jet3(np.array([1.2, -0.4]), np.array([0.5, -2.0]), np.array([0.25, 1.0]),
+                   np.array([-3.0, 0.125])),
+              Jet3(0.9, -0.2, 0.3, 0.1)):
+        got, want = jets.pow_int(u, n), reference_pow_int(u, n)
+        for g, w in zip((got.v0, got.v1, got.v2, got.v3), (want.v0, want.v1, want.v2, want.v3)):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), n
 
 
 @given(jet_st, jet_st)
