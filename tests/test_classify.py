@@ -142,10 +142,15 @@ class TestFit:
 
 
 _RNG = np.random.default_rng(20)
+_R, _r = float(_RNG.uniform(2, 6)), float(_RNG.uniform(0.3, 1.5))
+_SPHERE_R = float(_RNG.uniform(0.3, 6))
+_CATENOID_C = float(_RNG.uniform(0.3, 4))
+# Case ids print the drawn parameters with :g, so they stay short and stable
+# while the surface labels themselves print them exactly.
 ORACLE_SURFACES = [
-    torus(float(_RNG.uniform(2, 6)), float(_RNG.uniform(0.3, 1.5))),
-    sphere(float(_RNG.uniform(0.3, 6))),
-    catenoid(float(_RNG.uniform(0.3, 4))),
+    pytest.param(torus(_R, _r), id=f"torus(R={_R:g},r={_r:g})"),
+    pytest.param(sphere(_SPHERE_R), id=f"sphere(r={_SPHERE_R:g})"),
+    pytest.param(catenoid(_CATENOID_C), id=f"catenoid(c={_CATENOID_C:g})"),
 ]
 ORACLE_GRIDS = [(32, 32), (1024, 16), (64, 4096), (3, 4), (2, 4)]
 
@@ -154,7 +159,7 @@ class TestFitOracle:
     """The compressed fit against the grid-materialising reference."""
 
     @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=lambda g: "x".join(map(str, g)))
-    @pytest.mark.parametrize("entry", ORACLE_SURFACES, ids=lambda e: e.curve.name)
+    @pytest.mark.parametrize("entry", ORACLE_SURFACES)
     def test_matches_reference(self, entry, grid):
         ref = reference_fit(entry.curve, *grid)
         report = fit_matrix(entry.curve, *grid)
