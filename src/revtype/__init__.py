@@ -8,16 +8,14 @@ no constant matrix for anything else.
 """
 
 from .beltrami import (
-    ScalarField,
-    expression_field,
     first_beltrami,
     laplacian_profile_factors,
-    normal_fields,
+    normal_profiles,
     operator_equivalence_residual,
     position_identity_residual,
-    radii_sum_field,
     second_beltrami,
     second_beltrami_divergence,
+    separable_partials,
 )
 from .catalog import CatalogEntry, broken_diagonal, catenoid, sphere, torus
 from .classify import (

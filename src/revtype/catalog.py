@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .classify import VERDICT_NOT, VERDICT_NULL, VERDICT_SPHERE
-from .geometry import ProfileCurve
+from .geometry import ProfileCurve, _finite
 
 # Half-width of the exclusion collars around the torus parabolic circles,
 # as a fraction of the tube radius; clears the default parabolicity
@@ -182,5 +182,5 @@ def make(name: str, params: Optional[dict] = None) -> CatalogEntry:
             raise ValueError(
                 f"surface {name!r} does not take parameter {key!r} (allowed: {allowed})"
             )
-        kwargs[mapping[key]] = value
+        kwargs[mapping[key]] = _finite(f"parameter {key!r}", value)
     return factory(**kwargs)

@@ -35,7 +35,8 @@ VERDICT_NOT = "NotCoordinateFiniteType"
 VERDICT_INCONCLUSIVE = "Inconclusive"
 
 DEFAULT_TOL_FIT = 1e-6
-DEFAULT_TOL_REJECT = 1e-2
+# A fit whose relative residual reaches this admits no constant matrix.
+TOL_REJECT = 1e-2
 DEFAULT_TOL_STRUCT = 1e-8
 
 
@@ -98,7 +99,6 @@ def fit_from_samples(
     grid: tuple[int, int] = (0, 0),
     rows_excluded: int = 0,
     tol_fit: float = DEFAULT_TOL_FIT,
-    tol_reject: float = DEFAULT_TOL_REJECT,
 ) -> FitReport:
     """Least-squares fit of A in B = X A^T, then the verdict.
 
@@ -129,7 +129,7 @@ def fit_from_samples(
             verdict = VERDICT_NULL
         elif float(np.max(np.abs(A - 2.0 * np.eye(3)))) <= tol_fit and rel <= tol_fit:
             verdict = VERDICT_SPHERE
-        elif rel >= tol_reject:
+        elif rel >= TOL_REJECT:
             verdict = VERDICT_NOT
         else:
             verdict = VERDICT_INCONCLUSIVE
@@ -157,7 +157,6 @@ def fit_matrix(
     n_theta: int = 32,
     tol_parab: float = DEFAULT_TOL_PARAB,
     tol_fit: float = DEFAULT_TOL_FIT,
-    tol_reject: float = DEFAULT_TOL_REJECT,
 ) -> FitReport:
     """Fit the best constant matrix over an n_s x n_theta grid and classify.
 
@@ -194,7 +193,6 @@ def fit_matrix(
         grid=(n_s, n_theta),
         rows_excluded=excluded,
         tol_fit=tol_fit,
-        tol_reject=tol_reject,
     )
 
 

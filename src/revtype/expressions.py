@@ -305,13 +305,10 @@ _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operato
 @np.errstate(all="ignore")
 def _constant_value(fn, args) -> float:
     """The value of jet rule ``fn`` on constant operands.  Its unused
-    derivative formulas may not fail it: they run with every floating-point
-    flag off, and one that divides a Python float by an underflowed zero
-    (1/x^2 in ln at x = 1e-200) reruns on np.float64, giving inf."""
-    try:
-        return fn(*(Jet3(a) if isinstance(a, float) else a for a in args)).v0
-    except ZeroDivisionError:
-        return float(fn(*(Jet3(np.float64(a)) if isinstance(a, float) else a for a in args)).v0)
+    derivative formulas may not fail it: they run on np.float64 with every
+    floating-point flag off, so one that divides by an underflowed zero
+    (1/x^2 in ln at x = 1e-200) gives inf rather than raising."""
+    return float(fn(*(Jet3(np.float64(a)) if isinstance(a, float) else a for a in args)).v0)
 
 
 def eval_jet3(e: Expr, s, params: Optional[Mapping[str, float]] = None) -> Jet3:

@@ -119,6 +119,8 @@ class ProfileCurve:
         s_min, s_max = _finite("s_min", s_min), _finite("s_max", s_max)
         if not s_min < s_max:
             raise ValueError(f"empty domain ({s_min}, {s_max})")
+        if not math.isfinite(s_max - s_min):
+            raise ValueError(f"domain ({s_min}, {s_max}) has no finite length")
         params = params or {}
         if not isinstance(params, Mapping):
             raise ValueError(f"params must be a mapping of names to numbers, got {params!r}")
@@ -166,10 +168,6 @@ def _dphi(fj: Jet3, gj: Jet3):
     return fj.v1 * gj.v2 - gj.v1 * fj.v2
 
 
-def _take(x, index):
-    return x[index] if np.ndim(x) else x
-
-
 @dataclass(frozen=True, eq=False)
 class RegularJets:
     """Jets of f and g at regular sample points ``s``, with phi' and phi''.
@@ -200,11 +198,10 @@ class RegularJets:
 
     def __getitem__(self, index) -> "RegularJets":
         def jet(j: Jet3) -> Jet3:
-            return Jet3(*(_take(v, index) for v in (j.v0, j.v1, j.v2, j.v3)))
+            return Jet3(j.v0[index], j.v1[index], j.v2[index], j.v3[index])
 
         return RegularJets(
-            self.s[index], jet(self.f), jet(self.g),
-            _take(self.dphi, index), _take(self.ddphi, index),
+            self.s[index], jet(self.f), jet(self.g), self.dphi[index], self.ddphi[index]
         )
 
     def concat(self, other: "RegularJets") -> "RegularJets":
@@ -420,11 +417,11 @@ def theta_circle(n_theta: int) -> np.ndarray:
 
 def quotient_defects(jets: RegularJets) -> tuple[Optional[float], dict, dict]:
     """Max relative defect between R = 1/phi' + f/sin(phi) and the same
-    quantity rebuilt from principal curvature ratios h_ij / g_ij, combined
-    with the |2H - R*K| consistency.  Returns the defect, the details
-    ``max_residual`` and ``rows_used``, and the per-row columns ``s``,
-    ``quotient``, ``from_curvature_ratios`` and ``rel_defect``; with no
-    rows the defect is None and the columns empty."""
+    quantity rebuilt from principal curvature ratios h_ij / g_ij.  Returns
+    the defect, the details ``max_residual`` and ``rows_used``, and the
+    per-row columns ``s``, ``quotient``, ``from_curvature_ratios`` and
+    ``rel_defect``; with no rows the defect is None and the columns
+    empty."""
     details = {"max_residual": None, "rows_used": len(jets)}
     if not len(jets):
         return None, details, {}
@@ -432,10 +429,7 @@ def quotient_defects(jets: RegularJets) -> tuple[Optional[float], dict, dict]:
     k1, k2 = fm.kappa1, fm.kappa2
     rebuilt = (k1 + k2) / (k1 * k2)
     defect = np.abs(fm.R - rebuilt) / (1.0 + np.abs(fm.R))
-    worst = float(max(
-        np.max(defect),
-        np.max(np.abs(2.0 * fm.H - fm.R * fm.K) / (1.0 + np.abs(2.0 * fm.H))),
-    ))
+    worst = float(np.max(defect))
     details["max_residual"] = worst
     columns = {"s": jets.s, "quotient": fm.R, "from_curvature_ratios": rebuilt,
                "rel_defect": defect}

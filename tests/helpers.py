@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import sympy as sp
 
-from revtype import eval_jet3, jets, parse
+from revtype import beltrami, eval_jet3, jets, parse
 from revtype.expressions import (
     BinOp,
     DomainEvalError,
@@ -36,22 +36,21 @@ from revtype.expressions import (
     unparse,
 )
 from revtype.beltrami import (
+    DRAW_MARGIN,
     FieldPartials,
-    ScalarField,
-    expression_field,
     first_beltrami,
     laplacian_profile_factors,
-    normal_fields,
-    radii_sum_field,
+    normal_profiles,
     second_beltrami,
     second_beltrami_divergence,
+    separable_partials,
 )
 from revtype.classify import (
     _COFACTORS,
     _cell_bounds,
     _cell_edges,
     DEFAULT_TOL_FIT,
-    DEFAULT_TOL_REJECT,
+    TOL_REJECT,
     VERDICT_INCONCLUSIVE,
     VERDICT_NOT,
     VERDICT_NULL,
@@ -317,7 +316,6 @@ def reference_fit(
     n_theta: int,
     tol_parab: float = DEFAULT_TOL_PARAB,
     tol_fit: float = DEFAULT_TOL_FIT,
-    tol_reject: float = DEFAULT_TOL_REJECT,
 ) -> dict:
     """The fit's verdict, rank, counts, matrix, residual and row norms from
     the materialised n_s*n_theta x 3 samples."""
@@ -356,7 +354,7 @@ def reference_fit(
         verdict = VERDICT_NULL
     elif np.max(np.abs(A - 2.0 * np.eye(3))) <= tol_fit and rel <= tol_fit:
         verdict = VERDICT_SPHERE
-    elif rel >= tol_reject:
+    elif rel >= TOL_REJECT:
         verdict = VERDICT_NOT
     else:
         verdict = VERDICT_INCONCLUSIVE
@@ -662,19 +660,20 @@ def elimination_consistency(
     )
 
 
-def coordinate_fields() -> tuple[ScalarField, ScalarField, ScalarField]:
-    """The three coordinate functions of the position vector as fields."""
+def coordinate_fields():
+    """The partials of the three coordinate functions of the position
+    vector, each as a function of (jets, theta)."""
 
-    def f_profile(jets):
+    def f(jets):
         return (jets.f.v0, jets.f.v1, jets.f.v2)
 
-    def g_profile(jets):
+    def g(jets):
         return (jets.g.v0, jets.g.v1, jets.g.v2)
 
     return (
-        ScalarField("x1", f_profile, harmonic=1, trig="cos"),
-        ScalarField("x2", f_profile, harmonic=1, trig="sin"),
-        ScalarField("x3", g_profile, harmonic=0, trig="cos"),
+        lambda jets, theta: separable_partials(f(jets), 1, True, theta),
+        lambda jets, theta: separable_partials(f(jets), 1, False, theta),
+        lambda jets, theta: separable_partials(g(jets), 0, True, theta),
     )
 
 
@@ -716,11 +715,10 @@ def reference_pow_int(u, n: int):
 _TAU = 2.0 * math.pi
 
 
-def reference_partials(fld: ScalarField, jets, theta) -> FieldPartials:
-    """`ScalarField.partials` with one trigonometric branch per field."""
-    a = tuple(fld.profile_jets(jets))
-    k = fld.harmonic
-    if fld.trig == "cos":
+def reference_partials(a, k: int, trig: str, theta) -> FieldPartials:
+    """`beltrami.separable_partials` of one field, profile jets ``a``,
+    harmonic ``k`` and ``trig``, with that field's trigonometric branch."""
+    if trig == "cos":
         t = np.cos(k * theta)
         dt = -k * np.sin(k * theta)
     else:
@@ -745,11 +743,14 @@ def reference_position_identity_residual(jets, n_theta: int, rows_excluded: int)
         return None, details, {}
     rows = jets[:, None]
     thetas = theta_circle(n_theta)
-    R, _ = radii_sum_jet(rows)
+    R, dR = radii_sum_jet(rows)
     radial, axial = laplacian_profile_factors(rows)
     lhs = np.broadcast_arrays(radial * np.cos(thetas), radial * np.sin(thetas), axial)
-    pr = reference_partials(radii_sum_field(), rows, thetas)
-    normals = (reference_partials(comp, rows, thetas) for comp in normal_fields())
+    pr = reference_partials((R, dR), 0, "cos", thetas)
+    n_radial, n_axial = normal_profiles(rows)
+    normals = (reference_partials(n_radial, 1, "cos", thetas),
+               reference_partials(n_radial, 1, "sin", thetas),
+               reference_partials(n_axial, 0, "cos", thetas))
     rhs = [first_beltrami(rows, pr, pn) - R * pn.value for pn in normals]
     residual = np.linalg.norm(np.stack(lhs, axis=-1) - np.stack(rhs, axis=-1), axis=-1)
     i, j = np.unravel_index(np.argmax(residual), residual.shape)
@@ -767,7 +768,8 @@ def reference_position_identity_residual(jets, n_theta: int, rows_excluded: int)
 
 
 def reference_random_fields(p, rng, count: int) -> list:
-    """`beltrami.random_fields` built as text and parsed."""
+    """`beltrami.random_fields` built as text and parsed: one
+    ``(text, parse(text), harmonic, trig)`` per field."""
     span = p.s_max - p.s_min
     omega_base = _TAU / max(span, 1e-6)
     fields = []
@@ -784,13 +786,13 @@ def reference_random_fields(p, rng, count: int) -> list:
             terms.append(f"{round(float(rng.uniform(-0.5, 0.5)), 3)} * s^2")
         harmonic = int(rng.integers(0, 4))
         trig = "cos" if harmonic == 0 or rng.integers(2) else "sin"
-        fields.append(expression_field(" + ".join(terms), harmonic=harmonic, trig=trig))
+        text = " + ".join(terms)
+        fields.append((text, parse(text), harmonic, trig))
     return fields
 
 
 def reference_operator_equivalence_residual(
     p, n_pairs: int = 1000, seed: int = 0, tol_parab: float = DEFAULT_TOL_PARAB,
-    margin: float = 0.05,
 ):
     """`beltrami.operator_equivalence_residual` with parsed text fields, the
     draw walk on a NumPy mask, and both formulas run once per field on the
@@ -815,7 +817,7 @@ def reference_operator_equivalence_residual(
             first = max(old - 1, 0)
             k = cdf.searchsorted(u[first:-1], side="right")
             tail = _jets(p, starts[k] + widths[k] * u[first + 1:])
-            low = np.minimum(np.abs(tail.dphi), np.abs(tail.sin_phi)) < margin
+            low = np.minimum(np.abs(tail.dphi), np.abs(tail.sin_phi)) < DRAW_MARGIN
             ok = ~(_parabolic(tail, tol_parab) | low)
             if candidates is None:
                 candidates, usable = tail, ok
@@ -834,11 +836,15 @@ def reference_operator_equivalence_residual(
     picked = np.array(picks)
     jets_ = candidates[picked]
     s, theta = jets_.s, _TAU * u[picked + 2]
+    texts, trees, harmonics, trigs = zip(*fields)
     a, b = np.empty(done), np.empty(done)
-    for i, fld in enumerate(fields):
+    for i, (tree, k, trig) in enumerate(zip(trees, harmonics, trigs)):
         sel = slice(i, done, len(fields))
         part = jets_[sel]
-        pu = reference_partials(fld, part, theta[sel])
+        # Looked up on `beltrami`, so a test that swaps the evaluator there
+        # swaps it here too.
+        j = beltrami.eval_jet3(tree, part.s)
+        pu = reference_partials((j.v0, j.v1, j.v2), k, trig, theta[sel])
         a[sel] = second_beltrami(part, pu)
         b[sel] = second_beltrami_divergence(part, pu)
     rel = np.abs(a - b) / (1.0 + np.abs(b))
@@ -846,9 +852,9 @@ def reference_operator_equivalence_residual(
     which = np.arange(done) % len(fields)
     columns = {
         "s": s, "theta": theta,
-        "field": np.array([fld.label for fld in fields])[which],
-        "harmonic": np.array([fld.harmonic for fld in fields])[which],
-        "trig": np.array([fld.trig for fld in fields])[which],
+        "field": np.array(texts)[which],
+        "harmonic": np.array(harmonics)[which],
+        "trig": np.array(trigs)[which],
         "specialized": a, "divergence_form": b, "rel_diff": rel,
     }
     worst = float(rel[i])

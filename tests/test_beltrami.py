@@ -1,29 +1,27 @@
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from revtype import (
-    ScalarField,
     catenoid,
-    expression_field,
     first_beltrami,
     grid_rows,
     laplacian_profile_factors,
-    normal_fields,
+    normal_profiles,
     operator_equivalence_residual,
     position_identity_residual,
-    radii_sum_field,
+    radii_sum_jet,
     require_regular,
     second_beltrami,
     second_beltrami_divergence,
+    separable_partials,
     sphere,
     torus,
 )
-from revtype import eval_jet3, expressions, parse
-from revtype.beltrami import FieldPartials, random_fields
+from revtype import eval_jet3, expressions, geometry, parse
+from revtype.beltrami import DRAW_MARGIN, FieldPartials, random_fields
 from revtype.geometry import DEFAULT_TOL_PARAB, _jets, _parabolic, sample_regular
 
 from helpers import (
@@ -38,67 +36,78 @@ from helpers import (
 SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class AngleField:
-    """u(s, theta) = theta; not periodic, only for pointwise operator tests."""
+def angle_field(jets, theta):
+    """Partials of u(s, theta) = theta; not periodic, only for pointwise
+    operator tests."""
+    return FieldPartials(value=theta, d_s=0.0, d_ss=0.0, d_theta=1.0, d_thetatheta=0.0)
 
-    label: str = "theta"
 
-    def partials(self, jets, theta):
-        return FieldPartials(value=theta, d_s=0.0, d_ss=0.0, d_theta=1.0, d_thetatheta=0.0)
+def expression_partials(text, harmonic=0, is_cos=True):
+    """The partials of text(s) * trig(harmonic theta) as a function of
+    (jets, theta)."""
+    tree = parse(text)
+
+    def partials(jets, theta):
+        j = eval_jet3(tree, jets.s)
+        return separable_partials((j.v0, j.v1, j.v2), harmonic, is_cos, theta)
+
+    return partials
+
+
+def radii_sum_partials(jets, theta):
+    """Partials of R = 2H/K, which has no second s-derivative."""
+    return separable_partials(radii_sum_jet(jets), 0, True, theta)
+
+
+def normal_axial_partials(jets, theta):
+    return separable_partials(normal_profiles(jets)[1], 0, True, theta)
 
 
 def const_field(c):
-    return expression_field(repr(float(c)), label=f"const {c}")
+    return expression_partials(repr(float(c)))
 
 
 def apply(op, curve, s, theta, *fields):
-    """``op`` on the fields' partials at (s, theta) of ``curve``."""
+    """``op`` on the partials of ``fields``, functions of (jets, theta), at
+    (s, theta) of ``curve``."""
     jets = require_regular(curve, s)
-    return op(jets, *(fld.partials(jets, theta) for fld in fields))
+    return op(jets, *(partials(jets, theta) for partials in fields))
 
 
-class TestScalarField:
+class TestSeparablePartials:
     def test_partials_shape(self):
-        fld = expression_field("sin(s)", harmonic=2, trig="cos")
-        p = fld.partials(require_regular(sphere(1.0).curve, 0.3), 0.5)
+        jets = require_regular(sphere(1.0).curve, 0.3)
+        p = expression_partials("sin(s)", harmonic=2)(jets, 0.5)
         assert p.value == pytest.approx(math.sin(0.3) * math.cos(1.0))
         assert p.d_theta == pytest.approx(-2.0 * math.sin(0.3) * math.sin(1.0))
         assert p.d_thetatheta == pytest.approx(-4.0 * p.value)
 
     def test_periodicity(self):
-        fld = expression_field("1 + s^2", harmonic=3, trig="sin")
+        partials = expression_partials("1 + s^2", harmonic=3, is_cos=False)
         jets = require_regular(sphere(1.0).curve, 0.7)
-        assert fld.partials(jets, 1.1).value == pytest.approx(
-            fld.partials(jets, 1.1 + 2.0 * math.pi).value, abs=1e-12
+        assert partials(jets, 1.1).value == pytest.approx(
+            partials(jets, 1.1 + 2.0 * math.pi).value, abs=1e-12
         )
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            ScalarField("bad", lambda s: (0.0, 0.0), harmonic=0, trig="sin")
-        with pytest.raises(ValueError):
-            ScalarField("bad", lambda s: (0.0, 0.0), harmonic=1, trig="tan")
 
 
 class TestFirstBeltrami:
     def test_angle_with_itself_on_sphere(self):
         # e^{22} = 1/sin^2(phi) = 1 at the equator
-        angle = AngleField()
-        value = apply(first_beltrami, sphere(1.0).curve, math.pi / 2, 0.3, angle, angle)
+        value = apply(first_beltrami, sphere(1.0).curve, math.pi / 2, 0.3, angle_field,
+                      angle_field)
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_cross_term_vanishes(self):
-        s_field = expression_field("s", label="s")
+        s_field = expression_partials("s")
         for curve in (sphere(1.0).curve, torus(3.0, 1.0).curve):
-            assert apply(first_beltrami, curve, 1.0, 0.7, s_field, AngleField()) == pytest.approx(
+            assert apply(first_beltrami, curve, 1.0, 0.7, s_field, angle_field) == pytest.approx(
                 0.0, abs=1e-14
             )
 
     def test_constant_quotient_on_sphere(self):
         curve = sphere(1.0).curve
-        r_field = radii_sum_field()
-        n3 = normal_fields()[2]
-        assert apply(first_beltrami, curve, 1.2, 0.0, r_field, n3) == pytest.approx(0.0, abs=1e-12)
+        assert apply(first_beltrami, curve, 1.2, 0.0, radii_sum_partials,
+                     normal_axial_partials) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSecondBeltrami:
@@ -123,9 +132,9 @@ class TestSecondBeltrami:
     def test_requires_second_derivative(self):
         curve = sphere(1.0).curve
         with pytest.raises(ValueError, match="second s-derivative"):
-            apply(second_beltrami, curve, 1.0, 0.0, radii_sum_field())
+            apply(second_beltrami, curve, 1.0, 0.0, radii_sum_partials)
         with pytest.raises(ValueError, match="second s-derivative"):
-            apply(second_beltrami_divergence, curve, 1.0, 0.0, radii_sum_field())
+            apply(second_beltrami_divergence, curve, 1.0, 0.0, radii_sum_partials)
 
     def test_linearity(self):
         curve = torus(3.0, 1.0).curve
@@ -137,10 +146,10 @@ class TestSecondBeltrami:
             combo = f"{alpha!r}*({u}) + {beta!r}*({w})"
             k = int(rng.integers(0, 3))
             s, theta = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0, 2 * math.pi))
-            lhs = apply(second_beltrami, curve, s, theta, expression_field(combo, harmonic=k))
+            lhs = apply(second_beltrami, curve, s, theta, expression_partials(combo, harmonic=k))
             rhs = alpha * apply(
-                second_beltrami, curve, s, theta, expression_field(u, harmonic=k)
-            ) + beta * apply(second_beltrami, curve, s, theta, expression_field(w, harmonic=k))
+                second_beltrami, curve, s, theta, expression_partials(u, harmonic=k)
+            ) + beta * apply(second_beltrami, curve, s, theta, expression_partials(w, harmonic=k))
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
@@ -277,6 +286,21 @@ class TestOperatorEquivalence:
         assert sizes == [1502, 1503]
         assert details["pairs"] == 500
 
+    def test_jets_sliced_once(self, monkeypatch):
+        # Only the picks are sliced out of the screened candidates; each
+        # field's profile is evaluated at its pairs' points, not on a slice.
+        calls = []
+        getitem = geometry.RegularJets.__getitem__
+
+        def counting(jets, index):
+            calls.append(index)
+            return getitem(jets, index)
+
+        monkeypatch.setattr(geometry.RegularJets, "__getitem__", counting)
+        _, details, _ = operator_equivalence_residual(torus(3.0, 1.0).curve, n_pairs=500)
+        assert details["pairs"] == 500
+        assert len(calls) == 1
+
     def test_picks_match_one_screening_pass(self):
         # The draws of both batches, screened in one pass and walked in
         # order, give the same sample points and angles.
@@ -291,7 +315,7 @@ class TestOperatorEquivalence:
         cdf = np.cumsum(widths / widths.sum())
         k = (cdf / cdf[-1]).searchsorted(u[:-1], side="right")
         jets = _jets(curve, starts[k] + widths[k] * u[1:])
-        low = np.minimum(np.abs(jets.dphi), np.abs(jets.sin_phi)) < 0.05
+        low = np.minimum(np.abs(jets.dphi), np.abs(jets.sin_phi)) < DRAW_MARGIN
         usable = ~(_parabolic(jets, DEFAULT_TOL_PARAB) | low)
         picks, pos = [], 0
         while len(picks) < n:
@@ -370,7 +394,7 @@ class TestBatchedEquivalence:
 class TestTreeFields:
     def test_seed_zero_labels_on_sphere(self):
         fields = random_fields(sphere(1.0).curve, np.random.default_rng(0), 8)
-        assert [(f.label, f.harmonic, f.trig) for f in fields] == [
+        assert [(label, k, trig) for label, _, k, trig in fields] == [
             ("-0.921 * sin(0.481 * s) + -1.934 * sin(1.757 * s) + 0.427 * sin(1.619 * s)"
              " + 0.87 * s + 0.316 * s^2", 2, "sin"),
             ("-1.866 * sin(1.619 * s) + -1.297 * cos(1.84 * s) + -0.401 * s", 1, "sin"),
@@ -396,13 +420,13 @@ class TestTreeFields:
         for seed in range(51):
             fields = random_fields(curve, np.random.default_rng(seed), 10)
             texts = reference_random_fields(curve, np.random.default_rng(seed), 10)
-            for fld, text in zip(fields, texts):
-                assert (fld.label, fld.harmonic, fld.trig) == (text.label, text.harmonic,
-                                                               text.trig)
-                tree = fld.profile_jets(jets)
-                parsed = eval_jet3(parse(fld.label), jets.s)
-                for got, want in zip(tree, (parsed.v0, parsed.v1, parsed.v2, parsed.v3)):
-                    assert same_bits(got, want), fld.label
+            for (label, tree, k, trig), (text, _, text_k, text_trig) in zip(fields, texts):
+                assert (label, k, trig) == (text, text_k, text_trig)
+                got = eval_jet3(tree, jets.s)
+                parsed = eval_jet3(parse(label), jets.s)
+                for a, b in zip((got.v0, got.v1, got.v2, got.v3),
+                                (parsed.v0, parsed.v1, parsed.v2, parsed.v3)):
+                    assert same_bits(a, b), label
 
     def test_equivalence_parses_nothing(self, monkeypatch):
         curve = torus(3.0, 1.0).curve

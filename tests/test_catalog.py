@@ -111,6 +111,17 @@ class TestGuards:
         with pytest.raises(ValueError, match="does not take parameter"):
             catalog.make("sphere", {"c": 1.0})
 
+    @pytest.mark.parametrize("name, key, value", [
+        ("sphere", "r", math.nan),
+        ("sphere", "r", math.inf),
+        ("catenoid", "c", math.inf),
+        ("catenoid", "half_width", -math.inf),
+        ("torus", "R", math.nan),
+    ])
+    def test_make_names_a_non_finite_parameter(self, name, key, value):
+        with pytest.raises(ValueError, match=f"parameter '{key}' must be finite, got {value}"):
+            catalog.make(name, {key: value})
+
 
 class TestExport:
     def test_names_listed(self):

@@ -595,6 +595,23 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--catalog", "sphere", "--param", "r=nan"], "parameter 'r' must be finite, got nan"),
+        (["--catalog", "catenoid", "--param", "c=inf"], "parameter 'c' must be finite, got inf"),
+        (["--catalog", "torus", "--param", "R=-inf"], "parameter 'R' must be finite, got -inf"),
+    ])
+    def test_non_finite_catalog_parameter_named(self, argv, message):
+        assert captured(["classify", *argv]) == (1, "", f"error: {message}\n")
+
+    def test_overflowing_domain_named(self, tmp_path):
+        doc = {"name": "line", "f": "s", "g": "0 * s", "s_min": -1e308, "s_max": 1e308}
+        profile = tmp_path / "p.json"
+        profile.write_text(json.dumps(doc))
+        code, out, err = captured(["classify", "--profile", str(profile)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad profile file")
+        assert err.endswith("domain (-1e+308, 1e+308) has no finite length\n")
+
     @pytest.mark.parametrize("field", ("name", "f", "g"))
     @pytest.mark.parametrize("value", (None, True, 7, ["s"], {"a": 1}),
                              ids=("null", "true", "7", "list", "object"))

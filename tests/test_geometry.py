@@ -191,6 +191,15 @@ class TestForms:
             assert details["rows_used"] == len(columns["s"]) > 0
             assert worst == details["max_residual"] <= 1e-10, name
 
+    @pytest.mark.parametrize("n_s", (3, 17, 64))
+    @pytest.mark.parametrize("mk", [
+        catenoid(1.0), catenoid(0.3), sphere(1.0), sphere(100.0), torus(3.0, 1.0),
+        torus(2.345678, 0.912345),
+    ], ids=lambda mk: mk.curve.name)
+    def test_quotient_worst_is_the_largest_row_defect(self, mk, n_s):
+        _, details, columns = quotient_defects(grid_rows(mk.curve, n_s)[0])
+        assert details["max_residual"] == np.max(columns["rel_defect"])
+
 
 class TestPoints:
     def test_sphere_point_and_normal(self):
@@ -382,3 +391,7 @@ class TestProfileFiles:
     def test_empty_domain(self):
         with pytest.raises(ValueError, match="empty domain"):
             ProfileCurve.build("x", "s", "s", 1.0, 1.0)
+
+    def test_domain_length_must_be_finite(self):
+        with pytest.raises(ValueError, match=r"domain \(-1e\+308, 1e\+308\) has no finite length"):
+            ProfileCurve.build("x", "s", "0 * s", -1e308, 1e308)
