@@ -43,7 +43,6 @@ from .expressions import (
 )
 from .geometry import (
     FormsAndCurvature,
-    ParabolicPointError,
     ProfileCurve,
     ProfileError,
     RegularJets,
@@ -54,7 +53,6 @@ from .geometry import (
     profile_from_dict,
     profile_to_dict,
     radii_sum_jet,
-    require_regular,
     sample_regular,
     save_profile,
     validate_profile,

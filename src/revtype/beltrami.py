@@ -17,18 +17,24 @@ whole grid in one pass.  The operators act on a field's partials, which
 `separable_partials` builds from the field's profile jets (a, a', a''),
 harmonic and trig, so one set of partials can feed several operators and
 one call serves a batch of points drawn from many fields.
+
+`operator_equivalence_residual` compares the two second operators on
+random fields that `random_fields` draws as plain data: per field, the
+coefficient, frequency and sin/cos flag of each trigonometric term, the
+optional ``s`` and ``s^2`` coefficients, the harmonic, the trig and a text
+label.  `field_profiles` evaluates the profile jets of every pair's field
+from closed forms in one array pass, with the bits that `eval_jet3` gives
+on the parsed label, so no expression tree is built or walked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .expressions import BinOp, Expr, Func, Num, Pow, Var, eval_jet3, unparse
 from .geometry import (
     DEFAULT_TOL_PARAB,
     ProfileCurve,
@@ -204,46 +210,101 @@ def position_identity_residual(
     return worst, details, columns
 
 
-def _number(x: float):
-    """The tree that `parse` gives for the text of ``x``: a number with its
-    sign bit set (-0.0 too) is a negated literal."""
-    return Func("neg", Num(-x)) if math.copysign(1.0, x) < 0.0 else Num(x)
+@dataclass(frozen=True)
+class RandomFields:
+    """Draws of `random_fields`, one row per field ``a(s) * trig(k theta)``.
+
+    The profile ``a`` is a sum of up to five terms, in slot order: up to
+    three ``coeff * sin|cos(omega * s)`` (slots 0-2, sin where ``is_sin``),
+    then ``coeff * s`` (slot 3) and ``coeff * s^2`` (slot 4).  ``present``
+    marks the terms a field has; absent slots hold zeros.  ``harmonic``,
+    ``trig`` (``"cos"`` or ``"sin"``) and ``labels``, the profile's text
+    such as ``-1.234 * sin(0.56 * s) + 0.1 * s^2``, have one entry per
+    field.
+    """
+
+    coeff: np.ndarray
+    omega: np.ndarray
+    is_sin: np.ndarray
+    present: np.ndarray
+    harmonic: np.ndarray
+    trig: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
-_S = Var()
-
-
-def random_fields(
-    p: ProfileCurve, rng: np.random.Generator, count: int
-) -> list[tuple[str, Expr, int, str]]:
-    """Deterministic stream of smooth separable test fields
-    ``a(s) * trig(k theta)`` on the profile domain, each as
-    ``(label, tree, k, trig)`` with trig ``"cos"`` or ``"sin"``.  The
-    profile ``a`` is a trigonometric polynomial plus low-degree monomials in
-    s, built as a tree: the one `parse` gives for its label
-    ``unparse(tree)``, such as ``-1.234 * sin(0.56 * s) + 0.1 * s^2``."""
+def random_fields(p: ProfileCurve, rng: np.random.Generator, count: int) -> RandomFields:
+    """Deterministic stream of ``count`` smooth separable test fields on the
+    profile domain: each a trigonometric polynomial in s plus low-degree
+    monomials, times ``cos`` or ``sin(k theta)``.  Coefficients and
+    frequencies are rounded to 3 decimals, so a label parses to exactly the
+    drawn numbers."""
     span = p.s_max - p.s_min
     omega_base = _TAU / max(span, 1e-6)
-    fields = []
-    for _ in range(count):
+    coeff = np.zeros((count, 5))
+    omega = np.zeros((count, 3))
+    is_sin = np.zeros((count, 3), dtype=bool)
+    present = np.zeros((count, 5), dtype=bool)
+    harmonic = np.zeros(count, dtype=int)
+    trigs, labels = [], []
+    for i in range(count):
         terms = []
         for m in range(rng.integers(1, 4)):
-            coeff = round(float(rng.uniform(-2.0, 2.0)), 3)
-            omega = round(float(omega_base * rng.uniform(0.2, 1.0)), 3)
+            c = round(float(rng.uniform(-2.0, 2.0)), 3)
+            w = round(float(omega_base * rng.uniform(0.2, 1.0)), 3)
             fn = "sin" if rng.integers(2) else "cos"
-            terms.append(BinOp("*", _number(coeff), Func(fn, BinOp("*", _number(omega), _S))))
+            coeff[i, m], omega[i, m], is_sin[i, m] = c, w, fn == "sin"
+            present[i, m] = True
+            terms.append(f"{c} * {fn}({w} * s)")
         if rng.integers(2):
-            terms.append(BinOp("*", _number(round(float(rng.uniform(-1.0, 1.0)), 3)), _S))
+            coeff[i, 3] = c = round(float(rng.uniform(-1.0, 1.0)), 3)
+            present[i, 3] = True
+            terms.append(f"{c} * s")
         if rng.integers(2):
-            square = Pow(_S, Fraction(2))
-            terms.append(BinOp("*", _number(round(float(rng.uniform(-0.5, 0.5)), 3)), square))
-        harmonic = int(rng.integers(0, 4))
-        trig = "cos" if harmonic == 0 or rng.integers(2) else "sin"
-        tree = terms[0]
-        for term in terms[1:]:
-            tree = BinOp("+", tree, term)
-        fields.append((unparse(tree), tree, harmonic, trig))
-    return fields
+            coeff[i, 4] = c = round(float(rng.uniform(-0.5, 0.5)), 3)
+            present[i, 4] = True
+            terms.append(f"{c} * s^2")
+        harmonic[i] = rng.integers(0, 4)
+        trigs.append("cos" if harmonic[i] == 0 or rng.integers(2) else "sin")
+        labels.append(" + ".join(terms))
+    return RandomFields(coeff, omega, is_sin, present, harmonic, np.array(trigs),
+                        np.array(labels))
+
+
+def field_profiles(fields: RandomFields, which: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Profile jets ``(a, a', a'')`` of field ``which[i]`` at ``s[i]``, as a
+    (3, len(s)) array, from closed forms in one pass over all points.
+
+    Each value has the bits that `eval_jet3` gives on the parse of the
+    field's label, because every step rounds as the tree evaluator does:
+    a trig term is ``(d_k * omega ... * omega) * coeff`` with ``d_k`` the
+    k-th derivative of sin or cos at ``omega * s``; ``s`` gives
+    ``(s, 1, 0) * coeff`` and ``s^2`` gives ``(s*s, s+s, 2) * coeff``; and
+    the terms are summed left to right, skipping absent ones rather than
+    adding zeros, which would turn a -0.0 sum into +0.0.
+    """
+    coeff, omega = fields.coeff[which], fields.omega[which]
+    present, is_sin = fields.present[which], fields.is_sin[which]
+    x = s[:, None] * omega
+    sin, cos = np.sin(x), np.cos(x)
+    trig = np.stack((
+        np.where(is_sin, sin, cos),
+        np.where(is_sin, cos, -sin) * omega,
+        np.where(is_sin, -sin, -cos) * omega * omega,
+    )) * coeff[:, :3]
+    c1, c2 = coeff[:, 3], coeff[:, 4]
+    # Only points of a field with an s^2 term are squared, so s*s overflows,
+    # and raises where faults are raised, exactly where the tree's would.
+    sq = np.where(present[:, 4], s, 0.0)
+    terms = (*np.moveaxis(trig, -1, 0),
+             np.stack((s * c1, c1, 0.0 * c1)),
+             np.stack((sq * sq * c2, (sq + sq) * c2, 2.0 * c2)))
+    total = terms[0]
+    for term, has in zip(terms[1:], present[:, 1:].T):
+        total = np.where(has, total + term, total)
+    return total
 
 
 def operator_equivalence_residual(
@@ -309,23 +370,16 @@ def operator_equivalence_residual(
     picked = np.array(picks)
     jets = candidates[picked]
     s, theta = jets.s, _TAU * u[picked + 2]
-    labels, trees, harmonics, trigs = zip(*fields)
-    n = len(fields)
-    profile = np.empty((3, done))
-    for i, tree in enumerate(trees):
-        j = eval_jet3(tree, s[i::n])
-        profile[:, i::n] = (j.v0, j.v1, j.v2)
-    which = np.arange(done) % n
-    harmonic = np.array(harmonics)[which]
-    trig = np.array(trigs)[which]
-    pu = separable_partials(profile, harmonic, trig == "cos", theta)
+    which = np.arange(done) % len(fields)
+    harmonic, trig = fields.harmonic[which], fields.trig[which]
+    pu = separable_partials(field_profiles(fields, which, s), harmonic, trig == "cos", theta)
     a = second_beltrami(jets, pu)
     b = second_beltrami_divergence(jets, pu)
     rel = np.abs(a - b) / (1.0 + np.abs(b))
     i = int(np.argmax(rel))
     columns = {
         "s": s, "theta": theta,
-        "field": np.array(labels)[which],
+        "field": fields.labels[which],
         "harmonic": harmonic, "trig": trig,
         "specialized": a, "divergence_form": b, "rel_diff": rel,
     }

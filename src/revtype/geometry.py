@@ -13,9 +13,9 @@ expressions in f, g and the jets of phi:
 Points where phi' or sin(phi) vanish are parabolic (K = 0); the third form
 degenerates there and they are excluded from all sampling.
 
-A sample set, a float ``s`` or an array of rows, is evaluated once into
-`RegularJets` by `require_regular` or `grid_rows`; the formulas take those
-jets.  An error in a batch reports the first offending ``s``.
+A sample set is evaluated once into `RegularJets` by `grid_rows` or by the
+draw screening of operator equivalence; the formulas take those jets.  An
+error in a batch reports the first offending ``s``.
 """
 
 from __future__ import annotations
@@ -48,16 +48,6 @@ class ProfileDomainError(ProfileError):
         super().__init__(f"domain error at s={s!r}: {cause}")
         self.s = s
         self.cause = cause
-
-
-class ParabolicPointError(ProfileError):
-    def __init__(self, s: float, dphi: float, sin_phi: float):
-        super().__init__(
-            f"parabolic point at s={s!r}: phi'={dphi:.3e}, sin(phi)={sin_phi:.3e}"
-        )
-        self.s = s
-        self.dphi = dphi
-        self.sin_phi = sin_phi
 
 
 def _finite(what: str, value) -> float:
@@ -172,7 +162,7 @@ def _dphi(fj: Jet3, gj: Jet3):
 class RegularJets:
     """Jets of f and g at regular sample points ``s``, with phi' and phi''.
 
-    Built by `require_regular`, `grid_rows` and the draw screening of
+    Built by `grid_rows` and the draw screening of
     `operator_equivalence_residual`, each from one evaluation pass; every
     profile formula reads its inputs from here, so a check evaluates its
     profile once per sample set.  Indexing slices all channels alike, as
@@ -263,21 +253,6 @@ class FormsAndCurvature:
     @property
     def kappa2(self) -> float:
         return self.h22 / self.g22
-
-
-def require_regular(
-    p: ProfileCurve, s, tol_parab: float = DEFAULT_TOL_PARAB
-) -> RegularJets:
-    """Jets at ``s`` from one evaluation pass, raising ParabolicPointError
-    at the first point where III degenerates."""
-    jets = _jets(p, s)
-    bad = _parabolic(jets, tol_parab)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ParabolicPointError(
-            *(float(np.ravel(x)[i]) for x in (s, jets.dphi, jets.sin_phi))
-        )
-    return jets
 
 
 def forms_at(jets: RegularJets) -> FormsAndCurvature:

@@ -1,8 +1,10 @@
 """Shared test oracles: central finite differences, symbolic differentiation,
 a deterministic random-expression generator, an all-jet expression
-evaluator and a per-point profile sampler, scalar surface points, tangents
-and Gauss-map derivatives, a grid-materialising reference for the
-coordinate fit, a per-point reference for the contradiction scan's lattice,
+evaluator and a per-point profile sampler, the strict regular-point
+evaluation (`require_regular`) that point tests use, scalar surface
+points, tangents and Gauss-map derivatives, a grid-materialising reference
+for the coordinate fit, a per-point reference for the contradiction scan's
+lattice,
 an interval-subdivision certifier and a per-cell bound for its cells,
 sympy checks of the closure algebra, the coordinate fields, coordinate
 Laplacian, closure coefficients and elimination check that only tests use,
@@ -23,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import sympy as sp
 
-from revtype import beltrami, eval_jet3, jets, parse
+from revtype import eval_jet3, expressions, jets, parse
 from revtype.expressions import (
     BinOp,
     DomainEvalError,
@@ -59,6 +61,8 @@ from revtype.classify import (
 )
 from revtype.geometry import (
     DEFAULT_TOL_PARAB,
+    ProfileError,
+    RegularJets,
     _jets,
     _parabolic,
     grid_rows,
@@ -243,6 +247,29 @@ def reference_eval_jet3(e, s, params=None):
         return out
     shape = var.v0.shape
     return jets.Jet3(*(np.broadcast_to(c, shape) for c in (out.v0, out.v1, out.v2, out.v3)))
+
+
+class ParabolicPointError(ProfileError):
+    def __init__(self, s: float, dphi: float, sin_phi: float):
+        super().__init__(
+            f"parabolic point at s={s!r}: phi'={dphi:.3e}, sin(phi)={sin_phi:.3e}"
+        )
+        self.s = s
+        self.dphi = dphi
+        self.sin_phi = sin_phi
+
+
+def require_regular(curve, s, tol_parab: float = DEFAULT_TOL_PARAB) -> RegularJets:
+    """Jets at ``s``, a float or an array, from one evaluation pass,
+    raising ParabolicPointError at the first point where III degenerates."""
+    jets = _jets(curve, s)
+    bad = _parabolic(jets, tol_parab)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ParabolicPointError(
+            *(float(np.ravel(x)[i]) for x in (s, jets.dphi, jets.sin_phi))
+        )
+    return jets
 
 
 def reference_sample_regular(curve, n: int) -> np.ndarray:
@@ -841,9 +868,9 @@ def reference_operator_equivalence_residual(
     for i, (tree, k, trig) in enumerate(zip(trees, harmonics, trigs)):
         sel = slice(i, done, len(fields))
         part = jets_[sel]
-        # Looked up on `beltrami`, so a test that swaps the evaluator there
-        # swaps it here too.
-        j = beltrami.eval_jet3(tree, part.s)
+        # Looked up on `expressions` at call time, so a test that swaps the
+        # evaluator there swaps it here too.
+        j = expressions.eval_jet3(tree, part.s)
         pu = reference_partials((j.v0, j.v1, j.v2), k, trig, theta[sel])
         a[sel] = second_beltrami(part, pu)
         b[sel] = second_beltrami_divergence(part, pu)

@@ -13,7 +13,6 @@ from revtype import (
     operator_equivalence_residual,
     position_identity_residual,
     radii_sum_jet,
-    require_regular,
     second_beltrami,
     second_beltrami_divergence,
     separable_partials,
@@ -21,7 +20,7 @@ from revtype import (
     torus,
 )
 from revtype import eval_jet3, expressions, geometry, parse
-from revtype.beltrami import DRAW_MARGIN, FieldPartials, random_fields
+from revtype.beltrami import DRAW_MARGIN, FieldPartials, field_profiles, random_fields
 from revtype.geometry import DEFAULT_TOL_PARAB, _jets, _parabolic, sample_regular
 
 from helpers import (
@@ -31,6 +30,7 @@ from helpers import (
     reference_operator_equivalence_residual,
     reference_position_identity_residual,
     reference_random_fields,
+    require_regular,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -392,9 +392,13 @@ class TestBatchedEquivalence:
 
 
 class TestTreeFields:
+    """The random fields of operator equivalence: their draw stream, their
+    closed-form profiles and that no text is parsed."""
+
     def test_seed_zero_labels_on_sphere(self):
         fields = random_fields(sphere(1.0).curve, np.random.default_rng(0), 8)
-        assert [(label, k, trig) for label, _, k, trig in fields] == [
+        assert list(zip(fields.labels.tolist(), fields.harmonic.tolist(),
+                        fields.trig.tolist())) == [
             ("-0.921 * sin(0.481 * s) + -1.934 * sin(1.757 * s) + 0.427 * sin(1.619 * s)"
              " + 0.87 * s + 0.316 * s^2", 2, "sin"),
             ("-1.866 * sin(1.619 * s) + -1.297 * cos(1.84 * s) + -0.401 * s", 1, "sin"),
@@ -410,23 +414,51 @@ class TestTreeFields:
             ("1.818 * cos(1.239 * s) + -0.299 * cos(1.438 * s) + 0.898 * s", 1, "cos"),
         ]
 
-    @pytest.mark.parametrize("mk", [sphere(1.0), catenoid(1.0), torus(3.0, 1.0)])
-    def test_parsed_label_evaluates_to_the_tree(self, mk):
-        # The tree is the one `parse` gives for its label, so the label
-        # reads back to the same jets, and equals the text the fields were
-        # once built from.
+    @pytest.mark.parametrize("mk", [sphere(1.0), catenoid(1.0), torus(3.0, 1.0), sphere(100.0)])
+    def test_profiles_match_parsed_labels(self, mk):
+        # The closed-form profiles have the bits of the expression evaluator
+        # on each parsed label, also below s = 0 and at -0.0, and the labels
+        # and draws equal those of the text-built oracle.  Seeds 223, 892 and
+        # 981 draw a coefficient that rounds to -0.0 in an s^2, an s and a
+        # trigonometric term.
         curve = mk.curve
-        jets = _jets(curve, sample_regular(curve, 40))
-        for seed in range(51):
+        samples = sample_regular(curve, 40)
+        points = np.concatenate((samples, -samples, [0.0, -0.0, -7.5]))
+        signed_zero_slots = set()
+        for seed in (*range(51), 223, 892, 981):
             fields = random_fields(curve, np.random.default_rng(seed), 10)
             texts = reference_random_fields(curve, np.random.default_rng(seed), 10)
-            for (label, tree, k, trig), (text, _, text_k, text_trig) in zip(fields, texts):
-                assert (label, k, trig) == (text, text_k, text_trig)
-                got = eval_jet3(tree, jets.s)
-                parsed = eval_jet3(parse(label), jets.s)
-                for a, b in zip((got.v0, got.v1, got.v2, got.v3),
-                                (parsed.v0, parsed.v1, parsed.v2, parsed.v3)):
-                    assert same_bits(a, b), label
+            n = len(fields)
+            got = field_profiles(fields, np.repeat(np.arange(n), len(points)),
+                                 np.tile(points, n)).reshape(3, n, len(points))
+            zero = (fields.coeff == 0.0) & np.signbit(fields.coeff) & fields.present
+            signed_zero_slots.update(np.nonzero(zero)[1].tolist())
+            for i, (text, _, k, trig) in enumerate(texts):
+                assert (fields.labels[i], fields.harmonic[i], fields.trig[i]) == (text, k, trig)
+                want = eval_jet3(parse(text), points)
+                for channel, v in enumerate((want.v0, want.v1, want.v2)):
+                    assert same_bits(got[channel, i], v), (seed, text, channel)
+        assert signed_zero_slots == {0, 3, 4}
+
+    def test_huge_points_overflow_only_in_an_s_squared_term(self):
+        # With faults raised, as the CLI runs, a point whose square
+        # overflows fails a field with an s^2 term and no other, as the
+        # expression evaluator does on the labels.
+        fields = random_fields(sphere(1.0).curve, np.random.default_rng(0), 8)
+        s = np.array([1e200])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for i, label in enumerate(fields.labels):
+                which = np.array([i])
+                if fields.present[i, 4]:
+                    for evaluate in (lambda: field_profiles(fields, which, s),
+                                     lambda: eval_jet3(parse(label), s)):
+                        with pytest.raises(FloatingPointError):
+                            evaluate()
+                else:
+                    got = field_profiles(fields, which, s)
+                    want = eval_jet3(parse(label), s)
+                    for channel, v in enumerate((want.v0, want.v1, want.v2)):
+                        assert same_bits(got[channel], v), (label, channel)
 
     def test_equivalence_parses_nothing(self, monkeypatch):
         curve = torus(3.0, 1.0).curve

@@ -9,7 +9,6 @@ from revtype import (
     catenoid,
     fit_matrix,
     forms_at,
-    require_regular,
     sphere,
     torus,
     validate_profile,
@@ -17,7 +16,7 @@ from revtype import (
 from revtype import catalog
 from revtype.geometry import profile_from_dict, profile_to_dict, sample_regular
 
-from helpers import eval_value
+from helpers import eval_value, require_regular
 
 
 class TestEntries:

@@ -23,7 +23,7 @@ from revtype import (
 )
 from revtype import classify
 from revtype.classify import fit_from_samples
-from revtype.geometry import grid_rows, require_regular
+from revtype.geometry import grid_rows
 
 from helpers import (
     closure_coefficients,
@@ -33,6 +33,7 @@ from helpers import (
     per_cell_bounds,
     reference_fit,
     reference_scan,
+    require_regular,
     subdivision_certifies,
 )
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import revtype
-from revtype import beltrami, catalog, classify, cli, geometry
+from revtype import beltrami, catalog, classify, cli, expressions, geometry
 from revtype.cli import main
 
 from helpers import (
@@ -691,24 +691,23 @@ _BUDGET_PAIRS = 20
 
 class TestEvaluationBudget:
     """A command evaluates each expression once per sample set: f and g once
-    for the 101-sample validation and once for the check's own points, and
-    operator-equivalence also each random field once on its points."""
+    for the 101-sample validation and once for the check's own points.
+    Operator equivalence evaluates its random fields in closed form, with
+    no expression pass."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        from revtype import beltrami, geometry
-
         count = []
+        real = expressions.eval_jet3
 
-        def counting(evaluate):
-            def wrapper(*args, **kwargs):
-                count.append(args[0])
-                return evaluate(*args, **kwargs)
+        def counting(*args, **kwargs):
+            count.append(args[0])
+            return real(*args, **kwargs)
 
-            return wrapper
-
-        for module in (geometry, beltrami):
-            monkeypatch.setattr(module, "eval_jet3", counting(module.eval_jet3))
+        for module in list(sys.modules.values()):
+            if (module.__name__.startswith("revtype")
+                    and getattr(module, "eval_jet3", None) is real):
+                monkeypatch.setattr(module, "eval_jet3", counting)
         return count
 
     @pytest.mark.parametrize("fmt", ("json", "csv"))
@@ -724,9 +723,7 @@ class TestEvaluationBudget:
         with contextlib.redirect_stdout(out):
             assert main([*argv, "--format", fmt]) in (0, 2)
         assert out.getvalue()
-        # random_fields draws max(8, pairs // 50) fields.
-        fields = max(8, _BUDGET_PAIRS // 50) if command == "operator-equivalence" else 0
-        assert len(passes) == 4 + fields
+        assert len(passes) == 4
 
 
 class TestSharedParser:
@@ -990,6 +987,9 @@ _SAME_BYTES_COMMANDS = (
     *(["verify", check, *_TORUS, "--lambda", "2", "--mu", "2", "--format", fmt]
       for check in VERIFY_CHECKS for fmt in ("json", "csv")),
     ["verify", "operator-equivalence", *_TORUS, "--pairs", "600", "--seed", "11"],
+    *(["verify", "operator-equivalence", "--catalog", name, "--pairs", "500", "--seed", "5",
+       "--format", fmt]
+      for name in ("sphere", "catenoid") for fmt in ("json", "csv")),
 )
 
 
@@ -1003,7 +1003,7 @@ class TestSameBytes:
     def test_oracles_print_the_same_bytes(self, monkeypatch):
         program = [captured(argv) for argv in _SAME_BYTES_COMMANDS]
         monkeypatch.setattr(geometry, "eval_jet3", reference_eval_jet3)
-        monkeypatch.setattr(beltrami, "eval_jet3", reference_eval_jet3)
+        monkeypatch.setattr(expressions, "eval_jet3", reference_eval_jet3)
         monkeypatch.setattr(geometry, "sample_regular", reference_sample_regular)
         monkeypatch.setattr(beltrami, "operator_equivalence_residual",
                             reference_operator_equivalence_residual)

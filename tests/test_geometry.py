@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from revtype import (
-    ParabolicPointError,
     ProfileCurve,
     broken_diagonal,
     catenoid,
@@ -14,7 +13,6 @@ from revtype import (
     profile_from_dict,
     profile_to_dict,
     radii_sum_jet,
-    require_regular,
     sample_regular,
     save_profile,
     sphere,
@@ -23,7 +21,14 @@ from revtype import (
 )
 from revtype.geometry import quotient_defects
 
-from helpers import normal_derivatives, point_at, reference_sample_regular, tangent_basis
+from helpers import (
+    ParabolicPointError,
+    normal_derivatives,
+    point_at,
+    reference_sample_regular,
+    require_regular,
+    tangent_basis,
+)
 
 SQRT2 = math.sqrt(2.0)
 
