@@ -14,7 +14,7 @@ closure coefficients for distinct eigenvalues never vanish simultaneously.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -306,16 +306,28 @@ _COFACTORS = (
     ((0, 1), (591, 239, -157)),
     ((0, 0), (626, -150, 0)),
 )
-# Lattice points per array pass of the scan.  A pass takes whole lambda
-# rows, so each temporary array holds about 32 KB.
+# Lattice points per array pass of the scan, so each temporary array holds
+# about 32 KB.
 BLOCK_CELLS = 4096
 # Work budget of one scan: at most this many lattice points, counted as
 # (span / step + 1) per axis and multiplied, which also bounds the cells.
 # A box of one row keeps its axis's points and cell edges in memory, about
 # 32 bytes each, so the bound keeps a scan under about 0.5 GiB; a square
-# box at the bound takes about 0.5 s (4095^2 points on [-10, 10]^2, measured
-# on a 2-core x86-64 host).
+# box at the bound takes about 0.5 s where the lattice pass skips nothing
+# (4095^2 points on [20, 40]^2, 0.46 to 0.48 s measured on a 2-core x86-64
+# host) and about 0.01 s on [-10, 10]^2.
 MAX_SCAN_POINTS = 2**24
+# The lattice pass skips points only on boxes within _CUT_REACH of the
+# origin, where no coefficient can overflow, so a skipped point hides no
+# overflow, and on rows of at least _MIN_ROW points, where skipping saves
+# more than checking costs.  A sample of the lattice, every _SUB_STRIDE-th
+# point on each axis or sparser and the points around the common zeros,
+# gives the bound on the minimum that decides what is skipped.
+_CUT_REACH = 1e100
+_MIN_ROW = 8
+_SUB_STRIDE = 16
+# The only common zeros of (c4, c2, c0), (lam, mu) = (0, 0) and (2, 2).
+_COMMON_ZEROS = (0.0, 2.0)
 
 
 def _identity_holds() -> bool:
@@ -328,17 +340,15 @@ def _identity_holds() -> bool:
     variable: the cofactors have degree at most 2 in each, so the difference
     has degree at most 5 in each variable and is the zero polynomial when it
     vanishes on a 6 x 6 grid; and every intermediate value there is an
-    integer of magnitude below 2**21, so no float operation rounds.  No exact
-    polynomial type or computer algebra is needed.
+    integer of magnitude below 2**21, so no float operation rounds, in
+    whatever order the matrix product sums.  No exact polynomial type or
+    computer algebra is needed.
     """
-    lam, mu = np.meshgrid(np.arange(6.0), np.arange(6.0))
-    coeffs = quartic_coefficients(lam, mu)
-    residual = -300.0 * (lam - mu)
-    for (i, j), row in _COFACTORS:
-        monomial = lam**i * mu**j
-        for cofactor, c in zip(row, coeffs):
-            residual += cofactor * monomial * c
-    return not residual.any()
+    lam, mu = np.repeat(np.arange(6.0), 6), np.tile(np.arange(6.0), 6)
+    monomials = np.array([lam**i * mu**j for (i, j), _ in _COFACTORS])
+    cofactors = monomials.T @ np.array([row for _, row in _COFACTORS], dtype=float)
+    residual = (cofactors * np.array(quartic_coefficients(lam, mu)).T).sum(axis=1)
+    return not (residual - 300.0 * (lam - mu)).any()
 
 
 def _bound_terms() -> list:
@@ -388,7 +398,8 @@ class ScanCertificate:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # Shallow: every field is a number, a tuple of numbers, a string or None.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _lattice(lo: float, hi: float, step: float) -> np.ndarray:
@@ -407,6 +418,160 @@ def _cell_edges(lo: float, hi: float, step: float) -> np.ndarray:
     return np.concatenate(([lo], inner[inner < hi], [hi]))
 
 
+def _max_coefficients(lam, mu):
+    """max(|c4|, |c2|, |c0|) at each point, and (c4, c2, c0)."""
+    coeffs = quartic_coefficients(lam, mu)
+    return np.maximum(np.maximum(np.abs(coeffs[0]), np.abs(coeffs[1])), np.abs(coeffs[2])), coeffs
+
+
+def _sample(axis: np.ndarray) -> np.ndarray:
+    """Every s-th point of a lattice axis, s at least _SUB_STRIDE and large
+    enough that at most sqrt(BLOCK_CELLS) of them are kept, and the points
+    next to 0 and 2, the coordinates of the common zeros."""
+    n = axis.size
+    picks = list(range(0, n, max(_SUB_STRIDE, -(-n // math.isqrt(BLOCK_CELLS)))))
+    for i in np.searchsorted(axis, _COMMON_ZEROS).tolist():
+        picks += (max(i - 1, 0), min(i, n - 1), min(i + 1, n - 1))
+    return axis[picks]
+
+
+def _upper_bound(lams: np.ndarray, mus: np.ndarray, gap: float) -> float:
+    """The least max-coefficient over the off-strip points of the sampled
+    lattice `_sample(lams)` x `_sample(mus)`, or inf when all of them lie on
+    the strip |lam - mu| < gap.
+
+    Its least value is a lattice point's, from the same
+    `quartic_coefficients`, so it lies at or above the lattice minimum, bit
+    for bit.  The sample takes in the points around the common zeros,
+    because the minimum tends to lie next to one when the box holds it,
+    and the lower the bound, the fewer points the windows keep.
+    """
+    lam, mu = _sample(lams)[:, None], _sample(mus)
+    m = np.where(np.abs(lam - mu) >= gap, _max_coefficients(lam, mu)[0], math.inf)
+    return float(m.min())
+
+
+def _window_hint(lam: np.ndarray, mus: np.ndarray, ub: float, gap: float):
+    """Index ranges [lo, hi) of mus, one per row lam: mu within a little
+    more than max(sqrt(ub / |lam|), gap) of lam, where |c4| = |lam| (lam -
+    mu)^2 could still be at most ub or the point on the strip."""
+    # Only a hint, which `_windows` checks, so an overflow, a division by
+    # zero or 0 / 0 here can only widen, narrow or misplace a window.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        half = 1.01 * np.maximum(np.sqrt(ub / np.abs(lam)), gap)
+        return np.searchsorted(mus, lam - half), np.searchsorted(mus, lam + half, "right")
+
+
+def _windows(lam: np.ndarray, mus: np.ndarray, ub: float, gap: float):
+    """Index ranges [lo, hi) of mus, one per row lam, that hold every point
+    of the row on the strip |lam - mu| < gap or with |c4| <= ub.
+
+    c4 = (lam (lam - mu)) (lam - mu), and each rounding is monotone, so
+    along a row |lam - mu| and |c4| never decrease moving away from lam.
+    The first point past each end of the hint is checked: when it is off
+    the strip on that end's side of lam and its |c4|, from
+    `quartic_coefficients` itself, exceeds ub, no point beyond it is on the
+    strip or reaches ub.  Otherwise the window runs to that end of the row.
+    A row whose hint keeps half of it or more is kept whole unchecked, and
+    when half the rows are, None stands for all of them whole.
+    """
+    n = mus.size
+    lo, hi = _window_hint(lam, mus, ub, gap)
+    wide = 2 * (hi - lo) >= n
+    if 2 * np.count_nonzero(wide) >= lam.size:
+        return None
+    lo[wide], hi[wide] = 0, n
+    left, right = np.flatnonzero(lo > 0), np.flatnonzero(hi < n)
+    row = np.concatenate((lam[left], lam[right]))
+    mu = np.concatenate((mus[lo[left] - 1], mus[hi[right]]))
+    d = row - mu
+    far = np.abs(quartic_coefficients(row, mu)[0]) > ub
+    k = left.size
+    lo[left[~(far[:k] & (d[:k] >= gap))]] = 0
+    hi[right[~(far[k:] & (d[k:] <= -gap))]] = n
+    return lo, hi
+
+
+def _chunks(counts: np.ndarray, n: int):
+    """Row ranges [a, b) of a span of rows of n points, in order, with
+    whether to scan each as whole rows, from the number of window points of
+    each row: blocks of about BLOCK_CELLS points whose windows keep half of
+    them or more go whole, and the runs of rows between them are gathered
+    in chunks of at most BLOCK_CELLS window points (or one block)."""
+    per = max(1, BLOCK_CELLS // n)
+    firsts = np.arange(0, counts.size, per)
+    a = pending = 0
+    for b, kept in zip(firsts.tolist(), np.add.reduceat(counts, firsts).tolist()):
+        rows = min(per, counts.size - b)
+        whole = 2 * kept >= rows * n
+        if a < b and (whole or pending + kept > BLOCK_CELLS):
+            yield a, b, False
+            a, pending = b, 0
+        if whole:
+            yield b, b + rows, True
+            a = b + rows
+        else:
+            pending += kept
+    if a < counts.size:
+        yield a, counts.size, False
+
+
+def _lattice_minimum(lams: np.ndarray, mus: np.ndarray, gap: float):
+    """(points scanned, best) over the lattice lams x mus minus the strip
+    |lam - mu| < gap: best is (max-coefficient, argmin, coefficients) of
+    the first minimum in row-major order, or None when every point is on
+    the strip.
+
+    `_upper_bound` bounds the minimum by ub, and only the points inside the
+    `_windows` of each row are evaluated: every point outside is off the
+    strip with |c4| > ub, so it is counted as scanned but cannot be the
+    minimum or tie with it, and the first argmin stays the same.  There is
+    no cut (ub = inf) when the lattice fits in one pass of BLOCK_CELLS
+    points or its rows are shorter than _MIN_ROW, where checking the
+    windows costs more than it saves, and when the box reaches past
+    _CUT_REACH, so that an overflow anywhere still raises.  The windows are
+    built for spans of at most BLOCK_CELLS rows and scanned in the
+    `_chunks` of each span; without windows, a span is scanned as whole
+    rows in blocks of about BLOCK_CELLS points.
+    """
+    n = mus.size
+    per = max(1, BLOCK_CELLS // n)
+    ub = math.inf
+    reach = max(abs(lams[0]), abs(lams[-1]), abs(mus[0]), abs(mus[-1]))
+    if lams.size * n > BLOCK_CELLS and n >= _MIN_ROW and reach <= _CUT_REACH:
+        ub = _upper_bound(lams, mus, gap)
+    best, scanned = None, 0
+    for first in range(0, lams.size, BLOCK_CELLS):
+        span = lams[first : first + BLOCK_CELLS]
+        windows = _windows(span, mus, ub, gap) if ub < math.inf else None
+        if windows is None:
+            chunks = ((a, min(a + per, span.size), True) for a in range(0, span.size, per))
+        else:
+            lo, hi = windows
+            counts = hi - lo
+            chunks = _chunks(counts, n)
+        for a, b, whole in chunks:
+            if whole:
+                shape = (b - a, n)
+                lam, mu = np.broadcast_to(span[a:b, None], shape), np.broadcast_to(mus, shape)
+            else:
+                kept = counts[a:b]
+                ends = np.cumsum(kept)
+                scanned += (b - a) * n - int(ends[-1])
+                lam = np.repeat(span[a:b], kept)
+                mu = mus[np.arange(ends[-1]) + np.repeat(lo[a:b] - ends + kept, kept)]
+            off = np.abs(lam - mu) >= gap
+            lam, mu = lam[off], mu[off]
+            scanned += lam.size
+            if not lam.size:
+                continue
+            m, coeffs = _max_coefficients(lam, mu)
+            k = int(np.argmin(m))
+            if best is None or m[k] < best[0]:
+                best = (float(m[k]), (float(lam[k]), float(mu[k])), tuple(float(c[k]) for c in coeffs))
+    return scanned, best
+
+
 # An overflow would hide the lattice minimum or leave an infinite U, so it
 # raises rather than report an unproved cell.  U has degree 2 and the
 # lattice coefficients degree 3: neither overflows on boxes within about
@@ -421,8 +586,9 @@ def contradiction_scan(
     coefficients (c4, c2, c0) never vanish simultaneously.
 
     The lattice scan reports the minimum over points of
-    max(|c4|, |c2|, |c0|) with its first argmin in row-major order, in
-    blocks of whole lambda rows of about BLOCK_CELLS points.  The cofactor
+    max(|c4|, |c2|, |c0|) with its first argmin in row-major order; it
+    evaluates only the points whose |c4| can reach the minimum
+    (`_lattice_minimum`), in passes of about BLOCK_CELLS points.  The cofactor
     identity a c4 + b c2 + c c0 = lam - mu (see `_COFACTORS`) then turns
     the finite scan into a certificate on the whole box minus the diagonal
     strip |lam - mu| < step/2, split into cells with the lattice points
@@ -436,8 +602,9 @@ def contradiction_scan(
     The quartic follows from the closure system only for mu != 0: the
     elimination drops an overall factor mu, so the certificate says nothing
     about the line mu = 0.  Raises ValueError on an empty or non-finite
-    range and on a step that is not finite and positive or leaves more
-    than MAX_SCAN_POINTS lattice points, OverflowError when their number
+    range and on a step that is not finite and positive, leaves more than
+    MAX_SCAN_POINTS lattice points or is so far below a range's float
+    spacing that lattice points coincide, OverflowError when their number
     overflows, and FloatingPointError when the coefficients or U overflow.
     """
     for name, values in (("lam_range", lam_range), ("mu_range", mu_range), ("step", (step,))):
@@ -455,22 +622,14 @@ def contradiction_scan(
                          f"of {MAX_SCAN_POINTS}")
     lams = _lattice(lam_range[0], lam_range[1], step)
     mus = _lattice(mu_range[0], mu_range[1], step)
+    # Each axis's cell edges are its lattice points inside the range between
+    # lo and hi, so they strictly increase when its lattice points do.
+    for name, axis in (("lam_range", lams), ("mu_range", mus)):
+        if not (axis[1:] > axis[:-1]).all():
+            raise ValueError(f"step {step!r} is below the float spacing of {name}: "
+                             f"its lattice points coincide")
     gap = 0.5 * step
-    best = None  # (max-coefficient, argmin, coefficients) of the first minimum
-    scanned = 0
-    per = max(1, BLOCK_CELLS // mus.size)
-    for i in range(0, lams.size, per):
-        lam, mu = np.broadcast_arrays(lams[i : i + per, None], mus)
-        off = np.abs(lam - mu) >= gap
-        lam, mu = lam[off], mu[off]
-        if not lam.size:
-            continue
-        scanned += lam.size
-        coeffs = quartic_coefficients(lam, mu)
-        m = np.maximum(np.maximum(np.abs(coeffs[0]), np.abs(coeffs[1])), np.abs(coeffs[2]))
-        k = int(np.argmin(m))
-        if best is None or m[k] < best[0]:
-            best = (float(m[k]), (float(lam[k]), float(mu[k])), tuple(float(c[k]) for c in coeffs))
+    scanned, best = _lattice_minimum(lams, mus, gap)
     min_max, argmin, argmin_coeffs = best or (None, None, None)
     cells, lowest = 0, math.inf
     if scanned:

@@ -4,7 +4,7 @@ evaluator and a per-point profile sampler, the strict regular-point
 evaluation (`require_regular`) that point tests use, scalar surface
 points, tangents and Gauss-map derivatives, a grid-materialising reference
 for the coordinate fit, a per-point reference for the contradiction scan's
-lattice,
+lattice and the scan's blocked lattice pass without its cut,
 an interval-subdivision certifier and a per-cell bound for its cells,
 sympy checks of the closure algebra, the coordinate fields, coordinate
 Laplacian, closure coefficients and elimination check that only tests use,
@@ -521,6 +521,30 @@ def reference_scan(lam_range, mu_range, step: float) -> dict:
         "argmin_coefficients": best_coeffs,
         "cells_examined": cells,
     }
+
+
+def reference_lattice_minimum(lams: np.ndarray, mus: np.ndarray, gap: float):
+    """`classify._lattice_minimum` without its cut: every lattice point off
+    the strip |lam - mu| < gap is evaluated, in blocks of whole lambda rows
+    of about 4096 points.  (points scanned, best), best being
+    (max-coefficient, argmin, coefficients) of the first minimum in
+    row-major order, or None."""
+    best = None
+    scanned = 0
+    per = max(1, 4096 // mus.size)
+    for i in range(0, lams.size, per):
+        lam, mu = np.broadcast_arrays(lams[i : i + per, None], mus)
+        off = np.abs(lam - mu) >= gap
+        lam, mu = lam[off], mu[off]
+        if not lam.size:
+            continue
+        scanned += lam.size
+        coeffs = quartic_coefficients(lam, mu)
+        m = np.maximum(np.maximum(np.abs(coeffs[0]), np.abs(coeffs[1])), np.abs(coeffs[2]))
+        k = int(np.argmin(m))
+        if best is None or m[k] < best[0]:
+            best = (float(m[k]), (float(lam[k]), float(mu[k])), tuple(float(c[k]) for c in coeffs))
+    return scanned, best
 
 
 def subdivision_certifies(lam_range, mu_range, step: float) -> bool:

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import iv
 
 from revtype import (
@@ -393,6 +395,20 @@ class TestContradictionScan:
     def test_serialization(self):
         payload = contradiction_scan((-1.0, 1.0), (-1.0, 1.0), step=1.0).to_dict()
         assert "cells_certified" in payload
+        for box in (((-1.0, 1.0), (-1.0, 1.0), 1.0), ((1.0, 1.0), (1.0, 1.0), 0.25)):
+            cert = contradiction_scan(*box)
+            assert cert.to_dict() == dataclasses.asdict(cert)
+            assert list(cert.to_dict()) == list(dataclasses.asdict(cert))
+
+    @pytest.mark.parametrize("lam_range, mu_range, named", (
+        ((1e17, 1e17 + 100), (0.0, 1.0), "lam_range"),
+        ((0.0, 1.0), (1e17, 1e17 + 100), "mu_range"),
+    ))
+    def test_coinciding_lattice_points_rejected(self, lam_range, mu_range, named):
+        # Floats near 1e17 lie 16 apart, so the lattice points of step 1 fall
+        # on a handful of values and the cells would be counted over them.
+        with pytest.raises(ValueError, match=f"step 1.0 is below the float spacing of {named}"):
+            contradiction_scan(lam_range, mu_range, 1.0)
 
     def test_lattice_stays_in_box(self):
         # 1 / 0.35 = 2.86 steps: the lattice stops at 0.7, not at 1.05.
@@ -528,6 +544,136 @@ class TestScanOracles:
             L, M = iv.mpf(float(lc)), iv.mpf(float(mc))
             quotient = iv.mpf(0.125) / sum(u * L**i * M**j for i, j, u in terms)
             assert cert.certified_lower_bound <= bound <= quotient.a
+
+
+@st.composite
+def _cut_boxes(draw):
+    """(lam_range, mu_range, step) of 1 to 12 lambda rows of 8 to 48
+    points: near the origin at steps 0.05 to 1, scaled toward or past the
+    1e100 reach of the cut, or on a subnormal lattice."""
+    kind = draw(st.sampled_from(("near", "near", "huge", "far", "subnormal")))
+    if kind == "subnormal":
+        unit = 5e-324
+        step = unit * draw(st.integers(1, 4))
+        starts = [unit * draw(st.integers(-200, 200)) for _ in range(2)]
+        ends = [0.0, 0.0]
+    else:
+        scale = {"near": 1.0, "huge": 1e98, "far": 2e100}[kind]
+        step = draw(st.floats(0.05, 1.0)) * scale
+        starts = [draw(st.floats(-10.0, 10.0)) * scale for _ in range(2)]
+        ends = [draw(st.sampled_from((0.0, 0.0, 0.3, 0.9))) for _ in range(2)]
+    counts = (draw(st.integers(1, 12)), draw(st.integers(8, 48)))
+    return (*((lo, lo + (count - 1 + end) * step) for lo, count, end in zip(starts, counts, ends)),
+            step)
+
+
+def _counted_quartic(monkeypatch) -> list:
+    """Record the number of points of every `quartic_coefficients` call."""
+    seen = []
+    quartic = classify.quartic_coefficients
+
+    def counted(lam, mu):
+        seen.append(np.broadcast(lam, mu).size)
+        return quartic(lam, mu)
+
+    monkeypatch.setattr(classify, "quartic_coefficients", counted)
+    return seen
+
+
+class TestLatticeCut:
+    """The lattice pass evaluates only the points whose |c4| can reach the
+    minimum; every report field stays that of the full pass."""
+
+    def test_c4_is_lam_times_difference_squared(self):
+        # The windows rest on c4 = (lam (lam - mu)) (lam - mu), bit for bit.
+        rng = np.random.default_rng(17)
+        pool = np.concatenate((
+            [0.0, -0.0, 5e-324, -1e-310, 1.0, 2.0, 1e100, -1e100],
+            rng.uniform(-10.0, 10.0, 400),
+            rng.uniform(-1.0, 1.0, 400) * 10.0 ** rng.integers(-320, 100, 400).astype(float),
+        ))
+        lam, mu = rng.choice(pool, 4000), rng.choice(pool, 4000)
+        c4 = quartic_coefficients(lam, mu)[0]
+        assert c4.tobytes() == (lam * (lam - mu) * (lam - mu)).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_cut_boxes())
+    # Rows 0.25 and 0.5 tie at the minimum 0.5625 for mu = -0.25.
+    @example(((0.0, 1.0), (-0.25, 19.75), 0.25))
+    @example(((-10.0, 10.0), (-10.0, 10.0), 0.25))
+    @example(((0.0, 1e-320), (0.0, 1e-320), 5e-324))
+    @example(((0.0, 1e100), (-2e102, 2e102), 1e101))
+    def test_matches_reference_with_small_blocks(self, box):
+        # With 64-point blocks the cut runs on boxes this small.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classify, "BLOCK_CELLS", 64)
+            want = reference_scan(*box)
+            got = contradiction_scan(*box)
+        assert _scan_fields(got, want) == want
+
+    def test_tie_reports_first_point(self, monkeypatch):
+        monkeypatch.setattr(classify, "BLOCK_CELLS", 64)
+        seen = _counted_quartic(monkeypatch)
+        cert = contradiction_scan((0.0, 1.0), (-0.25, 19.75), 0.25)
+        assert cert.argmin == (0.25, -0.25) and cert.min_max_coefficient == 0.5625
+        tie = max(map(abs, quartic_coefficients(0.5, -0.25)))
+        assert tie == cert.min_max_coefficient
+        assert sum(seen) < 5 * 81
+
+    @pytest.mark.parametrize("place", ("at lam", "row start", "row end"))
+    def test_any_hint_matches_reference(self, monkeypatch, place):
+        # Empty windows anywhere in the row: the checks alone decide how far
+        # each window reaches.
+        def hint(lam, mus, ub, gap):
+            at = {"at lam": np.searchsorted(mus, lam), "row start": np.zeros(lam.size, int),
+                  "row end": np.full(lam.size, mus.size)}[place]
+            return at, at.copy()
+
+        monkeypatch.setattr(classify, "_window_hint", hint)
+        for box in ((-10.0, 10.0), (-10.0, 10.0), 0.25), ((-3.0, 7.0), (-6.0, 4.0), 0.1):
+            want = reference_scan(*box)
+            assert _scan_fields(contradiction_scan(*box), want) == want
+        monkeypatch.setattr(classify, "BLOCK_CELLS", 64)
+        for box in (*(b[:3] for b in REFERENCE_BOXES), *(b[:3] for b in NON_ALIGNED_BOXES)):
+            want = reference_scan(*box)
+            assert _scan_fields(contradiction_scan(*box), want) == want
+
+    def test_sample_on_the_strip_bounds_nothing(self, monkeypatch):
+        monkeypatch.setattr(classify, "_sample", lambda axis: axis[:1])
+        lams = classify._lattice(-10.0, 10.0, 0.25)
+        assert classify._upper_bound(lams, lams, 0.125) == math.inf
+        want = reference_scan((-10.0, 10.0), (-10.0, 10.0), 0.25)
+        assert _scan_fields(contradiction_scan(), want) == want
+
+    def test_overflow_still_raises(self, monkeypatch):
+        # Only c2 at mu = 9.5e153 overflows.  The box reaches past 1e100, so
+        # no point is skipped, although its 96 points exceed a block.
+        monkeypatch.setattr(classify, "BLOCK_CELLS", 64)
+        with pytest.raises(FloatingPointError):
+            contradiction_scan((1.0, 1.0), (0.0, 9.5e153), 1e152)
+
+    def test_evaluates_a_tenth_of_the_box(self, monkeypatch):
+        seen = _counted_quartic(monkeypatch)
+        cert = contradiction_scan((-5.0, 5.0), (-5.0, 5.0), 0.05)
+        points = cert.points_scanned + cert.points_skipped_diagonal
+        assert points == 201 * 201 and cert.points_skipped_diagonal == 201
+        assert sum(seen) <= 0.1 * points
+
+    @pytest.mark.parametrize("lam_range, mu_range", (
+        ((0.0, 50000.0), (3.0, 3.0)),
+        ((3.0, 3.0), (0.0, 50000.0)),
+    ))
+    def test_one_line_box_allocation(self, lam_range, mu_range):
+        # A million lattice points on one axis: its points and cell edges take
+        # about 30 MiB, and the pass adds no array as long as the axis.
+        tracemalloc.start()
+        try:
+            cert = contradiction_scan(lam_range, mu_range, 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.points_scanned + cert.points_skipped_diagonal == 1_000_001
+        assert peak < 32 * 2**20
 
 
 class TestScanCells:

@@ -24,6 +24,7 @@ from helpers import (
     per_cell_bounds,
     reference_eval_jet3,
     reference_fit,
+    reference_lattice_minimum,
     reference_operator_equivalence_residual,
     reference_position_identity_residual,
     reference_sample_regular,
@@ -501,6 +502,8 @@ class TestScan:
          "overflow"),
         (["--lambda-range", "1e150", "2e150", "--mu-range", "-1e150", "0", "--step", "1e149"],
          "overflow"),
+        (["--lambda-range", "1e17", "1.000000000000001e17", "--step", "1"],
+         "step 1.0 is below the float spacing of lam_range"),
     ))
     def test_non_finite_is_input_error(self, capsys, extra, named):
         assert main(["scan", *extra]) == 1
@@ -990,15 +993,25 @@ _SAME_BYTES_COMMANDS = (
     *(["verify", "operator-equivalence", "--catalog", name, "--pairs", "500", "--seed", "5",
        "--format", fmt]
       for name in ("sphere", "catenoid") for fmt in ("json", "csv")),
+    ["scan"],
+    ["scan", "--step", "0.05"],
+    # Shaped like the benchmark's scan requests: 10 x 10 at step 0.05, on the
+    # lattice, holding the origin.
+    *(["scan", "--step", "0.05", "--lambda-range", *lam, "--mu-range", *mu]
+      for lam, mu in ((("-2.50", "7.50"), ("-8.05", "1.95")),
+                      (("-5.10", "4.90"), ("-4.65", "5.35")),
+                      (("-5.75", "4.25"), ("-2.40", "7.60")))),
 )
 
 
 class TestSameBytes:
-    """The scalar paths of jet evaluation, the array sampler and the batched
-    Beltrami checks change no output byte: each command prints the same
-    with `eval_jet3` and `sample_regular` swapped for their all-jet,
-    point-by-point oracles, operator equivalence for its per-field loop over
-    parsed fields and the position identity for its stacked norm."""
+    """The scalar paths of jet evaluation, the array sampler, the batched
+    Beltrami checks and the scan's cut lattice pass change no output byte:
+    each command prints the same with `eval_jet3` and `sample_regular`
+    swapped for their all-jet, point-by-point oracles, operator equivalence
+    for its per-field loop over parsed fields, the position identity for
+    its stacked norm and the scan's lattice pass for the blocked pass over
+    every point."""
 
     def test_oracles_print_the_same_bytes(self, monkeypatch):
         program = [captured(argv) for argv in _SAME_BYTES_COMMANDS]
@@ -1009,6 +1022,7 @@ class TestSameBytes:
                             reference_operator_equivalence_residual)
         monkeypatch.setattr(beltrami, "position_identity_residual",
                             reference_position_identity_residual)
+        monkeypatch.setattr(classify, "_lattice_minimum", reference_lattice_minimum)
         for argv, got in zip(_SAME_BYTES_COMMANDS, program):
             assert got[1], argv
             assert captured(argv) == got, argv
