@@ -492,46 +492,48 @@ def _windows(lam: np.ndarray, mus: np.ndarray, ub: float, gap: float):
     return lo, hi
 
 
-def _chunks(counts: np.ndarray, n: int):
-    """Row ranges [a, b) of a span of rows of n points, in order, with
-    whether to scan each as whole rows, from the number of window points of
-    each row: blocks of about BLOCK_CELLS points whose windows keep half of
-    them or more go whole, and the runs of rows between them are gathered
-    in chunks of at most BLOCK_CELLS window points (or one block)."""
-    per = max(1, BLOCK_CELLS // n)
-    firsts = np.arange(0, counts.size, per)
-    a = pending = 0
-    for b, kept in zip(firsts.tolist(), np.add.reduceat(counts, firsts).tolist()):
-        rows = min(per, counts.size - b)
-        whole = 2 * kept >= rows * n
-        if a < b and (whole or pending + kept > BLOCK_CELLS):
-            yield a, b, False
-            a, pending = b, 0
-        if whole:
-            yield b, b + rows, True
-            a = b + rows
-        else:
-            pending += kept
-    if a < counts.size:
-        yield a, counts.size, False
+def _chunks(counts: np.ndarray):
+    """Row ranges [a, b) of a span, in order, from the number of window
+    points of each row: runs of rows whose windows hold at most BLOCK_CELLS
+    points in all, or a single row whose window holds more."""
+    ends = np.cumsum(counts)
+    a = 0
+    while a < counts.size:
+        start = int(ends[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, start + BLOCK_CELLS, "right")))
+        yield a, b
+        a = b
 
 
-def _lattice_minimum(lams: np.ndarray, mus: np.ndarray, gap: float):
-    """(points scanned, best) over the lattice lams x mus minus the strip
-    |lam - mu| < gap: best is (max-coefficient, argmin, coefficients) of
-    the first minimum in row-major order, or None when every point is on
-    the strip.
+def _pass_minimum(lam: np.ndarray, mu: np.ndarray, gap: float):
+    """(points off the strip, best) over the points (lam, mu) of one pass:
+    best is (max-coefficient, argmin, coefficients) of its first minimum, or
+    None when every point is on the strip |lam - mu| < gap."""
+    off = np.abs(lam - mu) >= gap
+    lam, mu = lam[off], mu[off]
+    if not lam.size:
+        return 0, None
+    m, coeffs = _max_coefficients(lam, mu)
+    k = int(np.argmin(m))
+    return lam.size, (float(m[k]), (float(lam[k]), float(mu[k])), tuple(float(c[k]) for c in coeffs))
+
+
+def _pass_minima(lams: np.ndarray, mus: np.ndarray, gap: float):
+    """(points scanned, best) of each pass over the lattice lams x mus, in
+    row-major order, as `_pass_minimum` gives them; the points a pass leaves
+    outside the windows count as scanned.
 
     `_upper_bound` bounds the minimum by ub, and only the points inside the
     `_windows` of each row are evaluated: every point outside is off the
-    strip with |c4| > ub, so it is counted as scanned but cannot be the
-    minimum or tie with it, and the first argmin stays the same.  There is
-    no cut (ub = inf) when the lattice fits in one pass of BLOCK_CELLS
-    points or its rows are shorter than _MIN_ROW, where checking the
-    windows costs more than it saves, and when the box reaches past
-    _CUT_REACH, so that an overflow anywhere still raises.  The windows are
-    built for spans of at most BLOCK_CELLS rows and scanned in the
-    `_chunks` of each span; without windows, a span is scanned as whole
+    strip with |c4| > ub, so it cannot be the minimum or tie with it.  There
+    is no cut (ub = inf) when the lattice fits in one pass of BLOCK_CELLS
+    points or its rows are shorter than _MIN_ROW, where checking the windows
+    costs more than it saves, and when the box reaches past _CUT_REACH, so
+    that an overflow anywhere still raises.  The windows are built for spans
+    of BLOCK_CELLS / 4 rows, so the check of their ends takes at most
+    BLOCK_CELLS / 2 points and its temporaries stay below those of a pass,
+    and the window points are gathered in the `_chunks` of each span.  A
+    span without windows, or the lattice without a cut, is scanned as whole
     rows in blocks of about BLOCK_CELLS points.
     """
     n = mus.size
@@ -540,35 +542,40 @@ def _lattice_minimum(lams: np.ndarray, mus: np.ndarray, gap: float):
     reach = max(abs(lams[0]), abs(lams[-1]), abs(mus[0]), abs(mus[-1]))
     if lams.size * n > BLOCK_CELLS and n >= _MIN_ROW and reach <= _CUT_REACH:
         ub = _upper_bound(lams, mus, gap)
-    best, scanned = None, 0
-    for first in range(0, lams.size, BLOCK_CELLS):
-        span = lams[first : first + BLOCK_CELLS]
+    rows = max(1, BLOCK_CELLS // 4) if ub < math.inf else lams.size
+    for first in range(0, lams.size, rows):
+        span = lams[first : first + rows]
         windows = _windows(span, mus, ub, gap) if ub < math.inf else None
         if windows is None:
-            chunks = ((a, min(a + per, span.size), True) for a in range(0, span.size, per))
-        else:
-            lo, hi = windows
-            counts = hi - lo
-            chunks = _chunks(counts, n)
-        for a, b, whole in chunks:
-            if whole:
-                shape = (b - a, n)
-                lam, mu = np.broadcast_to(span[a:b, None], shape), np.broadcast_to(mus, shape)
-            else:
-                kept = counts[a:b]
-                ends = np.cumsum(kept)
-                scanned += (b - a) * n - int(ends[-1])
-                lam = np.repeat(span[a:b], kept)
-                mu = mus[np.arange(ends[-1]) + np.repeat(lo[a:b] - ends + kept, kept)]
-            off = np.abs(lam - mu) >= gap
-            lam, mu = lam[off], mu[off]
-            scanned += lam.size
-            if not lam.size:
-                continue
-            m, coeffs = _max_coefficients(lam, mu)
-            k = int(np.argmin(m))
-            if best is None or m[k] < best[0]:
-                best = (float(m[k]), (float(lam[k]), float(mu[k])), tuple(float(c[k]) for c in coeffs))
+            for a in range(0, span.size, per):
+                shape = (min(per, span.size - a), n)
+                yield _pass_minimum(np.broadcast_to(span[a : a + per, None], shape),
+                                    np.broadcast_to(mus, shape), gap)
+            continue
+        lo, hi = windows
+        counts = hi - lo
+        for a, b in _chunks(counts):
+            kept = counts[a:b]
+            ends = np.cumsum(kept)
+            count, found = _pass_minimum(np.repeat(span[a:b], kept),
+                                         mus[np.arange(ends[-1]) + np.repeat(lo[a:b] - ends + kept, kept)],
+                                         gap)
+            yield count + (b - a) * n - int(ends[-1]), found
+
+
+def _lattice_minimum(lams: np.ndarray, mus: np.ndarray, gap: float):
+    """(points scanned, best) over the lattice lams x mus minus the strip
+    |lam - mu| < gap: best is (max-coefficient, argmin, coefficients) of
+    the first minimum in row-major order, or None when every point is on
+    the strip.  Each pass of `_pass_minima` holds later points than the
+    passes before it, so a later pass replaces best only when its minimum
+    is strictly lower.
+    """
+    best, scanned = None, 0
+    for count, found in _pass_minima(lams, mus, gap):
+        scanned += count
+        if found is not None and (best is None or found[0] < best[0]):
+            best = found
     return scanned, best
 
 

@@ -675,6 +675,25 @@ class TestLatticeCut:
         assert cert.points_scanned + cert.points_skipped_diagonal == 1_000_001
         assert peak < 32 * 2**20
 
+    def test_passes_stay_within_a_block(self, monkeypatch):
+        # 4095^2 points: after the sample, every evaluation, window checks
+        # included, takes at most BLOCK_CELLS points.
+        seen = _counted_quartic(monkeypatch)
+        cert = contradiction_scan((-10.0, 10.0), (-10.0, 10.0), 20.0 / 4094)
+        assert cert.points_scanned + cert.points_skipped_diagonal == 4095**2
+        assert len(seen) > 3 and max(seen[1:]) <= classify.BLOCK_CELLS
+
+    def test_budget_box_allocation(self):
+        # The pass over the whole budget on [-10, 10]^2 peaks at about
+        # 0.36 MiB, below the 0.44 MiB of a pass over every point.
+        tracemalloc.start()
+        try:
+            contradiction_scan((-10.0, 10.0), (-10.0, 10.0), 20.0 / 4094)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.44 * 2**20
+
 
 class TestScanCells:
     @pytest.mark.parametrize("lam_range, mu_range, step, cells", NON_ALIGNED_BOXES)
