@@ -19,12 +19,15 @@ harmonic and trig, so one set of partials can feed several operators and
 one call serves a batch of points drawn from many fields.
 
 `operator_equivalence_residual` compares the two second operators on
-random fields that `random_fields` draws as plain data: per field, the
-coefficient, frequency and sin/cos flag of each trigonometric term, the
-optional ``s`` and ``s^2`` coefficients, the harmonic, the trig and a text
-label.  `field_profiles` evaluates the profile jets of every pair's field
-from closed forms in one array pass, with the bits that `eval_jet3` gives
-on the parsed label, so no expression tree is built or walked.
+random fields that `random_fields` draws as plain data, all fields at once
+with one generator call per quantity: per field, the coefficient,
+frequency and sin/cos flag of each trigonometric term, the optional ``s``
+and ``s^2`` coefficients, the harmonic, the trig and a text label.
+`field_profiles` evaluates the profile jets of every pair's field from
+closed forms in one array pass, with the bits that `eval_jet3` gives on the
+parsed label, so no expression tree is built or walked.  The sample points
+are drawn as arrays too, in passes that are each screened in one
+evaluation of the profile.
 """
 
 from __future__ import annotations
@@ -217,10 +220,10 @@ class RandomFields:
     The profile ``a`` is a sum of up to five terms, in slot order: up to
     three ``coeff * sin|cos(omega * s)`` (slots 0-2, sin where ``is_sin``),
     then ``coeff * s`` (slot 3) and ``coeff * s^2`` (slot 4).  ``present``
-    marks the terms a field has; absent slots hold zeros.  ``harmonic``,
-    ``trig`` (``"cos"`` or ``"sin"``) and ``labels``, the profile's text
-    such as ``-1.234 * sin(0.56 * s) + 0.1 * s^2``, have one entry per
-    field.
+    marks the terms a field has; absent slots hold zeros (and ``is_sin``
+    False).  ``harmonic``, ``trig`` (``"cos"`` or ``"sin"``) and
+    ``labels``, the profile's text such as
+    ``-1.234 * sin(0.56 * s) + 0.1 * s^2``, have one entry per field.
     """
 
     coeff: np.ndarray
@@ -235,42 +238,46 @@ class RandomFields:
         return len(self.labels)
 
 
+# Bounds of the uniform draws of the coefficients, by slot.
+_COEFF_BOUND = np.array([2.0, 2.0, 2.0, 1.0, 0.5])
+
+
 def random_fields(p: ProfileCurve, rng: np.random.Generator, count: int) -> RandomFields:
     """Deterministic stream of ``count`` smooth separable test fields on the
     profile domain: each a trigonometric polynomial in s plus low-degree
-    monomials, times ``cos`` or ``sin(k theta)``.  Coefficients and
-    frequencies are rounded to 3 decimals, so a label parses to exactly the
-    drawn numbers."""
+    monomials, times ``cos`` or ``sin(k theta)``.
+
+    All fields are drawn at once, one `Generator` call per quantity, in
+    this order: the number of trigonometric terms (1-3); whether the ``s``
+    and ``s^2`` terms are present; the coefficients (uniform in +-2, +-1
+    and +-0.5 for the trigonometric, ``s`` and ``s^2`` slots); the
+    frequencies (``2 pi / span`` times a uniform in [0.2, 1)); the sin/cos
+    flags; the harmonic (0-3); and the trig, cos for harmonic 0.
+    Coefficients and frequencies are rounded by ``np.round(x, 3)``, the
+    nearest double to some ``k / 1000``, so a label parses to exactly the
+    drawn numbers; a coefficient that rounds to -0.0 keeps its sign."""
     span = p.s_max - p.s_min
     omega_base = _TAU / max(span, 1e-6)
-    coeff = np.zeros((count, 5))
-    omega = np.zeros((count, 3))
-    is_sin = np.zeros((count, 3), dtype=bool)
-    present = np.zeros((count, 5), dtype=bool)
-    harmonic = np.zeros(count, dtype=int)
-    trigs, labels = [], []
-    for i in range(count):
-        terms = []
-        for m in range(rng.integers(1, 4)):
-            c = round(float(rng.uniform(-2.0, 2.0)), 3)
-            w = round(float(omega_base * rng.uniform(0.2, 1.0)), 3)
-            fn = "sin" if rng.integers(2) else "cos"
-            coeff[i, m], omega[i, m], is_sin[i, m] = c, w, fn == "sin"
-            present[i, m] = True
-            terms.append(f"{c} * {fn}({w} * s)")
-        if rng.integers(2):
-            coeff[i, 3] = c = round(float(rng.uniform(-1.0, 1.0)), 3)
-            present[i, 3] = True
-            terms.append(f"{c} * s")
-        if rng.integers(2):
-            coeff[i, 4] = c = round(float(rng.uniform(-0.5, 0.5)), 3)
-            present[i, 4] = True
-            terms.append(f"{c} * s^2")
-        harmonic[i] = rng.integers(0, 4)
-        trigs.append("cos" if harmonic[i] == 0 or rng.integers(2) else "sin")
+    n_trig = rng.integers(1, 4, size=count)
+    has_poly = rng.integers(2, size=(count, 2)).astype(bool)
+    coeff = np.round(rng.uniform(-_COEFF_BOUND, _COEFF_BOUND, size=(count, 5)), 3)
+    omega = np.round(omega_base * rng.uniform(0.2, 1.0, size=(count, 3)), 3)
+    is_sin = rng.integers(2, size=(count, 3)).astype(bool)
+    harmonic = rng.integers(0, 4, size=count)
+    is_cos = (harmonic == 0) | rng.integers(2, size=count).astype(bool)
+    present = np.concatenate((np.arange(3) < n_trig[:, None], has_poly), axis=1)
+    coeff = np.where(present, coeff, 0.0)
+    omega = np.where(present[:, :3], omega, 0.0)
+    is_sin &= present[:, :3]
+    labels = []
+    for c, w, sin, has in zip(coeff.tolist(), omega.tolist(), is_sin.tolist(),
+                              present.tolist()):
+        terms = [f"{c[m]} * {'sin' if sin[m] else 'cos'}({w[m]} * s)"
+                 for m in range(3) if has[m]]
+        terms += [f"{c[m]} * {power}" for m, power in ((3, "s"), (4, "s^2")) if has[m]]
         labels.append(" + ".join(terms))
-    return RandomFields(coeff, omega, is_sin, present, harmonic, np.array(trigs),
-                        np.array(labels))
+    return RandomFields(coeff, omega, is_sin, present, harmonic,
+                        np.where(is_cos, "cos", "sin"), np.array(labels))
 
 
 def field_profiles(fields: RandomFields, which: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -320,9 +327,10 @@ def operator_equivalence_residual(
 
     Returns the worst difference, the details ``max_rel_diff``, ``pairs``,
     ``at_s`` and ``at_theta``, and the CSV columns, one entry per pair.
-    Draws stop after 50 per requested pair; fewer ``pairs`` than requested
-    means too few regular points, and with none the difference and
-    location are None and the columns empty.
+    The fields come first from the ``seed`` generator, then the candidate
+    points in passes of (3, m) uniforms.  Draws stop after 50 per requested
+    pair; fewer ``pairs`` than requested means too few regular points, and
+    with none the difference and location are None and the columns empty.
     """
     rng = np.random.default_rng(seed)
     intervals = p.regular_intervals()
@@ -333,43 +341,35 @@ def operator_equivalence_residual(
     cdf = np.cumsum(widths / widths.sum())
     cdf /= cdf[-1]
     fields = random_fields(p, rng, max(8, n_pairs // 50))
-    # A draw is an interval from u[k], a point s from u[k + 1] and, if s
-    # clears the margin, an angle from u[k + 2].  Candidates at every
-    # offset k are screened in one pass; the walk keeps the draw order.
-    # When the draws run out, only the candidates that reach the new draws
-    # are screened, and joined onto the earlier ones.
-    u = np.empty(0)
-    candidates = None
-    usable: list[bool] = []
-    picks: list[int] = []
-    pos = attempts = 0
-    while len(picks) < n_pairs and attempts < 50 * n_pairs:
-        if pos + 3 > len(u):
-            old = len(u)
-            u = np.concatenate([u, rng.random(max(old, 3 * n_pairs + 3))])
-            first = max(old - 1, 0)
-            k = cdf.searchsorted(u[first:-1], side="right")
-            tail = _jets(p, starts[k] + widths[k] * u[first + 1:])
-            low = np.minimum(np.abs(tail.dphi), np.abs(tail.sin_phi)) < DRAW_MARGIN
-            usable += (~(_parabolic(tail, tol_parab) | low)).tolist()
-            candidates = tail if candidates is None else candidates.concat(tail)
-        attempts += 1
-        if usable[pos]:
-            picks.append(pos)
-            pos += 3
-        else:
-            pos += 2
-    done = len(picks)
+    # Candidates come in passes of (3, m) uniforms: interval, point, angle.
+    # Each pass is screened in one evaluation, and its first usable
+    # candidates, up to the shortfall, are kept in draw order.  The first
+    # pass draws n_pairs; a later one twice the shortfall, at least 64,
+    # within the 50 * n_pairs draws.
+    parts, angles = [], []
+    done = drawn = 0
+    m = n_pairs
+    while done < n_pairs and drawn < 50 * n_pairs:
+        u = rng.random((3, m))
+        drawn += m
+        k = cdf.searchsorted(u[0], side="right")
+        screened = _jets(p, starts[k] + widths[k] * u[1])
+        low = np.minimum(np.abs(screened.dphi), np.abs(screened.sin_phi)) < DRAW_MARGIN
+        keep = np.flatnonzero(~(_parabolic(screened, tol_parab) | low))[:n_pairs - done]
+        if len(keep):
+            parts.append(screened[keep])
+            angles.append(u[2, keep])
+            done += len(keep)
+        m = min(max(2 * (n_pairs - done), 64), 50 * n_pairs - drawn)
     details = {"max_rel_diff": None, "pairs": done, "at_s": None, "at_theta": None}
     if not done:
         return None, details, {}
-    # The picks' jets are one slice of the screening pass, and pair i takes
-    # field i % len(fields).  Each field's profile jets are evaluated once,
-    # at its own pairs' points, and gathered per pair; the partials and
-    # both formulas then run once over all pairs.
-    picked = np.array(picks)
-    jets = candidates[picked]
-    s, theta = jets.s, _TAU * u[picked + 2]
+    # The picks' jets are slices of the screening passes, and pair i takes
+    # field i % len(fields).  The fields' profile jets are evaluated in one
+    # pass at the pairs' points; the partials and both formulas then run
+    # once over all pairs.
+    jets = RegularJets.concat(parts)
+    s, theta = jets.s, _TAU * np.concatenate(angles)
     which = np.arange(done) % len(fields)
     harmonic, trig = fields.harmonic[which], fields.trig[which]
     pu = separable_partials(field_profiles(fields, which, s), harmonic, trig == "cos", theta)

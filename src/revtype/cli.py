@@ -15,7 +15,8 @@ reproduces the output byte for byte.
 A check that finds no usable sample points fails with exit 2 and a reason.
 A command runs with NumPy overflow, division by zero and invalid operations
 raised, so such a fault is an input error (exit 1), not a warning, and its
-message names the surface and the stage: validation, fit or the check.
+message names the surface and the stage: validation, fit or the check.  So
+does the message of a profile domain error or an unbound parameter.
 
 The tolerances (``--tol-arc``, ``--tol-parab``, ``--tol-fit``,
 ``--tol-struct``, ``--tol``) and ``--lambda``/``--mu`` must be finite
@@ -48,8 +49,8 @@ from typing import Optional
 import numpy as np
 
 from . import beltrami, catalog, classify, geometry
-from .expressions import ExpressionError
-from .geometry import ProfileCurve, ProfileError
+from .expressions import EvalError, ExpressionError
+from .geometry import ProfileCurve, ProfileDomainError, ProfileError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -59,8 +60,9 @@ EXIT_INCONCLUSIVE = 2
 # that it limits under about 1 GiB, scaled linearly from peaks measured on
 # torus(3, 1) at a quarter of the bound or less: about 0.15 KiB per grid
 # point (position-identity, as JSON or CSV alike), 0.15 KiB per validation
-# sample, and 41 KiB per pair when nearly every draw is rejected
-# (sphere r=100).
+# sample, and 1.2 KiB per pair (operator-equivalence as CSV, every pair
+# found; when nearly every draw is rejected, as on sphere r=100, the draws
+# are screened in passes of at most twice the pairs, so the peak is lower).
 MAX_GRID_POINTS = 2**20
 MAX_SAMPLES = 2**22
 MAX_PAIRS = 2**14
@@ -199,12 +201,13 @@ def _config_from_args(args, surface_label: str) -> RunConfig:
 
 @contextlib.contextmanager
 def _stage(label: str, stage: str):
-    """Name the surface and the stage in a floating-point fault raised
-    inside: ``sphere(r=1e-160): validation: overflow encountered in
-    multiply``."""
+    """Name the surface and the stage in an evaluation fault raised inside,
+    a floating-point fault (``sphere(r=1e-160): validation: overflow
+    encountered in multiply``), a profile domain error or an unbound
+    parameter."""
     try:
         yield
-    except ArithmeticError as exc:
+    except (ArithmeticError, ProfileDomainError, EvalError) as exc:
         raise InputError(f"{label}: {stage}: {exc}") from None
 
 

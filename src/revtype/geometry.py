@@ -162,11 +162,12 @@ def _dphi(fj: Jet3, gj: Jet3):
 class RegularJets:
     """Jets of f and g at regular sample points ``s``, with phi' and phi''.
 
-    Built by `grid_rows` and the draw screening of
-    `operator_equivalence_residual`, each from one evaluation pass; every
-    profile formula reads its inputs from here, so a check evaluates its
-    profile once per sample set.  Indexing slices all channels alike, as
-    in ``jets[keep]`` or ``jets[:, None]`` for a column of rows.
+    Built by `grid_rows` from one evaluation pass, and by the draw
+    screening of `operator_equivalence_residual` from one pass per batch of
+    draws, joined by `concat`; every profile formula reads its inputs from
+    here, so a check evaluates its profile once per sample set.  Indexing
+    slices all channels alike, as in ``jets[keep]`` or ``jets[:, None]``
+    for a column of rows.
     """
 
     s: float | np.ndarray
@@ -194,18 +195,21 @@ class RegularJets:
             self.s[index], jet(self.f), jet(self.g), self.dphi[index], self.ddphi[index]
         )
 
-    def concat(self, other: "RegularJets") -> "RegularJets":
-        """The points of this batch followed by those of ``other``."""
-        def cat(a, b):
-            return np.concatenate((a, b))
+    @staticmethod
+    def concat(parts: Sequence["RegularJets"]) -> "RegularJets":
+        """The points of ``parts``, one batch after another; a single part
+        is returned as it is."""
+        if len(parts) == 1:
+            return parts[0]
 
-        def jet(a: Jet3, b: Jet3) -> Jet3:
-            return Jet3(cat(a.v0, b.v0), cat(a.v1, b.v1), cat(a.v2, b.v2), cat(a.v3, b.v3))
+        def cat(name):
+            return np.concatenate([getattr(part, name) for part in parts])
 
-        return RegularJets(
-            cat(self.s, other.s), jet(self.f, other.f), jet(self.g, other.g),
-            cat(self.dphi, other.dphi), cat(self.ddphi, other.ddphi),
-        )
+        def jet(name) -> Jet3:
+            return Jet3(*(np.concatenate([getattr(getattr(part, name), order) for part in parts])
+                          for order in ("v0", "v1", "v2", "v3")))
+
+        return RegularJets(cat("s"), jet("f"), jet("g"), cat("dphi"), cat("ddphi"))
 
 
 def _jets(p: ProfileCurve, s) -> RegularJets:

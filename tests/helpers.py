@@ -820,23 +820,33 @@ def reference_position_identity_residual(jets, n_theta: int, rows_excluded: int)
 
 def reference_random_fields(p, rng, count: int) -> list:
     """`beltrami.random_fields` built as text and parsed: one
-    ``(text, parse(text), harmonic, trig)`` per field."""
+    ``(text, parse(text), harmonic, trig)`` per field.  The draws are the
+    same `Generator` calls; each number is rounded by Python's `round`
+    and written into its term one field at a time."""
     span = p.s_max - p.s_min
     omega_base = _TAU / max(span, 1e-6)
+    n_trig = rng.integers(1, 4, size=count)
+    has_poly = rng.integers(2, size=(count, 2))
+    coeffs = rng.uniform([-2.0, -2.0, -2.0, -1.0, -0.5], [2.0, 2.0, 2.0, 1.0, 0.5],
+                         size=(count, 5))
+    omegas = rng.uniform(0.2, 1.0, size=(count, 3))
+    sin_flags = rng.integers(2, size=(count, 3))
+    harmonics = rng.integers(0, 4, size=count)
+    trig_flags = rng.integers(2, size=count)
     fields = []
-    for _ in range(count):
+    for i in range(count):
         terms = []
-        for m in range(rng.integers(1, 4)):
-            coeff = round(float(rng.uniform(-2.0, 2.0)), 3)
-            omega = round(float(omega_base * rng.uniform(0.2, 1.0)), 3)
-            fn = "sin" if rng.integers(2) else "cos"
+        for m in range(int(n_trig[i])):
+            coeff = round(float(coeffs[i, m]), 3)
+            omega = round(float(omega_base * omegas[i, m]), 3)
+            fn = "sin" if sin_flags[i, m] else "cos"
             terms.append(f"{coeff} * {fn}({omega} * s)")
-        if rng.integers(2):
-            terms.append(f"{round(float(rng.uniform(-1.0, 1.0)), 3)} * s")
-        if rng.integers(2):
-            terms.append(f"{round(float(rng.uniform(-0.5, 0.5)), 3)} * s^2")
-        harmonic = int(rng.integers(0, 4))
-        trig = "cos" if harmonic == 0 or rng.integers(2) else "sin"
+        if has_poly[i, 0]:
+            terms.append(f"{round(float(coeffs[i, 3]), 3)} * s")
+        if has_poly[i, 1]:
+            terms.append(f"{round(float(coeffs[i, 4]), 3)} * s^2")
+        harmonic = int(harmonics[i])
+        trig = "cos" if harmonic == 0 or trig_flags[i] else "sin"
         text = " + ".join(terms)
         fields.append((text, parse(text), harmonic, trig))
     return fields
@@ -846,8 +856,8 @@ def reference_operator_equivalence_residual(
     p, n_pairs: int = 1000, seed: int = 0, tol_parab: float = DEFAULT_TOL_PARAB,
 ):
     """`beltrami.operator_equivalence_residual` with parsed text fields, the
-    draw walk on a NumPy mask, and both formulas run once per field on the
-    field's own pairs."""
+    picks chosen by a walk over every candidate of every pass, and both
+    formulas run once per field on the field's own pairs."""
     rng = np.random.default_rng(seed)
     intervals = p.regular_intervals()
     if not intervals:
@@ -857,36 +867,35 @@ def reference_operator_equivalence_residual(
     cdf = np.cumsum(widths / widths.sum())
     cdf /= cdf[-1]
     fields = reference_random_fields(p, rng, max(8, n_pairs // 50))
-    u = np.empty(0)
-    candidates = None
+    passes, draws = [], []
     picks: list[int] = []
-    pos = attempts = 0
-    while len(picks) < n_pairs and attempts < 50 * n_pairs:
-        if pos + 3 > len(u):
-            old = len(u)
-            u = np.concatenate([u, rng.random(max(old, 3 * n_pairs + 3))])
-            first = max(old - 1, 0)
-            k = cdf.searchsorted(u[first:-1], side="right")
-            tail = _jets(p, starts[k] + widths[k] * u[first + 1:])
-            low = np.minimum(np.abs(tail.dphi), np.abs(tail.sin_phi)) < DRAW_MARGIN
-            ok = ~(_parabolic(tail, tol_parab) | low)
-            if candidates is None:
-                candidates, usable = tail, ok
-            else:
-                candidates, usable = candidates.concat(tail), np.concatenate((usable, ok))
-        attempts += 1
-        if usable[pos]:
-            picks.append(pos)
-            pos += 3
+    drawn = 0
+    while len(picks) < n_pairs and drawn < 50 * n_pairs:
+        if passes:
+            size = min(max(2 * (n_pairs - len(picks)), 64), 50 * n_pairs - drawn)
         else:
-            pos += 2
+            size = n_pairs
+        u = rng.random((3, size))
+        k = cdf.searchsorted(u[0], side="right")
+        screened = _jets(p, starts[k] + widths[k] * u[1])
+        for i in range(size):
+            if len(picks) == n_pairs:
+                break
+            low = min(abs(screened.dphi[i]), abs(screened.sin_phi[i])) < DRAW_MARGIN
+            parabolic = (abs(screened.dphi[i]) <= tol_parab
+                         or abs(screened.sin_phi[i]) <= tol_parab)
+            if not (low or parabolic):
+                picks.append(drawn + i)
+        passes.append(screened)
+        draws.append(u)
+        drawn += size
     done = len(picks)
     details = {"max_rel_diff": None, "pairs": done, "at_s": None, "at_theta": None}
     if not done:
         return None, details, {}
     picked = np.array(picks)
-    jets_ = candidates[picked]
-    s, theta = jets_.s, _TAU * u[picked + 2]
+    jets_ = RegularJets.concat(passes)[picked]
+    s, theta = jets_.s, _TAU * np.concatenate(draws, axis=1)[2, picked]
     texts, trees, harmonics, trigs = zip(*fields)
     a, b = np.empty(done), np.empty(done)
     for i, (tree, k, trig) in enumerate(zip(trees, harmonics, trigs)):

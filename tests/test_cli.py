@@ -687,8 +687,9 @@ _BUDGET_SURFACES = (
     ["--catalog", "sphere", "--param", "r=1.5"],
     ["--catalog", "catenoid", "--param", "c=0.8"],
 )
-# At seed 0 and 20 pairs every surface's draws fit one screening batch; the
-# torus at 600 pairs rejects enough draws near its collars to need a second.
+# At seed 0 and 20 pairs every surface's first 20 draws are usable, so one
+# screening pass serves; the torus at 600 pairs rejects draws near its
+# collars and needs a second.
 _BUDGET_PAIRS = 20
 
 
@@ -934,6 +935,7 @@ _EXTREME_SURFACES = (
     ("catenoid", "half_width=1.2e77"),
     ("sphere", "r=1e-160"),
     ("sphere", "r=1e160"),
+    ("catenoid", "c=1e-170"),
 )
 
 
@@ -961,9 +963,21 @@ class TestFloatingPointFaults:
         (["verify", "position-identity", "--catalog", "torus", "--param", "R=6.5e168",
           "--param", "r=1"],
          "torus(R=6.5e+168,r=1): position-identity: overflow encountered in multiply"),
+        (["classify", "--catalog", "catenoid", "--param", "c=1e-170"],
+         "catenoid(c=1e-170): validation: domain error at s=-1.98019801980198e-170: "
+         "sqrt of a non-positive value in 'sqrt(c^2 + s^2)'"),
     ))
     def test_message_names_surface_and_stage(self, argv, message):
         assert captured(argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", (["classify"], *(["verify", c] for c in VERIFY_CHECKS)),
+                             ids=lambda c: c[-1])
+    def test_unbound_parameter_names_surface_and_stage(self, tmp_path, command):
+        path = tmp_path / "unbound.json"
+        path.write_text(json.dumps({"name": "unbound", "f": "a + cos(s)", "g": "sin(s)",
+                                    "s_min": 0.1, "s_max": 1.0}))
+        assert captured([*command, "--profile", str(path)]) == (
+            1, "", "error: unbound: validation: unbound parameter 'a'\n")
 
 
 class TestProfileDocumentProperty:

@@ -19,7 +19,7 @@ from revtype import (
     torus,
     validate_profile,
 )
-from revtype.geometry import quotient_defects
+from revtype.geometry import RegularJets, quotient_defects
 
 from helpers import (
     ParabolicPointError,
@@ -313,13 +313,15 @@ class TestBatches:
     def test_concat_matches_one_pass(self, surfaces):
         for curve in surfaces.values():
             jets, _ = grid_rows(curve, 40)
-            joined = jets[:15].concat(jets[15:])
-            for name in ("s", "dphi", "ddphi"):
-                assert np.array_equal(getattr(joined, name), getattr(jets, name)), name
-            for name in ("f", "g"):
-                for order in ("v0", "v1", "v2", "v3"):
-                    got = getattr(getattr(joined, name), order)
-                    assert np.array_equal(got, getattr(getattr(jets, name), order)), name
+            assert RegularJets.concat([jets]) is jets
+            for parts in ([jets[:15], jets[15:]], [jets[:7], jets[7:7], jets[7:30], jets[30:]]):
+                joined = RegularJets.concat(parts)
+                for name in ("s", "dphi", "ddphi"):
+                    assert np.array_equal(getattr(joined, name), getattr(jets, name)), name
+                for name in ("f", "g"):
+                    for order in ("v0", "v1", "v2", "v3"):
+                        got = getattr(getattr(joined, name), order)
+                        assert np.array_equal(got, getattr(getattr(jets, name), order)), name
 
     def test_radii_sum(self, surfaces):
         for curve in surfaces.values():
