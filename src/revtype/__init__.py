@@ -42,12 +42,11 @@ from .expressions import (
     unparse,
 )
 from .geometry import (
-    FormsAndCurvature,
     ProfileCurve,
     ProfileError,
     RegularJets,
     ValidationReport,
-    forms_at,
+    curvatures,
     grid_rows,
     load_profile,
     profile_from_dict,

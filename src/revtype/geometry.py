@@ -3,15 +3,21 @@
 A profile curve ``(f(s), 0, g(s))`` rotated about the x3-axis sweeps the
 surface ``x(s, theta) = (f cos theta, f sin theta, g)``.  Arclength
 parametrization (f'^2 + g'^2 = 1) lets the tangent angle phi satisfy
-f' = cos(phi), g' = sin(phi); all forms and curvatures then have closed
-expressions in f, g and the jets of phi:
+f' = cos(phi), g' = sin(phi), with phi' = f'g'' - g'f''; the third form is
+then III = diag(phi'^2, sin^2 phi) and the operator's quotient is
 
-    I  = diag(1, f^2)      II = diag(phi', f sin phi)
-    III = diag(phi'^2, sin^2 phi)
-    K = phi' sin(phi) / f      R = 2H/K = 1/phi' + f/sin(phi)
+    R = 2H/K = 1/phi' + f/sin(phi)        (`radii_sum_jet`)
 
 Points where phi' or sin(phi) vanish are parabolic (K = 0); the third form
 degenerates there and they are excluded from all sampling.
+
+`curvatures` takes H and K from the surface's own first and second forms,
+
+    E = f'^2 + g'^2    G = f^2    L = (f'g'' - g'f'')/sqrt(E)    N = f g'/sqrt(E)
+
+with F = M = 0.  It assumes neither arclength nor phi, so the 2H/K it gives
+differs from R on a profile that breaks the arclength contract, which is
+what `quotient_defects` measures.
 
 A sample set is evaluated once into `RegularJets` by `grid_rows` or by the
 draw screening of operator equivalence; the formulas take those jets.  An
@@ -144,20 +150,6 @@ class ProfileCurve:
         return intervals
 
 
-def _fg(p: ProfileCurve, s) -> tuple[Jet3, Jet3]:
-    """Jets of f and g at ``s``, one evaluation pass each."""
-    params = p.params_dict
-    try:
-        return eval_jet3(p.f, s, params), eval_jet3(p.g, s, params)
-    except DomainEvalError as exc:
-        raise ProfileDomainError(float(np.ravel(s)[exc.index]), exc) from None
-
-
-def _dphi(fj: Jet3, gj: Jet3):
-    """phi' = f'g'' - g'f'' under arclength parametrization."""
-    return fj.v1 * gj.v2 - gj.v1 * fj.v2
-
-
 @dataclass(frozen=True, eq=False)
 class RegularJets:
     """Jets of f and g at regular sample points ``s``, with phi' and phi''.
@@ -213,10 +205,15 @@ class RegularJets:
 
 
 def _jets(p: ProfileCurve, s) -> RegularJets:
-    """Jets at ``s`` from one pass, not yet checked for regularity.
-    phi'' = f'g''' - g'f''' is branch-independent, like phi'."""
-    fj, gj = _fg(p, s)
-    return RegularJets(s, fj, gj, _dphi(fj, gj), fj.v1 * gj.v3 - gj.v1 * fj.v3)
+    """Jets at ``s`` from one evaluation pass each of f and g, not yet
+    checked for regularity.  phi' = f'g'' - g'f'' and phi'' = f'g''' - g'f'''
+    are branch-independent."""
+    params = p.params_dict
+    try:
+        fj, gj = eval_jet3(p.f, s, params), eval_jet3(p.g, s, params)
+    except DomainEvalError as exc:
+        raise ProfileDomainError(float(np.ravel(s)[exc.index]), exc) from None
+    return RegularJets(s, fj, gj, fj.v1 * gj.v2 - gj.v1 * fj.v2, fj.v1 * gj.v3 - gj.v1 * fj.v3)
 
 
 def _parabolic(jets: RegularJets, tol_parab: float):
@@ -225,63 +222,20 @@ def _parabolic(jets: RegularJets, tol_parab: float):
     return np.broadcast_to(bad, np.shape(jets.s))
 
 
-@dataclass(frozen=True)
-class FormsAndCurvature:
-    """First, second and third fundamental forms with curvatures at a point.
+def curvatures(jets: RegularJets) -> tuple[float, float]:
+    """Mean and Gauss curvature (H, K) from the first and second forms.
 
-    The forms are diagonal by revolution symmetry; the off-diagonal
-    components are identically zero and not stored.
+    E = f'^2 + g'^2, G = f^2, L = (f'g'' - g'f'')/sqrt(E), N = f g'/sqrt(E)
+    and F = M = 0, with the unit normal along x_s x x_theta, inward on the
+    sphere.  Reads f, f', f'', g' and g'' only: no arclength, no phi.
     """
-
-    s: float
-    g11: float
-    g22: float
-    h11: float
-    h22: float
-    e11: float
-    e22: float
-    H: float
-    K: float
-    R: float
-    dphi: float
-    ddphi: float
-    radius: float
-    height: float
-    sin_phi: float
-    cos_phi: float
-
-    @property
-    def kappa1(self) -> float:
-        return self.h11 / self.g11
-
-    @property
-    def kappa2(self) -> float:
-        return self.h22 / self.g22
-
-
-def forms_at(jets: RegularJets) -> FormsAndCurvature:
-    """All form components, H, K and R = 2H/K at regular points."""
-    dphi, sin_phi, f0 = jets.dphi, jets.sin_phi, jets.f.v0
-    K = dphi * sin_phi / f0
-    R = 1.0 / dphi + f0 / sin_phi
-    return FormsAndCurvature(
-        s=jets.s,
-        g11=1.0,
-        g22=f0 * f0,
-        h11=dphi,
-        h22=f0 * sin_phi,
-        e11=dphi * dphi,
-        e22=sin_phi * sin_phi,
-        H=0.5 * K * R,
-        K=K,
-        R=R,
-        dphi=dphi,
-        ddphi=jets.ddphi,
-        radius=f0,
-        height=jets.g.v0,
-        sin_phi=sin_phi,
-        cos_phi=jets.cos_phi,
-    )
+    fj, gj = jets.f, jets.g
+    E = fj.v1 * fj.v1 + gj.v1 * gj.v1
+    G = fj.v0 * fj.v0
+    root = np.sqrt(E)
+    L = (fj.v1 * gj.v2 - gj.v1 * fj.v2) / root
+    N = fj.v0 * gj.v1 / root
+    return 0.5 * (L / E + N / G), L * N / (E * G)
 
 
 def radii_sum_jet(jets: RegularJets) -> tuple[float, float]:
@@ -351,9 +305,10 @@ def validate_profile(
     ``tol_parab``.
     """
     samples = sample_regular(p, n_samples)
-    fj, gj = _fg(p, samples)
+    jets = _jets(p, samples)
+    fj, gj = jets.f, jets.g
     defect = np.abs(fj.v1 * fj.v1 + gj.v1 * gj.v1 - 1.0)
-    margin = np.minimum(np.abs(_dphi(fj, gj)), np.abs(gj.v1))
+    margin = np.minimum(np.abs(jets.dphi), np.abs(jets.sin_phi))
     # np.max and np.min propagate NaN, so a NaN sample fails every check.
     max_defect, min_radius, min_margin = np.max(defect), np.min(fj.v0), np.min(margin)
     return ValidationReport(
@@ -395,22 +350,21 @@ def theta_circle(n_theta: int) -> np.ndarray:
 
 
 def quotient_defects(jets: RegularJets) -> tuple[Optional[float], dict, dict]:
-    """Max relative defect between R = 1/phi' + f/sin(phi) and the same
-    quantity rebuilt from principal curvature ratios h_ij / g_ij.  Returns
-    the defect, the details ``max_residual`` and ``rows_used``, and the
-    per-row columns ``s``, ``quotient``, ``from_curvature_ratios`` and
-    ``rel_defect``; with no rows the defect is None and the columns
-    empty."""
+    """Max relative defect between R = 1/phi' + f/sin(phi) from
+    `radii_sum_jet` and 2H/K from `curvatures`.  Returns the defect, the
+    details ``max_residual`` and ``rows_used``, and the per-row columns
+    ``s``, ``quotient``, ``from_curvature_ratios`` and ``rel_defect``; with
+    no rows the defect is None and the columns empty."""
     details = {"max_residual": None, "rows_used": len(jets)}
     if not len(jets):
         return None, details, {}
-    fm = forms_at(jets)
-    k1, k2 = fm.kappa1, fm.kappa2
-    rebuilt = (k1 + k2) / (k1 * k2)
-    defect = np.abs(fm.R - rebuilt) / (1.0 + np.abs(fm.R))
+    R, _ = radii_sum_jet(jets)
+    H, K = curvatures(jets)
+    rebuilt = 2.0 * H / K
+    defect = np.abs(R - rebuilt) / (1.0 + np.abs(R))
     worst = float(np.max(defect))
     details["max_residual"] = worst
-    columns = {"s": jets.s, "quotient": fm.R, "from_curvature_ratios": rebuilt,
+    columns = {"s": jets.s, "quotient": R, "from_curvature_ratios": rebuilt,
                "rel_defect": defect}
     return worst, details, columns
 

@@ -91,7 +91,7 @@ def test_curvature_quotient_consistency():
         worst, details, _ = quotient_defects(grid_rows(mk.curve, GRID[0])[0])
         assert details["rows_used"] > 0
         assert worst <= 1e-10, mk.name
-    _ok("curvature quotient", "1/phi' + f/sin(phi) vs curvature ratios")
+    _ok("curvature quotient", "1/phi' + f/sin(phi) vs 2H/K from the forms")
 
 
 def test_structure_invariance():

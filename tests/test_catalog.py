@@ -7,8 +7,8 @@ import pytest
 from revtype import (
     broken_diagonal,
     catenoid,
+    curvatures,
     fit_matrix,
-    forms_at,
     sphere,
     torus,
     validate_profile,
@@ -45,15 +45,17 @@ class TestEntries:
 
     def test_sphere_equator(self):
         curve = sphere(1.0).curve
-        fm = forms_at(require_regular(curve, math.pi / 2))
-        assert fm.radius == pytest.approx(1.0)
-        assert fm.H == pytest.approx(1.0, abs=1e-12)
-        assert fm.K == pytest.approx(1.0, abs=1e-12)
+        jets = require_regular(curve, math.pi / 2)
+        H, K = curvatures(jets)
+        assert jets.f.v0 == pytest.approx(1.0)
+        assert H == pytest.approx(1.0, abs=1e-12)
+        assert K == pytest.approx(1.0, abs=1e-12)
 
     def test_sphere_quotient_constant(self):
         curve = sphere(2.0).curve
         for s in sample_regular(curve, 15):
-            assert forms_at(require_regular(curve, s)).R == pytest.approx(4.0, rel=1e-13)
+            H, K = curvatures(require_regular(curve, s))
+            assert 2.0 * H / K == pytest.approx(4.0, rel=1e-13)
 
     def test_sphere_pole_collar(self):
         curve = sphere(1.0).curve
@@ -63,16 +65,17 @@ class TestEntries:
     def test_torus_closed_curvatures(self):
         entry = torus(3.0, 1.0)
         for s in sample_regular(entry.curve, 21):
-            fm = forms_at(require_regular(entry.curve, s))
-            assert fm.K == pytest.approx(entry.gauss_curvature(s), rel=1e-11)
-            assert fm.H == pytest.approx(entry.mean_curvature(s), rel=1e-11)
+            H, K = curvatures(require_regular(entry.curve, s))
+            assert K == pytest.approx(entry.gauss_curvature(s), rel=1e-11)
+            assert H == pytest.approx(entry.mean_curvature(s), rel=1e-11)
 
     def test_torus_outer_equator(self):
         entry = torus(3.0, 1.0)
-        fm = forms_at(require_regular(entry.curve, 0.0))
-        assert fm.radius == pytest.approx(4.0)
-        assert fm.K == pytest.approx(0.25)
-        assert fm.H == pytest.approx(0.625)
+        jets = require_regular(entry.curve, 0.0)
+        H, K = curvatures(jets)
+        assert jets.f.v0 == pytest.approx(4.0)
+        assert K == pytest.approx(0.25)
+        assert H == pytest.approx(0.625)
 
     def test_known_truth_matches_fit(self):
         for name in catalog.names():
@@ -129,8 +132,7 @@ class TestExport:
     def test_make_with_cli_parameter_names(self):
         entry = catalog.make("torus", {"R": 4.0, "r": 0.5})
         assert "torus" in entry.curve.name
-        fm = forms_at(require_regular(entry.curve, 0.0))
-        assert fm.radius == pytest.approx(4.5)
+        assert require_regular(entry.curve, 0.0).f.v0 == pytest.approx(4.5)
 
     def test_profile_format_roundtrip(self):
         for name in ("catenoid", "sphere", "torus"):

@@ -123,6 +123,14 @@ class TestVerify:
                      "--param", "r=2", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["max_residual"] <= 1e-12
 
+    def test_curvature_quotient_fails_off_arclength(self, tmp_path):
+        code, out, _ = captured(["verify", "curvature-quotient", "--profile",
+                                 _profile_file(tmp_path, SPEED_TWO_SPHERE), "--tol-arc", "10"])
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        assert payload["max_residual"] == pytest.approx(2.75 / 2.25, rel=1e-12)
+
     def test_operator_equivalence(self, tmp_path):
         out = tmp_path / "check.json"
         assert main(["verify", "operator-equivalence", "--catalog", "catenoid",
@@ -184,6 +192,10 @@ TORUS_NO_COLLARS = {"name": "torus-no-collars", "f": "R + r * cos(s / r)",
                     "params": {"R": 3.0, "r": 1.0}}
 # Axis stretched by 2, so f'^2 + g'^2 != 1 although no point is parabolic.
 STRETCHED_TORUS = {**TORUS_NO_COLLARS, "name": "stretched-torus", "g": "2*r*sin(s/r)"}
+# Radius 2 at speed 2: regular, but f'^2 + g'^2 = 4, so 1/phi' + f/sin(phi)
+# reads 1.25 where the forms give 2H/K = 4.
+SPEED_TWO_SPHERE = {"name": "speed-2-sphere", "f": "2 * sin(s)", "g": "-2 * cos(s)",
+                    "s_min": 0.1, "s_max": 3.0}
 
 
 def _profile_file(tmp_path, doc) -> str:

@@ -6,8 +6,9 @@ import pytest
 from revtype import (
     ProfileCurve,
     broken_diagonal,
+    catalog,
     catenoid,
-    forms_at,
+    curvatures,
     grid_rows,
     load_profile,
     profile_from_dict,
@@ -19,6 +20,7 @@ from revtype import (
     torus,
     validate_profile,
 )
+from revtype import geometry
 from revtype.geometry import RegularJets, quotient_defects
 
 from helpers import (
@@ -31,6 +33,12 @@ from helpers import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+def curvatures_at(curve, s):
+    """H, K and R = 2H/K from the forms at regular ``s``."""
+    H, K = curvatures(require_regular(curve, s))
+    return H, K, 2.0 * H / K
 
 
 @pytest.fixture(scope="module")
@@ -148,47 +156,35 @@ class TestPhi:
 
 class TestForms:
     def test_sphere_at_pi_third(self):
-        fm = forms_at(require_regular(sphere(1.0).curve, math.pi / 3))
-        assert fm.e11 == pytest.approx(1.0, abs=1e-12)
-        assert fm.e22 == pytest.approx(0.75, abs=1e-12)
-        assert fm.h11 == pytest.approx(1.0, abs=1e-12)
-        assert fm.h22 == pytest.approx(0.75, abs=1e-12)
-        assert fm.R == pytest.approx(2.0, abs=1e-12)
-        assert fm.H == pytest.approx(1.0, abs=1e-12)
-        assert fm.K == pytest.approx(1.0, abs=1e-12)
+        jets = require_regular(sphere(1.0).curve, math.pi / 3)
+        assert jets.dphi ** 2 == pytest.approx(1.0, abs=1e-12)  # III = diag(phi'^2, sin^2 phi)
+        assert jets.sin_phi ** 2 == pytest.approx(0.75, abs=1e-12)
+        H, K, R = curvatures_at(sphere(1.0).curve, math.pi / 3)
+        assert R == pytest.approx(2.0, abs=1e-12)
+        assert H == pytest.approx(1.0, abs=1e-12)
+        assert K == pytest.approx(1.0, abs=1e-12)
 
     def test_catenoid_at_one(self):
-        fm = forms_at(require_regular(catenoid(1.0).curve, 1.0))
-        assert fm.h11 == pytest.approx(-0.5, abs=1e-12)
-        assert fm.h22 == pytest.approx(1.0, abs=1e-12)
-        assert fm.K == pytest.approx(-0.25, abs=1e-12)
-        assert fm.H == pytest.approx(0.0, abs=1e-12)
-        assert fm.R == pytest.approx(0.0, abs=1e-12)
+        H, K, R = curvatures_at(catenoid(1.0).curve, 1.0)
+        assert K == pytest.approx(-0.25, abs=1e-12)
+        assert H == pytest.approx(0.0, abs=1e-12)
+        assert R == pytest.approx(0.0, abs=1e-12)
 
     def test_torus_quotient_at_pi_quarter(self):
-        fm = forms_at(require_regular(torus(3.0, 1.0).curve, math.pi / 4))
-        assert fm.R == pytest.approx(2.0 + 3.0 * SQRT2, rel=1e-12)
+        _, _, R = curvatures_at(torus(3.0, 1.0).curve, math.pi / 4)
+        assert R == pytest.approx(2.0 + 3.0 * SQRT2, rel=1e-12)
 
     def test_torus_curvatures_at_outer_equator(self):
-        fm = forms_at(require_regular(torus(3.0, 1.0).curve, 0.0))
-        assert fm.radius == pytest.approx(4.0, abs=1e-12)
-        assert fm.K == pytest.approx(0.25, abs=1e-12)
-        assert fm.H == pytest.approx(0.625, abs=1e-12)
-
-    def test_third_form_closed_forms(self, surfaces):
-        for curve in surfaces.values():
-            for s in sample_regular(curve, 7):
-                try:
-                    fm = forms_at(require_regular(curve, s))
-                except ParabolicPointError:
-                    continue
-                assert fm.e11 == pytest.approx(fm.dphi ** 2, rel=1e-12)
-                assert fm.e22 == pytest.approx(fm.sin_phi ** 2, rel=1e-12)
+        curve = torus(3.0, 1.0).curve
+        assert require_regular(curve, 0.0).f.v0 == pytest.approx(4.0, abs=1e-12)
+        H, K, _ = curvatures_at(curve, 0.0)
+        assert K == pytest.approx(0.25, abs=1e-12)
+        assert H == pytest.approx(0.625, abs=1e-12)
 
     def test_parabolic_point_raises(self):
         curve = ProfileCurve.build("raw-torus", "3 + cos(s)", "sin(s)", -math.pi, math.pi)
         with pytest.raises(ParabolicPointError):
-            forms_at(require_regular(curve, math.pi / 2))  # sin(phi) = cos(s) = 0
+            require_regular(curve, math.pi / 2)  # sin(phi) = cos(s) = 0
 
     def test_quotient_against_curvature_ratios(self, surfaces):
         for name, curve in surfaces.items():
@@ -255,30 +251,96 @@ class TestPoints:
                     ]
                     cand = float(rng.uniform(lo, hi))
                     try:
-                        fm = forms_at(require_regular(curve, cand))
+                        jets = require_regular(curve, cand)
                         s = cand
                     except ParabolicPointError:
                         continue
                 theta = float(rng.uniform(0.0, 2.0 * math.pi))
                 n_s, n_t = normal_derivatives(curve, s, theta)
-                assert n_s @ n_s == pytest.approx(fm.e11, rel=1e-10, abs=1e-12)
-                assert n_t @ n_t == pytest.approx(fm.e22, rel=1e-10, abs=1e-12)
+                assert n_s @ n_s == pytest.approx(jets.dphi ** 2, rel=1e-10, abs=1e-12)
+                assert n_t @ n_t == pytest.approx(jets.sin_phi ** 2, rel=1e-10, abs=1e-12)
                 assert abs(n_s @ n_t) <= 1e-10
 
     def test_real_principal_curvatures(self, surfaces):
         for curve in surfaces.values():
             for s in sample_regular(curve, 50):
                 try:
-                    fm = forms_at(require_regular(curve, s))
+                    H, K, _ = curvatures_at(curve, s)
                 except ParabolicPointError:
                     continue
-                assert fm.H ** 2 >= fm.K - 1e-12 * max(1.0, abs(fm.K))
+                assert H ** 2 >= K - 1e-12 * max(1.0, abs(K))
 
     def test_sphere_quotient_is_diameter(self):
         for r in (0.5, 1.0, 2.0, 5.0):
             curve = sphere(r).curve
             for s in sample_regular(curve, 25):
-                assert forms_at(require_regular(curve, s)).R == pytest.approx(2.0 * r, rel=1e-13)
+                assert curvatures_at(curve, s)[2] == pytest.approx(2.0 * r, rel=1e-13)
+
+
+# Regular profiles off the arclength contract: the forms' 2H/K differs
+# from 1/phi' + f/sin(phi), which holds only at unit speed.
+SPEED_TWO_SPHERE = ProfileCurve.build("speed-2-sphere", "2 * sin(s)", "-2 * cos(s)", 0.1, 3.0)
+DOUBLED_TORUS = ProfileCurve.build(
+    "doubled-torus", "3 + cos(2 * s)", "sin(2 * s)", -math.pi / 2, math.pi / 2,
+    excluded=[(q - 0.01, q + 0.01) for q in (-math.pi / 4, math.pi / 4)],
+)
+
+
+def _catalog_surfaces():
+    """The default catalog surfaces, then seeded draws of each kind over
+    the parameter ranges of the benchmark's surface stream."""
+    entries = [catalog.make(name) for name in catalog.names()]
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        entries += [torus(rng.uniform(2.0, 6.0), rng.uniform(0.3, 1.5)),
+                    sphere(rng.uniform(0.3, 6.0)), catenoid(rng.uniform(0.3, 4.0))]
+    return [entry.curve for entry in entries if entry.valid]
+
+
+class TestQuotientAgainstForms:
+    """`quotient_defects` holds R = 1/phi' + f/sin(phi) against 2H/K from
+    the first and second forms, which do not assume arclength."""
+
+    def test_speed_two_sphere_values(self):
+        _, _, columns = quotient_defects(grid_rows(SPEED_TWO_SPHERE, 32)[0])
+        assert np.allclose(columns["quotient"], 1.25, rtol=1e-13)
+        assert np.allclose(columns["from_curvature_ratios"], 4.0, rtol=1e-13)
+
+    @pytest.mark.parametrize("curve", (SPEED_TWO_SPHERE, DOUBLED_TORUS), ids=lambda c: c.name)
+    def test_non_arclength_profile_fails(self, curve):
+        assert validate_profile(curve, tol_arc=10.0).passed
+        worst, _, _ = quotient_defects(grid_rows(curve, 32)[0])
+        assert worst > 0.5
+
+    @pytest.mark.parametrize("n_s", (32, 1024))
+    def test_every_catalog_surface_passes(self, n_s):
+        for curve in _catalog_surfaces():
+            worst, _, _ = quotient_defects(grid_rows(curve, n_s)[0])
+            assert worst <= 1e-10, curve.name
+
+    def test_normal_orientation(self):
+        # the normal is x_s x x_theta over its length, as in point_at:
+        # inward on the sphere, where H = +1/r
+        for r in (0.5, 2.0, 5.0):
+            curve = sphere(r).curve
+            for s in sample_regular(curve, 9):
+                x_s, x_t = tangent_basis(curve, s, 0.7)
+                n = np.cross(x_s, x_t)
+                assert np.allclose(n / np.linalg.norm(n), point_at(curve, s, 0.7).normal)
+                H, K = curvatures(require_regular(curve, s))
+                assert H == pytest.approx(1.0 / r, rel=1e-12)
+                assert K == pytest.approx(1.0 / r ** 2, rel=1e-12)
+        # on the torus, test_catalog's test_torus_closed_curvatures holds H
+        # to the catalog mean_curvature with its sign
+
+    def test_flipped_normal_is_caught(self, monkeypatch):
+        # -H with the same K sends 2H/K to -R: a relative defect of
+        # 2|R|/(1 + |R|), between 1 and 2 where |R| >= 1
+        H_K = geometry.curvatures
+        monkeypatch.setattr(geometry, "curvatures", lambda jets: (-H_K(jets)[0], H_K(jets)[1]))
+        for curve in (sphere(1.0).curve, sphere(5.0).curve, torus(3.0, 1.0).curve):
+            worst, _, _ = quotient_defects(grid_rows(curve, 32)[0])
+            assert 1.0 <= worst < 2.0, curve.name
 
 
 class TestRadiiSumJet:
@@ -302,13 +364,16 @@ class TestBatches:
     def test_forms_and_phi(self, surfaces):
         for curve in surfaces.values():
             jets, _ = grid_rows(curve, 40)
-            batch = forms_at(jets)
+            batch = curvatures(jets)
             for i, s in enumerate(jets.s.tolist()):
-                one = forms_at(require_regular(curve, s))
-                for name in ("H", "K", "R", "dphi", "ddphi", "radius", "height"):
-                    assert getattr(batch, name)[i] == pytest.approx(
-                        getattr(one, name), rel=1e-14, abs=1e-14
-                    ), name
+                one = require_regular(curve, s)
+                for name, got, want in (("H", batch[0], curvatures(one)[0]),
+                                        ("K", batch[1], curvatures(one)[1]),
+                                        ("dphi", jets.dphi, one.dphi),
+                                        ("ddphi", jets.ddphi, one.ddphi),
+                                        ("radius", jets.f.v0, one.f.v0),
+                                        ("height", jets.g.v0, one.g.v0)):
+                    assert got[i] == pytest.approx(want, rel=1e-14, abs=1e-14), name
 
     def test_concat_matches_one_pass(self, surfaces):
         for curve in surfaces.values():
@@ -334,7 +399,7 @@ class TestBatches:
         curve = ProfileCurve.build("raw-torus", "3 + cos(s)", "sin(s)", -math.pi, math.pi)
         s = np.array([0.0, 0.3, math.pi / 2, -math.pi / 2])
         with pytest.raises(ParabolicPointError) as err:
-            forms_at(require_regular(curve, s))
+            require_regular(curve, s)
         assert err.value.s == math.pi / 2
 
 
