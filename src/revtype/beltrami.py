@@ -22,7 +22,8 @@ one call serves a batch of points drawn from many fields.
 random fields that `random_fields` draws as plain data, all fields at once
 with one generator call per quantity: per field, the coefficient,
 frequency and sin/cos flag of each trigonometric term, the optional ``s``
-and ``s^2`` coefficients, the harmonic, the trig and a text label.
+and ``s^2`` coefficients, the harmonic and the trig.  `field_labels`
+writes a field's profile as text, for the CSV ``field`` column only.
 `field_profiles` evaluates the profile jets of every pair's field from
 closed forms in one array pass, with the bits that `eval_jet3` gives on the
 parsed label, so no expression tree is built or walked.  The sample points
@@ -221,9 +222,8 @@ class RandomFields:
     three ``coeff * sin|cos(omega * s)`` (slots 0-2, sin where ``is_sin``),
     then ``coeff * s`` (slot 3) and ``coeff * s^2`` (slot 4).  ``present``
     marks the terms a field has; absent slots hold zeros (and ``is_sin``
-    False).  ``harmonic``, ``trig`` (``"cos"`` or ``"sin"``) and
-    ``labels``, the profile's text such as
-    ``-1.234 * sin(0.56 * s) + 0.1 * s^2``, have one entry per field.
+    False).  ``harmonic`` and ``trig`` (``"cos"`` or ``"sin"``) have one
+    entry per field; `field_labels` writes the profiles as text.
     """
 
     coeff: np.ndarray
@@ -232,10 +232,9 @@ class RandomFields:
     present: np.ndarray
     harmonic: np.ndarray
     trig: np.ndarray
-    labels: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.harmonic)
 
 
 # Bounds of the uniform draws of the coefficients, by slot.
@@ -269,15 +268,23 @@ def random_fields(p: ProfileCurve, rng: np.random.Generator, count: int) -> Rand
     coeff = np.where(present, coeff, 0.0)
     omega = np.where(present[:, :3], omega, 0.0)
     is_sin &= present[:, :3]
+    return RandomFields(coeff, omega, is_sin, present, harmonic,
+                        np.where(is_cos, "cos", "sin"))
+
+
+def field_labels(fields: RandomFields) -> np.ndarray:
+    """Each field's profile as text, such as
+    ``-1.234 * sin(0.56 * s) + 0.1 * s^2``: its present terms in slot
+    order, joined by `` + ``.  The text parses to exactly the drawn numbers
+    (see `random_fields`)."""
     labels = []
-    for c, w, sin, has in zip(coeff.tolist(), omega.tolist(), is_sin.tolist(),
-                              present.tolist()):
+    for c, w, sin, has in zip(fields.coeff.tolist(), fields.omega.tolist(),
+                              fields.is_sin.tolist(), fields.present.tolist()):
         terms = [f"{c[m]} * {'sin' if sin[m] else 'cos'}({w[m]} * s)"
                  for m in range(3) if has[m]]
         terms += [f"{c[m]} * {power}" for m, power in ((3, "s"), (4, "s^2")) if has[m]]
         labels.append(" + ".join(terms))
-    return RandomFields(coeff, omega, is_sin, present, harmonic,
-                        np.where(is_cos, "cos", "sin"), np.array(labels))
+    return np.array(labels)
 
 
 def field_profiles(fields: RandomFields, which: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -326,7 +333,9 @@ def operator_equivalence_residual(
     `DRAW_MARGIN`.
 
     Returns the worst difference, the details ``max_rel_diff``, ``pairs``,
-    ``at_s`` and ``at_theta``, and the CSV columns, one entry per pair.
+    ``at_s`` and ``at_theta``, and the CSV columns, one entry per pair;
+    the ``field`` column is a callable that returns the pairs' labels, so
+    only a CSV report writes them.
     The fields come first from the ``seed`` generator, then the candidate
     points in passes of (3, m) uniforms.  Draws stop after 50 per requested
     pair; fewer ``pairs`` than requested means too few regular points, and
@@ -379,7 +388,7 @@ def operator_equivalence_residual(
     i = int(np.argmax(rel))
     columns = {
         "s": s, "theta": theta,
-        "field": fields.labels[which],
+        "field": lambda: field_labels(fields)[which],
         "harmonic": harmonic, "trig": trig,
         "specialized": a, "divergence_form": b, "rel_diff": rel,
     }

@@ -5,6 +5,11 @@ position vector satisfies Laplacian(x) = A x with respect to the third
 form (null matrix and twice the identity respectively); the torus is the
 negative control.  A deliberately broken profile is included for negative
 validation tests.
+
+Each profile text is parsed once, when this module is imported, into a
+module constant, and every entry of a kind shares its two trees: the
+parameters are `Param` nodes, bound at evaluation from the curve's
+``params``, so one tree serves every parameter value.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .classify import VERDICT_NOT, VERDICT_NULL, VERDICT_SPHERE
+from .expressions import parse
 from .geometry import ProfileCurve, _finite
 
 # Half-width of the exclusion collars around the torus parabolic circles,
@@ -24,6 +30,15 @@ _TORUS_COLLAR = 0.02
 # Polar collar on the sphere, as a fraction of the radius; the operator
 # formulas degenerate 0/0 at the poles.
 _SPHERE_COLLAR = 0.05
+
+# The profiles' f and g, parsed from their texts once.
+_CATENOID_F = parse("sqrt(c^2 + s^2)")
+_CATENOID_G = parse("c * asinh(s / c)")
+_SPHERE_F = parse("r * sin(s / r)")
+_SPHERE_G = parse("-r * cos(s / r)")
+_TORUS_F = parse("R + r * cos(s / r)")
+_TORUS_G = parse("r * sin(s / r)")
+_DIAGONAL = parse("s")
 
 
 def _fmt(x: float) -> str:
@@ -55,8 +70,8 @@ def catenoid(c: float = 1.0, half_width: Optional[float] = None) -> CatalogEntry
     width = "" if half_width is None else f",half_width={_fmt(hw)}"
     curve = ProfileCurve.build(
         name=f"catenoid(c={_fmt(c)}{width})",
-        f="sqrt(c^2 + s^2)",
-        g="c * asinh(s / c)",
+        f=_CATENOID_F,
+        g=_CATENOID_G,
         s_min=-hw,
         s_max=hw,
         params={"c": c},
@@ -80,8 +95,8 @@ def sphere(r: float = 1.0) -> CatalogEntry:
     delta = _SPHERE_COLLAR * r
     curve = ProfileCurve.build(
         name=f"sphere(r={_fmt(r)})",
-        f="r * sin(s / r)",
-        g="-r * cos(s / r)",
+        f=_SPHERE_F,
+        g=_SPHERE_G,
         s_min=delta,
         s_max=math.pi * r - delta,
         params={"r": r},
@@ -109,8 +124,8 @@ def torus(major: float = 3.0, minor: float = 1.0) -> CatalogEntry:
     half = math.pi * minor
     curve = ProfileCurve.build(
         name=f"torus(R={_fmt(major)},r={_fmt(minor)})",
-        f="R + r * cos(s / r)",
-        g="r * sin(s / r)",
+        f=_TORUS_F,
+        g=_TORUS_G,
         s_min=-half,
         s_max=half,
         params={"R": major, "r": minor},
@@ -141,8 +156,8 @@ def broken_diagonal() -> CatalogEntry:
     """Deliberately invalid profile f = g = s (arclength defect 1)."""
     curve = ProfileCurve.build(
         name="broken-diagonal",
-        f="s",
-        g="s",
+        f=_DIAGONAL,
+        g=_DIAGONAL,
         s_min=-1.0,
         s_max=1.0,
     )

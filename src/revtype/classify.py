@@ -14,7 +14,7 @@ closure coefficients for distinct eigenvalues never vanish simultaneously.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -212,7 +212,8 @@ class StructureCheck:
         )
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
+        # Shallow: every field is a number or None.
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "ok": self.ok}
 
 
 def structure_check(report: FitReport, tol_struct: float = DEFAULT_TOL_STRUCT) -> StructureCheck:

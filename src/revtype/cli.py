@@ -21,7 +21,8 @@ does the message of a profile domain error or an unbound parameter.
 The tolerances (``--tol-arc``, ``--tol-parab``, ``--tol-fit``,
 ``--tol-struct``, ``--tol``) and ``--lambda``/``--mu`` must be finite
 numbers: NaN or an infinity is a usage error (exit 1) that names the option.
-A tolerance must also be positive.
+A tolerance must also be positive, ``--samples`` at least 2 and
+``--pairs`` at least 1.
 The ``scan`` options are checked by `classify.contradiction_scan`.
 
 Work budget: a request whose size is over a budget exits 1 with ``error:``
@@ -43,7 +44,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -98,7 +99,8 @@ class RunConfig:
                 raise InputError(f"{name} must be positive")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # Shallow: every field is a number or a string.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _within_budget(what: str, size: int, budget: int) -> None:
@@ -169,11 +171,12 @@ def _write_json(path: Optional[str], payload: dict) -> None:
 
 def _write_csv(path: Optional[str], columns: dict) -> None:
     """One CSV row per point of ``columns``, arrays or lists of one size
-    keyed by header name, written CSV_BLOCK rows at a time.  No columns
-    writes the header ``empty`` and the row ``True``."""
+    keyed by header name, written CSV_BLOCK rows at a time.  A callable
+    column is called once, here, for its array.  No columns writes the
+    header ``empty`` and the row ``True``."""
     if not columns:
         columns = {"empty": [True]}
-    flat = [np.ravel(c) for c in columns.values()]
+    flat = [np.ravel(c() if callable(c) else c) for c in columns.values()]
     fh = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
     try:
         writer = csv.writer(fh)
@@ -224,6 +227,8 @@ def _validate(curve: ProfileCurve, config: RunConfig, n_samples: int = 101):
 def cmd_classify(args) -> int:
     label, curve, entry = _load_surface(args)
     config = _config_from_args(args, label)
+    if args.samples < 2:
+        raise InputError("--samples must be at least 2")
     _within_budget("--samples", args.samples, MAX_SAMPLES)
     with _stage(label, "validation"):
         validation = _validate(curve, config, args.samples)

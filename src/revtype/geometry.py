@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from numbers import Real
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -270,7 +270,8 @@ class ValidationReport:
         return self.arclength_ok and self.positive_radius_ok and self.nonparabolic_ok
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        # Shallow: every field is a number or a bool.
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "passed": self.passed}
 
 
 def sample_regular(p: ProfileCurve, n: int) -> np.ndarray:

@@ -10,7 +10,8 @@ sympy checks of the closure algebra, the coordinate fields, coordinate
 Laplacian, closure coefficients and elimination check that only tests use,
 a square-and-multiply power that squares after its last bit, and the two
 Beltrami checks computed one random field at a time (fields built as text
-and parsed) and with a stacked norm.
+and parsed) and with a stacked norm, and a catalog whose profiles are
+parsed from their texts on every call.
 
 These stay independent of the jet-propagation code paths they check.
 """
@@ -20,12 +21,12 @@ from __future__ import annotations
 import math
 import operator
 import types
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import sympy as sp
 
-from revtype import eval_jet3, expressions, jets, parse
+from revtype import catalog, eval_jet3, expressions, jets, parse
 from revtype.expressions import (
     BinOp,
     DomainEvalError,
@@ -66,6 +67,8 @@ from revtype.geometry import (
     _jets,
     _parabolic,
     grid_rows,
+    profile_from_dict,
+    profile_to_dict,
     radii_sum_jet,
     theta_circle,
 )
@@ -920,3 +923,14 @@ def reference_operator_equivalence_residual(
     worst = float(rel[i])
     details.update(max_rel_diff=worst, at_s=float(s[i]), at_theta=float(theta[i]))
     return worst, details, columns
+
+
+_catalog_make = catalog.make
+
+
+def reference_catalog_make(name: str, params=None):
+    """`catalog.make` with the entry's curve rebuilt from its profile
+    document, so its f and g are parsed from their texts on every call
+    rather than shared from the catalog's parsed trees."""
+    entry = _catalog_make(name, params)
+    return replace(entry, curve=profile_from_dict(profile_to_dict(entry.curve)))

@@ -13,7 +13,8 @@ from revtype import (
     torus,
     validate_profile,
 )
-from revtype import catalog
+from revtype import catalog, expressions
+from revtype.expressions import parse
 from revtype.geometry import profile_from_dict, profile_to_dict, sample_regular
 
 from helpers import eval_value, require_regular
@@ -171,3 +172,61 @@ class TestLabels:
         assert label.startswith(f"{name}(") and label.endswith(")")
         read = {key: float(value) for key, value in re.findall(r"(\w+)=([^,)]+)", label)}
         assert read == params
+
+
+# The profile texts of each catalog surface, as `catalog export` prints them.
+_TEXTS = {
+    "catenoid": ("sqrt(c^2 + s^2)", "c * asinh(s / c)"),
+    "sphere": ("r * sin(s / r)", "-r * cos(s / r)"),
+    "torus": ("R + r * cos(s / r)", "r * sin(s / r)"),
+    "broken-diagonal": ("s", "s"),
+}
+
+
+def _drawn_params(rng: np.random.Generator) -> list:
+    """Ten parameter sets per surface that takes any, drawn from the ranges
+    of the benchmark's requests."""
+    draws = []
+    for _ in range(10):
+        draws += [("torus", {"R": rng.uniform(2.0, 6.0), "r": rng.uniform(0.3, 1.5)}),
+                  ("sphere", {"r": rng.uniform(0.3, 6.0)}),
+                  ("catenoid", {"c": rng.uniform(0.3, 4.0)}),
+                  ("catenoid", {"c": rng.uniform(0.3, 4.0), "half_width": rng.uniform(0.1, 5.0)})]
+    return draws
+
+
+class TestParsedOnce:
+    """Each catalog profile is parsed once, at import: every entry of a kind
+    holds the same two trees, with its parameters bound at evaluation."""
+
+    def test_trees_are_the_parsed_texts(self):
+        assert set(_TEXTS) == set(catalog.names())
+        for name, (f, g) in _TEXTS.items():
+            curve = catalog.make(name).curve
+            assert (curve.f, curve.g) == (parse(f), parse(g)), name
+            doc = profile_to_dict(curve)
+            assert (doc["f"], doc["g"]) == (f, g), name
+
+    def test_make_parses_nothing(self, monkeypatch):
+        want = {name: (parse(f), parse(g)) for name, (f, g) in _TEXTS.items()}
+
+        class Refuse:
+            def __init__(self, text):
+                raise AssertionError(f"parsed {text!r}")
+
+        monkeypatch.setattr(expressions, "_Parser", Refuse)
+        with pytest.raises(AssertionError, match="parsed 's'"):
+            parse("s")
+        defaults = [(name, {}) for name in catalog.names()]
+        for name, params in defaults + _drawn_params(np.random.default_rng(3)):
+            curve = catalog.make(name, params).curve
+            assert (curve.f, curve.g) == want[name], (name, params)
+
+    def test_entries_of_a_kind_share_their_trees(self):
+        first = catalog.make("torus", {"R": 3.0, "r": 1.0}).curve
+        second = catalog.make("torus", {"R": 4.5, "r": 0.25}).curve
+        assert first.f is second.f and first.g is second.g
+        assert first.params != second.params
+        # Bound at evaluation: the outer equators are R + r apart from the axis.
+        assert eval_value(first.f, 0.0, first.params_dict) == 4.0
+        assert eval_value(second.f, 0.0, second.params_dict) == 4.75

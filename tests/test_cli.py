@@ -22,6 +22,7 @@ from revtype.cli import main
 
 from helpers import (
     per_cell_bounds,
+    reference_catalog_make,
     reference_eval_jet3,
     reference_fit,
     reference_lattice_minimum,
@@ -742,6 +743,56 @@ class TestEvaluationBudget:
         assert len(passes) == 4
 
 
+class TestParseBudget:
+    """A catalog surface's profiles were parsed when `revtype.catalog` was
+    imported, so a command on one parses nothing; a profile file's f and g
+    are parsed once each."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        texts = []
+        real = expressions.parse
+
+        def counting(text):
+            texts.append(text)
+            return real(text)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("revtype") and getattr(module, "parse", None) is real:
+                monkeypatch.setattr(module, "parse", counting)
+        return texts
+
+    def test_catalog_command_parses_nothing(self, parsed):
+        assert captured(["verify", "radius-rate", "--catalog", "sphere"])[0] == 0
+        assert parsed == []
+
+    def test_profile_file_parses_its_texts_once(self, parsed, tmp_path):
+        path = tmp_path / "sphere.json"
+        assert main(["catalog", "export", "sphere", "--out", str(path)]) == 0
+        assert parsed == []
+        assert captured(["verify", "radius-rate", "--profile", str(path),
+                         "--lambda", "2", "--mu", "2"])[0] == 0
+        assert parsed == ["r * sin(s / r)", "-r * cos(s / r)"]
+
+
+class TestReportDicts:
+    """The records of a classify report are flat: `to_dict` is `asdict`
+    plus the derived key, with every value a number, a string, a bool or
+    None."""
+
+    def test_shallow_and_equal_to_asdict(self):
+        curve = catalog.make("sphere").curve
+        config = cli.RunConfig("sphere(r=1)", 32, 32, 1e-8, 1e-3, 1e-6, 1e-8, 0)
+        validation = geometry.validate_profile(curve)
+        fitted = classify.structure_check(classify.fit_matrix(curve))
+        unfitted = classify.StructureCheck(None, None, 1e-8)
+        for record, extra in ((config, {}), (validation, {"passed": True}),
+                              (fitted, {"ok": True}), (unfitted, {"ok": False})):
+            got = record.to_dict()
+            assert got == {**dataclasses.asdict(record), **extra}
+            assert all(v is None or type(v) in (int, float, str, bool) for v in got.values())
+
+
 class TestSharedParser:
     """``main`` parses with the parser built at import, and a parse leaves
     nothing behind in it for the next call."""
@@ -839,6 +890,16 @@ class TestWorkBudget:
         assert code == 1
         assert err.startswith("error:") and named in err and "work budget" in err
         assert not out
+
+    @pytest.mark.parametrize("samples", ("1", "0", "-5"))
+    def test_samples_under_two_is_a_usage_error(self, monkeypatch, samples):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a request with too few samples was sampled")
+
+        for name in ("validate_profile", "sample_regular", "grid_rows"):
+            monkeypatch.setattr(geometry, name, forbidden)
+        assert captured(["classify", "--catalog", "sphere", "--samples", samples]) == (
+            1, "", "error: --samples must be at least 2\n")
 
     def test_benchmark_sizes_well_inside(self):
         # The largest sizes that the benchmark and the tests run use at
@@ -1032,12 +1093,13 @@ _SAME_BYTES_COMMANDS = (
 
 class TestSameBytes:
     """The scalar paths of jet evaluation, the array sampler, the batched
-    Beltrami checks and the scan's cut lattice pass change no output byte:
-    each command prints the same with `eval_jet3` and `sample_regular`
-    swapped for their all-jet, point-by-point oracles, operator equivalence
-    for its per-field loop over parsed fields, the position identity for
-    its stacked norm and the scan's lattice pass for the blocked pass over
-    every point."""
+    Beltrami checks, the scan's cut lattice pass and the catalog's parsed
+    trees change no output byte: each command prints the same with
+    `eval_jet3` and `sample_regular` swapped for their all-jet,
+    point-by-point oracles, operator equivalence for its per-field loop
+    over parsed fields, the position identity for its stacked norm, the
+    scan's lattice pass for the blocked pass over every point and
+    `catalog.make` for a catalog that parses its texts on every call."""
 
     def test_oracles_print_the_same_bytes(self, monkeypatch):
         program = [captured(argv) for argv in _SAME_BYTES_COMMANDS]
@@ -1049,6 +1111,7 @@ class TestSameBytes:
         monkeypatch.setattr(beltrami, "position_identity_residual",
                             reference_position_identity_residual)
         monkeypatch.setattr(classify, "_lattice_minimum", reference_lattice_minimum)
+        monkeypatch.setattr(catalog, "make", reference_catalog_make)
         for argv, got in zip(_SAME_BYTES_COMMANDS, program):
             assert got[1], argv
             assert captured(argv) == got, argv
