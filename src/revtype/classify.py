@@ -320,12 +320,10 @@ BLOCK_CELLS = 4096
 MAX_SCAN_POINTS = 2**24
 # The lattice pass skips points only on boxes within _CUT_REACH of the
 # origin, where no coefficient can overflow, so a skipped point hides no
-# overflow, and on rows of at least _MIN_ROW points, where skipping saves
-# more than checking costs.  A sample of the lattice, every _SUB_STRIDE-th
-# point on each axis or sparser and the points around the common zeros,
-# gives the bound on the minimum that decides what is skipped.
+# overflow.  A sample of the lattice, every _SUB_STRIDE-th point on each
+# axis or sparser and the points around the common zeros, gives the bound
+# on the minimum that decides what is skipped.
 _CUT_REACH = 1e100
-_MIN_ROW = 8
 _SUB_STRIDE = 16
 # The only common zeros of (c4, c2, c0), (lam, mu) = (0, 0) and (2, 2).
 _COMMON_ZEROS = (0.0, 2.0)
@@ -473,14 +471,12 @@ def _windows(lam: np.ndarray, mus: np.ndarray, ub: float, gap: float):
     the strip on that end's side of lam and its |c4|, from
     `quartic_coefficients` itself, exceeds ub, no point beyond it is on the
     strip or reaches ub.  Otherwise the window runs to that end of the row.
-    A row whose hint keeps half of it or more is kept whole unchecked, and
-    when half the rows are, None stands for all of them whole.
+    A row whose hint keeps half of it or more is kept whole unchecked; with
+    ub = inf every row is.
     """
     n = mus.size
     lo, hi = _window_hint(lam, mus, ub, gap)
     wide = 2 * (hi - lo) >= n
-    if 2 * np.count_nonzero(wide) >= lam.size:
-        return None
     lo[wide], hi[wide] = 0, n
     left, right = np.flatnonzero(lo > 0), np.flatnonzero(hi < n)
     row = np.concatenate((lam[left], lam[right]))
@@ -519,41 +515,32 @@ def _pass_minimum(lam: np.ndarray, mu: np.ndarray, gap: float):
     return lam.size, (float(m[k]), (float(lam[k]), float(mu[k])), tuple(float(c[k]) for c in coeffs))
 
 
-def _pass_minima(lams: np.ndarray, mus: np.ndarray, gap: float):
-    """(points scanned, best) of each pass over the lattice lams x mus, in
-    row-major order, as `_pass_minimum` gives them; the points a pass leaves
-    outside the windows count as scanned.
+def _lattice_minimum(lams: np.ndarray, mus: np.ndarray, gap: float):
+    """(points scanned, best) over the lattice lams x mus minus the strip
+    |lam - mu| < gap: best is (max-coefficient, argmin, coefficients) of
+    the first minimum in row-major order, or None when every point is on
+    the strip.
 
     `_upper_bound` bounds the minimum by ub, and only the points inside the
     `_windows` of each row are evaluated: every point outside is off the
-    strip with |c4| > ub, so it cannot be the minimum or tie with it.  There
-    is no cut (ub = inf) when the lattice fits in one pass of BLOCK_CELLS
-    points or its rows are shorter than _MIN_ROW, where checking the windows
-    costs more than it saves, and when the box reaches past _CUT_REACH, so
-    that an overflow anywhere still raises.  The windows are built for spans
-    of BLOCK_CELLS / 4 rows, so the check of their ends takes at most
-    BLOCK_CELLS / 2 points and its temporaries stay below those of a pass,
-    and the window points are gathered in the `_chunks` of each span.  A
-    span without windows, or the lattice without a cut, is scanned as whole
-    rows in blocks of about BLOCK_CELLS points.
+    strip with |c4| > ub, so it cannot be the minimum or tie with it, and
+    counts as scanned.  A box that reaches past _CUT_REACH has ub = inf, so
+    every window is its whole row and an overflow anywhere still raises.
+    The windows are built for spans of BLOCK_CELLS / 4 rows, so the check
+    of their ends takes at most BLOCK_CELLS / 2 points and its temporaries
+    stay below those of a pass, and the window points are gathered in the
+    `_chunks` of each span, one pass each.  Each pass holds later points
+    than the passes before it, so a later pass replaces best only when its
+    minimum is strictly lower.
     """
     n = mus.size
-    per = max(1, BLOCK_CELLS // n)
-    ub = math.inf
     reach = max(abs(lams[0]), abs(lams[-1]), abs(mus[0]), abs(mus[-1]))
-    if lams.size * n > BLOCK_CELLS and n >= _MIN_ROW and reach <= _CUT_REACH:
-        ub = _upper_bound(lams, mus, gap)
-    rows = max(1, BLOCK_CELLS // 4) if ub < math.inf else lams.size
+    ub = _upper_bound(lams, mus, gap) if reach <= _CUT_REACH else math.inf
+    rows = max(1, BLOCK_CELLS // 4)
+    best, scanned = None, 0
     for first in range(0, lams.size, rows):
         span = lams[first : first + rows]
-        windows = _windows(span, mus, ub, gap) if ub < math.inf else None
-        if windows is None:
-            for a in range(0, span.size, per):
-                shape = (min(per, span.size - a), n)
-                yield _pass_minimum(np.broadcast_to(span[a : a + per, None], shape),
-                                    np.broadcast_to(mus, shape), gap)
-            continue
-        lo, hi = windows
+        lo, hi = _windows(span, mus, ub, gap)
         counts = hi - lo
         for a, b in _chunks(counts):
             kept = counts[a:b]
@@ -561,22 +548,9 @@ def _pass_minima(lams: np.ndarray, mus: np.ndarray, gap: float):
             count, found = _pass_minimum(np.repeat(span[a:b], kept),
                                          mus[np.arange(ends[-1]) + np.repeat(lo[a:b] - ends + kept, kept)],
                                          gap)
-            yield count + (b - a) * n - int(ends[-1]), found
-
-
-def _lattice_minimum(lams: np.ndarray, mus: np.ndarray, gap: float):
-    """(points scanned, best) over the lattice lams x mus minus the strip
-    |lam - mu| < gap: best is (max-coefficient, argmin, coefficients) of
-    the first minimum in row-major order, or None when every point is on
-    the strip.  Each pass of `_pass_minima` holds later points than the
-    passes before it, so a later pass replaces best only when its minimum
-    is strictly lower.
-    """
-    best, scanned = None, 0
-    for count, found in _pass_minima(lams, mus, gap):
-        scanned += count
-        if found is not None and (best is None or found[0] < best[0]):
-            best = found
+            scanned += count + (b - a) * n - int(ends[-1])
+            if found is not None and (best is None or found[0] < best[0]):
+                best = found
     return scanned, best
 
 

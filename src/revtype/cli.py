@@ -97,6 +97,8 @@ class RunConfig:
         for name in ("tol_arc", "tol_parab", "tol_fit", "tol_struct"):
             if getattr(self, name) <= 0.0:
                 raise InputError(f"{name} must be positive")
+        if self.seed < 0:
+            raise InputError("seed must be non-negative")
 
     def to_dict(self) -> dict:
         # Shallow: every field is a number or a string.

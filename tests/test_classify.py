@@ -548,7 +548,7 @@ class TestScanOracles:
 
 @st.composite
 def _cut_boxes(draw):
-    """(lam_range, mu_range, step) of 1 to 12 lambda rows of 8 to 48
+    """(lam_range, mu_range, step) of 1 to 12 lambda rows of 1 to 48
     points: near the origin at steps 0.05 to 1, scaled toward or past the
     1e100 reach of the cut, or on a subnormal lattice."""
     kind = draw(st.sampled_from(("near", "near", "huge", "far", "subnormal")))
@@ -562,7 +562,7 @@ def _cut_boxes(draw):
         step = draw(st.floats(0.05, 1.0)) * scale
         starts = [draw(st.floats(-10.0, 10.0)) * scale for _ in range(2)]
         ends = [draw(st.sampled_from((0.0, 0.0, 0.3, 0.9))) for _ in range(2)]
-    counts = (draw(st.integers(1, 12)), draw(st.integers(8, 48)))
+    counts = (draw(st.integers(1, 12)), draw(st.integers(1, 48)))
     return (*((lo, lo + (count - 1 + end) * step) for lo, count, end in zip(starts, counts, ends)),
             step)
 
@@ -603,8 +603,11 @@ class TestLatticeCut:
     @example(((-10.0, 10.0), (-10.0, 10.0), 0.25))
     @example(((0.0, 1e-320), (0.0, 1e-320), 5e-324))
     @example(((0.0, 1e100), (-2e102, 2e102), 1e101))
+    # Rows of 4 points, and rows of one point.
+    @example(((-50.0, 50.0), (3.0, 3.15), 0.05))
+    @example(((0.0, 50.0), (3.0, 3.0), 0.05))
     def test_matches_reference_with_small_blocks(self, box):
-        # With 64-point blocks the cut runs on boxes this small.
+        # With 64-point blocks a box this small takes several spans and passes.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classify, "BLOCK_CELLS", 64)
             want = reference_scan(*box)

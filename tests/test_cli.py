@@ -41,6 +41,14 @@ def run(argv, capsys=None):
     return code
 
 
+def _child_env() -> dict:
+    """The environment with this revtype first on PYTHONPATH, for a child
+    Python process."""
+    src = str(Path(revtype.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def captured(argv) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one ``main`` call."""
     out, err = io.StringIO(), io.StringIO()
@@ -570,6 +578,11 @@ class TestCatalogCommand:
         for name in ("catenoid", "sphere", "torus"):
             assert name in text
 
+    def test_python_m_revtype(self):
+        proc = subprocess.run([sys.executable, "-m", "revtype", "catalog", "list"],
+                              capture_output=True, text=True, timeout=60, env=_child_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == captured(["catalog", "list"])
+
     def test_export_stdout(self, capsys):
         assert main(["catalog", "export", "catenoid"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -668,11 +681,8 @@ class TestErrors:
         profile.write_text(json.dumps({**TORUS_NO_COLLARS, "f": f}))
         timed = ("import sys, time; from revtype.cli import main; t = time.perf_counter(); "
                  "code = main(sys.argv[1:]); print(time.perf_counter() - t); sys.exit(code)")
-        src = str(Path(revtype.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
         proc = subprocess.run([sys.executable, "-c", timed, "classify", "--profile", str(profile)],
-                              capture_output=True, text=True, timeout=60, env=env)
+                              capture_output=True, text=True, timeout=60, env=_child_env())
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"error: bad profile file {profile}: exponent too large")
         assert float(proc.stdout) < 1.0
@@ -863,6 +873,15 @@ class TestFiniteOptions:
         code, out, err = captured([*command, "--catalog", "sphere", f"{option}={value}"])
         assert code == 1 and not out
         assert err == f"error: {named} must be positive\n"
+
+    @pytest.mark.parametrize("command", (
+        ["classify"], ["verify", "radius-rate"], ["verify", "operator-equivalence"],
+    ), ids=" ".join)
+    def test_seed_must_be_non_negative(self, command):
+        # Classify and radius-rate only echo the seed; operator equivalence
+        # draws from it.
+        code, out, err = captured([*command, "--catalog", "sphere", "--seed", "-1"])
+        assert (code, out, err) == (1, "", "error: seed must be non-negative\n")
 
 
 class TestWorkBudget:
@@ -1088,6 +1107,13 @@ _SAME_BYTES_COMMANDS = (
       for lam, mu in ((("-2.50", "7.50"), ("-8.05", "1.95")),
                       (("-5.10", "4.90"), ("-4.65", "5.35")),
                       (("-5.75", "4.25"), ("-2.40", "7.60")))),
+    # Lattices of at most 4096 points, and rows of 4 points.
+    *(["scan", "--step", step, "--lambda-range", *lam, "--mu-range", *mu]
+      for lam, mu, step in ((("-1.5", "1.5"), ("-1.5", "1.5"), "0.05"),
+                            (("0", "3"), ("0", "3"), "0.1"),
+                            (("0", "1"), ("-10", "10"), "0.25"),
+                            (("20", "23"), ("25", "28"), "0.05"),
+                            (("-50", "50"), ("3", "3.15"), "0.05"))),
 )
 
 
