@@ -56,8 +56,6 @@ class CatalogEntry:
     expected_verdict: Optional[str] = None
     known_matrix: Optional[tuple[tuple[float, ...], ...]] = None
     valid: bool = True
-    mean_curvature: Optional[Callable[[float], float]] = None
-    gauss_curvature: Optional[Callable[[float], float]] = None
 
 
 def catenoid(c: float = 1.0, half_width: Optional[float] = None) -> CatalogEntry:
@@ -82,8 +80,6 @@ def catenoid(c: float = 1.0, half_width: Optional[float] = None) -> CatalogEntry
         description="catenary profile; mean curvature vanishes identically",
         expected_verdict=VERDICT_NULL,
         known_matrix=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
-        mean_curvature=lambda s: 0.0,
-        gauss_curvature=lambda s: -(c * c) / (c * c + s * s) ** 2,
     )
 
 
@@ -107,8 +103,6 @@ def sphere(r: float = 1.0) -> CatalogEntry:
         description="great-circle profile; H = 1/r, K = 1/r^2",
         expected_verdict=VERDICT_SPHERE,
         known_matrix=((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 2.0)),
-        mean_curvature=lambda s: 1.0 / r,
-        gauss_curvature=lambda s: 1.0 / (r * r),
     )
 
 
@@ -134,21 +128,11 @@ def torus(major: float = 3.0, minor: float = 1.0) -> CatalogEntry:
             (0.5 * half - collar, 0.5 * half + collar),
         ),
     )
-
-    def gauss(s: float) -> float:
-        return math.cos(s / minor) / (minor * (major + minor * math.cos(s / minor)))
-
-    def mean(s: float) -> float:
-        c = math.cos(s / minor)
-        return (major + 2.0 * minor * c) / (2.0 * minor * (major + minor * c))
-
     return CatalogEntry(
         name="torus",
         curve=curve,
         description="circular tube profile; negative control for the fit",
         expected_verdict=VERDICT_NOT,
-        mean_curvature=mean,
-        gauss_curvature=gauss,
     )
 
 

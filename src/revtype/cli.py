@@ -8,27 +8,36 @@ Subcommands:
     catalog    list built-in surfaces or export one to a profile file
 
 Exit codes: 0 success / definite verdict / check passed, 1 usage or input
-error or a file that cannot be read or written, 2 inconclusive verdict or
-check above tolerance.  Reports embed the full effective configuration and
-contain no timestamps, so rerunning a command with the same inputs and seed
-reproduces the output byte for byte.
+error, a file that cannot be read or written or a closed stdout (with no
+message), 2 inconclusive verdict or check above tolerance.  Reports embed
+the configuration their command reads and contain no timestamps, so
+rerunning a command with the same inputs and seed reproduces the output
+byte for byte.
 A check that finds no usable sample points fails with exit 2 and a reason.
 A command runs with NumPy overflow, division by zero and invalid operations
 raised, so such a fault is an input error (exit 1), not a warning, and its
 message names the surface and the stage: validation, fit or the check.  So
 does the message of a profile domain error or an unbound parameter.
 
-The tolerances (``--tol-arc``, ``--tol-parab``, ``--tol-fit``,
-``--tol-struct``, ``--tol``) and ``--lambda``/``--mu`` must be finite
-numbers: NaN or an infinity is a usage error (exit 1) that names the option.
-A tolerance must also be positive, ``--samples`` at least 2 and
-``--pairs`` at least 1.
-The ``scan`` options are checked by `classify.contradiction_scan`.
+``classify`` and ``verify`` take one surface, ``--catalog NAME`` (with
+``--param NAME=VALUE``, repeatable) or ``--profile FILE``, and ``--grid``,
+``--tol-arc``, ``--tol-parab``, ``--out`` and ``--format``.  ``classify``
+adds ``--tol-fit``, ``--tol-struct`` and ``--samples``; ``verify`` adds
+``--tol``, ``--lambda``, ``--mu``, ``--pairs`` and ``--seed``.  A report's
+``config`` echoes the surface, the grid, ``--tol-arc`` and ``--tol-parab``,
+plus ``--tol-fit`` and ``--tol-struct`` (classify) or ``--seed`` (verify).
 
-Work budget: a request whose size is over a budget exits 1 with ``error:``
-before any sample is allocated.  The budgets are MAX_GRID_POINTS for
-``n_s * n_theta`` of ``--grid``, MAX_SAMPLES for ``--samples``, MAX_PAIRS
-for ``--pairs`` and `classify.MAX_SCAN_POINTS` for the lattice of ``scan``.
+Each option value is checked once, by the option's argparse ``type`` at
+parse time, so a bad value exits 1 with a message naming the option before
+any surface is loaded or any sample allocated.  Tolerances are finite and
+positive, ``--lambda`` and ``--mu`` finite.  ``--grid`` is N_SxN_THETA with
+n_s >= 2, n_theta >= 4 and at most MAX_GRID_POINTS points, ``--samples``
+is in 2..MAX_SAMPLES, ``--pairs`` in 1..MAX_PAIRS (the upper bounds are
+the work budget) and ``--seed`` at least 0.  ``--param`` is NAME=VALUE
+with a number; `catalog.make` checks that the surface takes NAME and that
+the value is finite.  The ``scan`` options, and the work budget
+`classify.MAX_SCAN_POINTS` of its lattice, are checked by
+`classify.contradiction_scan`.
 
 The parser is built once, when this module is imported, and `main` reuses
 it: a parse keeps its results in a fresh namespace, so no call leaves state
@@ -42,9 +51,9 @@ import contextlib
 import csv
 import json
 import math
+import os
 import re
 import sys
-from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -77,41 +86,8 @@ class InputError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    surface: str
-    n_s: int
-    n_theta: int
-    tol_arc: float
-    tol_parab: float
-    tol_fit: float
-    tol_struct: float
-    seed: int
-
-    def __post_init__(self):
-        if self.n_s < 2:
-            raise InputError("grid needs at least 2 profile samples")
-        if self.n_theta < 4:
-            raise InputError("grid needs at least 4 circle samples")
-        _within_budget("--grid points", self.n_s * self.n_theta, MAX_GRID_POINTS)
-        for name in ("tol_arc", "tol_parab", "tol_fit", "tol_struct"):
-            if getattr(self, name) <= 0.0:
-                raise InputError(f"{name} must be positive")
-        if self.seed < 0:
-            raise InputError("seed must be non-negative")
-
-    def to_dict(self) -> dict:
-        # Shallow: every field is a number or a string.
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def _within_budget(what: str, size: int, budget: int) -> None:
-    if size > budget:
-        raise InputError(f"{what} {size} is over the work budget of {budget}")
-
-
 def _finite_float(text: str) -> float:
-    """argparse type of the tolerance and eigenvalue options."""
+    """argparse type of ``--lambda`` and ``--mu``."""
     try:
         value = float(text)
     except ValueError:
@@ -121,31 +97,56 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _parse_params(pairs: Optional[list[str]]) -> dict[str, float]:
-    params: dict[str, float] = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise InputError(f"--param expects name=value, got {pair!r}")
-        name, _, value = pair.partition("=")
+def _tolerance(text: str) -> float:
+    """argparse type of the tolerances: a finite positive number."""
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
+def _count(low: int, budget: float = math.inf):
+    """argparse type of an integer option in ``low..budget``."""
+
+    def count(text: str) -> int:
         try:
-            params[name.strip()] = float(value)
+            value = int(text)
         except ValueError:
-            raise InputError(f"parameter {name!r} has non-numeric value {value!r}") from None
-    return params
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected at least {low}, got {text!r}")
+        if value > budget:
+            raise argparse.ArgumentTypeError(f"{value} is over the work budget of {budget}")
+        return value
+
+    return count
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
+def _grid(text: str) -> tuple[int, int]:
+    """argparse type of ``--grid``: ``(n_s, n_theta)`` from N_SxN_THETA."""
     try:
-        a, _, b = text.lower().partition("x")
-        return int(a), int(b)
+        n_s, n_theta = (int(n) for n in text.lower().split("x"))
     except ValueError:
-        raise InputError(f"--grid expects N_SxN_THETA, e.g. 32x32, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected N_SxN_THETA, got {text!r}") from None
+    if n_s < 2 or n_theta < 4:
+        raise argparse.ArgumentTypeError(f"expected at least 2x4, got {text!r}")
+    if n_s * n_theta > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"{n_s * n_theta} points is over the work budget of {MAX_GRID_POINTS}")
+    return n_s, n_theta
+
+
+def _param(text: str) -> tuple[str, float]:
+    """argparse type of ``--param``: ``(name, value)`` from NAME=VALUE."""
+    name, _, value = text.partition("=")
+    try:
+        return name.strip(), float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}") from None
 
 
 def _load_surface(args) -> tuple[str, ProfileCurve, Optional[catalog.CatalogEntry]]:
-    if args.profile and args.catalog:
-        raise InputError("give either --catalog or --profile, not both")
-    if args.profile:
+    if args.catalog is None:
         try:
             curve = geometry.load_profile(args.profile)
         except FileNotFoundError:
@@ -153,10 +154,8 @@ def _load_surface(args) -> tuple[str, ProfileCurve, Optional[catalog.CatalogEntr
         except (json.JSONDecodeError, ValueError, ExpressionError) as exc:
             raise InputError(f"bad profile file {args.profile}: {exc}") from None
         return curve.name, curve, None
-    if not args.catalog:
-        raise InputError("a surface is required: --catalog NAME or --profile FILE")
     try:
-        entry = catalog.make(args.catalog, _parse_params(args.param))
+        entry = catalog.make(args.catalog, dict(args.param or ()))
     except (ValueError, TypeError) as exc:
         raise InputError(str(exc)) from None
     return entry.curve.name, entry.curve, entry
@@ -190,18 +189,11 @@ def _write_csv(path: Optional[str], columns: dict) -> None:
             fh.close()
 
 
-def _config_from_args(args, surface_label: str) -> RunConfig:
-    n_s, n_theta = _parse_grid(args.grid)
-    return RunConfig(
-        surface=surface_label,
-        n_s=n_s,
-        n_theta=n_theta,
-        tol_arc=args.tol_arc,
-        tol_parab=args.tol_parab,
-        tol_fit=args.tol_fit,
-        tol_struct=args.tol_struct,
-        seed=args.seed,
-    )
+def _config(args, label: str, *names: str) -> dict:
+    """A report's ``config``: the surface, the grid and the named options."""
+    n_s, n_theta = args.grid
+    return {"surface": label, "n_s": n_s, "n_theta": n_theta,
+            **{name: getattr(args, name) for name in names}}
 
 
 @contextlib.contextmanager
@@ -216,35 +208,32 @@ def _stage(label: str, stage: str):
         raise InputError(f"{label}: {stage}: {exc}") from None
 
 
-def _validate(curve: ProfileCurve, config: RunConfig, n_samples: int = 101):
+def _validate(curve: ProfileCurve, config: dict, n_samples: int = 101):
     validation = geometry.validate_profile(
-        curve, n_samples=n_samples, tol_arc=config.tol_arc, tol_parab=config.tol_parab
+        curve, n_samples=n_samples, tol_arc=config["tol_arc"], tol_parab=config["tol_parab"]
     )
     if not validation.passed:
-        raise InputError(f"{config.surface}: profile validation FAILED\n"
+        raise InputError(f"{config['surface']}: profile validation FAILED\n"
                          + json.dumps(validation.to_dict(), indent=2, sort_keys=True))
     return validation
 
 
 def cmd_classify(args) -> int:
     label, curve, entry = _load_surface(args)
-    config = _config_from_args(args, label)
-    if args.samples < 2:
-        raise InputError("--samples must be at least 2")
-    _within_budget("--samples", args.samples, MAX_SAMPLES)
+    config = _config(args, label, "tol_arc", "tol_parab", "tol_fit", "tol_struct")
     with _stage(label, "validation"):
         validation = _validate(curve, config, args.samples)
     with _stage(label, "fit"):
         report = classify.fit_matrix(
             curve,
-            n_s=config.n_s,
-            n_theta=config.n_theta,
-            tol_parab=config.tol_parab,
-            tol_fit=config.tol_fit,
+            n_s=config["n_s"],
+            n_theta=config["n_theta"],
+            tol_parab=args.tol_parab,
+            tol_fit=args.tol_fit,
         )
-        structure = classify.structure_check(report, tol_struct=config.tol_struct)
+        structure = classify.structure_check(report, tol_struct=args.tol_struct)
     payload = {
-        "config": config.to_dict(),
+        "config": config,
         "validation": validation.to_dict(),
         "fit": report.to_dict(),
         "structure": structure.to_dict(),
@@ -301,19 +290,20 @@ VERIFY_TOLERANCES = {
 }
 
 
-def _run_check(args, config: RunConfig, curve: ProfileCurve, entry):
+def _run_check(args, curve: ProfileCurve, entry):
     """(worst, details, columns) of the check named by ``args.check``.  The
     grid checks share one `geometry.grid_rows` pass; operator-equivalence
     draws its own points."""
     check = args.check
     if check == "operator-equivalence":
         return beltrami.operator_equivalence_residual(
-            curve, n_pairs=args.pairs, seed=config.seed, tol_parab=config.tol_parab
+            curve, n_pairs=args.pairs, seed=args.seed, tol_parab=args.tol_parab
         )
     lam_mu = _lam_mu_defaults(args, entry) if check in ("eigen-system", "radius-rate") else ()
-    jets, excluded = geometry.grid_rows(curve, config.n_s, config.tol_parab)
+    n_s, n_theta = args.grid
+    jets, excluded = geometry.grid_rows(curve, n_s, args.tol_parab)
     if check == "position-identity":
-        return beltrami.position_identity_residual(jets, config.n_theta, excluded)
+        return beltrami.position_identity_residual(jets, n_theta, excluded)
     if check == "curvature-quotient":
         return geometry.quotient_defects(jets)
     if check == "eigen-system":
@@ -322,20 +312,14 @@ def _run_check(args, config: RunConfig, curve: ProfileCurve, entry):
 
 
 def cmd_verify(args) -> int:
-    if args.tol is not None and args.tol <= 0.0:
-        raise InputError("--tol must be positive")
     label, curve, entry = _load_surface(args)
-    config = _config_from_args(args, label)
+    config = _config(args, label, "tol_arc", "tol_parab", "seed")
     check = args.check
     tol = VERIFY_TOLERANCES[check] if args.tol is None else args.tol
-    if check == "operator-equivalence":
-        if args.pairs < 1:
-            raise InputError("--pairs must be at least 1")
-        _within_budget("--pairs", args.pairs, MAX_PAIRS)
     with _stage(label, "validation"):
         _validate(curve, config)
     with _stage(label, check):
-        worst, details, columns = _run_check(args, config, curve, entry)
+        worst, details, columns = _run_check(args, curve, entry)
     reason: Optional[str] = None
     if check == "operator-equivalence" and details["pairs"] < args.pairs:
         reason = (f"found {details['pairs']} of {args.pairs} usable sample points "
@@ -344,7 +328,7 @@ def cmd_verify(args) -> int:
         reason = _NO_ROWS
     passed = reason is None and worst <= tol
     payload = {
-        "config": config.to_dict(),
+        "config": config,
         "check": check,
         "tolerance": tol,
         "max_residual": worst,
@@ -396,7 +380,7 @@ def cmd_catalog(args) -> int:
             tag = "" if entry.valid else "  [invalid by design]"
             print(f"{name}: {entry.description}{tag}")
         return EXIT_OK
-    entry = catalog.make(args.name, _parse_params(args.param))
+    entry = catalog.make(args.name, dict(args.param or ()))
     if args.out:
         geometry.save_profile(entry.curve, args.out)
         print(f"wrote {args.out}")
@@ -406,16 +390,15 @@ def cmd_catalog(args) -> int:
 
 
 def _add_surface_options(sub):
-    sub.add_argument("--catalog", help="built-in surface name")
-    sub.add_argument("--param", action="append", metavar="NAME=VALUE",
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--catalog", help="built-in surface name")
+    source.add_argument("--profile", help="path to a profile definition file")
+    sub.add_argument("--param", type=_param, action="append", metavar="NAME=VALUE",
                      help="surface parameter (repeatable)")
-    sub.add_argument("--profile", help="path to a profile definition file")
-    sub.add_argument("--grid", default="32x32", help="grid as N_SxN_THETA (default 32x32)")
-    sub.add_argument("--tol-arc", type=_finite_float, default=geometry.DEFAULT_TOL_ARC)
-    sub.add_argument("--tol-parab", type=_finite_float, default=geometry.DEFAULT_TOL_PARAB)
-    sub.add_argument("--tol-fit", type=_finite_float, default=classify.DEFAULT_TOL_FIT)
-    sub.add_argument("--tol-struct", type=_finite_float, default=classify.DEFAULT_TOL_STRUCT)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--grid", type=_grid, default=(32, 32),
+                     help="grid as N_SxN_THETA (default 32x32)")
+    sub.add_argument("--tol-arc", type=_tolerance, default=geometry.DEFAULT_TOL_ARC)
+    sub.add_argument("--tol-parab", type=_tolerance, default=geometry.DEFAULT_TOL_PARAB)
     sub.add_argument("--out", help="write the report to this path")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -440,19 +423,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = subs.add_parser("classify", help="fit the coordinate matrix and classify")
     _add_surface_options(p_classify)
-    p_classify.add_argument("--samples", type=int, default=101,
+    p_classify.add_argument("--tol-fit", type=_tolerance, default=classify.DEFAULT_TOL_FIT)
+    p_classify.add_argument("--tol-struct", type=_tolerance, default=classify.DEFAULT_TOL_STRUCT)
+    p_classify.add_argument("--samples", type=_count(2, MAX_SAMPLES), default=101,
                             help="validation sample count (default 101)")
     p_classify.set_defaults(func=cmd_classify)
 
     p_verify = subs.add_parser("verify", help="run one residual check")
     p_verify.add_argument("check", choices=tuple(VERIFY_TOLERANCES))
     _add_surface_options(p_verify)
-    p_verify.add_argument("--tol", type=_finite_float, default=None,
+    p_verify.add_argument("--tol", type=_tolerance, default=None,
                           help="override the check tolerance")
     p_verify.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
     p_verify.add_argument("--mu", type=_finite_float, default=None)
-    p_verify.add_argument("--pairs", type=int, default=1000,
+    p_verify.add_argument("--pairs", type=_count(1, MAX_PAIRS), default=1000,
                           help="random pairs for operator-equivalence")
+    p_verify.add_argument("--seed", type=_count(0), default=0,
+                          help="seed of the operator-equivalence draws")
     p_verify.set_defaults(func=cmd_verify)
 
     p_scan = subs.add_parser("scan", help="closure-coefficient contradiction scan")
@@ -468,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(func=cmd_catalog, action="list")
     p_export = cat_subs.add_parser("export")
     p_export.add_argument("name")
-    p_export.add_argument("--param", action="append", metavar="NAME=VALUE")
+    p_export.add_argument("--param", type=_param, action="append", metavar="NAME=VALUE")
     p_export.add_argument("--out", help="output profile file path")
     p_export.set_defaults(func=cmd_catalog, action="export")
 
@@ -485,7 +472,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: as the Python docs' note on SIGPIPE shows,
+        # point it at devnull so that the flush at exit cannot fail again.
+        with contextlib.suppress(OSError):
+            stdout = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout)
+            os.close(devnull)
+        return EXIT_INPUT
     except (InputError, ProfileError, ExpressionError, ValueError, ArithmeticError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

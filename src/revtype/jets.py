@@ -119,13 +119,6 @@ class Jet3:
     def __rtruediv__(self, other):
         return _coerce(other).__truediv__(self)
 
-    def __pow__(self, exponent):
-        if isinstance(exponent, Fraction):
-            return pow_rational(self, exponent)
-        if isinstance(exponent, int):
-            return pow_int(self, exponent)
-        raise TypeError("jet exponent must be int or Fraction")
-
 
 def compose(u: Jet3, d0, d1, d2, d3) -> Jet3:
     """Chain rule for F(u) given outer derivatives d0..d3 of F at u.v0."""

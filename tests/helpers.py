@@ -2,7 +2,8 @@
 a deterministic random-expression generator, an all-jet expression
 evaluator and a per-point profile sampler, the strict regular-point
 evaluation (`require_regular`) that point tests use, scalar surface
-points, tangents and Gauss-map derivatives, a grid-materialising reference
+points, tangents and Gauss-map derivatives, the torus's closed-form mean
+and Gauss curvature, a grid-materialising reference
 for the coordinate fit, a per-point reference for the contradiction scan's
 lattice and the scan's blocked lattice pass without its cut,
 an interval-subdivision certifier and a per-cell bound for its cells,
@@ -318,6 +319,16 @@ def point_at(curve, s: float, theta: float) -> SurfacePoint:
     # sin(phi) = g', cos(phi) = f' taken directly from the jets.
     normal = np.array([-gj.v1 * ct, -gj.v1 * st, fj.v1])
     return SurfacePoint(s, theta, position, normal)
+
+
+def torus_mean_curvature(s: float, major: float, minor: float) -> float:
+    """H of torus(major, minor) at s, signed for the normal of `point_at`."""
+    c = math.cos(s / minor)
+    return (major + 2.0 * minor * c) / (2.0 * minor * (major + minor * c))
+
+
+def torus_gauss_curvature(s: float, major: float, minor: float) -> float:
+    return math.cos(s / minor) / (minor * (major + minor * math.cos(s / minor)))
 
 
 def tangent_basis(curve, s: float, theta: float) -> tuple[np.ndarray, np.ndarray]:

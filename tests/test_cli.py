@@ -291,6 +291,30 @@ def _readme_verify_tolerances() -> dict[str, float]:
     return {name: float(tol) for name, tol in rows}
 
 
+def _readme_options() -> dict[str, list[str]]:
+    """The options of each command as the README option table states
+    them, keyed by the command's words without its positionals."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z ]+)[A-Z ]*` \| (`--.*`) \|$", text, re.M)
+    return {command.strip(): re.findall(r"`(--[a-z-]+)`", cell) for command, cell in rows}
+
+
+def _parser_options(command: str) -> list[str]:
+    """The option strings, help aside, that ``cli._PARSER`` gives a
+    command named by its words, such as ``catalog export``."""
+    parser = cli._PARSER
+    for word in command.split():
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = subs.choices[word]
+    return [o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help")]
+
+
+def _readme_quick_start() -> str:
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
 class TestCheckTable:
     def test_choices_are_the_table(self):
         subs = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
@@ -300,6 +324,29 @@ class TestCheckTable:
     def test_readme_table_matches(self):
         readme = _readme_verify_tolerances()
         assert list(readme.items()) == list(cli.VERIFY_TOLERANCES.items())
+
+    def test_readme_option_lists_match(self):
+        readme = _readme_options()
+        assert {"classify", "verify", "scan", "catalog export"} <= readme.keys()
+        for command, options in readme.items():
+            assert sorted(options) == sorted(_parser_options(command)), command
+
+    @pytest.mark.parametrize("argv", (
+        ["classify", "--seed", "1"],
+        ["verify", "eigen-system", "--tol-fit", "1"],
+        ["verify", "eigen-system", "--tol-struct", "1"],
+    ), ids=lambda argv: argv[-2])
+    def test_removed_options_are_unrecognized(self, argv):
+        # classify draws nothing, and no verify check reads a fit tolerance.
+        code, out, err = captured([*argv, "--catalog", "sphere"])
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+    def test_readme_quick_start_runs(self):
+        scope = {}
+        exec(_readme_quick_start(), scope)
+        assert scope["report"].verdict == "SphereType"
+        assert np.max(np.abs(scope["lap_x3"] - scope["axial"])) <= 1e-14
 
     @pytest.mark.parametrize("check", VERIFY_CHECKS)
     def test_one_grid_pass_per_check(self, monkeypatch, check):
@@ -484,7 +531,8 @@ class TestNegativeENotation:
 
     def test_classify_tolerance_reaches_validation(self, capsys):
         assert main(["classify", "--catalog", "sphere", "--tol-fit", "-1.5e-3"]) == 1
-        assert "tol_fit must be positive" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            "error: argument --tol-fit: expected a positive number, got '-1.5e-3'\n")
 
 
 class TestScan:
@@ -583,26 +631,60 @@ class TestCatalogCommand:
                               capture_output=True, text=True, timeout=60, env=_child_env())
         assert (proc.returncode, proc.stdout, proc.stderr) == captured(["catalog", "list"])
 
+    def test_closed_stdout_in_process(self):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        err = io.StringIO()
+        with contextlib.redirect_stdout(Closed()), contextlib.redirect_stderr(err):
+            assert main(["catalog", "list"]) == 1
+        assert err.getvalue() == ""
+
+    def test_closed_stdout_child(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "revtype", "catalog", "list"],
+                                  stdout=write, stderr=subprocess.PIPE, text=True,
+                                  timeout=60, env=_child_env())
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
     def test_export_stdout(self, capsys):
         assert main(["catalog", "export", "catenoid"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["name"].startswith("catenoid")
 
 
+def _usage_error(argv) -> str:
+    """The last stderr line of a command that must be a usage error: exit 1,
+    nothing on stdout and no traceback."""
+    code, out, err = captured(argv)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    return err.splitlines()[-1]
+
+
 class TestErrors:
     def test_unknown_catalog_name(self, capsys):
         assert main(["classify", "--catalog", "unduloid"]) == 1
 
-    def test_bad_param_syntax(self, capsys):
-        assert main(["classify", "--catalog", "sphere", "--param", "r:1"]) == 1
+    def test_bad_param_syntax(self):
+        for param in ("r:1", "r", "r=one"):
+            assert _usage_error(["classify", "--catalog", "sphere", "--param", param]) == (
+                f"revtype classify: error: argument --param: expected NAME=VALUE, got {param!r}")
 
-    def test_missing_surface(self, capsys):
-        assert main(["classify"]) == 1
+    def test_missing_surface(self):
+        assert _usage_error(["classify"]) == (
+            "revtype classify: error: one of the arguments --catalog --profile is required")
 
-    def test_both_sources(self, tmp_path, capsys):
+    def test_both_sources(self, tmp_path):
         profile = tmp_path / "p.json"
         profile.write_text("{}")
-        assert main(["classify", "--catalog", "sphere", "--profile", str(profile)]) == 1
+        assert _usage_error(["classify", "--catalog", "sphere", "--profile", str(profile)]) == (
+            "revtype classify: error: argument --profile: not allowed with argument --catalog")
 
     def test_bad_profile_file(self, tmp_path, capsys):
         profile = tmp_path / "p.json"
@@ -687,19 +769,23 @@ class TestErrors:
         assert proc.stderr.startswith(f"error: bad profile file {profile}: exponent too large")
         assert float(proc.stdout) < 1.0
 
-    def test_pairs_must_be_positive(self, capsys):
-        assert main(["verify", "operator-equivalence", "--catalog", "sphere",
-                     "--pairs", "0"]) == 1
+    def test_pairs_must_be_positive(self):
+        assert _usage_error(["verify", "operator-equivalence", "--catalog", "sphere",
+                             "--pairs", "0"]) == (
+            "revtype verify: error: argument --pairs: expected at least 1, got '0'")
 
     def test_profile_not_found(self, capsys):
         assert main(["classify", "--profile", "/nonexistent/x.json"]) == 1
 
-    def test_bad_grid(self, capsys):
-        assert main(["classify", "--catalog", "sphere", "--grid", "banana"]) == 1
+    def test_bad_grid(self):
+        for grid in ("banana", "4x", "x4", "4x4x4"):
+            assert _usage_error(["classify", "--catalog", "sphere", "--grid", grid]) == (
+                f"revtype classify: error: argument --grid: expected N_SxN_THETA, got {grid!r}")
 
-    def test_tiny_grid_rejected(self, capsys):
-        assert main(["classify", "--catalog", "sphere", "--grid", "1x4"]) == 1
-        assert main(["classify", "--catalog", "sphere", "--grid", "8x3"]) == 1
+    def test_tiny_grid_rejected(self):
+        for grid in ("1x4", "8x3"):
+            assert _usage_error(["classify", "--catalog", "sphere", "--grid", grid]) == (
+                f"revtype classify: error: argument --grid: expected at least 2x4, got {grid!r}")
 
     def test_usage_error_exit_code(self):
         assert main(["verify", "no-such-check", "--catalog", "sphere"]) == 1
@@ -792,15 +878,27 @@ class TestReportDicts:
 
     def test_shallow_and_equal_to_asdict(self):
         curve = catalog.make("sphere").curve
-        config = cli.RunConfig("sphere(r=1)", 32, 32, 1e-8, 1e-3, 1e-6, 1e-8, 0)
         validation = geometry.validate_profile(curve)
         fitted = classify.structure_check(classify.fit_matrix(curve))
         unfitted = classify.StructureCheck(None, None, 1e-8)
-        for record, extra in ((config, {}), (validation, {"passed": True}),
+        for record, extra in ((validation, {"passed": True}),
                               (fitted, {"ok": True}), (unfitted, {"ok": False})):
             got = record.to_dict()
             assert got == {**dataclasses.asdict(record), **extra}
             assert all(v is None or type(v) in (int, float, str, bool) for v in got.values())
+
+    @pytest.mark.parametrize("argv, read", (
+        (["classify"], {"tol_fit": 1e-6, "tol_struct": 1e-7}),
+        (["verify", "radius-rate"], {"seed": 3}),
+        (["verify", "operator-equivalence", "--pairs", "20"], {"seed": 3}),
+    ), ids=lambda x: x[-1] if isinstance(x, list) else None)
+    def test_config_holds_what_the_command_reads(self, argv, read):
+        options = [f"--{name.replace('_', '-')}={value}" for name, value in read.items()]
+        code, out, _ = captured([*argv, "--catalog", "sphere", "--grid", "8x6",
+                                 "--tol-arc", "1e-9", "--tol-parab", "1e-4", *options])
+        assert code == 0
+        assert json.loads(out)["config"] == {"surface": "sphere(r=1)", "n_s": 8, "n_theta": 6,
+                                             "tol_arc": 1e-9, "tol_parab": 1e-4, **read}
 
 
 class TestSharedParser:
@@ -850,10 +948,11 @@ class TestFiniteOptions:
     ), ids=lambda x: x[0] if isinstance(x, list) else x)
     def test_rejected_at_parse_naming_the_option(self, command, option, value):
         value = [option + value] if value.startswith("=") else [option, value]
-        code, out, err = captured([*command, "--catalog", "sphere", *value])
-        assert code == 1
-        assert f"argument {option}: expected a finite number" in err
-        assert "Traceback" not in err and not out
+        error = _usage_error([*command, "--catalog", "sphere", *value])
+        if option in _parser_options(command[0]):
+            assert f"error: argument {option}: expected a finite number, got " in error
+        else:  # verify takes no --tol-fit or --tol-struct
+            assert error.endswith(f"error: unrecognized arguments: {' '.join(value)}")
 
     def test_finite_values_still_reach_the_command(self):
         code, out, _ = captured(["verify", "eigen-system", "--catalog", "sphere",
@@ -863,36 +962,40 @@ class TestFiniteOptions:
         assert report["details"]["lambda"] == -2.0 and report["tolerance"] == 1e-3
 
     @pytest.mark.parametrize("value", ("0", "-1", "-1e-300"))
-    @pytest.mark.parametrize("command, option, named", (
+    @pytest.mark.parametrize("command, option, dest", (
         *((["classify"], option, option[2:].replace("-", "_")) for option in _NUMBER_OPTIONS[:4]),
-        (["verify", "position-identity"], "--tol", "--tol"),
+        (["verify", "position-identity"], "--tol", "tol"),
     ), ids=lambda x: x[0] if isinstance(x, list) else x)
-    def test_tolerance_must_be_positive(self, command, option, named, value):
+    def test_tolerance_must_be_positive(self, command, option, dest, value):
         # The sphere's position residual is about 1e-15: a tolerance of -1
         # used to report it above tolerance, exit 2.
-        code, out, err = captured([*command, "--catalog", "sphere", f"{option}={value}"])
-        assert code == 1 and not out
-        assert err == f"error: {named} must be positive\n"
+        assert _usage_error([*command, "--catalog", "sphere", f"{option}={value}"]).endswith(
+            f"error: argument {option}: expected a positive number, got {value!r}")
+        args = cli._PARSER.parse_args([*command, "--catalog", "sphere", f"{option}=5e-324"])
+        assert getattr(args, dest) == 5e-324
 
     @pytest.mark.parametrize("command", (
         ["classify"], ["verify", "radius-rate"], ["verify", "operator-equivalence"],
     ), ids=" ".join)
     def test_seed_must_be_non_negative(self, command):
-        # Classify and radius-rate only echo the seed; operator equivalence
-        # draws from it.
-        code, out, err = captured([*command, "--catalog", "sphere", "--seed", "-1"])
-        assert (code, out, err) == (1, "", "error: seed must be non-negative\n")
+        # Operator equivalence draws from the seed and every verify check
+        # echoes it; classify draws nothing and takes no --seed.
+        error = _usage_error([*command, "--catalog", "sphere", "--seed", "-1"])
+        if command == ["classify"]:
+            assert error == "revtype: error: unrecognized arguments: --seed -1"
+        else:
+            assert error == "revtype verify: error: argument --seed: expected at least 0, got '-1'"
 
 
 class TestWorkBudget:
     @pytest.mark.parametrize("argv, named", (
         (["classify", "--catalog", "sphere", "--grid", "1024x1025"],
-         "--grid points 1049600 is over the work budget of 1048576"),
+         "--grid: 1049600 points is over the work budget of 1048576"),
         (["verify", "position-identity", "--catalog", "sphere", "--grid", "100000000x4"],
-         "--grid points 400000000"),
-        (["classify", "--catalog", "sphere", "--samples", "4194305"], "--samples 4194305"),
+         "--grid: 400000000 points"),
+        (["classify", "--catalog", "sphere", "--samples", "4194305"], "--samples: 4194305"),
         (["verify", "operator-equivalence", "--catalog", "sphere", "--pairs", "16385"],
-         "--pairs 16385"),
+         "--pairs: 16385"),
         (["scan", "--lambda-range", "0", "4096", "--mu-range", "0", "4096", "--step", "1"],
          "1.68e+07 lattice points"),
         (["scan", "--lambda-range", "0", "1", "--mu-range", "0", "0", "--step", "1e-9"],
@@ -905,10 +1008,8 @@ class TestWorkBudget:
         for name in ("validate_profile", "sample_regular", "grid_rows"):
             monkeypatch.setattr(geometry, name, forbidden)
         monkeypatch.setattr(classify, "_lattice", forbidden)
-        code, out, err = captured(argv)
-        assert code == 1
-        assert err.startswith("error:") and named in err and "work budget" in err
-        assert not out
+        error = _usage_error(argv)
+        assert "error: " in error and named in error and "work budget" in error
 
     @pytest.mark.parametrize("samples", ("1", "0", "-5"))
     def test_samples_under_two_is_a_usage_error(self, monkeypatch, samples):
@@ -917,8 +1018,8 @@ class TestWorkBudget:
 
         for name in ("validate_profile", "sample_regular", "grid_rows"):
             monkeypatch.setattr(geometry, name, forbidden)
-        assert captured(["classify", "--catalog", "sphere", "--samples", samples]) == (
-            1, "", "error: --samples must be at least 2\n")
+        assert _usage_error(["classify", "--catalog", "sphere", "--samples", samples]) == (
+            f"revtype classify: error: argument --samples: expected at least 2, got {samples!r}")
 
     def test_benchmark_sizes_well_inside(self):
         # The largest sizes that the benchmark and the tests run use at
@@ -1043,7 +1144,7 @@ class TestFloatingPointFaults:
         assert code in (0, 1, 2)
         assert "Warning" not in err and "Traceback" not in err
         if code == 1:
-            label = catalog.make(surface[0], cli._parse_params(surface[1:])).curve.name
+            label = catalog.make(surface[0], dict(map(cli._param, surface[1:]))).curve.name
             stages = ("validation", "fit" if command == ["classify"] else command[-1])
             assert err.startswith(f"error: {label}: ") and not out
             assert err[len(f"error: {label}: "):].startswith(

@@ -331,7 +331,7 @@ class TestQuotientAgainstForms:
                 assert H == pytest.approx(1.0 / r, rel=1e-12)
                 assert K == pytest.approx(1.0 / r ** 2, rel=1e-12)
         # on the torus, test_catalog's test_torus_closed_curvatures holds H
-        # to the catalog mean_curvature with its sign
+        # to the closed-form torus_mean_curvature with its sign
 
     def test_flipped_normal_is_caught(self, monkeypatch):
         # -H with the same K sends 2H/K to -R: a relative defect of
