@@ -19,13 +19,14 @@ raised, so such a fault is an input error (exit 1), not a warning, and its
 message names the surface and the stage: validation, fit or the check.  So
 does the message of a profile domain error or an unbound parameter.
 
-``classify`` and ``verify`` take one surface, ``--catalog NAME`` (with
-``--param NAME=VALUE``, repeatable) or ``--profile FILE``, and ``--grid``,
+``classify`` and each ``verify CHECK`` take one surface, ``--catalog NAME``
+(with ``--param NAME=VALUE``, repeatable) or ``--profile FILE``, and
 ``--tol-arc``, ``--tol-parab``, ``--out`` and ``--format``.  ``classify``
-adds ``--tol-fit``, ``--tol-struct`` and ``--samples``; ``verify`` adds
-``--tol``, ``--lambda``, ``--mu``, ``--pairs`` and ``--seed``.  A report's
-``config`` echoes the surface, the grid, ``--tol-arc`` and ``--tol-parab``,
-plus ``--tol-fit`` and ``--tol-struct`` (classify) or ``--seed`` (verify).
+adds ``--grid``, ``--tol-fit``, ``--tol-struct`` and ``--samples``.  A check
+adds ``--tol``, ``--grid`` or, for operator-equivalence, ``--pairs`` and
+``--seed``, and eigen-system and radius-rate ``--lambda`` and ``--mu``.  A
+report's ``config`` echoes the surface, the grid and the other options its
+command reads, save ``--tol``, ``--lambda``, ``--mu`` and ``--samples``.
 
 Each option value is checked once, by the option's argparse ``type`` at
 parse time, so a bad value exits 1 with a message naming the option before
@@ -147,6 +148,8 @@ def _param(text: str) -> tuple[str, float]:
 
 def _load_surface(args) -> tuple[str, ProfileCurve, Optional[catalog.CatalogEntry]]:
     if args.catalog is None:
+        if args.param:
+            raise InputError("--param sets a --catalog parameter, not a --profile file's")
         try:
             curve = geometry.load_profile(args.profile)
         except FileNotFoundError:
@@ -190,10 +193,12 @@ def _write_csv(path: Optional[str], columns: dict) -> None:
 
 
 def _config(args, label: str, *names: str) -> dict:
-    """A report's ``config``: the surface, the grid and the named options."""
-    n_s, n_theta = args.grid
-    return {"surface": label, "n_s": n_s, "n_theta": n_theta,
-            **{name: getattr(args, name) for name in names}}
+    """A report's ``config``: the surface, the grid when the command takes
+    one, and those of the named options that it takes."""
+    config = {"surface": label, **{name: getattr(args, name) for name in names if name in args}}
+    if "grid" in args:
+        config["n_s"], config["n_theta"] = args.grid
+    return config
 
 
 @contextlib.contextmanager
@@ -263,18 +268,6 @@ def _flatten(payload: dict, prefix: str = "") -> dict:
     return flat
 
 
-def _lam_mu_defaults(args, entry) -> tuple[float, float]:
-    lam, mu = args.lam, args.mu
-    if lam is None or mu is None:
-        if entry is not None and entry.known_matrix is not None:
-            known = entry.known_matrix
-            lam = known[0][0] if lam is None else lam
-            mu = known[2][2] if mu is None else mu
-        else:
-            raise InputError("this check needs --lambda and --mu for the given surface")
-    return float(lam), float(mu)
-
-
 _NO_ROWS = "no usable points: every grid row is parabolic within tol_parab"
 
 # Default tolerance of each verify check, keyed by check name.  A check
@@ -291,31 +284,35 @@ VERIFY_TOLERANCES = {
 
 
 def _run_check(args, curve: ProfileCurve, entry):
-    """(worst, details, columns) of the check named by ``args.check``.  The
-    grid checks share one `geometry.grid_rows` pass; operator-equivalence
-    draws its own points."""
+    """(worst, details, columns) of the check named by ``args.check``, from
+    the options of its own parser.  The grid checks share one
+    `geometry.grid_rows` pass; operator-equivalence draws its own points.
+    ``--lambda`` and ``--mu`` default to the catalog surface's known ones."""
     check = args.check
     if check == "operator-equivalence":
         return beltrami.operator_equivalence_residual(
             curve, n_pairs=args.pairs, seed=args.seed, tol_parab=args.tol_parab
         )
-    lam_mu = _lam_mu_defaults(args, entry) if check in ("eigen-system", "radius-rate") else ()
     n_s, n_theta = args.grid
     jets, excluded = geometry.grid_rows(curve, n_s, args.tol_parab)
     if check == "position-identity":
         return beltrami.position_identity_residual(jets, n_theta, excluded)
     if check == "curvature-quotient":
         return geometry.quotient_defects(jets)
+    known = None if entry is None else entry.known_matrix
+    if known is None and (args.lam is None or args.mu is None):
+        raise InputError("this check needs --lambda and --mu for the given surface")
+    lam = known[0][0] if args.lam is None else args.lam
+    mu = known[2][2] if args.mu is None else args.mu
     if check == "eigen-system":
-        return classify.eigen_system_residuals(jets, *lam_mu)
-    return classify.radius_rate_defect(jets, *lam_mu)
+        return classify.eigen_system_residuals(jets, lam, mu)
+    return classify.radius_rate_defect(jets, lam, mu)
 
 
 def cmd_verify(args) -> int:
     label, curve, entry = _load_surface(args)
-    config = _config(args, label, "tol_arc", "tol_parab", "seed")
-    check = args.check
-    tol = VERIFY_TOLERANCES[check] if args.tol is None else args.tol
+    config = _config(args, label, "tol_arc", "tol_parab", "pairs", "seed")
+    check, tol = args.check, args.tol
     with _stage(label, "validation"):
         _validate(curve, config)
     with _stage(label, check):
@@ -389,14 +386,15 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-def _add_surface_options(sub):
+def _add_surface_options(sub, grid: bool = True):
     source = sub.add_mutually_exclusive_group(required=True)
     source.add_argument("--catalog", help="built-in surface name")
     source.add_argument("--profile", help="path to a profile definition file")
     sub.add_argument("--param", type=_param, action="append", metavar="NAME=VALUE",
-                     help="surface parameter (repeatable)")
-    sub.add_argument("--grid", type=_grid, default=(32, 32),
-                     help="grid as N_SxN_THETA (default 32x32)")
+                     help="--catalog surface parameter (repeatable)")
+    if grid:
+        sub.add_argument("--grid", type=_grid, default=(32, 32),
+                         help="grid as N_SxN_THETA (default 32x32)")
     sub.add_argument("--tol-arc", type=_tolerance, default=geometry.DEFAULT_TOL_ARC)
     sub.add_argument("--tol-parab", type=_tolerance, default=geometry.DEFAULT_TOL_PARAB)
     sub.add_argument("--out", help="write the report to this path")
@@ -430,17 +428,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.set_defaults(func=cmd_classify)
 
     p_verify = subs.add_parser("verify", help="run one residual check")
-    p_verify.add_argument("check", choices=tuple(VERIFY_TOLERANCES))
-    _add_surface_options(p_verify)
-    p_verify.add_argument("--tol", type=_tolerance, default=None,
-                          help="override the check tolerance")
-    p_verify.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
-    p_verify.add_argument("--mu", type=_finite_float, default=None)
-    p_verify.add_argument("--pairs", type=_count(1, MAX_PAIRS), default=1000,
-                          help="random pairs for operator-equivalence")
-    p_verify.add_argument("--seed", type=_count(0), default=0,
-                          help="seed of the operator-equivalence draws")
-    p_verify.set_defaults(func=cmd_verify)
+    checks = p_verify.add_subparsers(dest="check", required=True)
+    for check, tol in VERIFY_TOLERANCES.items():
+        p_check = checks.add_parser(check)
+        _add_surface_options(p_check, grid=check != "operator-equivalence")
+        p_check.add_argument("--tol", type=_tolerance, default=tol, help="check tolerance")
+        if check in ("eigen-system", "radius-rate"):
+            p_check.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
+            p_check.add_argument("--mu", type=_finite_float, default=None)
+        elif check == "operator-equivalence":
+            p_check.add_argument("--pairs", type=_count(1, MAX_PAIRS), default=1000,
+                                 help="random pairs")
+            p_check.add_argument("--seed", type=_count(0), default=0, help="seed of the draws")
+        p_check.set_defaults(func=cmd_verify)
 
     p_scan = subs.add_parser("scan", help="closure-coefficient contradiction scan")
     p_scan.add_argument("--lambda-range", nargs=2, type=float, default=(-10.0, 10.0))

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -34,6 +35,25 @@ from helpers import (
 )
 
 VERIFY_CHECKS = tuple(cli.VERIFY_TOLERANCES)
+_LAM_MU = ["--lambda", "2", "--mu", "2"]
+# Each check's own options in the tests that run every check: lambda =
+# mu = 2, since a torus or a profile file knows none, and 20 pairs.  At
+# seed 0 and 20 pairs the first 20 draws on every `_BUDGET_SURFACES`
+# surface are usable, so one screening pass serves; the torus at 600 pairs
+# rejects draws near its collars and needs a second.
+CHECK_OPTIONS = {
+    "position-identity": [],
+    "curvature-quotient": [],
+    "operator-equivalence": ["--pairs", "20"],
+    "eigen-system": _LAM_MU,
+    "radius-rate": _LAM_MU,
+}
+
+
+def _grid_option(check, grid) -> list[str]:
+    """``--grid GRID`` for a check that takes a grid, nothing for
+    operator-equivalence, which draws its own points."""
+    return [] if check == "operator-equivalence" else ["--grid", grid]
 
 
 def run(argv, capsys=None):
@@ -222,8 +242,7 @@ class TestFailClosed:
         else:
             surface = ["--profile", _profile_file(tmp_path, TORUS_NO_COLLARS), "--grid", "2x4"]
         out = tmp_path / "check.json"
-        code = main(["verify", check, *surface, "--lambda", "2", "--mu", "2",
-                     "--pairs", "20", "--out", str(out)])
+        code = main(["verify", check, *surface, *CHECK_OPTIONS[check], "--out", str(out)])
         assert code == 2
         payload = json.loads(out.read_text())
         assert payload["passed"] is False
@@ -238,9 +257,8 @@ class TestFailClosed:
         else:
             empty = ["--profile", _profile_file(tmp_path, TORUS_NO_COLLARS), "--grid", "2x4"]
         reports = []
-        for surface in (["--catalog", "torus", "--grid", "8x8"], empty):
-            _, out, _ = captured(["verify", check, *surface, "--lambda", "2", "--mu", "2",
-                                  "--pairs", "20"])
+        for surface in (["--catalog", "torus", *_grid_option(check, "8x8")], empty):
+            _, out, _ = captured(["verify", check, *surface, *CHECK_OPTIONS[check]])
             reports.append(json.loads(out))
         usable, none = reports
         assert usable["max_residual"] is not None and none["max_residual"] is None
@@ -254,8 +272,7 @@ class TestFailClosed:
             source = ["--catalog", surface]
         else:
             source = ["--profile", _profile_file(tmp_path, STRETCHED_TORUS)]
-        assert main(["verify", check, *source, "--lambda", "2", "--mu", "2",
-                     "--pairs", "20"]) == 1
+        assert main(["verify", check, *source, *CHECK_OPTIONS[check]]) == 1
         assert "profile validation FAILED" in capsys.readouterr().err
 
     @pytest.mark.parametrize("check", VERIFY_CHECKS)
@@ -264,8 +281,8 @@ class TestFailClosed:
             surface = ["--catalog", "sphere", "--param", "r=100"]
         else:
             surface = ["--profile", _profile_file(tmp_path, TORUS_NO_COLLARS), "--grid", "2x4"]
-        code, out, err = captured(["verify", check, *surface, "--lambda", "2", "--mu", "2",
-                                   "--pairs", "20", "--format", "csv"])
+        code, out, err = captured(["verify", check, *surface, *CHECK_OPTIONS[check],
+                                   "--format", "csv"])
         assert (code, out, err) == (2, "empty\r\nTrue\r\n", "")
 
 
@@ -295,7 +312,7 @@ def _readme_options() -> dict[str, list[str]]:
     """The options of each command as the README option table states
     them, keyed by the command's words without its positionals."""
     text = (Path(__file__).parents[1] / "README.md").read_text()
-    rows = re.findall(r"^\| `([a-z ]+)[A-Z ]*` \| (`--.*`) \|$", text, re.M)
+    rows = re.findall(r"^\| `([a-z -]+)[A-Z ]*` \| (`--.*`) \|$", text, re.M)
     return {command.strip(): re.findall(r"`(--[a-z-]+)`", cell) for command, cell in rows}
 
 
@@ -307,6 +324,15 @@ def _parser_options(command: str) -> list[str]:
         subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         parser = subs.choices[word]
     return [o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help")]
+
+
+def _readme_usage() -> list[list[str]]:
+    """The argv of each ``revtype`` line of README's CLI usage block, its
+    ``#`` comment stripped."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.partition("#")[0])[1:]
+            for line in block.splitlines() if line.startswith("revtype ")]
 
 
 def _readme_quick_start() -> str:
@@ -327,9 +353,29 @@ class TestCheckTable:
 
     def test_readme_option_lists_match(self):
         readme = _readme_options()
-        assert {"classify", "verify", "scan", "catalog export"} <= readme.keys()
+        assert {"classify", "scan", "catalog export",
+                *(f"verify {check}" for check in VERIFY_CHECKS)} <= readme.keys()
         for command, options in readme.items():
             assert sorted(options) == sorted(_parser_options(command)), command
+
+    def test_readme_usage_lines_parse(self):
+        lines = _readme_usage()
+        assert {argv[0] for argv in lines} == {"classify", "verify", "scan", "catalog"}
+        assert {argv[1] for argv in lines if argv[0] == "verify"} == set(VERIFY_CHECKS)
+        for argv in lines:
+            cli._PARSER.parse_args(argv)
+
+    @pytest.mark.parametrize("check", VERIFY_CHECKS)
+    def test_options_of_other_checks_are_unrecognized(self, check):
+        values = {"--grid": "8x8", "--lambda": "2", "--mu": "2", "--pairs": "20", "--seed": "1"}
+        own = _parser_options(f"verify {check}")
+        others = {o for c in VERIFY_CHECKS for o in _parser_options(f"verify {c}")} - set(own)
+        assert others and others <= values.keys()
+        for option in sorted(others):
+            code, out, err = captured(["verify", check, "--catalog", "sphere",
+                                       option, values[option]])
+            assert (code, out) == (1, "")
+            assert err.endswith(f"error: unrecognized arguments: {option} {values[option]}\n")
 
     @pytest.mark.parametrize("argv", (
         ["classify", "--seed", "1"],
@@ -354,16 +400,13 @@ class TestCheckTable:
         grid_rows = geometry.grid_rows
         monkeypatch.setattr(geometry, "grid_rows",
                             lambda *a, **k: calls.append(a) or grid_rows(*a, **k))
-        code, _, _ = captured(["verify", check, "--catalog", "torus", "--grid", "8x8",
-                               "--lambda", "2", "--mu", "2", "--pairs", "20"])
+        code, _, _ = captured(["verify", check, "--catalog", "torus", *_grid_option(check, "8x8"),
+                               *CHECK_OPTIONS[check]])
         assert code in (0, 2)
         assert len(calls) == (check != "operator-equivalence")
 
 
 class TestCsvOutput:
-    SURFACE = ["--catalog", "torus", "--grid", "12x8", "--lambda", "2", "--mu", "2",
-               "--pairs", "30"]
-
     def _points(self, check, payload):
         details = payload["details"]
         if check == "position-identity":
@@ -376,8 +419,10 @@ class TestCsvOutput:
 
     @pytest.mark.parametrize("check", VERIFY_CHECKS)
     def test_verify_header_and_rows(self, check):
-        _, report, _ = captured(["verify", check, *self.SURFACE])
-        _, out, _ = captured(["verify", check, *self.SURFACE, "--format", "csv"])
+        argv = ["verify", check, "--catalog", "torus", *_grid_option(check, "12x8"),
+                *CHECK_OPTIONS[check]]
+        _, report, _ = captured(argv)
+        _, out, _ = captured(argv + ["--format", "csv"])
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == _readme_csv_columns()[check]
         assert len(rows) - 1 == self._points(check, json.loads(report)) > 0
@@ -740,8 +785,7 @@ class TestErrors:
                "s_min": -1.0, "s_max": 1.0, "excluded_intervals": [[-2.0, 2.0]]}
         profile = tmp_path / "p.json"
         profile.write_text(json.dumps(doc))
-        assert main(["verify", check, "--profile", str(profile),
-                     "--lambda", "0", "--mu", "0"]) == 1
+        assert main(["verify", check, "--profile", str(profile), *CHECK_OPTIONS[check]]) == 1
         assert "regular subdomain is empty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", (5, {"lo": -0.5, "hi": 0.5}))
@@ -772,7 +816,16 @@ class TestErrors:
     def test_pairs_must_be_positive(self):
         assert _usage_error(["verify", "operator-equivalence", "--catalog", "sphere",
                              "--pairs", "0"]) == (
-            "revtype verify: error: argument --pairs: expected at least 1, got '0'")
+            "revtype verify operator-equivalence: error: argument --pairs: expected at least 1, "
+            "got '0'")
+
+    @pytest.mark.parametrize("command", (["classify"], *(["verify", c] for c in VERIFY_CHECKS)),
+                             ids=lambda c: c[-1])
+    def test_param_with_profile(self, tmp_path, command):
+        # The file does not exist: the rule holds before it is read.
+        missing = str(tmp_path / "missing.json")
+        assert captured([*command, "--profile", missing, "--param", "r=7"]) == (
+            1, "", "error: --param sets a --catalog parameter, not a --profile file's\n")
 
     def test_profile_not_found(self, capsys):
         assert main(["classify", "--profile", "/nonexistent/x.json"]) == 1
@@ -796,10 +849,6 @@ _BUDGET_SURFACES = (
     ["--catalog", "sphere", "--param", "r=1.5"],
     ["--catalog", "catenoid", "--param", "c=0.8"],
 )
-# At seed 0 and 20 pairs every surface's first 20 draws are usable, so one
-# screening pass serves; the torus at 600 pairs rejects draws near its
-# collars and needs a second.
-_BUDGET_PAIRS = 20
 
 
 class TestEvaluationBudget:
@@ -830,8 +879,7 @@ class TestEvaluationBudget:
         if command == "classify":
             argv = ["classify", *surface]
         else:
-            argv = ["verify", command, *surface, "--lambda", "2", "--mu", "2",
-                    "--pairs", str(_BUDGET_PAIRS)]
+            argv = ["verify", command, *surface, *CHECK_OPTIONS[command]]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main([*argv, "--format", fmt]) in (0, 2)
@@ -887,18 +935,29 @@ class TestReportDicts:
             assert got == {**dataclasses.asdict(record), **extra}
             assert all(v is None or type(v) in (int, float, str, bool) for v in got.values())
 
-    @pytest.mark.parametrize("argv, read", (
-        (["classify"], {"tol_fit": 1e-6, "tol_struct": 1e-7}),
-        (["verify", "radius-rate"], {"seed": 3}),
-        (["verify", "operator-equivalence", "--pairs", "20"], {"seed": 3}),
-    ), ids=lambda x: x[-1] if isinstance(x, list) else None)
-    def test_config_holds_what_the_command_reads(self, argv, read):
-        options = [f"--{name.replace('_', '-')}={value}" for name, value in read.items()]
-        code, out, _ = captured([*argv, "--catalog", "sphere", "--grid", "8x6",
-                                 "--tol-arc", "1e-9", "--tol-parab", "1e-4", *options])
+    @pytest.mark.parametrize("command", ("classify", *(f"verify {c}" for c in VERIFY_CHECKS)),
+                             ids=lambda command: command.split()[-1])
+    def test_config_holds_what_the_command_reads(self, command):
+        # `config` is the surface and every value option of the command's
+        # own parser, save those that pick the surface or the output and
+        # those that the report gives outside `config`: --tol as
+        # `tolerance`, --lambda and --mu in `details` and --samples as
+        # `validation.n_samples`.
+        elsewhere = {"--catalog", "--profile", "--param", "--out", "--format",
+                     "--tol", "--lambda", "--mu", "--samples"}
+        values = {"--grid": "8x6", "--tol-arc": "1e-9", "--tol-parab": "1e-4",
+                  "--tol-fit": "1e-6", "--tol-struct": "1e-7", "--pairs": "20", "--seed": "3"}
+        echoed = [o for o in _parser_options(command) if o not in elsewhere]
+        code, out, _ = captured([*command.split(), "--catalog", "sphere",
+                                 *(x for o in echoed for x in (o, values[o]))])
         assert code == 0
-        assert json.loads(out)["config"] == {"surface": "sphere(r=1)", "n_s": 8, "n_theta": 6,
-                                             "tol_arc": 1e-9, "tol_parab": 1e-4, **read}
+        want = {"surface": "sphere(r=1)"}
+        for option in echoed:
+            if option == "--grid":
+                want["n_s"], want["n_theta"] = 8, 6
+            else:
+                want[option[2:].replace("-", "_")] = json.loads(values[option])
+        assert json.loads(out)["config"] == want
 
 
 class TestSharedParser:
@@ -921,8 +980,7 @@ class TestSharedParser:
         sequence = (
             (first, 0),
             (["classify", "--catalog", "sphere", "--param", "r=2", "--format", "csv"], 0),
-            (["verify", "eigen-system", "--catalog", "sphere", "--tol", "1e-6",
-              "--lambda", "2", "--mu", "2", "--seed", "5"], 0),
+            (["verify", "eigen-system", "--catalog", "sphere", "--tol", "1e-6", *_LAM_MU], 0),
             (["verify", "operator-equivalence", "--catalog", "catenoid", "--param", "c=2",
               "--pairs", "20"], 0),
             (["scan", "--lambda-range", "-1", "1", "--mu-range", "-1", "1", "--step", "0.5"], 0),
@@ -949,7 +1007,7 @@ class TestFiniteOptions:
     def test_rejected_at_parse_naming_the_option(self, command, option, value):
         value = [option + value] if value.startswith("=") else [option, value]
         error = _usage_error([*command, "--catalog", "sphere", *value])
-        if option in _parser_options(command[0]):
+        if option in _parser_options(" ".join(command)):
             assert f"error: argument {option}: expected a finite number, got " in error
         else:  # verify takes no --tol-fit or --tol-struct
             assert error.endswith(f"error: unrecognized arguments: {' '.join(value)}")
@@ -978,13 +1036,14 @@ class TestFiniteOptions:
         ["classify"], ["verify", "radius-rate"], ["verify", "operator-equivalence"],
     ), ids=" ".join)
     def test_seed_must_be_non_negative(self, command):
-        # Operator equivalence draws from the seed and every verify check
-        # echoes it; classify draws nothing and takes no --seed.
+        # Operator equivalence draws from the seed; classify and the grid
+        # checks draw nothing and take no --seed.
         error = _usage_error([*command, "--catalog", "sphere", "--seed", "-1"])
-        if command == ["classify"]:
-            assert error == "revtype: error: unrecognized arguments: --seed -1"
+        if command[-1] == "operator-equivalence":
+            assert error == ("revtype verify operator-equivalence: "
+                             "error: argument --seed: expected at least 0, got '-1'")
         else:
-            assert error == "revtype verify: error: argument --seed: expected at least 0, got '-1'"
+            assert error == "revtype: error: unrecognized arguments: --seed -1"
 
 
 class TestWorkBudget:
@@ -1035,27 +1094,32 @@ _NUMBER_TEXTS = st.one_of(
     st.floats(1e-12, 1.0).map("{:e}".format),
     st.sampled_from(("nan", "inf", "-inf", "1e400", "abc", "", "0", "-0.0")),
 )
-_VERIFY_OPTION = st.one_of(
-    st.tuples(st.sampled_from(_NUMBER_OPTIONS), _NUMBER_TEXTS),
-    st.tuples(st.just("--pairs"), st.integers(-3, 40).map(str)),
-    st.tuples(st.just("--seed"), st.integers(-3, 1000).map(str)),
-    st.tuples(st.just("--grid"), st.one_of(
+_VERIFY_VALUES = {
+    **dict.fromkeys(_NUMBER_OPTIONS, _NUMBER_TEXTS),
+    "--pairs": st.integers(-3, 40).map(str),
+    "--seed": st.integers(-3, 1000).map(str),
+    "--grid": st.one_of(
         st.tuples(st.integers(0, 10), st.integers(0, 10)).map("{0[0]}x{0[1]}".format),
-        st.sampled_from(("banana", "4x", "x4", "0x0")))),
-    st.tuples(st.just("--catalog"), st.sampled_from(
-        ("torus", "sphere", "catenoid", "broken-diagonal", "unduloid"))),
-    st.tuples(st.just("--param"), st.sampled_from(("R=3", "r=1", "c=0.5", "r=-1", "x=1", "r"))),
-)
+        st.sampled_from(("banana", "4x", "x4", "0x0"))),
+    "--catalog": st.sampled_from(("torus", "sphere", "catenoid", "broken-diagonal", "unduloid")),
+    "--param": st.sampled_from(("R=3", "r=1", "c=0.5", "r=-1", "x=1", "r")),
+}
+
+
+def _verify_option(check):
+    """An option of ``verify CHECK``'s own parser and a value text for it."""
+    own = _parser_options(f"verify {check}")
+    return st.one_of(*(st.tuples(st.just(option), values)
+                       for option, values in _VERIFY_VALUES.items() if option in own))
 
 
 class TestVerifyProperty:
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(VERIFY_CHECKS),
-           st.sampled_from(("torus", "sphere", "catenoid")),
-           st.lists(_VERIFY_OPTION, max_size=5))
-    def test_exit_code_and_strict_report(self, check, surface, options):
-        argv = ["verify", check, "--catalog", surface, "--pairs", "20"]
-        for option in options:
+    @given(st.sampled_from(VERIFY_CHECKS), st.sampled_from(("torus", "sphere", "catenoid")),
+           st.data())
+    def test_exit_code_and_strict_report(self, check, surface, data):
+        argv = ["verify", check, "--catalog", surface, *CHECK_OPTIONS[check]]
+        for option in data.draw(st.lists(_verify_option(check), max_size=5)):
             argv += option
         code, out, err = captured(argv)
         assert code in (0, 1, 2)
@@ -1139,7 +1203,7 @@ class TestFloatingPointFaults:
     def test_fault_is_an_input_error(self, command, surface):
         params = [x for p in surface[1:] for x in ("--param", p)]
         if command[0] == "verify":
-            params += ["--lambda", "2", "--mu", "2"]  # so every check runs
+            params += CHECK_OPTIONS[command[-1]]  # so every check runs
         code, out, err = captured([*command, "--catalog", surface[0], *params])
         assert code in (0, 1, 2)
         assert "Warning" not in err and "Traceback" not in err
@@ -1181,8 +1245,8 @@ class TestProfileDocumentProperty:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         for argv in (["classify", "--profile", path, "--grid", "8x8"],
-                     ["verify", check, "--profile", path, "--grid", "8x8",
-                      "--lambda", "2", "--mu", "2", "--pairs", "20"]):
+                     ["verify", check, "--profile", path, *_grid_option(check, "8x8"),
+                      *CHECK_OPTIONS[check]]):
             code, out, err = captured(argv)
             assert code in (0, 1, 2)
             assert "Traceback" not in err
@@ -1194,7 +1258,7 @@ _TORUS = ["--catalog", "torus", "--param", "R=3", "--param", "r=1"]
 _SAME_BYTES_COMMANDS = (
     *(["classify", "--catalog", name, "--grid", grid]
       for name in ("torus", "sphere", "catenoid") for grid in ("1024x16", "64x4096")),
-    *(["verify", check, *_TORUS, "--lambda", "2", "--mu", "2", "--format", fmt]
+    *(["verify", check, *_TORUS, *CHECK_OPTIONS[check], "--format", fmt]
       for check in VERIFY_CHECKS for fmt in ("json", "csv")),
     ["verify", "operator-equivalence", *_TORUS, "--pairs", "600", "--seed", "11"],
     *(["verify", "operator-equivalence", "--catalog", name, "--pairs", "500", "--seed", "5",
