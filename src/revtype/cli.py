@@ -290,20 +290,20 @@ def _run_check(args, curve: ProfileCurve, entry):
     ``--lambda`` and ``--mu`` default to the catalog surface's known ones."""
     check = args.check
     if check == "operator-equivalence":
-        return beltrami.operator_equivalence_residual(
-            curve, n_pairs=args.pairs, seed=args.seed, tol_parab=args.tol_parab
-        )
+        return beltrami.operator_equivalence_residual(curve, n_pairs=args.pairs,
+                                                      seed=args.seed, tol_parab=args.tol_parab)
+    if "lam" in args:  # resolved before the grid pass, so a missing value costs no sampling
+        known = None if entry is None else entry.known_matrix
+        if known is None and (args.lam is None or args.mu is None):
+            raise InputError("this check needs --lambda and --mu for the given surface")
+        lam = known[0][0] if args.lam is None else args.lam
+        mu = known[2][2] if args.mu is None else args.mu
     n_s, n_theta = args.grid
     jets, excluded = geometry.grid_rows(curve, n_s, args.tol_parab)
     if check == "position-identity":
         return beltrami.position_identity_residual(jets, n_theta, excluded)
     if check == "curvature-quotient":
         return geometry.quotient_defects(jets)
-    known = None if entry is None else entry.known_matrix
-    if known is None and (args.lam is None or args.mu is None):
-        raise InputError("this check needs --lambda and --mu for the given surface")
-    lam = known[0][0] if args.lam is None else args.lam
-    mu = known[2][2] if args.mu is None else args.mu
     if check == "eigen-system":
         return classify.eigen_system_residuals(jets, lam, mu)
     return classify.radius_rate_defect(jets, lam, mu)

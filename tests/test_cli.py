@@ -48,6 +48,9 @@ CHECK_OPTIONS = {
     "eigen-system": _LAM_MU,
     "radius-rate": _LAM_MU,
 }
+# The same at operator-equivalence's default 1000 pairs, which on the torus
+# take more than one screening pass.
+DEFAULT_PAIRS_OPTIONS = {**CHECK_OPTIONS, "operator-equivalence": []}
 
 
 def _grid_option(check, grid) -> list[str]:
@@ -377,6 +380,13 @@ class TestCheckTable:
             assert (code, out) == (1, "")
             assert err.endswith(f"error: unrecognized arguments: {option} {values[option]}\n")
 
+    def test_options_follow_the_check_name(self):
+        # Each check parses its own options, so none may come before its name.
+        code, out, err = captured(["verify", "--catalog", "sphere", "position-identity"])
+        assert (code, out) == (1, "")
+        assert err.endswith("error: argument check: invalid choice: 'sphere' (choose from "
+                            + ", ".join(f"'{check}'" for check in VERIFY_CHECKS) + ")\n")
+
     @pytest.mark.parametrize("argv", (
         ["classify", "--seed", "1"],
         ["verify", "eigen-system", "--tol-fit", "1"],
@@ -404,6 +414,14 @@ class TestCheckTable:
                                *CHECK_OPTIONS[check]])
         assert code in (0, 2)
         assert len(calls) == (check != "operator-equivalence")
+
+    @pytest.mark.parametrize("check", ("eigen-system", "radius-rate"))
+    def test_missing_lambda_fails_before_the_grid_pass(self, monkeypatch, check):
+        calls = []
+        monkeypatch.setattr(geometry, "grid_rows", lambda *a, **k: calls.append(a))
+        assert captured(["verify", check, "--catalog", "torus", "--grid", "1024x1024"]) == (
+            1, "", "error: this check needs --lambda and --mu for the given surface\n")
+        assert calls == []
 
 
 class TestCsvOutput:
@@ -1203,7 +1221,7 @@ class TestFloatingPointFaults:
     def test_fault_is_an_input_error(self, command, surface):
         params = [x for p in surface[1:] for x in ("--param", p)]
         if command[0] == "verify":
-            params += CHECK_OPTIONS[command[-1]]  # so every check runs
+            params += DEFAULT_PAIRS_OPTIONS[command[-1]]  # so every check runs
         code, out, err = captured([*command, "--catalog", surface[0], *params])
         assert code in (0, 1, 2)
         assert "Warning" not in err and "Traceback" not in err
@@ -1258,7 +1276,7 @@ _TORUS = ["--catalog", "torus", "--param", "R=3", "--param", "r=1"]
 _SAME_BYTES_COMMANDS = (
     *(["classify", "--catalog", name, "--grid", grid]
       for name in ("torus", "sphere", "catenoid") for grid in ("1024x16", "64x4096")),
-    *(["verify", check, *_TORUS, *CHECK_OPTIONS[check], "--format", fmt]
+    *(["verify", check, *_TORUS, *DEFAULT_PAIRS_OPTIONS[check], "--format", fmt]
       for check in VERIFY_CHECKS for fmt in ("json", "csv")),
     ["verify", "operator-equivalence", *_TORUS, "--pairs", "600", "--seed", "11"],
     *(["verify", "operator-equivalence", "--catalog", name, "--pairs", "500", "--seed", "5",
