@@ -44,7 +44,6 @@ from .geometry import (
     ProfileCurve,
     RegularJets,
     _jets,
-    _parabolic,
     radii_sum_jet,
     theta_circle,
 )
@@ -54,6 +53,8 @@ _TAU = 2.0 * math.pi
 # Least |phi'| and |sin(phi)| at a point drawn by
 # `operator_equivalence_residual`.
 DRAW_MARGIN = 0.05
+# Draws `operator_equivalence_residual` makes, at most, per requested pair.
+DRAWS_PER_PAIR = 50
 
 
 @dataclass(frozen=True)
@@ -337,9 +338,10 @@ def operator_equivalence_residual(
     the ``field`` column is a callable that returns the pairs' labels, so
     only a CSV report writes them.
     The fields come first from the ``seed`` generator, then the candidate
-    points in passes of (3, m) uniforms.  Draws stop after 50 per requested
-    pair; fewer ``pairs`` than requested means too few regular points, and
-    with none the difference and location are None and the columns empty.
+    points in passes of (3, m) uniforms.  Draws stop after `DRAWS_PER_PAIR`
+    per requested pair; fewer ``pairs`` than requested means too few
+    regular points, and with none the difference and location are None and
+    the columns empty.
     """
     rng = np.random.default_rng(seed)
     intervals = p.regular_intervals()
@@ -354,22 +356,22 @@ def operator_equivalence_residual(
     # Each pass is screened in one evaluation, and its first usable
     # candidates, up to the shortfall, are kept in draw order.  The first
     # pass draws n_pairs; a later one twice the shortfall, at least 64,
-    # within the 50 * n_pairs draws.
+    # within the DRAWS_PER_PAIR * n_pairs draws.
     parts, angles = [], []
     done = drawn = 0
     m = n_pairs
-    while done < n_pairs and drawn < 50 * n_pairs:
+    while done < n_pairs and drawn < DRAWS_PER_PAIR * n_pairs:
         u = rng.random((3, m))
         drawn += m
         k = cdf.searchsorted(u[0], side="right")
         screened = _jets(p, starts[k] + widths[k] * u[1])
-        low = np.minimum(np.abs(screened.dphi), np.abs(screened.sin_phi)) < DRAW_MARGIN
-        keep = np.flatnonzero(~(_parabolic(screened, tol_parab) | low))[:n_pairs - done]
+        margin = screened.margin
+        keep = np.flatnonzero((margin > tol_parab) & (margin >= DRAW_MARGIN))[:n_pairs - done]
         if len(keep):
             parts.append(screened[keep])
             angles.append(u[2, keep])
             done += len(keep)
-        m = min(max(2 * (n_pairs - done), 64), 50 * n_pairs - drawn)
+        m = min(max(2 * (n_pairs - done), 64), DRAWS_PER_PAIR * n_pairs - drawn)
     details = {"max_rel_diff": None, "pairs": done, "at_s": None, "at_theta": None}
     if not done:
         return None, details, {}

@@ -312,11 +312,12 @@ _COFACTORS = (
 BLOCK_CELLS = 4096
 # Work budget of one scan: at most this many lattice points, counted as
 # (span / step + 1) per axis and multiplied, which also bounds the cells.
-# A box of one row keeps its axis's points and cell edges in memory, about
-# 32 bytes each, so the bound keeps a scan under about 0.5 GiB; a square
-# box at the bound takes about 0.5 s where the lattice pass skips nothing
-# (4095^2 points on [20, 40]^2, 0.46 to 0.48 s measured on a 2-core x86-64
-# host) and about 0.01 s on [-10, 10]^2.
+# A box of one row keeps its axis's points in memory, 8 bytes each, and a
+# byte each while `_axis` checks them, so a scan at the bound peaks at
+# about 0.2 GiB (174 MiB RSS measured on the row (0, 0) x (0, 838860) at
+# step 0.05); a square box at the bound takes about 0.4 s where the
+# lattice pass skips nothing (4095^2 points on [20, 40]^2, 0.35 to 0.38 s
+# measured on a 2-core x86-64 host) and about 0.01 s on [-10, 10]^2.
 MAX_SCAN_POINTS = 2**24
 # The lattice pass skips points only on boxes within _CUT_REACH of the
 # origin, where no coefficient can overflow, so a skipped point hides no
@@ -401,20 +402,21 @@ class ScanCertificate:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _lattice(lo: float, hi: float, step: float) -> np.ndarray:
-    """Lattice points lo + i*step up to hi; as in `_cell_edges`, a point
-    within a millionth of a step past hi stands for hi and is kept."""
-    return lo + np.arange(math.floor((hi - lo) / step + 1e-6) + 1) * step
-
-
-def _cell_edges(lo: float, hi: float, step: float) -> np.ndarray:
-    """Cell edges on one axis: lo, the lattice points strictly inside
-    (lo, hi), then hi, so the cells cover [lo, hi] exactly.  A lattice
-    point within a millionth of a step of hi stands for hi."""
-    if hi == lo:
-        return np.array([lo])
-    inner = lo + np.arange(1, math.ceil((hi - lo) / step - 1e-6)) * step
-    return np.concatenate(([lo], inner[inner < hi], [hi]))
+def _axis(name: str, lo: float, hi: float, step: float):
+    """(points, cells) of one axis: the points lo + i*step for i up to
+    (hi - lo)/step plus a millionth, and the number of cells between the
+    edges lo, the later points more than a millionth of a step below hi,
+    and hi; a range that is one point has none.  Raises ValueError when the
+    step is so far below the range's float spacing that points coincide."""
+    x = (hi - lo) / step
+    points = np.arange(math.floor(x + 1e-6) + 1, dtype=float)
+    points *= step
+    points += lo
+    if not (points[1:] > points[:-1]).all():
+        raise ValueError(f"step {step!r} is below the float spacing of {name}: "
+                         f"its lattice points coincide")
+    cells = 0 if hi == lo else 1 + int(np.searchsorted(points[1 : math.ceil(x - 1e-6)], hi))
+    return points, cells
 
 
 def _max_coefficients(lam, mu):
@@ -489,19 +491,6 @@ def _windows(lam: np.ndarray, mus: np.ndarray, ub: float, gap: float):
     return lo, hi
 
 
-def _chunks(counts: np.ndarray):
-    """Row ranges [a, b) of a span, in order, from the number of window
-    points of each row: runs of rows whose windows hold at most BLOCK_CELLS
-    points in all, or a single row whose window holds more."""
-    ends = np.cumsum(counts)
-    a = 0
-    while a < counts.size:
-        start = int(ends[a - 1]) if a else 0
-        b = max(a + 1, int(np.searchsorted(ends, start + BLOCK_CELLS, "right")))
-        yield a, b
-        a = b
-
-
 def _pass_minimum(lam: np.ndarray, mu: np.ndarray, gap: float):
     """(points off the strip, best) over the points (lam, mu) of one pass:
     best is (max-coefficient, argmin, coefficients) of its first minimum, or
@@ -528,10 +517,11 @@ def _lattice_minimum(lams: np.ndarray, mus: np.ndarray, gap: float):
     every window is its whole row and an overflow anywhere still raises.
     The windows are built for spans of BLOCK_CELLS / 4 rows, so the check
     of their ends takes at most BLOCK_CELLS / 2 points and its temporaries
-    stay below those of a pass, and the window points are gathered in the
-    `_chunks` of each span, one pass each.  Each pass holds later points
-    than the passes before it, so a later pass replaces best only when its
-    minimum is strictly lower.
+    stay below those of a pass.  The window points of a span, in row-major
+    order, are gathered in passes of at most BLOCK_CELLS consecutive points,
+    so one row's window may be split across passes.  Each pass holds later
+    points than the passes before it, so a later pass replaces best only
+    when its minimum is strictly lower.
     """
     n = mus.size
     reach = max(abs(lams[0]), abs(lams[-1]), abs(mus[0]), abs(mus[-1]))
@@ -542,13 +532,22 @@ def _lattice_minimum(lams: np.ndarray, mus: np.ndarray, gap: float):
         span = lams[first : first + rows]
         lo, hi = _windows(span, mus, ub, gap)
         counts = hi - lo
-        for a, b in _chunks(counts):
-            kept = counts[a:b]
-            ends = np.cumsum(kept)
-            count, found = _pass_minimum(np.repeat(span[a:b], kept),
-                                         mus[np.arange(ends[-1]) + np.repeat(lo[a:b] - ends + kept, kept)],
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        scanned += span.size * n - total
+        # Window point p of row i, counted across the span, is mus[p + shift[i]].
+        shift = hi - ends
+        for a in range(0, total, BLOCK_CELLS):
+            b = min(a + BLOCK_CELLS, total)
+            # Rows r to t hold points [a, b); the first and last are clipped to them.
+            r, t = np.searchsorted(ends, (a, b - 1), "right").tolist()
+            kept = counts[r : t + 1].copy()
+            kept[0] = ends[r] - a
+            kept[-1] -= ends[t] - b
+            count, found = _pass_minimum(np.repeat(span[r : t + 1], kept),
+                                         mus[np.arange(a, b) + np.repeat(shift[r : t + 1], kept)],
                                          gap)
-            scanned += count + (b - a) * n - int(ends[-1])
+            scanned += count
             if found is not None and (best is None or found[0] < best[0]):
                 best = found
     return scanned, best
@@ -570,7 +569,7 @@ def contradiction_scan(
     The lattice scan reports the minimum over points of
     max(|c4|, |c2|, |c0|) with its first argmin in row-major order; it
     evaluates only the points whose |c4| can reach the minimum
-    (`_lattice_minimum`), in passes of about BLOCK_CELLS points.  The cofactor
+    (`_lattice_minimum`), in passes of at most BLOCK_CELLS points.  The cofactor
     identity a c4 + b c2 + c c0 = lam - mu (see `_COFACTORS`) then turns
     the finite scan into a certificate on the whole box minus the diagonal
     strip |lam - mu| < step/2, split into cells with the lattice points
@@ -602,20 +601,13 @@ def contradiction_scan(
     if points > MAX_SCAN_POINTS:
         raise ValueError(f"the box has {points:.3g} lattice points, over the work budget "
                          f"of {MAX_SCAN_POINTS}")
-    lams = _lattice(lam_range[0], lam_range[1], step)
-    mus = _lattice(mu_range[0], mu_range[1], step)
-    # Each axis's cell edges are its lattice points inside the range between
-    # lo and hi, so they strictly increase when its lattice points do.
-    for name, axis in (("lam_range", lams), ("mu_range", mus)):
-        if not (axis[1:] > axis[:-1]).all():
-            raise ValueError(f"step {step!r} is below the float spacing of {name}: "
-                             f"its lattice points coincide")
+    lams, lam_cells = _axis("lam_range", *lam_range, step)
+    mus, mu_cells = _axis("mu_range", *mu_range, step)
     gap = 0.5 * step
     scanned, best = _lattice_minimum(lams, mus, gap)
     min_max, argmin, argmin_coeffs = best or (None, None, None)
-    cells, lowest = 0, math.inf
-    if scanned:
-        cells = math.prod(_cell_edges(*r, step).size - 1 for r in (lam_range, mu_range))
+    cells = lam_cells * mu_cells if scanned else 0
+    lowest = math.inf
     if cells:
         reach = (np.array([max(map(abs, r))]) for r in (lam_range, mu_range))
         lowest = float(_cell_bounds(*reach, gap)[0])

@@ -320,7 +320,7 @@ def cmd_verify(args) -> int:
     reason: Optional[str] = None
     if check == "operator-equivalence" and details["pairs"] < args.pairs:
         reason = (f"found {details['pairs']} of {args.pairs} usable sample points "
-                  f"in {50 * args.pairs} draws")
+                  f"in {beltrami.DRAWS_PER_PAIR * args.pairs} draws")
     elif worst is None:
         reason = _NO_ROWS
     passed = reason is None and worst <= tol

@@ -87,6 +87,8 @@ def _normalize_exclusions(
             merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
         else:
             merged.append((lo, hi))
+    if merged == [(s_min, s_max)]:
+        raise ValueError(f"regular subdomain is empty: excluded intervals cover [{s_min}, {s_max}]")
     return tuple(merged)
 
 
@@ -176,6 +178,14 @@ class RegularJets:
     def cos_phi(self):
         return self.f.v1
 
+    @property
+    def margin(self):
+        """The non-parabolicity margin min(|phi'|, |sin phi|), broadcast to
+        ``s``; a point is parabolic unless its margin exceeds tol_parab, so
+        a NaN margin is parabolic."""
+        margin = np.minimum(np.abs(self.dphi), np.abs(self.sin_phi))
+        return np.broadcast_to(margin, np.shape(self.s))
+
     def __len__(self) -> int:
         return int(np.size(self.s))
 
@@ -214,12 +224,6 @@ def _jets(p: ProfileCurve, s) -> RegularJets:
     except DomainEvalError as exc:
         raise ProfileDomainError(float(np.ravel(s)[exc.index]), exc) from None
     return RegularJets(s, fj, gj, fj.v1 * gj.v2 - gj.v1 * fj.v2, fj.v1 * gj.v3 - gj.v1 * fj.v3)
-
-
-def _parabolic(jets: RegularJets, tol_parab: float):
-    """Mask of the points where phi' or sin(phi) is within tol_parab of 0."""
-    bad = (np.abs(jets.dphi) <= tol_parab) | (np.abs(jets.sin_phi) <= tol_parab)
-    return np.broadcast_to(bad, np.shape(jets.s))
 
 
 def curvatures(jets: RegularJets) -> tuple[float, float]:
@@ -309,7 +313,7 @@ def validate_profile(
     jets = _jets(p, samples)
     fj, gj = jets.f, jets.g
     defect = np.abs(fj.v1 * fj.v1 + gj.v1 * gj.v1 - 1.0)
-    margin = np.minimum(np.abs(jets.dphi), np.abs(jets.sin_phi))
+    margin = jets.margin
     # np.max and np.min propagate NaN, so a NaN sample fails every check.
     max_defect, min_radius, min_margin = np.max(defect), np.min(fj.v0), np.min(margin)
     return ValidationReport(
@@ -334,13 +338,13 @@ def grid_rows(
 ) -> tuple[RegularJets, int]:
     """Profile sample rows for grid evaluation, evaluated in one pass.
 
-    Rows whose point is parabolic within ``tol_parab`` are dropped whole,
+    Rows whose margin is not above ``tol_parab`` are dropped whole,
     which keeps every retained row's full uniform circle of theta samples.
     Returns (jets of the kept rows, number excluded).
     """
     jets = _jets(p, sample_regular(p, n_s))
-    bad = _parabolic(jets, tol_parab)
-    return jets[~bad], int(np.count_nonzero(bad))
+    keep = jets.margin > tol_parab
+    return jets[keep], int(np.count_nonzero(~keep))
 
 
 def theta_circle(n_theta: int) -> np.ndarray:

@@ -52,7 +52,6 @@ from revtype.beltrami import (
 from revtype.classify import (
     _COFACTORS,
     _cell_bounds,
-    _cell_edges,
     DEFAULT_TOL_FIT,
     TOL_REJECT,
     VERDICT_INCONCLUSIVE,
@@ -66,7 +65,6 @@ from revtype.geometry import (
     ProfileError,
     RegularJets,
     _jets,
-    _parabolic,
     grid_rows,
     profile_from_dict,
     profile_to_dict,
@@ -267,7 +265,7 @@ def require_regular(curve, s, tol_parab: float = DEFAULT_TOL_PARAB) -> RegularJe
     """Jets at ``s``, a float or an array, from one evaluation pass,
     raising ParabolicPointError at the first point where III degenerates."""
     jets = _jets(curve, s)
-    bad = _parabolic(jets, tol_parab)
+    bad = ~(jets.margin > tol_parab)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ParabolicPointError(
@@ -579,11 +577,11 @@ def subdivision_certifies(lam_range, mu_range, step: float) -> bool:
 def per_cell_bounds(lam_range, mu_range, step: float) -> tuple:
     """(cells, failures, least bound) from `_cell_bounds` on every cell of
     the box, each at its largest |lam| and |mu|, with the cells from
-    `_cell_edges`: a failure is a bound that is not positive and finite,
+    `_edges`: a failure is a bound that is not positive and finite,
     and the least bound is None without cells.  The scan counts these
     cells only when some lattice point is off the diagonal."""
     l, m = (np.maximum(np.abs(e[:-1]), np.abs(e[1:]))
-            for e in (_cell_edges(*r, step) for r in (lam_range, mu_range)))
+            for e in (np.array(_edges(*r, step)) for r in (lam_range, mu_range)))
     failures, lowest = 0, math.inf
     with np.errstate(over="raise", invalid="raise"):
         for i in range(0, l.size, 256):

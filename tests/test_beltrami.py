@@ -28,7 +28,7 @@ from revtype.beltrami import (
     field_profiles,
     random_fields,
 )
-from revtype.geometry import DEFAULT_TOL_PARAB, _jets, _parabolic, sample_regular
+from revtype.geometry import DEFAULT_TOL_PARAB, _jets, sample_regular
 
 from helpers import (
     coordinate_fields,
@@ -366,8 +366,8 @@ class TestOperatorEquivalence:
         _, _, columns = operator_equivalence_residual(curve, n_pairs=n)
         u, s = self.replayed_candidates(curve, n, (n, 64))
         jets = _jets(curve, s)
-        low = np.minimum(np.abs(jets.dphi), np.abs(jets.sin_phi)) < DRAW_MARGIN
-        usable = ~(_parabolic(jets, DEFAULT_TOL_PARAB) | low)
+        margin = np.minimum(np.abs(jets.dphi), np.abs(jets.sin_phi))
+        usable = (margin > DEFAULT_TOL_PARAB) & (margin >= DRAW_MARGIN)
         picks = [i for i in range(len(s)) if usable[i]][:n]
         assert len(picks) == n and not usable[:n].all()
         assert columns["s"].tolist() == jets.s[picks].tolist()

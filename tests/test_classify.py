@@ -28,6 +28,8 @@ from revtype.classify import fit_from_samples
 from revtype.geometry import grid_rows
 
 from helpers import (
+    _edges,
+    _lattice,
     closure_coefficients,
     closure_groebner_basis,
     cofactor_identity_remainder,
@@ -415,10 +417,10 @@ class TestContradictionScan:
         cert = contradiction_scan((0.0, 1.0), (3.0, 3.0), 0.35)
         assert cert.points_scanned == 3 and cert.points_skipped_diagonal == 0
         assert 0.0 <= cert.argmin[0] <= 1.0 and cert.argmin[1] == 3.0
-        assert classify._lattice(0.0, 1.0, 0.35).tolist() == [0.0, 0.35, 0.7]
+        assert classify._axis("lam_range", 0.0, 1.0, 0.35)[0].tolist() == [0.0, 0.35, 0.7]
         # A last point within a millionth of a step of hi stands for hi.
-        assert classify._lattice(0.0, 1.05, 0.35).size == 4
-        assert classify._lattice(-10.0, 10.0, 0.25).size == 81
+        assert classify._axis("lam_range", 0.0, 1.05, 0.35)[0].size == 4
+        assert classify._axis("lam_range", -10.0, 10.0, 0.25)[0].size == 81
 
     @pytest.mark.parametrize("lam_range, mu_range", (
         ((0.0, 0.0), (0.0, 1.0)),
@@ -548,9 +550,10 @@ class TestScanOracles:
 
 @st.composite
 def _cut_boxes(draw):
-    """(lam_range, mu_range, step) of 1 to 12 lambda rows of 1 to 48
-    points: near the origin at steps 0.05 to 1, scaled toward or past the
-    1e100 reach of the cut, or on a subnormal lattice."""
+    """(lam_range, mu_range, step) of 1 to 12 lambda rows of 1 to 160
+    points, so that a row's window can outgrow a 64-point pass: near the
+    origin at steps 0.05 to 1, scaled toward or past the 1e100 reach of the
+    cut, or on a subnormal lattice."""
     kind = draw(st.sampled_from(("near", "near", "huge", "far", "subnormal")))
     if kind == "subnormal":
         unit = 5e-324
@@ -562,7 +565,7 @@ def _cut_boxes(draw):
         step = draw(st.floats(0.05, 1.0)) * scale
         starts = [draw(st.floats(-10.0, 10.0)) * scale for _ in range(2)]
         ends = [draw(st.sampled_from((0.0, 0.0, 0.3, 0.9))) for _ in range(2)]
-    counts = (draw(st.integers(1, 12)), draw(st.integers(1, 48)))
+    counts = (draw(st.integers(1, 12)), draw(st.integers(1, 160)))
     return (*((lo, lo + (count - 1 + end) * step) for lo, count, end in zip(starts, counts, ends)),
             step)
 
@@ -603,6 +606,8 @@ class TestLatticeCut:
     @example(((-10.0, 10.0), (-10.0, 10.0), 0.25))
     @example(((0.0, 1e-320), (0.0, 1e-320), 5e-324))
     @example(((0.0, 1e100), (-2e102, 2e102), 1e101))
+    # Row lam = 0 keeps its whole window of 201 points, split across passes.
+    @example(((0.0, 0.5), (-5.0, 5.0), 0.05))
     # Rows of 4 points, and rows of one point.
     @example(((-50.0, 50.0), (3.0, 3.15), 0.05))
     @example(((0.0, 50.0), (3.0, 3.0), 0.05))
@@ -643,7 +648,7 @@ class TestLatticeCut:
 
     def test_sample_on_the_strip_bounds_nothing(self, monkeypatch):
         monkeypatch.setattr(classify, "_sample", lambda axis: axis[:1])
-        lams = classify._lattice(-10.0, 10.0, 0.25)
+        lams, _ = classify._axis("lam_range", -10.0, 10.0, 0.25)
         assert classify._upper_bound(lams, lams, 0.125) == math.inf
         want = reference_scan((-10.0, 10.0), (-10.0, 10.0), 0.25)
         assert _scan_fields(contradiction_scan(), want) == want
@@ -665,10 +670,12 @@ class TestLatticeCut:
     @pytest.mark.parametrize("lam_range, mu_range", (
         ((0.0, 50000.0), (3.0, 3.0)),
         ((3.0, 3.0), (0.0, 50000.0)),
+        # Every point of the row lam = 0 has c4 = 0, so its window is the row.
+        ((0.0, 0.0), (0.0, 50000.0)),
     ))
     def test_one_line_box_allocation(self, lam_range, mu_range):
-        # A million lattice points on one axis: its points and cell edges take
-        # about 30 MiB, and the pass adds no array as long as the axis.
+        # A million lattice points on one axis: its points take about 8 MiB,
+        # and the pass adds no array as long as the axis.
         tracemalloc.start()
         try:
             cert = contradiction_scan(lam_range, mu_range, 0.05)
@@ -676,15 +683,19 @@ class TestLatticeCut:
         finally:
             tracemalloc.stop()
         assert cert.points_scanned + cert.points_skipped_diagonal == 1_000_001
-        assert peak < 32 * 2**20
+        assert peak < 12 * 2**20
 
     def test_passes_stay_within_a_block(self, monkeypatch):
-        # 4095^2 points: after the sample, every evaluation, window checks
+        # 4095^2 points, and one window of 10001 points, the whole row
+        # lam = 0: after the sample, every evaluation, window checks
         # included, takes at most BLOCK_CELLS points.
         seen = _counted_quartic(monkeypatch)
-        cert = contradiction_scan((-10.0, 10.0), (-10.0, 10.0), 20.0 / 4094)
-        assert cert.points_scanned + cert.points_skipped_diagonal == 4095**2
-        assert len(seen) > 3 and max(seen[1:]) <= classify.BLOCK_CELLS
+        for box, points in ((((-10.0, 10.0), (-10.0, 10.0), 20.0 / 4094), 4095**2),
+                            (((0.0, 0.0), (0.0, 500.0), 0.05), 10001)):
+            seen.clear()
+            cert = contradiction_scan(*box)
+            assert cert.points_scanned + cert.points_skipped_diagonal == points
+            assert len(seen) > 3 and max(seen[1:]) <= classify.BLOCK_CELLS
 
     def test_budget_box_allocation(self):
         # The pass over the whole budget on [-10, 10]^2 peaks at about
@@ -698,24 +709,47 @@ class TestLatticeCut:
         assert peak < 0.44 * 2**20
 
 
+@st.composite
+def _axis_ranges(draw):
+    """(lo, hi, step) of one axis of up to about 300 points: near the
+    origin, on a subnormal lattice, offset by 1e15 to 1e17 (where points
+    may coincide), a span within a millionth of a step or so of a whole
+    number of steps, or a range that is one point."""
+    kind = draw(st.sampled_from(("near", "subnormal", "offset", "whole", "point")))
+    if kind == "subnormal":
+        unit = 5e-324
+        step = unit * draw(st.integers(1, 8))
+        lo = unit * draw(st.integers(-300, 300))
+        return lo, lo + unit * draw(st.integers(0, 300)), step
+    step = draw(st.floats(0.01, 1.0))
+    lo = draw(st.floats(-10.0, 10.0))
+    if kind == "point":
+        return lo, lo, step
+    if kind == "offset":
+        step *= 100.0
+        lo = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(1e15, 1e17))
+    steps = draw(st.integers(1, 300))
+    if kind == "whole":
+        steps += draw(st.sampled_from((-1e-6, 1e-6))) * draw(st.floats(0.5, 2.0))
+    else:
+        steps += draw(st.floats(-1.0, 0.0))
+    return lo, lo + steps * step, step
+
+
 class TestScanCells:
     @pytest.mark.parametrize("lam_range, mu_range, step, cells", NON_ALIGNED_BOXES)
     def test_cells_span_requested_box(self, monkeypatch, lam_range, mu_range, step, cells):
-        edges, reached = [], []
-        cell_edges, cell_bounds = classify._cell_edges, classify._cell_bounds
-
-        def record_edges(lo, hi, step):
-            edges.append(cell_edges(lo, hi, step))
-            return edges[-1]
+        reached = []
+        cell_bounds = classify._cell_bounds
 
         def record_bounds(l, m, gap):
             reached.append((l, m))
             return cell_bounds(l, m, gap)
 
-        monkeypatch.setattr(classify, "_cell_edges", record_edges)
         monkeypatch.setattr(classify, "_cell_bounds", record_bounds)
         cert = contradiction_scan(lam_range, mu_range, step)
         assert cert.cells_certified and cert.cells_examined == cells
+        edges = [np.array(_edges(*r, step)) for r in (lam_range, mu_range)]
         lam_edges, mu_edges = edges
         assert (lam_edges[0], lam_edges[-1]) == lam_range
         assert (mu_edges[0], mu_edges[-1]) == mu_range
@@ -740,10 +774,29 @@ class TestScanCells:
         (0.0, 1e-9, 0.25, (0.0, 1e-9)),
     ))
     def test_cell_edges(self, lo, hi, step, edges):
-        got = classify._cell_edges(lo, hi, step)
+        got = _edges(lo, hi, step)
         assert got[0] == lo and got[-1] == hi
-        assert got.tolist() == pytest.approx(edges, abs=1e-15)
+        assert got == pytest.approx(edges, abs=1e-15)
         assert np.all(np.diff(got) > 0.0)
+        assert classify._axis("lam_range", lo, hi, step)[1] == len(edges) - 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(_axis_ranges())
+    @example((1e17, 1e17 + 100, 1.0))
+    @example((0.0, 1.05, 0.35))
+    @example((2.0, 2.0, 0.25))
+    def test_axis_matches_oracles(self, axis):
+        # The points bit for bit as lo + i*step, the coinciding-points
+        # error, and the cells between the oracle's edges.
+        lo, hi, step = axis
+        want = _lattice(lo, hi, step)
+        if any(b <= a for a, b in zip(want, want[1:])):
+            with pytest.raises(ValueError, match="its lattice points coincide"):
+                classify._axis("mu_range", lo, hi, step)
+            return
+        points, cells = classify._axis("mu_range", lo, hi, step)
+        assert points.tobytes() == np.array(want).tobytes()
+        assert cells == len(_edges(lo, hi, step)) - 1
 
     def test_allocation_stays_per_block(self):
         # 400 x 400 cells at step 0.05; whole-box arrays would exceed the bound.

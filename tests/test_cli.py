@@ -797,14 +797,17 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert err.startswith("error: bad profile file") and f"'{field}'" in err
 
-    @pytest.mark.parametrize("check", VERIFY_CHECKS)
-    def test_fully_excluded_profile(self, tmp_path, capsys, check):
+    @pytest.mark.parametrize("command", (
+        ["classify"], *(["verify", check, *CHECK_OPTIONS[check]] for check in VERIFY_CHECKS),
+    ), ids=("classify", *VERIFY_CHECKS))
+    def test_fully_excluded_profile(self, tmp_path, capsys, command):
         doc = {"name": "gone", "f": "sqrt(1 + s^2)", "g": "asinh(s)",
                "s_min": -1.0, "s_max": 1.0, "excluded_intervals": [[-2.0, 2.0]]}
         profile = tmp_path / "p.json"
         profile.write_text(json.dumps(doc))
-        assert main(["verify", check, "--profile", str(profile), *CHECK_OPTIONS[check]]) == 1
-        assert "regular subdomain is empty" in capsys.readouterr().err
+        assert main([*command, "--profile", str(profile)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad profile file {profile}: regular subdomain is empty")
 
     @pytest.mark.parametrize("value", (5, {"lo": -0.5, "hi": 0.5}))
     def test_excluded_intervals_not_a_list(self, tmp_path, capsys, value):
@@ -1084,7 +1087,7 @@ class TestWorkBudget:
 
         for name in ("validate_profile", "sample_regular", "grid_rows"):
             monkeypatch.setattr(geometry, name, forbidden)
-        monkeypatch.setattr(classify, "_lattice", forbidden)
+        monkeypatch.setattr(classify, "_axis", forbidden)
         error = _usage_error(argv)
         assert "error: " in error and named in error and "work budget" in error
 
@@ -1297,6 +1300,9 @@ _SAME_BYTES_COMMANDS = (
                             (("0", "1"), ("-10", "10"), "0.25"),
                             (("20", "23"), ("25", "28"), "0.05"),
                             (("-50", "50"), ("3", "3.15"), "0.05"))),
+    # Windows split across passes: the row lam = 0 keeps all 10001 points.
+    ["scan", "--lambda-range", "0", "0", "--mu-range", "0", "500", "--step", "0.05"],
+    ["scan", "--lambda-range", "3", "3", "--mu-range", "0", "500"],
 )
 
 

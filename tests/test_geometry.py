@@ -411,6 +411,21 @@ class TestGrids:
         for s in jets.s:
             assert abs(math.cos(s)) > 0.1
 
+    def test_nan_margin_row_is_dropped(self, monkeypatch):
+        # A NaN phi' leaves no margin above tol_parab, so the row is dropped
+        # as a parabolic one would be, not fitted.
+        jets_at = geometry._jets
+
+        def poisoned(p, s):
+            jets = jets_at(p, s)
+            jets.dphi[3] = math.nan
+            return jets
+
+        monkeypatch.setattr(geometry, "_jets", poisoned)
+        jets, excluded = grid_rows(torus(3.0, 1.0).curve, 32)
+        assert excluded == 1 and len(jets) == 31
+        assert not np.isnan(jets.dphi).any()
+
     def test_rows_respect_exclusions(self):
         curve = torus(3.0, 1.0).curve
         jets, excluded = grid_rows(curve, 32)
@@ -459,6 +474,10 @@ class TestProfileFiles:
         args = {"name": "x", "f": "s", "g": "s", "s_min": -1.0, "s_max": 1.0, **kwargs}
         with pytest.raises(ValueError):
             ProfileCurve.build(**args)
+
+    def test_fully_excluded_domain(self):
+        with pytest.raises(ValueError, match=r"regular subdomain is empty.*\[-1.0, 1.0\]"):
+            ProfileCurve.build("x", "s", "s", -1.0, 1.0, excluded=[(-2.0, 0.0), (0.0, 1.0)])
 
     def test_empty_domain(self):
         with pytest.raises(ValueError, match="empty domain"):
