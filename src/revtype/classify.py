@@ -151,12 +151,23 @@ def fit_from_samples(
     )
 
 
+def _kron_pair(R1: np.ndarray, R2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """KX and KB, columns 0, 1, 5 and 6, 7, 11 of R1 x R2, with no other
+    column formed.  Column 3a + b of R1 x R2 is column a of R1 (4 columns,
+    under 4 rows on 2- and 3-row grids) times column b of R2 (3 x 3), and
+    its row 3i + j the product of their rows i and j: each entry is the one
+    product that np.kron forms for it."""
+    K = (R1[:, None, [0, 0, 1, 2, 2, 3]] * R2[None, :, [0, 1, 2, 0, 1, 2]]).reshape(-1, 6)
+    return K[:, :3], K[:, 3:]
+
+
 def fit_matrix(
     p: ProfileCurve,
     n_s: int = 32,
     n_theta: int = 32,
     tol_parab: float = DEFAULT_TOL_PARAB,
     tol_fit: float = DEFAULT_TOL_FIT,
+    jets: Optional[RegularJets] = None,
 ) -> FitReport:
     """Fit the best constant matrix over an n_s x n_theta grid and classify.
 
@@ -167,9 +178,9 @@ def fit_matrix(
     With thin QRs P = Q1 R1 and T = Q2 R2, X = (Q1 x Q2) KX and
     B = (Q1 x Q2) KB, where KX and KB are at most 12 x 3 columns of
     R1 x R2 and Q1 x Q2 has orthonormal columns; the fit solves that small
-    problem in O(n_s + n_theta).
+    problem in O(n_s + n_theta).  ``jets`` are passed on to `grid_rows`.
     """
-    jets, excluded = grid_rows(p, n_s, tol_parab)
+    jets, excluded = grid_rows(p, n_s, tol_parab, jets)
     thetas = theta_circle(n_theta)
     KX = KB = np.empty((0, 3))
     sup_lap = sup_position = None
@@ -181,9 +192,7 @@ def fit_matrix(
         sup_position = float(np.max(np.hypot(P[:, 0], P[:, 1])))
         sup_lap = float(np.max(np.hypot(P[:, 2], P[:, 3])))
         T = np.column_stack((np.cos(thetas), np.sin(thetas), np.ones(n_theta)))
-        # Column 3a + b of K is profile column a of R1 times circle column b of R2.
-        K = np.kron(np.linalg.qr(P, mode="r"), np.linalg.qr(T, mode="r"))
-        KX, KB = K[:, [0, 1, 5]], K[:, [6, 7, 11]]
+        KX, KB = _kron_pair(np.linalg.qr(P, mode="r"), np.linalg.qr(T, mode="r"))
     return fit_from_samples(
         KX,
         KB,

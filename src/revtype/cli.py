@@ -18,6 +18,10 @@ A command runs with NumPy overflow, division by zero and invalid operations
 raised, so such a fault is an input error (exit 1), not a warning, and its
 message names the surface and the stage: validation, fit or the check.  So
 does the message of a profile domain error or an unbound parameter.
+``classify`` and the grid checks evaluate the profile once, in one pass
+over the validation samples and the grid's profile samples; when that pass
+faults, validation and the stage after it evaluate their own samples, one
+after the other, so the fault is named after the stage that meets it.
 
 ``classify`` and each ``verify CHECK`` take one surface, ``--catalog NAME``
 (with ``--param NAME=VALUE``, repeatable) or ``--profile FILE``, and
@@ -71,12 +75,16 @@ EXIT_INCONCLUSIVE = 2
 # that it limits under about 1 GiB, scaled linearly from peaks measured on
 # torus(3, 1) at a quarter of the bound or less: about 0.15 KiB per grid
 # point (position-identity, as JSON or CSV alike), 0.15 KiB per validation
-# sample, and 1.2 KiB per pair (operator-equivalence as CSV, every pair
+# sample (527 MiB at the bound, with the grid jets of the same pass), and
+# 1.2 KiB per pair (operator-equivalence as CSV, every pair
 # found; when nearly every draw is rejected, as on sphere r=100, the draws
 # are screened in passes of at most twice the pairs, so the peak is lower).
 MAX_GRID_POINTS = 2**20
 MAX_SAMPLES = 2**22
 MAX_PAIRS = 2**14
+
+# Validation samples of a verify check, and of classify without --samples.
+VALIDATION_SAMPLES = 101
 
 # Rows per block of CSV output: the writer holds one block of Python
 # values at a time, never a whole report.
@@ -201,22 +209,37 @@ def _config(args, label: str, *names: str) -> dict:
     return config
 
 
+# Evaluation faults: a floating-point fault, a profile domain error or an
+# unbound parameter.
+_FAULTS = (ArithmeticError, ProfileDomainError, EvalError)
+
+
 @contextlib.contextmanager
 def _stage(label: str, stage: str):
     """Name the surface and the stage in an evaluation fault raised inside,
-    a floating-point fault (``sphere(r=1e-160): validation: overflow
-    encountered in multiply``), a profile domain error or an unbound
-    parameter."""
+    as in ``sphere(r=1e-160): validation: overflow encountered in
+    multiply``."""
     try:
         yield
-    except (ArithmeticError, ProfileDomainError, EvalError) as exc:
+    except _FAULTS as exc:
         raise InputError(f"{label}: {stage}: {exc}") from None
 
 
-def _validate(curve: ProfileCurve, config: dict, n_samples: int = 101):
-    validation = geometry.validate_profile(
-        curve, n_samples=n_samples, tol_arc=config["tol_arc"], tol_parab=config["tol_parab"]
-    )
+def _joint_pass(curve: ProfileCurve, n_samples: int, n_s: int):
+    """The validation jets and the grid jets of `geometry.joint_pass`, or
+    (None, None) when that pass faults: validation and the grid stage then
+    evaluate their own samples, in turn, and the first to meet the fault
+    raises it under its own name."""
+    try:
+        return geometry.joint_pass(curve, n_samples, n_s)
+    except _FAULTS:
+        return None, None
+
+
+def _validate(curve: ProfileCurve, config: dict, n_samples: int = VALIDATION_SAMPLES,
+              jets=None):
+    validation = geometry.validate_profile(curve, n_samples=n_samples, tol_arc=config["tol_arc"],
+                                           tol_parab=config["tol_parab"], jets=jets)
     if not validation.passed:
         raise InputError(f"{config['surface']}: profile validation FAILED\n"
                          + json.dumps(validation.to_dict(), indent=2, sort_keys=True))
@@ -226,8 +249,9 @@ def _validate(curve: ProfileCurve, config: dict, n_samples: int = 101):
 def cmd_classify(args) -> int:
     label, curve, entry = _load_surface(args)
     config = _config(args, label, "tol_arc", "tol_parab", "tol_fit", "tol_struct")
+    checked, rows = _joint_pass(curve, args.samples, config["n_s"])
     with _stage(label, "validation"):
-        validation = _validate(curve, config, args.samples)
+        validation = _validate(curve, config, args.samples, checked)
     with _stage(label, "fit"):
         report = classify.fit_matrix(
             curve,
@@ -235,6 +259,7 @@ def cmd_classify(args) -> int:
             n_theta=config["n_theta"],
             tol_parab=args.tol_parab,
             tol_fit=args.tol_fit,
+            jets=rows,
         )
         structure = classify.structure_check(report, tol_struct=args.tol_struct)
     payload = {
@@ -283,40 +308,54 @@ VERIFY_TOLERANCES = {
 }
 
 
-def _run_check(args, curve: ProfileCurve, entry):
+def _lam_mu(args, entry) -> Optional[tuple[float, float]]:
+    """``--lambda`` and ``--mu``, each defaulting to the catalog surface's
+    known one, or None when one is missing."""
+    known = None if entry is None else entry.known_matrix
+    if known is None and (args.lam is None or args.mu is None):
+        return None
+    return (known[0][0] if args.lam is None else args.lam,
+            known[2][2] if args.mu is None else args.mu)
+
+
+def _run_check(args, curve: ProfileCurve, rows, lam_mu: tuple):
     """(worst, details, columns) of the check named by ``args.check``, from
-    the options of its own parser.  The grid checks share one
-    `geometry.grid_rows` pass; operator-equivalence draws its own points.
-    ``--lambda`` and ``--mu`` default to the catalog surface's known ones."""
+    the options of its own parser.  The grid checks take their rows from
+    `geometry.grid_rows` over ``rows``, the grid jets of the joint pass, or
+    over a pass of their own when ``rows`` is None; operator-equivalence
+    draws its own points.  ``lam_mu`` holds eigen-system's and
+    radius-rate's lambda and mu."""
     check = args.check
     if check == "operator-equivalence":
         return beltrami.operator_equivalence_residual(curve, n_pairs=args.pairs,
                                                       seed=args.seed, tol_parab=args.tol_parab)
-    if "lam" in args:  # resolved before the grid pass, so a missing value costs no sampling
-        known = None if entry is None else entry.known_matrix
-        if known is None and (args.lam is None or args.mu is None):
-            raise InputError("this check needs --lambda and --mu for the given surface")
-        lam = known[0][0] if args.lam is None else args.lam
-        mu = known[2][2] if args.mu is None else args.mu
     n_s, n_theta = args.grid
-    jets, excluded = geometry.grid_rows(curve, n_s, args.tol_parab)
+    jets, excluded = geometry.grid_rows(curve, n_s, args.tol_parab, rows)
     if check == "position-identity":
         return beltrami.position_identity_residual(jets, n_theta, excluded)
     if check == "curvature-quotient":
         return geometry.quotient_defects(jets)
     if check == "eigen-system":
-        return classify.eigen_system_residuals(jets, lam, mu)
-    return classify.radius_rate_defect(jets, lam, mu)
+        return classify.eigen_system_residuals(jets, *lam_mu)
+    return classify.radius_rate_defect(jets, *lam_mu)
 
 
 def cmd_verify(args) -> int:
     label, curve, entry = _load_surface(args)
     config = _config(args, label, "tol_arc", "tol_parab", "pairs", "seed")
     check, tol = args.check, args.tol
+    # Resolved before any pass, so a missing value costs no grid sampling,
+    # and reported after validation, so a profile that fails it says so first.
+    lam_mu = _lam_mu(args, entry) if "lam" in args else ()
+    checked = rows = None
+    if "grid" in args and lam_mu is not None:
+        checked, rows = _joint_pass(curve, VALIDATION_SAMPLES, args.grid[0])
     with _stage(label, "validation"):
-        _validate(curve, config)
+        _validate(curve, config, jets=checked)
+    if lam_mu is None:
+        raise InputError("this check needs --lambda and --mu for the given surface")
     with _stage(label, check):
-        worst, details, columns = _run_check(args, curve, entry)
+        worst, details, columns = _run_check(args, curve, rows, lam_mu)
     reason: Optional[str] = None
     if check == "operator-equivalence" and details["pairs"] < args.pairs:
         reason = (f"found {details['pairs']} of {args.pairs} usable sample points "
@@ -423,8 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_surface_options(p_classify)
     p_classify.add_argument("--tol-fit", type=_tolerance, default=classify.DEFAULT_TOL_FIT)
     p_classify.add_argument("--tol-struct", type=_tolerance, default=classify.DEFAULT_TOL_STRUCT)
-    p_classify.add_argument("--samples", type=_count(2, MAX_SAMPLES), default=101,
-                            help="validation sample count (default 101)")
+    p_classify.add_argument("--samples", type=_count(2, MAX_SAMPLES), default=VALIDATION_SAMPLES,
+                            help=f"validation sample count (default {VALIDATION_SAMPLES})")
     p_classify.set_defaults(func=cmd_classify)
 
     p_verify = subs.add_parser("verify", help="run one residual check")

@@ -21,7 +21,10 @@ what `quotient_defects` measures.
 
 A sample set is evaluated once into `RegularJets` by `grid_rows` or by the
 draw screening of operator equivalence; the formulas take those jets.  An
-error in a batch reports the first offending ``s``.
+error in a batch reports the first offending ``s``.  `joint_pass` evaluates
+the validation samples and a grid's profile samples in one pass and splits
+it into two views, which `validate_profile` and `grid_rows` take in place
+of a pass of their own.
 """
 
 from __future__ import annotations
@@ -295,11 +298,24 @@ def sample_regular(p: ProfileCurve, n: int) -> np.ndarray:
     return np.sort(np.concatenate(parts))
 
 
+def joint_pass(p: ProfileCurve, n_samples: int, n_s: int) -> tuple[RegularJets, RegularJets]:
+    """Jets at the validation samples ``sample_regular(p, n_samples)`` and
+    at the grid's profile samples ``sample_regular(p, n_s)``, from one
+    evaluation pass over both: two views of that pass, not yet checked for
+    regularity, for the ``jets`` of `validate_profile` and `grid_rows`.
+    A fault in the pass cannot tell which sample set met it; a caller that
+    names the stage reruns the two passes apart."""
+    samples = sample_regular(p, n_samples)
+    jets = _jets(p, np.concatenate((samples, sample_regular(p, n_s))))
+    return jets[:samples.size], jets[samples.size:]
+
+
 def validate_profile(
     p: ProfileCurve,
     n_samples: int = 101,
     tol_arc: float = DEFAULT_TOL_ARC,
     tol_parab: float = DEFAULT_TOL_PARAB,
+    jets: Optional[RegularJets] = None,
 ) -> ValidationReport:
     """Check the profile contract over a sample of the regular subdomain.
 
@@ -307,24 +323,27 @@ def validate_profile(
     radius f, the minimum |f'g'| (diagnostic only) and the minimum
     non-parabolicity margin min(|phi'|, |sin phi|).  Passing requires the
     defect within ``tol_arc``, a positive radius, and the margin above
-    ``tol_parab``.
+    ``tol_parab``.  ``jets`` are the jets at ``sample_regular(p,
+    n_samples)`` when already evaluated, as by `joint_pass`.
     """
-    samples = sample_regular(p, n_samples)
-    jets = _jets(p, samples)
-    fj, gj = jets.f, jets.g
+    if jets is None:
+        jets = _jets(p, sample_regular(p, n_samples))
+    samples, fj, gj = jets.s, jets.f, jets.g
     defect = np.abs(fj.v1 * fj.v1 + gj.v1 * gj.v1 - 1.0)
     margin = jets.margin
-    # np.max and np.min propagate NaN, so a NaN sample fails every check.
-    max_defect, min_radius, min_margin = np.max(defect), np.min(fj.v0), np.min(margin)
+    # argmax and argmin stop at the first NaN, so a NaN sample is the
+    # extreme read here and fails every check.
+    worst, lowest, tightest = np.argmax(defect), np.argmin(fj.v0), np.argmin(margin)
+    max_defect, min_radius, min_margin = defect[worst], fj.v0[lowest], margin[tightest]
     return ValidationReport(
         n_samples=len(samples),
         max_arc_defect=float(max_defect),
-        arc_defect_at=float(samples[np.argmax(defect)]),
+        arc_defect_at=float(samples[worst]),
         min_radius=float(min_radius),
-        min_radius_at=float(samples[np.argmin(fj.v0)]),
+        min_radius_at=float(samples[lowest]),
         min_tangent_product=float(np.min(np.abs(fj.v1 * gj.v1))),
         min_parab_margin=float(min_margin),
-        parab_margin_at=float(samples[np.argmin(margin)]),
+        parab_margin_at=float(samples[tightest]),
         tol_arc=tol_arc,
         tol_parab=tol_parab,
         arclength_ok=bool(max_defect <= tol_arc),
@@ -334,16 +353,25 @@ def validate_profile(
 
 
 def grid_rows(
-    p: ProfileCurve, n_s: int, tol_parab: float = DEFAULT_TOL_PARAB
+    p: ProfileCurve,
+    n_s: int,
+    tol_parab: float = DEFAULT_TOL_PARAB,
+    jets: Optional[RegularJets] = None,
 ) -> tuple[RegularJets, int]:
     """Profile sample rows for grid evaluation, evaluated in one pass.
 
     Rows whose margin is not above ``tol_parab`` are dropped whole,
     which keeps every retained row's full uniform circle of theta samples.
-    Returns (jets of the kept rows, number excluded).
+    ``jets`` are the jets at ``sample_regular(p, n_s)`` when already
+    evaluated, as by `joint_pass`.  Returns (jets of the kept rows, number
+    excluded); when no row is dropped, the jets are the pass itself,
+    uncopied.
     """
-    jets = _jets(p, sample_regular(p, n_s))
+    if jets is None:
+        jets = _jets(p, sample_regular(p, n_s))
     keep = jets.margin > tol_parab
+    if keep.all():
+        return jets, 0
     return jets[keep], int(np.count_nonzero(~keep))
 
 

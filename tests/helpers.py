@@ -4,7 +4,8 @@ evaluator and a per-point profile sampler, the strict regular-point
 evaluation (`require_regular`) that point tests use, scalar surface
 points, tangents and Gauss-map derivatives, the torus's closed-form mean
 and Gauss curvature, a grid-materialising reference
-for the coordinate fit, a per-point reference for the contradiction scan's
+for the coordinate fit and the full Kronecker product its compressed pair
+is read from, a per-point reference for the contradiction scan's
 lattice and the scan's blocked lattice pass without its cut,
 an interval-subdivision certifier and a per-cell bound for its cells,
 sympy checks of the closure algebra, the coordinate fields, coordinate
@@ -347,6 +348,12 @@ def normal_derivatives(curve, s: float, theta: float) -> tuple[np.ndarray, np.nd
     n_s = np.array([-fj.v1 * dphi * ct, -fj.v1 * dphi * st, -gj.v1 * dphi])
     n_theta = np.array([gj.v1 * st, -gj.v1 * ct, 0.0])
     return n_s, n_theta
+
+
+def reference_kron_pair(R1: np.ndarray, R2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """KX and KB of the compressed fit, read from the whole of np.kron(R1, R2)."""
+    K = np.kron(R1, R2)
+    return K[:, [0, 1, 5]], K[:, [6, 7, 11]]
 
 
 def reference_fit(

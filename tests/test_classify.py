@@ -25,7 +25,7 @@ from revtype import (
 )
 from revtype import classify
 from revtype.classify import fit_from_samples
-from revtype.geometry import grid_rows
+from revtype.geometry import ProfileCurve, grid_rows
 
 from helpers import (
     _edges,
@@ -36,6 +36,7 @@ from helpers import (
     elimination_consistency,
     per_cell_bounds,
     reference_fit,
+    reference_kron_pair,
     reference_scan,
     require_regular,
     subdivision_certifies,
@@ -179,6 +180,25 @@ class TestFitOracle:
         # On exact fits (sphere, catenoid) both residuals are rounding noise
         # near 1e-15, so they agree in absolute terms only.
         assert report.rel_residual == pytest.approx(ref["rel_residual"], rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("grid", [(2, 4), (3, 4), (64, 16)], ids=lambda g: "x".join(map(str, g)))
+    def test_pair_matches_kron_columns(self, monkeypatch, grid):
+        # On 2- and 3-row grids R1 has fewer rows than P has columns.
+        pairs = []
+        kron_pair = classify._kron_pair
+
+        def recording(R1, R2):
+            pairs.append((R1, R2, kron_pair(R1, R2)))
+            return pairs[-1][2]
+
+        monkeypatch.setattr(classify, "_kron_pair", recording)
+        # A torus arc with no excluded interval, so the grid keeps n_s rows.
+        fit_matrix(ProfileCurve.build("arc", "3 + cos(s)", "sin(s)", 0.1, 1.4), *grid)
+        ((R1, R2, got),) = pairs
+        assert R1.shape == (min(grid[0], 4), 4) and R2.shape == (3, 3)
+        for mine, kron in zip(got, reference_kron_pair(R1, R2)):
+            assert mine.shape == kron.shape
+            assert np.ascontiguousarray(mine).tobytes() == kron.tobytes()
 
     def test_allocation_stays_per_row(self):
         curve = torus(3.0, 1.0).curve

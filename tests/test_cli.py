@@ -873,10 +873,11 @@ _BUDGET_SURFACES = (
 
 
 class TestEvaluationBudget:
-    """A command evaluates each expression once per sample set: f and g once
-    for the 101-sample validation and once for the check's own points.
-    Operator equivalence evaluates its random fields in closed form, with
-    no expression pass."""
+    """A command evaluates f and g in at most four passes.  `classify` and
+    the grid checks evaluate each once, in one pass over the validation
+    samples and the grid's profile samples.  Operator equivalence evaluates
+    each twice, for the 101-sample validation and for its draws, and its
+    random fields in closed form, with no expression pass."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -905,7 +906,7 @@ class TestEvaluationBudget:
         with contextlib.redirect_stdout(out):
             assert main([*argv, "--format", fmt]) in (0, 2)
         assert out.getvalue()
-        assert len(passes) == 4
+        assert len(passes) == (4 if command == "operator-equivalence" else 2)
 
 
 class TestParseBudget:
@@ -1247,6 +1248,22 @@ class TestFloatingPointFaults:
     ))
     def test_message_names_surface_and_stage(self, argv, message):
         assert captured(argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", (["classify"], *(["verify", c] for c in VERIFY_CHECKS
+                                                         if c != "operator-equivalence")),
+                             ids=lambda c: c[-1])
+    def test_grid_fault_keeps_its_stage(self, tmp_path, command):
+        # Only the grid sample s = 0.25 of a 2x4 grid meets the domain error,
+        # so the one pass over validation and grid samples faults, and the
+        # error names the grid's stage as when validation ran first alone.
+        path = tmp_path / "gridfault.json"
+        path.write_text(json.dumps({"name": "gridfault", "s_min": 0, "s_max": 1, "g": "sin(s)",
+                                    "f": "2 + cos(s) + 0 * sqrt((s - 0.25)^2)"}))
+        stage = "fit" if command == ["classify"] else command[-1]
+        options = [] if command == ["classify"] else CHECK_OPTIONS[stage]
+        assert captured([*command, "--profile", str(path), "--grid", "2x4", *options]) == (
+            1, "", f"error: gridfault: {stage}: domain error at s=0.25: sqrt of a non-positive "
+                   "value in 'sqrt((s - 0.25)^2)'\n")
 
     @pytest.mark.parametrize("command", (["classify"], *(["verify", c] for c in VERIFY_CHECKS)),
                              ids=lambda c: c[-1])

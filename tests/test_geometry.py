@@ -426,6 +426,45 @@ class TestGrids:
         assert excluded == 1 and len(jets) == 31
         assert not np.isnan(jets.dphi).any()
 
+    @staticmethod
+    def _channels(jets):
+        return (jets.s, jets.f.v0, jets.f.v1, jets.f.v2, jets.f.v3,
+                jets.g.v0, jets.g.v1, jets.g.v2, jets.g.v3, jets.dphi, jets.ddphi)
+
+    def test_regular_rows_are_the_pass_uncopied(self, monkeypatch):
+        passes = []
+        jets_at = geometry._jets
+
+        def recording(p, s):
+            passes.append(jets_at(p, s))
+            return passes[-1]
+
+        monkeypatch.setattr(geometry, "_jets", recording)
+        jets, excluded = grid_rows(torus(3.0, 1.0).curve, 32)
+        (whole,) = passes
+        assert excluded == 0
+        for kept, evaluated in zip(self._channels(jets), self._channels(whole)):
+            assert np.shares_memory(kept, evaluated)
+
+    def test_joint_pass_matches_two_passes(self):
+        curve = torus(3.0, 1.0).curve
+        checked, rows = geometry.joint_pass(curve, 101, 32)
+        for view, n in ((checked, 101), (rows, 32)):
+            alone = geometry._jets(curve, sample_regular(curve, n))
+            for got, want in zip(self._channels(view), self._channels(alone)):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert validate_profile(curve, jets=checked) == validate_profile(curve)
+        kept, excluded = grid_rows(curve, 32, jets=rows)
+        assert kept is rows and excluded == 0
+
+    def test_nan_margin_row_of_a_joint_pass_is_dropped(self):
+        curve = torus(3.0, 1.0).curve
+        _, rows = geometry.joint_pass(curve, 101, 32)
+        rows.dphi[3] = math.nan
+        jets, excluded = grid_rows(curve, 32, jets=rows)
+        assert excluded == 1 and len(jets) == 31
+        assert not np.isnan(jets.dphi).any()
+
     def test_rows_respect_exclusions(self):
         curve = torus(3.0, 1.0).curve
         jets, excluded = grid_rows(curve, 32)
