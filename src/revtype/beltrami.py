@@ -345,8 +345,6 @@ def operator_equivalence_residual(
     """
     rng = np.random.default_rng(seed)
     intervals = p.regular_intervals()
-    if not intervals:
-        raise ValueError("regular subdomain is empty")
     starts = np.array([lo for lo, _ in intervals])
     widths = np.array([hi - lo for lo, hi in intervals])
     cdf = np.cumsum(widths / widths.sum())

@@ -1,9 +1,12 @@
 """Coordinate finite-type analysis: does Laplacian(x) = A x hold?
 
 The decision pipeline fits a constant 3x3 matrix A over a grid by least
-squares, checks the structural block pattern forced by uniform full-circle
-theta sampling, and classifies: the null matrix (catenoid), twice the
-identity (sphere), a definite rejection, or inconclusive.
+squares and classifies: the null matrix (catenoid), twice the identity
+(sphere), a definite rejection, or inconclusive.  On the uniform full
+theta circle the least squares decouples, so the fit is two projections,
+A = diag(lambda, lambda, mu), and the structure check measures how
+orthogonal the circle's columns cos, sin and 1 are, the premise of that
+decoupling.
 
 The companion machinery verifies the algebra that makes the rejection a
 theorem rather than an observation: residuals of the reduced eigen-system,
@@ -42,10 +45,13 @@ DEFAULT_TOL_STRUCT = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class FitReport:
-    """A fit and its verdict. On a degenerate sample set (under 9 points or
-    rank under 3) no matrix is fitted: `matrix`, `rel_residual`, the
-    structure values, `lam` and `mu` are None, and so are `sup_lap` and
-    `sup_position` when there are no points at all."""
+    """A fit and its verdict. `matrix` is diag(lam, lam, mu), with exact
+    zeros off the diagonal, and `offdiag_max` and `diag_split` measure the
+    theta circle, not the matrix (see `fit_columns`). On a degenerate
+    sample set (under 9 points or rank under 3) no matrix is fitted:
+    `matrix`, `rel_residual`, the structure values, `lam` and `mu` are
+    None, and so are `sup_lap` and `sup_position` when there are no points
+    at all."""
 
     matrix: Optional[np.ndarray]
     rel_residual: Optional[float]
@@ -83,51 +89,71 @@ class FitReport:
         }
 
 
-def _structure(A: np.ndarray) -> tuple[float, float]:
+def _circle_structure(n_theta: int) -> tuple[float, float]:
+    """(offdiag_max, diag_split) of ``theta_circle(n_theta)``: the largest
+    absolute correlation between the columns cos, sin and 1, such as
+    |sum cos| / sqrt(n sum cos^2), and |sum cos^2 - sum sin^2| / (n/2)."""
+    thetas = theta_circle(n_theta)
+    cos, sin = np.cos(thetas), np.sin(thetas)
+    cc, ss = float(cos @ cos), float(sin @ sin)
     offdiag = max(
-        abs(A[0, 1]), abs(A[1, 0]), abs(A[0, 2]), abs(A[2, 0]), abs(A[1, 2]), abs(A[2, 1])
+        abs(float(np.sum(cos))) / math.sqrt(n_theta * cc),
+        abs(float(np.sum(sin))) / math.sqrt(n_theta * ss),
+        abs(float(cos @ sin)) / math.sqrt(cc * ss),
     )
-    return float(offdiag), float(abs(A[0, 0] - A[1, 1]))
+    return offdiag, abs(cc - ss) / (0.5 * n_theta)
 
 
-def fit_from_samples(
-    KX: np.ndarray,
-    KB: np.ndarray,
-    n_points: int,
-    sup_lap: Optional[float],
-    sup_position: Optional[float],
-    grid: tuple[int, int] = (0, 0),
+def fit_columns(
+    f: np.ndarray,
+    g: np.ndarray,
+    radial: np.ndarray,
+    axial: np.ndarray,
+    grid: tuple[int, int],
     rows_excluded: int = 0,
     tol_fit: float = DEFAULT_TOL_FIT,
 ) -> FitReport:
-    """Least-squares fit of A in B = X A^T, then the verdict.
+    """The fit of A over the grid rows with profile columns f, g, radial
+    and axial, each repeated around the circle ``theta_circle(n_theta)``,
+    ``n_theta = grid[1]``, then the verdict.
 
-    KX and KB are a compressed pair: X = Q KX and B = Q KB for the grid's
-    samples X and B (one row per point) and one Q with orthonormal
-    columns, so they give the same solution, residual, norm of B and
-    singular values as the samples.  Their rows are not grid points, so
-    the grid's point count and largest row norms of B and X come with
-    them; the norms are None when there are no points.
+    Point (s_i, theta_j) has X = (f_i cos_j, f_i sin_j, g_i) and
+    B = (radial_i cos_j, radial_i sin_j, axial_i).  On a uniform full
+    circle sum cos = sum sin = sum cos sin = 0 and sum cos^2 = sum sin^2 =
+    n/2, so the least squares for B = X A^T decouples into two projections:
+    A = diag(lambda, lambda, mu) with lambda = <radial, f>/<f, f> and
+    mu = <axial, g>/<g, g>.  The singular values of X are |f| sqrt(n/2),
+    twice, and |g| sqrt(n); ``rank`` counts those above
+    max(n_points, 3) * eps times the largest, and no division happens
+    unless all three count.  The residual and the norm of B are grid
+    norms, sqrt(n * sum over rows), as cos^2 + sin^2 = 1 at every theta.
     """
-    rtol = max(n_points, 3) * np.finfo(float).eps
-    rank = int(np.linalg.matrix_rank(KX, rtol=rtol)) if n_points else 0
+    n_theta = grid[1]
+    n_points = len(f) * n_theta
+    ff, gg = float(f @ f), float(g @ g)
+    singular = (math.sqrt(ff * n_theta / 2),) * 2 + (math.sqrt(gg * n_theta),)
+    cut = max(n_points, 3) * np.finfo(float).eps * max(singular)
+    rank = int(sum(value > cut for value in singular))
+    sup_lap = sup_position = None
+    if len(f):
+        sup_position = float(np.max(np.hypot(f, g)))
+        sup_lap = float(np.max(np.hypot(radial, axial)))
     A = rel = offdiag = split = lam = mu = None
     note = ""
     if n_points < 9 or rank < 3:
         verdict = VERDICT_INCONCLUSIVE
         note = f"degenerate sample set: {n_points} points, rank {rank}"
     else:
-        At, *_ = np.linalg.lstsq(KX, KB, rcond=None)
-        A = At.T
-        res = float(np.linalg.norm(KB - KX @ At))
-        b_norm = float(np.linalg.norm(KB))
+        lam, mu = float(radial @ f) / ff, float(axial @ g) / gg
+        A = np.diag([lam, lam, mu])
+        dr, da = radial - lam * f, axial - mu * g
+        res = math.sqrt(n_theta * float(dr @ dr + da @ da))
+        b_norm = math.sqrt(n_theta * float(radial @ radial + axial @ axial))
         rel = res / b_norm if b_norm > 1e-14 else res
-        offdiag, split = _structure(A)
-        lam = 0.5 * float(A[0, 0] + A[1, 1])
-        mu = float(A[2, 2])
-        if sup_lap <= tol_fit * sup_position and float(np.max(np.abs(A))) <= tol_fit:
+        offdiag, split = _circle_structure(n_theta)
+        if sup_lap <= tol_fit * sup_position and max(abs(lam), abs(mu)) <= tol_fit:
             verdict = VERDICT_NULL
-        elif float(np.max(np.abs(A - 2.0 * np.eye(3)))) <= tol_fit and rel <= tol_fit:
+        elif max(abs(lam - 2.0), abs(mu - 2.0)) <= tol_fit and rel <= tol_fit:
             verdict = VERDICT_SPHERE
         elif rel >= TOL_REJECT:
             verdict = VERDICT_NOT
@@ -151,16 +177,6 @@ def fit_from_samples(
     )
 
 
-def _kron_pair(R1: np.ndarray, R2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """KX and KB, columns 0, 1, 5 and 6, 7, 11 of R1 x R2, with no other
-    column formed.  Column 3a + b of R1 x R2 is column a of R1 (4 columns,
-    under 4 rows on 2- and 3-row grids) times column b of R2 (3 x 3), and
-    its row 3i + j the product of their rows i and j: each entry is the one
-    product that np.kron forms for it."""
-    K = (R1[:, None, [0, 0, 1, 2, 2, 3]] * R2[None, :, [0, 1, 2, 0, 1, 2]]).reshape(-1, 6)
-    return K[:, :3], K[:, 3:]
-
-
 def fit_matrix(
     p: ProfileCurve,
     n_s: int = 32,
@@ -169,40 +185,14 @@ def fit_matrix(
     tol_fit: float = DEFAULT_TOL_FIT,
     jets: Optional[RegularJets] = None,
 ) -> FitReport:
-    """Fit the best constant matrix over an n_s x n_theta grid and classify.
-
-    The grid samples X and B are never built. Point (s_i, theta_j) has
-    X = (f_i cos_j, f_i sin_j, g_i) and B = (radial_i cos_j, radial_i sin_j,
-    axial_i), so every column is a Kronecker product of a profile column
-    of P = [f, g, radial, axial] and a circle column of T = [cos, sin, 1].
-    With thin QRs P = Q1 R1 and T = Q2 R2, X = (Q1 x Q2) KX and
-    B = (Q1 x Q2) KB, where KX and KB are at most 12 x 3 columns of
-    R1 x R2 and Q1 x Q2 has orthonormal columns; the fit solves that small
-    problem in O(n_s + n_theta).  ``jets`` are passed on to `grid_rows`.
+    """Fit the best constant matrix over an n_s x n_theta grid and classify:
+    the rows of `grid_rows`, their factors from `laplacian_profile_factors`
+    and the two projections of `fit_columns`, so the grid samples are never
+    built.  ``jets`` are passed on to `grid_rows`.
     """
     jets, excluded = grid_rows(p, n_s, tol_parab, jets)
-    thetas = theta_circle(n_theta)
-    KX = KB = np.empty((0, 3))
-    sup_lap = sup_position = None
-    if len(jets):
-        radial, axial = laplacian_profile_factors(jets)
-        P = np.empty((len(jets), 4))
-        for k, column in enumerate((jets.f.v0, jets.g.v0, radial, axial)):
-            P[:, k] = column
-        sup_position = float(np.max(np.hypot(P[:, 0], P[:, 1])))
-        sup_lap = float(np.max(np.hypot(P[:, 2], P[:, 3])))
-        T = np.column_stack((np.cos(thetas), np.sin(thetas), np.ones(n_theta)))
-        KX, KB = _kron_pair(np.linalg.qr(P, mode="r"), np.linalg.qr(T, mode="r"))
-    return fit_from_samples(
-        KX,
-        KB,
-        n_points=len(jets) * n_theta,
-        sup_lap=sup_lap,
-        sup_position=sup_position,
-        grid=(n_s, n_theta),
-        rows_excluded=excluded,
-        tol_fit=tol_fit,
-    )
+    radial, axial = laplacian_profile_factors(jets)
+    return fit_columns(jets.f.v0, jets.g.v0, radial, axial, (n_s, n_theta), excluded, tol_fit)
 
 
 @dataclass(frozen=True)
@@ -226,11 +216,13 @@ class StructureCheck:
 
 
 def structure_check(report: FitReport, tol_struct: float = DEFAULT_TOL_STRUCT) -> StructureCheck:
-    """Block-diagonality of the fitted matrix.
+    """Orthogonality of the fit's theta circle, the premise of its two
+    projections.
 
-    On uniform full-circle theta grids the least-squares normal equations
-    decouple the harmonics, so off-diagonal entries and the a11 - a22 split
-    must vanish for any revolution surface, finite type or not.
+    `offdiag_max` is the largest absolute correlation between the circle's
+    columns cos, sin and 1, and `diag_split` is
+    |sum cos^2 - sum sin^2| / (n_theta/2); on a uniform full circle both
+    are rounding noise, for any revolution surface, finite type or not.
     """
     return StructureCheck(
         offdiag_max=report.offdiag_max,

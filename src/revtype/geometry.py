@@ -143,7 +143,8 @@ class ProfileCurve:
         return dict(self.params)
 
     def regular_intervals(self) -> list[tuple[float, float]]:
-        """The declared regular subdomain: J minus excluded intervals."""
+        """The declared regular subdomain: J minus excluded intervals.
+        Raises ValueError when they leave nothing, which `build` rules out."""
         intervals = []
         cursor = self.s_min
         for lo, hi in self.excluded:
@@ -152,6 +153,8 @@ class ProfileCurve:
             cursor = max(cursor, hi)
         if cursor < self.s_max:
             intervals.append((cursor, self.s_max))
+        if not intervals:
+            raise ValueError("regular subdomain is empty")
         return intervals
 
 
@@ -288,8 +291,6 @@ def sample_regular(p: ProfileCurve, n: int) -> np.ndarray:
     if n < 2:
         raise ValueError("need at least 2 samples")
     intervals = p.regular_intervals()
-    if not intervals:
-        raise ValueError("regular subdomain is empty")
     total = sum(hi - lo for lo, hi in intervals)
     parts = []
     for lo, hi in intervals:

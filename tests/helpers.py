@@ -4,8 +4,7 @@ evaluator and a per-point profile sampler, the strict regular-point
 evaluation (`require_regular`) that point tests use, scalar surface
 points, tangents and Gauss-map derivatives, the torus's closed-form mean
 and Gauss curvature, a grid-materialising reference
-for the coordinate fit and the full Kronecker product its compressed pair
-is read from, a per-point reference for the contradiction scan's
+for the coordinate fit, a per-point reference for the contradiction scan's
 lattice and the scan's blocked lattice pass without its cut,
 an interval-subdivision certifier and a per-cell bound for its cells,
 sympy checks of the closure algebra, the coordinate fields, coordinate
@@ -280,8 +279,6 @@ def reference_sample_regular(curve, n: int) -> np.ndarray:
     if n < 2:
         raise ValueError("need at least 2 samples")
     intervals = curve.regular_intervals()
-    if not intervals:
-        raise ValueError("regular subdomain is empty")
     total = sum(hi - lo for lo, hi in intervals)
     samples = []
     for lo, hi in intervals:
@@ -348,12 +345,6 @@ def normal_derivatives(curve, s: float, theta: float) -> tuple[np.ndarray, np.nd
     n_s = np.array([-fj.v1 * dphi * ct, -fj.v1 * dphi * st, -gj.v1 * dphi])
     n_theta = np.array([gj.v1 * st, -gj.v1 * ct, 0.0])
     return n_s, n_theta
-
-
-def reference_kron_pair(R1: np.ndarray, R2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """KX and KB of the compressed fit, read from the whole of np.kron(R1, R2)."""
-    K = np.kron(R1, R2)
-    return K[:, [0, 1, 5]], K[:, [6, 7, 11]]
 
 
 def reference_fit(
@@ -879,8 +870,6 @@ def reference_operator_equivalence_residual(
     formulas run once per field on the field's own pairs."""
     rng = np.random.default_rng(seed)
     intervals = p.regular_intervals()
-    if not intervals:
-        raise ValueError("regular subdomain is empty")
     starts = np.array([lo for lo, _ in intervals])
     widths = np.array([hi - lo for lo, hi in intervals])
     cdf = np.cumsum(widths / widths.sum())

@@ -23,9 +23,9 @@ from revtype import (
     structure_check,
     torus,
 )
-from revtype import classify
-from revtype.classify import fit_from_samples
-from revtype.geometry import ProfileCurve, grid_rows
+from revtype import classify, geometry
+from revtype.classify import fit_columns
+from revtype.geometry import grid_rows
 
 from helpers import (
     _edges,
@@ -36,7 +36,6 @@ from helpers import (
     elimination_consistency,
     per_cell_bounds,
     reference_fit,
-    reference_kron_pair,
     reference_scan,
     require_regular,
     subdivision_certifies,
@@ -55,11 +54,11 @@ SCAN_ARGMIN = (0.5, -0.5)
 SCAN_LOWER_BOUND = 0.125 * 300 / 61836
 
 
-def _raw_fit(X, B):
-    """`fit_from_samples` on raw samples, one row per grid point: the point
-    count and the largest row norms of B and X come from the samples."""
-    norms = (float(np.max(np.linalg.norm(M, axis=1))) if len(M) else None for M in (B, X))
-    return fit_from_samples(X, B, len(X), *norms)
+def _columns_fit(f, g):
+    """`fit_columns` on the rows ``f``, ``g`` with random factor columns, on
+    a circle of 4 thetas."""
+    radial, axial = np.random.default_rng(0).uniform(-1, 1, size=(2, len(f)))
+    return fit_columns(f, g, radial, axial, (len(f), 4))
 
 
 class TestFit:
@@ -89,20 +88,20 @@ class TestFit:
         assert np.allclose(small.matrix, large.matrix, atol=1e-10)
 
     def test_degenerate_rank_inconclusive(self):
-        rng = np.random.default_rng(0)
-        X = np.zeros((20, 3))
-        X[:, 0] = rng.uniform(1, 2, size=20)
-        X[:, 2] = 2.0 * X[:, 0]  # rank 1: column 1 is zero, column 2 doubles column 0
-        B = rng.uniform(-1, 1, size=(20, 3))
-        report = _raw_fit(X, B)
+        # g = 0 leaves the axial singular value at zero: rank 2, and no
+        # division by <g, g> (a RuntimeWarning fails the test).
+        f = np.random.default_rng(0).uniform(1, 2, size=20)
+        report = _columns_fit(f, np.zeros(20))
+        assert (report.n_points, report.rank) == (80, 2)
         assert report.verdict == VERDICT_INCONCLUSIVE
         assert "rank" in report.note
-        assert report.rank == 1
+        assert report.matrix is None and report.mu is None
 
     def test_too_few_points_inconclusive(self):
-        X = np.eye(3)
-        report = _raw_fit(X, X)
+        report = _columns_fit(np.array([1.0, 2.0]), np.array([1.0, -1.0]))
+        assert (report.n_points, report.rank) == (8, 3)
         assert report.verdict == VERDICT_INCONCLUSIVE
+        assert report.matrix is None
 
     def test_degenerate_fit_holds_none(self):
         report = fit_matrix(sphere(1.0).curve, 2, 4)
@@ -117,28 +116,18 @@ class TestFit:
         assert not structure_check(report, tol_struct=math.inf).ok
 
     def test_no_points_has_no_row_norms(self):
-        report = _raw_fit(np.empty((0, 3)), np.empty((0, 3)))
+        report = _columns_fit(np.empty(0), np.empty(0))
         assert (report.n_points, report.rank) == (0, 0)
         assert report.sup_lap is None and report.sup_position is None
 
-    def test_compressed_pair_matches_raw_samples(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(200, 3))
-        B = X @ rng.normal(size=(3, 3)) + 1e-3 * rng.normal(size=(200, 3))
-        R = np.linalg.qr(np.column_stack((X, B)), mode="r")
-        raw = _raw_fit(X, B)
-        small = fit_from_samples(R[:, :3], R[:, 3:], n_points=200,
-                                 sup_lap=raw.sup_lap, sup_position=raw.sup_position)
-        assert (small.rank, small.n_points, small.verdict) == (raw.rank, 200, raw.verdict)
-        assert np.allclose(small.matrix, raw.matrix, rtol=0.0, atol=1e-12)
-        assert small.rel_residual == pytest.approx(raw.rel_residual, rel=1e-12)
-
     def test_rank_uses_grid_point_count(self):
-        # Third column at 3e-14 relative: above 3*eps, the threshold for the
-        # 3x3 pair alone, but below 1000*eps, the threshold for the grid.
-        K = np.diag([1.0, 1.0, 3e-14])
-        assert _raw_fit(K, K).rank == 3
-        assert fit_from_samples(K, K, n_points=1000, sup_lap=1.0, sup_position=1.0).rank == 2
+        # The axial singular value |g| sqrt(n) at 3e-14 of the radial
+        # |f| sqrt(n/2): above 4*eps, the threshold on a 1x4 grid, but below
+        # 1000*eps, the threshold on a 250x4 grid.
+        def fit(rows):
+            return _columns_fit(np.ones(rows), np.full(rows, 3e-14 * math.sqrt(0.5)))
+        assert fit(1).rank == 3
+        assert fit(250).rank == 2
 
     def test_report_serialization(self):
         payload = fit_matrix(sphere(1.0).curve).to_dict()
@@ -158,11 +147,12 @@ ORACLE_SURFACES = [
     pytest.param(sphere(_SPHERE_R), id=f"sphere(r={_SPHERE_R:g})"),
     pytest.param(catenoid(_CATENOID_C), id=f"catenoid(c={_CATENOID_C:g})"),
 ]
-ORACLE_GRIDS = [(32, 32), (1024, 16), (64, 4096), (3, 4), (2, 4)]
+# Odd and minimal theta counts too, where the circle sums are least symmetric.
+ORACLE_GRIDS = [(32, 32), (1024, 16), (64, 4096), (3, 4), (2, 4), (17, 5), (33, 7), (16, 4)]
 
 
 class TestFitOracle:
-    """The compressed fit against the grid-materialising reference."""
+    """The two projections against the grid-materialising reference."""
 
     @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=lambda g: "x".join(map(str, g)))
     @pytest.mark.parametrize("entry", ORACLE_SURFACES)
@@ -180,25 +170,6 @@ class TestFitOracle:
         # On exact fits (sphere, catenoid) both residuals are rounding noise
         # near 1e-15, so they agree in absolute terms only.
         assert report.rel_residual == pytest.approx(ref["rel_residual"], rel=1e-12, abs=1e-12)
-
-    @pytest.mark.parametrize("grid", [(2, 4), (3, 4), (64, 16)], ids=lambda g: "x".join(map(str, g)))
-    def test_pair_matches_kron_columns(self, monkeypatch, grid):
-        # On 2- and 3-row grids R1 has fewer rows than P has columns.
-        pairs = []
-        kron_pair = classify._kron_pair
-
-        def recording(R1, R2):
-            pairs.append((R1, R2, kron_pair(R1, R2)))
-            return pairs[-1][2]
-
-        monkeypatch.setattr(classify, "_kron_pair", recording)
-        # A torus arc with no excluded interval, so the grid keeps n_s rows.
-        fit_matrix(ProfileCurve.build("arc", "3 + cos(s)", "sin(s)", 0.1, 1.4), *grid)
-        ((R1, R2, got),) = pairs
-        assert R1.shape == (min(grid[0], 4), 4) and R2.shape == (3, 3)
-        for mine, kron in zip(got, reference_kron_pair(R1, R2)):
-            assert mine.shape == kron.shape
-            assert np.ascontiguousarray(mine).tobytes() == kron.tobytes()
 
     def test_allocation_stays_per_row(self):
         curve = torus(3.0, 1.0).curve
@@ -230,8 +201,22 @@ class TestStructure:
         assert structure_check(report).offdiag_max <= 1e-10
 
     def test_tolerance_respected(self):
+        # The circle's cross sums are measured rounding noise, not zero.
         report = fit_matrix(sphere(1.0).curve)
+        assert 0.0 < report.offdiag_max <= 1e-15
         assert not structure_check(report, tol_struct=1e-30).ok
+
+    @pytest.mark.parametrize("circle", (
+        lambda n: np.where(np.arange(n) == 1, 0.1, geometry.theta_circle(n)),
+        lambda n: np.pi * np.arange(n) / n,
+    ), ids=("moved-angle", "half-circle"))
+    def test_non_uniform_circle_fails(self, monkeypatch, circle):
+        uniform = fit_matrix(sphere(1.0).curve)
+        monkeypatch.setattr(classify, "theta_circle", circle)
+        report = fit_matrix(sphere(1.0).curve)
+        assert (report.lam, report.mu) == (uniform.lam, uniform.mu)
+        assert report.offdiag_max > 1e-3
+        assert not structure_check(report).ok
 
 
 class TestEigenSystem:

@@ -909,6 +909,23 @@ class TestEvaluationBudget:
         assert len(passes) == (4 if command == "operator-equivalence" else 2)
 
 
+class TestLinearAlgebraBudget:
+    """The fit is two projections, so `classify` runs with numpy's
+    least-squares and factorization routines out of reach."""
+
+    @pytest.mark.parametrize("grid", ("32x32", "64x4096"))
+    @pytest.mark.parametrize("surface", _BUDGET_SURFACES, ids=lambda s: s[1])
+    def test_classify_calls_no_solver(self, monkeypatch, surface, grid):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg solver called")
+
+        for name in ("qr", "lstsq", "matrix_rank", "svd"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        code, out, err = captured(["classify", *surface, "--grid", grid])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["fit"]["rank"] == 3
+
+
 class TestParseBudget:
     """A catalog surface's profiles were parsed when `revtype.catalog` was
     imported, so a command on one parses nothing; a profile file's f and g

@@ -21,6 +21,7 @@ from revtype import (
     validate_profile,
 )
 from revtype import geometry
+from revtype.beltrami import operator_equivalence_residual
 from revtype.geometry import RegularJets, quotient_defects
 
 from helpers import (
@@ -517,6 +518,16 @@ class TestProfileFiles:
     def test_fully_excluded_domain(self):
         with pytest.raises(ValueError, match=r"regular subdomain is empty.*\[-1.0, 1.0\]"):
             ProfileCurve.build("x", "s", "s", -1.0, 1.0, excluded=[(-2.0, 0.0), (0.0, 1.0)])
+
+    def test_directly_built_empty_subdomain(self):
+        # A curve that bypasses `build` meets the rule in `regular_intervals`,
+        # so every sampler of the subdomain raises the same error.
+        curve = ProfileCurve("x", sphere(1.0).curve.f, sphere(1.0).curve.g, 0.0, 1.0,
+                             excluded=((0.0, 1.0),))
+        for sample in (curve.regular_intervals, lambda: sample_regular(curve, 8),
+                       lambda: operator_equivalence_residual(curve, 8)):
+            with pytest.raises(ValueError, match=r"^regular subdomain is empty$"):
+                sample()
 
     def test_empty_domain(self):
         with pytest.raises(ValueError, match="empty domain"):
