@@ -33,7 +33,6 @@ evaluation of the profile.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -43,13 +42,14 @@ from .geometry import (
     DEFAULT_TOL_PARAB,
     ProfileCurve,
     RegularJets,
+    _TAU,
     _jets,
     radii_sum_jet,
     theta_circle,
 )
 
-_TAU = 2.0 * math.pi
-
+# Random field/point pairs of `operator_equivalence_residual`.
+DEFAULT_PAIRS = 1000
 # Least |phi'| and |sin(phi)| at a point drawn by
 # `operator_equivalence_residual`.
 DRAW_MARGIN = 0.05
@@ -138,7 +138,7 @@ def second_beltrami_divergence(jets: RegularJets, pu: FieldPartials) -> float:
     dphi, sin_phi = jets.dphi, jets.sin_phi
     # (value, d/ds) pairs for the form components along s.
     e11 = (dphi * dphi, 2.0 * dphi * jets.ddphi)
-    e22 = (sin_phi * sin_phi, 2.0 * sin_phi * jets.g.v2)
+    e22 = (sin_phi * sin_phi, 2.0 * sin_phi * jets.dsin_phi)
     det = (e11[0] * e22[0], e11[0] * e22[1] + e11[1] * e22[0])
     w0 = np.sqrt(det[0])
     w1 = det[1] / (2.0 * w0)
@@ -324,7 +324,7 @@ def field_profiles(fields: RandomFields, which: np.ndarray, s: np.ndarray) -> np
 
 def operator_equivalence_residual(
     p: ProfileCurve,
-    n_pairs: int = 1000,
+    n_pairs: int = DEFAULT_PAIRS,
     seed: int = 0,
     tol_parab: float = DEFAULT_TOL_PARAB,
 ) -> tuple[Optional[float], dict, dict]:

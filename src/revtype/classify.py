@@ -38,25 +38,25 @@ VERDICT_NOT = "NotCoordinateFiniteType"
 VERDICT_INCONCLUSIVE = "Inconclusive"
 
 DEFAULT_TOL_FIT = 1e-6
+# (n_s, n_theta) of a fit's grid.
+DEFAULT_GRID = (32, 32)
 # A fit whose relative residual reaches this admits no constant matrix.
 TOL_REJECT = 1e-2
+# Bound on the theta circle's measured cross sums (`structure_check`).
 DEFAULT_TOL_STRUCT = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
 class FitReport:
     """A fit and its verdict. `matrix` is diag(lam, lam, mu), with exact
-    zeros off the diagonal, and `offdiag_max` and `diag_split` measure the
-    theta circle, not the matrix (see `fit_columns`). On a degenerate
-    sample set (under 9 points or rank under 3) no matrix is fitted:
-    `matrix`, `rel_residual`, the structure values, `lam` and `mu` are
-    None, and so are `sup_lap` and `sup_position` when there are no points
-    at all."""
+    zeros off the diagonal (see `fit_columns`); the theta circle it
+    assumes is measured by `structure_check`. On a degenerate sample set
+    (under 9 points or rank under 3) no matrix is fitted: `matrix`,
+    `rel_residual`, `lam` and `mu` are None, and so are `sup_lap` and
+    `sup_position` when there are no points at all."""
 
     matrix: Optional[np.ndarray]
     rel_residual: Optional[float]
-    offdiag_max: Optional[float]
-    diag_split: Optional[float]
     lam: Optional[float]
     mu: Optional[float]
     verdict: str
@@ -72,10 +72,6 @@ class FitReport:
         return {
             "A": None if self.matrix is None else self.matrix.tolist(),
             "rel_residual": self.rel_residual,
-            "structure": {
-                "offdiag_max": self.offdiag_max,
-                "diag_split": self.diag_split,
-            },
             "lambda": self.lam,
             "mu": self.mu,
             "verdict": self.verdict,
@@ -87,21 +83,6 @@ class FitReport:
             "grid": list(self.grid),
             "note": self.note,
         }
-
-
-def _circle_structure(n_theta: int) -> tuple[float, float]:
-    """(offdiag_max, diag_split) of ``theta_circle(n_theta)``: the largest
-    absolute correlation between the columns cos, sin and 1, such as
-    |sum cos| / sqrt(n sum cos^2), and |sum cos^2 - sum sin^2| / (n/2)."""
-    thetas = theta_circle(n_theta)
-    cos, sin = np.cos(thetas), np.sin(thetas)
-    cc, ss = float(cos @ cos), float(sin @ sin)
-    offdiag = max(
-        abs(float(np.sum(cos))) / math.sqrt(n_theta * cc),
-        abs(float(np.sum(sin))) / math.sqrt(n_theta * ss),
-        abs(float(cos @ sin)) / math.sqrt(cc * ss),
-    )
-    return offdiag, abs(cc - ss) / (0.5 * n_theta)
 
 
 def fit_columns(
@@ -138,7 +119,7 @@ def fit_columns(
     if len(f):
         sup_position = float(np.max(np.hypot(f, g)))
         sup_lap = float(np.max(np.hypot(radial, axial)))
-    A = rel = offdiag = split = lam = mu = None
+    A = rel = lam = mu = None
     note = ""
     if n_points < 9 or rank < 3:
         verdict = VERDICT_INCONCLUSIVE
@@ -150,7 +131,6 @@ def fit_columns(
         res = math.sqrt(n_theta * float(dr @ dr + da @ da))
         b_norm = math.sqrt(n_theta * float(radial @ radial + axial @ axial))
         rel = res / b_norm if b_norm > 1e-14 else res
-        offdiag, split = _circle_structure(n_theta)
         if sup_lap <= tol_fit * sup_position and max(abs(lam), abs(mu)) <= tol_fit:
             verdict = VERDICT_NULL
         elif max(abs(lam - 2.0), abs(mu - 2.0)) <= tol_fit and rel <= tol_fit:
@@ -162,8 +142,6 @@ def fit_columns(
     return FitReport(
         matrix=A,
         rel_residual=rel,
-        offdiag_max=offdiag,
-        diag_split=split,
         lam=lam,
         mu=mu,
         verdict=verdict,
@@ -179,8 +157,8 @@ def fit_columns(
 
 def fit_matrix(
     p: ProfileCurve,
-    n_s: int = 32,
-    n_theta: int = 32,
+    n_s: int = DEFAULT_GRID[0],
+    n_theta: int = DEFAULT_GRID[1],
     tol_parab: float = DEFAULT_TOL_PARAB,
     tol_fit: float = DEFAULT_TOL_FIT,
     jets: Optional[RegularJets] = None,
@@ -215,20 +193,36 @@ class StructureCheck:
         return {**{f.name: getattr(self, f.name) for f in fields(self)}, "ok": self.ok}
 
 
+def _circle_structure(n_theta: int) -> tuple[float, float]:
+    """(offdiag_max, diag_split) of ``theta_circle(n_theta)``: the largest
+    absolute correlation between the columns cos, sin and 1, such as
+    |sum cos| / sqrt(n sum cos^2), and |sum cos^2 - sum sin^2| / (n/2)."""
+    thetas = theta_circle(n_theta)
+    cos, sin = np.cos(thetas), np.sin(thetas)
+    cc, ss = float(cos @ cos), float(sin @ sin)
+    offdiag = max(
+        abs(float(np.sum(cos))) / math.sqrt(n_theta * cc),
+        abs(float(np.sum(sin))) / math.sqrt(n_theta * ss),
+        abs(float(cos @ sin)) / math.sqrt(cc * ss),
+    )
+    return offdiag, abs(cc - ss) / (0.5 * n_theta)
+
+
 def structure_check(report: FitReport, tol_struct: float = DEFAULT_TOL_STRUCT) -> StructureCheck:
-    """Orthogonality of the fit's theta circle, the premise of its two
-    projections.
+    """Orthogonality of the fit's theta circle, ``theta_circle(n_theta)``
+    with ``n_theta = report.grid[1]``, the premise of its two projections.
 
     `offdiag_max` is the largest absolute correlation between the circle's
     columns cos, sin and 1, and `diag_split` is
     |sum cos^2 - sum sin^2| / (n_theta/2); on a uniform full circle both
     are rounding noise, for any revolution surface, finite type or not.
+    They depend on ``n_theta`` alone, so they are measured here rather than
+    in the fit, and only when a matrix was fitted: otherwise both are None.
     """
-    return StructureCheck(
-        offdiag_max=report.offdiag_max,
-        diag_split=report.diag_split,
-        tol_struct=tol_struct,
-    )
+    offdiag = split = None
+    if report.matrix is not None:
+        offdiag, split = _circle_structure(report.grid[1])
+    return StructureCheck(offdiag_max=offdiag, diag_split=split, tol_struct=tol_struct)
 
 
 _EIGEN_RESIDUALS = ("factor", "quotient", "rate")

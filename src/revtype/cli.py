@@ -26,11 +26,11 @@ after the other, so the fault is named after the stage that meets it.
 ``classify`` and each ``verify CHECK`` take one surface, ``--catalog NAME``
 (with ``--param NAME=VALUE``, repeatable) or ``--profile FILE``, and
 ``--tol-arc``, ``--tol-parab``, ``--out`` and ``--format``.  ``classify``
-adds ``--grid``, ``--tol-fit``, ``--tol-struct`` and ``--samples``.  A check
-adds ``--tol``, ``--grid`` or, for operator-equivalence, ``--pairs`` and
-``--seed``, and eigen-system and radius-rate ``--lambda`` and ``--mu``.  A
-report's ``config`` echoes the surface, the grid and the other options its
-command reads, save ``--tol``, ``--lambda``, ``--mu`` and ``--samples``.
+adds ``--grid``, ``--tol-fit`` and ``--samples``.  A check adds ``--tol``,
+``--grid`` or, for operator-equivalence, ``--pairs`` and ``--seed``, and
+eigen-system and radius-rate ``--lambda`` and ``--mu``.  A report's
+``config`` echoes the surface, the grid and the other options its command
+reads, save ``--tol``, ``--lambda``, ``--mu`` and ``--samples``.
 
 Each option value is checked once, by the option's argparse ``type`` at
 parse time, so a bad value exits 1 with a message naming the option before
@@ -65,7 +65,7 @@ import numpy as np
 
 from . import beltrami, catalog, classify, geometry
 from .expressions import EvalError, ExpressionError
-from .geometry import ProfileCurve, ProfileDomainError, ProfileError
+from .geometry import VALIDATION_SAMPLES, ProfileCurve, ProfileDomainError, ProfileError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -82,9 +82,6 @@ EXIT_INCONCLUSIVE = 2
 MAX_GRID_POINTS = 2**20
 MAX_SAMPLES = 2**22
 MAX_PAIRS = 2**14
-
-# Validation samples of a verify check, and of classify without --samples.
-VALIDATION_SAMPLES = 101
 
 # Rows per block of CSV output: the writer holds one block of Python
 # values at a time, never a whole report.
@@ -248,7 +245,7 @@ def _validate(curve: ProfileCurve, config: dict, n_samples: int = VALIDATION_SAM
 
 def cmd_classify(args) -> int:
     label, curve, entry = _load_surface(args)
-    config = _config(args, label, "tol_arc", "tol_parab", "tol_fit", "tol_struct")
+    config = _config(args, label, "tol_arc", "tol_parab", "tol_fit")
     checked, rows = _joint_pass(curve, args.samples, config["n_s"])
     with _stage(label, "validation"):
         validation = _validate(curve, config, args.samples, checked)
@@ -261,7 +258,7 @@ def cmd_classify(args) -> int:
             tol_fit=args.tol_fit,
             jets=rows,
         )
-        structure = classify.structure_check(report, tol_struct=args.tol_struct)
+        structure = classify.structure_check(report)
     payload = {
         "config": config,
         "validation": validation.to_dict(),
@@ -432,8 +429,8 @@ def _add_surface_options(sub, grid: bool = True):
     sub.add_argument("--param", type=_param, action="append", metavar="NAME=VALUE",
                      help="--catalog surface parameter (repeatable)")
     if grid:
-        sub.add_argument("--grid", type=_grid, default=(32, 32),
-                         help="grid as N_SxN_THETA (default 32x32)")
+        sub.add_argument("--grid", type=_grid, default=classify.DEFAULT_GRID,
+                         help="grid as N_SxN_THETA (default {}x{})".format(*classify.DEFAULT_GRID))
     sub.add_argument("--tol-arc", type=_tolerance, default=geometry.DEFAULT_TOL_ARC)
     sub.add_argument("--tol-parab", type=_tolerance, default=geometry.DEFAULT_TOL_PARAB)
     sub.add_argument("--out", help="write the report to this path")
@@ -461,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify = subs.add_parser("classify", help="fit the coordinate matrix and classify")
     _add_surface_options(p_classify)
     p_classify.add_argument("--tol-fit", type=_tolerance, default=classify.DEFAULT_TOL_FIT)
-    p_classify.add_argument("--tol-struct", type=_tolerance, default=classify.DEFAULT_TOL_STRUCT)
     p_classify.add_argument("--samples", type=_count(2, MAX_SAMPLES), default=VALIDATION_SAMPLES,
                             help=f"validation sample count (default {VALIDATION_SAMPLES})")
     p_classify.set_defaults(func=cmd_classify)
@@ -476,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
             p_check.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
             p_check.add_argument("--mu", type=_finite_float, default=None)
         elif check == "operator-equivalence":
-            p_check.add_argument("--pairs", type=_count(1, MAX_PAIRS), default=1000,
-                                 help="random pairs")
+            p_check.add_argument("--pairs", type=_count(1, MAX_PAIRS),
+                                 default=beltrami.DEFAULT_PAIRS, help="random pairs")
             p_check.add_argument("--seed", type=_count(0), default=0, help="seed of the draws")
         p_check.set_defaults(func=cmd_verify)
 

@@ -42,6 +42,8 @@ from .jets import Jet3
 
 DEFAULT_TOL_ARC = 1e-8
 DEFAULT_TOL_PARAB = 1e-3
+# Validation samples of `validate_profile`.
+VALIDATION_SAMPLES = 101
 
 _TAU = 2.0 * math.pi
 
@@ -185,6 +187,11 @@ class RegularJets:
         return self.f.v1
 
     @property
+    def dsin_phi(self):
+        """(sin phi)' = g'' at arclength."""
+        return self.g.v2
+
+    @property
     def margin(self):
         """The non-parabolicity margin min(|phi'|, |sin phi|), broadcast to
         ``s``; a point is parabolic unless its margin exceeds tol_parab, so
@@ -250,10 +257,11 @@ def curvatures(jets: RegularJets) -> tuple[float, float]:
 
 def radii_sum_jet(jets: RegularJets) -> tuple[float, float]:
     """R = 2H/K = 1/phi' + f/sin(phi) and its s-derivative from the jets."""
-    fj, gj, dphi = jets.f, jets.g, jets.dphi
-    R = 1.0 / dphi + fj.v0 / gj.v1
-    # d/ds of f/sin(phi); (sin phi)' = g''.
-    dR = -jets.ddphi / (dphi * dphi) + (fj.v1 * gj.v1 - fj.v0 * gj.v2) / (gj.v1 * gj.v1)
+    f, sin_phi, dphi = jets.f.v0, jets.sin_phi, jets.dphi
+    R = 1.0 / dphi + f / sin_phi
+    # d/ds of f/sin(phi), with f' = cos(phi).
+    dR = (-jets.ddphi / (dphi * dphi)
+          + (jets.cos_phi * sin_phi - f * jets.dsin_phi) / (sin_phi * sin_phi))
     return R, dR
 
 
@@ -313,7 +321,7 @@ def joint_pass(p: ProfileCurve, n_samples: int, n_s: int) -> tuple[RegularJets, 
 
 def validate_profile(
     p: ProfileCurve,
-    n_samples: int = 101,
+    n_samples: int = VALIDATION_SAMPLES,
     tol_arc: float = DEFAULT_TOL_ARC,
     tol_parab: float = DEFAULT_TOL_PARAB,
     jets: Optional[RegularJets] = None,

@@ -106,13 +106,13 @@ class TestFit:
     def test_degenerate_fit_holds_none(self):
         report = fit_matrix(sphere(1.0).curve, 2, 4)
         assert (report.n_points, report.verdict) == (8, VERDICT_INCONCLUSIVE)
-        for value in (report.matrix, report.rel_residual, report.offdiag_max,
-                      report.diag_split, report.lam, report.mu):
+        for value in (report.matrix, report.rel_residual, report.lam, report.mu):
             assert value is None
         assert report.sup_lap > 0.0 and report.sup_position > 0.0
-        payload = report.to_dict()
-        assert payload["A"] is None and payload["structure"]["offdiag_max"] is None
-        assert not structure_check(report).ok
+        assert report.to_dict()["A"] is None
+        check = structure_check(report)
+        assert check.offdiag_max is None and check.diag_split is None
+        assert not check.ok
         assert not structure_check(report, tol_struct=math.inf).ok
 
     def test_no_points_has_no_row_norms(self):
@@ -130,10 +130,34 @@ class TestFit:
         assert fit(250).rank == 2
 
     def test_report_serialization(self):
-        payload = fit_matrix(sphere(1.0).curve).to_dict()
-        assert set(payload) >= {"A", "rel_residual", "structure", "lambda", "mu", "verdict"}
-        assert payload["structure"].keys() == {"offdiag_max", "diag_split"}
+        report = fit_matrix(sphere(1.0).curve)
+        payload = report.to_dict()
+        assert set(payload) >= {"A", "rel_residual", "lambda", "mu", "verdict"}
+        assert "structure" not in payload
+        assert structure_check(report).to_dict().keys() == {
+            "offdiag_max", "diag_split", "tol_struct", "ok"}
         assert len(payload["A"]) == 3 and len(payload["A"][0]) == 3
+
+    @pytest.mark.parametrize("entry", (sphere(1.0), catenoid(1.0), torus(3.0, 1.0)),
+                             ids=("sphere", "catenoid", "torus"))
+    def test_fit_never_measures_the_circle(self, monkeypatch, entry):
+        # The fit reads the profile rows only; the theta circle is measured
+        # by structure_check, and only for a fitted matrix.
+        before = fit_matrix(entry.curve, 64, 4096)
+
+        def forbidden(n_theta):
+            raise AssertionError(f"the circle of {n_theta} thetas was measured")
+
+        monkeypatch.setattr(classify, "_circle_structure", forbidden)
+        report = fit_matrix(entry.curve, 64, 4096)
+        for key in ("lam", "mu", "rel_residual", "verdict"):
+            assert getattr(report, key) == getattr(before, key), key
+        with pytest.raises(AssertionError, match="4096 thetas"):
+            structure_check(report)
+        degenerate = fit_matrix(sphere(1.0).curve, 2, 4)  # 8 points: no matrix
+        assert degenerate.matrix is None
+        check = structure_check(degenerate)
+        assert (check.offdiag_max, check.diag_split, check.ok) == (None, None, False)
 
 
 _RNG = np.random.default_rng(20)
@@ -172,16 +196,18 @@ class TestFitOracle:
         assert report.rel_residual == pytest.approx(ref["rel_residual"], rel=1e-12, abs=1e-12)
 
     def test_allocation_stays_per_row(self):
+        # No array of length n_theta either: 2**19 thetas would take 4 MiB.
         curve = torus(3.0, 1.0).curve
         fit_matrix(curve, 64, 64)  # first-call imports and caches
-        tracemalloc.start()
-        try:
-            report = fit_matrix(curve, 64, 4096)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert report.n_points == 64 * 4096
-        assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        for n_theta in (4096, 2**19):
+            tracemalloc.start()
+            try:
+                report = fit_matrix(curve, 64, n_theta)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert report.n_points == 64 * n_theta
+            assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB at 64x{n_theta}"
 
 
 class TestStructure:
@@ -203,7 +229,7 @@ class TestStructure:
     def test_tolerance_respected(self):
         # The circle's cross sums are measured rounding noise, not zero.
         report = fit_matrix(sphere(1.0).curve)
-        assert 0.0 < report.offdiag_max <= 1e-15
+        assert 0.0 < structure_check(report).offdiag_max <= 1e-15
         assert not structure_check(report, tol_struct=1e-30).ok
 
     @pytest.mark.parametrize("circle", (
@@ -215,8 +241,9 @@ class TestStructure:
         monkeypatch.setattr(classify, "theta_circle", circle)
         report = fit_matrix(sphere(1.0).curve)
         assert (report.lam, report.mu) == (uniform.lam, uniform.mu)
-        assert report.offdiag_max > 1e-3
-        assert not structure_check(report).ok
+        check = structure_check(report)
+        assert check.offdiag_max > 1e-3
+        assert not check.ok
 
 
 class TestEigenSystem:

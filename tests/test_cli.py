@@ -311,6 +311,14 @@ def _readme_verify_tolerances() -> dict[str, float]:
     return {name: float(tol) for name, tol in rows}
 
 
+def _readme_fit_keys() -> list[str]:
+    """The keys of a classify report's ``fit`` object as README's "Report
+    schemas" section lists them, in order."""
+    text = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    listed = text.split("The `fit` object holds ", 1)[1].split(".", 1)[0]
+    return re.findall(r"`([A-Za-z_]+)`", listed)
+
+
 def _readme_options() -> dict[str, list[str]]:
     """The options of each command as the README option table states
     them, keyed by the command's words without its positionals."""
@@ -354,6 +362,10 @@ class TestCheckTable:
         readme = _readme_verify_tolerances()
         assert list(readme.items()) == list(cli.VERIFY_TOLERANCES.items())
 
+    def test_readme_fit_keys_match(self):
+        report = classify.fit_matrix(catalog.make("sphere").curve)
+        assert _readme_fit_keys() == list(report.to_dict())
+
     def test_readme_option_lists_match(self):
         readme = _readme_options()
         assert {"classify", "scan", "catalog export",
@@ -391,9 +403,11 @@ class TestCheckTable:
         ["classify", "--seed", "1"],
         ["verify", "eigen-system", "--tol-fit", "1"],
         ["verify", "eigen-system", "--tol-struct", "1"],
+        pytest.param(["classify", "--tol-struct", "1e-8"], id="classify --tol-struct"),
     ), ids=lambda argv: argv[-2])
     def test_removed_options_are_unrecognized(self, argv):
-        # classify draws nothing, and no verify check reads a fit tolerance.
+        # classify draws nothing, no verify check reads a fit tolerance, and
+        # the theta circle's structure is held to a fixed tolerance.
         code, out, err = captured([*argv, "--catalog", "sphere"])
         assert (code, out) == (1, "")
         assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
@@ -484,8 +498,10 @@ class TestDegenerateFit:
         assert fit["verdict"] == "Inconclusive"
         for key in ("A", "lambda", "mu", "rel_residual"):
             assert fit[key] is None, key
-        assert fit["structure"] == {"offdiag_max": None, "diag_split": None}
-        assert payload["structure"]["ok"] is False
+        assert "structure" not in fit
+        structure = payload["structure"]
+        assert (structure["offdiag_max"], structure["diag_split"]) == (None, None)
+        assert structure["ok"] is False
         if fit["n_points"]:
             assert fit["sup_lap"] > 0.0 and fit["sup_position"] > 0.0
         else:
@@ -985,7 +1001,7 @@ class TestReportDicts:
         elsewhere = {"--catalog", "--profile", "--param", "--out", "--format",
                      "--tol", "--lambda", "--mu", "--samples"}
         values = {"--grid": "8x6", "--tol-arc": "1e-9", "--tol-parab": "1e-4",
-                  "--tol-fit": "1e-6", "--tol-struct": "1e-7", "--pairs": "20", "--seed": "3"}
+                  "--tol-fit": "1e-6", "--pairs": "20", "--seed": "3"}
         echoed = [o for o in _parser_options(command) if o not in elsewhere]
         code, out, _ = captured([*command.split(), "--catalog", "sphere",
                                  *(x for o in echoed for x in (o, values[o]))])
@@ -1033,22 +1049,25 @@ class TestSharedParser:
         assert captured(first) == results[0]
 
 
-_NUMBER_OPTIONS = ("--tol-arc", "--tol-parab", "--tol-fit", "--tol-struct", "--tol",
-                   "--lambda", "--mu")
+_NUMBER_OPTIONS = ("--tol-arc", "--tol-parab", "--tol-fit", "--tol", "--lambda", "--mu")
+# A number option that no command takes any more.
+_REMOVED_NUMBER_OPTIONS = ("--tol-struct",)
 
 
 class TestFiniteOptions:
     @pytest.mark.parametrize("value", ("nan", "inf", "=-inf", "1e400", "abc"))
     @pytest.mark.parametrize("command, option", (
-        *((["classify"], option) for option in _NUMBER_OPTIONS[:4]),
-        *((["verify", "eigen-system"], option) for option in _NUMBER_OPTIONS),
+        *((["classify"], option)
+          for option in (*_NUMBER_OPTIONS[:3], *_REMOVED_NUMBER_OPTIONS)),
+        *((["verify", "eigen-system"], option)
+          for option in (*_NUMBER_OPTIONS, *_REMOVED_NUMBER_OPTIONS)),
     ), ids=lambda x: x[0] if isinstance(x, list) else x)
     def test_rejected_at_parse_naming_the_option(self, command, option, value):
         value = [option + value] if value.startswith("=") else [option, value]
         error = _usage_error([*command, "--catalog", "sphere", *value])
         if option in _parser_options(" ".join(command)):
             assert f"error: argument {option}: expected a finite number, got " in error
-        else:  # verify takes no --tol-fit or --tol-struct
+        else:  # verify takes no --tol-fit, and no command --tol-struct
             assert error.endswith(f"error: unrecognized arguments: {' '.join(value)}")
 
     def test_finite_values_still_reach_the_command(self):
@@ -1060,7 +1079,7 @@ class TestFiniteOptions:
 
     @pytest.mark.parametrize("value", ("0", "-1", "-1e-300"))
     @pytest.mark.parametrize("command, option, dest", (
-        *((["classify"], option, option[2:].replace("-", "_")) for option in _NUMBER_OPTIONS[:4]),
+        *((["classify"], option, option[2:].replace("-", "_")) for option in _NUMBER_OPTIONS[:3]),
         (["verify", "position-identity"], "--tol", "tol"),
     ), ids=lambda x: x[0] if isinstance(x, list) else x)
     def test_tolerance_must_be_positive(self, command, option, dest, value):
