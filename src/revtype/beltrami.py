@@ -195,8 +195,9 @@ def position_identity_residual(
     n_radial, n_axial = normal_profiles(rows)
     # A generator, so one component's partials are alive at a time and the
     # grid arrays stay in cache: building all three first measured 1.2x
-    # slower at 64x64.
-    normals = (separable_partials(a, k, is_cos, thetas)
+    # slower at 64x64.  `first_beltrami` reads no second s-derivative, so
+    # each normal passes (a, a') and no d_ss grid is formed.
+    normals = (separable_partials(a[:2], k, is_cos, thetas)
                for a, k, is_cos in ((n_radial, 1, True), (n_radial, 1, False), (n_axial, 0, True)))
     rhs = [first_beltrami(rows, pr, pn) - R * pn.value for pn in normals]
     d1, d2, d3 = (l - r for l, r in zip(lhs, rhs))

@@ -327,13 +327,36 @@ def _readme_options() -> dict[str, list[str]]:
     return {command.strip(): re.findall(r"`(--[a-z-]+)`", cell) for command, cell in rows}
 
 
+def _subcommands(parser) -> dict:
+    """The subparsers of ``parser`` by name, empty for a leaf."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subs[0].choices if subs else {}
+
+
+def _tree_leaf(argv) -> argparse.ArgumentParser:
+    """The subparser of ``cli._PARSER`` that the first words of ``argv``
+    name, found by walking the tree: the parser of the command's options."""
+    parser = cli._PARSER
+    for word in argv:
+        subs = _subcommands(parser)
+        if not subs:
+            break
+        parser = subs[word]
+    return parser
+
+
+def _tree_leaves(parser, words=()) -> dict:
+    """Every leaf of the tree under ``parser``, keyed by its words."""
+    subs = _subcommands(parser)
+    if not subs:
+        return {words: parser}
+    return {k: v for name, sub in subs.items() for k, v in _tree_leaves(sub, (*words, name)).items()}
+
+
 def _parser_options(command: str) -> list[str]:
     """The option strings, help aside, that ``cli._PARSER`` gives a
     command named by its words, such as ``catalog export``."""
-    parser = cli._PARSER
-    for word in command.split():
-        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        parser = subs.choices[word]
+    parser = _tree_leaf(command.split())
     return [o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help")]
 
 
@@ -1016,8 +1039,9 @@ class TestReportDicts:
 
 
 class TestSharedParser:
-    """``main`` parses with the parser built at import, and a parse leaves
-    nothing behind in it for the next call."""
+    """``main`` parses with the parser built at import: with the subparser
+    of the command that argv names, or with the whole tree when it names
+    none.  A parse leaves nothing behind in it for the next call."""
 
     def test_main_never_builds_a_parser(self, monkeypatch):
         calls = []
@@ -1047,6 +1071,76 @@ class TestSharedParser:
             results.append(captured(argv))
             assert results[-1][0] == code, argv
         assert captured(first) == results[0]
+
+
+# Command lines that a leaf parses in part or that no leaf parses: the
+# usage errors of each level, an abbreviated option, words after ``--``,
+# and the help of the levels above the leaves.
+_DISPATCH_CORPUS = (
+    [], ["-h"], ["verify", "-h"], ["catalog", "-h"], ["verify", "nope"], ["classif"],
+    ["verify"], ["catalog"],
+    ["verify", "--catalog", "sphere", "position-identity"],
+    ["classify", "--catalog", "sphere", "extra"],
+    ["catalog", "list", "extra"],
+    ["scan", "--step", "0.5", "--"],
+    ["classify", "--", "--catalog", "sphere"],
+    ["classify", "--cat", "sphere", "--grid", "8x8"],
+    ["verify", "position-identity", "--catalog", "sphere", "--pairs", "20"],
+    ["classify", "--catalog", "sphere", "--format", "xml"],
+    ["classify", "--catalog", "sphere", "--grid", "1x1"],
+    ["catalog", "export"],
+)
+
+
+class TestLeafDispatch:
+    """A command that names a leaf, a command with no further subcommand,
+    is parsed by that leaf's parser alone, with the bytes that the whole
+    tree gives."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        parsers = []
+        real = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            parsers.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        return parsers
+
+    def test_table_holds_the_tree_leaves(self):
+        tree = _tree_leaves(cli._PARSER)
+        assert list(cli._PARSER.leaves) == list(tree)
+        assert all(cli._PARSER.leaves[words] is leaf for words, leaf in tree.items())
+
+    def test_one_parse_per_command(self, parses, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        named = set()
+        for argv in _readme_usage():
+            parses.clear()
+            captured(argv)
+            assert parses == [_tree_leaf(argv)], argv
+            named.add(parses[0])
+        assert named == set(cli._PARSER.leaves.values())
+
+    def test_whole_tree_prints_the_same_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        corpus = [*_readme_usage(), *_DISPATCH_CORPUS,
+                  *([*words, "-h"] for words in cli._PARSER.leaves)]
+        program = [captured(argv) for argv in corpus]
+        monkeypatch.setattr(cli._PARSER, "leaves", {})
+        for argv, got in zip(corpus, program):
+            assert captured(argv) == got, argv
+
+    def test_main_reads_sys_argv(self, parses, monkeypatch):
+        # As the ``revtype`` script and ``python -m revtype`` call it.
+        argv = ["verify", "radius-rate", "--catalog", "sphere"]
+        monkeypatch.setattr(sys, "argv", ["revtype", *argv])
+        got = captured(None)
+        assert parses == [_tree_leaf(argv)]
+        assert got[0] == 0
+        assert got == captured(argv)
 
 
 _NUMBER_OPTIONS = ("--tol-arc", "--tol-parab", "--tol-fit", "--tol", "--lambda", "--mu")
