@@ -40,6 +40,9 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 DEFAULT_TOL_FIT = 1e-6
 # (n_s, n_theta) of a fit's grid.
 DEFAULT_GRID = (32, 32)
+# Range of lambda and of mu, and lattice step, of `contradiction_scan`.
+DEFAULT_SCAN_RANGE = (-10.0, 10.0)
+DEFAULT_SCAN_STEP = 0.25
 # A fit whose relative residual reaches this admits no constant matrix.
 TOL_REJECT = 1e-2
 # Bound on the theta circle's measured cross sums (`structure_check`).
@@ -468,13 +471,11 @@ def _windows(lam: np.ndarray, mus: np.ndarray, ub: float, gap: float):
     the strip on that end's side of lam and its |c4|, from
     `quartic_coefficients` itself, exceeds ub, no point beyond it is on the
     strip or reaches ub.  Otherwise the window runs to that end of the row.
-    A row whose hint keeps half of it or more is kept whole unchecked; with
-    ub = inf every row is.
+    So at most two points of a row are checked; with ub = inf every hint,
+    and so every window, spans its whole row.
     """
     n = mus.size
     lo, hi = _window_hint(lam, mus, ub, gap)
-    wide = 2 * (hi - lo) >= n
-    lo[wide], hi[wide] = 0, n
     left, right = np.flatnonzero(lo > 0), np.flatnonzero(hi < n)
     row = np.concatenate((lam[left], lam[right]))
     mu = np.concatenate((mus[lo[left] - 1], mus[hi[right]]))
@@ -554,9 +555,9 @@ def _lattice_minimum(lams: np.ndarray, mus: np.ndarray, gap: float):
 # 1e100 of the origin, and U does once a range reaches past about 7e153.
 @np.errstate(over="raise", invalid="raise")
 def contradiction_scan(
-    lam_range: tuple[float, float] = (-10.0, 10.0),
-    mu_range: tuple[float, float] = (-10.0, 10.0),
-    step: float = 0.25,
+    lam_range: tuple[float, float] = DEFAULT_SCAN_RANGE,
+    mu_range: tuple[float, float] = DEFAULT_SCAN_RANGE,
+    step: float = DEFAULT_SCAN_STEP,
 ) -> ScanCertificate:
     """Scan (lam, mu) pairs with lam != mu and certify that the closure
     coefficients (c4, c2, c0) never vanish simultaneously.

@@ -21,7 +21,10 @@ does the message of a profile domain error or an unbound parameter.
 ``classify`` and the grid checks evaluate the profile once, in one pass
 over the validation samples and the grid's profile samples; when that pass
 faults, validation and the stage after it evaluate their own samples, one
-after the other, so the fault is named after the stage that meets it.
+after the other, so the fault is named after the stage that meets it.  One
+helper, `_profile_stage`, runs that pass, its fallback and validation for
+every command.  A grid check that needs ``--lambda`` and ``--mu`` reports
+a missing one after validation, so a profile that fails it says so first.
 
 ``classify`` and each ``verify CHECK`` take one surface, ``--catalog NAME``
 (with ``--param NAME=VALUE``, repeatable) or ``--profile FILE``, and
@@ -163,7 +166,7 @@ def _load_surface(args) -> tuple[str, ProfileCurve, Optional[catalog.CatalogEntr
             curve = geometry.load_profile(args.profile)
         except FileNotFoundError:
             raise InputError(f"profile file not found: {args.profile}") from None
-        except (json.JSONDecodeError, ValueError, ExpressionError) as exc:
+        except (json.JSONDecodeError, ValueError, ExpressionError, RecursionError) as exc:
             raise InputError(f"bad profile file {args.profile}: {exc}") from None
         return curve.name, curve, None
     try:
@@ -226,33 +229,31 @@ def _stage(label: str, stage: str):
         raise InputError(f"{label}: {stage}: {exc}") from None
 
 
-def _joint_pass(curve: ProfileCurve, n_samples: int, n_s: int):
-    """The validation jets and the grid jets of `geometry.joint_pass`, or
-    (None, None) when that pass faults: validation and the grid stage then
-    evaluate their own samples, in turn, and the first to meet the fault
-    raises it under its own name."""
-    try:
-        return geometry.joint_pass(curve, n_samples, n_s)
-    except _FAULTS:
-        return None, None
-
-
-def _validate(curve: ProfileCurve, config: dict, n_samples: int = VALIDATION_SAMPLES,
-              jets=None):
-    validation = geometry.validate_profile(curve, n_samples=n_samples, tol_arc=config["tol_arc"],
-                                           tol_parab=config["tol_parab"], jets=jets)
+def _profile_stage(label: str, curve: ProfileCurve, config: dict, n_samples: int, n_s: int):
+    """The `ValidationReport` of a passing profile and the grid jets of its
+    ``n_s`` rows, from one `geometry.joint_pass` over the validation samples
+    and the grid's profile samples (none when ``n_s`` is 0).  When that pass
+    faults, validation evaluates its own samples and the grid jets are None,
+    so the grid stage evaluates its own rows: the first stage to meet the
+    fault raises it under its own name."""
+    checked = rows = None
+    if n_s:
+        with contextlib.suppress(*_FAULTS):
+            checked, rows = geometry.joint_pass(curve, n_samples, n_s)
+    with _stage(label, "validation"):
+        validation = geometry.validate_profile(curve, n_samples=n_samples,
+                                               tol_arc=config["tol_arc"],
+                                               tol_parab=config["tol_parab"], jets=checked)
     if not validation.passed:
-        raise InputError(f"{config['surface']}: profile validation FAILED\n"
+        raise InputError(f"{label}: profile validation FAILED\n"
                          + json.dumps(validation.to_dict(), indent=2, sort_keys=True))
-    return validation
+    return validation, rows
 
 
 def cmd_classify(args) -> int:
     label, curve, entry = _load_surface(args)
     config = _config(args, label, "tol_arc", "tol_parab", "tol_fit")
-    checked, rows = _joint_pass(curve, args.samples, config["n_s"])
-    with _stage(label, "validation"):
-        validation = _validate(curve, config, args.samples, checked)
+    validation, rows = _profile_stage(label, curve, config, args.samples, config["n_s"])
     with _stage(label, "fit"):
         report = classify.fit_matrix(
             curve,
@@ -309,12 +310,12 @@ VERIFY_TOLERANCES = {
 }
 
 
-def _lam_mu(args, entry) -> Optional[tuple[float, float]]:
+def _lam_mu(args, entry) -> tuple[float, float]:
     """``--lambda`` and ``--mu``, each defaulting to the catalog surface's
-    known one, or None when one is missing."""
+    known one; an input error when one is missing."""
     known = None if entry is None else entry.known_matrix
     if known is None and (args.lam is None or args.mu is None):
-        return None
+        raise InputError("this check needs --lambda and --mu for the given surface")
     return (known[0][0] if args.lam is None else args.lam,
             known[2][2] if args.mu is None else args.mu)
 
@@ -345,16 +346,9 @@ def cmd_verify(args) -> int:
     label, curve, entry = _load_surface(args)
     config = _config(args, label, "tol_arc", "tol_parab", "pairs", "seed")
     check, tol = args.check, args.tol
-    # Resolved before any pass, so a missing value costs no grid sampling,
-    # and reported after validation, so a profile that fails it says so first.
+    _, rows = _profile_stage(label, curve, config, VALIDATION_SAMPLES, config.get("n_s", 0))
+    # After validation, so a profile that fails it says so first.
     lam_mu = _lam_mu(args, entry) if "lam" in args else ()
-    checked = rows = None
-    if "grid" in args and lam_mu is not None:
-        checked, rows = _joint_pass(curve, VALIDATION_SAMPLES, args.grid[0])
-    with _stage(label, "validation"):
-        _validate(curve, config, jets=checked)
-    if lam_mu is None:
-        raise InputError("this check needs --lambda and --mu for the given surface")
     with _stage(label, check):
         worst, details, columns = _run_check(args, curve, rows, lam_mu)
     reason: Optional[str] = None
@@ -498,9 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = add_leaf(subs, cmd_scan, {"command": "scan"},
                       help="closure-coefficient contradiction scan")
-    p_scan.add_argument("--lambda-range", nargs=2, type=float, default=(-10.0, 10.0))
-    p_scan.add_argument("--mu-range", nargs=2, type=float, default=(-10.0, 10.0))
-    p_scan.add_argument("--step", type=float, default=0.25)
+    p_scan.add_argument("--lambda-range", nargs=2, type=float, default=classify.DEFAULT_SCAN_RANGE)
+    p_scan.add_argument("--mu-range", nargs=2, type=float, default=classify.DEFAULT_SCAN_RANGE)
+    p_scan.add_argument("--step", type=float, default=classify.DEFAULT_SCAN_STEP)
     p_scan.add_argument("--out", help="write the certificate to this path")
 
     p_cat = subs.add_parser("catalog", help="list or export built-in surfaces")

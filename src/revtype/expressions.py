@@ -17,12 +17,15 @@ Exponents that fold to an exact rational constant become closed-form power
 nodes; everything else is rewritten to ``exp(g*ln(f))`` with the attendant
 positivity restriction on the base.  A folded exponent whose numerator or
 denominator needs more than MAX_EXPONENT_BITS bits is a parse error, raised
-before the fold computes any power that must exceed that bound.  Error
-offsets are 0-based byte offsets into the source text.
+before the fold computes any power that must exceed that bound.  A number
+literal that is not finite, such as ``1e999``, and a tree or parse nested
+past MAX_DEPTH are parse errors too.  Error offsets are 0-based byte
+offsets into the source text.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -38,6 +41,14 @@ from .jets import Jet3, JetDomainError
 #: Bit length bound on a folded exponent's numerator and denominator, so the
 #: fold's powers and `jets.pow_int`'s loop stay small whatever the text says.
 MAX_EXPONENT_BITS = 64
+
+#: Bound on the depth of a parsed tree and, two levels over it, on the
+#: nesting of the parser's recursion, so parsing, evaluation, unparsing and
+#: folding recurse at most a few hundred frames deep whatever the text says.
+#: The two levels hold the parenthesis and minus sign that `unparse` writes
+#: in an exponent, as in ``s^(-1.0)``: every parsed tree unparses to text
+#: that parses again.
+MAX_DEPTH = 100
 
 
 class ExpressionError(Exception):
@@ -154,10 +165,16 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent.  Each rule returns its tree with the tree's depth,
+    a parse error past MAX_DEPTH, and ``nesting`` counts the `unary` calls
+    open, through which every recursion passes, a parse error past
+    MAX_DEPTH + 2."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -174,54 +191,77 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Expr:
-        node = self.expr()
+        node, _ = self.expr()
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(f"unexpected {tok.text!r}", tok.offset)
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
+    @staticmethod
+    def deeper(offset: int, *depths: int) -> int:
+        """Depth of a node over children of ``depths``, or a ParseError at
+        ``offset`` past MAX_DEPTH."""
+        depth = 1 + max(depths)
+        if depth > MAX_DEPTH:
+            raise ParseError("expression nested too deeply", offset)
+        return depth
+
+    def expr(self) -> tuple[Expr, int]:
+        node, depth = self.term()
         while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.term())
-        return node
+            tok = self.advance()
+            rhs, rhs_depth = self.term()
+            node, depth = BinOp(tok.kind, node, rhs), self.deeper(tok.offset, depth, rhs_depth)
+        return node, depth
 
-    def term(self) -> Expr:
-        node = self.unary()
+    def term(self) -> tuple[Expr, int]:
+        node, depth = self.unary()
         while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.unary())
-        return node
+            tok = self.advance()
+            rhs, rhs_depth = self.unary()
+            node, depth = BinOp(tok.kind, node, rhs), self.deeper(tok.offset, depth, rhs_depth)
+        return node, depth
 
-    def unary(self) -> Expr:
-        if self.peek().kind == "-":
+    def unary(self) -> tuple[Expr, int]:
+        tok = self.peek()
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH + 2:
+            raise ParseError("expression nested too deeply", tok.offset)
+        if tok.kind == "-":
             self.advance()
-            return Func("neg", self.unary())
-        return self.power()
+            arg, depth = self.unary()
+            node, depth = Func("neg", arg), self.deeper(tok.offset, depth)
+        else:
+            node, depth = self.power()
+        self.nesting -= 1
+        return node, depth
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self) -> tuple[Expr, int]:
+        base, depth = self.atom()
         if self.peek().kind != "^":
-            return base
+            return base, depth
         self.advance()
         at = self.peek().offset
         # The exponent is parsed at unary level so '^' stays right-associative
         # and forms like s^-2 are accepted.
-        exponent = self.unary()
+        exponent, exponent_depth = self.unary()
         folded = _fold_rational(exponent, at)
         if folded is not None:
             if _bits(folded) > MAX_EXPONENT_BITS:
                 raise ParseError("exponent too large", at)
-            return Pow(base, folded)
+            return Pow(base, folded), self.deeper(at, depth)
         # Non-constant exponent: general power via exp/ln.
-        return Func("exp", BinOp("*", exponent, Func("ln", base)))
+        return (Func("exp", BinOp("*", exponent, Func("ln", base))),
+                self.deeper(at, exponent_depth + 1, depth + 2))
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Num(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ParseError("number out of range", tok.offset)
+            return Num(value), 1
         if tok.kind == "ident":
             self.advance()
             if self.peek().kind == "(":
@@ -239,14 +279,15 @@ class _Parser:
                     raise ArityError(
                         f"'{tok.text}' takes 1 argument, got {len(args)}", tok.offset
                     )
-                return Func(tok.text, args[0])
+                arg, depth = args[0]
+                return Func(tok.text, arg), self.deeper(tok.offset, depth)
             if tok.text in jets.FUNCTIONS:
                 raise ParseError(
                     f"function '{tok.text}' used without arguments", tok.offset
                 )
             if tok.text == "s":
-                return Var()
-            return Param(tok.text)
+                return Var(), 1
+            return Param(tok.text), 1
         if tok.kind == "(":
             self.advance()
             node = self.expr()

@@ -142,6 +142,17 @@ def random_expression(rng, depth: int = 4) -> str:
     return f"({random_expression(rng, depth - 1)})^{exponent}"
 
 
+#: Texts nested past `expressions.MAX_DEPTH`, keyed by their shape.  Without
+#: the bound each overflowed the stack, in parsing or, for the flat sum, in
+#: evaluation.
+DEEP_TEXTS = {
+    "parentheses": "(" * 197 + "s" + ")" * 197,
+    "minus-signs": "-" * 983 + "s",
+    "powers": "^".join(["s"] * 491),
+    "flat-sum": " + ".join(["s"] * 986),
+}
+
+
 #: Offsets from s0 at which `fd_derivatives` evaluates its function.
 FD_WINDOW = (-2e-3, -1e-3, -1e-4, -1e-5, 1e-5, 1e-4, 1e-3, 2e-3)
 

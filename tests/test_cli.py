@@ -22,6 +22,7 @@ from revtype import beltrami, catalog, classify, cli, expressions, geometry
 from revtype.cli import main
 
 from helpers import (
+    DEEP_TEXTS,
     per_cell_bounds,
     reference_catalog_make,
     reference_eval_jet3,
@@ -460,6 +461,12 @@ class TestCheckTable:
             1, "", "error: this check needs --lambda and --mu for the given surface\n")
         assert calls == []
 
+    @pytest.mark.parametrize("check", ("eigen-system", "radius-rate"))
+    def test_failed_validation_comes_before_missing_lambda(self, check):
+        code, out, err = captured(["verify", check, "--catalog", "broken-diagonal"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: broken-diagonal: profile validation FAILED\n")
+
 
 class TestCsvOutput:
     def _points(self, check, payload):
@@ -872,6 +879,20 @@ class TestErrors:
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"error: bad profile file {profile}: exponent too large")
         assert float(proc.stdout) < 1.0
+
+    @pytest.mark.parametrize("command", (["classify"], ["verify", "position-identity"]),
+                             ids=lambda c: c[-1])
+    @pytest.mark.parametrize("content", (
+        *(json.dumps({**TORUS_NO_COLLARS, "f": text}) for text in DEEP_TEXTS.values()),
+        json.dumps({**TORUS_NO_COLLARS, "f": "2 + 1e999 * s"}),
+        "[" * 100000 + "]" * 100000,
+    ), ids=(*DEEP_TEXTS, "1e999", "nested-arrays"))
+    def test_deep_or_out_of_range_profile(self, tmp_path, command, content):
+        profile = tmp_path / "p.json"
+        profile.write_text(content)
+        code, out, err = captured([*command, "--profile", str(profile)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: bad profile file {profile}: ") and "Traceback" not in err
 
     def test_pairs_must_be_positive(self):
         assert _usage_error(["verify", "operator-equivalence", "--catalog", "sphere",

@@ -13,9 +13,26 @@ from revtype import (
     parse,
     unparse,
 )
-from revtype.expressions import ArityError, BinOp, Func, Num, Param, Pow, UnknownFunctionError, Var
+from revtype.expressions import (
+    MAX_DEPTH,
+    ArityError,
+    BinOp,
+    Func,
+    Num,
+    Param,
+    Pow,
+    UnknownFunctionError,
+    Var,
+)
 
-from helpers import FD_WINDOW, eval_value, reference_eval_jet3, sample_well_behaved, sympy_jet
+from helpers import (
+    DEEP_TEXTS,
+    FD_WINDOW,
+    eval_value,
+    reference_eval_jet3,
+    sample_well_behaved,
+    sympy_jet,
+)
 
 
 class TestParse:
@@ -103,6 +120,35 @@ class TestParse:
         assert parse("s^(2^63)") == Pow(Var(), Fraction(2**63))
         assert parse("s^-(1/2)^63") == Pow(Var(), Fraction(-1, 2**63))
         assert parse("s^(1^1000)") == Pow(Var(), Fraction(1))
+
+    @pytest.mark.parametrize("name, offset", (
+        ("parentheses", 102), ("minus-signs", 102), ("powers", 204), ("flat-sum", 398),
+    ))
+    def test_deep_text_is_a_parse_error(self, name, offset):
+        with pytest.raises(ParseError, match="expression nested too deeply") as err:
+            parse(DEEP_TEXTS[name])
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("text", (
+        "sin(" * (MAX_DEPTH - 1) + "s" + ")" * (MAX_DEPTH - 1),
+        " + ".join(["s"] * MAX_DEPTH),
+        "-" * (MAX_DEPTH - 1) + "s",
+        "(" * (MAX_DEPTH + 1) + "s" + ")" * (MAX_DEPTH + 1),
+        # unparse writes s^(-1.0), two levels deeper than the tree.
+        "cos(" * (MAX_DEPTH - 2) + "s^-1" + ")" * (MAX_DEPTH - 2),
+    ), ids=("functions", "flat-sum", "minus-signs", "parentheses", "exponent"))
+    def test_text_at_the_bound_round_trips_and_evaluates(self, text):
+        tree = parse(text)
+        assert parse(unparse(tree)) == tree
+        assert np.isfinite(eval_jet3(tree, np.linspace(0.5, 1.0, 3)).v3).all()
+        with pytest.raises(ParseError, match="expression nested too deeply"):
+            parse("-" + text)
+
+    @pytest.mark.parametrize("text, offset", (("s^1e999", 2), ("2 + 1e999 * s", 4)))
+    def test_number_out_of_range(self, text, offset):
+        with pytest.raises(ParseError, match="number out of range") as err:
+            parse(text)
+        assert err.value.offset == offset
 
     def test_catalog_trees_unchanged_by_the_exponent_bound(self, monkeypatch):
         from revtype import catalog, expressions
