@@ -22,8 +22,10 @@ one call serves a batch of points drawn from many fields.
 random fields that `random_fields` draws as plain data, all fields at once
 with one generator call per quantity: per field, the coefficient,
 frequency and sin/cos flag of each trigonometric term, the optional ``s``
-and ``s^2`` coefficients, the harmonic and the trig.  `field_labels`
-writes a field's profile as text, for the CSV ``field`` column only.
+and ``s^2`` coefficients, the harmonic and whether the trig is cos.
+`field_labels` writes a field's profile as text and `RandomFields.trig`
+its trig as ``"cos"`` or ``"sin"``, for the CSV ``field`` and ``trig``
+columns only.
 `field_profiles` evaluates the profile jets of every pair's field from
 closed forms in one array pass, with the bits that `eval_jet3` gives on the
 parsed label, so no expression tree is built or walked.  The sample points
@@ -63,28 +65,31 @@ class FieldPartials:
     d_s: float
     d_ss: Optional[float]
     d_theta: float
-    d_thetatheta: float
+    d_thetatheta: Optional[float]
 
 
 def separable_partials(a: Sequence, harmonic, is_cos, theta) -> FieldPartials:
     """Partials of a(s) * trig(k theta) from the profile jets ``a`` =
     (a, a'[, a'']), with trig cos where ``is_cos`` holds and sin elsewhere.
-    ``harmonic`` and ``is_cos`` are one field's int and bool or integer
-    and bool arrays with one entry per point, so one call serves a batch of
-    points from many fields."""
+    ``harmonic`` and ``is_cos`` are one field's int and bool, or integer
+    and bool arrays that broadcast against ``a`` and ``theta``: one entry
+    per point serves a batch of points from many fields, and a leading axis
+    stacks several fields over the same points.  From (a, a') alone the
+    partials are first order, for `first_beltrami`: ``d_ss`` and
+    ``d_thetatheta`` are None."""
     k = harmonic
     kt = k * theta
     cos_kt, sin_kt = np.cos(kt), np.sin(kt)
     # [()] turns the 0-d result of scalar arguments back into a scalar.
     t = np.where(is_cos, cos_kt, sin_kt)[()]
     dt = np.where(is_cos, -k * sin_kt, k * cos_kt)[()]
-    ddt = -k * k * t
+    second = len(a) > 2
     return FieldPartials(
         value=a[0] * t,
         d_s=a[1] * t,
-        d_ss=a[2] * t if len(a) > 2 else None,
+        d_ss=a[2] * t if second else None,
         d_theta=a[0] * dt,
-        d_thetatheta=a[0] * ddt,
+        d_thetatheta=a[0] * (-k * k * t) if second else None,
     )
 
 
@@ -166,6 +171,10 @@ def laplacian_profile_factors(jets: RegularJets) -> tuple[float, float]:
     return radial, axial
 
 
+# The cos and sin parts of a stacked pass, on its leading axis.
+_COS_SIN = np.array([True, False]).reshape(2, 1, 1)
+
+
 def position_identity_residual(
     jets: RegularJets, n_theta: int, rows_excluded: int
 ) -> tuple[Optional[float], dict, dict]:
@@ -176,11 +185,14 @@ def position_identity_residual(
     over the grid rows ``jets`` of `grid_rows`, each row on the full
     ``n_theta`` circle.  The left side comes from the coordinate-Laplacian
     factors, the right side from `first_beltrami` applied componentwise to
-    the normal, both as (rows, n_theta) arrays.  Returns the worst
-    residual, the details ``max_residual``, ``at_s``, ``at_theta``,
-    ``points_used`` and ``rows_excluded``, and the CSV columns as
-    (rows, n_theta) arrays; with no rows the residual and location are None
-    and the columns empty.
+    the normal.  The harmonic-0 fields, R = 2H/K and the axial normal, do
+    not depend on theta, so their partials take theta = 0 and have one
+    value per row; the cos and sin parts of the radial normal go through
+    one stacked (2, rows, n_theta) pass.  Returns the worst residual, the
+    details ``max_residual``, ``at_s``, ``at_theta``, ``points_used`` and
+    ``rows_excluded``, and the CSV columns as (rows, n_theta) arrays, the
+    per-row ones as broadcast views; with no rows the residual and location
+    are None and the columns empty.
     """
     details = {"max_residual": None, "at_s": None, "at_theta": None, "points_used": 0,
                "rows_excluded": rows_excluded}
@@ -190,27 +202,31 @@ def position_identity_residual(
     thetas = theta_circle(n_theta)
     R, dR = radii_sum_jet(rows)
     radial, axial = laplacian_profile_factors(rows)
-    lhs = np.broadcast_arrays(radial * np.cos(thetas), radial * np.sin(thetas), axial)
-    pr = separable_partials((R, dR), 0, True, thetas)
     n_radial, n_axial = normal_profiles(rows)
-    # A generator, so one component's partials are alive at a time and the
-    # grid arrays stay in cache: building all three first measured 1.2x
-    # slower at 64x64.  `first_beltrami` reads no second s-derivative, so
-    # each normal passes (a, a') and no d_ss grid is formed.
-    normals = (separable_partials(a[:2], k, is_cos, thetas)
-               for a, k, is_cos in ((n_radial, 1, True), (n_radial, 1, False), (n_axial, 0, True)))
-    rhs = [first_beltrami(rows, pr, pn) - R * pn.value for pn in normals]
-    d1, d2, d3 = (l - r for l, r in zip(lhs, rhs))
-    residual = np.sqrt(d1 * d1 + d2 * d2 + d3 * d3)
-    i, j = np.unravel_index(np.argmax(residual), residual.shape)
+    pr = separable_partials((R, dR), 0, True, 0.0)
+
+    def rhs(a, harmonic, is_cos, theta):
+        # `first_beltrami` reads no second derivative, so the normal passes
+        # (a, a') and no d_ss or d_thetatheta is formed; its partials are
+        # freed on return.
+        pn = separable_partials(a[:2], harmonic, is_cos, theta)
+        return first_beltrami(rows, pr, pn) - R * pn.value
+
+    rhs12, rhs3 = rhs(n_radial, 1, _COS_SIN, thetas), rhs(n_axial, 0, True, 0.0)
+    lhs12 = radial * np.stack((np.cos(thetas), np.sin(thetas)))[:, None]
+    d12, d3 = lhs12 - rhs12, axial - rhs3
+    d12 *= d12
+    residual = np.sqrt(d12[0] + d12[1] + d3 * d3)
+    i, j = divmod(int(residual.argmax()), n_theta)
     worst = float(residual[i, j])
     details.update(max_residual=worst, at_s=float(jets.s[i]), at_theta=float(thetas[j]),
                    points_used=residual.size)
+    shape = residual.shape
     columns = {
-        "s": np.broadcast_to(rows.s, residual.shape),
-        "theta": np.broadcast_to(thetas, residual.shape),
-        **{f"lhs{k}": c for k, c in enumerate(lhs, 1)},
-        **{f"rhs{k}": c for k, c in enumerate(rhs, 1)},
+        "s": np.broadcast_to(rows.s, shape),
+        "theta": np.broadcast_to(thetas, shape),
+        "lhs1": lhs12[0], "lhs2": lhs12[1], "lhs3": np.broadcast_to(axial, shape),
+        "rhs1": rhs12[0], "rhs2": rhs12[1], "rhs3": np.broadcast_to(rhs3, shape),
         "residual": residual,
     }
     return worst, details, columns
@@ -224,8 +240,9 @@ class RandomFields:
     three ``coeff * sin|cos(omega * s)`` (slots 0-2, sin where ``is_sin``),
     then ``coeff * s`` (slot 3) and ``coeff * s^2`` (slot 4).  ``present``
     marks the terms a field has; absent slots hold zeros (and ``is_sin``
-    False).  ``harmonic`` and ``trig`` (``"cos"`` or ``"sin"``) have one
-    entry per field; `field_labels` writes the profiles as text.
+    False).  ``harmonic`` and ``is_cos`` (the trig is cos where it holds)
+    have one entry per field; `field_labels` writes the profiles as text
+    and ``trig`` the trigs, each for a CSV report only.
     """
 
     coeff: np.ndarray
@@ -233,10 +250,15 @@ class RandomFields:
     is_sin: np.ndarray
     present: np.ndarray
     harmonic: np.ndarray
-    trig: np.ndarray
+    is_cos: np.ndarray
 
     def __len__(self) -> int:
         return len(self.harmonic)
+
+    @property
+    def trig(self) -> np.ndarray:
+        """Each field's trig, ``"cos"`` or ``"sin"``."""
+        return np.where(self.is_cos, "cos", "sin")
 
 
 # Bounds of the uniform draws of the coefficients, by slot.
@@ -270,8 +292,7 @@ def random_fields(p: ProfileCurve, rng: np.random.Generator, count: int) -> Rand
     coeff = np.where(present, coeff, 0.0)
     omega = np.where(present[:, :3], omega, 0.0)
     is_sin &= present[:, :3]
-    return RandomFields(coeff, omega, is_sin, present, harmonic,
-                        np.where(is_cos, "cos", "sin"))
+    return RandomFields(coeff, omega, is_sin, present, harmonic, is_cos)
 
 
 def field_labels(fields: RandomFields) -> np.ndarray:
@@ -301,8 +322,8 @@ def field_profiles(fields: RandomFields, which: np.ndarray, s: np.ndarray) -> np
     the terms are summed left to right, skipping absent ones rather than
     adding zeros, which would turn a -0.0 sum into +0.0.
     """
-    coeff, omega = fields.coeff[which], fields.omega[which]
-    present, is_sin = fields.present[which], fields.is_sin[which]
+    coeff, omega = fields.coeff.take(which, axis=0), fields.omega.take(which, axis=0)
+    present, is_sin = fields.present.take(which, axis=0), fields.is_sin.take(which, axis=0)
     x = s[:, None] * omega
     sin, cos = np.sin(x), np.cos(x)
     trig = np.stack((
@@ -336,8 +357,8 @@ def operator_equivalence_residual(
 
     Returns the worst difference, the details ``max_rel_diff``, ``pairs``,
     ``at_s`` and ``at_theta``, and the CSV columns, one entry per pair;
-    the ``field`` column is a callable that returns the pairs' labels, so
-    only a CSV report writes them.
+    the ``field`` and ``trig`` columns are callables that return the
+    pairs' labels and trigs, so only a CSV report builds them.
     The fields come first from the ``seed`` generator, then the candidate
     points in passes of (3, m) uniforms.  Draws stop after `DRAWS_PER_PAIR`
     per requested pair; fewer ``pairs`` than requested means too few
@@ -381,16 +402,16 @@ def operator_equivalence_residual(
     jets = RegularJets.concat(parts)
     s, theta = jets.s, _TAU * np.concatenate(angles)
     which = np.arange(done) % len(fields)
-    harmonic, trig = fields.harmonic[which], fields.trig[which]
-    pu = separable_partials(field_profiles(fields, which, s), harmonic, trig == "cos", theta)
+    harmonic, is_cos = fields.harmonic.take(which), fields.is_cos.take(which)
+    pu = separable_partials(field_profiles(fields, which, s), harmonic, is_cos, theta)
     a = second_beltrami(jets, pu)
     b = second_beltrami_divergence(jets, pu)
     rel = np.abs(a - b) / (1.0 + np.abs(b))
-    i = int(np.argmax(rel))
+    i = int(rel.argmax())
     columns = {
         "s": s, "theta": theta,
-        "field": lambda: field_labels(fields)[which],
-        "harmonic": harmonic, "trig": trig,
+        "field": lambda: field_labels(fields).take(which),
+        "harmonic": harmonic, "trig": lambda: fields.trig.take(which),
         "specialized": a, "divergence_form": b, "rel_diff": rel,
     }
     worst = float(rel[i])

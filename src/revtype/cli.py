@@ -80,7 +80,7 @@ EXIT_INCONCLUSIVE = 2
 
 # Work budget.  Each bound keeps the peak memory of the heaviest command
 # that it limits under about 1 GiB, scaled linearly from peaks measured on
-# torus(3, 1) at a quarter of the bound or less: about 0.15 KiB per grid
+# torus(3, 1) at a quarter of the bound or less: about 0.1 KiB per grid
 # point (position-identity, as JSON or CSV alike), 0.15 KiB per validation
 # sample (527 MiB at the bound, with the grid jets of the same pass), and
 # 1.2 KiB per pair (operator-equivalence as CSV, every pair
@@ -186,19 +186,25 @@ def _write_json(path: Optional[str], payload: dict) -> None:
 
 
 def _write_csv(path: Optional[str], columns: dict) -> None:
-    """One CSV row per point of ``columns``, arrays or lists of one size
-    keyed by header name, written CSV_BLOCK rows at a time.  A callable
-    column is called once, here, for its array.  No columns writes the
-    header ``empty`` and the row ``True``."""
+    """One CSV row per point of ``columns``, arrays or lists of one shape
+    keyed by header name, in C order, written CSV_BLOCK rows at a time.  A
+    2-D column is ravelled one block of its rows at a time, so a broadcast
+    view is never copied whole.  A callable column is called once, here,
+    for its array.  No columns writes the header ``empty`` and the row
+    ``True``."""
     if not columns:
         columns = {"empty": [True]}
-    flat = [np.ravel(c() if callable(c) else c) for c in columns.values()]
+    arrays = [np.asarray(c() if callable(c) else c) for c in columns.values()]
+    shape = arrays[0].shape
+    step = max(1, CSV_BLOCK // math.prod(shape[1:]))
     fh = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
     try:
         writer = csv.writer(fh)
         writer.writerow(list(columns))
-        for i in range(0, flat[0].size, CSV_BLOCK):
-            writer.writerows(zip(*(c[i:i + CSV_BLOCK].tolist() for c in flat)))
+        for r in range(0, shape[0], step):
+            flat = [np.ravel(a[r:r + step]) for a in arrays]
+            for i in range(0, flat[0].size, CSV_BLOCK):
+                writer.writerows(zip(*(c[i:i + CSV_BLOCK].tolist() for c in flat)))
     finally:
         if path:
             fh.close()

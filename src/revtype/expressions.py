@@ -360,9 +360,11 @@ def eval_jet3(e: Expr, s, params: Optional[Mapping[str, float]] = None) -> Jet3:
     error reports its first offending element's index.  A float ``s`` is a
     one-point batch whose channels are element 0 of each array.
 
-    A subtree without ``s`` evaluates to a float, `_constant_value`, which
-    meets jets through the float paths of `Jet3`, so no constant's zero
-    channels are carried.
+    A subtree without ``s`` evaluates to a float, which meets jets through
+    the float paths of `Jet3`, so no constant's zero channels are carried.
+    A constant ``neg``, ``+``, ``-`` or ``*`` is Python float arithmetic,
+    which cannot trap; division, functions and powers, which can, take
+    `_constant_value`.
     """
     if np.ndim(s) == 0:
         j = eval_jet3(e, np.array([s], dtype=float), params)
@@ -390,9 +392,15 @@ def eval_jet3(e: Expr, s, params: Optional[Mapping[str, float]] = None) -> Jet3:
             except KeyError:
                 raise UnboundParameterError(node.name) from None
         if isinstance(node, Func):
-            return apply(node, jets.FUNCTIONS[node.name], ev(node.arg))
+            arg = ev(node.arg)
+            if node.name == "neg" and isinstance(arg, float):
+                return -arg
+            return apply(node, jets.FUNCTIONS[node.name], arg)
         if isinstance(node, BinOp):
-            return apply(node, _BINOPS[node.op], ev(node.lhs), ev(node.rhs))
+            lhs, rhs = ev(node.lhs), ev(node.rhs)
+            if node.op != "/" and isinstance(lhs, float) and isinstance(rhs, float):
+                return _BINOPS[node.op](lhs, rhs)
+            return apply(node, _BINOPS[node.op], lhs, rhs)
         if isinstance(node, Pow):
             return apply(node, jets.pow_rational, ev(node.base), node.exponent)
         raise TypeError(f"not an expression node: {node!r}")
@@ -401,8 +409,8 @@ def eval_jet3(e: Expr, s, params: Optional[Mapping[str, float]] = None) -> Jet3:
     if isinstance(out, float):
         out = Jet3(out)
     shape = var.v0.shape
-    return Jet3(*(c if np.shape(c) == shape else np.broadcast_to(c, shape)
-                  for c in (out.v0, out.v1, out.v2, out.v3)))
+    return Jet3(*(c if isinstance(c, np.ndarray) and c.shape == shape
+                  else np.broadcast_to(c, shape) for c in (out.v0, out.v1, out.v2, out.v3)))
 
 
 # Precedence levels for unparsing.

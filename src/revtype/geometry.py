@@ -193,11 +193,13 @@ class RegularJets:
 
     @property
     def margin(self):
-        """The non-parabolicity margin min(|phi'|, |sin phi|), broadcast to
-        ``s``; a point is parabolic unless its margin exceeds tol_parab, so
-        a NaN margin is parabolic."""
+        """The non-parabolicity margin min(|phi'|, |sin phi|), with the
+        shape of ``s`` (broadcast only when it lacks it); a point is
+        parabolic unless its margin exceeds tol_parab, so a NaN margin is
+        parabolic."""
         margin = np.minimum(np.abs(self.dphi), np.abs(self.sin_phi))
-        return np.broadcast_to(margin, np.shape(self.s))
+        shape = np.shape(self.s)
+        return margin if margin.shape == shape else np.broadcast_to(margin, shape)
 
     def __len__(self) -> int:
         return int(np.size(self.s))
@@ -295,7 +297,7 @@ class ValidationReport:
 def sample_regular(p: ProfileCurve, n: int) -> np.ndarray:
     """About ``n`` deterministic sample points spread over the regular
     subdomain, proportionally per subinterval, midpoint-placed; one sorted
-    1-D float array."""
+    1-D float array.  One subinterval's points are sorted as placed."""
     if n < 2:
         raise ValueError("need at least 2 samples")
     intervals = p.regular_intervals()
@@ -304,7 +306,7 @@ def sample_regular(p: ProfileCurve, n: int) -> np.ndarray:
     for lo, hi in intervals:
         k = max(1, round(n * (hi - lo) / total))
         parts.append(lo + (np.arange(k) + 0.5) * ((hi - lo) / k))
-    return np.sort(np.concatenate(parts))
+    return parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
 
 
 def joint_pass(p: ProfileCurve, n_samples: int, n_s: int) -> tuple[RegularJets, RegularJets]:
@@ -342,7 +344,7 @@ def validate_profile(
     margin = jets.margin
     # argmax and argmin stop at the first NaN, so a NaN sample is the
     # extreme read here and fails every check.
-    worst, lowest, tightest = np.argmax(defect), np.argmin(fj.v0), np.argmin(margin)
+    worst, lowest, tightest = defect.argmax(), fj.v0.argmin(), margin.argmin()
     max_defect, min_radius, min_margin = defect[worst], fj.v0[lowest], margin[tightest]
     return ValidationReport(
         n_samples=len(samples),
@@ -350,7 +352,7 @@ def validate_profile(
         arc_defect_at=float(samples[worst]),
         min_radius=float(min_radius),
         min_radius_at=float(samples[lowest]),
-        min_tangent_product=float(np.min(np.abs(fj.v1 * gj.v1))),
+        min_tangent_product=float(np.abs(fj.v1 * gj.v1).min()),
         min_parab_margin=float(min_margin),
         parab_margin_at=float(samples[tightest]),
         tol_arc=tol_arc,

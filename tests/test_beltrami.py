@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revtype import (
     catenoid,
@@ -88,6 +89,14 @@ class TestSeparablePartials:
         assert p.value == pytest.approx(math.sin(0.3) * math.cos(1.0))
         assert p.d_theta == pytest.approx(-2.0 * math.sin(0.3) * math.sin(1.0))
         assert p.d_thetatheta == pytest.approx(-4.0 * p.value)
+
+    def test_first_order_partials(self):
+        # From (a, a') alone only the first partials are formed, all that
+        # `first_beltrami` reads.
+        p = separable_partials((2.0, 3.0), 1, False, 0.5)
+        assert (p.d_ss, p.d_thetatheta) == (None, None)
+        assert (p.value, p.d_s, p.d_theta) == (2.0 * np.sin(0.5), 3.0 * np.sin(0.5),
+                                               2.0 * np.cos(0.5))
 
     def test_periodicity(self):
         partials = expression_partials("1 + s^2", harmonic=3, is_cos=False)
@@ -450,6 +459,20 @@ class TestBatchedEquivalence:
     @pytest.mark.parametrize("name", _ORACLE_SURFACES)
     def test_position_residual_matches_stacked_norm(self, name, n_s, n_theta):
         args = _grid(_ORACLE_SURFACES[name].curve, n_s, n_theta)
+        assert_same_check(position_identity_residual(*args),
+                          reference_position_identity_residual(*args))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        st.builds(torus, st.floats(2.0, 6.0), st.floats(0.3, 1.5)),
+        st.builds(sphere, st.floats(0.3, 6.0)),
+        st.builds(catenoid, st.floats(0.3, 4.0)),
+    ), st.integers(2, 80), st.integers(4, 80))
+    def test_position_residual_matches_reference_on_random_surfaces(self, mk, n_s, n_theta):
+        # Bit for bit, signed zeros included: the per-row harmonic-0 fields
+        # keep every zero term, which shows first on catenoid rows where
+        # R = dR = 0 exactly.
+        args = _grid(mk.curve, n_s, n_theta)
         assert_same_check(position_identity_residual(*args),
                           reference_position_identity_residual(*args))
 

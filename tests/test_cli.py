@@ -986,6 +986,32 @@ class TestLinearAlgebraBudget:
         assert json.loads(out)["fit"]["rank"] == 3
 
 
+class TestProfilePassBudget:
+    """The profile pass makes no no-op NumPy call: the margin already has
+    the shape of its samples, so it is not broadcast, and the samples of
+    one regular interval are sorted as placed, so they are not sorted."""
+
+    @pytest.mark.parametrize("words, options", (
+        (["classify"], ["--grid", "32x32"]), (["classify"], ["--grid", "64x4096"]),
+        *((["verify", check], CHECK_OPTIONS[check])
+          for check in ("curvature-quotient", "eigen-system", "radius-rate"))),
+        ids=("classify-32x32", "classify-64x4096", "curvature-quotient", "eigen-system",
+             "radius-rate"))
+    @pytest.mark.parametrize("surface", _BUDGET_SURFACES, ids=lambda s: s[1])
+    def test_no_broadcast_or_sort(self, monkeypatch, surface, words, options):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no-op NumPy call")
+
+        monkeypatch.setattr(np, "broadcast_to", forbidden)
+        if surface[1] != "torus":
+            # One regular interval: the torus excludes two collars.
+            assert len(catalog.make(surface[1]).curve.regular_intervals()) == 1
+            monkeypatch.setattr(np, "sort", forbidden)
+        code, out, err = captured([*words, *surface, *options])
+        assert code in (0, 2) and err == ""
+        assert json.loads(out)
+
+
 class TestParseBudget:
     """A catalog surface's profiles were parsed when `revtype.catalog` was
     imported, so a command on one parses nothing; a profile file's f and g
@@ -1449,6 +1475,8 @@ _SAME_BYTES_COMMANDS = (
       for name in ("torus", "sphere", "catenoid") for grid in ("1024x16", "64x4096")),
     *(["verify", check, *_TORUS, *DEFAULT_PAIRS_OPTIONS[check], "--format", fmt]
       for check in VERIFY_CHECKS for fmt in ("json", "csv")),
+    # Catenoid rows where R = dR = 0 exactly, the neck among them.
+    ["verify", "position-identity", "--catalog", "catenoid", "--grid", "11x27", "--format", "csv"],
     ["verify", "operator-equivalence", *_TORUS, "--pairs", "600", "--seed", "11"],
     *(["verify", "operator-equivalence", "--catalog", name, "--pairs", "500", "--seed", "5",
        "--format", fmt]

@@ -9,6 +9,7 @@ from revtype import (
     ParseError,
     UnboundParameterError,
     eval_jet3,
+    expressions,
     jets,
     parse,
     unparse,
@@ -404,6 +405,31 @@ class TestScalarConstants:
                 want = eval_jet3(parse(folded), s, {"c": float(value)})
             for k in range(4):
                 assert np.array_equal(getattr(got, f"v{k}"), getattr(want, f"v{k}")), (text, k)
+
+    def test_plain_constants_skip_the_constant_rule(self, monkeypatch):
+        # The catalog sphere's g = -r * cos(s / r) meets only the constant
+        # `neg`, whose float arithmetic cannot trap, so it makes no
+        # `_constant_value` round trip, and keeps the all-jet bits.
+        def forbidden(fn, args):
+            raise AssertionError("_constant_value called")
+
+        monkeypatch.setattr(expressions, "_constant_value", forbidden)
+        tree, params = parse("-r * cos(s / r)"), {"r": 1.7}
+        s = np.linspace(0.1, 5.2, 37)
+        with np.errstate(all="raise"):
+            got = eval_jet3(tree, s, params)
+        want = reference_eval_jet3(tree, s, params)
+        for k in range(4):
+            g, w = getattr(got, f"v{k}"), getattr(want, f"v{k}")
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), k
+        for text in ("s * (2 + 3)", "s - (2 - 3)", "(-2) * s", "s + -(1.5 * 4)"):
+            eval_jet3(parse(text), s)
+
+    def test_overflowing_constant_product_folds_to_inf(self):
+        for s in (0.5, np.array([0.5, 1.5])):
+            with np.errstate(all="raise"):
+                j = eval_jet3(parse("1e200 * 1e200 + 0 * s"), s)
+            assert np.all(j.v0 == np.inf), s
 
     def test_constant_expression_fills_the_batch(self):
         j = eval_jet3(parse("c * sin(2)"), np.array([0.0, 1.0, 2.0]), {"c": 3.0})
