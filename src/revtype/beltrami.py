@@ -164,7 +164,12 @@ def laplacian_profile_factors(jets: RegularJets) -> tuple[float, float]:
     so that the Laplacian of the position vector is
     (radial cos(theta), radial sin(theta), axial).
     """
-    R, dR = radii_sum_jet(jets)
+    return _profile_factors(jets, *radii_sum_jet(jets))
+
+
+def _profile_factors(jets: RegularJets, R, dR) -> tuple[float, float]:
+    """`laplacian_profile_factors` from the ``R`` and ``dR`` of
+    `radii_sum_jet` that a caller already holds."""
     sin_phi, cos_phi, dphi = jets.sin_phi, jets.cos_phi, jets.dphi
     radial = R * sin_phi - (cos_phi / dphi) * dR
     axial = -R * cos_phi - (sin_phi / dphi) * dR
@@ -201,7 +206,7 @@ def position_identity_residual(
     rows = jets[:, None]
     thetas = theta_circle(n_theta)
     R, dR = radii_sum_jet(rows)
-    radial, axial = laplacian_profile_factors(rows)
+    radial, axial = _profile_factors(rows, R, dR)
     n_radial, n_axial = normal_profiles(rows)
     pr = separable_partials((R, dR), 0, True, 0.0)
 

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .beltrami import laplacian_profile_factors
+from .beltrami import _profile_factors, laplacian_profile_factors
 from .geometry import (
     DEFAULT_TOL_PARAB,
     ProfileCurve,
@@ -250,8 +250,8 @@ def eigen_system_residuals(
     if not len(jets):
         return None, details, {}
     fj, gj = jets.f, jets.g
-    radial, axial = laplacian_profile_factors(jets)
     R, dR = radii_sum_jet(jets)
+    radial, axial = _profile_factors(jets, R, dR)
     sin_phi, cos_phi = jets.sin_phi, jets.cos_phi
     residuals = (
         np.maximum(np.abs(radial - lam * fj.v0), np.abs(axial - mu * gj.v0)),

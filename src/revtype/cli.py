@@ -52,8 +52,15 @@ it: a parse keeps its results in a fresh namespace, so no call leaves state
 behind for the next.  `main` parses a command with the parser of the
 command that argv names, such as ``verify radius-rate``, a subparser of the
 tree, and with the whole tree only when argv names none, so that the tree
-writes every usage and help message.  Parsing took 12.3% of a benchmark
-``verify-suite`` request through the tree and 3.8% through the leaf.
+writes every usage and help message.  A leaf's line that holds only the
+leaf's exact long options, each with its value(s) in the words after it,
+every value converting cleanly and one surface named, is read in one pass
+(`_read`) against a table built from the leaf's own argparse actions; any
+other line (``-h``, an abbreviation, ``--opt=value``, ``--``, a positional,
+a bad value, a missing or doubled surface) goes to the leaf's argparse
+parse, which writes its usage and error messages.  Reports are written by
+`_json_text`, which lays them out byte for byte as ``json.dumps(...,
+indent=2, sort_keys=True)`` does, without its per-container generators.
 """
 
 from __future__ import annotations
@@ -176,8 +183,52 @@ def _load_surface(args) -> tuple[str, ProfileCurve, Optional[catalog.CatalogEntr
     return entry.curve.name, entry.curve, entry
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """``value`` laid out as ``json.dumps(value, indent=2, sort_keys=True,
+    allow_nan=False)`` lays it out, with the same ValueError on NaN and
+    infinity and TypeError on an object JSON has no form for; ``pad`` is
+    the newline and indent of ``value``'s own line.  A dict key that is not
+    a str is a TypeError, where json.dumps would coerce it."""
+    if isinstance(value, str):
+        return _ESCAPE(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(v, inner) for v in value]
+        brackets = "[]"
+    elif isinstance(value, dict):
+        items = [_ESCAPE(k) + ": " + _json_text(value[k], inner) for k in sorted(value)]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
 def _write_json(path: Optional[str], payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Write ``payload`` as `_json_text` lays it out, which is byte for byte
+    ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``, and
+    a newline.  json.dumps serves an indented layout from its pure-Python
+    encoder, a generator per container, so one recursive function writes
+    the same text in fewer steps.  `_profile_stage`'s validation failure
+    keeps json.dumps: its message shows the samples as they are, NaN
+    among them, and this writer rejects NaN."""
+    text = _json_text(payload) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -511,22 +562,93 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--param", type=_param, action="append", metavar="NAME=VALUE")
     p_export.add_argument("--out", help="output profile file path")
 
+    for leaf in parser.leaves.values():
+        leaf.table = _leaf_table(leaf)
     return parser
+
+
+def _leaf_table(leaf: argparse.ArgumentParser):
+    """What `_read` reads a line of ``leaf`` against, from the leaf's own
+    actions: its value options by option string, the namespace's defaults,
+    and each mutually exclusive group's actions with whether the group is
+    required.  None when the leaf takes a positional, a required option or
+    any option but a plain store or append of a fixed number of values, or
+    has a str default that argparse would convert at parse time."""
+    options, defaults = {}, dict(leaf._defaults)
+    for action in leaf._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if (type(action) not in (argparse._StoreAction, argparse._AppendAction)
+                or not action.option_strings or action.required
+                or isinstance(action.nargs, str)
+                or (isinstance(action.default, str) and action.type is not None)):
+            return None
+        options.update(dict.fromkeys(action.option_strings, action))
+        defaults[action.dest] = action.default
+    groups = [(g._group_actions, g.required) for g in leaf._mutually_exclusive_groups]
+    return options, defaults, groups
 
 
 _PARSER = build_parser()
 
 
+def _read(leaf: argparse.ArgumentParser, rest: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace of ``leaf.parse_known_args(rest)``, read in one pass
+    against ``leaf.table``, when ``rest`` is only exact long options of the
+    leaf, each followed by as many values as it takes, every value a word
+    that argparse reads as one (not starting with ``-`` unless it is a
+    negative number) and accepted by the option's type and choices, with
+    each mutually exclusive group named at most once, and exactly once when
+    it is required.  None for any other line."""
+    if leaf.table is None:
+        return None
+    options, defaults, groups = leaf.table
+    values, seen, i = {}, [], 0
+    while i < len(rest):
+        action = options.get(rest[i])
+        if action is None:
+            return None
+        n = action.nargs or 1
+        words = rest[i + 1:i + 1 + n]
+        i += 1 + n
+        if len(words) < n or any(w[:1] == "-" and not leaf._negative_number_matcher.match(w)
+                                 for w in words):
+            return None
+        try:
+            got = [action.type(w) for w in words] if action.type else words
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and any(v not in action.choices for v in got):
+            return None
+        value = got if action.nargs else got[0]
+        if type(action) is argparse._AppendAction:
+            values.setdefault(action.dest, list(defaults[action.dest] or ())).append(value)
+        else:
+            values[action.dest] = value
+        seen.append(action)
+    for actions, required in groups:
+        if not required <= sum(a in actions for a in seen) <= 1:
+            return None
+    return argparse.Namespace(**{**defaults, **values})
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     """``_PARSER.parse_args(argv)``, parsed by the leaf that the first words
     of ``argv`` name, if any: then the tree's levels above it neither
-    classify nor convert the words again.  Any other line, with no words,
-    ``-h``, an unknown command or an option before a check's name, goes
-    through the whole tree, which writes its usage and help messages."""
+    classify nor convert the words again.  `_read` reads the rest of the
+    line in one pass when it can; otherwise the leaf's argparse parse reads
+    it and writes its usage and error messages.  A line that names no leaf,
+    with no words, ``-h``, an unknown command or an option before a check's
+    name, goes through the whole tree, which writes its usage and help
+    messages."""
     for words in (tuple(argv[:2]), tuple(argv[:1])):
         leaf = _PARSER.leaves.get(words)
         if leaf is not None:
-            args, extra = leaf.parse_known_args(argv[len(words):])
+            rest = argv[len(words):]
+            args = _read(leaf, rest)
+            if args is not None:
+                return args
+            args, extra = leaf.parse_known_args(rest)
             if extra:
                 _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
             return args

@@ -969,6 +969,67 @@ class TestEvaluationBudget:
         assert len(passes) == (4 if command == "operator-equivalence" else 2)
 
 
+def _benchmark_shapes(profile: str) -> list[list[str]]:
+    """One command of each shape that the benchmark sends: `classify` at
+    its tall and wide grids on a catalog surface and on the profile file
+    ``profile``, the five verify checks with their options, and a scan box
+    on the step lattice."""
+    surface = ["--catalog", "torus", "--param", "R=3.5", "--param", "r=0.75"]
+    return [
+        ["classify", *surface, "--grid", "1024x16"],
+        ["classify", "--profile", profile, "--grid", "64x4096"],
+        ["verify", "position-identity", *surface, "--grid", "64x64"],
+        ["verify", "curvature-quotient", *surface],
+        ["verify", "operator-equivalence", *surface, "--pairs", "500", "--seed", "4242"],
+        ["verify", "eigen-system", *surface, "--lambda", "2", "--mu", "2"],
+        ["verify", "radius-rate", *surface, "--lambda", "2", "--mu", "2"],
+        ["scan", "--step", "0.05", "--lambda-range", "-2.50", "7.50",
+         "--mu-range", "-8.05", "1.95"],
+    ]
+
+
+def _json_dumps_oracle(value) -> str:
+    """The layout that `cli._json_text` reproduces, from the stdlib."""
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _captured_with_out(argv) -> tuple[int, str, str]:
+    """`captured`, with the text of the command's ``--out`` file, if it
+    wrote one, after its stdout."""
+    code, out, err = captured(argv)
+    if "--out" in argv:
+        path = Path(argv[argv.index("--out") + 1])
+        out += path.read_text() if path.exists() else ""
+    return code, out, err
+
+
+class TestCommandFloor:
+    """README's usage lines outside ``catalog`` and one command of each
+    benchmark shape run with argparse's parse and the stdlib's indented
+    JSON encoder out of reach, and print the bytes that those give."""
+
+    def test_no_argparse_parse_or_indented_encoder(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        # The file that README's ``classify --profile`` line reads.
+        profile = str(tmp_path / "my_surface.json")
+        geometry.save_profile(catalog.make("sphere", {"r": 2.0}).curve, profile)
+        corpus = [*(argv for argv in _readme_usage() if argv[0] != "catalog"),
+                  *_benchmark_shapes(profile)]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_read", lambda leaf, rest: None)
+            m.setattr(cli, "_json_text", _json_dumps_oracle)
+            program = [_captured_with_out(argv) for argv in corpus]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("argparse parse or indented stdlib encoder called")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", forbidden)
+        monkeypatch.setattr(json.encoder, "_make_iterencode", forbidden)
+        for argv, got in zip(corpus, program):
+            assert got[1], argv
+            assert _captured_with_out(argv) == got, argv
+
+
 class TestLinearAlgebraBudget:
     """The fit is two projections, so `classify` runs with numpy's
     least-squares and factorization routines out of reach."""
@@ -1162,14 +1223,29 @@ class TestLeafDispatch:
         assert all(cli._PARSER.leaves[words] is leaf for words, leaf in tree.items())
 
     def test_one_parse_per_command(self, parses, tmp_path, monkeypatch):
+        # `_read` reads README's usage lines and the benchmark's shapes
+        # with no argparse parse, save ``catalog export``, whose NAME is a
+        # positional.  Every `_DISPATCH_CORPUS` line takes the leaf or tree
+        # parses that it takes with the reader switched off.
         monkeypatch.chdir(tmp_path)
-        named = set()
-        for argv in _readme_usage():
+        profile = str(tmp_path / "surface.json")
+        geometry.save_profile(catalog.make("sphere").curve, profile)
+        for argv in [*_readme_usage(), *_benchmark_shapes(profile)]:
             parses.clear()
             captured(argv)
-            assert parses == [_tree_leaf(argv)], argv
-            named.add(parses[0])
-        assert named == set(cli._PARSER.leaves.values())
+            assert parses == ([_tree_leaf(argv)] if argv[:2] == ["catalog", "export"] else []), argv
+        assert {_tree_leaf(argv) for argv in _readme_usage()} == set(cli._PARSER.leaves.values())
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_read", lambda leaf, rest: None)
+            today = []
+            for argv in _DISPATCH_CORPUS:
+                parses.clear()
+                captured(argv)
+                today.append(list(parses))
+        for argv, want in zip(_DISPATCH_CORPUS, today):
+            parses.clear()
+            captured(argv)
+            assert want and parses == want, argv
 
     def test_whole_tree_prints_the_same_bytes(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1185,9 +1261,104 @@ class TestLeafDispatch:
         argv = ["verify", "radius-rate", "--catalog", "sphere"]
         monkeypatch.setattr(sys, "argv", ["revtype", *argv])
         got = captured(None)
-        assert parses == [_tree_leaf(argv)]
+        assert parses == []
         assert got[0] == 0
         assert got == captured(argv)
+
+
+# Value words for any option: good and bad ones, negative numbers in
+# e-notation and words that argparse reads as options.
+_VALUE_WORDS = ("sphere", "torus", "8x8", "1x1", "2", "0", "20", "-2e0", "-1.5e-3", "-.5",
+                "1e-8", "nan", "abc", "", "r=2", "R=-1e0", "csv", "json", "xml", "-x", "p.json")
+
+
+def _converts(action, word) -> bool:
+    """Whether ``word`` is a value that ``action`` takes."""
+    try:
+        value = action.type(word) if action.type else word
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return False
+    return action.choices is None or value in action.choices
+
+
+@st.composite
+def _leaf_lines(draw, leaf):
+    """The words after a leaf's own.  Half the lines hold only its exact
+    options, each with as many values as it takes, mostly good ones, and
+    half mix in missing values, abbreviations, ``--opt=value``, ``--``,
+    ``-h`` and bare words.  A clean line names a surface first, a mixed
+    one may; either may repeat options."""
+    options = sorted(o for a in leaf._actions for o in a.option_strings
+                     if o not in ("-h", "--help"))
+    clean = bool(options) and draw(st.booleans())
+    kinds = ("option",) if clean else ("word", "dashdash", "help") + (
+        ("option",) * 8 + ("abbrev", "equals") if options else ())
+    named = "--catalog" in options and (clean or draw(st.booleans()))
+    line = ["--catalog", "sphere"] if named else []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(kinds))
+        option = draw(st.sampled_from(options)) if options else ""
+        action = leaf._option_string_actions.get(option)
+        n = (action.nargs or 1) if action else 0
+        good = [w for w in _VALUE_WORDS if action and _converts(action, w)]
+        # In a clean line, one value in eight is drawn from every word.
+        values = [draw(st.sampled_from(good if clean and draw(st.integers(0, 7)) else _VALUE_WORDS))
+                  for _ in range(draw(st.integers(n if clean else min(n, 1), n)))]
+        if kind == "option":
+            line += [option, *values]
+        elif kind == "abbrev":
+            line += [option[:draw(st.integers(3, len(option) - 1))], *values]
+        elif kind == "equals":
+            line.append(f"{option}={values[0]}")
+        elif kind == "dashdash":
+            line.append("--")
+        elif kind == "help":
+            line.append(draw(st.sampled_from(("-h", "--help"))))
+        else:
+            line.append(draw(st.sampled_from(_VALUE_WORDS)))
+    return line
+
+
+def _parse_outcome(parse, argv) -> tuple:
+    """The namespace's sorted items, or the exit code, of ``parse(argv)``,
+    and its stdout and stderr; repr compares NaN values and types too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = repr(sorted(vars(parse(argv)).items()))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _argparse_leaf_parse(leaf):
+    """A leaf's argparse parse as `cli._parse` runs it when `cli._read`
+    declines a line."""
+    def parse(rest):
+        args, extra = leaf.parse_known_args(rest)
+        if extra:
+            cli._PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args
+
+    return parse
+
+
+class TestLeafReader:
+    """`cli._read` reads a line into the namespace that the leaf's argparse
+    parse gives, or declines it, and `cli._parse` then prints what that
+    parse prints."""
+
+    @pytest.mark.parametrize("words", list(cli._PARSER.leaves), ids=" ".join)
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_same_namespace_and_bytes_as_argparse(self, words, data):
+        leaf = cli._PARSER.leaves[words]
+        rest = data.draw(_leaf_lines(leaf))
+        want = _parse_outcome(_argparse_leaf_parse(leaf), rest)
+        assert _parse_outcome(cli._parse, [*words, *rest]) == want
+        read = cli._read(leaf, list(rest))
+        if read is not None:
+            assert repr(sorted(vars(read).items())) == want[0]
 
 
 _NUMBER_OPTIONS = ("--tol-arc", "--tol-parab", "--tol-fit", "--tol", "--lambda", "--mu")
@@ -1504,16 +1675,20 @@ _SAME_BYTES_COMMANDS = (
 
 class TestSameBytes:
     """The scalar paths of jet evaluation, the array sampler, the batched
-    Beltrami checks, the scan's cut lattice pass and the catalog's parsed
-    trees change no output byte: each command prints the same with
-    `eval_jet3` and `sample_regular` swapped for their all-jet,
-    point-by-point oracles, operator equivalence for its per-field loop
-    over parsed fields, the position identity for its stacked norm, the
-    scan's lattice pass for the blocked pass over every point and
-    `catalog.make` for a catalog that parses its texts on every call."""
+    Beltrami checks, the scan's cut lattice pass, the catalog's parsed
+    trees and the JSON writer change no output byte: each command prints
+    the same with `eval_jet3` and `sample_regular` swapped for their
+    all-jet, point-by-point oracles, operator equivalence for its per-field
+    loop over parsed fields, the position identity for its stacked norm,
+    the scan's lattice pass for the blocked pass over every point,
+    `catalog.make` for a catalog that parses its texts on every call and
+    `cli._json_text` for ``json.dumps``."""
 
-    def test_oracles_print_the_same_bytes(self, monkeypatch):
-        program = [captured(argv) for argv in _SAME_BYTES_COMMANDS]
+    def test_oracles_print_the_same_bytes(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        commands = [*_SAME_BYTES_COMMANDS, ["catalog", "export", "torus"],
+                    ["catalog", "export", "torus", "--out", "torus.json"]]
+        program = [_captured_with_out(argv) for argv in commands]
         monkeypatch.setattr(geometry, "eval_jet3", reference_eval_jet3)
         monkeypatch.setattr(expressions, "eval_jet3", reference_eval_jet3)
         monkeypatch.setattr(geometry, "sample_regular", reference_sample_regular)
@@ -1523,6 +1698,68 @@ class TestSameBytes:
                             reference_position_identity_residual)
         monkeypatch.setattr(classify, "_lattice_minimum", reference_lattice_minimum)
         monkeypatch.setattr(catalog, "make", reference_catalog_make)
-        for argv, got in zip(_SAME_BYTES_COMMANDS, program):
+        monkeypatch.setattr(cli, "_json_text", _json_dumps_oracle)
+        for argv, got in zip(commands, program):
             assert got[1], argv
-            assert captured(argv) == got, argv
+            assert _captured_with_out(argv) == got, argv
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from((10**40, -(2**100))),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from((-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1e16, 1e-7)),
+    st.text(), st.text(st.characters(max_codepoint=0x1F)),
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    """`cli._write_json` writes what ``json.dumps(payload, indent=2,
+    sort_keys=True, allow_nan=False)`` writes, and a newline, and fails as
+    it fails, save that a key which is not a str is a TypeError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_TREES)
+    def test_same_text_as_json_dumps(self, payload):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._write_json(None, payload)
+        assert out.getvalue() == _json_dumps_oracle(payload) + "\n"
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, np.float64("nan"),
+                                     np.float64("-inf")), ids=repr)
+    def test_non_finite_float_is_the_same_value_error(self, capsys, bad):
+        payload = {"a": [1.0, {"b": bad}]}
+        with pytest.raises(ValueError) as want:
+            _json_dumps_oracle(payload)
+        with pytest.raises(ValueError) as got:
+            cli._write_json(None, payload)
+        assert str(got.value) == str(want.value)
+        assert capsys.readouterr().out == ""
+
+    def test_nan_message(self):
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON "
+                                             "compliant: nan$"):
+            cli._json_text([math.nan])
+
+    @pytest.mark.parametrize("bad", (np.int64(3), np.bool_(True), object()),
+                             ids=("int64", "bool_", "object"))
+    def test_unknown_type_is_the_same_type_error(self, bad):
+        with pytest.raises(TypeError) as want:
+            _json_dumps_oracle({"a": [bad]})
+        with pytest.raises(TypeError) as got:
+            cli._json_text({"a": [bad]})
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("payload", ({1: "a"}, {None: 1}, {1.5: 2}, {True: 0},
+                                         {"a": {2: 3}}), ids=repr)
+    def test_non_str_key_is_a_type_error(self, payload):
+        _json_dumps_oracle(payload)  # which coerces the key
+        with pytest.raises(TypeError):
+            cli._json_text(payload)
