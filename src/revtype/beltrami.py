@@ -63,33 +63,29 @@ DRAWS_PER_PAIR = 50
 class FieldPartials:
     value: float
     d_s: float
-    d_ss: Optional[float]
+    d_ss: float
     d_theta: float
-    d_thetatheta: Optional[float]
+    d_thetatheta: float
 
 
 def separable_partials(a: Sequence, harmonic, is_cos, theta) -> FieldPartials:
     """Partials of a(s) * trig(k theta) from the profile jets ``a`` =
-    (a, a'[, a'']), with trig cos where ``is_cos`` holds and sin elsewhere.
+    (a, a', a''), with trig cos where ``is_cos`` holds and sin elsewhere.
     ``harmonic`` and ``is_cos`` are one field's int and bool, or integer
     and bool arrays that broadcast against ``a`` and ``theta``: one entry
-    per point serves a batch of points from many fields, and a leading axis
-    stacks several fields over the same points.  From (a, a') alone the
-    partials are first order, for `first_beltrami`: ``d_ss`` and
-    ``d_thetatheta`` are None."""
+    per point serves a batch of points from many fields."""
     k = harmonic
     kt = k * theta
     cos_kt, sin_kt = np.cos(kt), np.sin(kt)
     # [()] turns the 0-d result of scalar arguments back into a scalar.
     t = np.where(is_cos, cos_kt, sin_kt)[()]
     dt = np.where(is_cos, -k * sin_kt, k * cos_kt)[()]
-    second = len(a) > 2
     return FieldPartials(
         value=a[0] * t,
         d_s=a[1] * t,
-        d_ss=a[2] * t if second else None,
+        d_ss=a[2] * t,
         d_theta=a[0] * dt,
-        d_thetatheta=a[0] * (-k * k * t) if second else None,
+        d_thetatheta=a[0] * (-k * k * t),
     )
 
 
@@ -119,8 +115,6 @@ def second_beltrami(jets: RegularJets, pu: FieldPartials) -> float:
         -u_ss/phi'^2 + (phi''/phi'^2 - cos(phi)/sin(phi)) u_s/phi'
         - u_thetatheta/sin^2(phi)
     """
-    if pu.d_ss is None:
-        raise ValueError("field lacks a second s-derivative")
     dphi, sin_phi = jets.dphi, jets.sin_phi
     return (
         -pu.d_ss / (dphi * dphi)
@@ -138,8 +132,6 @@ def second_beltrami_divergence(jets: RegularJets, pu: FieldPartials) -> float:
     used to cross-check `second_beltrami`; needs order-3 profile jets for
     the s-derivative of sqrt(e) e^{11}.
     """
-    if pu.d_ss is None:
-        raise ValueError("field lacks a second s-derivative")
     dphi, sin_phi = jets.dphi, jets.sin_phi
     # (value, d/ds) pairs for the form components along s.
     e11 = (dphi * dphi, 2.0 * dphi * jets.ddphi)
@@ -176,10 +168,6 @@ def _profile_factors(jets: RegularJets, R, dR) -> tuple[float, float]:
     return radial, axial
 
 
-# The cos and sin parts of a stacked pass, on its leading axis.
-_COS_SIN = np.array([True, False]).reshape(2, 1, 1)
-
-
 def position_identity_residual(
     jets: RegularJets, n_theta: int, rows_excluded: int
 ) -> tuple[Optional[float], dict, dict]:
@@ -188,51 +176,57 @@ def position_identity_residual(
         Laplacian(x) = grad-pairing(2H/K, n) - (2H/K) n
 
     over the grid rows ``jets`` of `grid_rows`, each row on the full
-    ``n_theta`` circle.  The left side comes from the coordinate-Laplacian
-    factors, the right side from `first_beltrami` applied componentwise to
-    the normal.  The harmonic-0 fields, R = 2H/K and the axial normal, do
-    not depend on theta, so their partials take theta = 0 and have one
-    value per row; the cos and sin parts of the radial normal go through
-    one stacked (2, rows, n_theta) pass.  Returns the worst residual, the
-    details ``max_residual``, ``at_s``, ``at_theta``, ``points_used`` and
-    ``rows_excluded``, and the CSV columns as (rows, n_theta) arrays, the
-    per-row ones as broadcast views; with no rows the residual and location
-    are None and the columns empty.
+    ``n_theta`` circle.  The left side is `second_beltrami` of the
+    coordinate fields f cos(theta) (harmonic 1) and g (harmonic 0), the
+    right side `first_beltrami` of R = 2H/K against each part of the normal,
+    so the two sides share no term.  Both radial parts are a profile times
+    (cos(theta), sin(theta)) and the axial parts do not depend on theta, so
+    the residual vector at (s, theta) is (rho cos(theta), rho sin(theta),
+    zeta), with ``rho`` and ``zeta`` its profiles at theta = 0, and its norm
+    sqrt(rho^2 + zeta^2) holds at every angle of the row: the operators run
+    once per row, at theta = 0.  Returns the worst residual, the details
+    ``max_residual``, ``at_s``, ``at_theta`` (0.0), ``points_used`` (rows
+    times ``n_theta``) and ``rows_excluded``, and the CSV columns, one entry
+    per grid point: callables that build (rows, n_theta) arrays, the per-row
+    profiles times cos(theta) or sin(theta), so only a CSV report builds
+    them.  With no rows the residual and location are None and the columns
+    empty.
     """
     details = {"max_residual": None, "at_s": None, "at_theta": None, "points_used": 0,
                "rows_excluded": rows_excluded}
     if not len(jets):
         return None, details, {}
-    rows = jets[:, None]
+    fj, gj = jets.f, jets.g
+    R, dR = radii_sum_jet(jets)
+    n_radial, n_axial = normal_profiles(jets)
+    # The jets hold no R''; NaN stands in, and `first_beltrami` reads none.
+    pr = separable_partials((R, dR, np.nan), 0, True, 0.0)
+    lhs, rhs = [], []
+    for coordinate, normal, harmonic in (((fj.v0, fj.v1, fj.v2), n_radial, 1),
+                                         ((gj.v0, gj.v1, gj.v2), n_axial, 0)):
+        lhs.append(second_beltrami(jets, separable_partials(coordinate, harmonic, True, 0.0)))
+        pn = separable_partials(normal, harmonic, True, 0.0)
+        rhs.append(first_beltrami(jets, pr, pn) - R * pn.value)
+    rho, zeta = lhs[0] - rhs[0], lhs[1] - rhs[1]
+    residual = np.sqrt(rho * rho + zeta * zeta)
+    i = int(residual.argmax())
+    worst = float(residual[i])
+    details.update(max_residual=worst, at_s=float(jets.s[i]), at_theta=0.0,
+                   points_used=len(jets) * n_theta)
     thetas = theta_circle(n_theta)
-    R, dR = radii_sum_jet(rows)
-    radial, axial = _profile_factors(rows, R, dR)
-    n_radial, n_axial = normal_profiles(rows)
-    pr = separable_partials((R, dR), 0, True, 0.0)
+    shape = (len(jets), n_theta)
 
-    def rhs(a, harmonic, is_cos, theta):
-        # `first_beltrami` reads no second derivative, so the normal passes
-        # (a, a') and no d_ss or d_thetatheta is formed; its partials are
-        # freed on return.
-        pn = separable_partials(a[:2], harmonic, is_cos, theta)
-        return first_beltrami(rows, pr, pn) - R * pn.value
+    def per_row(profile):
+        return lambda: np.broadcast_to(profile[:, None], shape)
 
-    rhs12, rhs3 = rhs(n_radial, 1, _COS_SIN, thetas), rhs(n_axial, 0, True, 0.0)
-    lhs12 = radial * np.stack((np.cos(thetas), np.sin(thetas)))[:, None]
-    d12, d3 = lhs12 - rhs12, axial - rhs3
-    d12 *= d12
-    residual = np.sqrt(d12[0] + d12[1] + d3 * d3)
-    i, j = divmod(int(residual.argmax()), n_theta)
-    worst = float(residual[i, j])
-    details.update(max_residual=worst, at_s=float(jets.s[i]), at_theta=float(thetas[j]),
-                   points_used=residual.size)
-    shape = residual.shape
+    def turned(profile, trig):
+        return lambda: profile[:, None] * trig(thetas)
+
     columns = {
-        "s": np.broadcast_to(rows.s, shape),
-        "theta": np.broadcast_to(thetas, shape),
-        "lhs1": lhs12[0], "lhs2": lhs12[1], "lhs3": np.broadcast_to(axial, shape),
-        "rhs1": rhs12[0], "rhs2": rhs12[1], "rhs3": np.broadcast_to(rhs3, shape),
-        "residual": residual,
+        "s": per_row(jets.s), "theta": lambda: np.broadcast_to(thetas, shape),
+        "lhs1": turned(lhs[0], np.cos), "lhs2": turned(lhs[0], np.sin), "lhs3": per_row(lhs[1]),
+        "rhs1": turned(rhs[0], np.cos), "rhs2": turned(rhs[0], np.sin), "rhs3": per_row(rhs[1]),
+        "residual": per_row(residual),
     }
     return worst, details, columns
 

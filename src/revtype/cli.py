@@ -29,23 +29,24 @@ a missing one after validation, so a profile that fails it says so first.
 ``classify`` and each ``verify CHECK`` take one surface, ``--catalog NAME``
 (with ``--param NAME=VALUE``, repeatable) or ``--profile FILE``, and
 ``--tol-arc``, ``--tol-parab``, ``--out`` and ``--format``.  ``classify``
-adds ``--grid``, ``--tol-fit`` and ``--samples``.  A check adds ``--tol``,
-``--grid`` or, for operator-equivalence, ``--pairs`` and ``--seed``, and
+adds ``--grid``, ``--tol-fit`` and ``--samples``.  A check adds ``--tol``
+and ``--grid`` (position-identity), ``--rows`` (the row checks, which read
+no theta) or ``--pairs`` and ``--seed`` (operator-equivalence), and
 eigen-system and radius-rate ``--lambda`` and ``--mu``.  A report's
-``config`` echoes the surface, the grid and the other options its command
-reads, save ``--tol``, ``--lambda``, ``--mu`` and ``--samples``.
+``config`` echoes the surface, the grid or rows and the other options its
+command reads, save ``--tol``, ``--lambda``, ``--mu`` and ``--samples``.
 
 Each option value is checked once, by the option's argparse ``type`` at
 parse time, so a bad value exits 1 with a message naming the option before
 any surface is loaded or any sample allocated.  Tolerances are finite and
 positive, ``--lambda`` and ``--mu`` finite.  ``--grid`` is N_SxN_THETA with
-n_s >= 2, n_theta >= 4 and at most MAX_GRID_POINTS points, ``--samples``
-is in 2..MAX_SAMPLES, ``--pairs`` in 1..MAX_PAIRS (the upper bounds are
-the work budget) and ``--seed`` at least 0.  ``--param`` is NAME=VALUE
-with a number; `catalog.make` checks that the surface takes NAME and that
-the value is finite.  The ``scan`` options, and the work budget
-`classify.MAX_SCAN_POINTS` of its lattice, are checked by
-`classify.contradiction_scan`.
+n_s >= 2, n_theta >= 4 and at most MAX_GRID_POINTS points, ``--rows`` is
+in 2..MAX_GRID_POINTS, ``--samples`` in 2..MAX_SAMPLES, ``--pairs`` in
+1..MAX_PAIRS (the upper bounds are the work budget) and ``--seed`` at
+least 0.  ``--param`` is NAME=VALUE with a number; `catalog.make` checks
+that the surface takes NAME and that the value is finite.  The ``scan``
+options, and the work budget `classify.MAX_SCAN_POINTS` of its lattice,
+are checked by `classify.contradiction_scan`.
 
 The parser is built once, when this module is imported, and `main` reuses
 it: a parse keeps its results in a fresh namespace, so no call leaves state
@@ -86,11 +87,11 @@ EXIT_INPUT = 1
 EXIT_INCONCLUSIVE = 2
 
 # Work budget.  Each bound keeps the peak memory of the heaviest command
-# that it limits under about 1 GiB, scaled linearly from peaks measured on
-# torus(3, 1) at a quarter of the bound or less: about 0.1 KiB per grid
-# point (position-identity, as JSON or CSV alike), 0.15 KiB per validation
-# sample (527 MiB at the bound, with the grid jets of the same pass), and
-# 1.2 KiB per pair (operator-equivalence as CSV, every pair
+# that it limits under about 1 GiB, measured on torus(3, 1): about 0.17 KiB
+# per row (curvature-quotient --rows, 169 MiB at the bound; position-identity
+# as JSON runs per row too, and as CSV takes 0.03 KiB per point), 0.15 KiB
+# per validation sample (527 MiB at the bound, with the grid jets of the
+# same pass), and 1.2 KiB per pair (operator-equivalence as CSV, every pair
 # found; when nearly every draw is rejected, as on sphere r=100, the draws
 # are screened in passes of at most twice the pairs, so the peak is lower).
 MAX_GRID_POINTS = 2**20
@@ -241,8 +242,8 @@ def _write_csv(path: Optional[str], columns: dict) -> None:
     keyed by header name, in C order, written CSV_BLOCK rows at a time.  A
     2-D column is ravelled one block of its rows at a time, so a broadcast
     view is never copied whole.  A callable column is called once, here,
-    for its array.  No columns writes the header ``empty`` and the row
-    ``True``."""
+    for its array, so a JSON report never builds it.  No columns writes the
+    header ``empty`` and the row ``True``."""
     if not columns:
         columns = {"empty": [True]}
     arrays = [np.asarray(c() if callable(c) else c) for c in columns.values()]
@@ -312,14 +313,8 @@ def cmd_classify(args) -> int:
     config = _config(args, label, "tol_arc", "tol_parab", "tol_fit")
     validation, rows = _profile_stage(label, curve, config, args.samples, config["n_s"])
     with _stage(label, "fit"):
-        report = classify.fit_matrix(
-            curve,
-            n_s=config["n_s"],
-            n_theta=config["n_theta"],
-            tol_parab=args.tol_parab,
-            tol_fit=args.tol_fit,
-            jets=rows,
-        )
+        report = classify.fit_matrix(curve, *args.grid, tol_parab=args.tol_parab,
+                                     tol_fit=args.tol_fit, jets=rows)
         structure = classify.structure_check(report)
     payload = {
         "config": config,
@@ -381,27 +376,27 @@ def _run_check(args, curve: ProfileCurve, rows, lam_mu: tuple):
     """(worst, details, columns) of the check named by ``args.check``, from
     the options of its own parser.  The grid checks take their rows from
     `geometry.grid_rows` over ``rows``, the grid jets of the joint pass, or
-    over a pass of their own when ``rows`` is None; operator-equivalence
-    draws its own points.  ``lam_mu`` holds eigen-system's and
-    radius-rate's lambda and mu."""
+    over a pass of their own when ``rows`` is None, and the three row checks
+    report their counts; operator-equivalence draws its own points.
+    ``lam_mu`` holds eigen-system's and radius-rate's lambda and mu."""
     check = args.check
     if check == "operator-equivalence":
         return beltrami.operator_equivalence_residual(curve, n_pairs=args.pairs,
                                                       seed=args.seed, tol_parab=args.tol_parab)
-    n_s, n_theta = args.grid
-    jets, excluded = geometry.grid_rows(curve, n_s, args.tol_parab, rows)
     if check == "position-identity":
-        return beltrami.position_identity_residual(jets, n_theta, excluded)
-    if check == "curvature-quotient":
-        return geometry.quotient_defects(jets)
-    if check == "eigen-system":
-        return classify.eigen_system_residuals(jets, *lam_mu)
-    return classify.radius_rate_defect(jets, *lam_mu)
+        jets, excluded = geometry.grid_rows(curve, args.grid[0], args.tol_parab, rows)
+        return beltrami.position_identity_residual(jets, args.grid[1], excluded)
+    jets, excluded = geometry.grid_rows(curve, args.n_s, args.tol_parab, rows)
+    result = {"curvature-quotient": geometry.quotient_defects,
+              "eigen-system": classify.eigen_system_residuals,
+              "radius-rate": classify.radius_rate_defect}[check](jets, *lam_mu)
+    result[1].update(rows_used=len(jets), rows_excluded=excluded)
+    return result
 
 
 def cmd_verify(args) -> int:
     label, curve, entry = _load_surface(args)
-    config = _config(args, label, "tol_arc", "tol_parab", "pairs", "seed")
+    config = _config(args, label, "tol_arc", "tol_parab", "n_s", "pairs", "seed")
     check, tol = args.check, args.tol
     _, rows = _profile_stage(label, curve, config, VALIDATION_SAMPLES, config.get("n_s", 0))
     # After validation, so a profile that fails it says so first.
@@ -477,15 +472,18 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-def _add_surface_options(sub, grid: bool = True):
+def _add_surface_options(sub, size: Optional[str] = "grid"):
     source = sub.add_mutually_exclusive_group(required=True)
     source.add_argument("--catalog", help="built-in surface name")
     source.add_argument("--profile", help="path to a profile definition file")
     sub.add_argument("--param", type=_param, action="append", metavar="NAME=VALUE",
                      help="--catalog surface parameter (repeatable)")
-    if grid:
+    if size == "grid":
         sub.add_argument("--grid", type=_grid, default=classify.DEFAULT_GRID,
                          help="grid as N_SxN_THETA (default {}x{})".format(*classify.DEFAULT_GRID))
+    elif size == "rows":
+        sub.add_argument("--rows", dest="n_s", type=_count(2, MAX_GRID_POINTS), metavar="N",
+                         default=classify.DEFAULT_GRID[0], help="rows (default %(default)s)")
     sub.add_argument("--tol-arc", type=_tolerance, default=geometry.DEFAULT_TOL_ARC)
     sub.add_argument("--tol-parab", type=_tolerance, default=geometry.DEFAULT_TOL_PARAB)
     sub.add_argument("--out", help="write the report to this path")
@@ -537,7 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
     checks = p_verify.add_subparsers(dest="check", required=True)
     for check, tol in VERIFY_TOLERANCES.items():
         p_check = add_leaf(checks, cmd_verify, {"command": "verify", "check": check})
-        _add_surface_options(p_check, grid=check != "operator-equivalence")
+        _add_surface_options(p_check, {"position-identity": "grid",
+                                       "operator-equivalence": None}.get(check, "rows"))
         p_check.add_argument("--tol", type=_tolerance, default=tol, help="check tolerance")
         if check in ("eigen-system", "radius-rate"):
             p_check.add_argument("--lambda", dest="lam", type=_finite_float, default=None)

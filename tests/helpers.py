@@ -806,36 +806,52 @@ def reference_partials(a, k: int, trig: str, theta) -> FieldPartials:
     )
 
 
+def reference_position_sides(jets, thetas):
+    """Both sides of the position identity at every point of the rows
+    ``jets`` times the angles ``thetas``, as two (rows, len(thetas), 3)
+    arrays: `second_beltrami` of each coordinate field f cos(theta),
+    f sin(theta) and g, and `first_beltrami` of R = 2H/K against each part
+    of the normal minus R times it, one field at a time with its own cos or
+    sin branch."""
+    rows = jets[:, None]
+    R, dR = radii_sum_jet(rows)
+    pr = reference_partials((R, dR), 0, "cos", thetas)
+    f, g = (rows.f.v0, rows.f.v1, rows.f.v2), (rows.g.v0, rows.g.v1, rows.g.v2)
+    n_radial, n_axial = normal_profiles(rows)
+    fields = (("cos", f, n_radial, 1), ("sin", f, n_radial, 1), ("cos", g, n_axial, 0))
+    lhs, rhs = [], []
+    for trig, coordinate, normal, k in fields:
+        lhs.append(second_beltrami(rows, reference_partials(coordinate, k, trig, thetas)))
+        pn = reference_partials(normal, k, trig, thetas)
+        rhs.append(first_beltrami(rows, pr, pn) - R * pn.value)
+    return (np.stack(np.broadcast_arrays(*lhs), axis=-1),
+            np.stack(np.broadcast_arrays(*rhs), axis=-1))
+
+
 def reference_position_identity_residual(jets, n_theta: int, rows_excluded: int):
-    """`beltrami.position_identity_residual` with the residual taken by
-    `np.linalg.norm` over stacked left and right sides."""
+    """`beltrami.position_identity_residual` from `reference_position_sides`
+    at theta = 0, the residual of a row taken by `np.linalg.norm` over the
+    stacked differences of its three coordinates; the CSV columns turn each
+    row's vectors at theta = 0 by every angle of the circle."""
     details = {"max_residual": None, "at_s": None, "at_theta": None, "points_used": 0,
                "rows_excluded": rows_excluded}
     if not len(jets):
         return None, details, {}
-    rows = jets[:, None]
     thetas = theta_circle(n_theta)
-    R, dR = radii_sum_jet(rows)
-    radial, axial = laplacian_profile_factors(rows)
-    lhs = np.broadcast_arrays(radial * np.cos(thetas), radial * np.sin(thetas), axial)
-    pr = reference_partials((R, dR), 0, "cos", thetas)
-    n_radial, n_axial = normal_profiles(rows)
-    normals = (reference_partials(n_radial, 1, "cos", thetas),
-               reference_partials(n_radial, 1, "sin", thetas),
-               reference_partials(n_axial, 0, "cos", thetas))
-    rhs = [first_beltrami(rows, pr, pn) - R * pn.value for pn in normals]
-    residual = np.linalg.norm(np.stack(lhs, axis=-1) - np.stack(rhs, axis=-1), axis=-1)
-    i, j = np.unravel_index(np.argmax(residual), residual.shape)
-    worst = float(residual[i, j])
-    details.update(max_residual=worst, at_s=float(jets.s[i]), at_theta=float(thetas[j]),
-                   points_used=residual.size)
-    columns = {
-        "s": np.broadcast_to(rows.s, residual.shape),
-        "theta": np.broadcast_to(thetas, residual.shape),
-        **{f"lhs{k}": c for k, c in enumerate(lhs, 1)},
-        **{f"rhs{k}": c for k, c in enumerate(rhs, 1)},
-        "residual": residual,
-    }
+    lhs, rhs = reference_position_sides(jets, np.zeros(1))
+    residual = np.linalg.norm(lhs - rhs, axis=-1)
+    i = int(np.argmax(residual[:, 0]))
+    worst = float(residual[i, 0])
+    details.update(max_residual=worst, at_s=float(jets.s[i]), at_theta=0.0,
+                   points_used=len(jets) * n_theta)
+    shape = (len(jets), n_theta)
+    columns = {"s": np.broadcast_to(jets.s[:, None], shape),
+               "theta": np.broadcast_to(thetas, shape)}
+    for name, side in (("lhs", lhs), ("rhs", rhs)):
+        columns.update({f"{name}1": side[:, :, 0] * np.cos(thetas),
+                        f"{name}2": side[:, :, 0] * np.sin(thetas),
+                        f"{name}3": np.broadcast_to(side[:, :, 2], shape)})
+    columns["residual"] = np.broadcast_to(residual, shape)
     return worst, details, columns
 
 

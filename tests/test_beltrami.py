@@ -29,7 +29,7 @@ from revtype.beltrami import (
     field_profiles,
     random_fields,
 )
-from revtype.geometry import DEFAULT_TOL_PARAB, _jets, sample_regular
+from revtype.geometry import DEFAULT_TOL_PARAB, _jets, sample_regular, theta_circle
 
 from helpers import (
     coordinate_fields,
@@ -37,6 +37,7 @@ from helpers import (
     point_at,
     reference_operator_equivalence_residual,
     reference_position_identity_residual,
+    reference_position_sides,
     reference_random_fields,
     require_regular,
 )
@@ -63,8 +64,9 @@ def expression_partials(text, harmonic=0, is_cos=True):
 
 
 def radii_sum_partials(jets, theta):
-    """Partials of R = 2H/K, which has no second s-derivative."""
-    return separable_partials(radii_sum_jet(jets), 0, True, theta)
+    """Partials of R = 2H/K for `first_beltrami`: the jets hold no R'', so
+    NaN stands in for it."""
+    return separable_partials((*radii_sum_jet(jets), np.nan), 0, True, theta)
 
 
 def normal_axial_partials(jets, theta):
@@ -89,14 +91,6 @@ class TestSeparablePartials:
         assert p.value == pytest.approx(math.sin(0.3) * math.cos(1.0))
         assert p.d_theta == pytest.approx(-2.0 * math.sin(0.3) * math.sin(1.0))
         assert p.d_thetatheta == pytest.approx(-4.0 * p.value)
-
-    def test_first_order_partials(self):
-        # From (a, a') alone only the first partials are formed, all that
-        # `first_beltrami` reads.
-        p = separable_partials((2.0, 3.0), 1, False, 0.5)
-        assert (p.d_ss, p.d_thetatheta) == (None, None)
-        assert (p.value, p.d_s, p.d_theta) == (2.0 * np.sin(0.5), 3.0 * np.sin(0.5),
-                                               2.0 * np.cos(0.5))
 
     def test_periodicity(self):
         partials = expression_partials("1 + s^2", harmonic=3, is_cos=False)
@@ -144,13 +138,6 @@ class TestSecondBeltrami:
             assert apply(second_beltrami, curve, 0.9, 0.4, const_field(3.7)) == pytest.approx(
                 0.0, abs=1e-12
             )
-
-    def test_requires_second_derivative(self):
-        curve = sphere(1.0).curve
-        with pytest.raises(ValueError, match="second s-derivative"):
-            apply(second_beltrami, curve, 1.0, 0.0, radii_sum_partials)
-        with pytest.raises(ValueError, match="second s-derivative"):
-            apply(second_beltrami_divergence, curve, 1.0, 0.0, radii_sum_partials)
 
     def test_linearity(self):
         curve = torus(3.0, 1.0).curve
@@ -273,9 +260,27 @@ class TestStructuralIdentity:
 
     def test_rows_collected(self):
         _, details, columns = position_identity_residual(*_grid(sphere(1.0).curve, 4, 4))
-        assert [np.size(c) for c in columns.values()] == [details["points_used"]] * 9
+        assert [np.size(c()) for c in columns.values()] == [details["points_used"]] * 9
         assert list(columns) == ["s", "theta", "lhs1", "lhs2", "lhs3",
                                  "rhs1", "rhs2", "rhs3", "residual"]
+
+    @pytest.mark.parametrize("n_s, n_theta", ((7, 5), (32, 32), (64, 1024)))
+    @pytest.mark.parametrize("mk", [sphere(1.0), catenoid(1.0), catenoid(4.0), torus(3.0, 1.0),
+                                    torus(5.0, 0.3), sphere(100.0)], ids=lambda mk: mk.curve.name)
+    def test_every_angle_has_the_row_values(self, mk, n_s, n_theta):
+        # Both sides evaluated by the operators at every grid point agree
+        # with the per-row columns to rounding: the theta circle adds only
+        # the rounding of cos and sin.
+        args = _grid(mk.curve, n_s, n_theta)
+        _, _, columns = position_identity_residual(*args)
+        lhs, rhs = reference_position_sides(args[0], theta_circle(n_theta))
+        scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
+        got = {"residual": np.linalg.norm(lhs - rhs, axis=-1),
+               **{f"{name}{k + 1}": side[..., k] for name, side in (("lhs", lhs), ("rhs", rhs))
+                  for k in range(3)}}
+        for name, values in got.items():
+            np.testing.assert_allclose(columns[name](), values, rtol=0,
+                                       atol=1e-13 * (1.0 + scale), err_msg=name)
 
 
 class TestOperatorEquivalence:
@@ -469,7 +474,7 @@ class TestBatchedEquivalence:
         st.builds(catenoid, st.floats(0.3, 4.0)),
     ), st.integers(2, 80), st.integers(4, 80))
     def test_position_residual_matches_reference_on_random_surfaces(self, mk, n_s, n_theta):
-        # Bit for bit, signed zeros included: the per-row harmonic-0 fields
+        # Bit for bit, signed zeros included: the oracle's harmonic-0 fields
         # keep every zero term, which shows first on catenoid rows where
         # R = dR = 0 exactly.
         args = _grid(mk.curve, n_s, n_theta)

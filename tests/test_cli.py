@@ -54,10 +54,13 @@ CHECK_OPTIONS = {
 DEFAULT_PAIRS_OPTIONS = {**CHECK_OPTIONS, "operator-equivalence": []}
 
 
-def _grid_option(check, grid) -> list[str]:
-    """``--grid GRID`` for a check that takes a grid, nothing for
-    operator-equivalence, which draws its own points."""
-    return [] if check == "operator-equivalence" else ["--grid", grid]
+def _size_option(check, grid) -> list[str]:
+    """``--grid GRID`` for position-identity, ``--rows`` with GRID's n_s for
+    the row checks, nothing for operator-equivalence, which draws its own
+    points."""
+    if check == "operator-equivalence":
+        return []
+    return ["--grid", grid] if check == "position-identity" else ["--rows", grid.split("x")[0]]
 
 
 def run(argv, capsys=None):
@@ -196,6 +199,45 @@ class TestVerify:
         assert code == 1
         assert "--lambda" in capsys.readouterr().err
 
+    def test_position_identity_does_not_depend_on_the_circle(self):
+        # The operators run once per row, so the circle changes only
+        # `n_theta` and `points_used`, and the JSON report's peak memory
+        # barely moves with it.
+        reports, peaks = [], []
+        for grid in ("256x4", "256x4096"):
+            tracemalloc.start()
+            try:
+                code, out, _ = captured(["verify", "position-identity", "--catalog", "torus",
+                                         "--grid", grid])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            reports.append(json.loads(out))
+        few, many = reports
+        assert (few["config"].pop("n_theta"), many["config"].pop("n_theta")) == (4, 4096)
+        assert (few["details"].pop("points_used"), many["details"].pop("points_used")) == (
+            256 * 4, 256 * 4096)
+        assert few == many and few["details"]["at_theta"] == 0.0
+        assert abs(peaks[1] - peaks[0]) <= 2**20
+
+    @pytest.mark.parametrize("check, options", (
+        ("curvature-quotient", []), ("eigen-system", _LAM_MU), ("radius-rate", _LAM_MU)))
+    def test_row_checks_count_their_rows(self, check, options):
+        # At tol_parab 0.05, 20 of the torus's 1000 rows are parabolic.
+        code, out, _ = captured(["verify", check, "--catalog", "torus", "--tol-parab", "0.05",
+                                 "--rows", "1000", *options])
+        report = json.loads(out)
+        assert code == (0 if check == "curvature-quotient" else 2)
+        assert report["config"]["n_s"] == 1000 and "n_theta" not in report["config"]
+        assert (report["details"]["rows_used"], report["details"]["rows_excluded"]) == (980, 20)
+
+    def test_row_check_takes_more_rows_than_a_grid(self):
+        # 2048 rows would be over the budget as a 2048x1024 grid.
+        code, out, _ = captured(["verify", "radius-rate", "--catalog", "sphere",
+                                 "--rows", "2048"])
+        assert code == 0 and json.loads(out)["details"]["rows_used"] == 2048
+
     def test_csv_rows(self, tmp_path):
         out = tmp_path / "rows.csv"
         assert main(["verify", "position-identity", "--catalog", "sphere",
@@ -244,7 +286,8 @@ class TestFailClosed:
             # phi' = 1/r = 0.01 is under the draw margin, so no draw is usable
             surface = ["--catalog", "sphere", "--param", "r=100"]
         else:
-            surface = ["--profile", _profile_file(tmp_path, TORUS_NO_COLLARS), "--grid", "2x4"]
+            surface = ["--profile", _profile_file(tmp_path, TORUS_NO_COLLARS),
+                       *_size_option(check, "2x4")]
         out = tmp_path / "check.json"
         code = main(["verify", check, *surface, *CHECK_OPTIONS[check], "--out", str(out)])
         assert code == 2
@@ -259,9 +302,10 @@ class TestFailClosed:
         if check == "operator-equivalence":
             empty = ["--catalog", "sphere", "--param", "r=100"]
         else:
-            empty = ["--profile", _profile_file(tmp_path, TORUS_NO_COLLARS), "--grid", "2x4"]
+            empty = ["--profile", _profile_file(tmp_path, TORUS_NO_COLLARS),
+                     *_size_option(check, "2x4")]
         reports = []
-        for surface in (["--catalog", "torus", *_grid_option(check, "8x8")], empty):
+        for surface in (["--catalog", "torus", *_size_option(check, "8x8")], empty):
             _, out, _ = captured(["verify", check, *surface, *CHECK_OPTIONS[check]])
             reports.append(json.loads(out))
         usable, none = reports
@@ -284,7 +328,8 @@ class TestFailClosed:
         if check == "operator-equivalence":
             surface = ["--catalog", "sphere", "--param", "r=100"]
         else:
-            surface = ["--profile", _profile_file(tmp_path, TORUS_NO_COLLARS), "--grid", "2x4"]
+            surface = ["--profile", _profile_file(tmp_path, TORUS_NO_COLLARS),
+                       *_size_option(check, "2x4")]
         code, out, err = captured(["verify", check, *surface, *CHECK_OPTIONS[check],
                                    "--format", "csv"])
         assert (code, out, err) == (2, "empty\r\nTrue\r\n", "")
@@ -406,7 +451,8 @@ class TestCheckTable:
 
     @pytest.mark.parametrize("check", VERIFY_CHECKS)
     def test_options_of_other_checks_are_unrecognized(self, check):
-        values = {"--grid": "8x8", "--lambda": "2", "--mu": "2", "--pairs": "20", "--seed": "1"}
+        values = {"--grid": "8x8", "--rows": "8", "--lambda": "2", "--mu": "2", "--pairs": "20",
+                  "--seed": "1"}
         own = _parser_options(f"verify {check}")
         others = {o for c in VERIFY_CHECKS for o in _parser_options(f"verify {c}")} - set(own)
         assert others and others <= values.keys()
@@ -448,7 +494,7 @@ class TestCheckTable:
         grid_rows = geometry.grid_rows
         monkeypatch.setattr(geometry, "grid_rows",
                             lambda *a, **k: calls.append(a) or grid_rows(*a, **k))
-        code, _, _ = captured(["verify", check, "--catalog", "torus", *_grid_option(check, "8x8"),
+        code, _, _ = captured(["verify", check, "--catalog", "torus", *_size_option(check, "8x8"),
                                *CHECK_OPTIONS[check]])
         assert code in (0, 2)
         assert len(calls) == (check != "operator-equivalence")
@@ -457,7 +503,7 @@ class TestCheckTable:
     def test_missing_lambda_fails_before_the_grid_pass(self, monkeypatch, check):
         calls = []
         monkeypatch.setattr(geometry, "grid_rows", lambda *a, **k: calls.append(a))
-        assert captured(["verify", check, "--catalog", "torus", "--grid", "1024x1024"]) == (
+        assert captured(["verify", check, "--catalog", "torus", "--rows", "1048576"]) == (
             1, "", "error: this check needs --lambda and --mu for the given surface\n")
         assert calls == []
 
@@ -473,15 +519,13 @@ class TestCsvOutput:
         details = payload["details"]
         if check == "position-identity":
             return details["points_used"]
-        if check == "curvature-quotient":
-            return details["rows_used"]
         if check == "operator-equivalence":
             return details["pairs"]
-        return len(geometry.grid_rows(catalog.make("torus").curve, 12)[0])
+        return details["rows_used"]
 
     @pytest.mark.parametrize("check", VERIFY_CHECKS)
     def test_verify_header_and_rows(self, check):
-        argv = ["verify", check, "--catalog", "torus", *_grid_option(check, "12x8"),
+        argv = ["verify", check, "--catalog", "torus", *_size_option(check, "12x8"),
                 *CHECK_OPTIONS[check]]
         _, report, _ = captured(argv)
         _, out, _ = captured(argv + ["--format", "csv"])
@@ -498,6 +542,10 @@ class TestCsvOutput:
         assert len(rows) - 1 == len(cli._flatten(json.loads(report)))
 
     def test_csv_peak_memory_near_json(self, tmp_path):
+        # The JSON report holds per-row profiles alone and the CSV report has
+        # a line per grid point, so the CSV peak is held to the JSON peak
+        # plus the report's nine columns as float arrays: the writer never
+        # holds a whole report as Python values.
         argv = ["verify", "position-identity", "--catalog", "torus", "--grid", "64x1024",
                 "--out", str(tmp_path / "report")]
         peaks = {}
@@ -508,7 +556,7 @@ class TestCsvOutput:
                 peaks[fmt] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks["csv"] <= 1.25 * peaks["json"]
+        assert peaks["csv"] <= 1.25 * (peaks["json"] + 9 * 8 * 64 * 1024)
 
 
 def _reject_constant(name):
@@ -1131,7 +1179,7 @@ class TestReportDicts:
         # `validation.n_samples`.
         elsewhere = {"--catalog", "--profile", "--param", "--out", "--format",
                      "--tol", "--lambda", "--mu", "--samples"}
-        values = {"--grid": "8x6", "--tol-arc": "1e-9", "--tol-parab": "1e-4",
+        values = {"--grid": "8x6", "--rows": "8", "--tol-arc": "1e-9", "--tol-parab": "1e-4",
                   "--tol-fit": "1e-6", "--pairs": "20", "--seed": "3"}
         echoed = [o for o in _parser_options(command) if o not in elsewhere]
         code, out, _ = captured([*command.split(), "--catalog", "sphere",
@@ -1141,6 +1189,8 @@ class TestReportDicts:
         for option in echoed:
             if option == "--grid":
                 want["n_s"], want["n_theta"] = 8, 6
+            elif option == "--rows":
+                want["n_s"] = 8
             else:
                 want[option[2:].replace("-", "_")] = json.loads(values[option])
         assert json.loads(out)["config"] == want
@@ -1429,6 +1479,8 @@ class TestWorkBudget:
          "1.68e+07 lattice points"),
         (["scan", "--lambda-range", "0", "1", "--mu-range", "0", "0", "--step", "1e-9"],
          "lattice points"),
+        (["verify", "radius-rate", "--catalog", "sphere", "--rows", "1048577"],
+         "--rows: 1048577"),
     ))
     def test_over_budget_allocates_nothing(self, monkeypatch, argv, named):
         def forbidden(*args, **kwargs):
@@ -1471,6 +1523,7 @@ _VERIFY_VALUES = {
     "--grid": st.one_of(
         st.tuples(st.integers(0, 10), st.integers(0, 10)).map("{0[0]}x{0[1]}".format),
         st.sampled_from(("banana", "4x", "x4", "0x0"))),
+    "--rows": st.one_of(st.integers(-3, 40).map(str), st.sampled_from(("banana", "8x8", ""))),
     "--catalog": st.sampled_from(("torus", "sphere", "catenoid", "broken-diagonal", "unduloid")),
     "--param": st.sampled_from(("R=3", "r=1", "c=0.5", "r=-1", "x=1", "r")),
 }
@@ -1608,8 +1661,9 @@ class TestFloatingPointFaults:
         path.write_text(json.dumps({"name": "gridfault", "s_min": 0, "s_max": 1, "g": "sin(s)",
                                     "f": "2 + cos(s) + 0 * sqrt((s - 0.25)^2)"}))
         stage = "fit" if command == ["classify"] else command[-1]
-        options = [] if command == ["classify"] else CHECK_OPTIONS[stage]
-        assert captured([*command, "--profile", str(path), "--grid", "2x4", *options]) == (
+        options = ["--grid", "2x4"] if command == ["classify"] else [
+            *_size_option(stage, "2x4"), *CHECK_OPTIONS[stage]]
+        assert captured([*command, "--profile", str(path), *options]) == (
             1, "", f"error: gridfault: {stage}: domain error at s=0.25: sqrt of a non-positive "
                    "value in 'sqrt((s - 0.25)^2)'\n")
 
@@ -1631,7 +1685,7 @@ class TestProfileDocumentProperty:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         for argv in (["classify", "--profile", path, "--grid", "8x8"],
-                     ["verify", check, "--profile", path, *_grid_option(check, "8x8"),
+                     ["verify", check, "--profile", path, *_size_option(check, "8x8"),
                       *CHECK_OPTIONS[check]]):
             code, out, err = captured(argv)
             assert code in (0, 1, 2)
