@@ -15,7 +15,6 @@ from .beltrami import (
     position_identity_residual,
     second_beltrami,
     second_beltrami_divergence,
-    separable_partials,
 )
 from .catalog import CatalogEntry, broken_diagonal, catenoid, sphere, torus
 from .classify import (

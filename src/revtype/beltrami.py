@@ -2,21 +2,19 @@
 
 Scalar fields on a revolution surface are restricted to the separable family
 ``a(s) * {1, cos(k theta), sin(k theta)}``; every field the operators are
-applied to has this shape, and theta-derivatives are then exact.  The sign
-convention makes the flat-model Laplacian ``-d2/dx2 - d2/dy2``.
+applied to has this shape.  As u_thetatheta = -k^2 u, an operator maps such
+a field to a profile times the same trig, so the operators act on profile
+jets read with the jets of a sample set (`RegularJets`, one evaluation
+pass): the second operators take (a, a', a'') and the harmonic ``k``, an
+int or one per point, and `first_beltrami` pairs a theta-free (u, u') with
+a (w, w').  The sign convention makes the flat-model Laplacian
+``-d2/dx2 - d2/dy2``.
 
 Two independent evaluation paths exist for the second operator: the
-revolution-specialized formula (`second_beltrami`, the production path) and
-the raw divergence form of the operator (`second_beltrami_divergence`),
-retained purely for cross-verification.
-
-Fields and operators read the profile from the jets of a sample set
-(`RegularJets`, one evaluation pass) and take ``theta`` as a float or a
-broadcasting array: jets of a column of rows against a row of angles is a
-whole grid in one pass.  The operators act on a field's partials, which
-`separable_partials` builds from the field's profile jets (a, a', a''),
-harmonic and trig, so one set of partials can feed several operators and
-one call serves a batch of points drawn from many fields.
+revolution-specialized formula (`second_beltrami`, the production path,
+which `laplacian_profile_factors` applies to the coordinates) and the raw
+divergence form (`second_beltrami_divergence`), retained purely for
+cross-verification.
 
 `operator_equivalence_residual` compares the two second operators on
 random fields that `random_fields` draws as plain data, all fields at once
@@ -59,78 +57,47 @@ DRAW_MARGIN = 0.05
 DRAWS_PER_PAIR = 50
 
 
-@dataclass(frozen=True)
-class FieldPartials:
-    value: float
-    d_s: float
-    d_ss: float
-    d_theta: float
-    d_thetatheta: float
-
-
-def separable_partials(a: Sequence, harmonic, is_cos, theta) -> FieldPartials:
-    """Partials of a(s) * trig(k theta) from the profile jets ``a`` =
-    (a, a', a''), with trig cos where ``is_cos`` holds and sin elsewhere.
-    ``harmonic`` and ``is_cos`` are one field's int and bool, or integer
-    and bool arrays that broadcast against ``a`` and ``theta``: one entry
-    per point serves a batch of points from many fields."""
-    k = harmonic
-    kt = k * theta
-    cos_kt, sin_kt = np.cos(kt), np.sin(kt)
-    # [()] turns the 0-d result of scalar arguments back into a scalar.
-    t = np.where(is_cos, cos_kt, sin_kt)[()]
-    dt = np.where(is_cos, -k * sin_kt, k * cos_kt)[()]
-    return FieldPartials(
-        value=a[0] * t,
-        d_s=a[1] * t,
-        d_ss=a[2] * t,
-        d_theta=a[0] * dt,
-        d_thetatheta=a[0] * (-k * k * t),
-    )
-
-
 def normal_profiles(jets: RegularJets) -> tuple[tuple, tuple]:
-    """Profile jets (a, a', a'') of the unit normal's radial and axial parts:
+    """Profile jets (a, a') of the unit normal's radial and axial parts:
     n = (radial cos(theta), radial sin(theta), axial)."""
-    sin_phi, cos_phi, dphi, ddphi = jets.sin_phi, jets.cos_phi, jets.dphi, jets.ddphi
-    # a = -sin(phi): a' = -cos(phi) phi', a'' = sin(phi) phi'^2 - cos(phi) phi''
-    radial = (-sin_phi, -cos_phi * dphi, sin_phi * dphi * dphi - cos_phi * ddphi)
-    # a = cos(phi): a' = -sin(phi) phi', a'' = -cos(phi) phi'^2 - sin(phi) phi''
-    axial = (cos_phi, -sin_phi * dphi, -cos_phi * dphi * dphi - sin_phi * ddphi)
-    return radial, axial
+    sin_phi, cos_phi, dphi = jets.sin_phi, jets.cos_phi, jets.dphi
+    # radial a = -sin(phi), axial a = cos(phi), and a' = (da/dphi) phi'
+    return (-sin_phi, -cos_phi * dphi), (cos_phi, -sin_phi * dphi)
 
 
-def first_beltrami(jets: RegularJets, pu: FieldPartials, pw: FieldPartials) -> float:
-    """Inverse-third-form pairing of the gradients of two fields, given
-    their partials at the points of ``jets``:
-    u_s w_s / phi'^2 + u_theta w_theta / sin^2(phi)."""
-    dphi, sin_phi = jets.dphi, jets.sin_phi
-    return pu.d_s * pw.d_s / (dphi * dphi) + pu.d_theta * pw.d_theta / (sin_phi * sin_phi)
+def first_beltrami(jets: RegularJets, u: Sequence, w: Sequence) -> float:
+    """Inverse-third-form pairing of the gradients of a theta-free field u
+    and a field w(s) trig(k theta), from their profile jets ``u`` = (u, u')
+    and ``w`` = (w, w'): u' w' / phi'^2, the profile of the pairing, since
+    u_theta = 0 drops the theta term u_theta w_theta / sin^2(phi)."""
+    return u[1] * w[1] / (jets.dphi * jets.dphi)
 
 
-def second_beltrami(jets: RegularJets, pu: FieldPartials) -> float:
-    """Revolution-specialized Laplacian with respect to the third form,
-    from a field's partials at the points of ``jets``:
+def second_beltrami(jets: RegularJets, a: Sequence, k) -> float:
+    """Revolution-specialized Laplacian with respect to the third form of
+    the field a(s) trig(k theta) from its profile jets ``a`` = (a, a', a''):
+    the profile that multiplies trig(k theta) in the result,
 
-        -u_ss/phi'^2 + (phi''/phi'^2 - cos(phi)/sin(phi)) u_s/phi'
-        - u_thetatheta/sin^2(phi)
+        -a''/phi'^2 + (phi''/phi'^2 - cos(phi)/sin(phi)) a'/phi'
+        + k^2 a/sin^2(phi)
     """
     dphi, sin_phi = jets.dphi, jets.sin_phi
     return (
-        -pu.d_ss / (dphi * dphi)
-        + (jets.ddphi / (dphi * dphi) - jets.cos_phi / sin_phi) * pu.d_s / dphi
-        - pu.d_thetatheta / (sin_phi * sin_phi)
+        -a[2] / (dphi * dphi)
+        + (jets.ddphi / (dphi * dphi) - jets.cos_phi / sin_phi) * a[1] / dphi
+        + k * k * a[0] / (sin_phi * sin_phi)
     )
 
 
-def second_beltrami_divergence(jets: RegularJets, pu: FieldPartials) -> float:
+def second_beltrami_divergence(jets: RegularJets, a: Sequence, k) -> float:
     """Same operator evaluated from the divergence form
 
         -(1/sqrt(e)) * d_i( sqrt(e) e^{ij} u_j )
 
-    with e the determinant of the third form.  Independent evaluation path
-    used to cross-check `second_beltrami`; needs order-3 profile jets for
-    the s-derivative of sqrt(e) e^{11}.
+    with e the determinant of the third form, on the profile jets and
+    harmonic of `second_beltrami`.  Independent evaluation path used to
+    cross-check `second_beltrami`; needs order-3 profile jets for the
+    s-derivative of sqrt(e) e^{11}.
     """
     dphi, sin_phi = jets.dphi, jets.sin_phi
     # (value, d/ds) pairs for the form components along s.
@@ -142,30 +109,22 @@ def second_beltrami_divergence(jets: RegularJets, pu: FieldPartials) -> float:
     cs0 = w0 / e11[0]
     cs1 = (w1 * e11[0] - w0 * e11[1]) / (e11[0] * e11[0])
     ct0 = w0 / e22[0]
-    term_s = cs1 * pu.d_s + cs0 * pu.d_ss
-    term_theta = ct0 * pu.d_thetatheta
+    term_s = cs1 * a[1] + cs0 * a[2]
+    # u_thetatheta = -k^2 u
+    term_theta = -k * k * ct0 * a[0]
     return -(term_s + term_theta) / w0
 
 
 def laplacian_profile_factors(jets: RegularJets) -> tuple[float, float]:
     """The s-dependent factors (radial, axial) of the coordinate Laplacian:
-
-        radial = R sin(phi) - (cos(phi)/phi') R'
-        axial  = -R cos(phi) - (sin(phi)/phi') R'
-
+    `second_beltrami` of the coordinate fields f cos(theta), from
+    (f, f', f'') with harmonic 1, and g, from (g, g', g'') with harmonic 0,
     so that the Laplacian of the position vector is
     (radial cos(theta), radial sin(theta), axial).
     """
-    return _profile_factors(jets, *radii_sum_jet(jets))
-
-
-def _profile_factors(jets: RegularJets, R, dR) -> tuple[float, float]:
-    """`laplacian_profile_factors` from the ``R`` and ``dR`` of
-    `radii_sum_jet` that a caller already holds."""
-    sin_phi, cos_phi, dphi = jets.sin_phi, jets.cos_phi, jets.dphi
-    radial = R * sin_phi - (cos_phi / dphi) * dR
-    axial = -R * cos_phi - (sin_phi / dphi) * dR
-    return radial, axial
+    fj, gj = jets.f, jets.g
+    return (second_beltrami(jets, (fj.v0, fj.v1, fj.v2), 1),
+            second_beltrami(jets, (gj.v0, gj.v1, gj.v2), 0))
 
 
 def position_identity_residual(
@@ -176,37 +135,29 @@ def position_identity_residual(
         Laplacian(x) = grad-pairing(2H/K, n) - (2H/K) n
 
     over the grid rows ``jets`` of `grid_rows`, each row on the full
-    ``n_theta`` circle.  The left side is `second_beltrami` of the
-    coordinate fields f cos(theta) (harmonic 1) and g (harmonic 0), the
-    right side `first_beltrami` of R = 2H/K against each part of the normal,
-    so the two sides share no term.  Both radial parts are a profile times
-    (cos(theta), sin(theta)) and the axial parts do not depend on theta, so
-    the residual vector at (s, theta) is (rho cos(theta), rho sin(theta),
-    zeta), with ``rho`` and ``zeta`` its profiles at theta = 0, and its norm
-    sqrt(rho^2 + zeta^2) holds at every angle of the row: the operators run
-    once per row, at theta = 0.  Returns the worst residual, the details
-    ``max_residual``, ``at_s``, ``at_theta`` (0.0), ``points_used`` (rows
-    times ``n_theta``) and ``rows_excluded``, and the CSV columns, one entry
-    per grid point: callables that build (rows, n_theta) arrays, the per-row
-    profiles times cos(theta) or sin(theta), so only a CSV report builds
-    them.  With no rows the residual and location are None and the columns
-    empty.
+    ``n_theta`` circle.  The left side is `laplacian_profile_factors`,
+    `second_beltrami` of the coordinate fields f cos(theta) (harmonic 1)
+    and g (harmonic 0), the right side `first_beltrami` of R = 2H/K against
+    each part of the normal, so the two sides share no term.  Both radial
+    parts are a profile times (cos(theta), sin(theta)) and the axial parts
+    do not depend on theta, so the residual vector at (s, theta) is
+    (rho cos(theta), rho sin(theta), zeta), with ``rho`` and ``zeta`` its
+    profiles at theta = 0, and its norm sqrt(rho^2 + zeta^2) holds at every
+    angle of the row: the operators run once per row, at theta = 0.
+    Returns the worst residual, the details ``max_residual``, ``at_s``,
+    ``at_theta`` (0.0), ``points_used`` (rows times ``n_theta``) and
+    ``rows_excluded``, and the CSV columns, one entry per grid point:
+    callables that build (rows, n_theta) arrays, the per-row profiles times
+    cos(theta) or sin(theta), so only a CSV report builds them.  With no
+    rows the residual and location are None and the columns empty.
     """
     details = {"max_residual": None, "at_s": None, "at_theta": None, "points_used": 0,
                "rows_excluded": rows_excluded}
     if not len(jets):
         return None, details, {}
-    fj, gj = jets.f, jets.g
     R, dR = radii_sum_jet(jets)
-    n_radial, n_axial = normal_profiles(jets)
-    # The jets hold no R''; NaN stands in, and `first_beltrami` reads none.
-    pr = separable_partials((R, dR, np.nan), 0, True, 0.0)
-    lhs, rhs = [], []
-    for coordinate, normal, harmonic in (((fj.v0, fj.v1, fj.v2), n_radial, 1),
-                                         ((gj.v0, gj.v1, gj.v2), n_axial, 0)):
-        lhs.append(second_beltrami(jets, separable_partials(coordinate, harmonic, True, 0.0)))
-        pn = separable_partials(normal, harmonic, True, 0.0)
-        rhs.append(first_beltrami(jets, pr, pn) - R * pn.value)
+    lhs = laplacian_profile_factors(jets)
+    rhs = [first_beltrami(jets, (R, dR), n) - R * n[0] for n in normal_profiles(jets)]
     rho, zeta = lhs[0] - rhs[0], lhs[1] - rhs[1]
     residual = np.sqrt(rho * rho + zeta * zeta)
     i = int(residual.argmax())
@@ -396,15 +347,17 @@ def operator_equivalence_residual(
         return None, details, {}
     # The picks' jets are slices of the screening passes, and pair i takes
     # field i % len(fields).  The fields' profile jets are evaluated in one
-    # pass at the pairs' points; the partials and both formulas then run
-    # once over all pairs.
+    # pass at the pairs' points; both formulas then run once over all pairs,
+    # and each profile is turned by its pair's trig(k theta).
     jets = RegularJets.concat(parts)
     s, theta = jets.s, _TAU * np.concatenate(angles)
     which = np.arange(done) % len(fields)
     harmonic, is_cos = fields.harmonic.take(which), fields.is_cos.take(which)
-    pu = separable_partials(field_profiles(fields, which, s), harmonic, is_cos, theta)
-    a = second_beltrami(jets, pu)
-    b = second_beltrami_divergence(jets, pu)
+    profiles = field_profiles(fields, which, s)
+    kt = harmonic * theta
+    t = np.where(is_cos, np.cos(kt), np.sin(kt))
+    a = second_beltrami(jets, profiles, harmonic) * t
+    b = second_beltrami_divergence(jets, profiles, harmonic) * t
     rel = np.abs(a - b) / (1.0 + np.abs(b))
     i = int(rel.argmax())
     columns = {

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .beltrami import _profile_factors, laplacian_profile_factors
+from .beltrami import laplacian_profile_factors
 from .geometry import (
     DEFAULT_TOL_PARAB,
     ProfileCurve,
@@ -251,7 +251,7 @@ def eigen_system_residuals(
         return None, details, {}
     fj, gj = jets.f, jets.g
     R, dR = radii_sum_jet(jets)
-    radial, axial = _profile_factors(jets, R, dR)
+    radial, axial = laplacian_profile_factors(jets)
     sin_phi, cos_phi = jets.sin_phi, jets.cos_phi
     residuals = (
         np.maximum(np.abs(radial - lam * fj.v0), np.abs(axial - mu * gj.v0)),

@@ -7,12 +7,14 @@ and Gauss curvature, a grid-materialising reference
 for the coordinate fit, a per-point reference for the contradiction scan's
 lattice and the scan's blocked lattice pass without its cut,
 an interval-subdivision certifier and a per-cell bound for its cells,
-sympy checks of the closure algebra, the coordinate fields, coordinate
-Laplacian, closure coefficients and elimination check that only tests use,
-a square-and-multiply power that squares after its last bit, and the two
-Beltrami checks computed one random field at a time (fields built as text
-and parsed) and with a stacked norm, and a catalog whose profiles are
-parsed from their texts on every call.
+sympy checks of the closure algebra, the coordinate Laplacian, closure
+coefficients and elimination check that only tests use,
+the coordinate Laplacian's factors in the R = 2H/K form and a sympy check
+that they equal the operator at arclength, a square-and-multiply power
+that squares after its last bit, the three Beltrami operators pointwise
+on a field's partials, and the two Beltrami checks computed one random
+field at a time (fields built as text and parsed) and with a stacked norm,
+and a catalog whose profiles are parsed from their texts on every call.
 
 These stay independent of the jet-propagation code paths they check.
 """
@@ -41,13 +43,10 @@ from revtype.expressions import (
 )
 from revtype.beltrami import (
     DRAW_MARGIN,
-    FieldPartials,
-    first_beltrami,
     laplacian_profile_factors,
     normal_profiles,
     second_beltrami,
     second_beltrami_divergence,
-    separable_partials,
 )
 from revtype.classify import (
     _COFACTORS,
@@ -732,28 +731,46 @@ def elimination_consistency(
     )
 
 
-def coordinate_fields():
-    """The partials of the three coordinate functions of the position
-    vector, each as a function of (jets, theta)."""
-
-    def f(jets):
-        return (jets.f.v0, jets.f.v1, jets.f.v2)
-
-    def g(jets):
-        return (jets.g.v0, jets.g.v1, jets.g.v2)
-
-    return (
-        lambda jets, theta: separable_partials(f(jets), 1, True, theta),
-        lambda jets, theta: separable_partials(f(jets), 1, False, theta),
-        lambda jets, theta: separable_partials(g(jets), 0, True, theta),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class CoordinateLaplacian:
     radial: float
     axial: float
     vector: np.ndarray
+
+
+def reference_profile_factors(jets) -> tuple:
+    """The factors (radial, axial) of the coordinate Laplacian in the form
+    that R = 2H/K = 1/phi' + f/sin(phi) and its derivative give at
+    arclength:
+
+        radial = R sin(phi) - (cos(phi)/phi') R'
+        axial  = -R cos(phi) - (sin(phi)/phi') R'
+    """
+    R, dR = radii_sum_jet(jets)
+    sin_phi, cos_phi, dphi = jets.sin_phi, jets.cos_phi, jets.dphi
+    return R * sin_phi - (cos_phi / dphi) * dR, -R * cos_phi - (sin_phi / dphi) * dR
+
+
+def symbolic_coordinate_laplacian_defects() -> tuple:
+    """``L_1 f`` and ``L_0 g`` minus the R-form of `reference_profile_factors`,
+    simplified in sympy, where ``L_k a`` is the profile formula of
+    `beltrami.second_beltrami`.  The symbols are f, g, phi, phi' and phi''
+    at one point of an arclength profile, so f' = cos(phi),
+    f'' = -sin(phi) phi', g' = sin(phi) and g'' = cos(phi) phi'; R' is
+    d/ds of 1/phi' + f/sin(phi) by the chain rule."""
+    f, g, phi = sp.symbols("f g phi")
+    dphi, ddphi = sp.symbols("dphi ddphi", nonzero=True)
+    sin, cos = sp.sin(phi), sp.cos(phi)
+
+    def laplacian(a, da, dda, k):
+        return -dda / dphi**2 + (ddphi / dphi**2 - cos / sin) * da / dphi + k**2 * a / sin**2
+
+    R = 1 / dphi + f / sin
+    dR = -ddphi / dphi**2 + (cos * sin - f * cos * dphi) / sin**2
+    radial = R * sin - (cos / dphi) * dR
+    axial = -R * cos - (sin / dphi) * dR
+    return (sp.simplify(laplacian(f, cos, -sin * dphi, 1) - radial),
+            sp.simplify(laplacian(g, sin, cos * dphi, 0) - axial))
 
 
 def coordinate_laplacian(jets, theta: float) -> CoordinateLaplacian:
@@ -780,16 +797,25 @@ def reference_pow_int(u, n: int):
     return result
 
 
-# Reference Beltrami checks: one field's partials at a time, each with its
-# own cos or sin branch, and the position residual as the norm of stacked
-# (rows, n_theta, 3) differences.
+# Reference Beltrami checks: the operators pointwise on one field's
+# partials at a time, each with its own cos or sin branch, and the position
+# residual as the norm of stacked (rows, n_theta, 3) differences.
 
 _TAU = 2.0 * math.pi
 
 
+@dataclass(frozen=True)
+class FieldPartials:
+    value: float
+    d_s: float
+    d_ss: float
+    d_theta: float
+    d_thetatheta: float
+
+
 def reference_partials(a, k: int, trig: str, theta) -> FieldPartials:
-    """`beltrami.separable_partials` of one field, profile jets ``a``,
-    harmonic ``k`` and ``trig``, with that field's trigonometric branch."""
+    """The partials of the field a(s) trig(k theta) from its profile jets
+    ``a`` = (a, a', a'') or (a, a'), the last giving no ``d_ss``."""
     if trig == "cos":
         t = np.cos(k * theta)
         dt = -k * np.sin(k * theta)
@@ -806,13 +832,47 @@ def reference_partials(a, k: int, trig: str, theta) -> FieldPartials:
     )
 
 
+def reference_first_beltrami(jets, pu: FieldPartials, pw: FieldPartials):
+    """Inverse-third-form pairing of two gradients at each point:
+    u_s w_s / phi'^2 + u_theta w_theta / sin^2(phi)."""
+    dphi, sin_phi = jets.dphi, jets.sin_phi
+    return pu.d_s * pw.d_s / (dphi * dphi) + pu.d_theta * pw.d_theta / (sin_phi * sin_phi)
+
+
+def reference_second_beltrami(jets, pu: FieldPartials):
+    """Revolution-specialized third-form Laplacian at each point:
+    -u_ss/phi'^2 + (phi''/phi'^2 - cos(phi)/sin(phi)) u_s/phi'
+    - u_thetatheta/sin^2(phi)."""
+    dphi, sin_phi = jets.dphi, jets.sin_phi
+    return (
+        -pu.d_ss / (dphi * dphi)
+        + (jets.ddphi / (dphi * dphi) - jets.cos_phi / sin_phi) * pu.d_s / dphi
+        - pu.d_thetatheta / (sin_phi * sin_phi)
+    )
+
+
+def reference_second_beltrami_divergence(jets, pu: FieldPartials):
+    """The third-form Laplacian at each point from the divergence form
+    -(1/sqrt(e)) d_i(sqrt(e) e^{ij} u_j), e the determinant of the form."""
+    dphi, sin_phi = jets.dphi, jets.sin_phi
+    e11 = (dphi * dphi, 2.0 * dphi * jets.ddphi)
+    e22 = (sin_phi * sin_phi, 2.0 * sin_phi * jets.dsin_phi)
+    det = (e11[0] * e22[0], e11[0] * e22[1] + e11[1] * e22[0])
+    w0 = np.sqrt(det[0])
+    w1 = det[1] / (2.0 * w0)
+    cs0 = w0 / e11[0]
+    cs1 = (w1 * e11[0] - w0 * e11[1]) / (e11[0] * e11[0])
+    ct0 = w0 / e22[0]
+    return -(cs1 * pu.d_s + cs0 * pu.d_ss + ct0 * pu.d_thetatheta) / w0
+
+
 def reference_position_sides(jets, thetas):
     """Both sides of the position identity at every point of the rows
     ``jets`` times the angles ``thetas``, as two (rows, len(thetas), 3)
-    arrays: `second_beltrami` of each coordinate field f cos(theta),
-    f sin(theta) and g, and `first_beltrami` of R = 2H/K against each part
-    of the normal minus R times it, one field at a time with its own cos or
-    sin branch."""
+    arrays: `reference_second_beltrami` of each coordinate field
+    f cos(theta), f sin(theta) and g, and `reference_first_beltrami` of
+    R = 2H/K against each part of the normal minus R times it, one field at
+    a time with its own cos or sin branch."""
     rows = jets[:, None]
     R, dR = radii_sum_jet(rows)
     pr = reference_partials((R, dR), 0, "cos", thetas)
@@ -821,9 +881,9 @@ def reference_position_sides(jets, thetas):
     fields = (("cos", f, n_radial, 1), ("sin", f, n_radial, 1), ("cos", g, n_axial, 0))
     lhs, rhs = [], []
     for trig, coordinate, normal, k in fields:
-        lhs.append(second_beltrami(rows, reference_partials(coordinate, k, trig, thetas)))
+        lhs.append(reference_second_beltrami(rows, reference_partials(coordinate, k, trig, thetas)))
         pn = reference_partials(normal, k, trig, thetas)
-        rhs.append(first_beltrami(rows, pr, pn) - R * pn.value)
+        rhs.append(reference_first_beltrami(rows, pr, pn) - R * pn.value)
     return (np.stack(np.broadcast_arrays(*lhs), axis=-1),
             np.stack(np.broadcast_arrays(*rhs), axis=-1))
 
@@ -894,7 +954,8 @@ def reference_operator_equivalence_residual(
 ):
     """`beltrami.operator_equivalence_residual` with parsed text fields, the
     picks chosen by a walk over every candidate of every pass, and both
-    formulas run once per field on the field's own pairs."""
+    formulas run once per field on the field's own pairs, each times that
+    field's own cos or sin branch."""
     rng = np.random.default_rng(seed)
     intervals = p.regular_intervals()
     starts = np.array([lo for lo, _ in intervals])
@@ -939,9 +1000,9 @@ def reference_operator_equivalence_residual(
         # Looked up on `expressions` at call time, so a test that swaps the
         # evaluator there swaps it here too.
         j = expressions.eval_jet3(tree, part.s)
-        pu = reference_partials((j.v0, j.v1, j.v2), k, trig, theta[sel])
-        a[sel] = second_beltrami(part, pu)
-        b[sel] = second_beltrami_divergence(part, pu)
+        t = (np.cos if trig == "cos" else np.sin)(k * theta[sel])
+        a[sel] = second_beltrami(part, (j.v0, j.v1, j.v2), k) * t
+        b[sel] = second_beltrami_divergence(part, (j.v0, j.v1, j.v2), k) * t
     rel = np.abs(a - b) / (1.0 + np.abs(b))
     i = int(np.argmax(rel))
     which = np.arange(done) % len(fields)

@@ -17,14 +17,12 @@ from revtype import (
     radii_sum_jet,
     second_beltrami,
     second_beltrami_divergence,
-    separable_partials,
     sphere,
     torus,
 )
 from revtype import eval_jet3, expressions, geometry, parse
 from revtype.beltrami import (
     DRAW_MARGIN,
-    FieldPartials,
     field_labels,
     field_profiles,
     random_fields,
@@ -32,49 +30,58 @@ from revtype.beltrami import (
 from revtype.geometry import DEFAULT_TOL_PARAB, _jets, sample_regular, theta_circle
 
 from helpers import (
-    coordinate_fields,
+    FieldPartials,
     coordinate_laplacian,
     point_at,
+    reference_first_beltrami,
     reference_operator_equivalence_residual,
+    reference_partials,
     reference_position_identity_residual,
     reference_position_sides,
+    reference_profile_factors,
     reference_random_fields,
+    reference_second_beltrami,
+    reference_second_beltrami_divergence,
     require_regular,
+    symbolic_coordinate_laplacian_defects,
 )
 
 SQRT2 = math.sqrt(2.0)
 
 
 def angle_field(jets, theta):
-    """Partials of u(s, theta) = theta; not periodic, only for pointwise
-    operator tests."""
+    """Partials of u(s, theta) = theta; not periodic, only for the pointwise
+    oracle `reference_first_beltrami`."""
     return FieldPartials(value=theta, d_s=0.0, d_ss=0.0, d_theta=1.0, d_thetatheta=0.0)
 
 
-def expression_partials(text, harmonic=0, is_cos=True):
-    """The partials of text(s) * trig(harmonic theta) as a function of
-    (jets, theta)."""
+def expression_partials(text, harmonic=0, trig="cos"):
+    """The `reference_partials` of text(s) * trig(harmonic theta) as a
+    function of (jets, theta)."""
+    profile = expression_profile(text)
+    return lambda jets, theta: reference_partials(profile(jets), harmonic, trig, theta)
+
+
+def expression_profile(text):
+    """The profile jets (a, a', a'') of text(s) as a function of jets."""
     tree = parse(text)
 
-    def partials(jets, theta):
+    def profile(jets):
         j = eval_jet3(tree, jets.s)
-        return separable_partials((j.v0, j.v1, j.v2), harmonic, is_cos, theta)
+        return (j.v0, j.v1, j.v2)
 
-    return partials
-
-
-def radii_sum_partials(jets, theta):
-    """Partials of R = 2H/K for `first_beltrami`: the jets hold no R'', so
-    NaN stands in for it."""
-    return separable_partials((*radii_sum_jet(jets), np.nan), 0, True, theta)
+    return profile
 
 
-def normal_axial_partials(jets, theta):
-    return separable_partials(normal_profiles(jets)[1], 0, True, theta)
+def radius(jets):
+    """The profile jets (f, f', f'') of the coordinate fields f cos(theta)
+    and f sin(theta), harmonic 1."""
+    return (jets.f.v0, jets.f.v1, jets.f.v2)
 
 
-def const_field(c):
-    return expression_partials(repr(float(c)))
+def height(jets):
+    """The profile jets (g, g', g'') of the coordinate field g, harmonic 0."""
+    return (jets.g.v0, jets.g.v1, jets.g.v2)
 
 
 def apply(op, curve, s, theta, *fields):
@@ -84,7 +91,16 @@ def apply(op, curve, s, theta, *fields):
     return op(jets, *(partials(jets, theta) for partials in fields))
 
 
+def laplacian_at(op, curve, s, profile, k):
+    """The profile of ``op`` on the field ``profile(jets)`` trig(k theta)
+    at s of ``curve``."""
+    jets = require_regular(curve, s)
+    return op(jets, profile(jets), k)
+
+
 class TestSeparablePartials:
+    """The pointwise oracle's partials of a(s) trig(k theta)."""
+
     def test_partials_shape(self):
         jets = require_regular(sphere(1.0).curve, 0.3)
         p = expression_partials("sin(s)", harmonic=2)(jets, 0.5)
@@ -93,7 +109,7 @@ class TestSeparablePartials:
         assert p.d_thetatheta == pytest.approx(-4.0 * p.value)
 
     def test_periodicity(self):
-        partials = expression_partials("1 + s^2", harmonic=3, is_cos=False)
+        partials = expression_partials("1 + s^2", harmonic=3, trig="sin")
         jets = require_regular(sphere(1.0).curve, 0.7)
         assert partials(jets, 1.1).value == pytest.approx(
             partials(jets, 1.1 + 2.0 * math.pi).value, abs=1e-12
@@ -103,41 +119,52 @@ class TestSeparablePartials:
 class TestFirstBeltrami:
     def test_angle_with_itself_on_sphere(self):
         # e^{22} = 1/sin^2(phi) = 1 at the equator
-        value = apply(first_beltrami, sphere(1.0).curve, math.pi / 2, 0.3, angle_field,
-                      angle_field)
+        value = apply(reference_first_beltrami, sphere(1.0).curve, math.pi / 2, 0.3,
+                      angle_field, angle_field)
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_cross_term_vanishes(self):
         s_field = expression_partials("s")
         for curve in (sphere(1.0).curve, torus(3.0, 1.0).curve):
-            assert apply(first_beltrami, curve, 1.0, 0.7, s_field, angle_field) == pytest.approx(
-                0.0, abs=1e-14
-            )
+            assert apply(reference_first_beltrami, curve, 1.0, 0.7, s_field,
+                         angle_field) == pytest.approx(0.0, abs=1e-14)
 
     def test_constant_quotient_on_sphere(self):
-        curve = sphere(1.0).curve
-        assert apply(first_beltrami, curve, 1.2, 0.0, radii_sum_partials,
-                     normal_axial_partials) == pytest.approx(0.0, abs=1e-12)
+        jets = require_regular(sphere(1.0).curve, 1.2)
+        assert first_beltrami(jets, radii_sum_jet(jets), normal_profiles(jets)[1]) == (
+            pytest.approx(0.0, abs=1e-12))
+
+    @pytest.mark.parametrize("mk", [sphere(1.0), catenoid(1.0), torus(3.0, 1.0)])
+    def test_matches_pointwise_oracle(self, mk):
+        # The profile of the pairing of theta-free R = 2H/K with a normal
+        # part, times that part's trig, is the oracle's pairing at the point.
+        for s in sample_regular(mk.curve, 9):
+            jets = require_regular(mk.curve, s)
+            R = radii_sum_jet(jets)
+            for normal, k in zip(normal_profiles(jets), (1, 0)):
+                for theta, trig in ((0.4, "cos"), (2.1, "sin")):
+                    t = math.cos(k * theta) if trig == "cos" else math.sin(k * theta)
+                    want = reference_first_beltrami(jets, reference_partials(R, 0, "cos", theta),
+                                                    reference_partials(normal, k, trig, theta))
+                    assert first_beltrami(jets, R, normal) * t == pytest.approx(
+                        want, rel=1e-12, abs=1e-12)
 
 
 class TestSecondBeltrami:
     def test_catenoid_height_is_harmonic(self):
         curve = catenoid(1.0).curve
-        x3 = coordinate_fields()[2]
-        assert apply(second_beltrami, curve, 1.0, 0.0, x3) == pytest.approx(0.0, abs=1e-12)
+        assert laplacian_at(second_beltrami, curve, 1.0, height, 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_sphere_height_eigenfunction(self):
         curve = sphere(1.0).curve
-        x3 = coordinate_fields()[2]
         for s in (0.3, 1.0, 2.0, 2.8):
-            got = apply(second_beltrami, curve, s, 1.3, x3)
+            got = laplacian_at(second_beltrami, curve, s, height, 0)
             assert got == pytest.approx(2.0 * (-math.cos(s)), rel=1e-11, abs=1e-12)
 
     def test_constant_killed(self):
         for curve in (sphere(1.0).curve, catenoid(1.0).curve, torus(3.0, 1.0).curve):
-            assert apply(second_beltrami, curve, 0.9, 0.4, const_field(3.7)) == pytest.approx(
-                0.0, abs=1e-12
-            )
+            assert laplacian_at(second_beltrami, curve, 0.9, expression_profile("3.7"),
+                                0) == pytest.approx(0.0, abs=1e-12)
 
     def test_linearity(self):
         curve = torus(3.0, 1.0).curve
@@ -148,12 +175,31 @@ class TestSecondBeltrami:
             w = "cos(2*s) - s"
             combo = f"{alpha!r}*({u}) + {beta!r}*({w})"
             k = int(rng.integers(0, 3))
-            s, theta = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0, 2 * math.pi))
-            lhs = apply(second_beltrami, curve, s, theta, expression_partials(combo, harmonic=k))
-            rhs = alpha * apply(
-                second_beltrami, curve, s, theta, expression_partials(u, harmonic=k)
-            ) + beta * apply(second_beltrami, curve, s, theta, expression_partials(w, harmonic=k))
+            s = float(rng.uniform(-1.0, 1.0))
+            lhs = laplacian_at(second_beltrami, curve, s, expression_profile(combo), k)
+            rhs = alpha * laplacian_at(
+                second_beltrami, curve, s, expression_profile(u), k
+            ) + beta * laplacian_at(second_beltrami, curve, s, expression_profile(w), k)
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("op, oracle", [
+        (second_beltrami, reference_second_beltrami),
+        (second_beltrami_divergence, reference_second_beltrami_divergence),
+    ], ids=("specialized", "divergence"))
+    @pytest.mark.parametrize("mk", [sphere(1.0), catenoid(1.0), torus(3.0, 1.0)])
+    def test_matches_pointwise_oracle(self, mk, op, oracle):
+        # The profile result times the field's trig is the oracle's
+        # pointwise operator on the field's partials.
+        rng = np.random.default_rng(8)
+        profile = expression_profile("sin(s) + 0.3*s^2 - 0.5*cos(0.7*s)")
+        for s in sample_regular(mk.curve, 9):
+            jets = require_regular(mk.curve, s)
+            for k in range(4):
+                theta = float(rng.uniform(0.0, 2.0 * math.pi))
+                for trig, t in (("cos", math.cos(k * theta)), ("sin", math.sin(k * theta))):
+                    want = oracle(jets, reference_partials(profile(jets), k, trig, theta))
+                    assert op(jets, profile(jets), k) * t == pytest.approx(
+                        want, rel=1e-11, abs=1e-11), (s, k, trig)
 
 
 class TestProfileFactors:
@@ -222,11 +268,12 @@ class TestCoordinateLaplacian:
         assert lap.vector[2] == lap.axial
 
     def test_matches_operator_on_coordinates(self):
-        # the factor formulas against the operator applied to coordinate fields
+        # the operator on the coordinate profiles against the R-form
+        # radial = R sin(phi) - (cos(phi)/phi') R',
+        # axial = -R cos(phi) - (sin(phi)/phi') R' of R = 2H/K
         rng = np.random.default_rng(5)
         for mk in (sphere(1.3), catenoid(0.8), torus(3.0, 1.0)):
             curve = mk.curve
-            fields = coordinate_fields()
             intervals = curve.regular_intervals()
             lengths = np.array([hi - lo for lo, hi in intervals])
             for _ in range(40):
@@ -234,11 +281,17 @@ class TestCoordinateLaplacian:
                 s = float(rng.uniform(lo, hi))
                 theta = float(rng.uniform(0.0, 2.0 * math.pi))
                 try:
-                    lap = coordinate_laplacian(require_regular(curve, s), theta)
+                    jets = require_regular(curve, s)
                 except Exception:
                     continue
-                direct = [apply(second_beltrami, curve, s, theta, f) for f in fields]
-                assert np.allclose(lap.vector, direct, rtol=1e-9, atol=1e-9)
+                lap = coordinate_laplacian(jets, theta)
+                radial, axial = reference_profile_factors(jets)
+                want = [radial * math.cos(theta), radial * math.sin(theta), axial]
+                assert np.allclose(lap.vector, want, rtol=1e-9, atol=1e-9)
+
+    def test_r_form_is_the_operator_at_arclength(self):
+        # L_1 f and L_0 g minus the R-form simplify to 0 in sympy.
+        assert symbolic_coordinate_laplacian_defects() == (0, 0)
 
 
 def _grid(curve, n_s, n_theta):
@@ -403,23 +456,22 @@ class TestOperatorEquivalence:
 
     def test_cross_check_on_height(self):
         curve = sphere(1.0).curve
-        x3 = coordinate_fields()[2]
         s = math.pi / 3
-        a = apply(second_beltrami, curve, s, 0.0, x3)
-        b = apply(second_beltrami_divergence, curve, s, 0.0, x3)
+
+        a = laplacian_at(second_beltrami, curve, s, height, 0)
+        b = laplacian_at(second_beltrami_divergence, curve, s, height, 0)
         assert a == pytest.approx(-1.0, rel=1e-12)  # 2*(-cos(pi/3))
         assert b == pytest.approx(a, rel=1e-12)
 
     def test_divergence_form_on_constant(self):
-        assert apply(
-            second_beltrami_divergence, torus(3.0, 1.0).curve, 0.5, 1.0, const_field(2.0)
-        ) == pytest.approx(0.0, abs=1e-12)
+        assert laplacian_at(second_beltrami_divergence, torus(3.0, 1.0).curve, 0.5,
+                            expression_profile("2.0"), 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_catenoid_radial_coordinate(self):
         curve = catenoid(1.0).curve
-        x1 = coordinate_fields()[0]
-        a = apply(second_beltrami, curve, 1.0, 0.0, x1)
-        b = apply(second_beltrami_divergence, curve, 1.0, 0.0, x1)
+
+        a = laplacian_at(second_beltrami, curve, 1.0, radius, 1)
+        b = laplacian_at(second_beltrami_divergence, curve, 1.0, radius, 1)
         assert a == pytest.approx(0.0, abs=1e-10)
         assert b == pytest.approx(a, abs=1e-10)
 
