@@ -278,7 +278,7 @@ def radius_rate_defect(
     if not len(jets):
         return None, details, {}
     _, dR = radii_sum_jet(jets)
-    defect = np.abs(dR - 0.5 * (lam - mu) * jets.sin_phi * jets.cos_phi)
+    defect = np.abs(dR - (0.5 * lam - 0.5 * mu) * jets.sin_phi * jets.cos_phi)
     worst = details["max_defect"] = float(np.max(defect))
     return worst, details, {"s": jets.s, "defect": defect}
 

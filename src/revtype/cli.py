@@ -50,16 +50,15 @@ are checked by `classify.contradiction_scan`.
 
 The parser is built once, when this module is imported, and `main` reuses
 it: a parse keeps its results in a fresh namespace, so no call leaves state
-behind for the next.  `main` parses a command with the parser of the
-command that argv names, such as ``verify radius-rate``, a subparser of the
-tree, and with the whole tree only when argv names none, so that the tree
-writes every usage and help message.  A leaf's line that holds only the
-leaf's exact long options, each with its value(s) in the words after it,
-every value converting cleanly and one surface named, is read in one pass
-(`_read`) against a table built from the leaf's own argparse actions; any
-other line (``-h``, an abbreviation, ``--opt=value``, ``--``, a positional,
-a bad value, a missing or doubled surface) goes to the leaf's argparse
-parse, which writes its usage and error messages.  Reports are written by
+behind for the next.  A command line is read one of two ways.  A line that
+names a leaf, a command with no further subcommand such as ``verify
+radius-rate``, and holds only the leaf's exact long options, each with its
+value(s) in the words after it, every value converting cleanly and one
+surface named, is read in one pass (`_read`) against a table built from
+the leaf's own argparse actions.  Every other line (no leaf named, ``-h``,
+an abbreviation, ``--opt=value``, ``--``, a positional, a bad value, a
+missing or doubled surface) goes to the whole argparse tree, which writes
+every usage, help and error message.  Reports are written by
 `_json_text`, which lays them out byte for byte as ``json.dumps(...,
 indent=2, sort_keys=True)`` does, without its per-container generators.
 """
@@ -464,11 +463,9 @@ def cmd_catalog(args) -> int:
             print(f"{name}: {entry.description}{tag}")
         return EXIT_OK
     entry = catalog.make(args.name, dict(args.param or ()))
+    _write_json(args.out, geometry.profile_to_dict(entry.curve))
     if args.out:
-        geometry.save_profile(entry.curve, args.out)
         print(f"wrote {args.out}")
-    else:
-        _write_json(None, geometry.profile_to_dict(entry.curve))
     return EXIT_OK
 
 
@@ -503,10 +500,10 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The whole ``revtype`` parser.  Its ``leaves`` maps the words naming
     each command that takes no further subcommand, such as ``("verify",
-    "radius-rate")`` or ``("scan",)``, to that command's subparser.  A
-    leaf's defaults hold the dests that the tree sets to those words, so the
-    leaf alone parses the rest of the line into the namespace the tree
-    gives."""
+    "radius-rate")`` or ``("scan",)``, to that command's subparser, whose
+    ``table`` `_read` reads the rest of the line against.  A leaf's defaults
+    hold the dests that the tree sets to those words, so `_read` gives the
+    namespace the tree gives."""
     parser = _Parser(
         prog="revtype",
         description="Third-form Beltrami operators and finite-type classification "
@@ -592,13 +589,13 @@ _PARSER = build_parser()
 
 
 def _read(leaf: argparse.ArgumentParser, rest: list[str]) -> Optional[argparse.Namespace]:
-    """The namespace of ``leaf.parse_known_args(rest)``, read in one pass
-    against ``leaf.table``, when ``rest`` is only exact long options of the
-    leaf, each followed by as many values as it takes, every value a word
-    that argparse reads as one (not starting with ``-`` unless it is a
-    negative number) and accepted by the option's type and choices, with
-    each mutually exclusive group named at most once, and exactly once when
-    it is required.  None for any other line."""
+    """The namespace that the whole tree gives the leaf's words and
+    ``rest``, read in one pass against ``leaf.table``, when ``rest`` is only
+    exact long options of the leaf, each followed by as many values as it
+    takes, every value a word that argparse reads as one (not starting with
+    ``-`` unless it is a negative number) and accepted by the option's type
+    and choices, with each mutually exclusive group named at most once, and
+    exactly once when it is required.  None for any other line."""
     if leaf.table is None:
         return None
     options, defaults, groups = leaf.table
@@ -632,25 +629,15 @@ def _read(leaf: argparse.ArgumentParser, rest: list[str]) -> Optional[argparse.N
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_PARSER.parse_args(argv)``, parsed by the leaf that the first words
-    of ``argv`` name, if any: then the tree's levels above it neither
-    classify nor convert the words again.  `_read` reads the rest of the
-    line in one pass when it can; otherwise the leaf's argparse parse reads
-    it and writes its usage and error messages.  A line that names no leaf,
-    with no words, ``-h``, an unknown command or an option before a check's
-    name, goes through the whole tree, which writes its usage and help
-    messages."""
-    for words in (tuple(argv[:2]), tuple(argv[:1])):
-        leaf = _PARSER.leaves.get(words)
+    """``_PARSER.parse_args(argv)``, read by `_read` in one pass when the
+    first words of ``argv`` name a leaf and `_read` takes the rest of the
+    line.  Every other line goes through the whole tree, which writes its
+    usage, help and error messages."""
+    for n in (2, 1):
+        leaf = _PARSER.leaves.get(tuple(argv[:n]))
         if leaf is not None:
-            rest = argv[len(words):]
-            args = _read(leaf, rest)
-            if args is not None:
-                return args
-            args, extra = leaf.parse_known_args(rest)
-            if extra:
-                _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
-            return args
+            args = _read(leaf, argv[n:])
+            return _PARSER.parse_args(argv) if args is None else args
     return _PARSER.parse_args(argv)
 
 

@@ -194,12 +194,9 @@ class RegularJets:
     @property
     def margin(self):
         """The non-parabolicity margin min(|phi'|, |sin phi|), with the
-        shape of ``s`` (broadcast only when it lacks it); a point is
-        parabolic unless its margin exceeds tol_parab, so a NaN margin is
-        parabolic."""
-        margin = np.minimum(np.abs(self.dphi), np.abs(self.sin_phi))
-        shape = np.shape(self.s)
-        return margin if margin.shape == shape else np.broadcast_to(margin, shape)
+        shape of ``s``, as every channel has it; a point is parabolic unless
+        its margin exceeds tol_parab, so a NaN margin is parabolic."""
+        return np.minimum(np.abs(self.dphi), np.abs(self.sin_phi))
 
     def __len__(self) -> int:
         return int(np.size(self.s))
@@ -297,7 +294,8 @@ class ValidationReport:
 def sample_regular(p: ProfileCurve, n: int) -> np.ndarray:
     """About ``n`` deterministic sample points spread over the regular
     subdomain, proportionally per subinterval, midpoint-placed; one sorted
-    1-D float array.  One subinterval's points are sorted as placed."""
+    1-D float array.  The points are sorted as placed: each subinterval's
+    lie in it in increasing order, and the subintervals increase."""
     if n < 2:
         raise ValueError("need at least 2 samples")
     intervals = p.regular_intervals()
@@ -306,7 +304,7 @@ def sample_regular(p: ProfileCurve, n: int) -> np.ndarray:
     for lo, hi in intervals:
         k = max(1, round(n * (hi - lo) / total))
         parts.append(lo + (np.arange(k) + 0.5) * ((hi - lo) / k))
-    return parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
+    return np.concatenate(parts)
 
 
 def joint_pass(p: ProfileCurve, n_samples: int, n_s: int) -> tuple[RegularJets, RegularJets]:

@@ -1097,8 +1097,8 @@ class TestLinearAlgebraBudget:
 
 class TestProfilePassBudget:
     """The profile pass makes no no-op NumPy call: the margin already has
-    the shape of its samples, so it is not broadcast, and the samples of
-    one regular interval are sorted as placed, so they are not sorted."""
+    the shape of its samples, so it is not broadcast, and the samples are
+    sorted as placed, so they are not sorted."""
 
     @pytest.mark.parametrize("words, options", (
         (["classify"], ["--grid", "32x32"]), (["classify"], ["--grid", "64x4096"]),
@@ -1112,10 +1112,7 @@ class TestProfilePassBudget:
             raise AssertionError("no-op NumPy call")
 
         monkeypatch.setattr(np, "broadcast_to", forbidden)
-        if surface[1] != "torus":
-            # One regular interval: the torus excludes two collars.
-            assert len(catalog.make(surface[1]).curve.regular_intervals()) == 1
-            monkeypatch.setattr(np, "sort", forbidden)
+        monkeypatch.setattr(np, "sort", forbidden)
         code, out, err = captured([*words, *surface, *options])
         assert code in (0, 2) and err == ""
         assert json.loads(out)
@@ -1197,9 +1194,9 @@ class TestReportDicts:
 
 
 class TestSharedParser:
-    """``main`` parses with the parser built at import: with the subparser
-    of the command that argv names, or with the whole tree when it names
-    none.  A parse leaves nothing behind in it for the next call."""
+    """``main`` parses with the parser built at import: with the table of
+    the leaf that argv names, or with the whole tree.  A parse leaves
+    nothing behind in it for the next call."""
 
     def test_main_never_builds_a_parser(self, monkeypatch):
         calls = []
@@ -1252,8 +1249,8 @@ _DISPATCH_CORPUS = (
 
 class TestLeafDispatch:
     """A command that names a leaf, a command with no further subcommand,
-    is parsed by that leaf's parser alone, with the bytes that the whole
-    tree gives."""
+    is read by `cli._read` in one pass or, when it declines the line, by
+    the whole tree, with the bytes that the whole tree gives."""
 
     @pytest.fixture
     def parses(self, monkeypatch):
@@ -1272,30 +1269,34 @@ class TestLeafDispatch:
         assert list(cli._PARSER.leaves) == list(tree)
         assert all(cli._PARSER.leaves[words] is leaf for words, leaf in tree.items())
 
-    def test_one_parse_per_command(self, parses, tmp_path, monkeypatch):
+    def test_reader_or_whole_tree(self, parses, tmp_path, monkeypatch):
         # `_read` reads README's usage lines and the benchmark's shapes
         # with no argparse parse, save ``catalog export``, whose NAME is a
-        # positional.  Every `_DISPATCH_CORPUS` line takes the leaf or tree
-        # parses that it takes with the reader switched off.
+        # positional.  ``catalog export`` and every `_DISPATCH_CORPUS` line
+        # take exactly the parses that the whole tree takes.
         monkeypatch.chdir(tmp_path)
         profile = str(tmp_path / "surface.json")
         geometry.save_profile(catalog.make("sphere").curve, profile)
+        exports = [argv for argv in _readme_usage() if argv[:2] == ["catalog", "export"]]
+        assert exports
         for argv in [*_readme_usage(), *_benchmark_shapes(profile)]:
-            parses.clear()
-            captured(argv)
-            assert parses == ([_tree_leaf(argv)] if argv[:2] == ["catalog", "export"] else []), argv
-        assert {_tree_leaf(argv) for argv in _readme_usage()} == set(cli._PARSER.leaves.values())
-        with monkeypatch.context() as m:
-            m.setattr(cli, "_read", lambda leaf, rest: None)
-            today = []
-            for argv in _DISPATCH_CORPUS:
+            if argv not in exports:
                 parses.clear()
                 captured(argv)
-                today.append(list(parses))
-        for argv, want in zip(_DISPATCH_CORPUS, today):
+                assert parses == [], argv
+        assert {_tree_leaf(argv) for argv in _readme_usage()} == set(cli._PARSER.leaves.values())
+        corpus = [*exports, *_DISPATCH_CORPUS]
+        with monkeypatch.context() as m:
+            m.setattr(cli._PARSER, "leaves", {})
+            tree = []
+            for argv in corpus:
+                parses.clear()
+                captured(argv)
+                tree.append(list(parses))
+        for argv, want in zip(corpus, tree):
             parses.clear()
             captured(argv)
-            assert want and parses == want, argv
+            assert want[0] is cli._PARSER and parses == want, argv
 
     def test_whole_tree_prints_the_same_bytes(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1382,8 +1383,9 @@ def _parse_outcome(parse, argv) -> tuple:
 
 
 def _argparse_leaf_parse(leaf):
-    """A leaf's argparse parse as `cli._parse` runs it when `cli._read`
-    declines a line."""
+    """A leaf's own argparse parse, with the whole tree's error for words
+    that it does not take: the reference for what `cli._parse` must print
+    for a line that `cli._read` declines."""
     def parse(rest):
         args, extra = leaf.parse_known_args(rest)
         if extra:
@@ -1666,6 +1668,17 @@ class TestFloatingPointFaults:
         assert captured([*command, "--profile", str(path), *options]) == (
             1, "", f"error: gridfault: {stage}: domain error at s=0.25: sqrt of a non-positive "
                    "value in 'sqrt((s - 0.25)^2)'\n")
+
+    @pytest.mark.parametrize("surface", ("sphere", "torus"))
+    def test_radius_rate_coefficient_does_not_overflow(self, surface):
+        # lambda - mu overflows to inf; half of each does not, so the defect
+        # is finite and far above tolerance.
+        code, out, err = captured(["verify", "radius-rate", "--catalog", surface,
+                                   "--lambda", "1e308", "--mu", "-1e308"])
+        assert (code, err) == (2, "")
+        report = json.loads(out, parse_constant=_reject_constant)
+        assert report["details"]["max_defect"] == report["max_residual"]
+        assert 1e307 < report["max_residual"] <= 5e307
 
     @pytest.mark.parametrize("command", (["classify"], *(["verify", c] for c in VERIFY_CHECKS)),
                              ids=lambda c: c[-1])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revtype import (
     ProfileCurve,
@@ -121,6 +122,37 @@ class TestValidation:
         want = reference_sample_regular(curve, n)
         assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.ndim == 1
         assert np.array_equal(got, want)
+
+
+@st.composite
+def _tight_domains(draw):
+    """A curve on a domain near +-1e17 with 0 to 4 excluded intervals,
+    every regular and excluded interval 1 to 64 float spacings wide."""
+    m = draw(st.integers(0, 4))
+    bound = draw(st.sampled_from((1e17, -1e17))) + draw(st.integers(-(2**10), 2**10)) * 16.0
+    bounds = [bound]
+    for steps in draw(st.lists(st.integers(1, 64), min_size=2 * m + 1, max_size=2 * m + 1)):
+        for _ in range(steps):
+            bound = np.nextafter(bound, np.inf)
+        bounds.append(float(bound))
+    excluded = [bounds[i:i + 2] for i in range(1, 2 * m + 1, 2)]
+    return ProfileCurve.build("tight", "cos(s)", "sin(s)", bounds[0], bounds[-1],
+                              excluded=excluded)
+
+
+class TestSampleOrder:
+    """`sample_regular` places its points in order: each interval's
+    increase inside it, and the intervals increase, so no sort is needed."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tight_domains(), st.integers(2, 4096))
+    def test_sorted_as_placed_inside_regular_intervals(self, curve, n):
+        got = sample_regular(curve, n)
+        assert got.ndim == 1 and np.all(np.diff(got) >= 0)
+        assert got.tobytes() == np.sort(got).tobytes()
+        intervals = np.array(curve.regular_intervals())
+        inside = (got[:, None] >= intervals[:, 0]) & (got[:, None] <= intervals[:, 1])
+        assert inside.any(axis=1).all()
 
 
 class TestPhi:
