@@ -165,7 +165,7 @@ def _param(text: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}") from None
 
 
-def _load_surface(args) -> tuple[str, ProfileCurve, Optional[catalog.CatalogEntry]]:
+def _load_surface(args) -> tuple[ProfileCurve, Optional[catalog.CatalogEntry]]:
     if args.catalog is None:
         if args.param:
             raise InputError("--param sets a --catalog parameter, not a --profile file's")
@@ -175,12 +175,12 @@ def _load_surface(args) -> tuple[str, ProfileCurve, Optional[catalog.CatalogEntr
             raise InputError(f"profile file not found: {args.profile}") from None
         except (json.JSONDecodeError, ValueError, ExpressionError, RecursionError) as exc:
             raise InputError(f"bad profile file {args.profile}: {exc}") from None
-        return curve.name, curve, None
+        return curve, None
     try:
         entry = catalog.make(args.catalog, dict(args.param or ()))
     except (ValueError, TypeError) as exc:
         raise InputError(str(exc)) from None
-    return entry.curve.name, entry.curve, entry
+    return entry.curve, entry
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
@@ -286,7 +286,7 @@ def _stage(label: str, stage: str):
         raise InputError(f"{label}: {stage}: {exc}") from None
 
 
-def _profile_stage(label: str, curve: ProfileCurve, config: dict, n_samples: int, n_s: int):
+def _profile_stage(curve: ProfileCurve, config: dict, n_samples: int, n_s: int):
     """The `ValidationReport` of a passing profile and the grid jets of its
     ``n_s`` rows, from one `geometry.joint_pass` over the validation samples
     and the grid's profile samples (none when ``n_s`` is 0).  When that pass
@@ -297,21 +297,21 @@ def _profile_stage(label: str, curve: ProfileCurve, config: dict, n_samples: int
     if n_s:
         with contextlib.suppress(*_FAULTS):
             checked, rows = geometry.joint_pass(curve, n_samples, n_s)
-    with _stage(label, "validation"):
+    with _stage(curve.name, "validation"):
         validation = geometry.validate_profile(curve, n_samples=n_samples,
                                                tol_arc=config["tol_arc"],
                                                tol_parab=config["tol_parab"], jets=checked)
     if not validation.passed:
-        raise InputError(f"{label}: profile validation FAILED\n"
+        raise InputError(f"{curve.name}: profile validation FAILED\n"
                          + json.dumps(validation.to_dict(), indent=2, sort_keys=True))
     return validation, rows
 
 
 def cmd_classify(args) -> int:
-    label, curve, entry = _load_surface(args)
-    config = _config(args, label, "tol_arc", "tol_parab", "tol_fit")
-    validation, rows = _profile_stage(label, curve, config, args.samples, config["n_s"])
-    with _stage(label, "fit"):
+    curve, entry = _load_surface(args)
+    config = _config(args, curve.name, "tol_arc", "tol_parab", "tol_fit")
+    validation, rows = _profile_stage(curve, config, args.samples, config["n_s"])
+    with _stage(curve.name, "fit"):
         report = classify.fit_matrix(curve, *args.grid, tol_parab=args.tol_parab,
                                      tol_fit=args.tol_fit, jets=rows)
         structure = classify.structure_check(report)
@@ -331,7 +331,7 @@ def cmd_classify(args) -> int:
         _write_json(args.out, payload)
     if args.out:
         rel = "none" if report.rel_residual is None else f"{report.rel_residual:.3e}"
-        print(f"{label}: verdict {report.verdict} (rel_residual {rel})")
+        print(f"{curve.name}: verdict {report.verdict} (rel_residual {rel})")
     return EXIT_OK if report.verdict != classify.VERDICT_INCONCLUSIVE else EXIT_INCONCLUSIVE
 
 
@@ -394,13 +394,13 @@ def _run_check(args, curve: ProfileCurve, rows, lam_mu: tuple):
 
 
 def cmd_verify(args) -> int:
-    label, curve, entry = _load_surface(args)
-    config = _config(args, label, "tol_arc", "tol_parab", "n_s", "pairs", "seed")
+    curve, entry = _load_surface(args)
+    config = _config(args, curve.name, "tol_arc", "tol_parab", "n_s", "pairs", "seed")
     check, tol = args.check, args.tol
-    _, rows = _profile_stage(label, curve, config, VALIDATION_SAMPLES, config.get("n_s", 0))
+    _, rows = _profile_stage(curve, config, VALIDATION_SAMPLES, config.get("n_s", 0))
     # After validation, so a profile that fails it says so first.
     lam_mu = _lam_mu(args, entry) if "lam" in args else ()
-    with _stage(label, check):
+    with _stage(curve.name, check):
         worst, details, columns = _run_check(args, curve, rows, lam_mu)
     reason: Optional[str] = None
     if check == "operator-equivalence" and details["pairs"] < args.pairs:
@@ -424,7 +424,7 @@ def cmd_verify(args) -> int:
     else:
         _write_json(args.out, payload)
     if args.out:
-        print(f"{label}: {check} " + (f"FAIL: {reason}" if reason else
+        print(f"{curve.name}: {check} " + (f"FAIL: {reason}" if reason else
               f"max residual {worst:.3e} (tol {tol:.1e}) -> {'pass' if passed else 'FAIL'}"))
     return EXIT_OK if passed else EXIT_INCONCLUSIVE
 

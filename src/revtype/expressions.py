@@ -19,8 +19,8 @@ positivity restriction on the base.  A folded exponent whose numerator or
 denominator needs more than MAX_EXPONENT_BITS bits is a parse error, raised
 before the fold computes any power that must exceed that bound.  A number
 literal that is not finite, such as ``1e999``, and a tree or parse nested
-past MAX_DEPTH are parse errors too.  Error offsets are 0-based byte
-offsets into the source text.
+past MAX_DEPTH are parse errors too.  Error offsets are 0-based character
+offsets: indices into the source text as a ``str``, not into its bytes.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -125,42 +126,37 @@ class Pow:
 
 Expr = Union[Num, Var, Param, Func, BinOp, Pow]
 
-_NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_OPS = set("+-*/^(),")
+#: One token per match: a number (``\d`` is any Unicode decimal digit, as
+#: `float` reads), an identifier, an operator, a run of whitespace (``\s``
+#: is exactly `str.isspace`), or any other character, which is an error.
+_TOKEN_RE = re.compile(r"""
+    (?P<num> (?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)? )
+  | (?P<ident> [A-Za-z_][A-Za-z_0-9]* )
+  | (?P<op> [-+*/^(),] )
+  | \s+
+  | (?P<bad> . )
+""", re.VERBOSE | re.DOTALL)
 
+#: Precedence of each binary operator, loosest first, read by the parser's
+#: `binary` and by `unparse`; unary minus, ``^`` and atoms bind tighter.
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+_TIGHTEST = max(_PRECEDENCE.values())
+_NEG, _POW, _ATOM = _TIGHTEST + 1, _TIGHTEST + 2, _TIGHTEST + 3
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'num' | 'ident' | op char | 'eof'
-    text: str
-    offset: int
+#: ``kind`` is 'num', 'ident', an operator's own character or 'eof'.
+_Token = namedtuple("_Token", "kind text offset")
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    pos, n = 0, len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _NUMBER_RE.match(text, pos)
-        if m:
-            tokens.append(_Token("num", m.group(), pos))
-            pos = m.end()
-            continue
-        m = _IDENT_RE.match(text, pos)
-        if m:
-            tokens.append(_Token("ident", m.group(), pos))
-            pos = m.end()
-            continue
-        if ch in _OPS:
-            tokens.append(_Token(ch, ch, pos))
-            pos += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(_Token("eof", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if kind is not None:
+            tokens.append(_Token(m.group() if kind == "op" else kind, m.group(), m.start()))
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
@@ -168,10 +164,10 @@ class _Parser:
     """Recursive descent.  Each rule returns its tree with the tree's depth,
     a parse error past MAX_DEPTH, and ``nesting`` counts the `unary` calls
     open, through which every recursion passes, a parse error past
-    MAX_DEPTH + 2."""
+    MAX_DEPTH + 2.  `binary` levels 1 and 2 are the grammar's ``expr`` and
+    ``term``; each rule calls the next directly: five frames a nesting level."""
 
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.nesting = 0
@@ -191,7 +187,7 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Expr:
-        node, _ = self.expr()
+        node, _ = self.binary()
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(f"unexpected {tok.text!r}", tok.offset)
@@ -206,19 +202,12 @@ class _Parser:
             raise ParseError("expression nested too deeply", offset)
         return depth
 
-    def expr(self) -> tuple[Expr, int]:
-        node, depth = self.term()
-        while self.peek().kind in ("+", "-"):
+    def binary(self, level: int = 1) -> tuple[Expr, int]:
+        """Left-associative operators of `_PRECEDENCE` ``level`` and tighter."""
+        node, depth = self.binary(level + 1) if level < _TIGHTEST else self.unary()
+        while _PRECEDENCE.get(self.peek().kind) == level:
             tok = self.advance()
-            rhs, rhs_depth = self.term()
-            node, depth = BinOp(tok.kind, node, rhs), self.deeper(tok.offset, depth, rhs_depth)
-        return node, depth
-
-    def term(self) -> tuple[Expr, int]:
-        node, depth = self.unary()
-        while self.peek().kind in ("*", "/"):
-            tok = self.advance()
-            rhs, rhs_depth = self.unary()
+            rhs, rhs_depth = self.binary(level + 1) if level < _TIGHTEST else self.unary()
             node, depth = BinOp(tok.kind, node, rhs), self.deeper(tok.offset, depth, rhs_depth)
         return node, depth
 
@@ -270,10 +259,10 @@ class _Parser:
                         f"unknown function '{tok.text}'", tok.offset
                     )
                 self.advance()
-                args = [self.expr()]
+                args = [self.binary()]
                 while self.peek().kind == ",":
                     self.advance()
-                    args.append(self.expr())
+                    args.append(self.binary())
                 self.expect(")", "')'")
                 if len(args) != 1:
                     raise ArityError(
@@ -290,7 +279,7 @@ class _Parser:
             return Param(tok.text), 1
         if tok.kind == "(":
             self.advance()
-            node = self.expr()
+            node = self.binary()
             self.expect(")", "')'")
             return node
         raise ParseError("expected expression", tok.offset)
@@ -312,15 +301,10 @@ def _fold_rational(node: Expr, offset: int) -> Optional[Fraction]:
         lhs, rhs = _fold_rational(node.lhs, offset), _fold_rational(node.rhs, offset)
         if lhs is None or rhs is None:
             return None
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        if node.op == "*":
-            return lhs * rhs
-        if rhs == 0:
-            return None  # constant 1/0: defer to evaluation-time error
-        return lhs / rhs
+        try:
+            return _BINOPS[node.op](lhs, rhs)
+        except ZeroDivisionError:
+            return None  # constant x/0: defer to evaluation-time error
     if isinstance(node, Pow) and node.exponent.denominator == 1:
         base = _fold_rational(node.base, offset)
         if base is None:
@@ -338,9 +322,6 @@ def _fold_rational(node: Expr, offset: int) -> Optional[Fraction]:
 def parse(text: str) -> Expr:
     """Parse ``text`` into an expression tree."""
     return _Parser(text).parse()
-
-
-_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 @np.errstate(all="ignore")
@@ -413,10 +394,6 @@ def eval_jet3(e: Expr, s, params: Optional[Mapping[str, float]] = None) -> Jet3:
                   else np.broadcast_to(c, shape) for c in (out.v0, out.v1, out.v2, out.v3)))
 
 
-# Precedence levels for unparsing.
-_ADD, _MUL, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
-
-
 def _fmt_exponent(p: Fraction) -> str:
     if p.denominator == 1 and p >= 0:
         return str(int(p))
@@ -441,7 +418,7 @@ def unparse(e: Expr) -> str:
                 return f"({text})" if level > _NEG else text
             return f"{node.name}({un(node.arg, 0)})"
         if isinstance(node, BinOp):
-            mine = _ADD if node.op in "+-" else _MUL
+            mine = _PRECEDENCE[node.op]
             text = f"{un(node.lhs, mine)} {node.op} {un(node.rhs, mine + 1)}"
             return f"({text})" if level > mine else text
         if isinstance(node, Pow):

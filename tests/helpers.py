@@ -1,5 +1,6 @@
 """Shared test oracles: central finite differences, symbolic differentiation,
-a deterministic random-expression generator, an all-jet expression
+a deterministic random-expression generator, a character-at-a-time
+tokenizer, an all-jet expression
 evaluator and a per-point profile sampler, the strict regular-point
 evaluation (`require_regular`) that point tests use, scalar surface
 points, tangents and Gauss-map derivatives, the torus's closed-form mean
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 import types
 from dataclasses import asdict, dataclass, replace
 
@@ -36,6 +38,7 @@ from revtype.expressions import (
     Func,
     Num,
     Param,
+    ParseError,
     Pow,
     UnboundParameterError,
     Var,
@@ -153,6 +156,41 @@ DEEP_TEXTS = {
 
 
 #: Offsets from s0 at which `fd_derivatives` evaluates its function.
+_NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_OPS = set("+-*/^(),")
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` tokens of ``text`` read one position at a
+    time: a whitespace character (`str.isspace`), a number, an identifier or
+    an operator, else ParseError ``unexpected character`` at that offset."""
+    tokens = []
+    pos, n = 0, len(text)
+    while pos < n:
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        m = _NUMBER_RE.match(text, pos)
+        if m:
+            tokens.append(("num", m.group(), pos))
+            pos = m.end()
+            continue
+        m = _IDENT_RE.match(text, pos)
+        if m:
+            tokens.append(("ident", m.group(), pos))
+            pos = m.end()
+            continue
+        if ch in _OPS:
+            tokens.append((ch, ch, pos))
+            pos += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", pos)
+    tokens.append(("eof", "", n))
+    return tokens
+
+
 FD_WINDOW = (-2e-3, -1e-3, -1e-4, -1e-5, 1e-5, 1e-4, 1e-3, 2e-3)
 
 

@@ -98,7 +98,7 @@ def laplacian_at(op, curve, s, profile, k):
     return op(jets, profile(jets), k)
 
 
-class TestSeparablePartials:
+class TestExpressionPartials:
     """The pointwise oracle's partials of a(s) trig(k theta)."""
 
     def test_partials_shape(self):

@@ -1,3 +1,5 @@
+import string
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +33,7 @@ from helpers import (
     FD_WINDOW,
     eval_value,
     reference_eval_jet3,
+    reference_tokenize,
     sample_well_behaved,
     sympy_jet,
 )
@@ -95,6 +98,13 @@ class TestParse:
             parse("s + $")
         assert err.value.offset == 4
 
+    def test_offsets_count_characters(self):
+        # The 'é' is character 4 of the text and byte 5 of its UTF-8 form.
+        with pytest.raises(ParseError, match="unexpected character 'é'") as err:
+            parse("\u0663 + é")
+        assert err.value.offset == 4
+        assert unparse(parse("\u0663 * s")) == "3.0 * s"
+
     def test_trailing_input(self):
         with pytest.raises(ParseError) as err:
             parse("s 1")
@@ -145,6 +155,20 @@ class TestParse:
         with pytest.raises(ParseError, match="expression nested too deeply"):
             parse("-" + text)
 
+    def test_frame_budget(self):
+        # 101 nested parentheses take about 516 frames over the caller at
+        # five frames a nesting level; one more frame a level takes 618.
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 530)
+        try:
+            tree = parse("(" * 101 + "s" + ")" * 101)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert tree == Var()
+
     @pytest.mark.parametrize("text, offset", (("s^1e999", 2), ("2 + 1e999 * s", 4)))
     def test_number_out_of_range(self, text, offset):
         with pytest.raises(ParseError, match="number out of range") as err:
@@ -159,6 +183,31 @@ class TestParse:
         bounded = [parse(text) for text in texts]
         monkeypatch.setattr(expressions, "MAX_EXPONENT_BITS", 10**9)
         assert [parse(text) for text in texts] == bounded
+
+
+# Characters of each token class, Unicode whitespace, a non-ASCII decimal
+# digit and letter, and stray characters, each class drawn equally often.
+_token_chars = st.one_of(
+    st.sampled_from(string.digits),
+    st.sampled_from(string.ascii_letters + "_"),
+    st.sampled_from(".eE+-*/^(),#$"),
+    st.sampled_from(" \t\n\u00a0\u2003\u001c"),
+    st.sampled_from("\u0663é"),
+)
+
+
+def _tokens(tokenize, text):
+    try:
+        return [tuple(tok) for tok in tokenize(text)]
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+class TestTokenize:
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(_token_chars, max_size=24))
+    def test_matches_character_at_a_time_reference(self, text):
+        assert _tokens(expressions._tokenize, text) == _tokens(reference_tokenize, text)
 
 
 class TestEval:
