@@ -14,26 +14,13 @@ Two independent evaluation paths exist for the second operator: the
 revolution-specialized formula (`second_beltrami`, the production path,
 which `laplacian_profile_factors` applies to the coordinates) and the raw
 divergence form (`second_beltrami_divergence`), retained purely for
-cross-verification.
-
-`operator_equivalence_residual` compares the two second operators on
-random fields that `random_fields` draws as plain data, all fields at once
-with one generator call per quantity: per field, the coefficient,
-frequency and sin/cos flag of each trigonometric term, the optional ``s``
-and ``s^2`` coefficients, the harmonic and whether the trig is cos.
-`field_labels` writes a field's profile as text and `RandomFields.trig`
-its trig as ``"cos"`` or ``"sin"``, for the CSV ``field`` and ``trig``
-columns only.
-`field_profiles` evaluates the profile jets of every pair's field from
-closed forms in one array pass, with the bits that `eval_jet3` gives on the
-parsed label, so no expression tree is built or walked.  The sample points
-are drawn as arrays too, in passes that are each screened in one
-evaluation of the profile.
+cross-verification.  `operator_equivalence_residual` compares them at
+random points on fields given by random profile jets and harmonics: both
+are pointwise linear in the jets, so no field is built beyond its jets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -111,7 +98,7 @@ def second_beltrami_divergence(jets: RegularJets, a: Sequence, k) -> float:
     ct0 = w0 / e22[0]
     term_s = cs1 * a[1] + cs0 * a[2]
     # u_thetatheta = -k^2 u
-    term_theta = -k * k * ct0 * a[0]
+    term_theta = ct0 * (-k * k * a[0])
     return -(term_s + term_theta) / w0
 
 
@@ -182,118 +169,6 @@ def position_identity_residual(
     return worst, details, columns
 
 
-@dataclass(frozen=True)
-class RandomFields:
-    """Draws of `random_fields`, one row per field ``a(s) * trig(k theta)``.
-
-    The profile ``a`` is a sum of up to five terms, in slot order: up to
-    three ``coeff * sin|cos(omega * s)`` (slots 0-2, sin where ``is_sin``),
-    then ``coeff * s`` (slot 3) and ``coeff * s^2`` (slot 4).  ``present``
-    marks the terms a field has; absent slots hold zeros (and ``is_sin``
-    False).  ``harmonic`` and ``is_cos`` (the trig is cos where it holds)
-    have one entry per field; `field_labels` writes the profiles as text
-    and ``trig`` the trigs, each for a CSV report only.
-    """
-
-    coeff: np.ndarray
-    omega: np.ndarray
-    is_sin: np.ndarray
-    present: np.ndarray
-    harmonic: np.ndarray
-    is_cos: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.harmonic)
-
-    @property
-    def trig(self) -> np.ndarray:
-        """Each field's trig, ``"cos"`` or ``"sin"``."""
-        return np.where(self.is_cos, "cos", "sin")
-
-
-# Bounds of the uniform draws of the coefficients, by slot.
-_COEFF_BOUND = np.array([2.0, 2.0, 2.0, 1.0, 0.5])
-
-
-def random_fields(p: ProfileCurve, rng: np.random.Generator, count: int) -> RandomFields:
-    """Deterministic stream of ``count`` smooth separable test fields on the
-    profile domain: each a trigonometric polynomial in s plus low-degree
-    monomials, times ``cos`` or ``sin(k theta)``.
-
-    All fields are drawn at once, one `Generator` call per quantity, in
-    this order: the number of trigonometric terms (1-3); whether the ``s``
-    and ``s^2`` terms are present; the coefficients (uniform in +-2, +-1
-    and +-0.5 for the trigonometric, ``s`` and ``s^2`` slots); the
-    frequencies (``2 pi / span`` times a uniform in [0.2, 1)); the sin/cos
-    flags; the harmonic (0-3); and the trig, cos for harmonic 0.
-    Coefficients and frequencies are rounded by ``np.round(x, 3)``, the
-    nearest double to some ``k / 1000``, so a label parses to exactly the
-    drawn numbers; a coefficient that rounds to -0.0 keeps its sign."""
-    span = p.s_max - p.s_min
-    omega_base = _TAU / max(span, 1e-6)
-    n_trig = rng.integers(1, 4, size=count)
-    has_poly = rng.integers(2, size=(count, 2)).astype(bool)
-    coeff = np.round(rng.uniform(-_COEFF_BOUND, _COEFF_BOUND, size=(count, 5)), 3)
-    omega = np.round(omega_base * rng.uniform(0.2, 1.0, size=(count, 3)), 3)
-    is_sin = rng.integers(2, size=(count, 3)).astype(bool)
-    harmonic = rng.integers(0, 4, size=count)
-    is_cos = (harmonic == 0) | rng.integers(2, size=count).astype(bool)
-    present = np.concatenate((np.arange(3) < n_trig[:, None], has_poly), axis=1)
-    coeff = np.where(present, coeff, 0.0)
-    omega = np.where(present[:, :3], omega, 0.0)
-    is_sin &= present[:, :3]
-    return RandomFields(coeff, omega, is_sin, present, harmonic, is_cos)
-
-
-def field_labels(fields: RandomFields) -> np.ndarray:
-    """Each field's profile as text, such as
-    ``-1.234 * sin(0.56 * s) + 0.1 * s^2``: its present terms in slot
-    order, joined by `` + ``.  The text parses to exactly the drawn numbers
-    (see `random_fields`)."""
-    labels = []
-    for c, w, sin, has in zip(fields.coeff.tolist(), fields.omega.tolist(),
-                              fields.is_sin.tolist(), fields.present.tolist()):
-        terms = [f"{c[m]} * {'sin' if sin[m] else 'cos'}({w[m]} * s)"
-                 for m in range(3) if has[m]]
-        terms += [f"{c[m]} * {power}" for m, power in ((3, "s"), (4, "s^2")) if has[m]]
-        labels.append(" + ".join(terms))
-    return np.array(labels)
-
-
-def field_profiles(fields: RandomFields, which: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Profile jets ``(a, a', a'')`` of field ``which[i]`` at ``s[i]``, as a
-    (3, len(s)) array, from closed forms in one pass over all points.
-
-    Each value has the bits that `eval_jet3` gives on the parse of the
-    field's label, because every step rounds as the tree evaluator does:
-    a trig term is ``(d_k * omega ... * omega) * coeff`` with ``d_k`` the
-    k-th derivative of sin or cos at ``omega * s``; ``s`` gives
-    ``(s, 1, 0) * coeff`` and ``s^2`` gives ``(s*s, s+s, 2) * coeff``; and
-    the terms are summed left to right, skipping absent ones rather than
-    adding zeros, which would turn a -0.0 sum into +0.0.
-    """
-    coeff, omega = fields.coeff.take(which, axis=0), fields.omega.take(which, axis=0)
-    present, is_sin = fields.present.take(which, axis=0), fields.is_sin.take(which, axis=0)
-    x = s[:, None] * omega
-    sin, cos = np.sin(x), np.cos(x)
-    trig = np.stack((
-        np.where(is_sin, sin, cos),
-        np.where(is_sin, cos, -sin) * omega,
-        np.where(is_sin, -sin, -cos) * omega * omega,
-    )) * coeff[:, :3]
-    c1, c2 = coeff[:, 3], coeff[:, 4]
-    # Only points of a field with an s^2 term are squared, so s*s overflows,
-    # and raises where faults are raised, exactly where the tree's would.
-    sq = np.where(present[:, 4], s, 0.0)
-    terms = (*np.moveaxis(trig, -1, 0),
-             np.stack((s * c1, c1, 0.0 * c1)),
-             np.stack((sq * sq * c2, (sq + sq) * c2, 2.0 * c2)))
-    total = terms[0]
-    for term, has in zip(terms[1:], present[:, 1:].T):
-        total = np.where(has, total + term, total)
-    return total
-
-
 def operator_equivalence_residual(
     p: ProfileCurve,
     n_pairs: int = DEFAULT_PAIRS,
@@ -305,15 +180,21 @@ def operator_equivalence_residual(
     A drawn point is used only where phi' and sin(phi) both clear
     `DRAW_MARGIN`.
 
+    The ``seed`` generator draws the candidate points first, in passes of
+    (3, m) uniforms, stopping after `DRAWS_PER_PAIR` per requested pair;
+    then each kept pair's field a(s) trig(k theta) as its profile jets at
+    the point, a, a'/omega and a''/omega^2 uniform in [-2, 2] with omega =
+    2 pi / max(span, 1e-6), so the terms of `second_beltrami` stay
+    comparable down to that span; its harmonic k in 0..3; and its trig, cos
+    for k = 0.
+
     Returns the worst difference, the details ``max_rel_diff``, ``pairs``,
-    ``at_s`` and ``at_theta``, and the CSV columns, one entry per pair;
-    the ``field`` and ``trig`` columns are callables that return the
-    pairs' labels and trigs, so only a CSV report builds them.
-    The fields come first from the ``seed`` generator, then the candidate
-    points in passes of (3, m) uniforms.  Draws stop after `DRAWS_PER_PAIR`
-    per requested pair; fewer ``pairs`` than requested means too few
-    regular points, and with none the difference and location are None and
-    the columns empty.
+    ``at_s`` and ``at_theta``, and the CSV columns, one entry per pair,
+    which reproduce both operator values: ``s``, ``theta``, the jets ``a``,
+    ``da`` and ``dda``, ``harmonic`` and ``trig`` (a callable returning
+    ``"cos"`` or ``"sin"``, so only a CSV report builds the strings).
+    Fewer ``pairs`` than requested means too few regular points, and with
+    none the difference and location are None and the columns empty.
     """
     rng = np.random.default_rng(seed)
     intervals = p.regular_intervals()
@@ -321,7 +202,6 @@ def operator_equivalence_residual(
     widths = np.array([hi - lo for lo, hi in intervals])
     cdf = np.cumsum(widths / widths.sum())
     cdf /= cdf[-1]
-    fields = random_fields(p, rng, max(8, n_pairs // 50))
     # Candidates come in passes of (3, m) uniforms: interval, point, angle.
     # Each pass is screened in one evaluation, and its first usable
     # candidates, up to the shortfall, are kept in draw order.  The first
@@ -345,15 +225,15 @@ def operator_equivalence_residual(
     details = {"max_rel_diff": None, "pairs": done, "at_s": None, "at_theta": None}
     if not done:
         return None, details, {}
-    # The picks' jets are slices of the screening passes, and pair i takes
-    # field i % len(fields).  The fields' profile jets are evaluated in one
-    # pass at the pairs' points; both formulas then run once over all pairs,
-    # and each profile is turned by its pair's trig(k theta).
+    # The picks' jets are slices of the screening passes.  Both formulas run
+    # once over all pairs, and each profile is turned by its pair's
+    # trig(k theta).
     jets = RegularJets.concat(parts)
     s, theta = jets.s, _TAU * np.concatenate(angles)
-    which = np.arange(done) % len(fields)
-    harmonic, is_cos = fields.harmonic.take(which), fields.is_cos.take(which)
-    profiles = field_profiles(fields, which, s)
+    omega = _TAU / max(p.s_max - p.s_min, 1e-6)
+    profiles = rng.uniform(-2.0, 2.0, size=(3, done)) * np.array([[1.0], [omega], [omega * omega]])
+    harmonic = rng.integers(0, 4, size=done)
+    is_cos = (harmonic == 0) | rng.integers(2, size=done).astype(bool)
     kt = harmonic * theta
     t = np.where(is_cos, np.cos(kt), np.sin(kt))
     a = second_beltrami(jets, profiles, harmonic) * t
@@ -362,8 +242,8 @@ def operator_equivalence_residual(
     i = int(rel.argmax())
     columns = {
         "s": s, "theta": theta,
-        "field": lambda: field_labels(fields).take(which),
-        "harmonic": harmonic, "trig": lambda: fields.trig.take(which),
+        "a": profiles[0], "da": profiles[1], "dda": profiles[2],
+        "harmonic": harmonic, "trig": lambda: np.where(is_cos, "cos", "sin"),
         "specialized": a, "divergence_form": b, "rel_diff": rel,
     }
     worst = float(rel[i])

@@ -90,7 +90,7 @@ EXIT_INCONCLUSIVE = 2
 # per row (curvature-quotient --rows, 169 MiB at the bound; position-identity
 # as JSON runs per row too, and as CSV takes 0.03 KiB per point), 0.15 KiB
 # per validation sample (527 MiB at the bound, with the grid jets of the
-# same pass), and 1.2 KiB per pair (operator-equivalence as CSV, every pair
+# same pass), and 0.4 KiB per pair (operator-equivalence as CSV, every pair
 # found; when nearly every draw is rejected, as on sphere r=100, the draws
 # are screened in passes of at most twice the pairs, so the peak is lower).
 MAX_GRID_POINTS = 2**20

@@ -14,7 +14,7 @@ the coordinate Laplacian's factors in the R = 2H/K form and a sympy check
 that they equal the operator at arclength, a square-and-multiply power
 that squares after its last bit, the three Beltrami operators pointwise
 on a field's partials, and the two Beltrami checks computed one random
-field at a time (fields built as text and parsed) and with a stacked norm,
+pair at a time with those oracles and with a stacked norm,
 and a catalog whose profiles are parsed from their texts on every call.
 
 These stay independent of the jet-propagation code paths they check.
@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 import sympy as sp
 
-from revtype import catalog, eval_jet3, expressions, jets, parse
+from revtype import catalog, eval_jet3, jets, parse
 from revtype.expressions import (
     BinOp,
     DomainEvalError,
@@ -48,8 +48,6 @@ from revtype.beltrami import (
     DRAW_MARGIN,
     laplacian_profile_factors,
     normal_profiles,
-    second_beltrami,
-    second_beltrami_divergence,
 )
 from revtype.classify import (
     _COFACTORS,
@@ -953,54 +951,21 @@ def reference_position_identity_residual(jets, n_theta: int, rows_excluded: int)
     return worst, details, columns
 
 
-def reference_random_fields(p, rng, count: int) -> list:
-    """`beltrami.random_fields` built as text and parsed: one
-    ``(text, parse(text), harmonic, trig)`` per field.  The draws are the
-    same `Generator` calls; each number is rounded by Python's `round`
-    and written into its term one field at a time."""
-    span = p.s_max - p.s_min
-    omega_base = _TAU / max(span, 1e-6)
-    n_trig = rng.integers(1, 4, size=count)
-    has_poly = rng.integers(2, size=(count, 2))
-    coeffs = rng.uniform([-2.0, -2.0, -2.0, -1.0, -0.5], [2.0, 2.0, 2.0, 1.0, 0.5],
-                         size=(count, 5))
-    omegas = rng.uniform(0.2, 1.0, size=(count, 3))
-    sin_flags = rng.integers(2, size=(count, 3))
-    harmonics = rng.integers(0, 4, size=count)
-    trig_flags = rng.integers(2, size=count)
-    fields = []
-    for i in range(count):
-        terms = []
-        for m in range(int(n_trig[i])):
-            coeff = round(float(coeffs[i, m]), 3)
-            omega = round(float(omega_base * omegas[i, m]), 3)
-            fn = "sin" if sin_flags[i, m] else "cos"
-            terms.append(f"{coeff} * {fn}({omega} * s)")
-        if has_poly[i, 0]:
-            terms.append(f"{round(float(coeffs[i, 3]), 3)} * s")
-        if has_poly[i, 1]:
-            terms.append(f"{round(float(coeffs[i, 4]), 3)} * s^2")
-        harmonic = int(harmonics[i])
-        trig = "cos" if harmonic == 0 or trig_flags[i] else "sin"
-        text = " + ".join(terms)
-        fields.append((text, parse(text), harmonic, trig))
-    return fields
-
-
 def reference_operator_equivalence_residual(
     p, n_pairs: int = 1000, seed: int = 0, tol_parab: float = DEFAULT_TOL_PARAB,
 ):
-    """`beltrami.operator_equivalence_residual` with parsed text fields, the
-    picks chosen by a walk over every candidate of every pass, and both
-    formulas run once per field on the field's own pairs, each times that
-    field's own cos or sin branch."""
+    """`beltrami.operator_equivalence_residual` with the picks chosen by a
+    walk over every candidate of every pass, and both operators taken from
+    the pointwise oracles one pair at a time: each on the partials of the
+    pair's field a(s) cos(k theta) at theta = 0, where the operator gives
+    the profile that multiplies the trig at every angle, then times the
+    pair's own cos or sin branch."""
     rng = np.random.default_rng(seed)
     intervals = p.regular_intervals()
     starts = np.array([lo for lo, _ in intervals])
     widths = np.array([hi - lo for lo, hi in intervals])
     cdf = np.cumsum(widths / widths.sum())
     cdf /= cdf[-1]
-    fields = reference_random_fields(p, rng, max(8, n_pairs // 50))
     passes, draws = [], []
     picks: list[int] = []
     drawn = 0
@@ -1030,25 +995,27 @@ def reference_operator_equivalence_residual(
     picked = np.array(picks)
     jets_ = RegularJets.concat(passes)[picked]
     s, theta = jets_.s, _TAU * np.concatenate(draws, axis=1)[2, picked]
-    texts, trees, harmonics, trigs = zip(*fields)
+    omega = _TAU / max(p.s_max - p.s_min, 1e-6)
+    u = rng.uniform(-2.0, 2.0, size=(3, done))
+    harmonics = rng.integers(0, 4, size=done)
+    trig_flags = rng.integers(2, size=done)
+    jet = np.empty((3, done))
     a, b = np.empty(done), np.empty(done)
-    for i, (tree, k, trig) in enumerate(zip(trees, harmonics, trigs)):
-        sel = slice(i, done, len(fields))
-        part = jets_[sel]
-        # Looked up on `expressions` at call time, so a test that swaps the
-        # evaluator there swaps it here too.
-        j = expressions.eval_jet3(tree, part.s)
-        t = (np.cos if trig == "cos" else np.sin)(k * theta[sel])
-        a[sel] = second_beltrami(part, (j.v0, j.v1, j.v2), k) * t
-        b[sel] = second_beltrami_divergence(part, (j.v0, j.v1, j.v2), k) * t
+    trigs = []
+    for i in range(done):
+        k = int(harmonics[i])
+        trig = "cos" if k == 0 or trig_flags[i] else "sin"
+        jet[:, i] = (u[0, i], u[1, i] * omega, u[2, i] * (omega * omega))
+        pu = reference_partials(jet[:, i], k, "cos", 0.0)
+        t = (np.cos if trig == "cos" else np.sin)(k * theta[i])
+        a[i] = reference_second_beltrami(jets_[i], pu) * t
+        b[i] = reference_second_beltrami_divergence(jets_[i], pu) * t
+        trigs.append(trig)
     rel = np.abs(a - b) / (1.0 + np.abs(b))
     i = int(np.argmax(rel))
-    which = np.arange(done) % len(fields)
     columns = {
-        "s": s, "theta": theta,
-        "field": np.array(texts)[which],
-        "harmonic": np.array(harmonics)[which],
-        "trig": np.array(trigs)[which],
+        "s": s, "theta": theta, "a": jet[0], "da": jet[1], "dda": jet[2],
+        "harmonic": harmonics, "trig": np.array(trigs),
         "specialized": a, "divergence_form": b, "rel_diff": rel,
     }
     worst = float(rel[i])

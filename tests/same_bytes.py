@@ -14,7 +14,9 @@ The corpus comes from this tree whichever ``src`` runs it: every
 ``_SAME_BYTES_COMMANDS`` entry of ``test_cli``, README's usage lines,
 ``_DISPATCH_CORPUS``, each leaf's ``-h``, ``catalog export`` of every catalog
 name to stdout and to ``--out``, two ``radius-rate`` lines whose lambda - mu
-overflows, and the first 100 seed-7 requests of each benchmark workload.
+overflows, ``classify`` and one ``verify`` check on each profile file of
+``BAD_PROFILES``, whose ``f`` fails to parse, and the first 100 seed-7
+requests of each benchmark workload.
 Commands run in a fresh temporary directory, so relative paths are the same
 on every run.  The file is not a pytest module; it runs in a few seconds.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shlex
 import sys
@@ -40,6 +43,17 @@ from workloads import WORKLOADS, RequestStream  # noqa: E402
 SEED = 7
 REQUESTS = 100
 
+# Profile files whose f fails to parse, one per kind of parse error, by
+# file name: an unexpected character, a number out of range, nesting past
+# `expressions.MAX_DEPTH`, an unknown function and a wrong arity.
+BAD_PROFILES = {
+    "bad-character.json": "2 * sin(s / 2) # 1",
+    "huge-number.json": "2 * sin(s / 2) + 1e999",
+    "too-deep.json": "(" * 103 + "s" + ")" * 103,
+    "unknown-function.json": "2 * sinc(s / 2)",
+    "wrong-arity.json": "2 * sin(s, 2)",
+}
+
 
 def corpus() -> list[list[str]]:
     """Every command line, in the order the digests are printed."""
@@ -54,6 +68,8 @@ def corpus() -> list[list[str]]:
         *(["verify", "radius-rate", "--catalog", name, "--lambda", "1e308", "--mu", "-1e308"]
           for name in ("sphere", "torus")),
     ]
+    for path, check in zip(BAD_PROFILES, cli.VERIFY_TOLERANCES):
+        lines += [["classify", "--profile", path], ["verify", check, "--profile", path]]
     for workload in WORKLOADS:
         stream = RequestStream(workload, SEED, ".")
         lines += [list(cmd.argv) for i in range(REQUESTS) for cmd in stream.get(i).commands]
@@ -81,6 +97,9 @@ def main() -> None:
         try:
             # The file that README's ``classify --profile`` line reads.
             geometry.save_profile(catalog.make("sphere", {"r": 2.0}).curve, "my_surface.json")
+            for path, f in BAD_PROFILES.items():
+                doc = {"name": "bad", "f": f, "g": "-2 * cos(s / 2)", "s_min": 0.1, "s_max": 6.0}
+                Path(path).write_text(json.dumps(doc))
             for argv in corpus():
                 print(digest(argv), shlex.join(argv))
         finally:

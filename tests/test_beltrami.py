@@ -21,12 +21,7 @@ from revtype import (
     torus,
 )
 from revtype import eval_jet3, expressions, geometry, parse
-from revtype.beltrami import (
-    DRAW_MARGIN,
-    field_labels,
-    field_profiles,
-    random_fields,
-)
+from revtype.beltrami import DRAW_MARGIN
 from revtype.geometry import DEFAULT_TOL_PARAB, _jets, sample_regular, theta_circle
 
 from helpers import (
@@ -39,7 +34,6 @@ from helpers import (
     reference_position_identity_residual,
     reference_position_sides,
     reference_profile_factors,
-    reference_random_fields,
     reference_second_beltrami,
     reference_second_beltrami_divergence,
     require_regular,
@@ -360,11 +354,10 @@ class TestOperatorEquivalence:
         return passes
 
     @staticmethod
-    def replayed_candidates(curve, n_pairs, sizes, seed=0):
-        """The uniforms (3, m) of passes of ``sizes`` drawn after the fields
-        at ``seed``, and the points s they place."""
+    def replayed_candidates(curve, sizes, seed=0):
+        """The uniforms (3, m) of passes of ``sizes``, the first draws at
+        ``seed``, and the points s they place."""
         rng = np.random.default_rng(seed)
-        random_fields(curve, rng, max(8, n_pairs // 50))
         u = np.concatenate([rng.random((3, m)) for m in sizes], axis=1)
         intervals = curve.regular_intervals()
         starts = np.array([lo for lo, _ in intervals])
@@ -383,7 +376,7 @@ class TestOperatorEquivalence:
         _, details, _ = operator_equivalence_residual(curve, n_pairs=500)
         assert [len(s) for s in passes] == [500, 64]
         assert details["pairs"] == 500
-        _, s = self.replayed_candidates(curve, 500, (500, 64))
+        _, s = self.replayed_candidates(curve, (500, 64))
         assert np.concatenate(passes).tolist() == s.tolist()
 
     @pytest.mark.parametrize("mk", [torus(3.0, 1.0), sphere(1.0), catenoid(1.0)])
@@ -431,7 +424,7 @@ class TestOperatorEquivalence:
         # usable candidates.
         curve, n = torus(3.0, 1.0).curve, 500
         _, _, columns = operator_equivalence_residual(curve, n_pairs=n)
-        u, s = self.replayed_candidates(curve, n, (n, 64))
+        u, s = self.replayed_candidates(curve, (n, 64))
         jets = _jets(curve, s)
         margin = np.minimum(np.abs(jets.dphi), np.abs(jets.sin_phi))
         usable = (margin > DEFAULT_TOL_PARAB) & (margin >= DRAW_MARGIN)
@@ -501,7 +494,8 @@ _ORACLE_SURFACES = {
 
 
 class TestBatchedEquivalence:
-    """The batched pass gives the bits of the per-field loop."""
+    """The batched pass gives the bits of the per-pair loop over the
+    pointwise oracles."""
 
     @pytest.mark.parametrize("n_pairs", (1, 7, 20, 500, 3000))
     @pytest.mark.parametrize("name", _ORACLE_SURFACES)
@@ -535,72 +529,8 @@ class TestBatchedEquivalence:
 
 
 class TestTreeFields:
-    """The random fields of operator equivalence: their draw stream, their
-    closed-form profiles and that no text is parsed."""
-
-    def test_seed_zero_labels_on_sphere(self):
-        fields = random_fields(sphere(1.0).curve, np.random.default_rng(0), 8)
-        assert list(zip(field_labels(fields).tolist(), fields.harmonic.tolist(),
-                        fields.trig.tolist())) == [
-            ("1.43 * sin(1.862 * s) + -1.866 * sin(0.51 * s) + 0.919 * cos(0.969 * s)"
-             " + 0.363 * s^2", 0, "cos"),
-            ("0.166 * sin(0.662 * s) + -0.801 * sin(1.157 * s) + -0.943 * s + -0.376 * s^2",
-             0, "cos"),
-            ("0.682 * cos(0.794 * s) + 0.589 * cos(0.499 * s) + -0.233 * s + 0.497 * s^2",
-             0, "cos"),
-            ("1.923 * sin(0.741 * s) + 0.377 * s + -0.111 * s^2", 2, "cos"),
-            ("-1.46 * cos(0.907 * s) + -0.38 * s + -0.014 * s^2", 3, "sin"),
-            ("1.558 * sin(1.97 * s) + 0.143 * s + -0.178 * s^2", 3, "cos"),
-            ("0.377 * cos(1.453 * s) + -0.273 * s^2", 2, "cos"),
-            ("0.493 * sin(1.991 * s) + 0.574 * s", 3, "cos"),
-        ]
-
-    @pytest.mark.parametrize("mk", [sphere(1.0), catenoid(1.0), torus(3.0, 1.0), sphere(100.0)])
-    def test_profiles_match_parsed_labels(self, mk):
-        # The closed-form profiles have the bits of the expression evaluator
-        # on each parsed label, also below s = 0 and at -0.0, and the labels
-        # and draws equal those of the text-built oracle.  Seeds 328, 596 and
-        # 1788 draw a coefficient that rounds to -0.0 in an s^2, an s and a
-        # trigonometric term.
-        curve = mk.curve
-        samples = sample_regular(curve, 40)
-        points = np.concatenate((samples, -samples, [0.0, -0.0, -7.5]))
-        signed_zero_slots = set()
-        for seed in (*range(51), 328, 596, 1788):
-            fields = random_fields(curve, np.random.default_rng(seed), 10)
-            texts = reference_random_fields(curve, np.random.default_rng(seed), 10)
-            n = len(fields)
-            labels = field_labels(fields)
-            got = field_profiles(fields, np.repeat(np.arange(n), len(points)),
-                                 np.tile(points, n)).reshape(3, n, len(points))
-            zero = (fields.coeff == 0.0) & np.signbit(fields.coeff) & fields.present
-            signed_zero_slots.update(np.nonzero(zero)[1].tolist())
-            for i, (text, _, k, trig) in enumerate(texts):
-                assert (labels[i], fields.harmonic[i], fields.trig[i]) == (text, k, trig)
-                want = eval_jet3(parse(text), points)
-                for channel, v in enumerate((want.v0, want.v1, want.v2)):
-                    assert same_bits(got[channel, i], v), (seed, text, channel)
-        assert signed_zero_slots == {0, 3, 4}
-
-    def test_huge_points_overflow_only_in_an_s_squared_term(self):
-        # With faults raised, as the CLI runs, a point whose square
-        # overflows fails a field with an s^2 term and no other, as the
-        # expression evaluator does on the labels.
-        fields = random_fields(sphere(1.0).curve, np.random.default_rng(0), 8)
-        s = np.array([1e200])
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            for i, label in enumerate(field_labels(fields)):
-                which = np.array([i])
-                if fields.present[i, 4]:
-                    for evaluate in (lambda: field_profiles(fields, which, s),
-                                     lambda: eval_jet3(parse(label), s)):
-                        with pytest.raises(FloatingPointError):
-                            evaluate()
-                else:
-                    got = field_profiles(fields, which, s)
-                    want = eval_jet3(parse(label), s)
-                    for channel, v in enumerate((want.v0, want.v1, want.v2)):
-                        assert same_bits(got[channel], v), (label, channel)
+    """The random fields of operator equivalence are drawn as profile
+    jets: no text is parsed."""
 
     def test_equivalence_parses_nothing(self, monkeypatch):
         curve = torus(3.0, 1.0).curve

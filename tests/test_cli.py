@@ -39,9 +39,9 @@ VERIFY_CHECKS = tuple(cli.VERIFY_TOLERANCES)
 _LAM_MU = ["--lambda", "2", "--mu", "2"]
 # Each check's own options in the tests that run every check: lambda =
 # mu = 2, since a torus or a profile file knows none, and 20 pairs.  At
-# seed 0 and 20 pairs the first 20 draws on every `_BUDGET_SURFACES`
-# surface are usable, so one screening pass serves; the torus at 600 pairs
-# rejects draws near its collars and needs a second.
+# seed 0 the sphere and catenoid of `_BUDGET_SURFACES` keep their first 20
+# draws in one screening pass, while the torus rejects draws near its
+# collars and needs a second, at 20 pairs as at 600.
 CHECK_OPTIONS = {
     "position-identity": [],
     "curvature-quotient": [],
@@ -61,6 +61,12 @@ def _size_option(check, grid) -> list[str]:
     if check == "operator-equivalence":
         return []
     return ["--grid", grid] if check == "position-identity" else ["--rows", grid.split("x")[0]]
+
+
+def _catalog_curve(surface):
+    """The curve of ``surface``, ``["--catalog", NAME, "--param", NAME=VALUE, ...]``."""
+    params = dict(param.split("=") for param in surface[3::2])
+    return catalog.make(surface[1], {name: float(value) for name, value in params.items()}).curve
 
 
 def run(argv, capsys=None):
@@ -533,6 +539,30 @@ class TestCsvOutput:
         assert rows[0] == _readme_csv_columns()[check]
         assert len(rows) - 1 == self._points(check, json.loads(report)) > 0
 
+    @pytest.mark.parametrize("surface", (
+        ["--catalog", "torus"], ["--catalog", "sphere"],
+        ["--catalog", "catenoid", "--param", "c=0.01"], ["--catalog", "catenoid", "--param", "c=5"],
+    ), ids=" ".join)
+    def test_operator_equivalence_rows_reproduce_both_values(self, surface):
+        # Each row's jets, harmonic and trig at its point give its two
+        # operator values bit for bit: the CSV states every field it checks.
+        code, out, _ = captured(["verify", "operator-equivalence", *surface, "--pairs", "300",
+                                 "--seed", "9", "--format", "csv"])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 300
+
+        def column(name, kind=float):
+            return np.array([kind(row[name]) for row in rows])
+
+        jets = geometry._jets(_catalog_curve(surface), column("s"))
+        profile = (column("a"), column("da"), column("dda"))
+        k, theta = column("harmonic", int), column("theta")
+        t = np.where(column("trig", str) == "cos", np.cos(k * theta), np.sin(k * theta))
+        for name, operator in (("specialized", beltrami.second_beltrami),
+                               ("divergence_form", beltrami.second_beltrami_divergence)):
+            assert (operator(jets, profile, k) * t).tobytes() == column(name).tobytes(), name
+
     def test_classify_header_and_rows(self):
         argv = ["classify", "--catalog", "sphere"]
         _, report, _ = captured(argv)
@@ -981,11 +1011,12 @@ _BUDGET_SURFACES = (
 
 
 class TestEvaluationBudget:
-    """A command evaluates f and g in at most four passes.  `classify` and
-    the grid checks evaluate each once, in one pass over the validation
-    samples and the grid's profile samples.  Operator equivalence evaluates
-    each twice, for the 101-sample validation and for its draws, and its
-    random fields in closed form, with no expression pass."""
+    """A command evaluates f and g once per sample set and nothing else.
+    `classify` and the grid checks evaluate each once, in one pass over the
+    validation samples and the grid's profile samples.  Operator
+    equivalence evaluates each once for the 101-sample validation and once
+    per screening pass of its draws; its random fields are drawn as profile
+    jets, with no expression pass."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -1005,7 +1036,10 @@ class TestEvaluationBudget:
     @pytest.mark.parametrize("fmt", ("json", "csv"))
     @pytest.mark.parametrize("command", (*VERIFY_CHECKS, "classify"))
     @pytest.mark.parametrize("surface", _BUDGET_SURFACES, ids=lambda s: s[1])
-    def test_four_passes_per_command(self, passes, surface, command, fmt):
+    def test_four_passes_per_command(self, monkeypatch, passes, surface, command, fmt):
+        screens = []
+        screen = beltrami._jets
+        monkeypatch.setattr(beltrami, "_jets", lambda p, s: screens.append(s) or screen(p, s))
         if command == "classify":
             argv = ["classify", *surface]
         else:
@@ -1014,7 +1048,11 @@ class TestEvaluationBudget:
         with contextlib.redirect_stdout(out):
             assert main([*argv, "--format", fmt]) in (0, 2)
         assert out.getvalue()
-        assert len(passes) == (4 if command == "operator-equivalence" else 2)
+        # The torus needs two screening passes, the sphere and catenoid one.
+        expected = (2 if surface[1] == "torus" else 1) if command == "operator-equivalence" else 0
+        assert len(screens) == expected
+        curve = _catalog_curve(surface)
+        assert passes == [curve.f, curve.g] * (1 + len(screens))
 
 
 def _benchmark_shapes(profile: str) -> list[list[str]]:
@@ -1745,11 +1783,11 @@ class TestSameBytes:
     Beltrami checks, the scan's cut lattice pass, the catalog's parsed
     trees and the JSON writer change no output byte: each command prints
     the same with `eval_jet3` and `sample_regular` swapped for their
-    all-jet, point-by-point oracles, operator equivalence for its per-field
-    loop over parsed fields, the position identity for its stacked norm,
-    the scan's lattice pass for the blocked pass over every point,
-    `catalog.make` for a catalog that parses its texts on every call and
-    `cli._json_text` for ``json.dumps``."""
+    all-jet, point-by-point oracles, operator equivalence for its per-pair
+    loop over the pointwise Beltrami oracles, the position identity for its
+    stacked norm, the scan's lattice pass for the blocked pass over every
+    point, `catalog.make` for a catalog that parses its texts on every call
+    and `cli._json_text` for ``json.dumps``."""
 
     def test_oracles_print_the_same_bytes(self, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)

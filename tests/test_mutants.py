@@ -96,8 +96,8 @@ MUTANTS = (
            "term_s = 1.1 * cs1 * a[1]", "verify operator-equivalence --catalog torus"),
     Mutant(beltrami, "second_beltrami_divergence", "term_s: u_ss", "+ cs0 * a[2]",
            "+ 1.1 * cs0 * a[2]", "verify operator-equivalence --catalog sphere"),
-    Mutant(beltrami, "second_beltrami_divergence", "term_theta", "term_theta = -k * k",
-           "term_theta = -1.1 * k * k", "verify operator-equivalence --catalog catenoid"),
+    Mutant(beltrami, "second_beltrami_divergence", "term_theta", "term_theta = ct0 *",
+           "term_theta = 1.1 * ct0 *", "verify operator-equivalence --catalog catenoid"),
     Mutant(geometry, "curvatures", "E: f'^2", "E = fj.v1 * fj.v1", "E = 1.1 * fj.v1 * fj.v1",
            "verify curvature-quotient --catalog sphere"),
     Mutant(geometry, "curvatures", "E: g'^2", "+ gj.v1 * gj.v1", "+ 1.1 * gj.v1 * gj.v1",
@@ -155,6 +155,24 @@ def test_every_row_names_a_command():
 @pytest.mark.parametrize("mutant", MUTANTS, ids=_id)
 def test_mutant_fails_its_command(monkeypatch, mutant):
     argv = mutant.command.split()
+    assert _exit_code(argv) == 0
+    _apply(monkeypatch, mutant)
+    assert _exit_code(argv) == 2
+
+
+_OPERATOR_MUTANTS = tuple(m for m in MUTANTS
+                          if m.function in ("second_beltrami", "second_beltrami_divergence"))
+
+
+@pytest.mark.parametrize("c", ("1e-9", "0.01", "5"))
+@pytest.mark.parametrize("mutant", _OPERATOR_MUTANTS, ids=_id)
+def test_operator_mutant_fails_equivalence_at_every_scale(monkeypatch, mutant, c):
+    # The drawn a' and a'' scale with the base frequency of the profile
+    # domain and its square, so the terms of both operators stay comparable
+    # and every one shows, on a narrow catenoid as on a wide one.  At
+    # c = 1e-9, unscaled a'' jets would hide three rows and unscaled a'
+    # jets ten.
+    argv = ["verify", "operator-equivalence", "--catalog", "catenoid", "--param", f"c={c}"]
     assert _exit_code(argv) == 0
     _apply(monkeypatch, mutant)
     assert _exit_code(argv) == 2
