@@ -17,6 +17,11 @@ divergence form (`second_beltrami_divergence`), retained purely for
 cross-verification.  `operator_equivalence_residual` compares them at
 random points on fields given by random profile jets and harmonics: both
 are pointwise linear in the jets, so no field is built beyond its jets.
+Its draws come from `splitmix64`, a counter-based generator on NumPy's
+uint64 arithmetic: each candidate's words are a pure function of the seed
+and the candidate's index, the same on every platform and NumPy version,
+so the first candidates can be placed, and evaluated with the validation
+samples, before the check runs.
 """
 
 from __future__ import annotations
@@ -37,11 +42,64 @@ from .geometry import (
 
 # Random field/point pairs of `operator_equivalence_residual`.
 DEFAULT_PAIRS = 1000
-# Least |phi'| and |sin(phi)| at a point drawn by
+# Least dimensionless margin min(|phi' f|, |sin(phi)|) at a point drawn by
 # `operator_equivalence_residual`.
 DRAW_MARGIN = 0.05
 # Draws `operator_equivalence_residual` makes, at most, per requested pair.
 DRAWS_PER_PAIR = 50
+
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): output n of the stream
+# seeded x is mix(x + (n + 1) * gamma), all modulo 2**64.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+# Words per candidate: interval, point, angle, then the field jets a, a'
+# and a''.  The word of a also gives the harmonic (bits 0-1) and the trig
+# (bit 2), from low bits that its uniform drops.
+_WORDS = 6
+
+
+def splitmix64(seed: int, counter: np.ndarray) -> np.ndarray:
+    """Outputs number ``counter``, a uint64 array, of the SplitMix64 stream
+    seeded with ``seed`` in 0..2**64 - 1.  The arithmetic wraps."""
+    z = (counter + np.uint64(1)) * _GAMMA + np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _words(seed: int, index: np.ndarray, slot: int) -> np.ndarray:
+    """Word ``slot`` of each candidate of ``index``."""
+    return splitmix64(seed, index.astype(np.uint64) * np.uint64(_WORDS) + np.uint64(slot))
+
+
+def _uniform(word: np.ndarray) -> np.ndarray:
+    """The top 53 bits of each word as a uniform in [0, 1)."""
+    return (word >> np.uint64(11)) * 2.0**-53
+
+
+def first_pass(n_pairs: int) -> int:
+    """Candidates of the first screening pass of ``n_pairs`` pairs: the
+    pairs with headroom, so that a few percent of rejected draws, as on the
+    torus, need no second pass."""
+    return n_pairs + n_pairs // 16 + 16
+
+
+def candidate_points(p: ProfileCurve, seed: int, start: int, stop: int) -> np.ndarray:
+    """The points s of candidates ``start`` to ``stop - 1`` at ``seed``:
+    a regular interval, drawn with its share of the regular length, then a
+    uniform point in it."""
+    intervals = p.regular_intervals()
+    starts = np.array([lo for lo, _ in intervals])
+    widths = np.array([hi - lo for lo, hi in intervals])
+    cdf = np.cumsum(widths / widths.sum())
+    cdf /= cdf[-1]
+    index = np.arange(start, stop)
+    k = cdf.searchsorted(_uniform(_words(seed, index, 0)), side="right")
+    return starts[k] + widths[k] * _uniform(_words(seed, index, 1))
 
 
 def normal_profiles(jets: RegularJets) -> tuple[tuple, tuple]:
@@ -174,19 +232,26 @@ def operator_equivalence_residual(
     n_pairs: int = DEFAULT_PAIRS,
     seed: int = 0,
     tol_parab: float = DEFAULT_TOL_PARAB,
+    jets: Optional[RegularJets] = None,
 ) -> tuple[Optional[float], dict, dict]:
     """Compare the specialized and divergence-form Laplacians on random
     field/point pairs.  Relative difference uses |a - b| / (1 + |b|).
-    A drawn point is used only where phi' and sin(phi) both clear
-    `DRAW_MARGIN`.
+    A drawn point is used only where its margin is above ``tol_parab`` and
+    the dimensionless margin min(|phi' f|, |sin(phi)|) clears `DRAW_MARGIN`,
+    so the same points qualify at every scale of the surface.
 
-    The ``seed`` generator draws the candidate points first, in passes of
-    (3, m) uniforms, stopping after `DRAWS_PER_PAIR` per requested pair;
-    then each kept pair's field a(s) trig(k theta) as its profile jets at
-    the point, a, a'/omega and a''/omega^2 uniform in [-2, 2] with omega =
-    2 pi / max(span, 1e-6), so the terms of `second_beltrami` stay
-    comparable down to that span; its harmonic k in 0..3; and its trig, cos
-    for k = 0.
+    Candidate i is `_WORDS` words of `splitmix64` at ``seed``, counters
+    6i to 6i + 5, so every draw is a pure function of (seed, i).  The
+    candidates are screened in passes, each one evaluation: the first has
+    `first_pass` candidates, a later one twice the shortfall, at least 64,
+    within `DRAWS_PER_PAIR` per requested pair, and the first usable
+    candidates, up to the shortfall, are kept in draw order.  ``jets`` are
+    the jets at the first pass, ``candidate_points(p, seed, 0,
+    first_pass(n_pairs))``, when already evaluated, as by `joint_pass`.
+    A kept candidate's field a(s) trig(k theta) is its profile jets at the
+    point, a, a'/|phi'| and a''/phi'^2 uniform in [-2, 2], so the terms of
+    `second_beltrami` stay comparable at every scale; its harmonic k in
+    0..3; and its trig, cos for k = 0.
 
     Returns the worst difference, the details ``max_rel_diff``, ``pairs``,
     ``at_s`` and ``at_theta``, and the CSV columns, one entry per pair,
@@ -196,44 +261,41 @@ def operator_equivalence_residual(
     Fewer ``pairs`` than requested means too few regular points, and with
     none the difference and location are None and the columns empty.
     """
-    rng = np.random.default_rng(seed)
-    intervals = p.regular_intervals()
-    starts = np.array([lo for lo, _ in intervals])
-    widths = np.array([hi - lo for lo, hi in intervals])
-    cdf = np.cumsum(widths / widths.sum())
-    cdf /= cdf[-1]
-    # Candidates come in passes of (3, m) uniforms: interval, point, angle.
-    # Each pass is screened in one evaluation, and its first usable
-    # candidates, up to the shortfall, are kept in draw order.  The first
-    # pass draws n_pairs; a later one twice the shortfall, at least 64,
-    # within the DRAWS_PER_PAIR * n_pairs draws.
-    parts, angles = [], []
+    budget = DRAWS_PER_PAIR * n_pairs
+    parts, picked = [], []
     done = drawn = 0
-    m = n_pairs
-    while done < n_pairs and drawn < DRAWS_PER_PAIR * n_pairs:
-        u = rng.random((3, m))
-        drawn += m
-        k = cdf.searchsorted(u[0], side="right")
-        screened = _jets(p, starts[k] + widths[k] * u[1])
-        margin = screened.margin
-        keep = np.flatnonzero((margin > tol_parab) & (margin >= DRAW_MARGIN))[:n_pairs - done]
-        if len(keep):
-            parts.append(screened[keep])
-            angles.append(u[2, keep])
-            done += len(keep)
-        m = min(max(2 * (n_pairs - done), 64), DRAWS_PER_PAIR * n_pairs - drawn)
+    m, screened = first_pass(n_pairs), jets
+    while done < n_pairs and drawn < budget:
+        if screened is None:
+            screened = _jets(p, candidate_points(p, seed, drawn, drawn + m))
+        usable = ((screened.margin > tol_parab)
+                  & (np.minimum(np.abs(screened.dphi * screened.f.v0),
+                                np.abs(screened.sin_phi)) >= DRAW_MARGIN))
+        picks = np.flatnonzero(usable)[:n_pairs - done]
+        if len(picks):
+            # When a pass's first candidates are all usable, its picks are
+            # a slice of its jets, not a gather.
+            parts.append(screened[:len(picks)] if picks[-1] == len(picks) - 1
+                         else screened[picks])
+            picked.append(drawn + picks)
+            done += len(picks)
+        drawn, screened = drawn + m, None
+        m = min(max(2 * (n_pairs - done), 64), budget - drawn)
     details = {"max_rel_diff": None, "pairs": done, "at_s": None, "at_theta": None}
     if not done:
         return None, details, {}
-    # The picks' jets are slices of the screening passes.  Both formulas run
-    # once over all pairs, and each profile is turned by its pair's
-    # trig(k theta).
+    # Both formulas run once over all pairs, and each profile is turned by
+    # its pair's trig(k theta).
     jets = RegularJets.concat(parts)
-    s, theta = jets.s, _TAU * np.concatenate(angles)
-    omega = _TAU / max(p.s_max - p.s_min, 1e-6)
-    profiles = rng.uniform(-2.0, 2.0, size=(3, done)) * np.array([[1.0], [omega], [omega * omega]])
-    harmonic = rng.integers(0, 4, size=done)
-    is_cos = (harmonic == 0) | rng.integers(2, size=done).astype(bool)
+    index = np.concatenate(picked)
+    s, theta = jets.s, _TAU * _uniform(_words(seed, index, 2))
+    word = _words(seed, index, 3)
+    dphi = jets.dphi
+    profiles = (4.0 * _uniform(word) - 2.0,
+                (4.0 * _uniform(_words(seed, index, 4)) - 2.0) * np.abs(dphi),
+                (4.0 * _uniform(_words(seed, index, 5)) - 2.0) * (dphi * dphi))
+    harmonic = (word & np.uint64(3)).astype(np.int64)
+    is_cos = (harmonic == 0) | ((word & np.uint64(4)) == 0)
     kt = harmonic * theta
     t = np.where(is_cos, np.cos(kt), np.sin(kt))
     a = second_beltrami(jets, profiles, harmonic) * t

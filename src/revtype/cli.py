@@ -18,13 +18,15 @@ A command runs with NumPy overflow, division by zero and invalid operations
 raised, so such a fault is an input error (exit 1), not a warning, and its
 message names the surface and the stage: validation, fit or the check.  So
 does the message of a profile domain error or an unbound parameter.
-``classify`` and the grid checks evaluate the profile once, in one pass
-over the validation samples and the grid's profile samples; when that pass
-faults, validation and the stage after it evaluate their own samples, one
-after the other, so the fault is named after the stage that meets it.  One
-helper, `_profile_stage`, runs that pass, its fallback and validation for
-every command.  A grid check that needs ``--lambda`` and ``--mu`` reports
-a missing one after validation, so a profile that fails it says so first.
+``classify`` and every check evaluate the profile once, in one pass over
+the validation samples and the next stage's samples: the grid's profile
+samples, or operator-equivalence's first screening pass of draws.  When
+that pass faults, validation and the stage after it evaluate their own
+samples, one after the other, so the fault is named after the stage that
+meets it.  One helper, `_profile_stage`, runs that pass, its fallback and
+validation for every command.  A grid check that needs ``--lambda`` and
+``--mu`` reports a missing one after validation, so a profile that fails
+it says so first.
 
 ``classify`` and each ``verify CHECK`` take one surface, ``--catalog NAME``
 (with ``--param NAME=VALUE``, repeatable) or ``--profile FILE``, and
@@ -42,9 +44,10 @@ any surface is loaded or any sample allocated.  Tolerances are finite and
 positive, ``--lambda`` and ``--mu`` finite.  ``--grid`` is N_SxN_THETA with
 n_s >= 2, n_theta >= 4 and at most MAX_GRID_POINTS points, ``--rows`` is
 in 2..MAX_GRID_POINTS, ``--samples`` in 2..MAX_SAMPLES, ``--pairs`` in
-1..MAX_PAIRS (the upper bounds are the work budget) and ``--seed`` at
-least 0.  ``--param`` is NAME=VALUE with a number; `catalog.make` checks
-that the surface takes NAME and that the value is finite.  The ``scan``
+1..MAX_PAIRS (the upper bounds are the work budget) and ``--seed`` in
+0..2**64 - 1, the seeds of the 64-bit generator.  ``--param`` is
+NAME=VALUE with a number; `catalog.make` checks that the surface takes
+NAME and that the value is finite.  The ``scan``
 options, and the work budget `classify.MAX_SCAN_POINTS` of its lattice,
 are checked by `classify.contradiction_scan`.
 
@@ -67,7 +70,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import os
@@ -91,8 +93,8 @@ EXIT_INCONCLUSIVE = 2
 # as JSON runs per row too, and as CSV takes 0.03 KiB per point), 0.15 KiB
 # per validation sample (527 MiB at the bound, with the grid jets of the
 # same pass), and 0.4 KiB per pair (operator-equivalence as CSV, every pair
-# found; when nearly every draw is rejected, as on sphere r=100, the draws
-# are screened in passes of at most twice the pairs, so the peak is lower).
+# found; when every draw is rejected, as on a polar cap, the draws are
+# screened in passes of at most twice the pairs, so the peak is lower).
 MAX_GRID_POINTS = 2**20
 MAX_SAMPLES = 2**22
 MAX_PAIRS = 2**14
@@ -125,8 +127,9 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _count(low: int, budget: float = math.inf):
-    """argparse type of an integer option in ``low..budget``."""
+def _count(low: int, budget: float = math.inf, high: float = math.inf):
+    """argparse type of an integer option in ``low..budget``, the work
+    budget, and at most ``high``."""
 
     def count(text: str) -> int:
         try:
@@ -137,6 +140,8 @@ def _count(low: int, budget: float = math.inf):
             raise argparse.ArgumentTypeError(f"expected at least {low}, got {text!r}")
         if value > budget:
             raise argparse.ArgumentTypeError(f"{value} is over the work budget of {budget}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"expected at most {high}, got {text!r}")
         return value
 
     return count
@@ -242,7 +247,10 @@ def _write_csv(path: Optional[str], columns: dict) -> None:
     2-D column is ravelled one block of its rows at a time, so a broadcast
     view is never copied whole.  A callable column is called once, here,
     for its array, so a JSON report never builds it.  No columns writes the
-    header ``empty`` and the row ``True``."""
+    header ``empty`` and the row ``True``.  `csv` is imported here, so a JSON
+    report never loads it."""
+    import csv
+
     if not columns:
         columns = {"empty": [True]}
     arrays = [np.asarray(c() if callable(c) else c) for c in columns.values()]
@@ -286,17 +294,17 @@ def _stage(label: str, stage: str):
         raise InputError(f"{label}: {stage}: {exc}") from None
 
 
-def _profile_stage(curve: ProfileCurve, config: dict, n_samples: int, n_s: int):
-    """The `ValidationReport` of a passing profile and the grid jets of its
-    ``n_s`` rows, from one `geometry.joint_pass` over the validation samples
-    and the grid's profile samples (none when ``n_s`` is 0).  When that pass
-    faults, validation evaluates its own samples and the grid jets are None,
-    so the grid stage evaluates its own rows: the first stage to meet the
-    fault raises it under its own name."""
+def _profile_stage(curve: ProfileCurve, config: dict, n_samples: int, points):
+    """The `ValidationReport` of a passing profile and the jets at
+    ``points``, the next stage's samples (a grid's profile samples or the
+    first screening pass of operator equivalence), from one
+    `geometry.joint_pass` over the validation samples and ``points``.  When
+    that pass faults, validation evaluates its own samples and the jets are
+    None, so the next stage evaluates its own points: the first stage to
+    meet the fault raises it under its own name."""
     checked = rows = None
-    if n_s:
-        with contextlib.suppress(*_FAULTS):
-            checked, rows = geometry.joint_pass(curve, n_samples, n_s)
+    with contextlib.suppress(*_FAULTS):
+        checked, rows = geometry.joint_pass(curve, n_samples, points)
     with _stage(curve.name, "validation"):
         validation = geometry.validate_profile(curve, n_samples=n_samples,
                                                tol_arc=config["tol_arc"],
@@ -310,7 +318,8 @@ def _profile_stage(curve: ProfileCurve, config: dict, n_samples: int, n_s: int):
 def cmd_classify(args) -> int:
     curve, entry = _load_surface(args)
     config = _config(args, curve.name, "tol_arc", "tol_parab", "tol_fit")
-    validation, rows = _profile_stage(curve, config, args.samples, config["n_s"])
+    validation, rows = _profile_stage(curve, config, args.samples,
+                                      geometry.sample_regular(curve, config["n_s"]))
     with _stage(curve.name, "fit"):
         report = classify.fit_matrix(curve, *args.grid, tol_parab=args.tol_parab,
                                      tol_fit=args.tol_fit, jets=rows)
@@ -371,17 +380,27 @@ def _lam_mu(args, entry) -> tuple[float, float]:
             known[2][2] if args.mu is None else args.mu)
 
 
+def _first_points(args, curve: ProfileCurve, config: dict):
+    """The samples of the check's first stage, which the joint pass
+    evaluates with the validation samples: operator-equivalence's first
+    screening pass of draws, or the grid's profile samples."""
+    if args.check == "operator-equivalence":
+        return beltrami.candidate_points(curve, args.seed, 0, beltrami.first_pass(args.pairs))
+    return geometry.sample_regular(curve, config["n_s"])
+
+
 def _run_check(args, curve: ProfileCurve, rows, lam_mu: tuple):
     """(worst, details, columns) of the check named by ``args.check``, from
-    the options of its own parser.  The grid checks take their rows from
-    `geometry.grid_rows` over ``rows``, the grid jets of the joint pass, or
-    over a pass of their own when ``rows`` is None, and the three row checks
-    report their counts; operator-equivalence draws its own points.
-    ``lam_mu`` holds eigen-system's and radius-rate's lambda and mu."""
+    the options of its own parser.  ``rows`` are the jets of the joint pass
+    at `_first_points`, or None when the check evaluates its own.  The grid
+    checks take their rows from `geometry.grid_rows` over them, and the
+    three row checks report their counts; operator-equivalence screens them
+    as its first pass of draws.  ``lam_mu`` holds eigen-system's and
+    radius-rate's lambda and mu."""
     check = args.check
     if check == "operator-equivalence":
-        return beltrami.operator_equivalence_residual(curve, n_pairs=args.pairs,
-                                                      seed=args.seed, tol_parab=args.tol_parab)
+        return beltrami.operator_equivalence_residual(curve, n_pairs=args.pairs, seed=args.seed,
+                                                      tol_parab=args.tol_parab, jets=rows)
     if check == "position-identity":
         jets, excluded = geometry.grid_rows(curve, args.grid[0], args.tol_parab, rows)
         return beltrami.position_identity_residual(jets, args.grid[1], excluded)
@@ -397,7 +416,8 @@ def cmd_verify(args) -> int:
     curve, entry = _load_surface(args)
     config = _config(args, curve.name, "tol_arc", "tol_parab", "n_s", "pairs", "seed")
     check, tol = args.check, args.tol
-    _, rows = _profile_stage(curve, config, VALIDATION_SAMPLES, config.get("n_s", 0))
+    _, rows = _profile_stage(curve, config, VALIDATION_SAMPLES,
+                             _first_points(args, curve, config))
     # After validation, so a profile that fails it says so first.
     lam_mu = _lam_mu(args, entry) if "lam" in args else ()
     with _stage(curve.name, check):
@@ -541,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
         elif check == "operator-equivalence":
             p_check.add_argument("--pairs", type=_count(1, MAX_PAIRS),
                                  default=beltrami.DEFAULT_PAIRS, help="random pairs")
-            p_check.add_argument("--seed", type=_count(0), default=0, help="seed of the draws")
+            p_check.add_argument("--seed", type=_count(0, high=2**64 - 1), default=0,
+                                 help="seed of the draws")
 
     p_scan = add_leaf(subs, cmd_scan, {"command": "scan"},
                       help="closure-coefficient contradiction scan")

@@ -22,9 +22,10 @@ what `quotient_defects` measures.
 A sample set is evaluated once into `RegularJets` by `grid_rows` or by the
 draw screening of operator equivalence; the formulas take those jets.  An
 error in a batch reports the first offending ``s``.  `joint_pass` evaluates
-the validation samples and a grid's profile samples in one pass and splits
-it into two views, which `validate_profile` and `grid_rows` take in place
-of a pass of their own.
+the validation samples and a second sample set, a grid's profile samples
+or the first draws of operator equivalence, in one pass and splits it into
+two views, which `validate_profile` and the next stage take in place of a
+pass of their own.
 """
 
 from __future__ import annotations
@@ -307,15 +308,16 @@ def sample_regular(p: ProfileCurve, n: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def joint_pass(p: ProfileCurve, n_samples: int, n_s: int) -> tuple[RegularJets, RegularJets]:
+def joint_pass(p: ProfileCurve, n_samples: int, points) -> tuple[RegularJets, RegularJets]:
     """Jets at the validation samples ``sample_regular(p, n_samples)`` and
-    at the grid's profile samples ``sample_regular(p, n_s)``, from one
-    evaluation pass over both: two views of that pass, not yet checked for
-    regularity, for the ``jets`` of `validate_profile` and `grid_rows`.
-    A fault in the pass cannot tell which sample set met it; a caller that
-    names the stage reruns the two passes apart."""
+    at ``points``, a second sample set such as a grid's profile samples or
+    the first draws of operator equivalence, from one evaluation pass over
+    both: two views of that pass, not yet checked for regularity, for the
+    ``jets`` of `validate_profile` and of the stage after it.  A fault in
+    the pass cannot tell which sample set met it; a caller that names the
+    stage reruns the two passes apart."""
     samples = sample_regular(p, n_samples)
-    jets = _jets(p, np.concatenate((samples, sample_regular(p, n_s))))
+    jets = _jets(p, np.concatenate((samples, points)))
     return jets[:samples.size], jets[samples.size:]
 
 

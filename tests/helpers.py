@@ -13,8 +13,10 @@ coefficients and elimination check that only tests use,
 the coordinate Laplacian's factors in the R = 2H/K form and a sympy check
 that they equal the operator at arclength, a square-and-multiply power
 that squares after its last bit, the three Beltrami operators pointwise
-on a field's partials, and the two Beltrami checks computed one random
-pair at a time with those oracles and with a stacked norm,
+on a field's partials, SplitMix64 on Python integers, and the two
+Beltrami checks computed one random pair at a time with those oracles and
+that generator and with a stacked norm, a polar-cap profile on which every
+draw is rejected,
 and a catalog whose profiles are parsed from their texts on every call.
 
 These stay independent of the jet-propagation code paths they check.
@@ -22,6 +24,7 @@ These stay independent of the jet-propagation code paths they check.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 import re
@@ -951,65 +954,82 @@ def reference_position_identity_residual(jets, n_theta: int, rows_excluded: int)
     return worst, details, columns
 
 
+_MASK64 = 2**64 - 1
+
+# A polar cap, as a profile document: it passes validation, but operator
+# equivalence rejects every draw at every scale, since its margin
+# min(|phi' f|, |sin(phi)|) is sin(s), under the draw margin.
+POLAR_CAP = {"name": "polar-cap", "f": "sin(s)", "g": "0 - cos(s)", "s_min": 0.01,
+             "s_max": 0.04}
+
+
+def reference_splitmix64(seed: int):
+    """SplitMix64 as Steele, Lea and Flood state it, on Python integers: the
+    outputs of the stream seeded with ``seed``, one after another."""
+    state = seed
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        yield z ^ (z >> 31)
+
+
 def reference_operator_equivalence_residual(
-    p, n_pairs: int = 1000, seed: int = 0, tol_parab: float = DEFAULT_TOL_PARAB,
+    p, n_pairs: int = 1000, seed: int = 0, tol_parab: float = DEFAULT_TOL_PARAB, jets=None,
 ):
-    """`beltrami.operator_equivalence_residual` with the picks chosen by a
-    walk over every candidate of every pass, and both operators taken from
-    the pointwise oracles one pair at a time: each on the partials of the
-    pair's field a(s) cos(k theta) at theta = 0, where the operator gives
-    the profile that multiplies the trig at every angle, then times the
-    pair's own cos or sin branch."""
-    rng = np.random.default_rng(seed)
+    """`beltrami.operator_equivalence_residual` from a walk over the
+    candidates one at a time, each drawn as the next six words of a
+    sequential integer SplitMix64 stream and screened in chunks of 256 of
+    its own, and both operators taken from the pointwise oracles one pair
+    at a time: each on the partials of the pair's field a(s) cos(k theta)
+    at theta = 0, where the operator gives the profile that multiplies the
+    trig at every angle, then times the pair's own cos or sin branch.
+    ``jets``, a joint pass's jets at the first candidates, are not read."""
+    words = reference_splitmix64(seed)
     intervals = p.regular_intervals()
-    starts = np.array([lo for lo, _ in intervals])
-    widths = np.array([hi - lo for lo, hi in intervals])
-    cdf = np.cumsum(widths / widths.sum())
-    cdf /= cdf[-1]
-    passes, draws = [], []
-    picks: list[int] = []
-    drawn = 0
-    while len(picks) < n_pairs and drawn < 50 * n_pairs:
-        if passes:
-            size = min(max(2 * (n_pairs - len(picks)), 64), 50 * n_pairs - drawn)
-        else:
-            size = n_pairs
-        u = rng.random((3, size))
-        k = cdf.searchsorted(u[0], side="right")
-        screened = _jets(p, starts[k] + widths[k] * u[1])
-        for i in range(size):
+    starts = [lo for lo, _ in intervals]
+    widths = [hi - lo for lo, hi in intervals]
+    cdf = np.cumsum(np.array(widths) / sum(widths))
+    cdf = (cdf / cdf[-1]).tolist()
+    picks = []
+    walked = 0
+    while len(picks) < n_pairs and walked < 50 * n_pairs:
+        chunk = []
+        for _ in range(min(256, 50 * n_pairs - walked)):
+            w = [next(words) for _ in range(6)]
+            u = [(word >> 11) * 2.0**-53 for word in w]
+            k = bisect.bisect_right(cdf, u[0])
+            chunk.append((starts[k] + widths[k] * u[1], u, w[3]))
+        screened = _jets(p, np.array([c[0] for c in chunk]))
+        for i, (s, u, word) in enumerate(chunk):
             if len(picks) == n_pairs:
                 break
-            low = min(abs(screened.dphi[i]), abs(screened.sin_phi[i])) < DRAW_MARGIN
-            parabolic = (abs(screened.dphi[i]) <= tol_parab
-                         or abs(screened.sin_phi[i]) <= tol_parab)
-            if not (low or parabolic):
-                picks.append(drawn + i)
-        passes.append(screened)
-        draws.append(u)
-        drawn += size
+            dphi, sin_phi = float(screened.dphi[i]), float(screened.sin_phi[i])
+            # Written as what a usable point clears, so a NaN clears nothing.
+            if (abs(dphi) > tol_parab and abs(sin_phi) > tol_parab
+                    and abs(dphi * float(screened.f.v0[i])) >= DRAW_MARGIN
+                    and abs(sin_phi) >= DRAW_MARGIN):
+                picks.append((screened[i], u, word))
+        walked += len(chunk)
     done = len(picks)
     details = {"max_rel_diff": None, "pairs": done, "at_s": None, "at_theta": None}
     if not done:
         return None, details, {}
-    picked = np.array(picks)
-    jets_ = RegularJets.concat(passes)[picked]
-    s, theta = jets_.s, _TAU * np.concatenate(draws, axis=1)[2, picked]
-    omega = _TAU / max(p.s_max - p.s_min, 1e-6)
-    u = rng.uniform(-2.0, 2.0, size=(3, done))
-    harmonics = rng.integers(0, 4, size=done)
-    trig_flags = rng.integers(2, size=done)
+    s, theta, harmonics = np.empty(done), np.empty(done), np.empty(done, dtype=np.int64)
     jet = np.empty((3, done))
     a, b = np.empty(done), np.empty(done)
     trigs = []
-    for i in range(done):
-        k = int(harmonics[i])
-        trig = "cos" if k == 0 or trig_flags[i] else "sin"
-        jet[:, i] = (u[0, i], u[1, i] * omega, u[2, i] * (omega * omega))
+    for i, (point, u, word) in enumerate(picks):
+        dphi = float(point.dphi)
+        k = word & 3
+        trig = "cos" if k == 0 or not word & 4 else "sin"
+        s[i], theta[i], harmonics[i] = point.s, _TAU * u[2], k
+        jet[:, i] = (4.0 * u[3] - 2.0, (4.0 * u[4] - 2.0) * abs(dphi),
+                     (4.0 * u[5] - 2.0) * (dphi * dphi))
         pu = reference_partials(jet[:, i], k, "cos", 0.0)
         t = (np.cos if trig == "cos" else np.sin)(k * theta[i])
-        a[i] = reference_second_beltrami(jets_[i], pu) * t
-        b[i] = reference_second_beltrami_divergence(jets_[i], pu) * t
+        a[i] = reference_second_beltrami(point, pu) * t
+        b[i] = reference_second_beltrami_divergence(point, pu) * t
         trigs.append(trig)
     rel = np.abs(a - b) / (1.0 + np.abs(b))
     i = int(np.argmax(rel))

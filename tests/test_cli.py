@@ -23,6 +23,7 @@ from revtype.cli import main
 
 from helpers import (
     DEEP_TEXTS,
+    POLAR_CAP,
     per_cell_bounds,
     reference_catalog_make,
     reference_eval_jet3,
@@ -39,9 +40,8 @@ VERIFY_CHECKS = tuple(cli.VERIFY_TOLERANCES)
 _LAM_MU = ["--lambda", "2", "--mu", "2"]
 # Each check's own options in the tests that run every check: lambda =
 # mu = 2, since a torus or a profile file knows none, and 20 pairs.  At
-# seed 0 the sphere and catenoid of `_BUDGET_SURFACES` keep their first 20
-# draws in one screening pass, while the torus rejects draws near its
-# collars and needs a second, at 20 pairs as at 600.
+# seed 0 the surfaces of `_BUDGET_SURFACES` find their 20 pairs in the first
+# screening pass, 37 draws, as they find 600 in 653.
 CHECK_OPTIONS = {
     "position-identity": [],
     "curvature-quotient": [],
@@ -49,8 +49,7 @@ CHECK_OPTIONS = {
     "eigen-system": _LAM_MU,
     "radius-rate": _LAM_MU,
 }
-# The same at operator-equivalence's default 1000 pairs, which on the torus
-# take more than one screening pass.
+# The same at operator-equivalence's default 1000 pairs.
 DEFAULT_PAIRS_OPTIONS = {**CHECK_OPTIONS, "operator-equivalence": []}
 
 
@@ -289,8 +288,7 @@ class TestFailClosed:
     @pytest.mark.parametrize("check", VERIFY_CHECKS)
     def test_no_usable_points(self, tmp_path, check):
         if check == "operator-equivalence":
-            # phi' = 1/r = 0.01 is under the draw margin, so no draw is usable
-            surface = ["--catalog", "sphere", "--param", "r=100"]
+            surface = ["--profile", _profile_file(tmp_path, POLAR_CAP)]
         else:
             surface = ["--profile", _profile_file(tmp_path, TORUS_NO_COLLARS),
                        *_size_option(check, "2x4")]
@@ -306,7 +304,7 @@ class TestFailClosed:
     @pytest.mark.parametrize("check", VERIFY_CHECKS)
     def test_details_keep_their_keys(self, tmp_path, check):
         if check == "operator-equivalence":
-            empty = ["--catalog", "sphere", "--param", "r=100"]
+            empty = ["--profile", _profile_file(tmp_path, POLAR_CAP)]
         else:
             empty = ["--profile", _profile_file(tmp_path, TORUS_NO_COLLARS),
                      *_size_option(check, "2x4")]
@@ -332,13 +330,33 @@ class TestFailClosed:
     @pytest.mark.parametrize("check", VERIFY_CHECKS)
     def test_no_usable_points_csv(self, tmp_path, check):
         if check == "operator-equivalence":
-            surface = ["--catalog", "sphere", "--param", "r=100"]
+            surface = ["--profile", _profile_file(tmp_path, POLAR_CAP)]
         else:
             surface = ["--profile", _profile_file(tmp_path, TORUS_NO_COLLARS),
                        *_size_option(check, "2x4")]
         code, out, err = captured(["verify", check, *surface, *CHECK_OPTIONS[check],
                                    "--format", "csv"])
         assert (code, out, err) == (2, "empty\r\nTrue\r\n", "")
+
+
+class TestScaleFreeDraws:
+    """Operator equivalence accepts a draw by the dimensionless margin
+    min(|phi' f|, |sin(phi)|), so the same draws qualify at every scale."""
+
+    @pytest.mark.parametrize("surface", (["--catalog", "sphere", "--param", "r=25"],
+                                         ["--catalog", "catenoid", "--param", "c=20"]),
+                             ids=" ".join)
+    def test_large_surfaces_find_every_pair(self, surface):
+        # phi' = 1/25 and phi' <= 1/20 are under DRAW_MARGIN, while phi' f
+        # is sin(s/25) and 20/f.
+        code, out, _ = captured(["verify", "operator-equivalence", *surface])
+        assert code == 0 and json.loads(out)["details"]["pairs"] == 1000
+
+    def test_polar_cap_rejects_every_draw(self, tmp_path):
+        code, out, _ = captured(["verify", "operator-equivalence", "--profile",
+                                 _profile_file(tmp_path, POLAR_CAP), "--pairs", "20"])
+        assert code == 2
+        assert json.loads(out)["reason"] == "found 0 of 20 usable sample points in 1000 draws"
 
 
 def _readme_csv_columns() -> dict[str, list[str]]:
@@ -1011,12 +1029,11 @@ _BUDGET_SURFACES = (
 
 
 class TestEvaluationBudget:
-    """A command evaluates f and g once per sample set and nothing else.
-    `classify` and the grid checks evaluate each once, in one pass over the
-    validation samples and the grid's profile samples.  Operator
-    equivalence evaluates each once for the 101-sample validation and once
-    per screening pass of its draws; its random fields are drawn as profile
-    jets, with no expression pass."""
+    """A command evaluates f and g once, in one pass over the validation
+    samples and the next stage's samples: `classify` and the grid checks
+    the grid's profile samples, operator equivalence the first screening
+    pass of its draws, which on these surfaces holds every pair.  Its
+    random fields are drawn as profile jets, with no expression pass."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -1048,11 +1065,10 @@ class TestEvaluationBudget:
         with contextlib.redirect_stdout(out):
             assert main([*argv, "--format", fmt]) in (0, 2)
         assert out.getvalue()
-        # The torus needs two screening passes, the sphere and catenoid one.
-        expected = (2 if surface[1] == "torus" else 1) if command == "operator-equivalence" else 0
-        assert len(screens) == expected
+        # No screening pass of its own: the joint pass screened the draws.
+        assert screens == []
         curve = _catalog_curve(surface)
-        assert passes == [curve.f, curve.g] * (1 + len(screens))
+        assert passes == [curve.f, curve.g]
 
 
 def _benchmark_shapes(profile: str) -> list[list[str]]:
@@ -1505,6 +1521,16 @@ class TestFiniteOptions:
         else:
             assert error == "revtype: error: unrecognized arguments: --seed -1"
 
+    def test_seed_is_64_bits(self):
+        # The generator takes a 64-bit seed: the largest runs, one more is a
+        # usage error rather than a seed folded onto another.
+        argv = ["verify", "operator-equivalence", "--catalog", "sphere", "--pairs", "5"]
+        code, out, _ = captured([*argv, "--seed", str(2**64 - 1)])
+        assert code == 0 and json.loads(out)["config"]["seed"] == 2**64 - 1
+        assert _usage_error([*argv, "--seed", str(2**64)]) == (
+            "revtype verify operator-equivalence: error: argument --seed: expected at most "
+            f"{2**64 - 1}, got '{2**64}'")
+
 
 class TestWorkBudget:
     @pytest.mark.parametrize("argv, named", (
@@ -1706,6 +1732,20 @@ class TestFloatingPointFaults:
         assert captured([*command, "--profile", str(path), *options]) == (
             1, "", f"error: gridfault: {stage}: domain error at s=0.25: sqrt of a non-positive "
                    "value in 'sqrt((s - 0.25)^2)'\n")
+
+    def test_first_draw_fault_keeps_its_stage(self, tmp_path):
+        # Only operator-equivalence's first draw meets the domain error, so
+        # the one pass over validation samples and first draws faults, and
+        # the error names the check as when validation ran first alone.
+        curve = geometry.ProfileCurve.build("drawfault", "2 + cos(s)", "sin(s)", 0.0, 1.0)
+        s0 = float(beltrami.candidate_points(curve, 0, 0, 1)[0])
+        path = tmp_path / "drawfault.json"
+        path.write_text(json.dumps({"name": "drawfault", "s_min": 0, "s_max": 1, "g": "sin(s)",
+                                    "f": f"2 + cos(s) + 0 * sqrt((s - {s0!r})^2)"}))
+        assert captured(["verify", "operator-equivalence", "--profile", str(path),
+                         "--pairs", "20"]) == (
+            1, "", f"error: drawfault: operator-equivalence: domain error at s={s0!r}: sqrt of "
+                   f"a non-positive value in 'sqrt((s - {s0!r})^2)'\n")
 
     @pytest.mark.parametrize("surface", ("sphere", "torus"))
     def test_radius_rate_coefficient_does_not_overflow(self, surface):

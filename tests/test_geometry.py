@@ -481,7 +481,7 @@ class TestGrids:
 
     def test_joint_pass_matches_two_passes(self):
         curve = torus(3.0, 1.0).curve
-        checked, rows = geometry.joint_pass(curve, 101, 32)
+        checked, rows = geometry.joint_pass(curve, 101, sample_regular(curve, 32))
         for view, n in ((checked, 101), (rows, 32)):
             alone = geometry._jets(curve, sample_regular(curve, n))
             for got, want in zip(self._channels(view), self._channels(alone)):
@@ -492,7 +492,7 @@ class TestGrids:
 
     def test_nan_margin_row_of_a_joint_pass_is_dropped(self):
         curve = torus(3.0, 1.0).curve
-        _, rows = geometry.joint_pass(curve, 101, 32)
+        _, rows = geometry.joint_pass(curve, 101, sample_regular(curve, 32))
         rows.dphi[3] = math.nan
         jets, excluded = grid_rows(curve, 32, jets=rows)
         assert excluded == 1 and len(jets) == 31

@@ -164,14 +164,15 @@ _OPERATOR_MUTANTS = tuple(m for m in MUTANTS
                           if m.function in ("second_beltrami", "second_beltrami_divergence"))
 
 
-@pytest.mark.parametrize("c", ("1e-9", "0.01", "5"))
+@pytest.mark.parametrize("c", ("1e-12", "1e-9", "0.01", "5", "20"))
 @pytest.mark.parametrize("mutant", _OPERATOR_MUTANTS, ids=_id)
 def test_operator_mutant_fails_equivalence_at_every_scale(monkeypatch, mutant, c):
-    # The drawn a' and a'' scale with the base frequency of the profile
-    # domain and its square, so the terms of both operators stay comparable
-    # and every one shows, on a narrow catenoid as on a wide one.  At
-    # c = 1e-9, unscaled a'' jets would hide three rows and unscaled a'
-    # jets ten.
+    # The drawn a' and a'' scale with the point's own |phi'| and phi'^2, so
+    # the terms of both operators stay comparable and every one shows, on
+    # a narrow catenoid as on a wide one.  Jets scaled by the domain's base
+    # frequency, floored at a span of 1e-6, hid the u_ss, cs0 and term_s:
+    # u_ss rows at c = 1e-12, and an absolute draw margin found no point at
+    # c = 20.
     argv = ["verify", "operator-equivalence", "--catalog", "catenoid", "--param", f"c={c}"]
     assert _exit_code(argv) == 0
     _apply(monkeypatch, mutant)
