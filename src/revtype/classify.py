@@ -306,16 +306,18 @@ _COFACTORS = (
     ((0, 0), (626, -150, 0)),
 )
 # Lattice points per array pass of the scan, so each temporary array holds
-# about 32 KB.
+# about 32 KB, and lattice rows per span whose windows are laid out at once.
 BLOCK_CELLS = 4096
 # Work budget of one scan: at most this many lattice points, counted as
 # (span / step + 1) per axis and multiplied, which also bounds the cells.
 # A box of one row keeps its axis's points in memory, 8 bytes each, and a
 # byte each while `_axis` checks them, so a scan at the bound peaks at
 # about 0.2 GiB (174 MiB RSS measured on the row (0, 0) x (0, 838860) at
-# step 0.05); a square box at the bound takes about 0.4 s where the
-# lattice pass skips nothing (4095^2 points on [20, 40]^2, 0.35 to 0.38 s
-# measured on a 2-core x86-64 host) and about 0.01 s on [-10, 10]^2.
+# step 0.05); a square box at the bound takes about 0.3 s where the
+# lattice pass skips nothing (4095^2 points on [-1e101, 1e101]^2, past
+# _CUT_REACH; 0.27 to 0.39 s measured on a 2-core x86-64 host), about
+# 0.2 s on [20, 40]^2, where the windows keep 57% of the points, and
+# about 4 ms on [-10, 10]^2.
 MAX_SCAN_POINTS = 2**24
 # The lattice pass skips points only on boxes within _CUT_REACH of the
 # origin, where no coefficient can overflow, so a skipped point hides no
@@ -328,38 +330,49 @@ _SUB_STRIDE = 16
 _COMMON_ZEROS = (0.0, 2.0)
 
 
+# The 6 x 6 integer grid {0..5}^2 of `_identity_holds`, the monomials
+# lam^i mu^j there for i, j <= 2, indexed [i, j], and 300 (lam - mu).
+_GRID_LAM = np.repeat(np.arange(6.0), 6)
+_GRID_MU = _GRID_LAM.reshape(6, 6).T.ravel()
+_GRID_MONOMIALS = (_GRID_LAM ** np.arange(3.0)[:, None, None]
+                   * _GRID_MU ** np.arange(3.0)[None, :, None])
+_GRID_TARGET = 300.0 * (_GRID_LAM - _GRID_MU)
+
+
 def _identity_holds() -> bool:
     """Whether a c4 + b c2 + c c0 = lam - mu holds for every (lam, mu).
 
     The difference 300 (a c4 + b c2 + c c0 - (lam - mu)) is evaluated at the
-    integer points {0..5}^2, in one pass through `quartic_coefficients`.
-    The check is exact as long as `quartic_coefficients` stays straight-line
-    + - * code with integer constants and degree at most 3 in each
-    variable: the cofactors have degree at most 2 in each, so the difference
-    has degree at most 5 in each variable and is the zero polynomial when it
-    vanishes on a 6 x 6 grid; and every intermediate value there is an
-    integer of magnitude below 2**21, so no float operation rounds, in
-    whatever order the matrix product sums.  No exact polynomial type or
-    computer algebra is needed.
+    integer points {0..5}^2, from `_COFACTORS` and one pass through
+    `quartic_coefficients`, on every call.  The check is exact as long as
+    `quartic_coefficients` stays straight-line + - * code with integer
+    constants and degree at most 3 in each variable: the cofactors have
+    degree at most 2 in each, so the difference has degree at most 5 in
+    each variable and is the zero polynomial when it vanishes on a 6 x 6
+    grid; and every intermediate value there is an integer of magnitude
+    below 2**19, so no float operation rounds, in whatever order the sum
+    adds.  The terms are multiplied and summed elementwise, with no matrix
+    product.  No exact polynomial type or computer algebra is needed.
     """
-    lam, mu = np.repeat(np.arange(6.0), 6), np.tile(np.arange(6.0), 6)
-    monomials = np.array([lam**i * mu**j for (i, j), _ in _COFACTORS])
-    cofactors = monomials.T @ np.array([row for _, row in _COFACTORS], dtype=float)
-    residual = (cofactors * np.array(quartic_coefficients(lam, mu)).T).sum(axis=1)
-    return not (residual - 300.0 * (lam - mu)).any()
+    exponents, rows = zip(*_COFACTORS)
+    # [term, cofactor a, b or c, point]: 300 times the cofactor's term there.
+    terms = _GRID_MONOMIALS[tuple(zip(*exponents))][:, None] * np.array(rows, float)[:, :, None]
+    residual = (terms * quartic_coefficients(_GRID_LAM, _GRID_MU)).sum(axis=(0, 1))
+    return not (residual != _GRID_TARGET).any()
 
 
 def _bound_terms() -> list:
     """(i, j, u) for each monomial lam^i mu^j of the cofactors: u is the
     sum of the row's absolute coefficients over 300, rounded up to a float,
     so |a| + |b| + |c| <= sum of u |lam|^i |mu|^j."""
-    return [(i, j, np.nextafter(sum(map(abs, row)) / 300, math.inf))
+    return [(i, j, math.nextafter(sum(map(abs, row)) / 300, math.inf))
             for (i, j), row in _COFACTORS]
 
 
 def _cell_bounds(l, m, gap: float):
     """A lower bound of max(|c4|, |c2|, |c0|) on each cell minus the strip
-    |lam - mu| < gap; l and m are the largest |lam| and |mu| of each cell.
+    |lam - mu| < gap; l and m are the largest |lam| and |mu| of each cell,
+    as arrays or as NumPy float scalars, with the same bits either way.
 
     Off the strip |lam - mu| >= gap, and |a| + |b| + |c| <= U, the sum of
     u l^i m^j over `_bound_terms`, so the identity gives
@@ -371,9 +384,11 @@ def _cell_bounds(l, m, gap: float):
     quotient below gap / U.  Each term of U is a positive constant times
     l^i m^j and each rounded operation here is monotone, so the cell with
     the largest l and m has the least bound, bit for bit, and its U
-    overflows whenever another cell's does.
+    overflows whenever another cell's does.  The powers are products: a
+    NumPy float scalar's ** calls C pow, which may round a square other
+    than an array's x * x does.
     """
-    U = sum(u * l**i * m**j for i, j, u in _bound_terms())
+    U = sum(u * math.prod((l,) * i) * math.prod((m,) * j) for i, j, u in _bound_terms())
     return np.nextafter(gap / (U * (1.0 + 2.0**-48)), 0.0)
 
 
@@ -413,14 +428,17 @@ def _axis(name: str, lo: float, hi: float, step: float):
     if not (points[1:] > points[:-1]).all():
         raise ValueError(f"step {step!r} is below the float spacing of {name}: "
                          f"its lattice points coincide")
-    cells = 0 if hi == lo else 1 + int(np.searchsorted(points[1 : math.ceil(x - 1e-6)], hi))
+    cells = 0 if hi == lo else 1 + int(points[1 : math.ceil(x - 1e-6)].searchsorted(hi))
     return points, cells
 
 
 def _max_coefficients(lam, mu):
     """max(|c4|, |c2|, |c0|) at each point, and (c4, c2, c0)."""
     coeffs = quartic_coefficients(lam, mu)
-    return np.maximum(np.maximum(np.abs(coeffs[0]), np.abs(coeffs[1])), np.abs(coeffs[2])), coeffs
+    m = np.abs(coeffs[0])
+    for c in coeffs[1:]:
+        np.maximum(m, np.abs(c), out=m)
+    return m, coeffs
 
 
 def _sample(axis: np.ndarray) -> np.ndarray:
@@ -429,7 +447,7 @@ def _sample(axis: np.ndarray) -> np.ndarray:
     next to 0 and 2, the coordinates of the common zeros."""
     n = axis.size
     picks = list(range(0, n, max(_SUB_STRIDE, -(-n // math.isqrt(BLOCK_CELLS)))))
-    for i in np.searchsorted(axis, _COMMON_ZEROS).tolist():
+    for i in axis.searchsorted(_COMMON_ZEROS).tolist():
         picks += (max(i - 1, 0), min(i, n - 1), min(i + 1, n - 1))
     return axis[picks]
 
@@ -446,58 +464,126 @@ def _upper_bound(lams: np.ndarray, mus: np.ndarray, gap: float) -> float:
     and the lower the bound, the fewer points the windows keep.
     """
     lam, mu = _sample(lams)[:, None], _sample(mus)
-    m = np.where(np.abs(lam - mu) >= gap, _max_coefficients(lam, mu)[0], math.inf)
-    return float(m.min())
+    m, _ = _max_coefficients(lam, mu)
+    return float(m.min(where=np.abs(lam - mu) >= gap, initial=math.inf))
 
 
 def _window_hint(lam: np.ndarray, mus: np.ndarray, ub: float, gap: float):
     """Index ranges [lo, hi) of mus, one per row lam: mu within a little
     more than max(sqrt(ub / |lam|), gap) of lam, where |c4| = |lam| (lam -
     mu)^2 could still be at most ub or the point on the strip."""
-    # Only a hint, which `_windows` checks, so an overflow, a division by
-    # zero or 0 / 0 here can only widen, narrow or misplace a window.
+    # Only a hint, which `_span_minimum` checks, so an overflow, a division
+    # by zero or 0 / 0 here can only widen, narrow or misplace a window.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         half = 1.01 * np.maximum(np.sqrt(ub / np.abs(lam)), gap)
-        return np.searchsorted(mus, lam - half), np.searchsorted(mus, lam + half, "right")
+        return mus.searchsorted(lam - half), mus.searchsorted(lam + half, "right")
 
 
-def _windows(lam: np.ndarray, mus: np.ndarray, ub: float, gap: float):
-    """Index ranges [lo, hi) of mus, one per row lam, that hold every point
-    of the row on the strip |lam - mu| < gap or with |c4| <= ub.
+def _pass_minimum(span: np.ndarray, mus: np.ndarray, layout, a: int, b: int,
+                  ub: float, gap: float):
+    """(points off the strip, best, failed) over the points [a, b) of the
+    span's windows with their end points, counted in row-major order and
+    laid out by ``layout`` (see `_span_minimum`), evaluating
+    `quartic_coefficients` once: best is (max-coefficient, argmin,
+    coefficients) of the first minimum, or None when every point is on the
+    strip |lam - mu| < gap.  failed is None when every end point in the
+    pass checks, and otherwise holds the positions, counted across the
+    span, of those left and right of the windows that fail: on the strip,
+    on the other side of lam, or |c4| <= ub."""
+    ends, shift, left, right = layout
+    # Rows r to t hold points [a, b); the first and last are clipped to them.
+    r, t = ends.searchsorted((a, b - 1), "right").tolist()
+    stops = ends[r : t + 1] - a
+    stops[-1] = b - a
+    kept = stops.copy()
+    kept[1:] -= stops[:-1]
+    lam = span[r : t + 1].repeat(kept)
+    mu = mus[shift[r : t + 1].repeat(kept) + np.arange(a, b)]
+    d = lam - mu
+    off = np.abs(d) >= gap
+    # The end points in the pass, save one that an earlier or a later pass
+    # holds, each checked for lying off the strip on its side of lam.
+    heads = (stops - kept)[left[r : t + 1]]
+    if left[r] and (ends[r - 1] if r else 0) < a:
+        heads = heads[1:]
+    tails = (stops - 1)[right[r : t + 1]]
+    if right[t] and ends[t] > b:
+        tails = tails[:-1]
+    tips = (heads, d[heads] >= gap), (tails, d[tails] <= -gap)
+    # Only the off-strip points are evaluated, so an on-strip one never
+    # overflows; the pass's other arrays go first, to keep its peak low.
+    lam, mu = lam[off], mu[off]
+    del d
+    m, coeffs = _max_coefficients(lam, mu)
+    failed = None
+    # A pass of whole rows has no end points to check.
+    if heads.size or tails.size:
+        far = np.zeros(b - a, bool)
+        far[off] = np.abs(coeffs[0]) > ub
+        checks = [(at, side & far[at]) for at, side in tips]
+        if not all(checked.all() for _, checked in checks):
+            failed = [at[~checked] + a for at, checked in checks]
+    if not lam.size:
+        return 0, None, failed
+    k = int(m.argmin())
+    return lam.size, (float(m[k]), (float(lam[k]), float(mu[k])),
+                      tuple(float(c[k]) for c in coeffs)), failed
+
+
+def _span_minimum(span: np.ndarray, mus: np.ndarray, ub: float, gap: float, widen=None):
+    """(points scanned, best, failed) over the rows span of the lattice
+    span x mus, evaluating the window [lo, hi) of mus from `_window_hint`
+    of each row together with the first point past each end of it: best is
+    (max-coefficient, argmin, coefficients) of the first minimum in
+    row-major order, or None when no evaluated point is off the strip
+    |lam - mu| < gap.  Given ``widen``, the windows of its rows
+    ``widen[0]`` run to the start of the row, and those of ``widen[1]`` to
+    the end.
 
     c4 = (lam (lam - mu)) (lam - mu), and each rounding is monotone, so
     along a row |lam - mu| and |c4| never decrease moving away from lam.
-    The first point past each end of the hint is checked: when it is off
-    the strip on that end's side of lam and its |c4|, from
-    `quartic_coefficients` itself, exceeds ub, no point beyond it is on the
-    strip or reaches ub.  Otherwise the window runs to that end of the row.
-    So at most two points of a row are checked; with ub = inf every hint,
-    and so every window, spans its whole row.
+    An end point checks when it is off the strip on its end's side of lam
+    and its |c4| exceeds ub: then no point beyond it is on the strip or
+    reaches ub, so none can be the minimum or tie with it, and they count
+    as scanned, as the end point itself does.  failed is None when every
+    end point checks.  Otherwise it holds the rows whose end point failed
+    on each side, to be passed as ``widen`` to the same span evaluated
+    again, whose counts and best then stand; its end points are the ones
+    that checked here, so it fails none.
+
+    The points, in row-major order, are gathered in passes of at most
+    BLOCK_CELLS consecutive points (`_pass_minimum`), so one row's window
+    may be split across passes, and each pass checks its end points with
+    the c4 and lam - mu it evaluates.  Each pass holds later points than
+    the passes before it, so it replaces best only when its minimum is
+    strictly lower.
     """
     n = mus.size
-    lo, hi = _window_hint(lam, mus, ub, gap)
-    left, right = np.flatnonzero(lo > 0), np.flatnonzero(hi < n)
-    row = np.concatenate((lam[left], lam[right]))
-    mu = np.concatenate((mus[lo[left] - 1], mus[hi[right]]))
-    d = row - mu
-    far = np.abs(quartic_coefficients(row, mu)[0]) > ub
-    k = left.size
-    lo[left[~(far[:k] & (d[:k] >= gap))]] = 0
-    hi[right[~(far[k:] & (d[k:] <= -gap))]] = n
-    return lo, hi
-
-
-def _pass_minimum(lam: np.ndarray, mu: np.ndarray, gap: float):
-    """(points off the strip, best) over the points (lam, mu) of one pass:
-    best is (max-coefficient, argmin, coefficients) of its first minimum, or
-    None when every point is on the strip |lam - mu| < gap."""
-    off = np.abs(lam - mu) >= gap
-    lam, mu = lam[off], mu[off]
-    if not lam.size:
-        return 0, None
-    m, coeffs = _max_coefficients(lam, mu)
-    k = int(np.argmin(m))
-    return lam.size, (float(m[k]), (float(lam[k]), float(mu[k])), tuple(float(c[k]) for c in coeffs))
+    lo, hi = _window_hint(span, mus, ub, gap)
+    if widen is not None:
+        lo[widen[0]], hi[widen[1]] = 0, n
+    left, right = lo > 0, hi < n
+    shift = hi + right
+    ends = (shift - lo + left).cumsum()
+    total = int(ends[-1])
+    # Point p of row i, counted across the span, is mus[p + shift[i]].
+    shift -= ends
+    layout = ends, shift, left, right
+    # The passes read only the layout, and each peaks with lo and hi gone.
+    del lo, hi
+    best, scanned, failures = None, span.size * n - total, []
+    for a in range(0, total, BLOCK_CELLS):
+        count, found, failed = _pass_minimum(span, mus, layout, a, min(a + BLOCK_CELLS, total),
+                                             ub, gap)
+        if failed is not None:
+            failures.append(failed)
+        scanned += count
+        if found is not None and (best is None or found[0] < best[0]):
+            best = found
+    if not failures:
+        return scanned, best, None
+    return scanned, best, [ends.searchsorted(np.concatenate(side), "right")
+                           for side in zip(*failures)]
 
 
 def _lattice_minimum(lams: np.ndarray, mus: np.ndarray, gap: float):
@@ -506,46 +592,28 @@ def _lattice_minimum(lams: np.ndarray, mus: np.ndarray, gap: float):
     the first minimum in row-major order, or None when every point is on
     the strip.
 
-    `_upper_bound` bounds the minimum by ub, and only the points inside the
-    `_windows` of each row are evaluated: every point outside is off the
-    strip with |c4| > ub, so it cannot be the minimum or tie with it, and
-    counts as scanned.  A box that reaches past _CUT_REACH has ub = inf, so
-    every window is its whole row and an overflow anywhere still raises.
-    The windows are built for spans of BLOCK_CELLS / 4 rows, so the check
-    of their ends takes at most BLOCK_CELLS / 2 points and its temporaries
-    stay below those of a pass.  The window points of a span, in row-major
-    order, are gathered in passes of at most BLOCK_CELLS consecutive points,
-    so one row's window may be split across passes.  Each pass holds later
-    points than the passes before it, so a later pass replaces best only
-    when its minimum is strictly lower.
+    `_upper_bound` bounds the minimum by ub, and the rows are taken in spans
+    of BLOCK_CELLS rows.  `_span_minimum` evaluates each row's
+    `_window_hint` together with the first point past each end, in the
+    same passes, and checks those end points: every point beyond an end
+    point that checks is off the strip with |c4| > ub, so it cannot be the
+    minimum or tie with it, and counts as scanned.  A span where some end
+    point fails is evaluated once more, with those rows running to their
+    ends.  A box that reaches past _CUT_REACH has ub = inf, so every window
+    is its whole row and an overflow anywhere still raises.  A later span
+    replaces best only when its minimum is strictly lower.
     """
-    n = mus.size
     reach = max(abs(lams[0]), abs(lams[-1]), abs(mus[0]), abs(mus[-1]))
     ub = _upper_bound(lams, mus, gap) if reach <= _CUT_REACH else math.inf
-    rows = max(1, BLOCK_CELLS // 4)
     best, scanned = None, 0
-    for first in range(0, lams.size, rows):
-        span = lams[first : first + rows]
-        lo, hi = _windows(span, mus, ub, gap)
-        counts = hi - lo
-        ends = np.cumsum(counts)
-        total = int(ends[-1])
-        scanned += span.size * n - total
-        # Window point p of row i, counted across the span, is mus[p + shift[i]].
-        shift = hi - ends
-        for a in range(0, total, BLOCK_CELLS):
-            b = min(a + BLOCK_CELLS, total)
-            # Rows r to t hold points [a, b); the first and last are clipped to them.
-            r, t = np.searchsorted(ends, (a, b - 1), "right").tolist()
-            kept = counts[r : t + 1].copy()
-            kept[0] = ends[r] - a
-            kept[-1] -= ends[t] - b
-            count, found = _pass_minimum(np.repeat(span[r : t + 1], kept),
-                                         mus[np.arange(a, b) + np.repeat(shift[r : t + 1], kept)],
-                                         gap)
-            scanned += count
-            if found is not None and (best is None or found[0] < best[0]):
-                best = found
+    for first in range(0, lams.size, BLOCK_CELLS):
+        span = lams[first : first + BLOCK_CELLS]
+        count, found, failed = _span_minimum(span, mus, ub, gap)
+        if failed is not None:
+            count, found, _ = _span_minimum(span, mus, ub, gap, failed)
+        scanned += count
+        if found is not None and (best is None or found[0] < best[0]):
+            best = found
     return scanned, best
 
 
@@ -564,17 +632,20 @@ def contradiction_scan(
 
     The lattice scan reports the minimum over points of
     max(|c4|, |c2|, |c0|) with its first argmin in row-major order; it
-    evaluates only the points whose |c4| can reach the minimum
-    (`_lattice_minimum`), in passes of at most BLOCK_CELLS points.  The cofactor
-    identity a c4 + b c2 + c c0 = lam - mu (see `_COFACTORS`) then turns
-    the finite scan into a certificate on the whole box minus the diagonal
-    strip |lam - mu| < step/2, split into cells with the lattice points
-    inside as edges (`cells_examined` counts them).  `_cell_bounds` is
-    least on the cell at the box's far corner, so its one bound there is
-    `certified_lower_bound` on every cell.  `cells_certified` holds when
-    the identity checks exactly (`_identity_holds`), the box has cells and
-    that bound is positive; otherwise every cell fails.  A box without
-    area (a range that is one point) has no cells and is never certified.
+    evaluates only a window of each row, where |c4| can reach the minimum,
+    and the first point past each end of it, in passes of at most
+    BLOCK_CELLS points that also check those end points
+    (`_lattice_minimum`).  The cofactor identity a c4 + b c2 + c c0 =
+    lam - mu (see `_COFACTORS`) then turns the finite scan into a
+    certificate on the whole box minus the diagonal strip
+    |lam - mu| < step/2, split into cells with the lattice points inside as
+    edges (`cells_examined` counts them).  `_cell_bounds` is least on the
+    cell at the box's far corner, so its one bound there, on float64
+    scalars, is `certified_lower_bound` on every cell.  `cells_certified`
+    holds when the identity checks exactly (`_identity_holds`, on every
+    scan), the box has cells and that bound is positive; otherwise every
+    cell fails.  A box without area (a range that is one point) has no
+    cells and is never certified.
 
     The quartic follows from the closure system only for mu != 0: the
     elimination drops an overall factor mu, so the certificate says nothing
@@ -605,8 +676,8 @@ def contradiction_scan(
     cells = lam_cells * mu_cells if scanned else 0
     lowest = math.inf
     if cells:
-        reach = (np.array([max(map(abs, r))]) for r in (lam_range, mu_range))
-        lowest = float(_cell_bounds(*reach, gap)[0])
+        reach = (np.float64(max(map(abs, r))) for r in (lam_range, mu_range))
+        lowest = float(_cell_bounds(*reach, gap))
         if not _identity_holds():
             lowest = math.inf
     # One bound covers every cell: all of them hold or all fail.

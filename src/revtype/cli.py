@@ -7,10 +7,13 @@ Subcommands:
     scan       scan (lambda, mu) pairs for the closure-coefficient certificate
     catalog    list built-in surfaces or export one to a profile file
 
-Exit codes: 0 success / definite verdict / check passed, 1 usage or input
-error, a file that cannot be read or written or a closed stdout (with no
-message), 2 inconclusive verdict or check above tolerance.  Reports embed
-the configuration their command reads and contain no timestamps, so
+Exit codes: 0 success / definite verdict / check passed / box certified,
+1 usage or input error, a file that cannot be read or written or a closed
+stdout (with no message), 2 inconclusive verdict, check above tolerance or
+a scan that certifies no cell (``cells_certified: false``: a box without
+area, every lattice point on the diagonal, a bound that rounds to zero or
+a failed identity check), whose report is written all the same.  Reports
+embed the configuration their command reads and contain no timestamps, so
 rerunning a command with the same inputs and seed reproduces the output
 byte for byte.
 A check that finds no usable sample points fails with exit 2 and a reason.
@@ -472,7 +475,7 @@ def cmd_scan(args) -> int:
                 f"scan: min max-coefficient {cert.min_max_coefficient:.6g} at "
                 f"(lambda, mu) = {cert.argmin}; cells certified: {cert.cells_certified}"
             )
-    return EXIT_OK
+    return EXIT_OK if cert.cells_certified else EXIT_INCONCLUSIVE
 
 
 def cmd_catalog(args) -> int:

@@ -660,6 +660,49 @@ class TestLatticeCut:
         assert tie == cert.min_max_coefficient
         assert sum(seen) < 5 * 81
 
+    def test_three_evaluations_per_scan(self, monkeypatch):
+        # A benchmark-shaped box: the sample, one window pass that checks
+        # its own end points, and the identity; no separate end check.
+        seen = _counted_quartic(monkeypatch)
+        cert = contradiction_scan((-2.5, 7.5), (-8.05, 1.95), 0.05)
+        assert cert.cells_certified
+        assert len(seen) == 3 and seen[-1] == 36
+        assert seen[1] <= classify.BLOCK_CELLS
+
+    @pytest.mark.parametrize("block", (4096, 64))
+    @pytest.mark.parametrize("past", (1, 2))
+    def test_failed_end_point_widens_its_row(self, monkeypatch, block, past):
+        # The window of the minimum's row starts `past` points right of the
+        # minimum, so that row's left end point is the minimum or its
+        # neighbour, with |c4| <= ub: it fails its check, and the span is
+        # evaluated once more with that row running to its start.  At 2 the
+        # first evaluation misses the minimum, and only that second one
+        # finds it; the report is the full pass's, first argmin included.
+        box = ((-2.5, 7.5), (-8.05, 1.95), 0.05)
+        want = reference_scan(*box)
+        lam_min, mu_min = want["argmin"]
+        mus, _ = classify._axis("mu_range", *box[1], box[2])
+        hint, span_minimum = classify._window_hint, classify._span_minimum
+
+        def narrowed(lam, mus, ub, gap):
+            lo, hi = hint(lam, mus, ub, gap)
+            lo[lam == lam_min] = np.searchsorted(mus, mu_min) + past
+            return lo, hi
+
+        widened = []
+
+        def recorded(span, mus, ub, gap, widen=None):
+            if widen is not None:
+                widened.append([span[rows].tolist() for rows in widen])
+            return span_minimum(span, mus, ub, gap, widen)
+
+        monkeypatch.setattr(classify, "BLOCK_CELLS", block)
+        monkeypatch.setattr(classify, "_window_hint", narrowed)
+        monkeypatch.setattr(classify, "_span_minimum", recorded)
+        cert = contradiction_scan(*box)
+        assert _scan_fields(cert, want) == want
+        assert widened == [[[lam_min], []]]
+
     @pytest.mark.parametrize("place", ("at lam", "row start", "row end"))
     def test_any_hint_matches_reference(self, monkeypatch, place):
         # Empty windows anywhere in the row: the checks alone decide how far
@@ -789,12 +832,13 @@ class TestScanCells:
         for axis in edges:
             assert np.all(np.diff(axis) > 0.0) and np.all(np.diff(axis) <= widest)
         assert cells == (lam_edges.size - 1) * (mu_edges.size - 1)
-        # One bound per scan, at the box's largest |lam| and |mu|: the reach
-        # of its far corner cell.
+        # One bound per scan, on float64 scalars at the box's largest |lam|
+        # and |mu|: the reach of its far corner cell.
         [(l, m)] = reached
         lam_reach, mu_reach = (np.maximum(np.abs(e[:-1]), np.abs(e[1:])) for e in edges)
-        assert l.tolist() == [lam_reach.max()] == [max(map(abs, lam_range))]
-        assert m.tolist() == [mu_reach.max()] == [max(map(abs, mu_range))]
+        assert type(l) is type(m) is np.float64
+        assert l == lam_reach.max() == max(map(abs, lam_range))
+        assert m == mu_reach.max() == max(map(abs, mu_range))
 
     @pytest.mark.parametrize("lo, hi, step, edges", (
         (0.0, 1.0, 0.4, (0.0, 0.4, 0.8, 1.0)),

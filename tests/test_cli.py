@@ -696,12 +696,14 @@ class TestScanProperty:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        assert code in (0, 1)
+        assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         if code == 1:
             assert err.getvalue().startswith("error:") and not out.getvalue()
             return
         cert = json.loads(out.getvalue(), parse_constant=_reject_constant)["certificate"]
+        # Exit 2 exactly when no cell is certified; the report is written either way.
+        assert (code == 2) == (not cert["cells_certified"])
         step = float(argv[2])
         lam_range, mu_range = (tuple(map(float, r)) for r in (argv[4:6], argv[7:9]))
         want = reference_scan(lam_range, mu_range, step)
@@ -752,17 +754,36 @@ class TestScan:
 
     def test_single_point_reports_coefficients(self, tmp_path):
         out = tmp_path / "cert.json"
+        # One point has no cells, so nothing is certified: exit 2, report written.
         assert main(["scan", "--lambda-range", "0", "0", "--mu-range", "2", "2",
-                     "--out", str(out)]) == 0
+                     "--out", str(out)]) == 2
         cert = json.loads(out.read_text())["certificate"]
         assert cert["argmin_coefficients"][2] == pytest.approx(12.0)
+        assert cert["cells_certified"] is False
 
     def test_diagonal_point_skipped(self, tmp_path):
         out = tmp_path / "cert.json"
         assert main(["scan", "--lambda-range", "1", "1", "--mu-range", "1", "1",
-                     "--out", str(out)]) == 0
+                     "--out", str(out)]) == 2
         cert = json.loads(out.read_text())["certificate"]
         assert cert["points_scanned"] == 0
+        assert cert["cells_certified"] is False
+
+    @pytest.mark.parametrize("extra, failures, note", (
+        # The bound rounds to 0.0 on every cell of a subnormal lattice.
+        (["--step", "1e-323", "--lambda-range", "0", "1e-321", "--mu-range", "0", "1e-321"],
+         10201, ""),
+        (["--lambda-range", "0", "1", "--mu-range", "3", "3"], 0, "no area"),
+        (["--lambda-range", "0", "1", "--mu-range", "0", "1", "--step", "2"], 0, "diagonal"),
+    ))
+    def test_uncertified_box_exits_2(self, capsys, extra, failures, note):
+        # A box that certifies no cell is reported in full, with exit 2, as a
+        # check with no usable points is.
+        assert main(["scan", *extra]) == 2
+        captured = capsys.readouterr()
+        cert = json.loads(captured.out)["certificate"]
+        assert cert["cells_certified"] is False and cert["cell_failures"] == failures
+        assert note in cert["note"] and not captured.err
 
     def test_empty_range_is_input_error(self, capsys):
         assert main(["scan", "--lambda-range", "2", "-2",
