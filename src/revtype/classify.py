@@ -306,7 +306,8 @@ _COFACTORS = (
     ((0, 0), (626, -150, 0)),
 )
 # Lattice points per array pass of the scan, so each temporary array holds
-# about 32 KB, and lattice rows per span whose windows are laid out at once.
+# about 32 KB, and lattice rows per span whose window ends are checked at
+# once.
 BLOCK_CELLS = 4096
 # Work budget of one scan: at most this many lattice points, counted as
 # (span / step + 1) per axis and multiplied, which also bounds the cells.
@@ -315,9 +316,9 @@ BLOCK_CELLS = 4096
 # about 0.2 GiB (174 MiB RSS measured on the row (0, 0) x (0, 838860) at
 # step 0.05); a square box at the bound takes about 0.3 s where the
 # lattice pass skips nothing (4095^2 points on [-1e101, 1e101]^2, past
-# _CUT_REACH; 0.27 to 0.39 s measured on a 2-core x86-64 host), about
-# 0.2 s on [20, 40]^2, where the windows keep 57% of the points, and
-# about 4 ms on [-10, 10]^2.
+# _CUT_REACH; 0.31 to 0.35 s measured on a 2-core x86-64 host), about
+# 0.18 s on [20, 40]^2, where the windows keep 57% of the points, and
+# about 3.5 ms on [-10, 10]^2.
 MAX_SCAN_POINTS = 2**24
 # The lattice pass skips points only on boxes within _CUT_REACH of the
 # origin, where no coefficient can overflow, so a skipped point hides no
@@ -472,118 +473,51 @@ def _window_hint(lam: np.ndarray, mus: np.ndarray, ub: float, gap: float):
     """Index ranges [lo, hi) of mus, one per row lam: mu within a little
     more than max(sqrt(ub / |lam|), gap) of lam, where |c4| = |lam| (lam -
     mu)^2 could still be at most ub or the point on the strip."""
-    # Only a hint, which `_span_minimum` checks, so an overflow, a division
-    # by zero or 0 / 0 here can only widen, narrow or misplace a window.
+    # Only a hint, which `_windows` checks, so an overflow, a division by
+    # zero or 0 / 0 here can only widen, narrow or misplace a window.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         half = 1.01 * np.maximum(np.sqrt(ub / np.abs(lam)), gap)
         return mus.searchsorted(lam - half), mus.searchsorted(lam + half, "right")
 
 
-def _pass_minimum(span: np.ndarray, mus: np.ndarray, layout, a: int, b: int,
-                  ub: float, gap: float):
-    """(points off the strip, best, failed) over the points [a, b) of the
-    span's windows with their end points, counted in row-major order and
-    laid out by ``layout`` (see `_span_minimum`), evaluating
-    `quartic_coefficients` once: best is (max-coefficient, argmin,
-    coefficients) of the first minimum, or None when every point is on the
-    strip |lam - mu| < gap.  failed is None when every end point in the
-    pass checks, and otherwise holds the positions, counted across the
-    span, of those left and right of the windows that fail: on the strip,
-    on the other side of lam, or |c4| <= ub."""
-    ends, shift, left, right = layout
-    # Rows r to t hold points [a, b); the first and last are clipped to them.
-    r, t = ends.searchsorted((a, b - 1), "right").tolist()
-    stops = ends[r : t + 1] - a
-    stops[-1] = b - a
-    kept = stops.copy()
-    kept[1:] -= stops[:-1]
-    lam = span[r : t + 1].repeat(kept)
-    mu = mus[shift[r : t + 1].repeat(kept) + np.arange(a, b)]
-    d = lam - mu
-    off = np.abs(d) >= gap
-    # The end points in the pass, save one that an earlier or a later pass
-    # holds, each checked for lying off the strip on its side of lam.
-    heads = (stops - kept)[left[r : t + 1]]
-    if left[r] and (ends[r - 1] if r else 0) < a:
-        heads = heads[1:]
-    tails = (stops - 1)[right[r : t + 1]]
-    if right[t] and ends[t] > b:
-        tails = tails[:-1]
-    tips = (heads, d[heads] >= gap), (tails, d[tails] <= -gap)
-    # Only the off-strip points are evaluated, so an on-strip one never
-    # overflows; the pass's other arrays go first, to keep its peak low.
-    lam, mu = lam[off], mu[off]
-    del d
-    m, coeffs = _max_coefficients(lam, mu)
-    failed = None
-    # A pass of whole rows has no end points to check.
-    if heads.size or tails.size:
-        far = np.zeros(b - a, bool)
-        far[off] = np.abs(coeffs[0]) > ub
-        checks = [(at, side & far[at]) for at, side in tips]
-        if not all(checked.all() for _, checked in checks):
-            failed = [at[~checked] + a for at, checked in checks]
-    if not lam.size:
-        return 0, None, failed
-    k = int(m.argmin())
-    return lam.size, (float(m[k]), (float(lam[k]), float(mu[k])),
-                      tuple(float(c[k]) for c in coeffs)), failed
-
-
-def _span_minimum(span: np.ndarray, mus: np.ndarray, ub: float, gap: float, widen=None):
-    """(points scanned, best, failed) over the rows span of the lattice
-    span x mus, evaluating the window [lo, hi) of mus from `_window_hint`
-    of each row together with the first point past each end of it: best is
-    (max-coefficient, argmin, coefficients) of the first minimum in
-    row-major order, or None when no evaluated point is off the strip
-    |lam - mu| < gap.  Given ``widen``, the windows of its rows
-    ``widen[0]`` run to the start of the row, and those of ``widen[1]`` to
-    the end.
+def _windows(lam: np.ndarray, mus: np.ndarray, ub: float, gap: float):
+    """Index ranges [lo, hi) of mus, one per row lam, that hold every point
+    of the row on the strip |lam - mu| < gap or with |c4| <= ub.
 
     c4 = (lam (lam - mu)) (lam - mu), and each rounding is monotone, so
     along a row |lam - mu| and |c4| never decrease moving away from lam.
-    An end point checks when it is off the strip on its end's side of lam
-    and its |c4| exceeds ub: then no point beyond it is on the strip or
-    reaches ub, so none can be the minimum or tie with it, and they count
-    as scanned, as the end point itself does.  failed is None when every
-    end point checks.  Otherwise it holds the rows whose end point failed
-    on each side, to be passed as ``widen`` to the same span evaluated
-    again, whose counts and best then stand; its end points are the ones
-    that checked here, so it fails none.
-
-    The points, in row-major order, are gathered in passes of at most
-    BLOCK_CELLS consecutive points (`_pass_minimum`), so one row's window
-    may be split across passes, and each pass checks its end points with
-    the c4 and lam - mu it evaluates.  Each pass holds later points than
-    the passes before it, so it replaces best only when its minimum is
-    strictly lower.
+    The first point past each end of the hint is checked: when it is off
+    the strip on that end's side of lam and its |c4| exceeds ub, no point
+    beyond it is on the strip or reaches ub.  Otherwise the window runs to
+    that end of the row.  A row whose hint already reaches an end checks
+    that end's last point, and keeps the end either way.  |c4| is
+    lam * d * d, the bits of `quartic_coefficients`' c4, read without a
+    call; where it overflows it reads inf, which never exceeds ub = inf,
+    so on a box past _CUT_REACH every window is its whole row.
     """
     n = mus.size
-    lo, hi = _window_hint(span, mus, ub, gap)
-    if widen is not None:
-        lo[widen[0]], hi[widen[1]] = 0, n
-    left, right = lo > 0, hi < n
-    shift = hi + right
-    ends = (shift - lo + left).cumsum()
-    total = int(ends[-1])
-    # Point p of row i, counted across the span, is mus[p + shift[i]].
-    shift -= ends
-    layout = ends, shift, left, right
-    # The passes read only the layout, and each peaks with lo and hi gone.
-    del lo, hi
-    best, scanned, failures = None, span.size * n - total, []
-    for a in range(0, total, BLOCK_CELLS):
-        count, found, failed = _pass_minimum(span, mus, layout, a, min(a + BLOCK_CELLS, total),
-                                             ub, gap)
-        if failed is not None:
-            failures.append(failed)
-        scanned += count
-        if found is not None and (best is None or found[0] < best[0]):
-            best = found
-    if not failures:
-        return scanned, best, None
-    return scanned, best, [ends.searchsorted(np.concatenate(side), "right")
-                           for side in zip(*failures)]
+    lo, hi = _window_hint(lam, mus, ub, gap)
+    with np.errstate(over="ignore"):
+        d = lam - mus[np.maximum(lo - 1, 0)]
+        lo[~((d >= gap) & (np.abs(lam * d * d) > ub))] = 0
+        d = lam - mus[np.minimum(hi, n - 1)]
+        hi[~((d <= -gap) & (np.abs(lam * d * d) > ub))] = n
+    return lo, hi
+
+
+def _pass_minimum(lam: np.ndarray, mu: np.ndarray, gap: float):
+    """(points off the strip, best) over the points (lam, mu) of one pass:
+    best is (max-coefficient, argmin, coefficients) of its first minimum, or
+    None when every point is on the strip |lam - mu| < gap."""
+    # Only the off-strip points are evaluated, so an on-strip one never
+    # overflows.
+    off = np.abs(lam - mu) >= gap
+    lam, mu = lam[off], mu[off]
+    if not lam.size:
+        return 0, None
+    m, coeffs = _max_coefficients(lam, mu)
+    k = int(m.argmin())
+    return lam.size, (float(m[k]), (float(lam[k]), float(mu[k])), tuple(float(c[k]) for c in coeffs))
 
 
 def _lattice_minimum(lams: np.ndarray, mus: np.ndarray, gap: float):
@@ -592,28 +526,45 @@ def _lattice_minimum(lams: np.ndarray, mus: np.ndarray, gap: float):
     the first minimum in row-major order, or None when every point is on
     the strip.
 
-    `_upper_bound` bounds the minimum by ub, and the rows are taken in spans
-    of BLOCK_CELLS rows.  `_span_minimum` evaluates each row's
-    `_window_hint` together with the first point past each end, in the
-    same passes, and checks those end points: every point beyond an end
-    point that checks is off the strip with |c4| > ub, so it cannot be the
-    minimum or tie with it, and counts as scanned.  A span where some end
-    point fails is evaluated once more, with those rows running to their
-    ends.  A box that reaches past _CUT_REACH has ub = inf, so every window
-    is its whole row and an overflow anywhere still raises.  A later span
-    replaces best only when its minimum is strictly lower.
+    `_upper_bound` bounds the minimum by ub, and only the points inside the
+    `_windows` of each row are evaluated: every point outside is off the
+    strip with |c4| > ub, so it cannot be the minimum or tie with it, and
+    counts as scanned.  A box that reaches past _CUT_REACH has ub = inf, so
+    every window is its whole row and an overflow anywhere still raises.
+    The windows are checked for spans of BLOCK_CELLS rows, before the
+    span's passes.  The window points of a span, in row-major order, are
+    gathered in passes of at most BLOCK_CELLS consecutive points, so one
+    row's window may be split across passes.  Each pass holds later points
+    than the passes before it, so it replaces best only when its minimum is
+    strictly lower.
     """
+    n = mus.size
     reach = max(abs(lams[0]), abs(lams[-1]), abs(mus[0]), abs(mus[-1]))
     ub = _upper_bound(lams, mus, gap) if reach <= _CUT_REACH else math.inf
     best, scanned = None, 0
     for first in range(0, lams.size, BLOCK_CELLS):
         span = lams[first : first + BLOCK_CELLS]
-        count, found, failed = _span_minimum(span, mus, ub, gap)
-        if failed is not None:
-            count, found, _ = _span_minimum(span, mus, ub, gap, failed)
-        scanned += count
-        if found is not None and (best is None or found[0] < best[0]):
-            best = found
+        lo, hi = _windows(span, mus, ub, gap)
+        ends = (hi - lo).cumsum()
+        total = int(ends[-1])
+        scanned += span.size * n - total
+        # Window point p of row i, counted across the span, is mus[p + shift[i]].
+        shift = hi - ends
+        # The passes read only ends and shift, and each peaks with lo and hi gone.
+        del lo, hi
+        for a in range(0, total, BLOCK_CELLS):
+            b = min(a + BLOCK_CELLS, total)
+            # Rows r to t hold points [a, b); the first and last are clipped to them.
+            r, t = ends.searchsorted((a, b - 1), "right").tolist()
+            stops = ends[r : t + 1] - a
+            stops[-1] = b - a
+            kept = stops.copy()
+            kept[1:] -= stops[:-1]
+            count, found = _pass_minimum(span[r : t + 1].repeat(kept),
+                                         mus[shift[r : t + 1].repeat(kept) + np.arange(a, b)], gap)
+            scanned += count
+            if found is not None and (best is None or found[0] < best[0]):
+                best = found
     return scanned, best
 
 
@@ -633,19 +584,18 @@ def contradiction_scan(
     The lattice scan reports the minimum over points of
     max(|c4|, |c2|, |c0|) with its first argmin in row-major order; it
     evaluates only a window of each row, where |c4| can reach the minimum,
-    and the first point past each end of it, in passes of at most
-    BLOCK_CELLS points that also check those end points
-    (`_lattice_minimum`).  The cofactor identity a c4 + b c2 + c c0 =
-    lam - mu (see `_COFACTORS`) then turns the finite scan into a
-    certificate on the whole box minus the diagonal strip
-    |lam - mu| < step/2, split into cells with the lattice points inside as
-    edges (`cells_examined` counts them).  `_cell_bounds` is least on the
-    cell at the box's far corner, so its one bound there, on float64
-    scalars, is `certified_lower_bound` on every cell.  `cells_certified`
-    holds when the identity checks exactly (`_identity_holds`, on every
-    scan), the box has cells and that bound is positive; otherwise every
-    cell fails.  A box without area (a range that is one point) has no
-    cells and is never certified.
+    in passes of at most BLOCK_CELLS points, once the first point past each
+    end of the window has been checked (`_lattice_minimum`).  The cofactor
+    identity a c4 + b c2 + c c0 = lam - mu (see `_COFACTORS`) then turns the
+    finite scan into a certificate on the whole box minus the diagonal
+    strip |lam - mu| < step/2, split into cells with the lattice points
+    inside as edges (`cells_examined` counts them).  `_cell_bounds` is
+    least on the cell at the box's far corner, so its one bound there, on
+    float64 scalars, is `certified_lower_bound` on every cell.
+    `cells_certified` holds when the identity checks exactly
+    (`_identity_holds`, on every scan), the box has cells and that bound is
+    positive; otherwise every cell fails.  A box without area (a range that
+    is one point) has no cells and is never certified.
 
     The quartic follows from the closure system only for mu != 0: the
     elimination drops an overall factor mu, so the certificate says nothing

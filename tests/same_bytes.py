@@ -15,8 +15,9 @@ The corpus comes from this tree whichever ``src`` runs it: every
 ``_DISPATCH_CORPUS``, each leaf's ``-h``, ``catalog export`` of every catalog
 name to stdout and to ``--out``, two ``radius-rate`` lines whose lambda - mu
 overflows, ``classify`` and one ``verify`` check on each profile file of
-``BAD_PROFILES``, whose ``f`` fails to parse, and the first 100 seed-7
-requests of each benchmark workload.
+``BAD_PROFILES``, whose ``f`` fails to parse, a ``scan`` of each box of
+``SCAN_EDGES``, and the first 100 seed-7 requests of each benchmark
+workload.
 Commands run in a fresh temporary directory, so relative paths are the same
 on every run.  The file is not a pytest module; it runs in a few seconds.
 """
@@ -54,6 +55,29 @@ BAD_PROFILES = {
     "wrong-arity.json": "2 * sin(s, 2)",
 }
 
+# Scan boxes at the edges of the lattice pass, as (lambda range, mu range,
+# step): coefficients that overflow, a box past the 1e100 reach of the
+# windows, a subnormal lattice, a single point, a box all on the diagonal
+# strip, one without area, rows 0.25 and 0.5 tied at the minimum, boxes one
+# line wide, the three square boxes at the work budget, and a step below
+# the float spacing, whose lattice points coincide.
+SCAN_EDGES = (
+    (("-1e150", "1e150"), ("-1e150", "1e150"), "1e149"),
+    (("-1e200", "1e200"), ("-1e200", "1e200"), "1e199"),
+    (("-1e102", "1e102"), ("-1e102", "1e102"), "1e101"),
+    (("-1e-323", "1e-323"), ("-1e-323", "1e-323"), "5e-324"),
+    (("1", "1"), ("3", "3"), "0.25"),
+    (("1", "1"), ("1", "1"), "0.25"),
+    (("0", "5"), ("3", "3"), "0.25"),
+    (("0", "1"), ("-0.25", "19.75"), "0.25"),
+    (("0", "50000"), ("3", "3"), "0.05"),
+    (("3", "3"), ("0", "50000"), "0.05"),
+    (("0", "0"), ("0", "50000"), "0.05"),
+    *(((lo, hi), (lo, hi), repr((float(hi) - float(lo)) / 4094))
+      for lo, hi in (("-10", "10"), ("20", "40"), ("-1e101", "1e101"))),
+    (("1e17", "1.000000000000001e17"), ("-10", "10"), "1"),
+)
+
 
 def corpus() -> list[list[str]]:
     """Every command line, in the order the digests are printed."""
@@ -67,6 +91,8 @@ def corpus() -> list[list[str]]:
         *(["catalog", "export", name, "--out", f"{name}.json"] for name in names),
         *(["verify", "radius-rate", "--catalog", name, "--lambda", "1e308", "--mu", "-1e308"]
           for name in ("sphere", "torus")),
+        *(["scan", "--lambda-range", *lam, "--mu-range", *mu, "--step", step]
+          for lam, mu, step in SCAN_EDGES),
     ]
     for path, check in zip(BAD_PROFILES, cli.VERIFY_TOLERANCES):
         lines += [["classify", "--profile", path], ["verify", check, "--profile", path]]

@@ -661,8 +661,9 @@ class TestLatticeCut:
         assert sum(seen) < 5 * 81
 
     def test_three_evaluations_per_scan(self, monkeypatch):
-        # A benchmark-shaped box: the sample, one window pass that checks
-        # its own end points, and the identity; no separate end check.
+        # A benchmark-shaped box: the sample, one window pass and the
+        # identity; the window ends are checked from lam * d * d, with no
+        # evaluation of their own.
         seen = _counted_quartic(monkeypatch)
         cert = contradiction_scan((-2.5, 7.5), (-8.05, 1.95), 0.05)
         assert cert.cells_certified
@@ -672,17 +673,16 @@ class TestLatticeCut:
     @pytest.mark.parametrize("block", (4096, 64))
     @pytest.mark.parametrize("past", (1, 2))
     def test_failed_end_point_widens_its_row(self, monkeypatch, block, past):
-        # The window of the minimum's row starts `past` points right of the
-        # minimum, so that row's left end point is the minimum or its
-        # neighbour, with |c4| <= ub: it fails its check, and the span is
-        # evaluated once more with that row running to its start.  At 2 the
-        # first evaluation misses the minimum, and only that second one
-        # finds it; the report is the full pass's, first argmin included.
+        # The window hint of the minimum's row starts `past` points right of
+        # the minimum, so that row's left end point is the minimum or its
+        # neighbour, with |c4| <= ub: it fails its check, and that row
+        # alone runs to its start.  At 2 the hint misses the minimum, and
+        # only the widened window finds it; the report is the full pass's,
+        # first argmin included.
         box = ((-2.5, 7.5), (-8.05, 1.95), 0.05)
         want = reference_scan(*box)
         lam_min, mu_min = want["argmin"]
-        mus, _ = classify._axis("mu_range", *box[1], box[2])
-        hint, span_minimum = classify._window_hint, classify._span_minimum
+        hint, windows = classify._window_hint, classify._windows
 
         def narrowed(lam, mus, ub, gap):
             lo, hi = hint(lam, mus, ub, gap)
@@ -691,17 +691,43 @@ class TestLatticeCut:
 
         widened = []
 
-        def recorded(span, mus, ub, gap, widen=None):
-            if widen is not None:
-                widened.append([span[rows].tolist() for rows in widen])
-            return span_minimum(span, mus, ub, gap, widen)
+        def recorded(lam, mus, ub, gap):
+            start, _ = classify._window_hint(lam, mus, ub, gap)
+            lo, hi = windows(lam, mus, ub, gap)
+            widened.extend(lam[(start > 0) & (lo == 0)].tolist())
+            return lo, hi
 
         monkeypatch.setattr(classify, "BLOCK_CELLS", block)
         monkeypatch.setattr(classify, "_window_hint", narrowed)
-        monkeypatch.setattr(classify, "_span_minimum", recorded)
+        monkeypatch.setattr(classify, "_windows", recorded)
         cert = contradiction_scan(*box)
         assert _scan_fields(cert, want) == want
-        assert widened == [[[lam_min], []]]
+        assert widened == [lam_min]
+
+    def test_windows_check_ends_without_overflow(self, monkeypatch):
+        # On a near box both ends of every hint pass, and the hint stands.
+        lams, _ = classify._axis("lam_range", -10.0, 10.0, 0.25)
+        ub = classify._upper_bound(lams, lams, 0.125)
+        want = classify._window_hint(lams, lams, ub, 0.125)
+        assert ((want[0] > 0) & (want[1] < lams.size)).sum() > lams.size // 2
+        with np.errstate(over="raise"):
+            got = classify._windows(lams, lams, ub, 0.125)
+        assert [w.tolist() for w in got] == [w.tolist() for w in want]
+        # Past _CUT_REACH, ub = inf and no end passes, so each one-point
+        # hint becomes its whole row, also where lam * d * d overflows.
+        lams, _ = classify._axis("lam_range", -1e104, 1e104, 1e103)
+        n = lams.size
+
+        def one_point(lam, mus, ub, gap):
+            at = np.searchsorted(mus, lam)
+            return at, np.minimum(at + 1, mus.size)
+
+        with np.errstate(over="ignore"):
+            assert np.isinf(lams * 1e103 * 1e103).any()
+        monkeypatch.setattr(classify, "_window_hint", one_point)
+        with np.errstate(over="raise"):
+            lo, hi = classify._windows(lams, lams, math.inf, 5e102)
+        assert lo.tolist() == [0] * n and hi.tolist() == [n] * n
 
     @pytest.mark.parametrize("place", ("at lam", "row start", "row end"))
     def test_any_hint_matches_reference(self, monkeypatch, place):
@@ -762,8 +788,8 @@ class TestLatticeCut:
 
     def test_passes_stay_within_a_block(self, monkeypatch):
         # 4095^2 points, and one window of 10001 points, the whole row
-        # lam = 0: after the sample, every evaluation, window checks
-        # included, takes at most BLOCK_CELLS points.
+        # lam = 0: after the sample, every evaluation takes at most
+        # BLOCK_CELLS points; the window ends need none.
         seen = _counted_quartic(monkeypatch)
         for box, points in ((((-10.0, 10.0), (-10.0, 10.0), 20.0 / 4094), 4095**2),
                             (((0.0, 0.0), (0.0, 500.0), 0.05), 10001)):
